@@ -60,8 +60,8 @@ def quantile(samples, q):
 def test_submit_round_trip_and_sustained_rate():
     service = build_service()
     service.start()
+    client = ServiceClient(service.url)
     try:
-        client = ServiceClient(service.url)
         # One warm-up submission outside the window (template sizing,
         # first-response plumbing).
         client.submit(
@@ -82,6 +82,7 @@ def test_submit_round_trip_and_sustained_rate():
             outcomes[reply["status"]] += 1
         window = time.perf_counter() - window_start
     finally:
+        client.close()
         service.stop(drain=False)
 
     rate = SUBMISSIONS / window

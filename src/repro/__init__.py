@@ -71,7 +71,7 @@ from repro.telemetry import (
     default_registry,
 )
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "AmdahlModel",

@@ -1700,15 +1700,16 @@ def cmd_serve(args, out) -> int:
 
 
 def cmd_worker(args, out) -> int:
+    from repro.service.client import ServiceClientError
     from repro.service.lifecycle import GracefulShutdown
     from repro.service.worker import ServiceWorker, WorkerConfig
 
     try:
         config = WorkerConfig(url=args.url, name=args.name, slots=args.slots)
-    except ValueError as exc:
+        worker = ServiceWorker(config)
+    except (ValueError, ServiceClientError) as exc:
         out.write(f"error: {exc}\n")
         return 2
-    worker = ServiceWorker(config)
     out.write(f"worker {args.name!r} joining {args.url} "
               f"({args.slots} slots)\n")
     try:
@@ -1760,7 +1761,20 @@ def cmd_submit(args, out) -> int:
                       "(everything after --command is the argv)\n")
             return 2
         command_payload = {"argv": argv, "tasks": args.tasks}
-    client = ServiceClient(args.url)
+    try:
+        client = ServiceClient(args.url)
+    except ServiceClientError as exc:
+        out.write(f"error: {exc}\n")
+        return 2
+    with client:
+        return _submit_and_wait(
+            args, client, bundle_payload, command_payload, out
+        )
+
+
+def _submit_and_wait(args, client, bundle_payload, command_payload, out) -> int:
+    from repro.service.client import ServiceClientError
+
     try:
         reply = client.submit(
             deadline_minutes=args.deadline_minutes,

@@ -5,15 +5,25 @@ to the arbiter goes through this one class, so the wire protocol has a
 single chokepoint.  Errors surface as :class:`ServiceClientError` with
 the HTTP status and the server's own message (the server names the
 offender; the client just carries it).
+
+Connections persist: a client owns a small pool of keep-alive sockets,
+so a task costs a request on a warm connection, not a TCP handshake and
+a new server thread.  ``close()`` (or ``with``) releases them.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import re
+import socket
+import threading
 import time
-import urllib.error
-import urllib.request
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
+from urllib.parse import urlsplit
+
+#: Bytes that would end the request line early (or smuggle a header).
+_UNSAFE_IN_PATH = re.compile(r"[^\x21-\x7e]")
 
 
 class ServiceClientError(RuntimeError):
@@ -25,65 +35,153 @@ class ServiceClientError(RuntimeError):
 
 
 class ServiceClient:
-    """JSON-over-HTTP client bound to one arbiter URL."""
+    """JSON-over-HTTP client bound to one arbiter URL.
+
+    Safe to share between threads: each request checks a connection out
+    of the pool (most recently used first, so surplus ones go idle and
+    the server reaps them) and returns it when the reply is read.  The
+    pool belongs to the client, not to a thread — a worker starts a new
+    thread per task and a warm connection must outlive it.
+    """
 
     def __init__(self, url: str, *, timeout: float = 30.0):
         if not url:
             raise ServiceClientError("client needs the arbiter url")
         self.url = url.rstrip("/")
         self.timeout = float(timeout)
+        parts = urlsplit(self.url)
+        try:
+            port = parts.port or 80
+        except ValueError:
+            port = None
+        if parts.scheme != "http" or not parts.hostname or port is None:
+            raise ServiceClientError(
+                f"arbiter url must look like http://host:port, got {url!r}"
+            )
+        self._address = (parts.hostname, port)
+        self._host_header = parts.netloc
+        self._prefix = parts.path
+        self._idle: List[socket.socket] = []
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the pooled connections (a later call opens fresh ones)."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for sock in idle:
+            sock.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
 
-    def _request(
-        self, method: str, path: str, payload: Optional[Dict] = None
-    ) -> Dict:
-        data = None
-        headers = {"Accept": "application/json"}
-        if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            f"{self.url}{path}", data=data, headers=headers, method=method
-        )
+    def _connect(self) -> socket.socket:
+        sock = socket.create_connection(self._address, timeout=self.timeout)
+        # Requests are small and written whole; never wait to coalesce.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock
+
+    @staticmethod
+    def _send(
+        sock: socket.socket, method: str, message: bytes
+    ) -> Optional[http.client.HTTPResponse]:
+        """Write one request; the reply once its first byte is here, or
+        None if the peer closed the connection without sending any."""
+        reply = http.client.HTTPResponse(sock, method=method)
+        started = False
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as reply:
-                raw = reply.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            detail = exc.read().decode("utf-8", errors="replace")
-            try:
-                detail = json.loads(detail).get("error", detail)
-            except (json.JSONDecodeError, AttributeError):
-                pass
-            raise ServiceClientError(
-                f"{method} {path} -> {exc.code}: {detail.strip()}",
-                status=exc.code,
-            ) from exc
-        except (urllib.error.URLError, OSError, TimeoutError) as exc:
+            sock.sendall(message)
+            started = bool(reply.fp.peek(1))
+        except (BrokenPipeError, ConnectionResetError):
+            pass
+        finally:
+            if not started:
+                reply.close()
+        return reply if started else None
+
+    def _request(
+        self,
+        method: str,
+        path: str,
+        payload: Optional[Dict] = None,
+        *,
+        text: bool = False,
+    ) -> Union[Dict, str]:
+        """One exchange; the decoded JSON reply, or the body if ``text``."""
+        if _UNSAFE_IN_PATH.search(path):
+            raise ServiceClientError(f"{method}: unsafe request path {path!r}")
+        head = (
+            f"{method} {self._prefix}{path} HTTP/1.1\r\n"
+            f"Host: {self._host_header}\r\n"
+        )
+        body = b""
+        if payload is not None:
+            body = json.dumps(payload).encode("utf-8")
+            head += (
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n"
+            )
+        # Request line, headers and body leave in one segment.
+        message = (head + "\r\n").encode("ascii") + body
+
+        with self._lock:
+            sock = self._idle.pop() if self._idle else None
+        try:
+            reply = None
+            if sock is not None:
+                reply = self._send(sock, method, message)
+                if reply is None:
+                    # Zero reply bytes on a reused connection: the server
+                    # closed it while it sat in the pool (idle reaper,
+                    # restart) and did not read this request, so it goes
+                    # out once more, on a fresh connection.  Any other
+                    # failure may have executed it and is not retried.
+                    sock.close()
+            if reply is None:
+                sock = self._connect()
+                reply = self._send(sock, method, message)
+                if reply is None:
+                    raise ConnectionError("connection closed before reply")
+            with reply:
+                reply.begin()
+                status = reply.status
+                raw = reply.read().decode("utf-8", errors="replace")
+                keep = not reply.will_close
+        except (OSError, http.client.HTTPException) as exc:
+            if sock is not None:
+                sock.close()
             raise ServiceClientError(
                 f"cannot reach service at {self.url}: {exc}"
             ) from exc
+        if keep:
+            with self._lock:
+                self._idle.append(sock)
+        else:
+            sock.close()
+
+        if not 200 <= status < 300:
+            detail = raw
+            try:
+                detail = json.loads(raw).get("error", raw)
+            except (json.JSONDecodeError, AttributeError):
+                pass
+            raise ServiceClientError(
+                f"{method} {path} -> {status}: {str(detail).strip()}",
+                status=status,
+            )
+        if text:
+            return raw
         try:
             return json.loads(raw) if raw.strip() else {}
         except json.JSONDecodeError as exc:
             raise ServiceClientError(
                 f"{method} {path}: malformed reply: {exc}"
-            ) from exc
-
-    def _text(self, path: str) -> str:
-        request = urllib.request.Request(f"{self.url}{path}")
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as reply:
-                return reply.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            raise ServiceClientError(
-                f"GET {path} -> {exc.code}", status=exc.code
-            ) from exc
-        except (urllib.error.URLError, OSError, TimeoutError) as exc:
-            raise ServiceClientError(
-                f"cannot reach service at {self.url}: {exc}"
             ) from exc
 
     # ------------------------------------------------------------------
@@ -168,7 +266,9 @@ class ServiceClient:
         return self._request("GET", f"/v1/jobs/{job_id}/deadline")
 
     def report(self, job_id: str, fmt: str = "text") -> str:
-        return self._text(f"/v1/jobs/{job_id}/report?format={fmt}")
+        return self._request(
+            "GET", f"/v1/jobs/{job_id}/report?format={fmt}", text=True
+        )
 
     def wait(
         self,
@@ -236,7 +336,7 @@ class ServiceClient:
         return self._request("GET", f"/v1/templates/{name}")
 
     def metrics_text(self) -> str:
-        return self._text("/metrics")
+        return self._request("GET", "/metrics", text=True)
 
     def shutdown(self, *, drain: bool = True) -> Dict:
         return self._request("POST", "/v1/shutdown", {"drain": drain})

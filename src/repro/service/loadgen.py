@@ -129,7 +129,11 @@ def run_loadgen(
 ) -> Dict:
     """Replay the seeded workload against ``url``; return (and optionally
     write) the attainment digest."""
-    client = client if client is not None else ServiceClient(url)
+    if client is None:
+        with ServiceClient(url) as owned:
+            return run_loadgen(
+                url, config, out=out, client=owned, progress=progress
+            )
     say = progress if progress is not None else (lambda msg: None)
 
     health = client.healthz()

@@ -44,6 +44,7 @@ crashing it.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from collections import deque
@@ -119,6 +120,18 @@ _WORKERS_GAUGE = _metrics.REGISTRY.gauge(
 _RUNNING_GAUGE = _metrics.REGISTRY.gauge(
     "repro_service_jobs_running", "Jobs currently executing"
 )
+_CONNECTIONS = _metrics.REGISTRY.counter(
+    "repro_service_connections_total",
+    "TCP connections accepted by the arbiter",
+)
+_REQUESTS = _metrics.REGISTRY.counter(
+    "repro_service_requests_total",
+    "HTTP requests routed by the arbiter (requests / connections is the "
+    "keep-alive reuse ratio)",
+    labelnames=("endpoint",),
+)
+#: Counter cells are plain floats and handler threads run concurrently.
+_REQUESTS_LOCK = threading.Lock()
 
 
 class ServiceError(RuntimeError):
@@ -142,8 +155,11 @@ class ServiceConfig:
     port: int = 0
     #: Guaranteed-token capacity of the experimental slice.  Sized so a
     #: small host can physically deliver it: every running token costs
-    #: one HTTP completion round-trip per task, and a single-CPU arbiter
-    #: sustains roughly a hundred of those per wall second.
+    #: one HTTP completion round-trip per task.  Measured closed-loop
+    #: ceiling on the 2-vCPU reference host (two slots, 1 ms tasks; the
+    #: ``service_saturate`` workload of benchmarks/ladder, ``work_per_s``):
+    #: ~870 completions per wall second with a TCP connection per
+    #: request, ~1 340 on persistent connections.
     capacity_tokens: int = 40
     #: Control period in virtual seconds (the paper re-plans every ~10 s
     #: of job time; profiles here live on a minutes scale).  Re-planning
@@ -396,18 +412,6 @@ def _serialize_prediction(rec: _predict.PredictionRecord) -> Dict:
     }
 
 
-class _ServiceHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer tuned for worker-fleet bursts.
-
-    The stdlib default listen backlog of 5 drops (RST) connections the
-    moment a fleet's task-completion wave lands; a deep backlog absorbs
-    it without touching any request handling.
-    """
-
-    daemon_threads = True
-    request_queue_size = 128
-
-
 class ClusterService:
     """The arbiter: admission, allocation, leasing, liveness — one lock."""
 
@@ -430,6 +434,11 @@ class ClusterService:
             for name, quota in tenant_pairs
         }
         self._jobs: Dict[str, LiveJob] = {}
+        #: Jobs with status "running", ordered by (started_v, job_id):
+        #: the FIFO service order of ``_grant_tasks``.
+        self._running: List[LiveJob] = []
+        #: sum(len(job.running)) over every job, kept where leases move.
+        self._running_tasks = 0
         self._workers: Dict[str, _Worker] = {}
         self._job_seq = 0
         self._worker_seq = 0
@@ -438,7 +447,7 @@ class ClusterService:
         self._draining = False
         self._drained = threading.Event()
         self._stop = threading.Event()
-        self._httpd: Optional[ThreadingHTTPServer] = None
+        self._httpd: Optional[_ServiceHTTPServer] = None
         self._http_thread: Optional[threading.Thread] = None
         self._control_thread: Optional[threading.Thread] = None
         self._port: Optional[int] = None
@@ -454,9 +463,8 @@ class ClusterService:
             raise ServiceError("service already started", status=409)
         self.clock = WallClock(time_scale=self.config.time_scale)
         self.started_wall = time.monotonic()
-        handler = _make_handler(self)
         self._httpd = _ServiceHTTPServer(
-            (self.config.host, self.config.port), handler
+            (self.config.host, self.config.port), self
         )
         self._port = self._httpd.server_address[1]
         self._http_thread = threading.Thread(
@@ -514,6 +522,10 @@ class ClusterService:
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
+            self._httpd.close_connections()
+            # The handlers' only path to this service: without it a
+            # stopped service is freed by refcount, jobs and traces too.
+            self._httpd.service = None
             self._httpd = None
         if self._http_thread is not None:
             self._http_thread.join(timeout=5.0)
@@ -561,9 +573,7 @@ class ClusterService:
             _WORKERS_GAUGE.set(
                 sum(1 for w in self._workers.values() if not w.lost)
             )
-            _RUNNING_GAUGE.set(
-                sum(1 for j in self._jobs.values() if j.status == "running")
-            )
+            _RUNNING_GAUGE.set(len(self._running))
 
     def _tick_disposition(self) -> str:
         faults = self.config.control_faults
@@ -590,6 +600,7 @@ class ClusterService:
                 lease = job.running.pop(task_id, None)
                 if lease is None:
                     continue
+                self._running_tasks -= 1
                 end_v = max(now, lease.start_v)
                 if job.trace is not None:
                     job.trace.add(TaskRecord(
@@ -783,6 +794,9 @@ class ClusterService:
         """Queued -> running: start the trace, pick the first allocation."""
         job.status = "running"
         job.started_v = now
+        # Once per job, on a list already in order: cheap.
+        self._running.append(job)
+        self._running.sort(key=lambda j: (j.started_v, j.job_id))
         job.trace = RunTrace(
             job_name=job.name, start_time=now, deadline=job.deadline_seconds
         )
@@ -807,7 +821,14 @@ class ClusterService:
         for task in job.tracker.initially_ready():
             job.ready.append((task, now))
 
+    def _retire(self, job: LiveJob) -> None:
+        """Running -> terminal: leave the grant order.  (A failed job's
+        outstanding leases can fail it again; it left the first time.)"""
+        if job.status == "running":
+            self._running.remove(job)
+
     def _finish_job(self, job: LiveJob, now: float) -> None:
+        self._retire(job)
         job.trace.end_time = now
         job.status = "completed"
         met = job.trace.duration <= job.deadline_seconds
@@ -823,6 +844,7 @@ class ClusterService:
                 tenant.met += 1
 
     def _fail_job(self, job: LiveJob, now: float, reason: str) -> None:
+        self._retire(job)
         job.trace.end_time = max(now, job.trace.start_time)
         job.status = "failed"
         job.reject_reason = reason
@@ -901,27 +923,20 @@ class ClusterService:
         if max_tasks <= 0 or self._stop.is_set():
             return granted
         now = self.now()
-        cluster_running = sum(len(j.running) for j in self._jobs.values())
-        for job in self._running_jobs():
+        # Earliest-started first: FIFO service order, stable across calls.
+        for job in self._running:
             while (
                 job.ready
                 and len(job.running) < job.allocation
-                and cluster_running < self.config.capacity_tokens
+                and self._running_tasks < self.config.capacity_tokens
                 and len(granted) < max_tasks
             ):
                 granted.append(self._grant(job, worker, now))
-                cluster_running += 1
             if len(granted) >= max_tasks:
                 break
         if granted:
             _LEASES.inc(len(granted))
         return granted
-
-    def _running_jobs(self) -> List[LiveJob]:
-        jobs = [j for j in self._jobs.values() if j.status == "running"]
-        # Earliest-started first: FIFO service order, stable across calls.
-        jobs.sort(key=lambda j: (j.started_v, j.job_id))
-        return jobs
 
     def _grant(self, job: LiveJob, worker: _Worker, now: float) -> Dict:
         (stage, index), ready_v = job.ready.popleft()
@@ -937,6 +952,7 @@ class ClusterService:
             start_v=now,
         )
         worker.leased[task_id] = job.job_id
+        self._running_tasks += 1
         if job.trace is not None:
             job.trace.mark_running(now, len(job.running))
         payload = {"task_id": task_id, "job_id": job.job_id, "stage": stage}
@@ -980,6 +996,7 @@ class ClusterService:
                 )
             now = max(self.now(), lease.start_v)
             del job.running[task_id]
+            self._running_tasks -= 1
             worker.leased.pop(task_id, None)
             record = TaskRecord(
                 stage=lease.stage,
@@ -1202,126 +1219,207 @@ class ClusterService:
 # ----------------------------------------------------------------------
 
 
-def _make_handler(service: ClusterService):
-    class _Handler(BaseHTTPRequestHandler):
-        server_version = "repro-service/1"
+class _ServiceHTTPServer(ThreadingHTTPServer):
+    """A thread per *connection*, each one tracked so ``stop()`` can end it.
 
-        # -- helpers ---------------------------------------------------
+    The stdlib default listen backlog of 5 drops (RST) connections the
+    moment a fleet's first wave lands; a deep backlog absorbs it without
+    touching any request handling.
+    """
 
-        def _send_json(self, status: int, payload: Dict) -> None:
-            body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+    daemon_threads = True
+    request_queue_size = 128
 
-        def _send_text(self, status: int, text: str,
-                       content_type: str = "text/plain") -> None:
-            body = text.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", f"{content_type}; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+    def __init__(self, address: Tuple[str, int], service: ClusterService):
+        super().__init__(address, _Handler)
+        self.service: Optional[ClusterService] = service
+        self._open: Dict[socket.socket, threading.Thread] = {}
+        self._open_lock = threading.Lock()
 
-        def _read_body(self) -> Dict:
-            length = int(self.headers.get("Content-Length") or 0)
-            if length == 0:
-                return {}
-            raw = self.rfile.read(length)
+    def process_request(self, request, client_address) -> None:
+        _CONNECTIONS.inc()          # only the accept loop runs this
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            name="repro-service-conn",
+            daemon=True,
+        )
+        with self._open_lock:
+            self._open[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.pop(request, None)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """End every open connection and join its handler thread (call
+        after ``shutdown()``: nothing is accepted any more)."""
+        with self._open_lock:
+            open_now = list(self._open.items())
+        for request, _thread in open_now:
             try:
-                parsed = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ServiceError(f"request body is not JSON: {exc}")
-            if not isinstance(parsed, dict):
-                raise ServiceError("request body must be a JSON object")
-            return parsed
+                # Wakes a handler blocked reading the next request.
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass                # the peer already reset it
+        for _request, thread in open_now:
+            thread.join(timeout=5.0)
 
-        def _dispatch(self, fn) -> None:
+
+_POST_ROUTES = {
+    "/v1/workers/register": "register_worker",
+    "/v1/workers/heartbeat": "heartbeat",
+    "/v1/workers/lease": "lease",
+    "/v1/tasks/complete": "complete_task",
+    "/v1/jobs": "submit",
+    "/v1/shutdown": "request_shutdown",
+}
+_GET_ROUTES = {
+    "/healthz": "healthz",
+    "/v1/state": "state",
+    "/v1/templates": "templates",
+}
+_JOB_ROUTES = {
+    "": "job_status",
+    "result": "job_result",
+    "deadline": "job_deadline",
+}
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """One per connection; reaches the arbiter through ``self.server``."""
+
+    server_version = "repro-service/1"
+    protocol_version = "HTTP/1.1"
+    #: A keep-alive reply written as two small segments stalls ~40 ms on
+    #: Nagle x delayed ACK; so does a request.
+    disable_nagle_algorithm = True
+    #: Buffered, so status line + headers + body leave in one send.
+    wbufsize = -1
+    #: Wall seconds a connection may sit idle (or a peer may stall
+    #: mid-message) before its thread and socket are reclaimed; pooled
+    #: clients reconnect transparently.
+    timeout = 30.0
+
+    # -- helpers -------------------------------------------------------
+
+    def _send(self, status: int, body: bytes, content_type: str) -> None:
+        self.send_response(status)
+        self.send_header("Content-Type", f"{content_type}; charset=utf-8")
+        self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(body)
+        self.wfile.flush()
+
+    def _send_json(self, status: int, payload: Dict) -> None:
+        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+        self._send(status, body, "application/json")
+
+    def _read_body(self) -> Dict:
+        declared = self.headers.get("Content-Length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            # Where this message ends is unknown, so the stream is lost.
+            self.close_connection = True
+            raise ServiceError(f"bad Content-Length {declared!r}")
+        length = int(declared)
+        if length == 0:
+            return {}
+        raw = self.rfile.read(length)
+        try:
+            parsed = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ServiceError(f"request body is not JSON: {exc}")
+        if not isinstance(parsed, dict):
+            raise ServiceError("request body must be a JSON object")
+        return parsed
+
+    def _count(self, endpoint: str) -> None:
+        with _REQUESTS_LOCK:
+            _REQUESTS.labels(endpoint=endpoint).inc()
+
+    def _unknown(self, path: str) -> None:
+        self._count("unknown")
+        raise ServiceError(f"unknown endpoint {path!r}", status=404)
+
+    def _dispatch(self, fn) -> None:
+        try:
             try:
                 fn()
             except ServiceError as exc:
                 self._send_json(exc.status, {"error": str(exc)})
-            except BrokenPipeError:     # client went away mid-response
-                pass
+            except (ConnectionError, socket.timeout):
+                raise
             except Exception as exc:    # pragma: no cover - defensive
                 self._send_json(500, {"error": f"internal error: {exc}"})
+        except (ConnectionError, socket.timeout):
+            # The peer went away, or stalled mid-message: either way the
+            # stream cannot carry another request.
+            self.close_connection = True
 
-        # -- routes ----------------------------------------------------
+    # -- routes --------------------------------------------------------
 
-        def do_GET(self) -> None:       # noqa: N802 (http.server API)
-            self._dispatch(self._get)
+    def do_GET(self) -> None:       # noqa: N802 (http.server API)
+        self._dispatch(self._get)
 
-        def do_POST(self) -> None:      # noqa: N802
-            self._dispatch(self._post)
+    def do_POST(self) -> None:      # noqa: N802
+        self._dispatch(self._post)
 
-        def _get(self) -> None:
-            parsed = urlparse(self.path)
-            path = parsed.path.rstrip("/") or "/"
-            if path == "/healthz":
-                self._send_json(200, service.healthz())
-            elif path == "/metrics":
-                self._send_text(
-                    200, render_prometheus(_metrics.REGISTRY),
-                    content_type="text/plain; version=0.0.4",
+    def _get(self) -> None:
+        service = self.server.service
+        parsed = urlparse(self.path)
+        path = parsed.path.rstrip("/") or "/"
+        if path in _GET_ROUTES:
+            self._count(path)
+            self._send_json(200, getattr(service, _GET_ROUTES[path])())
+        elif path == "/metrics":
+            self._count(path)
+            self._send(
+                200, render_prometheus(_metrics.REGISTRY).encode("utf-8"),
+                "text/plain; version=0.0.4",
+            )
+        elif path.startswith("/v1/templates/"):
+            self._count("/v1/templates/<name>")
+            self._send_json(
+                200, service.template_info(path.split("/", 3)[3])
+            )
+        elif path.startswith("/v1/jobs/"):
+            job_id, _, sub = path[len("/v1/jobs/"):].partition("/")
+            if sub == "report":
+                self._count("/v1/jobs/<id>/report")
+                fmt = "text"
+                for pair in parsed.query.split("&"):
+                    if pair.startswith("format="):
+                        fmt = pair.split("=", 1)[1]
+                self._send(
+                    200, service.job_report(job_id, fmt).encode("utf-8"),
+                    "text/html" if fmt == "html" else "text/plain",
                 )
-            elif path == "/v1/state":
-                self._send_json(200, service.state())
-            elif path == "/v1/templates":
-                self._send_json(200, service.templates())
-            elif path.startswith("/v1/templates/"):
+            elif sub in _JOB_ROUTES:
+                self._count(f"/v1/jobs/<id>/{sub}".rstrip("/"))
                 self._send_json(
-                    200, service.template_info(path.split("/", 3)[3])
+                    200, getattr(service, _JOB_ROUTES[sub])(job_id)
                 )
-            elif path.startswith("/v1/jobs/"):
-                parts = path.split("/")[3:]   # [job_id, (sub)?]
-                job_id = parts[0]
-                sub = parts[1] if len(parts) > 1 else ""
-                if sub == "":
-                    self._send_json(200, service.job_status(job_id))
-                elif sub == "result":
-                    self._send_json(200, service.job_result(job_id))
-                elif sub == "deadline":
-                    self._send_json(200, service.job_deadline(job_id))
-                elif sub == "report":
-                    fmt = "text"
-                    for pair in parsed.query.split("&"):
-                        if pair.startswith("format="):
-                            fmt = pair.split("=", 1)[1]
-                    text = service.job_report(job_id, fmt)
-                    self._send_text(
-                        200, text,
-                        content_type="text/html" if fmt == "html"
-                        else "text/plain",
-                    )
-                else:
-                    raise ServiceError(f"unknown endpoint {path!r}", status=404)
             else:
-                raise ServiceError(f"unknown endpoint {path!r}", status=404)
+                self._unknown(path)
+        else:
+            self._unknown(path)
 
-        def _post(self) -> None:
-            path = urlparse(self.path).path.rstrip("/")
-            body = self._read_body()
-            if path == "/v1/workers/register":
-                self._send_json(200, service.register_worker(body))
-            elif path == "/v1/workers/heartbeat":
-                self._send_json(200, service.heartbeat(body))
-            elif path == "/v1/workers/lease":
-                self._send_json(200, service.lease(body))
-            elif path == "/v1/tasks/complete":
-                self._send_json(200, service.complete_task(body))
-            elif path == "/v1/jobs":
-                self._send_json(200, service.submit(body))
-            elif path == "/v1/shutdown":
-                self._send_json(200, service.request_shutdown(body))
-            else:
-                raise ServiceError(f"unknown endpoint {path!r}", status=404)
+    def _post(self) -> None:
+        path = urlparse(self.path).path.rstrip("/")
+        body = self._read_body()
+        if path not in _POST_ROUTES:
+            self._unknown(path)
+        self._count(path)
+        self._send_json(
+            200, getattr(self.server.service, _POST_ROUTES[path])(body)
+        )
 
-        def log_message(self, fmt: str, *args) -> None:
-            pass                        # keep worker chatter off stderr
-
-    return _Handler
+    def log_message(self, fmt: str, *args) -> None:
+        pass                        # keep worker chatter off stderr
 
 
 __all__ = [

@@ -51,6 +51,7 @@ class ServiceWorker:
         client: Optional[ServiceClient] = None,
     ):
         self.config = config
+        self._owns_client = client is None
         self.client = client if client is not None else ServiceClient(config.url)
         self.worker_id: Optional[str] = None
         self.tasks_done = 0
@@ -108,6 +109,15 @@ class ServiceWorker:
 
     def run(self) -> int:
         """The blocking worker loop; returns an exit code (0 clean)."""
+        try:
+            return self._run()
+        finally:
+            # A killed worker says nothing more, not even FIN: the
+            # arbiter's idle timeout reaps what a dead machine leaves.
+            if self._owns_client and not self._killed.is_set():
+                self.client.close()
+
+    def _run(self) -> int:
         try:
             registered = self.client.register_worker(
                 name=self.config.name, slots=self.config.slots

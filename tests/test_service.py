@@ -7,12 +7,16 @@ suite stays fast and deterministic.  Templates are injected tiny bundles
 hard (a 30-virtual-second task is ~60 ms of wall time).
 """
 
+import gc
 import pathlib
+import random
 import sys
 import time
+import weakref
 
 import pytest
 
+from repro.core.clock import ManualClock
 from repro.jobs.dag import Edge, EdgeType, JobGraph, Stage
 from repro.jobs.profiles import JobProfile, StageProfile
 from repro.service import (
@@ -95,7 +99,8 @@ class TestLifecycle:
 
     @pytest.fixture(scope="class")
     def client(self, service):
-        return ServiceClient(service.url)
+        with ServiceClient(service.url) as client:
+            yield client
 
     @pytest.fixture(scope="class")
     def finished_job(self, client):
@@ -219,28 +224,32 @@ class TestWorkerLoss:
         store = tiny_store(runtime_map=100.0, runtime_reduce=50.0)
         with ClusterService(config, store=store) as svc:
             client = ServiceClient(svc.url)
+            # The victim starts alone: with the survivor already polling,
+            # its chained leases can drain the job before the victim's
+            # first lease lands.
             victim = ServiceWorker(
                 WorkerConfig(url=svc.url, name="victim", slots=4)
-            ).start()
-            survivor = ServiceWorker(
-                WorkerConfig(url=svc.url, name="survivor", slots=4)
             ).start()
             reply = client.submit(
                 template="tiny", deadline_minutes=60.0, policy="jockey-no-sim"
             )
             job_id = reply["job_id"]
 
-            # Wait until the victim actually holds leases, then crash it.
+            # Wait until the victim actually holds leases, then bring in
+            # the survivor and crash the victim.
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
                 workers = {
                     w["name"]: w for w in client.state()["workers"]
                 }
-                if workers["victim"]["leased_tasks"] > 0:
+                if workers.get("victim", {}).get("leased_tasks", 0) > 0:
                     break
                 time.sleep(0.02)
             else:
                 pytest.fail("victim never leased a task")
+            survivor = ServiceWorker(
+                WorkerConfig(url=svc.url, name="survivor", slots=4)
+            ).start()
             victim.kill()
 
             info = client.wait(job_id, timeout=60.0)
@@ -282,6 +291,146 @@ class TestWorkerLoss:
                     task_id=tasks[0]["task_id"], worker_id=worker_id
                 )
             assert err.value.status == 409
+
+
+class ScanningService(ClusterService):
+    """The grant loop as it was before the running-job index: recount
+    every job's leases and re-sort the running jobs on every call."""
+
+    def _grant_tasks(self, worker, max_tasks):
+        granted = []
+        if max_tasks <= 0 or self._stop.is_set():
+            return granted
+        now = self.now()
+        cluster_running = sum(len(j.running) for j in self._jobs.values())
+        jobs = [j for j in self._jobs.values() if j.status == "running"]
+        jobs.sort(key=lambda j: (j.started_v, j.job_id))
+        for job in jobs:
+            while (
+                job.ready
+                and len(job.running) < job.allocation
+                and cluster_running < self.config.capacity_tokens
+                and len(granted) < max_tasks
+            ):
+                granted.append(self._grant(job, worker, now))
+                cluster_running += 1
+            if len(granted) >= max_tasks:
+                break
+        return granted
+
+
+class TestGrantOrder:
+    """The indexed grant loop hands out the same task ids, in the same
+    order, as the scan it replaced (driven in-process on a manual clock:
+    no sockets, no threads)."""
+
+    @pytest.mark.parametrize("seed", [3, 11, 42])
+    def test_matches_scanning_reference(self, seed):
+        config = ServiceConfig(
+            capacity_tokens=8, seed=seed, max_task_attempts=2,
+            heartbeat_timeout=5.0, tenants=(("a", 6), ("b", 6)),
+        )
+        pair = []
+        for cls in (ClusterService, ScanningService):
+            svc = cls(config, store=tiny_store())
+            svc.clock = ManualClock()
+            pair.append(svc)
+        rng = random.Random(seed)
+        workers = [
+            self.both(pair, "register_worker", {"name": f"w{i}", "slots": 4})
+            ["worker_id"] for i in range(2)
+        ]
+        leased = []                 # (task_id, worker_id) not yet reported
+        grants = 0
+        for _step in range(400):
+            roll = rng.random()
+            if roll < 0.12:
+                reply = self.both(pair, "submit", {
+                    "template": "tiny", "policy": "jockey-no-sim",
+                    "tenant": rng.choice("ab"),
+                    "deadline_minutes": rng.choice([1.0, 2.0, 30.0]),
+                })
+                assert reply["status"] in ("running", "queued", "rejected")
+                continue
+            if roll < 0.20:
+                elapsed = rng.choice([0.5, 7.0, 40.0])
+                for svc in pair:
+                    svc.clock.advance(elapsed)
+                    svc.tick()
+                continue
+            if roll < 0.23 and len(workers) < 6:
+                # A worker goes silent; the sweep re-queues its leases.
+                lost = workers.pop(rng.randrange(len(workers)))
+                for svc in pair:
+                    svc._workers[lost].last_seen -= 60.0
+                    svc.tick()
+                leased = [held for held in leased if held[1] != lost]
+                workers.append(self.both(
+                    pair, "register_worker", {"name": "w", "slots": 4}
+                )["worker_id"])
+                continue
+            worker_id = rng.choice(workers)
+            if leased and roll < 0.65:
+                task_id, holder = leased.pop(rng.randrange(len(leased)))
+                reply = self.both(pair, "complete_task", {
+                    "task_id": task_id, "worker_id": holder,
+                    "outcome": "failed" if rng.random() < 0.2 else "ok",
+                    "lease_max": rng.randrange(3),
+                })
+                worker_id = holder
+            else:
+                reply = self.both(pair, "lease", {
+                    "worker_id": worker_id, "max_tasks": rng.randrange(1, 4),
+                })
+            for task in reply.get("tasks", ()):
+                leased.append((task["task_id"], worker_id))
+                grants += 1
+        assert grants > 100
+        statuses = {j.status for j in pair[0]._jobs.values()}
+        assert {"completed", "failed"} <= statuses
+
+    @staticmethod
+    def both(pair, method, body):
+        replies = [getattr(svc, method)(dict(body)) for svc in pair]
+        assert replies[0] == replies[1]
+        for svc in pair:
+            assert svc._running_tasks == sum(
+                len(j.running) for j in svc._jobs.values()
+            )
+            assert svc._running == sorted(
+                (j for j in svc._jobs.values() if j.status == "running"),
+                key=lambda j: (j.started_v, j.job_id),
+            )
+        return replies[0]
+
+
+class TestServiceFreed:
+    def test_stopped_service_is_freed_by_refcount(self):
+        """No reference cycle through the HTTP plumbing: a stopped
+        service (jobs, traces and all) must not wait for the collector."""
+        gc.collect()
+        gc.disable()
+        try:
+            config = ServiceConfig(capacity_tokens=8, time_scale=0.002)
+            svc = ClusterService(config, store=tiny_store())
+            svc.start()
+            worker = ServiceWorker(
+                WorkerConfig(url=svc.url, name="w", slots=4)
+            ).start()
+            with ServiceClient(svc.url) as client:
+                reply = client.submit(
+                    template="tiny", deadline_minutes=30.0,
+                    policy="jockey-no-sim",
+                )
+                info = client.wait(reply["job_id"], timeout=60.0)
+            assert info["status"] == "completed"
+            worker.stop()
+            svc.stop(drain=False)
+            ref = weakref.ref(svc)
+            del svc
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestGracefulShutdown:
