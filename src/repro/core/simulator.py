@@ -18,7 +18,7 @@ import heapq
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,17 +64,18 @@ class _StageSampler:
         self._rng = np.random.default_rng(seed)
         self._chunk = min(256, max(16, num_tasks))
         self._pos = self._chunk  # force a refill on the first draw
-        self._costs: Optional[np.ndarray] = None
-        self._fail_us: Optional[np.ndarray] = None
-        self._fail_fracs: Optional[np.ndarray] = None
+        self._costs: List[float] = []
+        self._fail_us: List[float] = []
+        self._fail_fracs: List[float] = []
 
     def _refill(self) -> None:
         sp, rng, k = self._sp, self._rng, self._chunk
-        self._costs = _dist.sample_n(sp.runtime, rng, k) + _dist.sample_n(
-            sp.init, rng, k
-        )
-        self._fail_us = rng.random(k)
-        self._fail_fracs = rng.uniform(0.05, 0.95, k)
+        # Python floats (same values): the task loop does scalar arithmetic.
+        self._costs = (
+            _dist.sample_n(sp.runtime, rng, k) + _dist.sample_n(sp.init, rng, k)
+        ).tolist()
+        self._fail_us = rng.random(k).tolist()
+        self._fail_fracs = rng.uniform(0.05, 0.95, k).tolist()
         self._pos = 0
 
     def draw(self) -> Tuple[float, float, float]:
@@ -136,24 +137,22 @@ def simulate_job(
     if not ready:
         raise SimulatorError(f"job {graph.name!r} has no runnable root tasks")
 
-    stage_profiles = {name: profile.stage(name) for name in profile.stage_names}
-    task_counts = {s.name: s.num_tasks for s in graph.stages}
-    samplers = {
-        name: _StageSampler(
-            stage_profiles[name],
-            int(rng.integers(0, 2**63)),
-            task_counts[name],
-        )
-        for name in profile.stage_names
-    }
+    #: stage -> (failure probability, next-draw function), in stage order.
+    stages = {}
+    for stage in graph.stages:
+        sp = profile.stage(stage.name)
+        sampler = _StageSampler(sp, int(rng.integers(0, 2**63)), stage.num_tasks)
+        stages[stage.name] = (sp.failure_prob, sampler.draw)
     # Hoisted telemetry handles: one registry/recorder resolution per run,
     # not per task or per metric update.
     metrics_on = _metrics.REGISTRY.enabled
     rec = _trace.RECORDER
     perf = _perf.COLLECTOR
     perf_start = time.perf_counter() if perf.enabled else 0.0
-    #: running tasks as (finish_time, seq, stage, index, will_fail)
-    running: List[Tuple[float, int, str, int, bool]] = []
+    #: running tasks as (finish_time, seq, task id, will_fail); seq is unique,
+    #: so ties on finish_time break on start order and nothing past it compares.
+    running: List[Tuple[float, int, Tuple[str, int], bool]] = []
+    in_flight = 0
     seq = 0
     now = 0.0
     total_cpu = 0.0
@@ -162,65 +161,51 @@ def simulate_job(
     stage_first_start: Dict[str, float] = {}
     stage_last_end: Dict[str, float] = {}
     samples: List[Tuple[float, float]] = []
-    next_sample = 0.0
+    next_sample = 0.0 if indicator is not None else float("inf")
 
     heappush = heapq.heappush
     heappop = heapq.heappop
     popleft = ready.popleft
+    complete = tracker.complete
+    fractions = tracker.stage_fractions
 
-    def start_tasks() -> None:
-        nonlocal seq, total_cpu, now
-        while ready and len(running) < allocation:
-            stage, index = popleft()
-            sp = stage_profiles[stage]
-            cost, fail_u, fail_frac = samplers[stage].draw()
-            runtime = float(cost)
-            will_fail = sp.failure_prob > 0 and fail_u < sp.failure_prob
+    while True:
+        # Greedy FIFO: fill free tokens from the head of the ready queue.
+        while ready and in_flight < allocation:
+            task = popleft()
+            stage = task[0]
+            failure_prob, draw = stages[stage]
+            runtime, fail_u, fail_frac = draw()
+            will_fail = failure_prob > 0 and fail_u < failure_prob
             if will_fail:
-                count = attempts.get((stage, index), 0)
-                if count + 1 >= max_task_attempts:
+                if attempts.get(task, 0) + 1 >= max_task_attempts:
                     will_fail = False  # give up on failing: avoid livelock
                 else:
-                    runtime *= float(fail_frac)
+                    runtime *= fail_frac
             total_cpu += runtime
             if track_spans and stage not in stage_first_start:
                 stage_first_start[stage] = now
-            heappush(running, (now + runtime, seq, stage, index, will_fail))
+            heappush(running, (now + runtime, seq, task, will_fail))
             seq += 1
-
-    def take_samples(up_to: float, fractions_fn: Callable[[], Dict[str, float]]) -> None:
-        nonlocal next_sample
+            in_flight += 1
+        if not running:
+            break
+        finish_time, _seq, task, will_fail = heappop(running)
+        in_flight -= 1
+        # Sample progress at interval boundaries strictly before this event.
+        up_to = finish_time - 1e-9
         while next_sample <= up_to:
-            samples.append((next_sample, indicator.progress(fractions_fn())))
+            samples.append((next_sample, indicator.progress(fractions())))
             next_sample += sample_dt
-
-    stage_sizes = task_counts
-
-    def fractions() -> Dict[str, float]:
-        return {
-            name: tracker.completed_in_stage(name) / size
-            for name, size in stage_sizes.items()
-        }
-
-    sampling = indicator is not None
-    start_tasks()
-    while running:
-        finish_time, _seq, stage, index, will_fail = heappop(running)
-        if sampling:
-            # Sample progress at interval boundaries strictly before this
-            # event.
-            take_samples(finish_time - 1e-9, fractions)
         now = finish_time
         if will_fail:
             failures += 1
-            attempts[(stage, index)] = attempts.get((stage, index), 0) + 1
-            ready.append((stage, index))
+            attempts[task] = attempts.get(task, 0) + 1
+            ready.append(task)
         else:
-            for task_id in tracker.complete(stage, index):
-                ready.append(task_id)
+            ready.extend(complete(*task))
             if track_spans:
-                stage_last_end[stage] = now
-        start_tasks()
+                stage_last_end[task[0]] = now
 
     if not tracker.all_complete():
         unfinished = [
@@ -236,7 +221,7 @@ def simulate_job(
     duration = now
     spans: Dict[str, Tuple[float, float]] = {}
     if track_spans and duration > 0:
-        for name in stage_sizes:
+        for name in stages:
             lo = stage_first_start.get(name, 0.0) / duration
             hi = stage_last_end.get(name, duration) / duration
             spans[name] = (min(lo, 1.0), min(max(hi, lo), 1.0))

@@ -12,14 +12,17 @@ A job is a DAG of *stages*; each stage holds one or more parallel *tasks*
 
 The :class:`DependencyTracker` gives both the cluster runtime and Jockey's
 offline simulator an O(E)-memory, O(1)-amortized readiness test even for
-all-to-all edges between large stages.
+all-to-all edges between large stages.  What it needs to know about the
+graph is compiled once per graph (:class:`_ReadinessPlan`); a tracker is
+only the mutable counters over that plan.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+import functools
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Set, Tuple
 
 
 class GraphError(ValueError):
@@ -74,9 +77,10 @@ class JobGraph:
             if stage.name in self._stages:
                 raise GraphError(f"duplicate stage {stage.name!r}")
             self._stages[stage.name] = stage
+        self._stage_tuple: Tuple[Stage, ...] = tuple(self._stages.values())
         self._edges: Tuple[Edge, ...] = tuple(edges)
-        self._in_edges: Dict[str, List[Edge]] = {s: [] for s in self._stages}
-        self._out_edges: Dict[str, List[Edge]] = {s: [] for s in self._stages}
+        in_edges: Dict[str, List[Edge]] = {s: [] for s in self._stages}
+        out_edges: Dict[str, List[Edge]] = {s: [] for s in self._stages}
         seen_pairs: Set[Tuple[str, str]] = set()
         for edge in self._edges:
             for endpoint in (edge.src, edge.dst):
@@ -87,9 +91,27 @@ class JobGraph:
             if (edge.src, edge.dst) in seen_pairs:
                 raise GraphError(f"duplicate edge {edge.src!r} -> {edge.dst!r}")
             seen_pairs.add((edge.src, edge.dst))
-            self._in_edges[edge.dst].append(edge)
-            self._out_edges[edge.src].append(edge)
+            in_edges[edge.dst].append(edge)
+            out_edges[edge.src].append(edge)
+        self._in_edges: Dict[str, Tuple[Edge, ...]] = {
+            s: tuple(es) for s, es in in_edges.items()
+        }
+        self._out_edges: Dict[str, Tuple[Edge, ...]] = {
+            s: tuple(es) for s, es in out_edges.items()
+        }
         self._topo = self._compute_topological_order()
+
+    def __getstate__(self):
+        # The readiness plan is derived data: rebuilt on first use wherever
+        # the graph lands, never shipped to worker processes.
+        state = self.__dict__.copy()
+        state.pop("_plan", None)
+        return state
+
+    @functools.cached_property
+    def _plan(self) -> "_ReadinessPlan":
+        """The graph's compiled readiness structure (built on first use)."""
+        return _ReadinessPlan(self)
 
     # ------------------------------------------------------------------
     # Structure accessors
@@ -97,7 +119,7 @@ class JobGraph:
 
     @property
     def stages(self) -> Tuple[Stage, ...]:
-        return tuple(self._stages.values())
+        return self._stage_tuple
 
     @property
     def edges(self) -> Tuple[Edge, ...]:
@@ -113,10 +135,10 @@ class JobGraph:
         return name in self._stages
 
     def in_edges(self, name: str) -> Tuple[Edge, ...]:
-        return tuple(self._in_edges[name])
+        return self._in_edges[name]
 
     def out_edges(self, name: str) -> Tuple[Edge, ...]:
-        return tuple(self._out_edges[name])
+        return self._out_edges[name]
 
     def parents(self, name: str) -> Tuple[str, ...]:
         return tuple(e.src for e in self._in_edges[name])
@@ -229,14 +251,60 @@ def one_to_one_range(i: int, n_dst: int, n_src: int) -> Tuple[int, int]:
     return lo, min(hi, n_src - 1)
 
 
-@dataclass
-class _StageState:
-    """Mutable per-stage bookkeeping inside :class:`DependencyTracker`."""
+class _ReadinessPlan:
+    """Everything :class:`DependencyTracker` needs to know about a graph,
+    derived once (the graph is immutable) and shared by every tracker over
+    it.  Stages are addressed by their position in ``graph.stages``.
+    """
 
-    barriers_remaining: int
-    pointwise_remaining: List[int]
-    completed: int = 0
-    released: List[bool] = field(default_factory=list)
+    __slots__ = ("index", "names", "sizes", "total", "roots", "barriers",
+                 "pointwise", "out_edges")
+
+    def __init__(self, graph: JobGraph):
+        stages = graph.stages
+        self.index: Dict[str, int] = {s.name: i for i, s in enumerate(stages)}
+        self.names: Tuple[str, ...] = tuple(s.name for s in stages)
+        self.sizes: Tuple[int, ...] = tuple(s.num_tasks for s in stages)
+        self.total: int = graph.num_vertices
+        #: In-edge-free stages in topological order: the tasks ready at start.
+        self.roots: Tuple[int, ...] = tuple(
+            self.index[name]
+            for name in graph.topological_order()
+            if not graph.in_edges(name)
+        )
+        #: Per stage: how many ALL_TO_ALL inputs gate it.
+        barriers: List[int] = []
+        #: Per stage, per task: how many upstream tasks feed it pointwise.
+        pointwise: List[Tuple[int, ...]] = []
+        for stage in stages:
+            n_dst = stage.num_tasks
+            counts = [0] * n_dst
+            gates = 0
+            for edge in graph.in_edges(stage.name):
+                if edge.kind is EdgeType.ALL_TO_ALL:
+                    gates += 1
+                    continue
+                n_src = graph.stage(edge.src).num_tasks
+                for i in range(n_dst):
+                    lo, hi = one_to_one_range(i, n_dst, n_src)
+                    counts[i] += hi - lo + 1
+            barriers.append(gates)
+            pointwise.append(tuple(counts))
+        self.barriers: Tuple[int, ...] = tuple(barriers)
+        self.pointwise: Tuple[Tuple[int, ...], ...] = tuple(pointwise)
+        #: Per stage: ``(dst index, dst name, is_barrier, n_dst)`` per out-edge.
+        self.out_edges = tuple(
+            tuple(
+                (
+                    self.index[e.dst],
+                    e.dst,
+                    e.kind is EdgeType.ALL_TO_ALL,
+                    graph.stage(e.dst).num_tasks,
+                )
+                for e in graph.out_edges(name)
+            )
+            for name in self.names
+        )
 
 
 class DependencyTracker:
@@ -246,109 +314,95 @@ class DependencyTracker:
     completion to :meth:`complete` and schedule the task ids it returns.
     Task ids are ``(stage_name, index)`` tuples.
 
-    ``reset`` restores the initial state without re-deriving structure, which
-    matters because Jockey's offline simulator replays the same graph
+    The structure lives in the graph's :class:`_ReadinessPlan`; a tracker
+    holds only counters, so construction and ``reset`` are list copies —
+    which matters because Jockey's offline simulator replays the same graph
     thousands of times while building C(p, a).
     """
 
+    __slots__ = ("graph", "_plan", "_barriers", "_pointwise", "_completed",
+                 "_remaining", "_roots_pending")
+
     def __init__(self, graph: JobGraph):
         self.graph = graph
-        self._state: Dict[str, _StageState] = {}
-        self._init_state()
-
-    def _init_state(self) -> None:
-        for stage in self.graph.stages:
-            barriers = sum(
-                1
-                for e in self.graph.in_edges(stage.name)
-                if e.kind is EdgeType.ALL_TO_ALL
-            )
-            pointwise = [0] * stage.num_tasks
-            for edge in self.graph.in_edges(stage.name):
-                if edge.kind is not EdgeType.ONE_TO_ONE:
-                    continue
-                n_src = self.graph.stage(edge.src).num_tasks
-                for i in range(stage.num_tasks):
-                    lo, hi = one_to_one_range(i, stage.num_tasks, n_src)
-                    pointwise[i] += hi - lo + 1
-            self._state[stage.name] = _StageState(
-                barriers_remaining=barriers,
-                pointwise_remaining=pointwise,
-                released=[False] * stage.num_tasks,
-            )
+        self._plan = graph._plan
+        self.reset()
 
     def reset(self) -> None:
-        """Restore initial readiness state (all tasks un-run)."""
-        self._init_state()
+        """Restore initial readiness state (all tasks un-run) without
+        re-deriving structure."""
+        plan = self._plan
+        self._barriers = list(plan.barriers)
+        self._pointwise = [list(counts) for counts in plan.pointwise]
+        self._completed = [0] * len(plan.sizes)
+        self._remaining = plan.total
+        self._roots_pending = True
 
     def initially_ready(self) -> List[Tuple[str, int]]:
-        """Tasks with no unmet dependencies at job start."""
-        ready: List[Tuple[str, int]] = []
-        for name in self.graph.topological_order():
-            state = self._state[name]
-            if state.barriers_remaining:
-                continue
-            for i, remaining in enumerate(state.pointwise_remaining):
-                if remaining == 0 and not state.released[i]:
-                    state.released[i] = True
-                    ready.append((name, i))
-        return ready
+        """Tasks with no unmet dependencies at job start (handed out once)."""
+        if not self._roots_pending:
+            return []
+        self._roots_pending = False
+        plan = self._plan
+        return [
+            (plan.names[s], i) for s in plan.roots for i in range(plan.sizes[s])
+        ]
 
     def complete(self, stage: str, index: int) -> List[Tuple[str, int]]:
         """Record completion of one task; return newly-ready tasks."""
-        state = self._state[stage]
-        n_src = self.graph.stage(stage).num_tasks
+        plan = self._plan
+        try:
+            s = plan.index[stage]
+        except KeyError:
+            raise GraphError(f"no stage named {stage!r}") from None
+        n_src = plan.sizes[s]
         if not 0 <= index < n_src:
             raise GraphError(f"task index {index} out of range for stage {stage!r}")
-        state.completed += 1
-        if state.completed > n_src:
+        done = self._completed[s] + 1
+        if done > n_src:
             raise GraphError(f"stage {stage!r} completed more tasks than it has")
+        self._completed[s] = done
+        self._remaining -= 1
         newly_ready: List[Tuple[str, int]] = []
-        stage_done = state.completed == n_src
-        for edge in self.graph.out_edges(stage):
-            dst_state = self._state[edge.dst]
-            n_dst = self.graph.stage(edge.dst).num_tasks
-            if edge.kind is EdgeType.ALL_TO_ALL:
-                if stage_done:
-                    dst_state.barriers_remaining -= 1
-                    if dst_state.barriers_remaining == 0:
-                        self._release_ready(edge.dst, dst_state, newly_ready)
+        for d, dst, is_barrier, n_dst in plan.out_edges[s]:
+            if is_barrier:
+                if done == n_src:
+                    barriers = self._barriers
+                    barriers[d] -= 1
+                    if barriers[d] == 0:
+                        for j, remaining in enumerate(self._pointwise[d]):
+                            if remaining == 0:
+                                newly_ready.append((dst, j))
             else:
                 # Downstream tasks whose input range includes `index`.
-                lo = (index * n_dst) // n_src
-                hi = ((index + 1) * n_dst - 1) // n_src
-                for j in range(lo, min(hi, n_dst - 1) + 1):
-                    dst_state.pointwise_remaining[j] -= 1
-                    if (
-                        dst_state.pointwise_remaining[j] == 0
-                        and dst_state.barriers_remaining == 0
-                        and not dst_state.released[j]
-                    ):
-                        dst_state.released[j] = True
-                        newly_ready.append((edge.dst, j))
+                # (index < n_src, so the range's upper end is < n_dst.)
+                counts = self._pointwise[d]
+                open_gate = self._barriers[d] == 0
+                for j in range(
+                    (index * n_dst) // n_src, ((index + 1) * n_dst - 1) // n_src + 1
+                ):
+                    left = counts[j] = counts[j] - 1
+                    if left == 0 and open_gate:
+                        newly_ready.append((dst, j))
         return newly_ready
 
-    def _release_ready(
-        self,
-        stage: str,
-        state: _StageState,
-        out: List[Tuple[str, int]],
-    ) -> None:
-        for i, remaining in enumerate(state.pointwise_remaining):
-            if remaining == 0 and not state.released[i]:
-                state.released[i] = True
-                out.append((stage, i))
+    def stage_fractions(self) -> Dict[str, float]:
+        """Fraction of each stage's tasks completed, in stage order."""
+        plan = self._plan
+        return {
+            name: done / size
+            for name, done, size in zip(plan.names, self._completed, plan.sizes)
+        }
 
     def completed_in_stage(self, stage: str) -> int:
-        return self._state[stage].completed
+        return self._completed[self._plan.index[stage]]
 
     def is_stage_complete(self, stage: str) -> bool:
-        return self._state[stage].completed == self.graph.stage(stage).num_tasks
+        s = self._plan.index[stage]
+        return self._completed[s] == self._plan.sizes[s]
 
     def all_complete(self) -> bool:
-        return all(
-            self._state[s.name].completed == s.num_tasks for s in self.graph.stages
-        )
+        return self._remaining == 0
 
 
 __all__ = [

@@ -147,7 +147,6 @@ class JobManager:
         self._ready_times: Dict[TaskId, float] = {}
         self._attempts: Dict[TaskId, int] = {}
         self._running: List[RunningTask] = []
-        self._stage_sizes = {s.name: s.num_tasks for s in graph.stages}
         self._busy_token_seconds = 0.0
         self._busy_marker = self.sim.now
         self._speculation = speculation
@@ -275,12 +274,8 @@ class JobManager:
     def snapshot(self) -> JobSnapshot:
         """Observable state for progress indicators and the control loop."""
         self._accrue_busy_time()
-        fractions = {
-            name: self._tracker.completed_in_stage(name) / size
-            for name, size in self._stage_sizes.items()
-        }
         return JobSnapshot(
-            stage_fractions=fractions,
+            stage_fractions=self._tracker.stage_fractions(),
             elapsed=self.sim.now - self.start_time,
             running=len(self._running),
             allocation=self.allocation,

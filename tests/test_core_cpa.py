@@ -1,10 +1,13 @@
 """Unit tests for the C(p, a) tables."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.cpa import CpaError, CpaTable
-from repro.core.progress import totalwork
+from repro.core.progress import totalwork, totalwork_with_q
+from repro.jobs.workloads import generate_table2_jobs
 from tests.test_core_simulator import deterministic_profile
 
 
@@ -140,3 +143,24 @@ class TestVectorizedQueries:
                 assert column.percentile(bin_index, q) == pytest.approx(
                     float(np.quantile(samples, q)), abs=1e-9
                 )
+
+
+class TestGoldenTable:
+    """One stochastic table pinned bit for bit on the commit before the
+    readiness-plan refactor, at both worker counts (the graph reaches the
+    workers without its compiled plan and must rebuild the same one)."""
+
+    DIGEST = "ef7a83c372c6c7c7d45345841424cb0c249076657bb38d4945c3ec5b508d84ec"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_build_digest(self, jobs):
+        profile = generate_table2_jobs(seed=0, vertex_scale=0.3)["A"].profile
+        table = CpaTable.build(
+            profile, totalwork_with_q(profile), seed=13,
+            allocations=(10, 40, 100), reps=2, jobs=jobs,
+        )
+        digest = hashlib.sha256(repr(table.allocations).encode())
+        for allocation in table.allocations:
+            for samples in table._columns[allocation].bins:
+                digest.update(samples.tobytes())
+        assert digest.hexdigest() == self.DIGEST

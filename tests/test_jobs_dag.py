@@ -1,5 +1,7 @@
 """Unit and property tests for job graphs and dependency tracking."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -293,6 +295,44 @@ class TestDependencyTracker:
         with pytest.raises(GraphError):
             tracker.complete("extract", 99)
 
+    def test_unknown_stage_names_the_stage(self):
+        tracker = DependencyTracker(chain_graph())
+        with pytest.raises(GraphError, match="'nope'"):
+            tracker.complete("nope", 0)
+
+    @pytest.mark.parametrize("bad_call", [("extract", 0), ("extract", 4),
+                                          ("extract", -1), ("nope", 0)])
+    def test_rejected_completion_leaves_state_untouched(self, bad_call):
+        """An over-completion, a bad index or an unknown stage raises before
+        anything is counted: the tracker carries on as if never asked."""
+        tracker = DependencyTracker(chain_graph())
+        tracker.initially_ready()
+        for i in range(4):
+            tracker.complete("extract", i)
+        with pytest.raises(GraphError):
+            tracker.complete(*bad_call)
+        assert tracker.completed_in_stage("extract") == 4
+        assert tracker.is_stage_complete("extract")
+        for i in range(3):
+            assert tracker.complete("process", i) == []
+        assert tracker.complete("process", 3) == [("aggregate", 0), ("aggregate", 1)]
+        assert not tracker.all_complete()
+        tracker.complete("aggregate", 0)
+        tracker.complete("aggregate", 1)
+        assert tracker.all_complete()
+
+    def test_initially_ready_hands_out_roots_once(self):
+        tracker = DependencyTracker(chain_graph())
+        assert len(tracker.initially_ready()) == 4
+        assert tracker.initially_ready() == []
+
+    def test_stage_fractions_in_stage_order(self):
+        tracker = DependencyTracker(chain_graph())
+        tracker.complete("extract", 1)
+        fractions = tracker.stage_fractions()
+        assert list(fractions) == ["extract", "process", "aggregate"]
+        assert fractions == {"extract": 0.25, "process": 0.0, "aggregate": 0.0}
+
     def test_multi_barrier_stage(self):
         graph = JobGraph(
             "two-barriers",
@@ -321,3 +361,127 @@ class TestDependencyTracker:
         done = drain(tracker)
         assert tracker.all_complete()
         assert len(done) == generated.graph.num_vertices
+
+
+class TestReadinessPlan:
+    def test_trackers_share_one_plan(self):
+        graph = chain_graph()
+        assert DependencyTracker(graph)._plan is DependencyTracker(graph)._plan
+
+    def test_accessors_return_stored_tuples(self):
+        graph = chain_graph()
+        assert graph.stages is graph.stages
+        assert graph.in_edges("process") is graph.in_edges("process")
+        assert graph.out_edges("process") is graph.out_edges("process")
+
+    def test_plan_does_not_ride_along_in_the_pickle(self):
+        """Build units ship the graph to worker processes; the plan is
+        derived data and is rebuilt there on first use."""
+        graph = chain_graph()
+        before = pickle.dumps(graph)
+        drain(DependencyTracker(graph))
+        assert pickle.dumps(graph) == before
+        clone = pickle.loads(before)
+        assert "_plan" not in vars(clone)
+        assert drain(DependencyTracker(clone)) == drain(DependencyTracker(graph))
+
+
+class NaiveTracker:
+    """Readiness by definition — a task is ready once every task it reads
+    from is done — recomputed from the graph on every call.  The reference
+    the compiled tracker is checked against; lives in this file only."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.done = set()
+        self.released = set()
+
+    def _inputs(self, stage, i):
+        n = self.graph.stage(stage).num_tasks
+        for edge in self.graph.in_edges(stage):
+            n_src = self.graph.stage(edge.src).num_tasks
+            lo, hi = (
+                (0, n_src - 1) if edge.kind is EdgeType.ALL_TO_ALL
+                else one_to_one_range(i, n, n_src)
+            )
+            yield from ((edge.src, k) for k in range(lo, hi + 1))
+
+    def _release(self, stages):
+        out = []
+        for name in stages:
+            for i in range(self.graph.stage(name).num_tasks):
+                if (name, i) not in self.released and all(
+                    task in self.done for task in self._inputs(name, i)
+                ):
+                    self.released.add((name, i))
+                    out.append((name, i))
+        return out
+
+    def initially_ready(self):
+        return self._release(self.graph.topological_order())
+
+    def complete(self, stage, index):
+        self.done.add((stage, index))
+        return self._release(self.graph.children(stage))
+
+    def all_complete(self):
+        return len(self.done) == self.graph.num_vertices
+
+
+@st.composite
+def random_dags(draw):
+    """Small DAGs with every readiness shape: pointwise edges between
+    unequal task counts, shuffles, stages fed by both kinds, stages behind
+    several barriers, several roots."""
+    sizes = draw(st.lists(st.integers(1, 7), min_size=1, max_size=6))
+    stages = [Stage(f"s{i}", n) for i, n in enumerate(sizes)]
+    kinds = st.sampled_from([None, EdgeType.ONE_TO_ONE, EdgeType.ALL_TO_ALL])
+    edges = []
+    for dst in range(len(stages)):
+        for src in range(dst):
+            kind = draw(kinds)
+            if kind is not None:
+                edges.append(Edge(f"s{src}", f"s{dst}", kind))
+    return JobGraph("random", stages, draw(st.permutations(edges)))
+
+
+def drain_randomly(tracker, order):
+    """Complete ready tasks in a random order; returns every reply."""
+    ready = tracker.initially_ready()
+    replies = [list(ready)]
+    while ready:
+        reply = tracker.complete(*ready.pop(order.randrange(len(ready))))
+        replies.append(reply)
+        ready.extend(reply)
+    return replies
+
+
+class TestAgainstNaiveReference:
+    @given(graph=random_dags(), order=st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_every_reply_matches(self, graph, order):
+        compiled, naive = DependencyTracker(graph), NaiveTracker(graph)
+        ready = compiled.initially_ready()
+        assert ready == naive.initially_ready()
+        assert compiled.initially_ready() == naive.initially_ready() == []
+        completions = 0
+        while ready:
+            assert compiled.all_complete() == naive.all_complete() is False
+            task = ready.pop(order.randrange(len(ready)))
+            reply = compiled.complete(*task)
+            assert reply == naive.complete(*task)
+            ready.extend(reply)
+            completions += 1
+        assert completions == graph.num_vertices
+        assert compiled.all_complete() and naive.all_complete()
+
+    @given(graph=random_dags(), order=st.randoms(use_true_random=False))
+    @settings(max_examples=50, deadline=None)
+    def test_reset_replays_identically(self, graph, order):
+        tracker = DependencyTracker(graph)
+        state = order.getstate()
+        first = drain_randomly(tracker, order)
+        tracker.reset()
+        order.setstate(state)
+        assert drain_randomly(tracker, order) == first
+
