@@ -18,12 +18,12 @@ import time
 from repro.cluster import Cluster, ClusterConfig
 from repro.core.control import ControlConfig
 from repro.core.cpa import CpaTable
-from repro.core.policies import JockeyPolicy
+from repro.core.policies import build_policy
 from repro.core.progress import totalwork_with_q
 from repro.core.utility import deadline_utility
-from repro.jobs.profiles import JobProfile
+from repro.experiments.runner import run_control_loop
+from repro.experiments.scenarios import learn_profile, run_training
 from repro.jobs.workloads import mapreduce_job
-from repro.runtime.jobmanager import JobManager, run_to_completion
 from repro.simkit.events import Simulator
 from repro.simkit.random import RngRegistry
 from repro.telemetry import trace as telemetry_trace
@@ -36,15 +36,8 @@ DEADLINE = 3600.0
 def _train():
     """The quickstart's training half: profiling run + C(p, a) table."""
     generated = mapreduce_job(num_maps=400, num_reduces=40)
-    sim = Simulator()
-    cluster = Cluster(sim, ClusterConfig(), rng=RngRegistry(4))
-    manager = JobManager(
-        cluster, generated.graph, generated.profile,
-        initial_allocation=50, rng=RngRegistry(4).stream("train"),
-    )
-    trace = run_to_completion(manager)
-    learned = JobProfile.from_trace(generated.graph, trace,
-                                    min_failure_prob=0.001)
+    trace = run_training(generated, seed=4, allocation=50, stream="train")
+    learned = learn_profile(generated.graph, trace)
     indicator = totalwork_with_q(learned)
     table = CpaTable.build(
         learned, indicator, RngRegistry(4).stream("cpa"), reps=2
@@ -56,29 +49,19 @@ GRAPH, LEARNED, INDICATOR, TABLE = _train()
 
 
 def _controlled_run(seed: int = 2) -> None:
-    """What ``repro run --policy jockey`` executes after loading a bundle."""
-    policy = JockeyPolicy(
-        TABLE, INDICATOR, deadline_utility(DEADLINE), ControlConfig(),
-        profile=LEARNED,
+    """What ``repro run --policy jockey`` executes after loading a bundle:
+    the shared control loop, seeded the CLI way."""
+    control = ControlConfig()
+    policy = build_policy(
+        "jockey", table=TABLE, indicator=INDICATOR, profile=LEARNED,
+        utility=deadline_utility(DEADLINE), control=control,
+        max_tokens=control.max_tokens,
     )
-    sim = Simulator()
-    cluster = Cluster(sim, ClusterConfig(), rng=RngRegistry(seed))
-    manager = JobManager(
-        cluster, GRAPH, LEARNED,
-        initial_allocation=policy.initial_allocation(),
-        rng=RngRegistry(seed).stream("cli-run"),
-        deadline=DEADLINE,
+    cluster = Cluster(Simulator(), ClusterConfig(), rng=RngRegistry(seed))
+    run_control_loop(
+        cluster, GRAPH, LEARNED, policy,
+        rng=RngRegistry(seed).stream("cli-run"), deadline=DEADLINE,
     )
-
-    def tick() -> None:
-        if manager.finished:
-            return
-        allocation = policy.on_tick(manager.snapshot())
-        if allocation is not None:
-            manager.set_allocation(allocation)
-
-    sim.schedule_every(60.0, tick)
-    run_to_completion(manager)
 
 
 def test_tracing_overhead_under_five_percent():

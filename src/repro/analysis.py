@@ -15,7 +15,7 @@ over recorded :class:`~repro.jobs.trace.RunTrace` objects:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.jobs.dag import EdgeType, JobGraph, one_to_one_range
 from repro.jobs.trace import RunTrace, TaskRecord

@@ -50,8 +50,9 @@ import json
 import pathlib
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import replace as replace_dc
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro import __version__, persist
 from repro import cache as model_cache
@@ -61,20 +62,19 @@ from repro.telemetry import metrics as telemetry_metrics
 from repro.telemetry import trace as telemetry_trace
 from repro.cluster import Cluster, ClusterConfig
 from repro.core.control import ControlConfig
-from repro.core.cpa import DEFAULT_ALLOCATIONS, CpaTable
+from repro.core.cpa import DEFAULT_ALLOCATIONS
 from repro.core.policies import (
-    AdaptiveModelPolicy,
-    AmdahlPolicy,
-    JockeyPolicy,
-    MaxAllocationPolicy,
-    NoAdaptationPolicy,
+    POLICY_KINDS,
+    PolicyError,
+    build_policy,
+    run_artifacts,
 )
 from repro.core.progress import totalwork_with_q
 from repro.core.utility import deadline_utility
+from repro.experiments.runner import run_control_loop
+from repro.experiments.scenarios import learn_model, run_training
 from repro.fleet.driver import MODEL_MODES as FLEET_MODEL_MODES
-from repro.jobs.profiles import JobProfile
 from repro.jobs.workloads import TABLE2_SPECS, generate_job, mapreduce_job
-from repro.runtime.jobmanager import JobManager, run_to_completion
 from repro.simkit.events import Simulator
 from repro.simkit.random import RngRegistry, derive_seed
 
@@ -103,13 +103,13 @@ EXPERIMENTS = {
     "predict": ("exp_predict", "run"),
 }
 
-POLICY_CHOICES = (
-    "jockey",
-    "jockey-online-model",
-    "jockey-no-adapt",
-    "jockey-no-sim",
-    "max-allocation",
-)
+def _add_job_args(p) -> None:
+    """What ``run``, ``perf run`` and ``predict`` take to pick a job, a
+    policy and a seed (read back by :func:`_load_job` / :func:`_simulate`)."""
+    p.add_argument("--bundle", required=True, help="bundle from `repro train`")
+    p.add_argument("--deadline-minutes", type=float, required=True)
+    p.add_argument("--policy", choices=POLICY_KINDS, default="jockey")
+    p.add_argument("--seed", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,10 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     run = sub.add_parser("run", help="run a job under a policy vs a deadline")
-    run.add_argument("--bundle", required=True, help="bundle from `repro train`")
-    run.add_argument("--deadline-minutes", type=float, required=True)
-    run.add_argument("--policy", choices=POLICY_CHOICES, default="jockey")
-    run.add_argument("--seed", type=int, default=1)
+    _add_job_args(run)
     run.add_argument(
         "--runtime-scale", type=float, default=1.0,
         help="inflate this run's task runtimes (input growth; default 1.0)",
@@ -362,12 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a job with perf instrumentation on and print the "
              "per-phase wall-time breakdown",
     )
-    perf_run.add_argument(
-        "--bundle", required=True, help="bundle from `repro train`"
-    )
-    perf_run.add_argument("--deadline-minutes", type=float, required=True)
-    perf_run.add_argument("--policy", choices=POLICY_CHOICES, default="jockey")
-    perf_run.add_argument("--seed", type=int, default=1)
+    _add_job_args(perf_run)
     perf_run.add_argument(
         "--profile-out", default=None, metavar="PATH",
         help="write a cProfile capture of the run as collapsed stacks "
@@ -425,12 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     predict_sub = predict.add_subparsers(dest="predict_command", required=True)
 
     def _predict_run_args(p):
-        p.add_argument(
-            "--bundle", required=True, help="bundle from `repro train`"
-        )
-        p.add_argument("--deadline-minutes", type=float, required=True)
-        p.add_argument("--policy", choices=POLICY_CHOICES, default="jockey")
-        p.add_argument("--seed", type=int, default=1)
+        _add_job_args(p)
         p.add_argument(
             "--runtime-scale", type=float, default=1.0,
             help="inflate this run's task runtimes (input growth; "
@@ -544,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="task count for --command jobs (default: 1)",
     )
     submit.add_argument("--tenant", default="default")
-    submit.add_argument("--policy", choices=POLICY_CHOICES, default="jockey")
+    submit.add_argument("--policy", choices=POLICY_KINDS, default="jockey")
     submit.add_argument("--name", default=None, help="job display name")
     submit.add_argument(
         "--no-wait", action="store_true",
@@ -571,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="template pool to draw from (repeatable; default: mapreduce)",
     )
     loadgen.add_argument("--tenant", default="default")
-    loadgen.add_argument("--policy", choices=POLICY_CHOICES, default="jockey")
+    loadgen.add_argument("--policy", choices=POLICY_KINDS, default="jockey")
     loadgen.add_argument(
         "--mean-interarrival", type=float, default=180.0,
         help="mean arrival gap in virtual seconds (default: 180)",
@@ -637,24 +624,16 @@ def cmd_train(args, out) -> int:
         return 2
     out.write(f"profiling run of job {args.job!r} at "
               f"{args.allocation} guaranteed tokens...\n")
-    sim = Simulator()
-    cluster = Cluster(sim, ClusterConfig(), rng=RngRegistry(args.seed))
-    manager = JobManager(
-        cluster, generated.graph, generated.profile,
-        initial_allocation=args.allocation,
-        rng=RngRegistry(args.seed).stream("cli-train"),
+    trace = run_training(
+        generated, seed=args.seed, allocation=args.allocation,
+        stream="cli-train",
     )
-    trace = run_to_completion(manager)
     out.write(f"  finished in {trace.duration / 60:.1f} min "
               f"({trace.total_cpu_seconds() / 3600:.1f} CPU-hours)\n")
-    learned = JobProfile.from_trace(generated.graph, trace,
-                                    min_failure_prob=0.001)
-    indicator = totalwork_with_q(learned)
     out.write("building C(p, a) table...\n")
-    table = model_cache.get_or_build_table(
-        learned,
-        indicator,
-        indicator_kind="totalworkWithQ",
+    learned, _indicator, table = learn_model(
+        generated.graph,
+        trace,
         seed=derive_seed(args.seed, f"cli-cpa:{args.job}"),
         allocations=DEFAULT_ALLOCATIONS,
         reps=args.cpa_reps,
@@ -669,50 +648,97 @@ def cmd_train(args, out) -> int:
     return 0
 
 
-def _build_policy(kind: str, table, indicator, profile, deadline: float):
-    utility = deadline_utility(deadline)
-    config = ControlConfig()
-    if kind == "jockey":
-        return JockeyPolicy(table, indicator, utility, config, profile=profile)
-    if kind == "jockey-online-model":
-        return AdaptiveModelPolicy(table, indicator, utility, config,
-                                   profile=profile)
-    if kind == "jockey-no-adapt":
-        return NoAdaptationPolicy(table, indicator, utility, config,
-                                  profile=profile)
-    if kind == "jockey-no-sim":
-        return AmdahlPolicy(profile, utility, config)
-    if kind == "max-allocation":
-        return MaxAllocationPolicy(100)
-    raise ValueError(f"unknown policy {kind!r}")
+def _load_bundle(path: str, out):
+    """``persist.load_bundle`` at the CLI boundary: the (graph, profile,
+    table) triple, or None after printing why (the caller exits 2)."""
+    try:
+        return persist.load_bundle(path)
+    except (OSError, persist.PersistError) as exc:
+        out.write(f"error: cannot load bundle: {exc}\n")
+        return None
+
+
+def _load_chaos(path: str, command: str, out):
+    """The ``--chaos`` spec of ``repro <command>``, or None after printing
+    why and the usage hint (the caller exits 2)."""
+    try:
+        return persist.load_chaos_spec(path)
+    except (OSError, persist.PersistError) as exc:
+        out.write(f"error: cannot load chaos spec: {exc}\n")
+        out.write(
+            f"usage: repro {command} --chaos SPEC.json — SPEC.json must be a "
+            "JSON chaos schedule (see EXPERIMENTS.md, 'Injecting "
+            "chaos', for the format and a worked example)\n"
+        )
+        return None
+
+
+def _load_job(args, out, chaos_command: Optional[str] = None):
+    """What ``run``, ``perf run`` and ``predict`` all start from: the bundle,
+    the ``--policy`` built against ``--deadline-minutes`` with the
+    paper-default controller, and the ``--chaos`` spec of a command that
+    takes one (``chaos_command`` names it in the usage hint).  Returns
+    ``(graph, profile, table, policy, deadline_seconds, chaos spec or
+    None)``, or None after printing why (the caller exits 2)."""
+    bundle = _load_bundle(args.bundle, out)
+    if bundle is None:
+        return None
+    chaos_spec = None
+    if chaos_command is not None and args.chaos:
+        chaos_spec = _load_chaos(args.chaos, chaos_command, out)
+        if chaos_spec is None:
+            return None
+    graph, profile, table = bundle
+    deadline = args.deadline_minutes * 60.0
+    control = ControlConfig()
+    try:
+        policy = build_policy(
+            args.policy,
+            table=table,
+            indicator=totalwork_with_q(profile),
+            profile=profile,
+            utility=deadline_utility(deadline),
+            control=control,
+            max_tokens=control.max_tokens,
+        )
+    except PolicyError as exc:
+        out.write(f"error: {exc}\n")
+        return None
+    return graph, profile, table, policy, deadline, chaos_spec
+
+
+def _simulate(args, graph, behavior, policy, deadline: float, chaos_spec=None):
+    """One controlled run on the CLI's calm cluster, seeded the CLI way
+    (``--seed`` roots the cluster, the ``cli-run`` job stream and the chaos
+    engine).  Returns ``(trace, chaos engine or None, simulator)``."""
+    sim = Simulator()
+    cluster = Cluster(sim, ClusterConfig(), rng=RngRegistry(args.seed))
+    trace, engine = run_control_loop(
+        cluster, graph, behavior, policy,
+        rng=RngRegistry(args.seed).stream("cli-run"),
+        deadline=deadline,
+        chaos=chaos_spec,
+        chaos_seed=derive_seed(args.seed, "chaos"),
+    )
+    return trace, engine, sim
+
+
+def _slo_report(trace, policy, kind: str, table, title: str, chaos_summary=None):
+    """The SLO run report of a finished CLI run."""
+    from repro.telemetry import report as telemetry_report
+
+    records, slack, predictions = run_artifacts(policy)
+    return telemetry_report.from_audit_and_trace(
+        trace, records, policy=kind, table=table, slack=slack, title=title,
+        chaos=telemetry_report.chaos_rows_from_summary(chaos_summary),
+        prediction_records=predictions,
+    )
 
 
 def cmd_run(args, out) -> int:
-    try:
-        graph, profile, table = persist.load_bundle(args.bundle)
-    except (OSError, persist.PersistError) as exc:
-        out.write(f"error: cannot load bundle: {exc}\n")
+    job = _load_job(args, out, "run")
+    if job is None:
         return 2
-    if table is None and args.policy not in ("jockey-no-sim", "max-allocation"):
-        out.write("error: bundle has no C(p, a) table; use --policy "
-                  "jockey-no-sim or max-allocation\n")
-        return 2
-    chaos_spec = None
-    if args.chaos:
-        try:
-            chaos_spec = persist.load_chaos_spec(args.chaos)
-        except (OSError, persist.PersistError) as exc:
-            out.write(f"error: cannot load chaos spec: {exc}\n")
-            out.write(
-                "usage: repro run --chaos SPEC.json — SPEC.json must be a "
-                "JSON chaos schedule (see EXPERIMENTS.md, 'Injecting "
-                "chaos', for the format and a worked example)\n"
-            )
-            return 2
-    deadline = args.deadline_minutes * 60.0
-    indicator = totalwork_with_q(profile)
-    policy = _build_policy(args.policy, table, indicator, profile, deadline)
-
     server = None
     shutdown = None
     if args.serve_metrics is not None:
@@ -727,86 +753,28 @@ def cmd_run(args, out) -> int:
         # thread) instead of killing the scrape endpoint mid-response.
         shutdown = GracefulShutdown()
     try:
-        if shutdown is not None:
-            with shutdown:
-                return _run_job(
-                    args, out, graph, profile, table, policy, deadline,
-                    chaos_spec=chaos_spec,
-                )
-        return _run_job(
-            args, out, graph, profile, table, policy, deadline,
-            chaos_spec=chaos_spec,
-        )
+        with shutdown if shutdown is not None else nullcontext():
+            return _run_job(args, out, *job)
     finally:
         if server is not None:
             server.stop()
 
 
 def _run_job(
-    args, out, graph, profile, table, policy, deadline: float, *, chaos_spec=None
+    args, out, graph, profile, table, policy, deadline: float, chaos_spec
 ) -> int:
-    want_trace = args.trace_out or args.trace_jsonl
     if args.metrics_out:
         # Per-run metrics: zero the registry so the snapshot covers this
         # run only (values reset in place; cached instruments stay valid).
         telemetry_metrics.REGISTRY.reset()
-    recorder = (
-        telemetry_trace.TraceRecorder(capacity=args.trace_capacity)
-        if want_trace else None
-    )
-    # Note `is not None`: an empty TraceRecorder is falsy (len() == 0).
-    previous_recorder = (
-        telemetry_trace.install(recorder) if recorder is not None else None
-    )
-
-    sim = Simulator()
-    try:
-        cluster = Cluster(sim, ClusterConfig(), rng=RngRegistry(args.seed))
-        behavior = profile.with_runtime_scale(args.runtime_scale)
-        manager = JobManager(
-            cluster, graph, behavior,
-            initial_allocation=policy.initial_allocation(),
-            rng=RngRegistry(args.seed).stream("cli-run"),
-            deadline=deadline,
-            allocation_retry=chaos_spec is not None,
+    with (
+        telemetry_trace.capture(capacity=args.trace_capacity)
+        if args.trace_out or args.trace_jsonl else nullcontext()
+    ) as recorder:
+        trace, engine, sim = _simulate(
+            args, graph, profile.with_runtime_scale(args.runtime_scale),
+            policy, deadline, chaos_spec,
         )
-        engine = None
-        if chaos_spec is not None:
-            # Unknown machine/stage references raise ChaosError here — a
-            # runtime (exit 1) failure with a named error, not a usage one.
-            from repro.chaos.engine import ChaosEngine
-
-            engine = ChaosEngine(
-                chaos_spec, sim=sim, cluster=cluster, manager=manager,
-                policy=policy, seed=derive_seed(args.seed, "chaos"),
-            )
-            engine.install()
-
-        def tick_body():
-            if manager.finished:
-                return
-            allocation = policy.on_tick(manager.snapshot())
-            if allocation is not None:
-                manager.set_allocation(allocation)
-
-        def tick():
-            if manager.finished:
-                return
-            if engine is not None:
-                disposition, delay = engine.tick_disposition()
-                if disposition == "drop":
-                    return
-                if disposition == "delay":
-                    sim.call_after(delay, tick_body)
-                    return
-            tick_body()
-
-        if policy.adaptive:
-            sim.schedule_every(60.0, tick)
-        trace = run_to_completion(manager)
-    finally:
-        if recorder is not None:
-            telemetry_trace.install(previous_recorder)
     verdict = "MET" if trace.met_deadline() else "MISSED"
     allocations = [a for _t, a in trace.allocation_timeline]
     out.write(
@@ -852,18 +820,9 @@ def _run_job(
     if args.report_out:
         from repro.telemetry import report as telemetry_report
 
-        controller = getattr(policy, "controller", None)
-        audit = getattr(controller, "audit", None)
-        records = audit.decisions() if audit is not None else []
-        slack = controller.config.slack if controller is not None else 1.0
-        ledger = getattr(controller, "predictions", None)
-        run_report = telemetry_report.from_audit_and_trace(
-            trace, records, policy=args.policy, table=table, slack=slack,
-            title=f"{graph.name} / {args.policy}",
-            chaos=telemetry_report.chaos_rows_from_summary(chaos_summary),
-            prediction_records=(
-                ledger.records() if ledger is not None else []
-            ),
+        run_report = _slo_report(
+            trace, policy, args.policy, table,
+            f"{graph.name} / {args.policy}", chaos_summary,
         )
         fmt = telemetry_report.write(run_report, args.report_out)
         out.write(f"  wrote {fmt} report to {args.report_out}\n")
@@ -1008,8 +967,6 @@ def cmd_fleet(args, out) -> int:
             fh.write("\n")
         out.write(f"  wrote fleet digest to {args.digest_out}\n")
     if args.report_out:
-        import dataclasses as _dataclasses
-
         from repro.telemetry import report as telemetry_report
 
         first = result.summaries[0].template
@@ -1017,7 +974,7 @@ def cmd_fleet(args, out) -> int:
             result.last_results[first],
             title=f"fleet {first} / final day ({config.model_mode})",
         )
-        run_report = _dataclasses.replace(
+        run_report = replace_dc(
             run_report,
             extra_sections=tuple(
                 (
@@ -1171,41 +1128,14 @@ def cmd_perf_run(args, out) -> int:
         session.start()
     try:
         with collector.phase("load"):
-            try:
-                graph, profile, table = persist.load_bundle(args.bundle)
-            except (OSError, persist.PersistError) as exc:
-                out.write(f"error: cannot load bundle: {exc}\n")
+            job = _load_job(args, out)
+            if job is None:
                 return 2
-            if table is None and args.policy not in (
-                "jockey-no-sim", "max-allocation"
-            ):
-                out.write("error: bundle has no C(p, a) table; use --policy "
-                          "jockey-no-sim or max-allocation\n")
-                return 2
-            deadline = args.deadline_minutes * 60.0
-            indicator = totalwork_with_q(profile)
-            policy = _build_policy(args.policy, table, indicator, profile,
-                                   deadline)
+            graph, profile, table, policy, deadline, _chaos = job
         with collector.phase("simulate"):
-            sim = Simulator()
-            cluster = Cluster(sim, ClusterConfig(), rng=RngRegistry(args.seed))
-            manager = JobManager(
-                cluster, graph, profile,
-                initial_allocation=policy.initial_allocation(),
-                rng=RngRegistry(args.seed).stream("cli-run"),
-                deadline=deadline,
+            trace, _engine, _sim = _simulate(
+                args, graph, profile, policy, deadline
             )
-
-            def tick():
-                if manager.finished:
-                    return
-                allocation = policy.on_tick(manager.snapshot())
-                if allocation is not None:
-                    manager.set_allocation(allocation)
-
-            if policy.adaptive:
-                sim.schedule_every(60.0, tick)
-            trace = run_to_completion(manager)
         with collector.phase("report"):
             if session is not None:
                 session.stop()
@@ -1213,23 +1143,11 @@ def cmd_perf_run(args, out) -> int:
                     with open(args.profile_out, "w", encoding="utf-8") as fh:
                         fh.write(session.collapsed_stacks())
             if args.report_out:
-                import dataclasses as _dataclasses
-
                 from repro.telemetry import report as telemetry_report
 
-                controller = getattr(policy, "controller", None)
-                audit = getattr(controller, "audit", None)
-                records = audit.decisions() if audit is not None else []
-                slack = (
-                    controller.config.slack if controller is not None else 1.0
-                )
-                ledger = getattr(controller, "predictions", None)
-                run_report = telemetry_report.from_audit_and_trace(
-                    trace, records, policy=args.policy, table=table,
-                    slack=slack, title=f"{graph.name} / {args.policy} (perf)",
-                    prediction_records=(
-                        ledger.records() if ledger is not None else []
-                    ),
+                run_report = _slo_report(
+                    trace, policy, args.policy, table,
+                    f"{graph.name} / {args.policy} (perf)",
                 )
                 snapshot_now = collector.snapshot()
                 events, eps = _perf_events_per_sec(snapshot_now)
@@ -1249,7 +1167,7 @@ def cmd_perf_run(args, out) -> int:
                         ("control tick p95 [ms]",
                          round(ticks["p95_seconds"] * 1e3, 3))
                     )
-                run_report = _dataclasses.replace(
+                run_report = replace_dc(
                     run_report,
                     extra_sections=run_report.extra_sections
                     + (("Performance", tuple(perf_rows)),),
@@ -1412,13 +1330,11 @@ def cmd_perf_compare(args, out) -> int:
 
 
 def cmd_perf(args, out) -> int:
-    if args.perf_command == "run":
-        return cmd_perf_run(args, out)
-    if args.perf_command == "report":
-        return cmd_perf_report(args, out)
-    if args.perf_command == "compare":
-        return cmd_perf_compare(args, out)
-    raise AssertionError("unreachable")  # pragma: no cover
+    commands = {
+        "run": cmd_perf_run, "report": cmd_perf_report,
+        "compare": cmd_perf_compare,
+    }
+    return commands[args.perf_command](args, out)
 
 
 def cmd_predict(args, out) -> int:
@@ -1427,70 +1343,15 @@ def cmd_predict(args, out) -> int:
     from repro.experiments.reporting import ascii_table, sparkline
     from repro.telemetry import predict as telemetry_predict
 
-    try:
-        graph, profile, table = persist.load_bundle(args.bundle)
-    except (OSError, persist.PersistError) as exc:
-        out.write(f"error: cannot load bundle: {exc}\n")
+    job = _load_job(args, out, f"predict {args.predict_command}")
+    if job is None:
         return 2
-    if table is None and args.policy not in ("jockey-no-sim", "max-allocation"):
-        out.write("error: bundle has no C(p, a) table; use --policy "
-                  "jockey-no-sim or max-allocation\n")
-        return 2
-    chaos_spec = None
-    if args.chaos:
-        try:
-            chaos_spec = persist.load_chaos_spec(args.chaos)
-        except (OSError, persist.PersistError) as exc:
-            out.write(f"error: cannot load chaos spec: {exc}\n")
-            return 2
-    deadline = args.deadline_minutes * 60.0
-    indicator = totalwork_with_q(profile)
-    policy = _build_policy(args.policy, table, indicator, profile, deadline)
-    sim = Simulator()
-    cluster = Cluster(sim, ClusterConfig(), rng=RngRegistry(args.seed))
-    behavior = profile.with_runtime_scale(args.runtime_scale)
-    manager = JobManager(
-        cluster, graph, behavior,
-        initial_allocation=policy.initial_allocation(),
-        rng=RngRegistry(args.seed).stream("cli-run"),
-        deadline=deadline,
-        allocation_retry=chaos_spec is not None,
+    graph, profile, _table, policy, deadline, chaos_spec = job
+    trace, _engine, _sim = _simulate(
+        args, graph, profile.with_runtime_scale(args.runtime_scale),
+        policy, deadline, chaos_spec,
     )
-    engine = None
-    if chaos_spec is not None:
-        from repro.chaos.engine import ChaosEngine
-
-        engine = ChaosEngine(
-            chaos_spec, sim=sim, cluster=cluster, manager=manager,
-            policy=policy, seed=derive_seed(args.seed, "chaos"),
-        )
-        engine.install()
-
-    def tick_body():
-        if manager.finished:
-            return
-        allocation = policy.on_tick(manager.snapshot())
-        if allocation is not None:
-            manager.set_allocation(allocation)
-
-    def tick():
-        if manager.finished:
-            return
-        if engine is not None:
-            disposition, delay = engine.tick_disposition()
-            if disposition == "drop":
-                return
-            if disposition == "delay":
-                sim.call_after(delay, tick_body)
-                return
-        tick_body()
-
-    if policy.adaptive:
-        sim.schedule_every(60.0, tick)
-    trace = run_to_completion(manager)
-    controller = getattr(policy, "controller", None)
-    ledger = getattr(controller, "predictions", None)
-    records = ledger.records() if ledger is not None else []
+    _audit, _slack, records = run_artifacts(policy)
     verdict = "MET" if trace.met_deadline() else "MISSED"
     out.write(
         f"job {graph.name!r} under {args.policy}: finished in "
@@ -1568,7 +1429,7 @@ def cmd_predict(args, out) -> int:
     return 0
 
 
-def cmd_list_experiments(out) -> int:
+def cmd_list_experiments(args, out) -> int:
     for exp_id in sorted(EXPERIMENTS):
         module_name, _func = EXPERIMENTS[exp_id]
         out.write(f"{exp_id:22s} repro.experiments.{module_name}\n")
@@ -1610,11 +1471,10 @@ def cmd_report(args, out) -> int:
         return 1
     table = None
     if args.bundle:
-        try:
-            _graph, _profile, table = persist.load_bundle(args.bundle)
-        except (OSError, persist.PersistError) as exc:
-            out.write(f"error: cannot load bundle: {exc}\n")
+        bundle = _load_bundle(args.bundle, out)
+        if bundle is None:
             return 2
+        table = bundle[2]
     deadline = (
         args.deadline_minutes * 60.0 if args.deadline_minutes is not None else None
     )
@@ -1655,10 +1515,8 @@ def cmd_serve(args, out) -> int:
         tenants = tuple(pairs)
     control_faults = None
     if args.chaos:
-        try:
-            spec = persist.load_chaos_spec(args.chaos)
-        except (OSError, persist.PersistError) as exc:
-            out.write(f"error: cannot load chaos spec: {exc}\n")
+        spec = _load_chaos(args.chaos, "serve", out)
+        if spec is None:
             return 2
         control_faults = spec.effective().control_faults
     try:
@@ -1868,6 +1726,25 @@ def cmd_loadgen(args, out) -> int:
     return 0
 
 
+COMMANDS = {
+    "train": cmd_train,
+    "run": cmd_run,
+    "experiment": cmd_experiment,
+    "list-experiments": cmd_list_experiments,
+    "fleet": cmd_fleet,
+    "market": cmd_market,
+    "cache": cmd_cache,
+    "perf": cmd_perf,
+    "predict": cmd_predict,
+    "serve": cmd_serve,
+    "worker": cmd_worker,
+    "submit": cmd_submit,
+    "loadgen": cmd_loadgen,
+    "trace": cmd_trace,
+    "report": cmd_report,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     """Entry point.  Returns 2 for argument errors (argparse usage
     failures), 1 for runtime failures, the command's code otherwise."""
@@ -1880,40 +1757,10 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             return 0
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.command == "train":
-            return cmd_train(args, out)
-        if args.command == "run":
-            return cmd_run(args, out)
-        if args.command == "experiment":
-            return cmd_experiment(args, out)
-        if args.command == "list-experiments":
-            return cmd_list_experiments(out)
-        if args.command == "fleet":
-            return cmd_fleet(args, out)
-        if args.command == "market":
-            return cmd_market(args, out)
-        if args.command == "cache":
-            return cmd_cache(args, out)
-        if args.command == "perf":
-            return cmd_perf(args, out)
-        if args.command == "predict":
-            return cmd_predict(args, out)
-        if args.command == "serve":
-            return cmd_serve(args, out)
-        if args.command == "worker":
-            return cmd_worker(args, out)
-        if args.command == "submit":
-            return cmd_submit(args, out)
-        if args.command == "loadgen":
-            return cmd_loadgen(args, out)
-        if args.command == "trace":
-            return cmd_trace(args, out)
-        if args.command == "report":
-            return cmd_report(args, out)
+        return COMMANDS[args.command](args, out)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         out.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
-    raise AssertionError("unreachable")  # pragma: no cover
 
 
 __all__ = ["EXPERIMENTS", "build_parser", "main"]

@@ -7,7 +7,7 @@ the SLO job's control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.cluster.background import BackgroundLoad, LoadEpisode, SpareSoaker

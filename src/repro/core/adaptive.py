@@ -23,7 +23,7 @@ minutes before the deadline-lateness signal would react.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping
 
 from repro.core.control import ControlError, CpaPredictor
 from repro.core.cpa import CpaTable

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Mapping, Optional, Protocol, Sequence, Tuple
 
 from repro.core.clock import Clock

@@ -12,7 +12,7 @@
 from __future__ import annotations
 
 import abc
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.core.amdahl import AmdahlModel
 from repro.core.control import (
@@ -239,11 +239,81 @@ class MaxAllocationPolicy(AllocationPolicy):
         return None
 
 
+#: Every policy kind, in the order the CLI lists them: the one tuple under
+#: argparse ``choices``, the experiment suite and the live service.
+POLICY_KINDS = (
+    "jockey", "jockey-online-model", "jockey-no-adapt", "jockey-no-sim",
+    "max-allocation",
+)
+_TABLE_POLICIES = {
+    cls.name: cls
+    for cls in (JockeyPolicy, AdaptiveModelPolicy, NoAdaptationPolicy)
+}
+
+
+class PolicyError(ValueError):
+    """An unknown policy kind, or one asked to run without what it needs."""
+
+
+def build_policy(
+    kind: str,
+    *,
+    table: Optional[CpaTable],
+    indicator,
+    profile: Optional[JobProfile],
+    utility: PiecewiseLinearUtility,
+    control: ControlConfig,
+    max_tokens: int,
+) -> AllocationPolicy:
+    """The one place a kind name becomes a policy (fresh controller state).
+    ``max_tokens`` is the slice max-allocation guarantees; only it runs
+    without a learned ``profile`` (a live command job has none), and only it
+    and jockey-no-sim without a C(p, a) ``table``."""
+    if kind not in POLICY_KINDS:
+        raise PolicyError(
+            f"unknown policy {kind!r} (choose from {', '.join(POLICY_KINDS)})"
+        )
+    if kind == "max-allocation":
+        return MaxAllocationPolicy(max_tokens)
+    if profile is None:
+        raise PolicyError(
+            f"policy {kind!r} needs a trained profile; a job without one "
+            "supports only max-allocation"
+        )
+    if kind == "jockey-no-sim":
+        return AmdahlPolicy(profile, utility, control)
+    if table is None:
+        raise PolicyError(
+            f"policy {kind!r} needs a C(p, a) table and the bundle has none; "
+            "use jockey-no-sim or max-allocation"
+        )
+    return _TABLE_POLICIES[kind](
+        table, indicator, utility, control, profile=profile
+    )
+
+
+def run_artifacts(
+    policy: AllocationPolicy, *, default_slack: float = 1.0
+) -> Tuple[List, float, List]:
+    """What a finished policy leaves for reports and SLO analytics:
+    ``(decision audit records, controller slack, prediction records)``; a
+    static policy has no controller, so ``([], default_slack, [])``."""
+    controller = getattr(policy, "controller", None)
+    if controller is None:
+        return [], default_slack, []
+    audit, ledger = controller.audit, controller.predictions
+    return audit.decisions(), controller.config.slack, ledger.records()
+
+
 __all__ = [
+    "POLICY_KINDS",
     "AdaptiveModelPolicy",
     "AllocationPolicy",
     "AmdahlPolicy",
     "JockeyPolicy",
     "MaxAllocationPolicy",
     "NoAdaptationPolicy",
+    "PolicyError",
+    "build_policy",
+    "run_artifacts",
 ]

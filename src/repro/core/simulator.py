@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.jobs.dag import DependencyTracker, JobGraph
+from repro.jobs.dag import DependencyTracker
 from repro.jobs.profiles import JobProfile, StageProfile
 from repro.perf import instrument as _perf
 from repro.simkit import distributions as _dist

@@ -9,7 +9,7 @@ to −1000 a thousand minutes later.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 
 class UtilityError(ValueError):

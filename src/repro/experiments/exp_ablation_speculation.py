@@ -14,7 +14,7 @@ work premium (the superseded attempts).
 from __future__ import annotations
 
 from dataclasses import replace as dc_replace
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 

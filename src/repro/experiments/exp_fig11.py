@@ -14,12 +14,10 @@ working under hysteresis (~95-100%).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from repro.core.control import ControlConfig
-from repro.experiments.metrics import group_by, summarize_policy
+from repro.experiments.metrics import summarize_policy
 from repro.experiments.reporting import ExperimentReport
 from repro.experiments.runner import run_suite
 from repro.experiments.scenarios import DEFAULT, Scale, trained_jobs

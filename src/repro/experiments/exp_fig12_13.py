@@ -13,7 +13,7 @@ values (less smoothing) track the raw allocation with higher maxima.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -18,7 +18,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.cluster import ClusterConfig, LoadEpisode
+from repro.cluster import LoadEpisode
 from repro.experiments.reporting import ExperimentReport, scorecard_section, sparkline
 from repro.experiments.runner import ExperimentResult, RunConfig, make_policy, run_experiment
 from repro.experiments.scenarios import DEFAULT, Scale, trained_job

@@ -8,7 +8,7 @@ in half, and releasing 63%/83% of resources when it was doubled/tripled.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 

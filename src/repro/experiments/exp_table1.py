@@ -15,17 +15,15 @@ CoV drops but much of the variance persists.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from dataclasses import replace
+from typing import List
 
 import numpy as np
 
-from repro.cluster import Cluster, ClusterConfig
 from repro.experiments.metrics import coefficient_of_variation, percentiles
 from repro.experiments.reporting import ExperimentReport
-from repro.experiments.scenarios import DEFAULT, Scale
+from repro.experiments.scenarios import DEFAULT, Scale, run_training
 from repro.jobs.workloads import random_job
-from repro.runtime.jobmanager import JobManager, run_to_completion
-from repro.simkit.events import Simulator
 from repro.simkit.random import RngRegistry, derive_seed
 
 #: Per-run input-size variation for recurring jobs (lognormal sigma).
@@ -33,18 +31,12 @@ INPUT_SIZE_SIGMA = 0.22
 
 
 def _run_once(generated, guarantee: int, seed: int, input_scale: float) -> float:
-    sim = Simulator()
-    cluster = Cluster(sim, ClusterConfig(), rng=RngRegistry(seed))
-    behavior = generated.profile.with_runtime_scale(input_scale)
-    manager = JobManager(
-        cluster,
-        generated.graph,
-        behavior,
-        initial_allocation=guarantee,
-        rng=RngRegistry(seed).stream("population-job"),
+    scaled = replace(
+        generated, profile=generated.profile.with_runtime_scale(input_scale)
     )
-    trace = run_to_completion(manager)
-    return trace.duration
+    return run_training(
+        scaled, seed=seed, allocation=guarantee, stream="population-job"
+    ).duration
 
 
 def _input_clusters(scales: List[float], tolerance: float = 0.10) -> List[List[int]]:

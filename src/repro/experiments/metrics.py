@@ -8,7 +8,6 @@ statistics of §2.3 (coefficient of variation of completion times).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 

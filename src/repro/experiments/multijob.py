@@ -20,14 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.cluster import Cluster, ClusterConfig
 from repro.core.arbiter import ArbiterJob, arbitrate
 from repro.core.control import ControlConfig
-from repro.core.policies import JockeyPolicy
-from repro.core.utility import deadline_utility
 from repro.experiments.metrics import RunMetrics, metrics_from_trace
+from repro.experiments.runner import make_policy
 from repro.experiments.scenarios import TrainedJob
 from repro.runtime.jobmanager import JobManager
 from repro.simkit.events import Simulator
@@ -84,20 +81,14 @@ def run_multi_job(
     cluster = Cluster(sim, cluster_config, rng=rng.spawn("cluster"))
 
     managers: Dict[str, JobManager] = {}
-    policies: Dict[str, JockeyPolicy] = {}
+    policies = {}
     deadlines: Dict[str, float] = {}
     smoothed: Dict[str, float] = {}
     control = ControlConfig(max_tokens=slice_tokens)
     for trained in jobs:
         deadline = trained.short_deadline * deadline_factor
         deadlines[trained.name] = deadline
-        policy = JockeyPolicy(
-            trained.table,
-            trained.indicator,
-            deadline_utility(deadline),
-            control,
-            profile=trained.learned_profile,
-        )
+        policy = make_policy("jockey", trained, deadline, control=control)
         policies[trained.name] = policy
         behavior = trained.generated.profile.with_runtime_scale(
             runtime_scales.get(trained.name, 1.0)

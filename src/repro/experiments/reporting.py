@@ -8,7 +8,7 @@ so benchmark output can be compared side-by-side with the publication.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 
 def format_cell(value) -> str:

@@ -19,7 +19,8 @@ import numpy as np
 from repro.chaos.spec import ChaosSpec
 from repro.cluster import Cluster, ClusterConfig, LoadEpisode
 from repro.core.control import ControlConfig
-from repro.core.policies import AllocationPolicy
+from repro.core.policies import POLICY_KINDS as ALL_POLICY_KINDS
+from repro.core.policies import AllocationPolicy, build_policy, run_artifacts
 from repro.core.utility import deadline_utility
 from repro.experiments.metrics import RunMetrics, metrics_from_trace
 from repro.experiments.scenarios import TrainedJob
@@ -76,7 +77,6 @@ class RunConfig:
     #: When set, the run's timeline is written here in Chrome trace-event
     #: format — any figure reproduction can emit a Perfetto timeline.
     trace_path: Optional[str] = None
-    trace_capacity: int = 1 << 16
 
 
 #: Per-run cluster-day sampling: most days are near the trained mean, but
@@ -157,12 +157,98 @@ class ExperimentResult:
         )
 
 
+def run_control_loop(
+    cluster: Cluster,
+    graph,
+    behavior,
+    policy: AllocationPolicy,
+    *,
+    rng: np.random.Generator,
+    deadline: float,
+    chaos: Optional[ChaosSpec] = None,
+    chaos_seed: Optional[int] = None,
+    control_period: float = 60.0,
+    speculation: Optional[SpeculationConfig] = None,
+    deadline_changes: Sequence[Tuple[float, float]] = (),
+    max_seconds: float = 86_400.0,
+    on_tick: Optional[Callable[[], None]] = None,
+) -> Tuple[RunTrace, Optional[object]]:
+    """Drive one job under ``policy`` on an already-built simkit cluster —
+    the paper's control loop (§4.3/§5.1), written once.
+
+    Everything random is passed in (the job's ``rng`` stream, ``chaos_seed``,
+    the cluster itself), so callers with different seeding conventions share
+    the loop bit for bit.  A ``chaos`` spec installs its injectors, turns on
+    allocation retry and may drop or delay ticks; ``deadline_changes`` are
+    ``(at_seconds, new_deadline)`` rewrites; ``on_tick`` runs after every
+    decision that was not dropped.  Returns ``(trace, chaos engine or None)``.
+    """
+    sim = cluster.sim
+    manager = JobManager(
+        cluster,
+        graph,
+        behavior,
+        initial_allocation=policy.initial_allocation(),
+        rng=rng,
+        deadline=deadline,
+        speculation=speculation,
+        allocation_retry=chaos is not None,
+    )
+    engine = None
+    if chaos is not None:
+        # Unknown machine/stage references raise ChaosError here: a runtime
+        # failure with a named error, not a usage one.
+        from repro.chaos.engine import ChaosEngine
+
+        engine = ChaosEngine(
+            chaos, sim=sim, cluster=cluster, manager=manager, policy=policy,
+            seed=chaos_seed,
+        )
+        engine.install()
+
+    def tick_body() -> None:
+        if manager.finished:
+            return
+        allocation = policy.on_tick(manager.snapshot())
+        if allocation is not None:
+            manager.set_allocation(allocation)
+        if on_tick is not None:
+            on_tick()
+
+    def control_tick() -> None:
+        if manager.finished:
+            return
+        if engine is not None:
+            disposition, delay = engine.tick_disposition()
+            if disposition == "drop":
+                return
+            if disposition == "delay":
+                sim.call_after(delay, tick_body)
+                return
+        tick_body()
+
+    if policy.adaptive:
+        sim.schedule_every(control_period, control_tick)
+
+    for at_seconds, new_deadline in deadline_changes:
+
+        def apply_change(d=new_deadline) -> None:
+            manager.trace.deadline = d
+            policy.change_utility(deadline_utility(d))
+
+        sim.call_at(at_seconds, apply_change)
+
+    return run_to_completion(manager, max_seconds=max_seconds), engine
+
+
 def run_experiment(
     trained: TrainedJob,
     policy: AllocationPolicy,
     config: RunConfig,
 ) -> ExperimentResult:
-    """Execute one SLO run and compute its metrics."""
+    """Execute one SLO run and compute its metrics: per-run sampling of the
+    runtime scale and the cluster day, optional trace capture, then
+    :func:`run_control_loop`."""
     rng = RngRegistry(config.seed)
     if config.runtime_scale is None:
         runtime_scale = sample_runtime_scale(rng.stream("runtime-scale"))
@@ -185,8 +271,7 @@ def run_experiment(
 
     capture_needed = config.capture_trace or config.trace_path is not None
     capture_ctx = (
-        telemetry_trace.capture(capacity=config.trace_capacity)
-        if capture_needed else nullcontext(None)
+        telemetry_trace.capture() if capture_needed else nullcontext(None)
     )
     raw_series: List[Tuple[float, int]] = []
     with capture_ctx as recorder:
@@ -194,77 +279,36 @@ def run_experiment(
         cluster = Cluster(
             sim, cluster_config, rng=rng.spawn("cluster"), episodes=config.episodes
         )
-        manager = JobManager(
-            cluster,
-            trained.graph,
-            behavior,
-            initial_allocation=policy.initial_allocation(),
-            rng=rng.stream("job"),
-            deadline=config.deadline_seconds,
-            speculation=config.speculation,
-            allocation_retry=config.chaos is not None,
-        )
-        engine = None
-        if config.chaos is not None:
-            from repro.chaos.engine import ChaosEngine
 
-            engine = ChaosEngine(
-                config.chaos,
-                sim=sim,
-                cluster=cluster,
-                manager=manager,
-                policy=policy,
-                seed=derive_seed(config.seed, "chaos"),
-            )
-            engine.install()
-
-        def tick_body() -> None:
-            if manager.finished:
-                return
-            new_allocation = policy.on_tick(manager.snapshot())
-            if new_allocation is not None:
-                manager.set_allocation(new_allocation)
+        def record_raw() -> None:
             decision = policy.last_decision()
             if decision is not None:
                 raw_series.append((sim.now / 60.0, decision.raw))
 
-        def control_tick() -> None:
-            if manager.finished:
-                return
-            if engine is not None:
-                disposition, delay = engine.tick_disposition()
-                if disposition == "drop":
-                    return
-                if disposition == "delay":
-                    sim.call_after(delay, tick_body)
-                    return
-            tick_body()
-
-        if policy.adaptive:
-            sim.schedule_every(config.control_period, control_tick)
-
-        final_deadline = config.deadline_seconds
-        for at_seconds, new_deadline in config.deadline_changes:
-
-            def apply_change(d=new_deadline) -> None:
-                nonlocal final_deadline
-                final_deadline = d
-                manager.trace.deadline = d
-                policy.change_utility(deadline_utility(d))
-
-            sim.call_at(at_seconds, apply_change)
-
-        manager.trace.metadata["cluster_day_mean_demand"] = float(
-            cluster_config.background_mean_demand or 0.0
+        trace, engine = run_control_loop(
+            cluster,
+            trained.graph,
+            behavior,
+            policy,
+            rng=rng.stream("job"),
+            deadline=config.deadline_seconds,
+            chaos=config.chaos,
+            chaos_seed=derive_seed(config.seed, "chaos"),
+            control_period=config.control_period,
+            speculation=config.speculation,
+            deadline_changes=config.deadline_changes,
+            max_seconds=config.max_virtual_seconds,
+            on_tick=record_raw,
         )
-        manager.trace.metadata["runtime_scale"] = runtime_scale
-        trace = run_to_completion(manager, max_seconds=config.max_virtual_seconds)
+    trace.metadata["cluster_day_mean_demand"] = float(
+        cluster_config.background_mean_demand or 0.0
+    )
+    trace.metadata["runtime_scale"] = runtime_scale
     metrics = metrics_from_trace(trace, policy=policy.name)
     trace_events = recorder.events() if recorder is not None else []
     if config.trace_path is not None:
         telemetry_export.write_chrome_trace(trace_events, config.trace_path)
-    controller = getattr(policy, "controller", None)
-    audit = getattr(controller, "audit", None)
+    audit_records, _slack, prediction_records = run_artifacts(policy)
     return ExperimentResult(
         metrics=metrics,
         trace=trace,
@@ -272,23 +316,21 @@ def run_experiment(
         allocation_series=[(t / 60.0, a) for t, a in trace.allocation_timeline],
         running_series=[(t / 60.0, r) for t, r in trace.running_timeline],
         raw_series=raw_series,
-        final_deadline=final_deadline,
+        final_deadline=trace.deadline,
         initial_deadline=config.deadline_seconds,
         deadline_changes=tuple(config.deadline_changes),
-        control_config=getattr(controller, "config", None),
-        trace_events=trace_events,
-        audit_records=audit.decisions() if audit is not None else [],
-        chaos_summary=engine.summary() if engine is not None else None,
-        prediction_records=(
-            ledger.records()
-            if (ledger := getattr(controller, "predictions", None)) is not None
-            else []
+        control_config=getattr(
+            getattr(policy, "controller", None), "config", None
         ),
+        trace_events=trace_events,
+        audit_records=audit_records,
+        chaos_summary=engine.summary() if engine is not None else None,
+        prediction_records=prediction_records,
     )
 
 
 # ----------------------------------------------------------------------
-# Policy factories (fresh controller state per run)
+# Policy factory (fresh controller state per run)
 # ----------------------------------------------------------------------
 
 
@@ -301,46 +343,33 @@ def make_policy(
     indicator_kind: str = "totalworkWithQ",
     max_tokens: int = 100,
 ) -> AllocationPolicy:
-    """Build one of the paper's four policies for a given job/deadline."""
-    from repro.core.policies import (
-        AdaptiveModelPolicy,
-        AmdahlPolicy,
-        JockeyPolicy,
-        MaxAllocationPolicy,
-        NoAdaptationPolicy,
+    """:func:`repro.core.policies.build_policy` for a :class:`TrainedJob`:
+    one of the paper's policies for a given job/deadline.  ``indicator_kind``
+    swaps full Jockey's progress indicator (and the table built against
+    it); the other kinds always use the default one."""
+    table, indicator = trained.table, trained.indicator
+    if kind == "jockey" and indicator_kind != "totalworkWithQ":
+        table = trained.table_for_indicator(indicator_kind)
+        indicator = trained.indicator_named(indicator_kind)
+    return build_policy(
+        kind,
+        table=table,
+        indicator=indicator,
+        profile=trained.learned_profile,
+        utility=deadline_utility(deadline_seconds),
+        control=(
+            control if control is not None
+            else ControlConfig(max_tokens=max_tokens)
+        ),
+        max_tokens=max_tokens,
     )
 
-    utility = deadline_utility(deadline_seconds)
-    if control is None:
-        control = ControlConfig(max_tokens=max_tokens)
-    if kind == "jockey":
-        table = trained.table_for_indicator(indicator_kind)
-        indicator = (
-            trained.indicator
-            if indicator_kind == "totalworkWithQ"
-            else trained.indicator_named(indicator_kind)
-        )
-        return JockeyPolicy(
-            table, indicator, utility, control, profile=trained.learned_profile
-        )
-    if kind == "jockey-online-model":
-        return AdaptiveModelPolicy(
-            trained.table, trained.indicator, utility, control,
-            profile=trained.learned_profile,
-        )
-    if kind == "jockey-no-adapt":
-        return NoAdaptationPolicy(
-            trained.table, trained.indicator, utility, control,
-            profile=trained.learned_profile,
-        )
-    if kind == "jockey-no-sim":
-        return AmdahlPolicy(trained.learned_profile, utility, control)
-    if kind == "max-allocation":
-        return MaxAllocationPolicy(max_tokens)
-    raise ValueError(f"unknown policy kind {kind!r}")
 
-
-POLICY_KINDS = ("jockey", "jockey-no-adapt", "jockey-no-sim", "max-allocation")
+#: The four policies of the paper's evaluation (Fig. 4): every kind but the
+#: §5.6 online-model extension, which has its own ablation.
+POLICY_KINDS = tuple(
+    kind for kind in ALL_POLICY_KINDS if kind != "jockey-online-model"
+)
 
 
 def _suite_unit(spec) -> ExperimentResult:
@@ -409,6 +438,7 @@ __all__ = [
     "RUNTIME_SCALE_CLIP",
     "RUNTIME_SCALE_SIGMA",
     "make_policy",
+    "run_control_loop",
     "run_experiment",
     "run_suite",
     "sample_runtime_scale",

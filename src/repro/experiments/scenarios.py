@@ -12,7 +12,7 @@ experiment driver shares the training cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro import cache as model_cache
@@ -147,26 +147,53 @@ class TrainedJob:
         return table
 
 
-def training_cluster_config() -> ClusterConfig:
-    """Cluster conditions for training runs: the shared cluster on a calm
-    day (no scripted surges, no machine failures)."""
-    return ClusterConfig()
-
-
 def run_training(
-    generated: GeneratedJob, *, seed: int, allocation: int
+    generated: GeneratedJob,
+    *,
+    seed: int,
+    allocation: int,
+    stream: Optional[str] = None,
 ) -> RunTrace:
-    """One profiling run at a fixed guaranteed allocation."""
-    sim = Simulator()
-    cluster = Cluster(sim, training_cluster_config(), rng=RngRegistry(seed))
+    """One profiling run at a fixed guaranteed allocation.  ``stream``
+    names the job manager's RNG stream (default ``training:<job>``): each
+    surface that trains keeps its own label, so its bundles never move."""
+    # The shared cluster on a calm day: no scripted surges, no failures.
+    cluster = Cluster(Simulator(), ClusterConfig(), rng=RngRegistry(seed))
     manager = JobManager(
         cluster,
         generated.graph,
         generated.profile,
         initial_allocation=allocation,
-        rng=RngRegistry(seed).stream(f"training:{generated.spec.name}"),
+        rng=RngRegistry(seed).stream(
+            stream or f"training:{generated.spec.name}"
+        ),
     )
     return run_to_completion(manager)
+
+
+def learn_profile(graph, trace: RunTrace) -> JobProfile:
+    """What one finished run teaches about a job (§4.1); the failure-
+    probability floor keeps a lucky run from learning "never fails"."""
+    return JobProfile.from_trace(graph, trace, min_failure_prob=0.001)
+
+
+def fit_model(profile: JobProfile, **build):
+    """profile -> ``(indicator, table)``: the ``totalworkWithQ`` indicator
+    Jockey ships and its C(p, a) table, through the model cache.  ``build``
+    is what differs between callers: ``get_or_build_table``'s ``seed``,
+    ``allocations``, ``reps`` and optionally ``jobs``, ``use_cache``."""
+    indicator = build_indicator("totalworkWithQ", profile)
+    table = model_cache.get_or_build_table(
+        profile, indicator, indicator_kind="totalworkWithQ", **build
+    )
+    return indicator, table
+
+
+def learn_model(graph, trace: RunTrace, **build):
+    """trace -> ``(learned profile, indicator, table)``: the step every
+    training surface shares (:func:`learn_profile`, then :func:`fit_model`)."""
+    learned = learn_profile(graph, trace)
+    return (learned, *fit_model(learned, **build))
 
 
 def pick_deadline(table: CpaTable, *, headroom: float = DEADLINE_HEADROOM) -> float:
@@ -206,14 +233,9 @@ def trained_job(
     trace = run_training(
         generated, seed=seed, allocation=scale.training_allocation
     )
-    learned = JobProfile.from_trace(
-        generated.graph, trace, min_failure_prob=0.001
-    )
-    indicator = build_indicator("totalworkWithQ", learned)
-    table = model_cache.get_or_build_table(
-        learned,
-        indicator,
-        indicator_kind="totalworkWithQ",
+    learned, indicator, table = learn_model(
+        generated.graph,
+        trace,
         seed=derive_seed(seed, f"cpa:{name}:totalworkWithQ"),
         allocations=scale.allocations,
         reps=scale.cpa_reps,
@@ -258,9 +280,11 @@ __all__ = [
     "Scale",
     "TrainedJob",
     "clear_trained_cache",
+    "fit_model",
+    "learn_model",
+    "learn_profile",
     "pick_deadline",
     "run_training",
     "trained_job",
     "trained_jobs",
-    "training_cluster_config",
 ]

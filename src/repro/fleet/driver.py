@@ -31,21 +31,17 @@ Model modes beyond the update policies:
 
 from __future__ import annotations
 
-import json
 import math
-import pathlib
 import shutil
 import tempfile
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro import persist
-from repro.cache import get_or_build_table
 from repro.chaos.injectors import drifted_profile
 from repro.chaos.spec import ProfileDrift
 from repro.core.control import ControlConfig
-from repro.core.policies import JockeyPolicy
-from repro.core.progress import build_indicator
+from repro.core.policies import build_policy
 from repro.core.utility import deadline_utility
 from repro.experiments.runner import ExperimentResult, RunConfig, run_experiment
 from repro.experiments.scenarios import (
@@ -53,6 +49,9 @@ from repro.experiments.scenarios import (
     SMOKE,
     Scale,
     TrainedJob,
+    fit_model,
+    learn_model,
+    learn_profile,
     run_training,
 )
 from repro.fleet.store import FleetError, FleetSpecError, ProfileStore
@@ -62,7 +61,6 @@ from repro.fleet.update import (
     detect_drift,
     resolve_profile,
 )
-from repro.jobs.profiles import JobProfile
 from repro.jobs.workloads import TABLE2_SPECS, generate_table2_jobs, mapreduce_job
 from repro.simkit.random import derive_seed
 from repro.telemetry import metrics as _metrics
@@ -284,23 +282,6 @@ def _pick_fleet_deadline(table, trim: float) -> float:
     return max(math.ceil(target / 60.0) * 60.0, MIN_DEADLINE_SECONDS)
 
 
-def _build_model(
-    profile: JobProfile, template: FleetTemplate, config: FleetConfig
-):
-    """(indicator, table) trained on ``profile`` — content-addressed, so
-    rebuilding from an unchanged profile is a warm cache hit."""
-    indicator = build_indicator("totalworkWithQ", profile)
-    table = get_or_build_table(
-        profile,
-        indicator,
-        indicator_kind="totalworkWithQ",
-        seed=derive_seed(config.seed, f"fleet-cpa:{template.name}"),
-        allocations=config.scale.allocations,
-        reps=config.scale.cpa_reps,
-    )
-    return indicator, table
-
-
 def _simulate_template(
     template: FleetTemplate,
     config: FleetConfig,
@@ -322,28 +303,45 @@ def _simulate_template(
     )
     _PROFILING.labels(template=template.name).inc()
     profiling_runs = 1
-    learned = JobProfile.from_trace(
-        generated.graph, bootstrap_trace, min_failure_prob=0.001
+    # One C(p, a) seed per template: rebuilding from an unchanged profile
+    # is a warm cache hit.
+    fit = dict(
+        seed=derive_seed(config.seed, f"fleet-cpa:{template.name}"),
+        allocations=scale.allocations,
+        reps=scale.cpa_reps,
+    )
+    model_profile, indicator, table = learn_model(
+        generated.graph, bootstrap_trace, **fit
     )
     if uses_store:
         generation = store.append(
-            template.name, learned, metadata={"day": -1, "source": "bootstrap"}
+            template.name, model_profile, metadata={"day": -1, "source": "bootstrap"}
         ).number
     else:
         generation = 0
-    model_profile = learned
-    indicator, table = _build_model(learned, template, config)
     deadline = _pick_fleet_deadline(table, config.deadline_trim)
-    policy = JockeyPolicy(
-        table,
-        indicator,
-        deadline_utility(deadline),
-        config.control if config.control is not None else ControlConfig(),
+    control = config.control if config.control is not None else ControlConfig()
+    policy = build_policy(
+        "jockey",
+        table=table,
+        indicator=indicator,
         profile=model_profile,
+        utility=deadline_utility(deadline),
+        control=control,
+        max_tokens=control.max_tokens,
     )
 
     rows: List[FleetRunRecord] = []
     rebuilds = 0
+
+    def refit(profile) -> None:
+        """Rebuild the model from ``profile`` and hand it to the policy."""
+        nonlocal indicator, table, rebuilds
+        indicator, table = fit_model(profile, **fit)
+        policy.refresh_model(table=table, indicator=indicator)
+        _REBUILDS.labels(template=template.name).inc()
+        rebuilds += 1
+
     drift_detections = 0
     model_refresh_day = 0
     last_result: Optional[ExperimentResult] = None
@@ -371,13 +369,8 @@ def _simulate_template(
             )
             _PROFILING.labels(template=template.name).inc()
             profiling_runs += 1
-            model_profile = JobProfile.from_trace(
-                generated.graph, day_trace, min_failure_prob=0.001
-            )
-            indicator, table = _build_model(model_profile, template, config)
-            policy.refresh_model(table=table, indicator=indicator)
-            _REBUILDS.labels(template=template.name).inc()
-            rebuilds += 1
+            model_profile = learn_profile(generated.graph, day_trace)
+            refit(model_profile)
             rebuilt_today = True
             model_refresh_day = day
             generation += 1
@@ -388,10 +381,7 @@ def _simulate_template(
             # The oracle trains on the ground truth itself, refreshed the
             # moment it changes — the upper bound no learner can beat.
             model_profile = truth
-            indicator, table = _build_model(model_profile, template, config)
-            policy.refresh_model(table=table, indicator=indicator)
-            _REBUILDS.labels(template=template.name).inc()
-            rebuilds += 1
+            refit(model_profile)
             rebuilt_today = True
             model_refresh_day = day
 
@@ -428,9 +418,7 @@ def _simulate_template(
             template=template.name, outcome="met" if met else "missed"
         ).inc()
 
-        observed = JobProfile.from_trace(
-            generated.graph, result.trace, min_failure_prob=0.001
-        )
+        observed = learn_profile(generated.graph, result.trace)
         drift_stat = 0.0
         drift_shift = 0.0
         significant = False
@@ -456,12 +444,7 @@ def _simulate_template(
                             graph=generated.graph,
                         ),
                     )
-                    indicator, table = _build_model(
-                        model_profile, template, config
-                    )
-                    policy.refresh_model(table=table, indicator=indicator)
-                    _REBUILDS.labels(template=template.name).inc()
-                    rebuilds += 1
+                    refit(model_profile)
                     rebuilt_today = True
                     model_refresh_day = day + 1
 
@@ -646,19 +629,11 @@ def load_fleet_spec(path) -> Tuple[List[FleetTemplate], FleetConfig]:
     """Read a fleet spec JSON file (with or without the
     ``{"format_version": 1, "fleet": {...}}`` envelope)."""
     try:
-        payload = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+        payload = persist.read_spec(path, "fleet")
     except OSError as exc:
         raise FleetSpecError(f"cannot read fleet spec: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FleetSpecError(f"not valid JSON: {exc}") from exc
-    if isinstance(payload, dict) and "fleet" in payload:
-        version = payload.get("format_version", persist.FORMAT_VERSION)
-        if version != persist.FORMAT_VERSION:
-            raise FleetSpecError(
-                f"unsupported fleet spec version {version!r} "
-                f"(expected {persist.FORMAT_VERSION})"
-            )
-        payload = payload["fleet"]
+    except persist.PersistError as exc:
+        raise FleetSpecError(str(exc)) from exc
     return fleet_spec_from_dict(payload)
 
 

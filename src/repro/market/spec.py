@@ -26,8 +26,6 @@ Example::
 
 from __future__ import annotations
 
-import json
-import pathlib
 from typing import Dict, List, Tuple
 
 from repro import persist
@@ -133,19 +131,11 @@ def load_market_spec(path) -> Tuple[List[Tenant], List[JobSpec], MarketConfig]:
     """Read a market spec JSON file (with or without the
     ``{"format_version": 1, "market": {...}}`` envelope)."""
     try:
-        payload = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+        payload = persist.read_spec(path, "market")
     except OSError as exc:
         raise MarketSpecError(f"cannot read market spec: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MarketSpecError(f"not valid JSON: {exc}") from exc
-    if isinstance(payload, dict) and "market" in payload:
-        version = payload.get("format_version", persist.FORMAT_VERSION)
-        if version != persist.FORMAT_VERSION:
-            raise MarketSpecError(
-                f"unsupported market spec version {version!r} "
-                f"(expected {persist.FORMAT_VERSION})"
-            )
-        payload = payload["market"]
+    except persist.PersistError as exc:
+        raise MarketSpecError(str(exc)) from exc
     return market_spec_from_dict(payload)
 
 

@@ -237,6 +237,28 @@ def save_chaos_spec(path: PathLike, spec) -> None:
     )
 
 
+def _read_json(path: PathLike):
+    try:
+        return json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise PersistError(f"not valid JSON: {exc}") from exc
+
+
+def read_spec(path: PathLike, key: str):
+    """Parse a chaos / fleet / market spec file and strip its optional
+    ``{"format_version": 1, key: {...}}`` envelope (a bare spec loads too)."""
+    payload = _read_json(path)
+    if isinstance(payload, dict) and key in payload:
+        version = payload.get("format_version", FORMAT_VERSION)
+        if version != FORMAT_VERSION:
+            raise PersistError(
+                f"unsupported {key} spec version {version!r} "
+                f"(expected {FORMAT_VERSION})"
+            )
+        payload = payload[key]
+    return payload
+
+
 def load_chaos_spec(path: PathLike):
     """Read a chaos schedule written by :func:`save_chaos_spec` (or
     hand-written: a bare spec object without the envelope also loads).
@@ -245,19 +267,7 @@ def load_chaos_spec(path: PathLike):
     from repro.chaos.spec import ChaosError, spec_from_dict
 
     try:
-        payload = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise PersistError(f"not valid JSON: {exc}") from exc
-    if isinstance(payload, dict) and "chaos" in payload:
-        version = payload.get("format_version", FORMAT_VERSION)
-        if version != FORMAT_VERSION:
-            raise PersistError(
-                f"unsupported chaos spec version {version!r} "
-                f"(expected {FORMAT_VERSION})"
-            )
-        payload = payload["chaos"]
-    try:
-        return spec_from_dict(payload)
+        return spec_from_dict(read_spec(path, "chaos"))
     except ChaosError as exc:
         raise PersistError(f"malformed chaos spec: {exc}") from exc
 
@@ -286,36 +296,60 @@ def save_bundle(
     pathlib.Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
-def load_bundle(
-    path: PathLike,
-) -> Tuple[JobGraph, JobProfile, Optional[CpaTable]]:
-    """Read a bundle written by :func:`save_bundle`."""
+def _bundle_field(payload: Dict, field: str, decode, *args):
+    """Decode one bundle field; whatever a hostile payload trips inside the
+    decoder surfaces as a :class:`PersistError` naming the field."""
+    if field not in payload:
+        raise PersistError(f"bundle has no {field!r} field")
     try:
-        payload = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise PersistError(f"not valid JSON: {exc}") from exc
+        return decode(payload[field], *args)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise PersistError(
+            f"bundle field {field!r} is malformed: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def bundle_from_dict(
+    payload,
+) -> Tuple[JobGraph, JobProfile, Optional[CpaTable]]:
+    """Decode a parsed bundle: the one definition of what a bundle is, under
+    both :func:`load_bundle` and the live service's inline upload.  Anything
+    wrong raises :class:`PersistError` naming the offending field."""
+    if not isinstance(payload, dict):
+        raise PersistError(
+            f"bundle must be a JSON object, got {type(payload).__name__}"
+        )
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise PersistError(
             f"unsupported bundle version {version!r} (expected {FORMAT_VERSION})"
         )
-    graph = graph_from_dict(payload["graph"])
-    profile = profile_from_dict(payload["profile"], graph=graph)
-    table = (
-        table_from_dict(payload["table"]) if payload.get("table") else None
-    )
+    graph = _bundle_field(payload, "graph", graph_from_dict)
+    profile = _bundle_field(payload, "profile", profile_from_dict, graph)
+    table = None
+    if payload.get("table") is not None:
+        table = _bundle_field(payload, "table", table_from_dict)
     return graph, profile, table
+
+
+def load_bundle(
+    path: PathLike,
+) -> Tuple[JobGraph, JobProfile, Optional[CpaTable]]:
+    """Read a bundle written by :func:`save_bundle`."""
+    return bundle_from_dict(_read_json(path))
 
 
 __all__ = [
     "FORMAT_VERSION",
     "PersistError",
+    "bundle_from_dict",
     "distribution_from_dict",
     "distribution_to_dict",
     "graph_from_dict",
     "graph_to_dict",
     "load_bundle",
     "load_chaos_spec",
+    "read_spec",
     "save_chaos_spec",
     "profile_from_dict",
     "profile_to_dict",

@@ -17,7 +17,6 @@ Scheduling semantics follow §2.1/§2.4 of the paper:
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
@@ -77,6 +76,13 @@ _JOB_SECONDS = _metrics.REGISTRY.histogram(
 )
 
 
+#: Allocation-retry backoff (``allocation_retry=True``): a clamped request
+#: is re-asked after 5 s, 10 s, 20 s, ... of virtual time, five times at most.
+RETRY_BACKOFF_SECONDS = 5.0
+RETRY_BACKOFF_FACTOR = 2.0
+RETRY_MAX_ATTEMPTS = 5
+
+
 class JobManagerError(RuntimeError):
     """Raised on invalid job-manager operations."""
 
@@ -128,10 +134,6 @@ class JobManager:
         use_spare_tokens: bool = True,
         spare_weight: Optional[float] = None,
         allocation_retry: bool = False,
-        retry_backoff_seconds: float = 5.0,
-        retry_backoff_factor: float = 2.0,
-        retry_max_attempts: int = 5,
-        block_sampling: Optional[bool] = None,
     ):
         if behavior.graph is not graph and behavior.graph.name != graph.name:
             raise JobManagerError("behavior profile does not match graph")
@@ -164,24 +166,8 @@ class JobManager:
         # backoff (chaos runs turn this on; a newer request supersedes any
         # pending retry).
         self._allocation_retry = allocation_retry
-        if retry_backoff_seconds <= 0 or retry_backoff_factor < 1:
-            raise JobManagerError("bad allocation retry backoff")
-        self._retry_backoff = retry_backoff_seconds
-        self._retry_factor = retry_backoff_factor
-        self._retry_max_attempts = retry_max_attempts
         self._retry_handle = None
         self._last_requested: Optional[int] = None
-        # Opt-in wave *draw* batching: sample a whole same-stage wave of
-        # runtimes via Distribution.sample_n instead of per-task scalar
-        # draws.  This changes the RNG draw order (all runtimes, then all
-        # init times, then per-task failure/placement draws) and therefore
-        # the simulated outcomes — off by default because the repo's
-        # calibrated experiment digests assume the scalar order.  The
-        # event-queue side of wave starts (batched heap insert, no
-        # closures) is always on and byte-identical.
-        if block_sampling is None:
-            block_sampling = os.environ.get("REPRO_JM_BLOCK_SAMPLING", "") not in ("", "0")
-        self._block_sampling = bool(block_sampling)
         self.allocation_deficits = 0
         self.allocation_retries = 0
         self.start_time = self.sim.now
@@ -244,8 +230,8 @@ class JobManager:
                 rec.emit(self.sim.now, "control.allocation_deficit",
                          job=self.name, requested=tokens, applied=applied,
                          deficit=tokens - applied, attempt=_retry_attempt)
-            if self._allocation_retry and _retry_attempt < self._retry_max_attempts:
-                delay = self._retry_backoff * self._retry_factor ** _retry_attempt
+            if self._allocation_retry and _retry_attempt < RETRY_MAX_ATTEMPTS:
+                delay = RETRY_BACKOFF_SECONDS * RETRY_BACKOFF_FACTOR ** _retry_attempt
                 self._retry_handle = self.sim.schedule(
                     delay, self._retry_allocation, (tokens, _retry_attempt + 1)
                 )
@@ -395,9 +381,7 @@ class JobManager:
         merge instead of N heappushes, the shared bound ``_finish`` callback
         with the task as payload instead of N closures, an incrementally
         tracked guaranteed-token count instead of N O(running) scans, and
-        buffered tuple trace records.  Opting in to ``block_sampling``
-        additionally draws same-stage runtime/init blocks via ``sample_n``
-        (a documented draw-order change).
+        buffered tuple trace records.
         """
         self._accrue_busy_time()
         now = self.sim.now
@@ -410,21 +394,15 @@ class JobManager:
         guaranteed_part = grant.guaranteed_part
         g_count = self._guaranteed_running()
         running_append = self._running.append
-        base_runtimes = (
-            self._block_sample_runtimes(task_ids) if self._block_sampling else None
-        )
         rec = _trace.RECORDER
         emit = rec.enabled
         name = self.name
         tasks: List[RunningTask] = []
         times: List[float] = []
-        for i, task_id in enumerate(task_ids):
+        for task_id in task_ids:
             stage_name = task_id[0]
             profile = behavior.stage(stage_name)
-            if base_runtimes is None:
-                runtime = profile.runtime.sample(rng) + profile.init.sample(rng)
-            else:
-                runtime = base_runtimes[i]
+            runtime = profile.runtime.sample(rng) + profile.init.sample(rng)
             runtime *= contention
             will_fail = (
                 profile.failure_prob > 0 and rng.random() < profile.failure_prob
@@ -462,29 +440,6 @@ class JobManager:
         for task, handle in zip(tasks, handles):
             task.finish_handle = handle
         _STARTS.inc(len(tasks))
-
-    def _block_sample_runtimes(self, task_ids: Sequence[TaskId]) -> np.ndarray:
-        """Draw base (runtime + init) durations for a wave, block-sampling
-        each contiguous same-stage run via ``sample_n``.  Single-task runs
-        fall back to the scalar draws so they stay order-identical."""
-        rng = self._rng
-        behavior = self.behavior
-        n = len(task_ids)
-        out = np.empty(n)
-        i = 0
-        while i < n:
-            stage_name = task_ids[i][0]
-            j = i + 1
-            while j < n and task_ids[j][0] == stage_name:
-                j += 1
-            profile = behavior.stage(stage_name)
-            if j - i == 1:
-                out[i] = profile.runtime.sample(rng) + profile.init.sample(rng)
-            else:
-                out[i:j] = profile.runtime.sample_n(rng, j - i)
-                out[i:j] += profile.init.sample_n(rng, j - i)
-            i = j
-        return out
 
     def _start_task(
         self, task_id: TaskId, grant: Grant, *, is_duplicate: bool = False

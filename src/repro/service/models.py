@@ -18,17 +18,16 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro import cache as model_cache
 from repro import persist
 from repro.core.cpa import DEFAULT_ALLOCATIONS, CpaTable
-from repro.core.progress import totalwork_with_q
+from repro.experiments.scenarios import learn_model, run_training
 from repro.jobs.dag import JobGraph
 from repro.jobs.profiles import JobProfile
 from repro.jobs.workloads import TABLE2_SPECS, generate_job, mapreduce_job
-from repro.cluster import Cluster, ClusterConfig
-from repro.runtime.jobmanager import JobManager, run_to_completion
-from repro.simkit.events import Simulator
-from repro.simkit.random import RngRegistry, derive_seed
+from repro.simkit.random import derive_seed
+
+#: Guaranteed tokens of a template's profiling run (as ``repro train``).
+PROFILE_ALLOCATION = 50
 
 
 class TemplateError(ValueError):
@@ -62,22 +61,9 @@ class TrainedTemplate:
 class TemplateModelStore:
     """Lazily trained (graph, profile, table) triples, by template name."""
 
-    def __init__(
-        self,
-        *,
-        seed: int = 0,
-        profile_allocation: int = 50,
-        cpa_reps: int = 2,
-        cpa_jobs: Optional[int] = None,
-        allocations: Tuple[int, ...] = DEFAULT_ALLOCATIONS,
-        use_cache: bool = True,
-    ):
+    def __init__(self, *, seed: int = 0, cpa_reps: int = 2):
         self.seed = int(seed)
-        self.profile_allocation = int(profile_allocation)
         self.cpa_reps = int(cpa_reps)
-        self.cpa_jobs = cpa_jobs
-        self.allocations = tuple(allocations)
-        self.use_cache = bool(use_cache)
         self._lock = threading.Lock()
         self._trained: Dict[str, TrainedTemplate] = {}
 
@@ -119,28 +105,13 @@ class TemplateModelStore:
 
     def from_bundle_payload(self, payload: Dict) -> TrainedTemplate:
         """Parse an inline-uploaded bundle (the ``repro train`` format)."""
-        if not isinstance(payload, dict):
-            raise TemplateError("bundle must be a JSON object")
-        version = payload.get("format_version")
-        if version != persist.FORMAT_VERSION:
-            raise TemplateError(
-                f"unsupported bundle version {version!r} "
-                f"(expected {persist.FORMAT_VERSION})"
-            )
         try:
-            graph = persist.graph_from_dict(payload["graph"])
-            profile = persist.profile_from_dict(payload["profile"], graph)
-            table = (
-                persist.table_from_dict(payload["table"])
-                if payload.get("table") is not None
-                else None
-            )
-        except (KeyError, ValueError) as exc:
-            raise TemplateError(f"malformed bundle: {exc}") from exc
-        name = str(
-            (payload.get("metadata") or {}).get("job", graph.name) or graph.name
-        )
-        return TrainedTemplate(name, graph, profile, table)
+            graph, profile, table = persist.bundle_from_dict(payload)
+        except persist.PersistError as exc:
+            raise TemplateError(f"cannot load bundle: {exc}") from exc
+        metadata = payload.get("metadata")
+        job = metadata.get("job") if isinstance(metadata, dict) else None
+        return TrainedTemplate(str(job or graph.name), graph, profile, table)
 
     # ------------------------------------------------------------------
 
@@ -154,29 +125,18 @@ class TemplateModelStore:
                 f"unknown template {name!r} "
                 f"(choose from {', '.join(self.available())})"
             )
-        sim = Simulator()
-        cluster = Cluster(sim, ClusterConfig(), rng=RngRegistry(self.seed))
-        manager = JobManager(
-            cluster,
+        trace = run_training(
+            generated,
+            seed=self.seed,
+            allocation=PROFILE_ALLOCATION,
+            stream=f"service-train:{name}",
+        )
+        learned, _indicator, table = learn_model(
             generated.graph,
-            generated.profile,
-            initial_allocation=self.profile_allocation,
-            rng=RngRegistry(self.seed).stream(f"service-train:{name}"),
-        )
-        trace = run_to_completion(manager)
-        learned = JobProfile.from_trace(
-            generated.graph, trace, min_failure_prob=0.001
-        )
-        indicator = totalwork_with_q(learned)
-        table = model_cache.get_or_build_table(
-            learned,
-            indicator,
-            indicator_kind="totalworkWithQ",
+            trace,
             seed=derive_seed(self.seed, f"service-cpa:{name}"),
-            allocations=self.allocations,
+            allocations=DEFAULT_ALLOCATIONS,
             reps=self.cpa_reps,
-            jobs=self.cpa_jobs,
-            use_cache=self.use_cache,
         )
         return TrainedTemplate(name, generated.graph, learned, table)
 

@@ -59,15 +59,9 @@ from repro.chaos.injectors import BlackoutPredictor
 from repro.chaos.spec import ControlFaults
 from repro.core.clock import WallClock
 from repro.core.control import ControlConfig
-from repro.core.progress import totalwork_with_q
+from repro.core.policies import PolicyError, build_policy, run_artifacts
+from repro.core.progress import ProgressError, totalwork_with_q
 from repro.core.utility import deadline_utility
-from repro.core.policies import (
-    AdaptiveModelPolicy,
-    AmdahlPolicy,
-    JockeyPolicy,
-    MaxAllocationPolicy,
-    NoAdaptationPolicy,
-)
 from repro.jobs.dag import DependencyTracker, JobGraph, Stage
 from repro.jobs.trace import (
     OUTCOME_EVICTED,
@@ -363,41 +357,30 @@ class LiveJob:
         return info
 
 
-def _build_policy(
-    kind: str,
-    trained: Optional[TrainedTemplate],
-    deadline_seconds: float,
-    config: ControlConfig,
-    capacity: int,
-):
-    """The service's edition of the CLI policy factory: profile-less
-    (command) jobs only support max-allocation."""
-    if kind == "max-allocation":
-        return MaxAllocationPolicy(capacity)
-    if trained is None:
+def _command_number(command: Dict, key: str, default, cast):
+    value = command.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
         raise ServiceError(
-            f"policy {kind!r} needs a trained template or bundle; "
-            "command jobs support only max-allocation"
-        )
-    utility = deadline_utility(deadline_seconds)
-    if kind == "jockey-no-sim":
-        return AmdahlPolicy(trained.profile, utility, config)
-    if trained.table is None:
-        raise ServiceError(f"policy {kind!r} needs a C(p, a) table in the bundle")
-    indicator = totalwork_with_q(trained.profile)
-    if kind == "jockey":
-        return JockeyPolicy(
-            trained.table, indicator, utility, config, profile=trained.profile
-        )
-    if kind == "jockey-online-model":
-        return AdaptiveModelPolicy(
-            trained.table, indicator, utility, config, profile=trained.profile
-        )
-    if kind == "jockey-no-adapt":
-        return NoAdaptationPolicy(
-            trained.table, indicator, utility, config, profile=trained.profile
-        )
-    raise ServiceError(f"unknown policy {kind!r}")
+            f"command {key} must be a number, got {value!r}"
+        ) from None
+
+
+def _parse_command(command) -> Tuple[List[str], int, float]:
+    """``{argv, tasks?, task_seconds?}`` of a command submission ->
+    ``(argv, tasks, task_seconds)``; a 400 naming the bad field otherwise."""
+    if (
+        not isinstance(command, dict)
+        or not isinstance(command.get("argv"), list)
+        or not command["argv"]
+    ):
+        raise ServiceError("command submissions need {argv: [...], tasks: N}")
+    num_tasks = _command_number(command, "tasks", 1, int)
+    task_seconds = _command_number(command, "task_seconds", 1.0, float)
+    if num_tasks < 1 or not task_seconds > 0:
+        raise ServiceError("command tasks/task_seconds must be positive")
+    return [str(a) for a in command["argv"]], num_tasks, task_seconds
 
 
 def _serialize_prediction(rec: _predict.PredictionRecord) -> Dict:
@@ -687,16 +670,13 @@ class ClusterService:
         # Resolve the model outside the service lock: a cold template
         # trains for seconds and must not block heartbeats.
         trained: Optional[TrainedTemplate] = None
-        if template is not None:
-            try:
+        try:
+            if template is not None:
                 trained = self.store.get(str(template))
-            except TemplateError as exc:
-                raise ServiceError(str(exc)) from exc
-        elif bundle is not None:
-            try:
+            elif bundle is not None:
                 trained = self.store.from_bundle_payload(bundle)
-            except TemplateError as exc:
-                raise ServiceError(str(exc)) from exc
+        except TemplateError as exc:
+            raise ServiceError(str(exc)) from exc
 
         with self._lock:
             if self._draining:
@@ -709,34 +689,45 @@ class ClusterService:
                     status=404,
                 )
             now = self.now()
-            self._job_seq += 1
-            job_id = f"job-{self._job_seq:05d}"
+            job_id = f"job-{self._job_seq + 1:05d}"
+            table = profile = command_argv = None
+            task_seconds = 0.0
             if trained is not None:
-                graph = trained.graph
+                graph, profile, table = trained.graph, trained.profile, trained.table
                 work = trained.total_work_seconds
                 width = min(self.config.capacity_tokens, trained.width)
-                command_argv = None
-                task_seconds = 0.0
                 name = str(body.get("name") or trained.name)
             else:
-                if not isinstance(command, dict) or not command.get("argv"):
-                    raise ServiceError(
-                        "command submissions need {argv: [...], tasks: N}"
-                    )
-                command_argv = [str(a) for a in command["argv"]]
-                num_tasks = int(command.get("tasks", 1))
-                task_seconds = float(command.get("task_seconds", 1.0))
-                if num_tasks < 1 or task_seconds <= 0:
-                    raise ServiceError("command tasks/task_seconds must be positive")
+                command_argv, num_tasks, task_seconds = _parse_command(command)
                 name = str(body.get("name") or f"cmd-{job_id}")
                 graph = JobGraph(name, [Stage("cmd", num_tasks)], [])
                 work = num_tasks * task_seconds
                 width = min(self.config.capacity_tokens, num_tasks)
-
-            policy = _build_policy(
-                policy_kind, trained, deadline_v, self.config.control,
-                capacity=min(self.config.capacity_tokens, width),
-            )
+            try:
+                policy = build_policy(
+                    policy_kind,
+                    table=table,
+                    indicator=(
+                        totalwork_with_q(profile) if table is not None else None
+                    ),
+                    profile=profile,
+                    utility=deadline_utility(deadline_v),
+                    control=self.config.control,
+                    max_tokens=width,
+                )
+                spec = MarketJobSpec(
+                    name=job_id,
+                    tenant=tenant_name,
+                    work=work,
+                    width=width,
+                    deadline_seconds=deadline_v,
+                    submit_seconds=now,
+                )
+            except (PolicyError, ProgressError, MarketError) as exc:
+                raise ServiceError(str(exc)) from exc
+            # Everything that can refuse the request has had its say; only
+            # now does the job take an id and exist.
+            self._job_seq += 1
             job = LiveJob(
                 job_id=job_id,
                 name=name,
@@ -752,17 +743,6 @@ class ClusterService:
             )
             self._jobs[job_id] = job
             tenant.submitted += 1
-            try:
-                spec = MarketJobSpec(
-                    name=job_id,
-                    tenant=tenant_name,
-                    work=work,
-                    width=width,
-                    deadline_seconds=deadline_v,
-                    submit_seconds=now,
-                )
-            except MarketError as exc:
-                raise ServiceError(str(exc)) from exc
             outcome, market_job, reason = self._admission.admit_one(
                 tenant, spec, now
             )
@@ -1105,15 +1085,9 @@ class ClusterService:
                 raise ServiceError(
                     f"job {job_id!r} has no finished trace yet", status=409
                 )
-            controller = getattr(job.policy, "controller", None)
-            records = (
-                controller.audit.decisions() if controller is not None else []
+            records, slack, predictions = run_artifacts(
+                job.policy, default_slack=self.config.slack
             )
-            slack = (
-                controller.config.slack
-                if controller is not None else self.config.slack
-            )
-            ledger = getattr(controller, "predictions", None)
             table = job.trained.table if job.trained is not None else None
             run_report = telemetry_report.from_audit_and_trace(
                 job.trace,
@@ -1122,9 +1096,7 @@ class ClusterService:
                 table=table,
                 slack=slack,
                 title=f"{job.name} / {job.policy_kind} (live)",
-                prediction_records=(
-                    ledger.records() if ledger is not None else []
-                ),
+                prediction_records=predictions,
                 notes=(
                     f"live service run; {job.workers_lost} task attempts "
                     "lost to worker failures",

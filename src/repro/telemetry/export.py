@@ -20,7 +20,7 @@ from typing import Dict, IO, Iterable, List, Sequence, Union
 
 from repro.telemetry.trace import TraceEvent
 
-PathOrFile = Union[str, "IO[str]"]
+PathOrFile = Union[str, IO[str]]
 
 
 class ExportError(ValueError):

@@ -188,6 +188,7 @@ def from_audit_and_trace(
     records: Sequence = (),
     *,
     policy: str = "unknown",
+    deadline: Optional[float] = None,
     table=None,
     slack: float = 1.0,
     schedule: Sequence[Tuple[float, float]] = (),
@@ -199,9 +200,11 @@ def from_audit_and_trace(
     prediction_records: Sequence[PredictionRecord] = (),
 ) -> RunReport:
     """Report for a finished :class:`~repro.jobs.trace.RunTrace` plus its
-    controller audit trail (the in-process case)."""
+    controller audit trail (the in-process case); ``deadline`` is the initial
+    one when a ``schedule`` changed it mid-run (default: the trace's)."""
     slo = analyze_run(
-        trace, records, policy=policy, table=table, slack=slack, schedule=schedule
+        trace, records, policy=policy, deadline=deadline, table=table,
+        slack=slack, schedule=schedule,
     )
     cards: List[Scorecard] = []
     if records:
@@ -244,73 +247,33 @@ def from_audit_and_trace(
 
 
 def from_result(result, *, table=None, title: Optional[str] = None) -> RunReport:
-    """Report for an :class:`~repro.experiments.runner.ExperimentResult`.
-
-    Uses the run's own control config (slack) and scripted deadline changes
-    when the runner recorded them; falls back to paper-default slack-free
-    analysis otherwise."""
-    control = getattr(result, "control_config", None)
-    slack = control.slack if control is not None else 1.0
-    schedule = tuple(getattr(result, "deadline_changes", ()) or ())
-    initial = getattr(result, "initial_deadline", 0.0) or result.trace.deadline
-    slo = analyze_run(
-        result.trace,
-        result.audit_records,
-        policy=result.metrics.policy,
-        deadline=initial,
-        table=table,
-        slack=slack,
-        schedule=schedule,
-    )
-    prediction_records = tuple(getattr(result, "prediction_records", ()) or ())
-    cards: List[Scorecard] = []
-    if result.audit_records:
-        card = _scorecard_from_audit(
-            result.audit_records,
-            result.trace.duration,
-            name=result.metrics.policy,
-            slack=slack,
-        )
-        if prediction_records:
-            card = card.with_interval_hits(
-                _interval_hits(prediction_records, result.trace.duration)
-            )
-        cards.append(card)
+    """Report for an :class:`~repro.experiments.runner.ExperimentResult`:
+    :func:`from_audit_and_trace` over the run's own artifacts, control
+    config (slack) and scripted deadline changes."""
+    control = result.control_config
+    schedule = tuple(result.deadline_changes)
     notes = [f"runtime scale {result.runtime_scale:.3f}"]
     if schedule:
         notes.append(
             "deadline changes: "
             + ", ".join(f"{d / 60:.0f} min at t={t / 60:.0f} min" for t, d in schedule)
         )
-    return RunReport(
+    return from_audit_and_trace(
+        result.trace,
+        result.audit_records,
+        policy=result.metrics.policy,
+        deadline=result.initial_deadline or result.trace.deadline,
+        table=table,
+        slack=control.slack if control is not None else 1.0,
+        schedule=schedule,
         title=(
             title
             if title is not None
             else f"{result.metrics.job} / {result.metrics.policy}"
         ),
-        slo=slo,
-        scorecards=tuple(cards),
-        allocation_series=tuple(
-            (float(t), float(a)) for t, a in result.trace.allocation_timeline
-        ),
-        raw_series=tuple((r.elapsed, float(r.raw)) for r in result.audit_records),
-        progress_series=tuple(
-            (r.elapsed, float(r.progress))
-            for r in result.audit_records
-            if r.progress is not None
-        ),
-        notes=tuple(notes),
-        chaos=chaos_rows_from_summary(getattr(result, "chaos_summary", None)),
-        prediction_records=prediction_records,
-        prediction_calibration=(
-            _predict_calibration(
-                prediction_records,
-                result.trace.duration,
-                predictor=result.metrics.policy,
-            )
-            if prediction_records
-            else None
-        ),
+        notes=notes,
+        chaos=chaos_rows_from_summary(result.chaos_summary),
+        prediction_records=result.prediction_records,
     )
 
 

@@ -592,3 +592,112 @@ class TestPredict:
             "help text drifted; regenerate tests/golden/predict_help.txt "
             "(COLUMNS=80) if the change is intentional"
         )
+
+
+def _break_bundle(good, how):
+    """A copy of a good bundle payload, broken one way."""
+    import copy
+
+    bad = copy.deepcopy(good)
+    if how == "non-object":
+        return [1, 2]
+    if how == "missing-graph":
+        del bad["graph"]
+    elif how == "missing-profile":
+        del bad["profile"]
+    elif how == "bad-table-column":
+        bad["table"]["columns"][str(bad["table"]["allocations"][0])] = "abc"
+    elif how == "wrong-version":
+        bad["format_version"] = 99
+    return bad
+
+
+class TestMalformedBundle:
+    """Every command that reads a bundle refuses a malformed one at the
+    boundary: exit 2, ``cannot load bundle``, the offending field named."""
+
+    NAMES = {
+        "non-object": "JSON object",
+        "missing-graph": "'graph'",
+        "missing-profile": "'profile'",
+        "bad-table-column": "'table'",
+        "wrong-version": "version 99",
+    }
+
+    @pytest.fixture(scope="class")
+    def artifacts(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("malformed")
+        bundle, trace = root / "bundle.json", root / "trace.jsonl"
+        code, _text = run_cli(
+            "train", "--job", "mapreduce", "--out", str(bundle),
+            "--cpa-reps", "2", "--seed", "4",
+        )
+        assert code == 0
+        code, _text = run_cli(
+            "run", "--bundle", str(bundle), "--deadline-minutes", "60",
+            "--trace-jsonl", str(trace),
+        )
+        assert code == 0
+        return json.loads(bundle.read_text(encoding="utf-8")), trace
+
+    @pytest.mark.parametrize("how", sorted(NAMES))
+    @pytest.mark.parametrize("command", ["run", "predict", "perf", "report"])
+    def test_exits_two_naming_the_field(self, artifacts, tmp_path, command, how):
+        good, trace = artifacts
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_break_bundle(good, how)), encoding="utf-8")
+        argv = {
+            "run": ["run", "--deadline-minutes", "60"],
+            "predict": ["predict", "score", "--deadline-minutes", "60"],
+            "perf": ["perf", "run", "--deadline-minutes", "60"],
+            "report": ["report", str(trace)],
+        }[command]
+        code, text = run_cli(*argv, "--bundle", str(bad))
+        assert code == 2, text
+        assert "error: cannot load bundle: " in text
+        assert self.NAMES[how] in text
+
+    def test_truncated_file_exits_two(self, artifacts, tmp_path):
+        good, _trace = artifacts
+        bad = tmp_path / "cut.json"
+        bad.write_text(json.dumps(good)[:200], encoding="utf-8")
+        code, text = run_cli(
+            "run", "--bundle", str(bad), "--deadline-minutes", "60"
+        )
+        assert code == 2
+        assert "cannot load bundle: not valid JSON" in text
+
+    def test_table_less_bundle_names_the_policies_that_run(self, artifacts,
+                                                           tmp_path):
+        good, _trace = artifacts
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(dict(good, table=None)), encoding="utf-8")
+        code, text = run_cli(
+            "run", "--bundle", str(bare), "--deadline-minutes", "60"
+        )
+        assert code == 2
+        assert "needs a C(p, a) table" in text
+        assert "jockey-no-sim or max-allocation" in text
+        code, text = run_cli(
+            "run", "--bundle", str(bare), "--deadline-minutes", "60",
+            "--policy", "jockey-no-sim",
+        )
+        assert code in (0, 1)
+        assert "finished in" in text
+
+    @pytest.mark.parametrize("command", ["run", "predict timeline", "serve"])
+    def test_malformed_chaos_spec_prints_the_usage_hint(self, artifacts,
+                                                        tmp_path, command):
+        good, _trace = artifacts
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps(good), encoding="utf-8")
+        spec = tmp_path / "chaos.json"
+        spec.write_text("{not json", encoding="utf-8")
+        argv = command.split()
+        if command != "serve":
+            argv += ["--bundle", str(bundle), "--deadline-minutes", "60"]
+        code, text = run_cli(*argv, "--chaos", str(spec))
+        assert code == 2
+        assert "cannot load chaos spec" in text
+        assert f"usage: repro {command} --chaos SPEC.json" in text
+        assert "EXPERIMENTS.md" in text

@@ -136,3 +136,131 @@ class TestMaxAllocationPolicy:
     def test_invalid(self):
         with pytest.raises(ValueError):
             MaxAllocationPolicy(0)
+
+
+class TestBuildPolicy:
+    """The one policy factory reproduces what each of the three it
+    replaced decided.  ``golden/policy_factory_pins.json`` was recorded on
+    the commit that still had ``cli._build_policy``, the old
+    ``runner.make_policy`` and ``service.server._build_policy``: per kind,
+    ``initial_allocation()`` and the first three ``on_tick`` decisions on
+    fixed snapshots of smoke-scale job A (behind schedule, then catching
+    up)."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        from repro.experiments.scenarios import SMOKE, trained_job
+
+        return trained_job("A", scale=SMOKE)
+
+    @staticmethod
+    def decisions(policy, trained):
+        deadline = trained.short_deadline
+        out = [policy.initial_allocation()]
+        for frac, at in ((0.02, 0.35), (0.15, 0.6), (0.8, 0.75)):
+            out.append(policy.on_tick(JobSnapshot(
+                {s: frac for s in trained.learned_profile.stage_names},
+                at * deadline, running=10, allocation=20,
+                consumed_token_seconds=20.0 * at * deadline,
+            )))
+        return out
+
+    #: How each old factory parameterised the controller and the slice.
+    OLD_FACTORIES = {
+        # repro run / perf run / predict: paper defaults, 100-token slice.
+        "cli": lambda width: (ControlConfig(), 100),
+        # make_policy(kind, trained, deadline, max_tokens=100).
+        "make_policy": lambda width: (ControlConfig(max_tokens=100), 100),
+        # The service: its config.control (here slack 1.5) and a slice of
+        # min(capacity 40, widest stage).
+        "service": lambda width: (ControlConfig(slack=1.5), min(40, width)),
+    }
+
+    @pytest.mark.parametrize("factory", sorted(OLD_FACTORIES))
+    def test_reproduces_the_old_factories(self, trained, factory):
+        import json
+        import pathlib
+
+        from repro.core.policies import POLICY_KINDS, build_policy
+
+        pins = json.loads(
+            (pathlib.Path(__file__).parent / "golden"
+             / "policy_factory_pins.json").read_text(encoding="utf-8")
+        )[factory]
+        assert sorted(pins) == sorted(POLICY_KINDS)
+        width = max(s.num_tasks for s in trained.graph.stages)
+        control, max_tokens = self.OLD_FACTORIES[factory](width)
+        for kind in POLICY_KINDS:
+            policy = build_policy(
+                kind,
+                table=trained.table,
+                indicator=trained.indicator,
+                profile=trained.learned_profile,
+                utility=deadline_utility(trained.short_deadline),
+                control=control,
+                max_tokens=max_tokens,
+            )
+            assert policy.name == kind
+            assert self.decisions(policy, trained) == pins[kind], kind
+
+    def test_make_policy_is_the_trained_job_adapter(self, trained):
+        from repro.core.policies import POLICY_KINDS
+        from repro.experiments.runner import make_policy
+
+        for kind in POLICY_KINDS:
+            policy = make_policy(kind, trained, trained.short_deadline)
+            assert policy.name == kind
+
+    def test_unknown_kind_lists_the_kinds(self, artifacts):
+        from repro.core.policies import POLICY_KINDS, PolicyError, build_policy
+
+        profile, indicator, table = artifacts
+        with pytest.raises(PolicyError) as excinfo:
+            build_policy(
+                "jokey", table=table, indicator=indicator, profile=profile,
+                utility=deadline_utility(60.0), control=config(), max_tokens=8,
+            )
+        for kind in POLICY_KINDS:
+            assert kind in str(excinfo.value)
+
+    def test_table_and_profile_requirements(self, artifacts):
+        from repro.core.policies import PolicyError, build_policy
+
+        profile, indicator, _table = artifacts
+        common = dict(utility=deadline_utility(60.0), control=config(),
+                      max_tokens=8)
+        for kind in ("jockey", "jockey-online-model", "jockey-no-adapt"):
+            with pytest.raises(PolicyError, match="needs a C\\(p, a\\) table"):
+                build_policy(kind, table=None, indicator=indicator,
+                             profile=profile, **common)
+        build_policy("jockey-no-sim", table=None, indicator=None,
+                     profile=profile, **common)
+        with pytest.raises(PolicyError, match="only max-allocation"):
+            build_policy("jockey-no-sim", table=None, indicator=None,
+                         profile=None, **common)
+        policy = build_policy("max-allocation", table=None, indicator=None,
+                              profile=None, **common)
+        assert policy.initial_allocation() == 8
+
+
+class TestRunArtifacts:
+    def test_controller_policy_leaves_audit_slack_and_ledger(self, artifacts):
+        from repro.core.policies import run_artifacts
+
+        profile, indicator, table = artifacts
+        policy = JockeyPolicy(table, indicator, deadline_utility(60.0),
+                              config(), profile=profile)
+        policy.initial_allocation()
+        policy.on_tick(snapshot({"map": 0.5, "reduce": 0.0}, 5.0))
+        records, slack, predictions = run_artifacts(policy, default_slack=9.0)
+        assert len(records) == len(policy.controller.audit.decisions()) >= 1
+        assert slack == config().slack
+        assert predictions == policy.controller.predictions.records()
+
+    def test_static_policy_leaves_nothing_but_the_default_slack(self):
+        from repro.core.policies import run_artifacts
+
+        assert run_artifacts(MaxAllocationPolicy(5)) == ([], 1.0, [])
+        assert run_artifacts(
+            MaxAllocationPolicy(5), default_slack=1.2
+        ) == ([], 1.2, [])

@@ -165,3 +165,57 @@ class TestBundle:
             profile=loaded_profile,
         )
         assert policy.initial_allocation() >= 2
+
+
+class TestBundleFromDict:
+    """The one bundle decoder, under ``load_bundle`` and the live service's
+    inline upload: whatever is wrong is a PersistError naming the field."""
+
+    @pytest.fixture(scope="class")
+    def payload(self, tmp_path_factory):
+        profile = deterministic_profile()
+        table = CpaTable.build(
+            profile, totalwork(profile), np.random.default_rng(0),
+            allocations=(2, 4), reps=2, num_bins=10,
+        )
+        path = tmp_path_factory.mktemp("bundle") / "bundle.json"
+        persist.save_bundle(
+            path, graph=profile.graph, profile=profile, table=table
+        )
+        return json.loads(path.read_text(encoding="utf-8"))
+
+    def test_decodes_what_save_bundle_wrote(self, payload):
+        graph, profile, table = persist.bundle_from_dict(payload)
+        assert profile.graph is graph
+        assert table.allocations == [2, 4]
+        assert persist.bundle_from_dict(dict(payload, table=None))[2] is None
+
+    @pytest.mark.parametrize("broken, names", [
+        ([1, 2], "JSON object, got list"),
+        ("bundle", "JSON object, got str"),
+        ({"format_version": 1}, "no 'graph' field"),
+        ({"format_version": 2}, "version 2"),
+        ({}, "version None"),
+    ])
+    def test_envelope_errors(self, broken, names):
+        with pytest.raises(persist.PersistError, match=names):
+            persist.bundle_from_dict(broken)
+
+    @pytest.mark.parametrize("field, value", [
+        ("graph", 42),
+        ("graph", {"name": "g", "stages": [], "edges": [{"src": 1}]}),
+        ("profile", []),
+        ("profile", {"stages": {"map": {"runtime": "fast"}}}),
+        ("table", {"allocations": [2], "num_bins": 10, "columns": {}}),
+        ("table", {"allocations": [2], "num_bins": 10,
+                   "columns": {"2": "abc"}}),
+        ("table", "big"),
+    ])
+    def test_malformed_field_is_named(self, payload, field, value):
+        with pytest.raises(persist.PersistError, match=f"'{field}'"):
+            persist.bundle_from_dict(dict(payload, **{field: value}))
+
+    def test_missing_profile_is_named(self, payload):
+        del (broken := dict(payload))["profile"]
+        with pytest.raises(persist.PersistError, match="no 'profile' field"):
+            persist.bundle_from_dict(broken)

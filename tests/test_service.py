@@ -404,6 +404,104 @@ class TestGrantOrder:
         return replies[0]
 
 
+class TestSubmitValidation:
+    """``submit`` refuses a bad request before the job exists: no id is
+    consumed, nothing is registered, the tenant's counters do not move
+    (in-process on a manual clock: no sockets, no threads)."""
+
+    @pytest.fixture
+    def svc(self):
+        svc = ClusterService(
+            ServiceConfig(capacity_tokens=8), store=tiny_store()
+        )
+        svc.clock = ManualClock()
+        return svc
+
+    @staticmethod
+    def refused(svc, body):
+        with pytest.raises(ServiceError) as excinfo:
+            svc.submit(body)
+        assert excinfo.value.status == 400
+        assert svc._jobs == {}
+        assert svc._tenants["default"].submitted == 0
+        # No ghost for the next tick to relabel "deadline_passed".
+        svc.clock.advance(3600.0)
+        svc.tick()
+        assert svc.state()["jobs"] == []
+        return str(excinfo.value)
+
+    def test_zero_work_bundle_leaves_no_ghost_job(self, svc):
+        from repro import persist
+
+        graph = JobGraph("idle", [Stage("noop", 3)], [])
+        profile = JobProfile(
+            graph, {"noop": StageProfile("noop", runtime=Constant(0.0))}
+        )
+        bundle = {
+            "format_version": persist.FORMAT_VERSION,
+            "graph": persist.graph_to_dict(graph),
+            "profile": persist.profile_to_dict(profile),
+            "table": None,
+        }
+        message = self.refused(svc, {
+            "bundle": bundle, "policy": "max-allocation",
+            "deadline_minutes": 10.0,
+        })
+        assert "work must be positive" in message
+
+    def test_refused_submit_consumes_no_job_id(self, svc):
+        self.refused(svc, {
+            "command": {"argv": ["true"], "tasks": 0}, "deadline_minutes": 5.0,
+            "policy": "max-allocation",
+        })
+        reply = svc.submit({
+            "template": "tiny", "policy": "jockey-no-sim",
+            "deadline_minutes": 30.0,
+        })
+        assert reply["job_id"] == "job-00001"
+        assert svc._tenants["default"].submitted == 1
+
+    @pytest.mark.parametrize("field", ["tasks", "task_seconds"])
+    def test_non_numeric_command_field_is_a_400_naming_it(self, svc, field):
+        message = self.refused(svc, {
+            "command": {"argv": ["true"], field: "abc"},
+            "policy": "max-allocation", "deadline_minutes": 5.0,
+        })
+        assert f"command {field} must be a number" in message
+        assert "'abc'" in message
+
+    def test_unknown_policy_lists_the_kinds(self, svc):
+        from repro.core.policies import POLICY_KINDS
+
+        message = self.refused(svc, {
+            "command": {"argv": ["true"]}, "policy": "jokey",
+            "deadline_minutes": 5.0,
+        })
+        assert "unknown policy 'jokey'" in message
+        for kind in POLICY_KINDS:
+            assert kind in message
+        assert "trained" not in message
+
+    def test_command_job_supports_only_max_allocation(self, svc):
+        message = self.refused(svc, {
+            "command": {"argv": ["true"]}, "policy": "jockey",
+            "deadline_minutes": 5.0,
+        })
+        assert "supports only max-allocation" in message
+
+    def test_malformed_inline_bundle_names_the_field(self, svc):
+        message = self.refused(svc, {
+            "bundle": {"format_version": 1}, "deadline_minutes": 5.0,
+        })
+        assert message == "cannot load bundle: bundle has no 'graph' field"
+        message = self.refused(svc, {
+            "bundle": [1, 2], "deadline_minutes": 5.0,
+        })
+        assert message == (
+            "cannot load bundle: bundle must be a JSON object, got list"
+        )
+
+
 class TestServiceFreed:
     def test_stopped_service_is_freed_by_refcount(self):
         """No reference cycle through the HTTP plumbing: a stopped

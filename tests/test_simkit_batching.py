@@ -425,37 +425,3 @@ class TestDigestAcrossWorkerCounts:
         serial = parallel.parallel_map(_digest_for_seed, seeds, jobs=1)
         fanned = parallel.parallel_map(_digest_for_seed, seeds, jobs=2)
         assert serial == fanned
-
-
-class TestBlockSampling:
-    def test_default_is_off_and_matches_scalar_path(self):
-        manager_run, _ = _traced_run(JobManager, seed=3)
-        explicit_off, _ = _traced_run(JobManager, seed=3, block_sampling=False)
-        assert manager_run == explicit_off
-
-    def test_env_var_opts_in(self, monkeypatch):
-        graph, profile = _stochastic_job()
-
-        def build():
-            cluster = Cluster(Simulator(), _CONFIG, rng=RngRegistry(0))
-            return JobManager(cluster, graph, profile)
-
-        monkeypatch.setenv("REPRO_JM_BLOCK_SAMPLING", "1")
-        assert build()._block_sampling is True
-        monkeypatch.setenv("REPRO_JM_BLOCK_SAMPLING", "0")
-        assert build()._block_sampling is False
-        monkeypatch.delenv("REPRO_JM_BLOCK_SAMPLING")
-        assert build()._block_sampling is False
-
-    def test_block_sampling_is_deterministic(self):
-        """Opting in changes the documented draw-order contract but stays
-        replayable: same seed, same bytes."""
-        first = _traced_run(JobManager, seed=7, block_sampling=True)
-        second = _traced_run(JobManager, seed=7, block_sampling=True)
-        assert first == second
-        # And the job still completes every task exactly once.
-        _, records = first
-        completed = [
-            tuple(r[:2]) for r in json.loads(records) if r[6] == "ok"
-        ]
-        assert len(set(completed)) == 70
