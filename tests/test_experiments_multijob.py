@@ -1,5 +1,8 @@
 """Tests for multi-SLO-job co-execution (the paper's future-work arbiter)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.multijob import MultiJobResult, run_multi_job
@@ -68,6 +71,38 @@ class TestRunMultiJob:
         result = run_multi_job(jobs, mode="independent", seed=6)
         assert result.jobs_missed >= 0
         assert result.worst_relative_latency > 0
+
+
+class TestGoldenPins:
+    """``run_multi_job(mode="arbiter")`` pinned tick by tick.
+
+    ``golden/multijob_pins.json`` was captured on the commit before the
+    arbiter tick moved from the ``core.arbiter`` heap walk to
+    ``MarketArbiter.clear``; it passes unchanged on both sides.  The first
+    three cases run at the smoke jobs' own deadlines (the arbiter idles at
+    the grid floor); the ``deadline_factor=0.35`` ones contend for the
+    slice.
+    """
+
+    PINS = json.loads(
+        (Path(__file__).parent / "golden" / "multijob_pins.json").read_text()
+    )
+
+    @pytest.mark.parametrize(
+        "case",
+        PINS["cases"],
+        ids=lambda c: "seed{}{}".format(
+            c["kwargs"]["seed"],
+            "-contended" if "deadline_factor" in c["kwargs"] else "",
+        ),
+    )
+    def test_arbiter_run_matches_pin(self, jobs, case):
+        assert [t.name for t in jobs] == self.PINS["jobs"]
+        result = run_multi_job(jobs, mode="arbiter", **case["kwargs"])
+        series = [[minute, alloc] for minute, alloc in result.allocation_series]
+        assert series == case["allocation_series"]
+        durations = {n: m.duration_seconds for n, m in result.per_job.items()}
+        assert durations == case["durations"]
 
 
 class TestExperimentDriver:
