@@ -3,23 +3,31 @@
 
 The paper's per-job controller assumes a global layer decides (a) whether a
 new SLO job *fits* the guaranteed slice and (b) how to split tokens when
-several SLO jobs compete (§1, §4.4 — implemented here as
-:mod:`repro.core.admission` and :mod:`repro.core.arbiter`).
+several SLO jobs compete (§1, §4.4).  In this repo both are the token
+market's: :class:`repro.market.admission.MarketAdmission` reserves each
+job's minimum guarantee against a tenant's quota, and one
+:meth:`repro.market.arbiter.MarketArbiter.clear` splits a slice by marginal
+utility (here through :func:`repro.experiments.multijob.split_slice`, the
+same call the multi-job experiment makes every control period).
 
-This example trains three jobs, admits them against a 100-token slice, then
-shows the arbiter shifting tokens toward the job with the tightest
-deadline as progress diverges.
+This example trains three jobs, admits them against one 100-token tenant —
+printing what each job's own C(p, a) table says it needs beside the
+guarantee the market's fluid model reserves — then shows the arbiter
+shifting tokens toward the job in danger as progress diverges.
 
 Run:  python examples/multi_job_admission.py
 """
 
-from repro.core.admission import AdmissionController, SloRequest
-from repro.core.arbiter import ArbiterJob, arbitrate
 from repro.core.control import CpaPredictor
 from repro.core.utility import deadline_utility
+from repro.experiments.multijob import expected_utility, split_slice
 from repro.experiments.scenarios import DEFAULT, trained_job
+from repro.market.admission import MarketAdmission
+from repro.market.tenant import JobSpec, Tenant
+from repro.service.models import TrainedTemplate
 
 SLICE_TOKENS = 100
+SLACK = 1.2
 
 
 def main() -> None:
@@ -29,59 +37,71 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Admission: do these jobs fit the 100-token guaranteed slice?
     # ------------------------------------------------------------------
-    controller = AdmissionController(SLICE_TOKENS, slack=1.2, q=0.9)
-    print(f"\nadmitting against a {SLICE_TOKENS}-token slice:")
-    for name, tj in jobs.items():
-        decision = controller.admit(
-            SloRequest(name, tj.table, tj.short_deadline)
-        )
-        print(f"  job {name} (deadline {tj.short_deadline / 60:.0f} min): "
-              f"{'ADMITTED' if decision.admitted else 'REJECTED'} — "
-              f"{decision.reason}")
-
+    tenant = Tenant(name="slo", quota=SLICE_TOKENS)
+    admission = MarketAdmission(slack=SLACK)
+    print(f"\nadmitting against a {SLICE_TOKENS}-token quota:")
+    requests = [(name, name, tj.short_deadline) for name, tj in jobs.items()]
     # A job with an absurd deadline does not fit.
-    tj = jobs["G"]
-    decision = controller.evaluate(SloRequest("G-rush", tj.table, 300.0))
-    print(f"  job G-rush (deadline 5 min): "
-          f"{'ADMITTED' if decision.admitted else 'REJECTED'} — "
-          f"{decision.reason}")
+    requests.append(("G-rush", "G", 300.0))
+    for label, name, deadline in requests:
+        tj = jobs[name]
+        # The market sees a job as the service does: token-seconds of work
+        # and the widest stage.
+        shape = TrainedTemplate(name, tj.graph, tj.learned_profile, tj.table)
+        spec = JobSpec(
+            name=label,
+            tenant=tenant.name,
+            work=shape.total_work_seconds,
+            width=min(SLICE_TOKENS, shape.width),
+            deadline_seconds=deadline,
+        )
+        outcome, job, reason = admission.admit_one(tenant, spec, now=0.0)
+        table_says = tj.table.min_allocation_for(deadline / SLACK, q=0.9)
+        detail = f"guarantee {job.guarantee}" if job else (reason or "waits")
+        print(f"  job {label} (deadline {deadline / 60:.0f} min): "
+              f"{outcome.upper()} — {detail}; C(p, a) minimum "
+              f"{table_says if table_says is not None else 'none feasible'}; "
+              f"{tenant.guaranteed_in_use}/{tenant.quota} reserved")
+
+    print("the fluid guarantee ignores stage barriers, so it sits below what "
+          "the job's\nown table asks for; the control loop and the arbiter "
+          "below close that gap.")
 
     # ------------------------------------------------------------------
     # Arbitration: split the slice by marginal utility as states diverge.
     # ------------------------------------------------------------------
-    def arbiter_job(name, progress_fraction, elapsed):
+    def bidder(name, progress_fraction, elapsed):
         tj = jobs[name]
         fractions = {
             s: progress_fraction for s in tj.learned_profile.stage_names
         }
-        return ArbiterJob(
-            name=name,
-            predictor=CpaPredictor(tj.table, tj.indicator, percentile=0.9),
-            utility=deadline_utility(tj.short_deadline),
-            fractions=fractions,
-            elapsed_seconds=elapsed,
+        return expected_utility(
+            CpaPredictor(tj.table, tj.indicator, percentile=0.9),
+            deadline_utility(tj.short_deadline),
+            fractions,
+            elapsed=elapsed,
+            slack=SLACK,
         )
 
     floor = min(jobs["C"].table.allocations)
     print("\nscenario 1 — all jobs fresh:")
-    split = arbitrate(
-        [arbiter_job("C", 0.0, 0.0), arbiter_job("F", 0.0, 0.0),
-         arbiter_job("G", 0.0, 0.0)],
+    split = split_slice(
+        {name: bidder(name, 0.0, 0.0) for name in "CFG"},
         SLICE_TOKENS,
-        min_tokens=floor,
+        floor=floor,
     )
     print(f"  {split}")
 
     print("\nscenario 2 — F is halfway through its deadline with only 20% "
           "done (in danger); C is 80% done:")
-    split = arbitrate(
-        [
-            arbiter_job("C", 0.8, jobs["C"].short_deadline * 0.5),
-            arbiter_job("F", 0.2, jobs["F"].short_deadline * 0.5),
-            arbiter_job("G", 0.5, jobs["G"].short_deadline * 0.5),
-        ],
+    split = split_slice(
+        {
+            "C": bidder("C", 0.8, jobs["C"].short_deadline * 0.5),
+            "F": bidder("F", 0.2, jobs["F"].short_deadline * 0.5),
+            "G": bidder("G", 0.5, jobs["G"].short_deadline * 0.5),
+        },
         SLICE_TOKENS,
-        min_tokens=floor,
+        floor=floor,
     )
     print(f"  {split}")
     print("\nthe endangered job receives the largest share; the nearly-done "

@@ -1,20 +1,14 @@
 """Jockey proper: the offline job simulator, C(p, a) tables, progress
-indicators, predictors, utility functions, the control loop, the four
-evaluation policies, and the admission/arbitration extensions."""
+indicators, predictors, utility functions, the control loop and the four
+evaluation policies.  (Admission and inter-job arbitration live in
+:mod:`repro.market`.)"""
 
 from repro.core.adaptive import (
     AdaptiveCpaPredictor,
     ModelErrorMonitor,
     make_monitor,
 )
-from repro.core.admission import (
-    AdmissionController,
-    AdmissionDecision,
-    AdmissionError,
-    SloRequest,
-)
 from repro.core.amdahl import AmdahlModel
-from repro.core.arbiter import ArbiterError, ArbiterJob, arbitrate
 from repro.core.control import (
     ControlConfig,
     ControlDecision,
@@ -56,14 +50,9 @@ from repro.core.utility import PiecewiseLinearUtility, UtilityError, deadline_ut
 __all__ = [
     "AdaptiveCpaPredictor",
     "AdaptiveModelPolicy",
-    "AdmissionController",
-    "AdmissionDecision",
-    "AdmissionError",
     "AllocationPolicy",
     "AmdahlModel",
     "AmdahlPolicy",
-    "ArbiterError",
-    "ArbiterJob",
     "ControlConfig",
     "ControlDecision",
     "ControlError",
@@ -84,10 +73,8 @@ __all__ = [
     "ProgressError",
     "SimulatedRun",
     "SimulatorError",
-    "SloRequest",
     "UtilityError",
     "WeightedWorkIndicator",
-    "arbitrate",
     "build_indicator",
     "deadline_utility",
     "make_monitor",

@@ -373,12 +373,16 @@ class CpaTable:
         return lo_v + (hi_v - lo_v) * w
 
     def min_allocation_for(
-        self, budget_seconds: float, *, q: float = 0.9
+        self, budget_seconds: float, *, progress: float = 0.0, q: float = 0.9
     ) -> Optional[int]:
-        """Smallest grid allocation predicted to finish within the budget,
-        or None if even the largest cannot."""
+        """Smallest grid allocation whose predicted remaining time at
+        ``progress`` fits the budget, or None if even the largest cannot —
+        the least the job can be guaranteed.  A running job passes its
+        progress and ``deadline - elapsed``; a caller that wants slack
+        divides the budget by it."""
+        idx = self._bin_index(progress)
         for a in self.allocations:
-            if self._columns[a].percentile(self._bin_index(0.0), q) <= budget_seconds:
+            if self._columns[a].percentile(idx, q) <= budget_seconds:
                 return a
         return None
 

@@ -10,27 +10,86 @@ coordination modes:
 * ``independent`` — each job runs its own Jockey control loop; the token
   pool clamps requests first-come-first-served when the guaranteed slice
   runs out (what deploying unmodified Jockey per-job would do);
-* ``arbiter`` — each control period, the global arbiter
-  (:mod:`repro.core.arbiter`) splits the slice across the jobs by marginal
-  utility, using each job's own C(p, a) predictor and utility function.
+* ``arbiter`` — each control period every live job bids its marginal
+  utility per block of tokens, from its own C(p, a) predictor and utility
+  function, and one :meth:`repro.market.arbiter.MarketArbiter.clear`
+  splits the slice (:func:`split_slice`) — the same clearing the token
+  market runs over thousands of jobs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.cluster import Cluster, ClusterConfig
-from repro.core.arbiter import ArbiterJob, arbitrate
-from repro.core.control import ControlConfig
+from repro.core.control import ControlConfig, Predictor
+from repro.core.utility import PiecewiseLinearUtility
 from repro.experiments.metrics import RunMetrics, metrics_from_trace
 from repro.experiments.runner import make_policy
 from repro.experiments.scenarios import TrainedJob
+from repro.market.arbiter import Bid, MarketArbiter, concave_marginals
 from repro.runtime.jobmanager import JobManager
 from repro.simkit.events import Simulator
 from repro.simkit.random import RngRegistry
 
 COORDINATION_MODES = ("independent", "arbiter")
+
+
+def expected_utility(
+    predictor: Predictor,
+    utility: PiecewiseLinearUtility,
+    fractions: Mapping[str, float],
+    *,
+    elapsed: float = 0.0,
+    slack: float = 1.2,
+) -> Callable[[int], float]:
+    """``allocation -> utility`` of finishing when the slacked prediction
+    says the job will, as the per-job control loop scores it (§4.3)."""
+
+    def at(allocation: int) -> float:
+        remaining = slack * predictor.remaining_seconds(fractions, allocation)
+        return utility.value(elapsed + remaining)
+
+    return at
+
+
+def split_slice(
+    utilities: Mapping[str, Callable[[int], float]],
+    slice_tokens: int,
+    *,
+    floor: int,
+    step: int = 5,
+) -> Dict[str, int]:
+    """Split ``slice_tokens`` across jobs to maximize summed utility.
+
+    ``utilities`` maps each job to its :func:`expected_utility`.  Every job
+    first receives ``floor`` tokens; each then bids the utility gained by
+    every further ``step``-token block and one
+    :meth:`MarketArbiter.clear` grants the best blocks (ties go to the
+    smaller job name).  Tokens nobody gains from stay unallocated.
+    """
+    blocks = (slice_tokens - floor * len(utilities)) // step
+    if blocks < 0:
+        raise ValueError(
+            f"{slice_tokens} tokens cannot cover {len(utilities)} jobs at "
+            f"minimum {floor}"
+        )
+    bids = []
+    for job, utility_at in utilities.items():
+        curve = np.array(
+            [utility_at(floor + step * k) for k in range(blocks + 1)]
+        )
+        marginals = concave_marginals(curve[1:], curve[0])
+        # A block that gains nothing ends the schedule (the clamp carries
+        # the zero to every later block): a job that already meets its
+        # deadline leaves the rest of the slice to the others.
+        marginals[marginals <= 1e-12] = 0.0
+        bids.append(Bid(job, "slice", tuple(marginals.tolist())))
+    grants = MarketArbiter().clear(bids, blocks).grants
+    return {bid.job: floor + step * grants.get(bid.job, 0) for bid in bids}
 
 
 @dataclass
@@ -121,27 +180,21 @@ def run_multi_job(
                 if allocation is not None:
                     manager.set_allocation(allocation)
         else:
-            arbiter_jobs = []
             floor = min(jobs[0].table.allocations)
+            utilities = {}
             for trained in live:
-                manager = managers[trained.name]
-                snapshot = manager.snapshot()
+                snapshot = managers[trained.name].snapshot()
                 controller = policies[trained.name].controller
-                arbiter_jobs.append(
-                    ArbiterJob(
-                        name=trained.name,
-                        predictor=controller.predictor,
-                        # The dead-zone-shifted utility, as the per-job
-                        # loop uses (§4.3).
-                        utility=controller.effective_utility,
-                        fractions=snapshot.stage_fractions,
-                        elapsed_seconds=snapshot.elapsed,
-                        slack=controller.config.slack,
-                    )
+                utilities[trained.name] = expected_utility(
+                    controller.predictor,
+                    # The dead-zone-shifted utility, as the per-job
+                    # loop uses (§4.3).
+                    controller.effective_utility,
+                    snapshot.stage_fractions,
+                    elapsed=snapshot.elapsed,
+                    slack=controller.config.slack,
                 )
-            split = arbitrate(
-                arbiter_jobs, slice_tokens, min_tokens=floor, step=5
-            )
+            split = split_slice(utilities, slice_tokens, floor=floor)
             # The same hysteresis the per-job loop applies (§4.3): the raw
             # arbiter split thrashes on noisy progress otherwise.
             alpha = control.hysteresis
@@ -187,4 +240,10 @@ def run_multi_job(
     return result
 
 
-__all__ = ["COORDINATION_MODES", "MultiJobResult", "run_multi_job"]
+__all__ = [
+    "COORDINATION_MODES",
+    "MultiJobResult",
+    "expected_utility",
+    "run_multi_job",
+    "split_slice",
+]

@@ -5,8 +5,10 @@ guaranteed token count.  This package is that someone, at cluster scale:
 tenants hold quotas, an admission gate turns submitted jobs into
 guaranteed reservations without ever over-committing a quota, and a
 per-tick market arbiter auctions the spare tokens to the live jobs whose
-marginal utility bids them highest — the batched, thousands-of-jobs
-version of the greedy ascent in :mod:`repro.core.arbiter`.
+marginal utility bids them highest.  The same clearing splits one slice
+across a handful of C(p, a)-predicted jobs in
+:mod:`repro.experiments.multijob`: there is one greedy ascent and one
+guarantee admission in the repo, and they live here.
 
 Layout:
 

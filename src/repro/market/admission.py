@@ -1,12 +1,15 @@
-"""Admission with per-tenant quota enforcement (market edition).
+"""Admission with per-tenant quota enforcement.
 
-:class:`repro.core.admission.AdmissionController` asks a C(p, a) table
-whether a *single* cluster slice can absorb one more SLO job.  The
-market version answers the same question for many tenants at once under
-the fluid job model: a queued job's minimum guarantee is the token count
-that finishes its remaining work inside its remaining deadline budget
-(with the controller's slack), and it is admitted the moment that
-guarantee fits under its tenant's quota.
+The paper's admission question (§1) — does one more SLO job fit once
+every admitted job's minimum is reserved? — answered for many tenants at
+once under the fluid job model: a queued job's minimum guarantee is the
+token count that finishes its remaining work inside its remaining deadline
+budget (with the controller's slack), and it is admitted the moment that
+guarantee fits under its tenant's quota.  A single guaranteed slice is one
+:class:`~repro.market.tenant.Tenant` whose quota is the slice.  What a
+job's own C(p, a) table says it needs is
+:meth:`repro.core.cpa.CpaTable.min_allocation_for`;
+``examples/multi_job_admission.py`` prints the two side by side.
 
 Outcomes per queued job, re-evaluated every tick:
 
@@ -69,16 +72,13 @@ class MarketAdmission:
         self.slack = slack
         self.stats = AdmissionStats()
 
-    def minimum_guarantee(
-        self, spec: JobSpec, now: float, remaining: Optional[float] = None
-    ) -> Optional[int]:
+    def minimum_guarantee(self, spec: JobSpec, now: float) -> Optional[int]:
         """Smallest token guarantee that still meets the deadline, or
         None when no allocation within the job's width can."""
         budget = spec.absolute_deadline - now
         if budget <= 0:
             return None
-        work = spec.work if remaining is None else remaining
-        need = math.ceil(self.slack * work / budget)
+        need = math.ceil(self.slack * spec.work / budget)
         if need > spec.width:
             return None
         return max(1, need)

@@ -1,15 +1,26 @@
-"""Batched market clearing: the greedy marginal-utility ascent at scale.
+"""Batched market clearing: the greedy marginal-utility ascent.
 
-:func:`repro.core.arbiter.arbitrate` walks a heap one ``step`` at a time,
-re-querying each job's predictor as it goes — fine for a handful of jobs,
-hopeless for thousands.  The market version flips the dataflow: each job
-submits its whole *marginal-value schedule* up front (value of its 1st,
-2nd, ... spare token, non-increasing), and the arbiter clears the auction
-in one vectorized pass — concatenate every schedule, take the top
+The paper leaves the inter-job layer as future work (§4.4): "an additional
+inter-job arbiter that dynamically shifts resources from jobs with low
+expected marginal utility to those with high".  This module is that
+arbiter, and the only one in the repo.  Each job submits its whole
+*marginal-value schedule* up front (value of its 1st, 2nd, ... spare
+token or block of tokens, non-increasing), and the arbiter clears the
+auction in one vectorized pass — concatenate every schedule, take the top
 ``supply`` entries, hand each job the prefix of its schedule that made
 the cut.  Because every schedule is non-increasing, the top-``supply``
-selection *is* the greedy ascent's fixed point, computed without the
-per-step loop.
+selection *is* what handing out one unit at a time to the currently
+highest bidder converges to, computed without the per-step loop;
+``tests/test_market_arbiter.py`` holds that walk as a reference and checks
+the two grant for grant.
+
+Callers: the token market's per-tick spare auction over thousands of
+fluid jobs (:mod:`repro.market.engine`) and the multi-job experiment's
+split of one slice across C(p, a)-predicted jobs
+(:func:`repro.experiments.multijob.split_slice`).  Both turn a utility
+curve into a schedule with :func:`concave_marginals`; on a curve that is
+not concave in the allocation that clamp *defines* the ascent — a late
+payoff bids no more than the blocks that must be bought before it.
 
 The *clearing price* is the aggregate-marginal-utility price of a token
 this tick:

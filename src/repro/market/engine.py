@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.utility import deadline_utility
 from repro.market.admission import MarketAdmission
 from repro.market.arbiter import Bid, Clearing, MarketArbiter, concave_marginals
 from repro.market.tenant import JobSpec, MarketError, MarketJob, Tenant
@@ -61,9 +62,13 @@ _UTILITY_FLOOR = -1000.0
 
 #: The paper's piecewise-linear deadline utility, expressed relative to
 #: the deadline: flat 1 until it, −1 ten minutes later, −1000 a thousand
-#: minutes later (see :func:`repro.core.utility.deadline_utility`).
-_UTIL_X = np.array([0.0, 600.0, 60_600.0])
-_UTIL_Y = np.array([1.0, -1.0, -1000.0])
+#: minutes later.  Read off :func:`repro.core.utility.deadline_utility`
+#: (its points from the deadline on) so the two cannot disagree; past the
+#: last point ``np.interp`` holds −1000 where the core function keeps
+#: falling, which is the bound ``_UTILITY_FLOOR`` relies on.
+_FROM_DEADLINE = deadline_utility(1.0).points[1:]
+_UTIL_X = np.array([t - 1.0 for t, _u in _FROM_DEADLINE])
+_UTIL_Y = np.array([u for _t, u in _FROM_DEADLINE])
 
 #: Work-conserving bid floor: an unfinished job values its ``k``-th token
 #: at least ``_EPS_BID / k`` even when its guarantee already meets the

@@ -41,7 +41,7 @@ _SPEC_FIELDS = {
     "tenants", "jobs", "capacity", "mode", "tick_seconds", "slack",
     "max_ticks",
 }
-_TENANT_FIELDS = {"name", "quota", "weight"}
+_TENANT_FIELDS = {"name", "quota"}
 _JOB_FIELDS = {
     "name", "tenant", "work", "width", "deadline_seconds", "submit_seconds",
 }
@@ -75,17 +75,14 @@ def market_spec_from_dict(
             raise MarketSpecError(
                 f"tenant entries must be objects, got {type(item).__name__}"
             )
-        extra = set(item) - _TENANT_FIELDS
-        if extra or "name" not in item or "quota" not in item:
+        if set(item) != _TENANT_FIELDS:
             raise MarketSpecError(
-                f"tenant entries take 'name' and 'quota' (required) and "
-                f"'weight', got {sorted(item)}"
+                f"tenant entries take exactly 'name' and 'quota', "
+                f"got {sorted(item)}"
             )
         try:
             tenants.append(Tenant(
-                name=str(item["name"]),
-                quota=int(item["quota"]),
-                weight=float(item.get("weight", 1.0)),
+                name=str(item["name"]), quota=int(item["quota"])
             ))
         except (TypeError, MarketError) as exc:
             raise MarketSpecError(f"malformed tenant: {exc}") from exc

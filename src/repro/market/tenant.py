@@ -117,7 +117,6 @@ class Tenant:
     name: str
     #: Cap on the sum of guaranteed tokens its live jobs may hold.
     quota: int
-    weight: float = 1.0
 
     queue: Deque[JobSpec] = field(default_factory=deque)
     live: Dict[str, MarketJob] = field(default_factory=dict)
@@ -137,10 +136,6 @@ class Tenant:
             raise MarketError("tenant needs a name")
         if self.quota < 1:
             raise MarketError(f"tenant {self.name!r}: quota must be >= 1")
-        if self.weight <= 0:
-            raise MarketError(
-                f"tenant {self.name!r}: weight must be positive"
-            )
 
     @property
     def guaranteed_in_use(self) -> int:

@@ -70,6 +70,33 @@ class TestBuildAndQuery:
     def test_min_allocation_infeasible(self, table):
         assert table.min_allocation_for(1.0, q=0.5) is None
 
+    @pytest.mark.parametrize("progress", [0.0, 0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("budget", [5.0, 20.0, 40.0, 80.0])
+    def test_min_allocation_for_is_the_scan_over_remaining(
+        self, table, progress, budget
+    ):
+        """One scan: the first grid allocation whose ``remaining`` at the
+        job's progress fits — what admission asks of a running job with
+        ``deadline - elapsed`` left."""
+        by_hand = next(
+            (a for a in table.allocations
+             if table.remaining(progress, a, q=0.95) <= budget),
+            None,
+        )
+        assert table.min_allocation_for(
+            budget, progress=progress, q=0.95
+        ) == by_hand
+
+    def test_min_allocation_for_progress_lowers_the_need(self, table):
+        assert table.min_allocation_for(30.0, q=0.95) == 4
+        assert table.min_allocation_for(30.0, progress=0.6, q=0.95) == 1
+        # ... and time already spent raises it again.
+        assert table.min_allocation_for(30.0 - 12.0, progress=0.6, q=0.95) == 2
+
+    def test_min_allocation_for_rejects_bad_progress(self, table):
+        with pytest.raises(CpaError):
+            table.min_allocation_for(30.0, progress=1.5)
+
     def test_sample_counts_nonzero(self, table):
         counts = table.sample_counts()
         assert set(counts) == {1, 2, 4, 8}

@@ -3,7 +3,6 @@ smoke scale.  These are the slowest tests in the suite (a few seconds)."""
 
 import pytest
 
-from repro.core.admission import AdmissionController, SloRequest
 from repro.experiments.runner import (
     POLICY_KINDS,
     RunConfig,
@@ -18,6 +17,9 @@ from repro.experiments.scenarios import (
     pick_deadline,
     trained_job,
 )
+from repro.market.admission import MarketAdmission
+from repro.market.tenant import JobSpec, Tenant
+from repro.service.models import TrainedTemplate
 from repro.simkit.random import RngRegistry
 
 
@@ -156,19 +158,29 @@ class TestRuntimeScaleSampler:
 
 class TestAdmissionIntegration:
     def test_admission_with_real_table(self, trained):
-        controller = AdmissionController(100, slack=1.2, q=0.9)
-        decision = controller.admit(
-            SloRequest("job1", trained.table, trained.short_deadline)
+        """Copies of a trained job fill one 100-token tenant and then wait;
+        the job's own C(p, a) minimum is feasible inside that quota."""
+        shape = TrainedTemplate(
+            trained.name, trained.graph, trained.learned_profile, trained.table
         )
-        assert decision.admitted
-        # Fill the slice with copies until rejection.
-        admitted = 1
-        while admitted < 50:
-            decision = controller.admit(
-                SloRequest(f"job{admitted + 1}", trained.table,
-                           trained.short_deadline)
+        tenant = Tenant(name="slo", quota=100)
+        admission = MarketAdmission(slack=1.2)
+        outcomes = []
+        while len(outcomes) < 50:
+            spec = JobSpec(
+                name=f"job{len(outcomes) + 1}",
+                tenant="slo",
+                work=shape.total_work_seconds,
+                width=min(100, shape.width),
+                deadline_seconds=trained.short_deadline,
             )
-            if not decision.admitted:
+            outcomes.append(admission.admit_one(tenant, spec, 0.0)[0])
+            if outcomes[-1] != "admitted":
                 break
-            admitted += 1
-        assert admitted < 50, "slice should saturate eventually"
+        assert outcomes[0] == "admitted"
+        assert outcomes[-1] == "queued", "slice should saturate eventually"
+        assert tenant.guaranteed_in_use <= 100
+        minimum = trained.table.min_allocation_for(
+            trained.short_deadline / 1.2
+        )
+        assert minimum is not None and minimum <= 100

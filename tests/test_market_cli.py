@@ -81,6 +81,26 @@ class TestMarketRun:
         assert "usage:" in text
         assert "bogus" in text
 
+    def test_retired_tenant_weight_is_named(self, tmp_path):
+        """``weight`` was accepted and read by nothing; a spec that still
+        sets it fails at the boundary instead of being silently ignored."""
+        import pytest
+
+        from repro.market.spec import MarketSpecError, market_spec_from_dict
+
+        payload = dict(GOOD_SPEC)
+        payload["tenants"] = [
+            {"name": "acme", "quota": 20, "weight": 2.0},
+            {"name": "rival", "quota": 20},
+        ]
+        with pytest.raises(MarketSpecError, match="'weight'"):
+            market_spec_from_dict(payload)
+        code, text = run_cli(
+            "market", "run", "--spec", str(write_spec(tmp_path, payload))
+        )
+        assert code == 2
+        assert "weight" in text
+
     def test_invalid_json_exits_two(self, tmp_path):
         spec = tmp_path / "market.json"
         spec.write_text("{not json", encoding="utf-8")

@@ -204,3 +204,26 @@ class TestQuotaValidation:
         tenants = [Tenant(name="a", quota=30), Tenant(name="b", quota=31)]
         with pytest.raises(MarketError, match="quotas sum"):
             TokenMarket(tenants, [], MarketConfig(capacity=60))
+
+
+class TestDeadlineUtility:
+    def test_engine_breakpoints_are_the_core_points(self):
+        """The market's vectorized utility is read off
+        ``core.utility.deadline_utility``: same breakpoints (relative to
+        the deadline), same values between them."""
+        import numpy as np
+
+        from repro.core.utility import deadline_utility
+        from repro.market import engine
+
+        d = 1800.0
+        core = deadline_utility(d)
+        assert [(d + x, y) for x, y in zip(engine._UTIL_X, engine._UTIL_Y)] \
+            == list(core.points[1:])
+        assert engine._UTIL_X.tolist() == [0.0, 600.0, 60_000.0]
+        lateness = np.array([-500.0, 0.0, 300.0, 600.0, 30_000.0, 60_000.0])
+        assert engine._utility_at(lateness).tolist() == [
+            core.value(d + x) for x in lateness
+        ]
+        # Past the last point the market clamps; the core keeps falling.
+        assert engine._utility_at(np.array([1e6]))[0] == engine._UTILITY_FLOOR
