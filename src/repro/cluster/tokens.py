@@ -11,6 +11,14 @@ The :class:`TokenPool` implements that policy over any number of consumers
 (SLO jobs, background load, population jobs) with a water-filling spare
 split.  Consumers react to grant changes via a callback; the pool never
 starts or kills tasks itself.
+
+The pool is incremental: it remembers enough of its last allocation pass
+to tell when a demand change cannot move any consumer's grant, and then runs
+no pass at all (:meth:`TokenPool.set_demand`; the argument is in DESIGN.md,
+"Batch path: incremental token pool").  A backlogged job's demand moves by
+one per finished task while its fair share still caps it, so most demand
+changes are of that kind.  :func:`compute_grants` is the by-definition
+allocation the pool must always agree with.
 """
 
 from __future__ import annotations
@@ -22,7 +30,9 @@ from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
 
 _RECOMPUTES = _metrics.REGISTRY.counter(
-    "repro_cluster_recomputes_total", "Token-pool allocation recomputations"
+    "repro_cluster_recomputes_total",
+    "Token-pool allocation passes run (a demand change that cannot move a "
+    "grant runs none)",
 )
 _GRANT_CHANGES = _metrics.REGISTRY.counter(
     "repro_cluster_grant_changes_total", "Consumer grant changes"
@@ -69,6 +79,10 @@ class Consumer:
         self.on_grant = on_grant
         self.demand = 0
         self.grant = Grant()
+        #: Set by the pool's last pass: the largest fair share this consumer
+        #: was offered and did not fit under, or None if it was not left
+        #: uncapped (no spare to split, no unmet demand, or satisfied).
+        self._uncapped_share: Optional[float] = None
 
     @property
     def weight(self) -> float:
@@ -113,6 +127,10 @@ class TokenPool:
         self._consumers: Dict[str, Consumer] = {}
         self._in_recompute = False
         self._recompute_queued = False
+        # What the last pass found, for set_demand's skip rule: whether the
+        # bases had to shrink to fit capacity, and the spare left after them.
+        self._shrunk = False
+        self._spare_after_bases = capacity
         #: Virtual-time source for trace events (the cluster passes
         #: ``lambda: sim.now``); pools built without one stamp 0.0.
         self._clock = clock
@@ -190,12 +208,38 @@ class TokenPool:
         return applied
 
     def set_demand(self, name: str, demand: int) -> None:
+        """Change a consumer's demand.  Runs an allocation pass unless the
+        change provably leaves every grant of the last pass as it is."""
         consumer = self.consumer(name)
         if demand < 0:
             raise TokenError(f"negative demand for {name!r}")
-        if demand != consumer.demand:
-            consumer.demand = demand
-            self.recompute()
+        old = consumer.demand
+        if demand == old:
+            return
+        consumer.demand = demand
+        if not self._in_recompute and self._moves_no_grant(consumer, old):
+            return
+        self.recompute()
+
+    def _moves_no_grant(self, consumer: Consumer, old_demand: int) -> bool:
+        """True when ``consumer``'s demand going from ``old_demand`` to its
+        current value cannot change any grant of the last pass.
+
+        Its base must stay the full guarantee and no base may have been
+        shrunk, so every base and the spare after them repeat.  Then either
+        there was no spare to split, or the consumer was left uncapped and
+        its new unmet demand is still strictly above every fair share it was
+        offered: it stays uncapped through the same water-filling rounds, and
+        its rounded amount (at most ``floor(share) + 1``) still fits.  No
+        other consumer's grant reads its unmet demand.
+        """
+        guaranteed = consumer.guaranteed
+        if old_demand < guaranteed or consumer.demand < guaranteed or self._shrunk:
+            return False
+        if self._spare_after_bases == 0:
+            return True
+        share = consumer._uncapped_share
+        return share is not None and consumer.demand - guaranteed > share
 
     # ------------------------------------------------------------------
     # Allocation
@@ -221,28 +265,68 @@ class TokenPool:
             self._in_recompute = False
 
     def _recompute_once(self) -> None:
+        """One allocation pass: :func:`compute_grants` step for step (same
+        float expressions in the same order, so the same grants), keeping
+        what :meth:`_moves_no_grant` needs, then the grant callbacks."""
         _RECOMPUTES.inc()
         consumers = list(self._consumers.values())
-        grants = compute_grants(self._capacity, consumers)
+        capacity = self._capacity
+        bases = [min(c.guaranteed, c.demand) for c in consumers]
+        total_base = sum(bases)
+        self._shrunk = total_base > capacity
+        if self._shrunk:
+            shares = [b * capacity / total_base for b in bases]
+            bases = _largest_remainder_round(shares, capacity)
+            total_base = sum(bases)
+        spare = self._spare_after_bases = capacity - total_base
+        extra = [0] * len(consumers)
+        # Largest share each consumer was offered in a round it left uncapped.
+        offered: List[Optional[float]] = [None] * len(consumers)
+        if spare > 0:
+            unmet = [max(0, c.demand - b) for c, b in zip(consumers, bases)]
+            active = [i for i, u in enumerate(unmet) if u > 0]
+            while active and spare > 0:
+                total_weight = sum(consumers[i].weight for i in active)
+                shares = {
+                    i: spare * consumers[i].weight / total_weight for i in active
+                }
+                capped = [i for i in active if unmet[i] <= shares[i]]
+                for i in capped:
+                    extra[i] = unmet[i]
+                    spare -= unmet[i]
+                    offered[i] = None
+                active = [i for i in active if extra[i] == 0]
+                for i in active:
+                    if offered[i] is None or shares[i] > offered[i]:
+                        offered[i] = shares[i]
+                if capped:
+                    continue
+                # No consumer capped: hand out integer shares and stop.
+                rounded = _largest_remainder_round(
+                    [shares[i] for i in active], spare
+                )
+                for i, amount in zip(active, rounded):
+                    extra[i] = min(amount, unmet[i])
+                break
+        for consumer, share in zip(consumers, offered):
+            consumer._uncapped_share = share
         rec = _trace.RECORDER
-        for consumer, grant in zip(consumers, grants):
-            changed = (
-                grant.total != consumer.grant.total
-                or grant.guaranteed_part != consumer.grant.guaranteed_part
-            )
-            consumer.grant = grant
-            if changed:
-                _GRANT_CHANGES.inc()
-                if rec.enabled:
-                    rec.emitted += 1
-                    rec.raw((self._ts(), "tokens.grant",
-                             {"consumer": consumer.name,
-                              "total": grant.total,
-                              "guaranteed_part": grant.guaranteed_part,
-                              "spare_part": grant.spare_part,
-                              "demand": consumer.demand}))
-                if consumer.on_grant is not None:
-                    consumer.on_grant(grant)
+        for consumer, base, bonus in zip(consumers, bases, extra):
+            grant = consumer.grant
+            if grant.total == base + bonus and grant.guaranteed_part == base:
+                continue
+            grant = consumer.grant = Grant(total=base + bonus, guaranteed_part=base)
+            _GRANT_CHANGES.inc()
+            if rec.enabled:
+                rec.emitted += 1
+                rec.raw((self._ts(), "tokens.grant",
+                         {"consumer": consumer.name,
+                          "total": grant.total,
+                          "guaranteed_part": grant.guaranteed_part,
+                          "spare_part": grant.spare_part,
+                          "demand": consumer.demand}))
+            if consumer.on_grant is not None:
+                consumer.on_grant(grant)
 
     def snapshot(self) -> Dict[str, Grant]:
         return {name: c.grant for name, c in self._consumers.items()}

@@ -149,6 +149,10 @@ class JobManager:
         self._ready_times: Dict[TaskId, float] = {}
         self._attempts: Dict[TaskId, int] = {}
         self._running: List[RunningTask] = []
+        #: Running attempts holding a guaranteed token / that are speculative
+        #: duplicates, counted as ``_running`` and the token classes change.
+        self._guaranteed_count = 0
+        self._duplicates_in_flight = 0
         self._busy_token_seconds = 0.0
         self._busy_marker = self.sim.now
         self._speculation = speculation
@@ -329,9 +333,6 @@ class JobManager:
         self._start_ready_tasks()
         self._rebalance_tokens()
 
-    def _guaranteed_running(self) -> int:
-        return sum(1 for t in self._running if not t.used_spare_token)
-
     def _rebalance_tokens(self) -> None:
         """Keep token classes consistent after the guaranteed part of the
         grant changes: a grown guarantee promotes the oldest spare tasks
@@ -340,7 +341,7 @@ class JobManager:
         specific token — completions pass tokens to new tasks in
         ``_start_task``."""
         guaranteed_part = self.consumer.grant.guaranteed_part
-        g_count = self._guaranteed_running()
+        g_count = self._guaranteed_count
         if g_count < guaranteed_part:
             spare = sorted(
                 (t for t in self._running if t.used_spare_token),
@@ -348,6 +349,7 @@ class JobManager:
             )
             for task in spare[: guaranteed_part - g_count]:
                 task.used_spare_token = False
+                self._guaranteed_count += 1
         elif g_count > guaranteed_part:
             guaranteed = sorted(
                 (t for t in self._running if not t.used_spare_token),
@@ -356,6 +358,7 @@ class JobManager:
             )
             for task in guaranteed[: g_count - guaranteed_part]:
                 task.used_spare_token = True
+                self._guaranteed_count -= 1
 
     def _start_ready_tasks(self) -> None:
         grant = self.consumer.grant
@@ -379,9 +382,8 @@ class JobManager:
         wave starts are byte-identical to the one-at-a-time path.  What the
         wave batches is the mechanics: one ``schedule_batch`` presorted
         merge instead of N heappushes, the shared bound ``_finish`` callback
-        with the task as payload instead of N closures, an incrementally
-        tracked guaranteed-token count instead of N O(running) scans, and
-        buffered tuple trace records.
+        with the task as payload instead of N closures, and buffered tuple
+        trace records.
         """
         self._accrue_busy_time()
         now = self.sim.now
@@ -392,7 +394,7 @@ class JobManager:
         attempts = self._attempts
         ready_times = self._ready_times
         guaranteed_part = grant.guaranteed_part
-        g_count = self._guaranteed_running()
+        g_count = self._guaranteed_count
         running_append = self._running.append
         rec = _trace.RECORDER
         emit = rec.enabled
@@ -436,6 +438,7 @@ class JobManager:
                           ("index", task_id[1]), ("attempt", attempt),
                           ("machine", machine), ("spare", used_spare),
                           ("duplicate", False))))
+        self._guaranteed_count = g_count
         handles = self.sim.schedule_batch(times, self._finish, tasks, cancelable=True)
         for task, handle in zip(tasks, handles):
             task.finish_handle = handle
@@ -445,46 +448,50 @@ class JobManager:
         self, task_id: TaskId, grant: Grant, *, is_duplicate: bool = False
     ) -> None:
         self._accrue_busy_time()
-        stage_name, _index = task_id
+        sim = self.sim
+        now = sim.now
+        rng = self._rng
+        stage_name = task_id[0]
         profile = self.behavior.stage(stage_name)
-        runtime = profile.runtime.sample(self._rng) + profile.init.sample(self._rng)
+        runtime = profile.runtime.sample(rng) + profile.init.sample(rng)
         # Oversubscription slows every task: tokens do not shield network
         # bandwidth or disk queues (§2.1).
         runtime *= self.cluster.contention_factor()
-        will_fail = (
-            profile.failure_prob > 0 and self._rng.random() < profile.failure_prob
-        )
+        will_fail = profile.failure_prob > 0 and rng.random() < profile.failure_prob
         if will_fail:
             # The attempt dies after doing only part of its work.
-            runtime *= float(self._rng.uniform(0.05, 0.95))
-        machine = self.cluster.machines.pick_up_machine(self._rng)
+            runtime *= float(rng.uniform(0.05, 0.95))
+        machine = self.cluster.machines.pick_up_machine(rng)
         attempt = self._attempts.get(task_id, 0)
         # Take a guaranteed token if one is free (e.g. just released by a
         # finishing task), otherwise ride on spare.
-        used_spare = self._guaranteed_running() >= grant.guaranteed_part
+        used_spare = self._guaranteed_count >= grant.guaranteed_part
+        if not used_spare:
+            self._guaranteed_count += 1
         if is_duplicate:
-            ready_time = self.sim.now
+            self._duplicates_in_flight += 1
+            ready_time = now
         else:
-            ready_time = self._ready_times.pop(task_id, self.sim.now)
+            ready_time = self._ready_times.pop(task_id, now)
         task = RunningTask(
             task_id=task_id,
             attempt=attempt,
             ready_time=ready_time,
-            start_time=self.sim.now,
-            planned_end=self.sim.now + runtime,
+            start_time=now,
+            planned_end=now + runtime,
             machine=machine,
             used_spare_token=used_spare,
             will_fail=will_fail,
             spare_at_start=used_spare,
             is_duplicate=is_duplicate,
         )
-        task.finish_handle = self.sim.schedule(runtime, self._finish, task)
+        task.finish_handle = sim.schedule(runtime, self._finish, task)
         self._running.append(task)
         _STARTS.inc()
         rec = _trace.RECORDER
         if rec.enabled:
             rec.emitted += 1
-            rec.raw((self.sim.now, "task.start",
+            rec.raw((now, "task.start",
                      (("job", self.name), ("stage", stage_name),
                       ("index", task_id[1]), ("attempt", attempt),
                       ("machine", machine), ("spare", used_spare),
@@ -520,12 +527,23 @@ class JobManager:
                       ("duplicate", task.is_duplicate),
                       ("start", task.start_time), ("end", end_time))))
 
-    def _sibling_attempts(self, task: RunningTask) -> List[RunningTask]:
-        return [
-            t
-            for t in self._running
-            if t.task_id == task.task_id and t is not task
-        ]
+    def _release(self, task: RunningTask) -> Sequence[RunningTask]:
+        """Take an attempt off the running list, token and all.  Returns its
+        sibling attempts still in flight: only a speculative race has any,
+        so the scan runs only while a duplicate is running."""
+        siblings: Sequence[RunningTask] = ()
+        if self._duplicates_in_flight:
+            siblings = [
+                t
+                for t in self._running
+                if t.task_id == task.task_id and t is not task
+            ]
+            if task.is_duplicate:
+                self._duplicates_in_flight -= 1
+        self._running.remove(task)
+        if not task.used_spare_token:
+            self._guaranteed_count -= 1
+        return siblings
 
     def _finish(self, task: RunningTask) -> None:
         # Our finish event just fired, so the handle is back on the
@@ -533,27 +551,30 @@ class JobManager:
         # can recycle it into a different event.
         task.finish_handle = None
         self._accrue_busy_time()
-        self._running.remove(task)
+        now = self.sim.now
+        siblings = self._release(task)
         if task.will_fail:
-            self._record(task, OUTCOME_FAILED, self.sim.now)
+            self._record(task, OUTCOME_FAILED, now)
             # A surviving speculative sibling keeps the task alive; only
             # retry when this was the last attempt in flight.
-            if not self._sibling_attempts(task):
+            if not siblings:
                 self._retry(task)
         else:
-            self._record(task, OUTCOME_OK, self.sim.now)
+            self._record(task, OUTCOME_OK, now)
             # The losing attempts of a speculative race are cancelled.
-            for loser in self._sibling_attempts(task):
+            for loser in siblings:
                 if loser.finish_handle is not None:
                     loser.finish_handle.cancel()
                     loser.finish_handle = None
-                self._running.remove(loser)
-                self._record(loser, OUTCOME_SUPERSEDED, self.sim.now)
+                self._release(loser)
+                self._record(loser, OUTCOME_SUPERSEDED, now)
             if task.is_duplicate:
                 self.duplicates_won += 1
-            self._stage_durations.setdefault(task.task_id[0], []).append(
-                self.sim.now - task.start_time
-            )
+            if self._speculation is not None:
+                # Only the straggler scan reads these.
+                self._stage_durations.setdefault(task.task_id[0], []).append(
+                    now - task.start_time
+                )
             self._completed_tasks += 1
             newly_ready = self._tracker.complete(*task.task_id)
             for task_id in newly_ready:
@@ -561,7 +582,7 @@ class JobManager:
             if self._tracker.all_complete():
                 self._complete_job()
                 return
-        self.trace.mark_running(self.sim.now, len(self._running))
+        self.trace.mark_running(now, len(self._running))
         self._update_demand()
         self._start_ready_tasks()
 
@@ -583,9 +604,9 @@ class JobManager:
             if task.finish_handle is not None:
                 task.finish_handle.cancel()
                 task.finish_handle = None
-            self._running.remove(task)
+            siblings = self._release(task)
             self._record(task, OUTCOME_EVICTED, self.sim.now)
-            if not self._sibling_attempts(task):
+            if not siblings:
                 self._retry(task)
         self.trace.mark_running(self.sim.now, len(self._running))
         self._update_demand()
@@ -599,9 +620,9 @@ class JobManager:
             if task.finish_handle is not None:
                 task.finish_handle.cancel()
                 task.finish_handle = None
-            self._running.remove(task)
+            siblings = self._release(task)
             self._record(task, OUTCOME_FAILED, self.sim.now)
-            if not self._sibling_attempts(task):
+            if not siblings:
                 self._retry(task)
         if victims:
             self.trace.mark_running(self.sim.now, len(self._running))
@@ -623,7 +644,7 @@ class JobManager:
                 * max(self.consumer.guaranteed, len(self._running), 1)
             ),
         )
-        active_duplicates = sum(1 for t in self._running if t.is_duplicate)
+        active_duplicates = self._duplicates_in_flight
         duplicated = {t.task_id for t in self._running if t.is_duplicate}
         stragglers = []
         for task in sorted(

@@ -17,9 +17,14 @@ from repro.simkit.events import EventHandle
 TaskId = Tuple[str, int]
 
 
-@dataclass
+@dataclass(eq=False)
 class RunningTask:
-    """Bookkeeping for one in-flight attempt."""
+    """Bookkeeping for one in-flight attempt.
+
+    Attempts compare by identity (``eq=False``): ``list.remove``, ``in`` and
+    ``is`` must all mean *this* attempt, never another one whose fields
+    happen to match.
+    """
 
     task_id: TaskId
     attempt: int

@@ -6,6 +6,7 @@ from repro.cluster import Cluster, ClusterConfig, Consumer
 from repro.jobs.dag import Edge, EdgeType, JobGraph, Stage
 from repro.jobs.profiles import JobProfile, StageProfile
 from repro.runtime.jobmanager import JobManager, JobManagerError, run_to_completion
+from repro.runtime.task import RunningTask
 from repro.simkit.distributions import Constant
 from repro.simkit.events import Simulator
 from repro.simkit.random import RngRegistry
@@ -282,3 +283,37 @@ class TestRunToCompletion:
         manager = JobManager(cluster, graph, profile, initial_allocation=0)
         with pytest.raises(JobManagerError, match="did not finish"):
             run_to_completion(manager, max_seconds=100.0)
+
+
+class TestAttemptIdentity:
+    """Running attempts compare by identity: two attempts whose fields all
+    match are still two attempts (regression: the generated dataclass
+    ``__eq__`` made ``list.remove`` take whichever equal one came first)."""
+
+    def twins(self):
+        fields = dict(
+            task_id=("twin", 0), attempt=0, ready_time=0.0, start_time=1.0,
+            planned_end=11.0, machine=3, used_spare_token=False, will_fail=False,
+        )
+        return RunningTask(**fields), RunningTask(**fields)
+
+    def test_field_identical_attempts_are_distinct(self):
+        first, second = self.twins()
+        assert first != second
+        assert second not in [first]
+        running = [first, second]
+        running.remove(second)
+        assert running[0] is first
+
+    def test_release_removes_the_attempt_it_was_given(self):
+        sim = Simulator()
+        graph, profile = two_stage_job()
+        manager = JobManager(quiet_cluster(sim), graph, profile, initial_allocation=10)
+        first, second = self.twins()
+        second.is_duplicate = True
+        manager._running.extend([first, second])
+        manager._guaranteed_count += 2
+        manager._duplicates_in_flight += 1
+        assert manager._release(second) == [first]
+        assert manager._running[-1] is first
+        assert manager._duplicates_in_flight == 0
