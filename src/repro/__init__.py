@@ -18,7 +18,7 @@ Layering (bottom to top):
   Chrome/JSONL exporters, and the control-loop decision audit.
 * :mod:`repro.perf` — the performance observatory: hierarchical phase
   timers/counters for the simulator's hot paths, a cProfile wrapper with
-  collapsed-stack export, and schema-stamped benchmark digests
+  collapsed-stack export, and the schema-stamped digest of one run
   (``repro perf run`` / ``repro perf report``).
 * :mod:`repro.persist` — JSON bundles for trained models.
 * :mod:`repro.chaos` — declarative fault injection: cluster and

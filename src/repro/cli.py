@@ -382,31 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
              "otherwise) with a Performance section appended",
     )
     perf_report = perf_sub.add_parser(
-        "report", help="render a perf or benchmark digest as text"
+        "report", help="render a perf run digest as text"
     )
     perf_report.add_argument(
-        "file",
-        help="digest JSON: `perf run --json-out` or a "
-             "results/bench_*.json trajectory digest",
-    )
-    perf_compare = perf_sub.add_parser(
-        "compare",
-        help="compare two benchmark digests and print per-size "
-             "events/sec deltas",
-    )
-    perf_compare.add_argument(
-        "old",
-        help="baseline digest JSON (e.g. the committed "
-             "results/bench_sim_scale.json)",
-    )
-    perf_compare.add_argument(
-        "new", help="fresh digest JSON to compare against the baseline"
-    )
-    perf_compare.add_argument(
-        "--tolerance", type=float, default=None, metavar="FRAC",
-        help="flag events/sec drops beyond this fraction and exit "
-             "non-zero (default: the new digest's own tolerance, "
-             "else 0.15)",
+        "file", help="digest JSON written by `perf run --json-out`"
     )
 
     predict = sub.add_parser(
@@ -1214,32 +1193,6 @@ def cmd_perf_run(args, out) -> int:
     return 0 if trace.met_deadline() else 1
 
 
-def _render_sim_scale_digest(doc, out) -> None:
-    host = doc.get("host", {})
-    out.write(
-        f"bench_sim_scale digest (schema v{doc.get('schema_version', '?')}, "
-        f"{host.get('cpu_count', '?')} cpus, python "
-        f"{host.get('python', '?')})\n"
-    )
-    out.write(
-        f"{'events':>10s} {'wall [s]':>10s} {'events/sec':>12s} "
-        f"{'peak RSS [KiB]':>15s}\n"
-    )
-    for row in doc.get("sizes", ()):
-        rss = row.get("peak_rss_kb")
-        out.write(
-            f"{int(row['events']):>10d} {row['wall_seconds']:>10.4f} "
-            f"{row['events_per_sec']:>12,.0f} "
-            f"{rss if rss is not None else '-':>15}\n"
-        )
-    if "baseline_compared" in doc:
-        status = "ok" if not doc.get("regressions") else "REGRESSED"
-        out.write(
-            f"baseline comparison: {status} "
-            f"(tolerance {100 * doc.get('tolerance', 0):.0f}%)\n"
-        )
-
-
 def cmd_perf_report(args, out) -> int:
     from repro.perf import digest as perf_digest
     from repro.perf import instrument as perf_instrument
@@ -1249,91 +1202,34 @@ def cmd_perf_report(args, out) -> int:
     except (OSError, perf_digest.DigestError) as exc:
         out.write(f"error: cannot read perf digest: {exc}\n")
         return 1
-    if doc.get("benchmark") == "sim_scale":
-        _render_sim_scale_digest(doc, out)
-        return 0
-    if doc.get("kind") == "perf_run":
-        host = doc.get("host", {})
+    if doc.get("kind") != "perf_run":
         out.write(
-            f"perf run digest: job {doc.get('job', '?')!r} under "
-            f"{doc.get('policy', '?')} (schema "
-            f"v{doc.get('schema_version', '?')}, {host.get('cpu_count', '?')} "
-            f"cpus, python {host.get('python', '?')})\n"
+            f"error: {args.file} is not a perf run digest "
+            f"(kind={doc.get('kind')!r}, "
+            f"benchmark={doc.get('benchmark')!r})\n"
         )
-        out.write(
-            f"wall {doc.get('wall_seconds', 0):.3f}s, virtual "
-            f"{doc.get('virtual_seconds', 0):.0f}s, "
-            f"{doc.get('events_per_sec', 0):,.0f} events/sec, deadline "
-            f"{'MET' if doc.get('met_deadline') else 'MISSED'}\n"
-        )
-        out.write(perf_instrument.render_snapshot(
-            doc.get("perf", {}), wall_seconds=doc.get("wall_seconds"),
-        ))
-        return 0
-    # Any other schema-stamped bench digest: flat key/value listing.
-    out.write(f"digest {args.file}:\n")
-    for key in sorted(doc):
-        if key in ("host", "sizes", "perf"):
-            continue
-        out.write(f"  {key}: {doc[key]}\n")
-    return 0
-
-
-def cmd_perf_compare(args, out) -> int:
-    from repro.perf import digest as perf_digest
-
-    docs = []
-    for path in (args.old, args.new):
-        try:
-            docs.append(perf_digest.read_digest(path))
-        except (OSError, perf_digest.DigestError) as exc:
-            out.write(f"error: cannot read perf digest {path}: {exc}\n")
-            return 1
-    old_doc, new_doc = docs
-    old_rows = {int(r["events"]): r for r in old_doc.get("sizes", ())}
-    new_rows = {int(r["events"]): r for r in new_doc.get("sizes", ())}
-    common = sorted(set(old_rows) & set(new_rows))
-    if not common:
-        out.write("error: digests share no run sizes to compare\n")
         return 1
-    tolerance = args.tolerance
-    if tolerance is None:
-        tolerance = float(new_doc.get("tolerance", 0.15))
+    host = doc.get("host", {})
     out.write(
-        f"{'events':>10s} {'old ev/s':>12s} {'new ev/s':>12s} "
-        f"{'delta':>9s}\n"
+        f"perf run digest: job {doc.get('job', '?')!r} under "
+        f"{doc.get('policy', '?')} (schema "
+        f"v{doc.get('schema_version', '?')}, {host.get('cpu_count', '?')} "
+        f"cpus, python {host.get('python', '?')})\n"
     )
-    regressed = 0
-    for events in common:
-        old_eps = float(old_rows[events]["events_per_sec"])
-        new_eps = float(new_rows[events]["events_per_sec"])
-        ratio = new_eps / old_eps if old_eps > 0 else float("inf")
-        flag = ""
-        if ratio < 1.0 - tolerance:
-            regressed += 1
-            flag = "  REGRESSED"
-        out.write(
-            f"{events:>10d} {old_eps:>12,.0f} {new_eps:>12,.0f} "
-            f"{100 * (ratio - 1.0):>+8.1f}%{flag}\n"
-        )
-    for events in sorted(set(old_rows) ^ set(new_rows)):
-        side = "baseline" if events in old_rows else "new digest"
-        out.write(f"{events:>10d} only in {side}; skipped\n")
-    if regressed:
-        out.write(
-            f"{regressed} size(s) regressed beyond "
-            f"{tolerance:.0%} tolerance\n"
-        )
-        return 1
-    out.write(f"ok: no size regressed beyond {tolerance:.0%} tolerance\n")
+    out.write(
+        f"wall {doc.get('wall_seconds', 0):.3f}s, virtual "
+        f"{doc.get('virtual_seconds', 0):.0f}s, "
+        f"{doc.get('events_per_sec', 0):,.0f} events/sec, deadline "
+        f"{'MET' if doc.get('met_deadline') else 'MISSED'}\n"
+    )
+    out.write(perf_instrument.render_snapshot(
+        doc.get("perf", {}), wall_seconds=doc.get("wall_seconds"),
+    ))
     return 0
 
 
 def cmd_perf(args, out) -> int:
-    commands = {
-        "run": cmd_perf_run, "report": cmd_perf_report,
-        "compare": cmd_perf_compare,
-    }
+    commands = {"run": cmd_perf_run, "report": cmd_perf_report}
     return commands[args.perf_command](args, out)
 
 

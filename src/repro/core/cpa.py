@@ -23,7 +23,6 @@ Performance notes:
 from __future__ import annotations
 
 import bisect
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -32,7 +31,6 @@ import numpy as np
 from repro.core.simulator import simulate_job
 from repro.jobs.profiles import JobProfile
 from repro.parallel import parallel_map
-from repro.perf import instrument as _perf
 from repro.simkit.random import derive_seed
 
 
@@ -173,8 +171,6 @@ class CpaTable:
             base_seed = int(rng.integers(0, 2**63))
         else:
             raise CpaError("build needs an rng or an explicit seed")
-        perf = _perf.COLLECTOR
-        build_start = time.perf_counter() if perf.enabled else 0.0
         units = [(int(a), rep) for a in allocations for rep in range(reps)]
         specs = [
             (
@@ -198,9 +194,6 @@ class CpaTable:
         columns = {
             a: cls._finalize_column(raw) for a, raw in raw_bins.items()
         }
-        if perf.enabled:
-            perf.record("core.cpa_build", time.perf_counter() - build_start)
-            perf.count("core.cpa_build_units", len(units))
         return cls(allocations, columns, num_bins)
 
     @staticmethod

@@ -15,7 +15,6 @@ contributes one ``(p_t, T − t)`` sample per sampling interval.
 from __future__ import annotations
 
 import heapq
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -24,7 +23,6 @@ import numpy as np
 
 from repro.jobs.dag import DependencyTracker
 from repro.jobs.profiles import JobProfile, StageProfile
-from repro.perf import instrument as _perf
 from repro.simkit import distributions as _dist
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
@@ -147,8 +145,6 @@ def simulate_job(
     # not per task or per metric update.
     metrics_on = _metrics.REGISTRY.enabled
     rec = _trace.RECORDER
-    perf = _perf.COLLECTOR
-    perf_start = time.perf_counter() if perf.enabled else 0.0
     #: running tasks as (finish_time, seq, task id, will_fail); seq is unique,
     #: so ties on finish_time break on start order and nothing past it compares.
     running: List[Tuple[float, int, Tuple[str, int], bool]] = []
@@ -236,9 +232,6 @@ def simulate_job(
                  job=graph.name, allocation=allocation,
                  duration=duration, failures=failures,
                  cpu_seconds=total_cpu)
-    if perf.enabled:
-        perf.record("core.simulate_job", time.perf_counter() - perf_start)
-        perf.count("core.simulated_task_starts", seq)
     return SimulatedRun(
         allocation=allocation,
         duration=duration,

@@ -29,7 +29,6 @@ million-job arrival schedules stay cheap.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,7 +38,6 @@ from repro.core.utility import deadline_utility
 from repro.market.admission import MarketAdmission
 from repro.market.arbiter import Bid, Clearing, MarketArbiter, concave_marginals
 from repro.market.tenant import JobSpec, MarketError, MarketJob, Tenant
-from repro.perf import instrument as _perf
 from repro.simkit.events import Simulator
 from repro.telemetry import metrics as _metrics
 
@@ -283,15 +281,11 @@ class TokenMarket:
         """One market round at the simulator's current time."""
         now = self.sim.now
         dt = self.config.tick_seconds
-        perf = _perf.COLLECTOR
-        tick_start = time.perf_counter() if perf.enabled else 0.0
         rejected_before = sum(t.rejected for t in self.tenants.values())
         self.admission.tick(self.tenants, now)
         live = self.live_jobs
         grants, guaranteed_total, clearing = self._clear(live, dt)
         self._advance(live, grants, now, dt)
-        if perf.enabled:
-            perf.record("market.tick", time.perf_counter() - tick_start)
         rejected_after = sum(t.rejected for t in self.tenants.values())
         self._pending -= rejected_after - rejected_before
         queued = sum(len(t.queue) for t in self.tenants.values())

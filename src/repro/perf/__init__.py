@@ -6,21 +6,18 @@
   registry's ``enabled`` flag).
 * :mod:`repro.perf.profile` — cProfile/pstats wrapper with collapsed-stack
   (flamegraph-ready) export and a deterministic text summary.
-* :mod:`repro.perf.digest` — schema-stamped benchmark digests with host
-  metadata, shared by every ``results/bench_*.json`` writer, plus the
-  events/sec regression comparator CI uses.
+* :mod:`repro.perf.digest` — schema-stamped digests with host metadata
+  (``repro perf run --json-out``, ``repro loadgen``).
 
 The module-level :data:`~repro.perf.instrument.COLLECTOR` starts as the
 no-op :data:`~repro.perf.instrument.NULL` collector; ``repro perf run``
-and the benchmarks install a live :class:`PerfCollector` for the span they
-measure.  Instrumented seams only ever touch *wall* time — virtual time,
-RNG streams, and traces are byte-identical whether collection is on or
-off.
+installs a live :class:`PerfCollector` for the span it measures.
+Instrumented seams only ever touch *wall* time — virtual time, RNG
+streams, and traces are byte-identical whether collection is on or off.
 """
 
 from repro.perf.digest import (
     SCHEMA_VERSION,
-    compare_events_per_sec,
     host_metadata,
     peak_rss_kb,
     read_digest,
@@ -34,7 +31,6 @@ from repro.perf.instrument import (
     PerfCollector,
     PerfError,
     collecting,
-    get_collector,
     install,
     render_snapshot,
 )
@@ -49,8 +45,6 @@ __all__ = [
     "ProfileSession",
     "SCHEMA_VERSION",
     "collecting",
-    "compare_events_per_sec",
-    "get_collector",
     "host_metadata",
     "install",
     "peak_rss_kb",

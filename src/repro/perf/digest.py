@@ -1,18 +1,13 @@
-"""Schema-stamped benchmark digests with host metadata.
+"""Schema-stamped digests with host metadata.
 
-Every ``results/bench_*.json`` digest is written through :func:`stamp` /
-:func:`write_digest`, which add
+``repro perf run --json-out`` and ``repro loadgen`` write their digests
+through :func:`stamp` / :func:`write_digest`, which add
 
 * ``schema_version`` — bumped whenever a digest's structure changes, so
-  trajectory tooling can refuse to compare incompatible documents;
+  tooling can refuse to read incompatible documents;
 * ``host`` — cpu count, python version, platform — so a number measured
   on a 2-core CI sandbox is never mistaken for one from a 32-core build
   box.
-
-:func:`compare_events_per_sec` is the CI perf gate: given a fresh
-``bench_sim_scale`` digest and the committed baseline it returns the run
-sizes whose events/sec regressed beyond tolerance (matching sizes only —
-the smoke sweep covers a prefix of the default sweep's sizes).
 """
 
 from __future__ import annotations
@@ -21,14 +16,14 @@ import json
 import os
 import platform
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 #: Structure version for every digest written through this module.
 SCHEMA_VERSION = 2
 
 
 class DigestError(ValueError):
-    """Raised when a digest cannot be read or compared."""
+    """Raised when a digest cannot be read."""
 
 
 def host_metadata() -> Dict[str, object]:
@@ -82,38 +77,9 @@ def read_digest(path) -> Dict[str, object]:
     return document
 
 
-def compare_events_per_sec(
-    new: Dict[str, object],
-    baseline: Dict[str, object],
-    *,
-    tolerance: float = 0.15,
-) -> List[Tuple[int, float, float, float]]:
-    """Regressions between two ``bench_sim_scale`` digests.
-
-    Returns ``(events, new_eps, baseline_eps, ratio)`` for every run size
-    present in both digests where ``new_eps < (1 - tolerance) *
-    baseline_eps``.  An empty list means the trajectory held.
-    """
-    if not 0 <= tolerance < 1:
-        raise DigestError(f"tolerance {tolerance!r} out of [0, 1)")
-    new_sizes = {int(row["events"]): row for row in new.get("sizes", ())}
-    base_sizes = {int(row["events"]): row for row in baseline.get("sizes", ())}
-    regressions = []
-    for events in sorted(new_sizes.keys() & base_sizes.keys()):
-        new_eps = float(new_sizes[events]["events_per_sec"])
-        base_eps = float(base_sizes[events]["events_per_sec"])
-        if base_eps <= 0:
-            continue
-        ratio = new_eps / base_eps
-        if ratio < 1.0 - tolerance:
-            regressions.append((events, new_eps, base_eps, ratio))
-    return regressions
-
-
 __all__ = [
     "DigestError",
     "SCHEMA_VERSION",
-    "compare_events_per_sec",
     "host_metadata",
     "peak_rss_kb",
     "read_digest",

@@ -1,8 +1,7 @@
 """Hierarchical phase timers, counters, and latency recorders.
 
 The collector answers "where does wall time go?" for one measured span —
-a ``repro perf run``, a benchmark sweep, a control-loop soak.  Three
-instrument families:
+a ``repro perf run``.  Three instrument families:
 
 * **phases** — nested named spans (``with perf.phase("simulate"): ...``).
   A phase's key is its slash-joined path from the outermost open phase
@@ -233,11 +232,6 @@ NULL = NullCollector()
 COLLECTOR = NULL
 
 
-def get_collector():
-    """The currently installed collector (the no-op one when disabled)."""
-    return COLLECTOR
-
-
 def install(collector) -> object:
     """Make ``collector`` the active collector; returns the previous one.
     Passing ``None`` disables collection."""
@@ -344,7 +338,6 @@ __all__ = [
     "PerfError",
     "TIMER_RESERVOIR",
     "collecting",
-    "get_collector",
     "install",
     "render_snapshot",
 ]

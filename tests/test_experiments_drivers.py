@@ -2,6 +2,10 @@
 produces a well-formed report.  These are the repository's acceptance tests
 for the per-table/figure regeneration harness."""
 
+import ast
+import pathlib
+import re
+
 import pytest
 
 from repro.experiments import (
@@ -153,3 +157,33 @@ class TestFig12And13:
     def test_fig13(self):
         report = exp_fig12_13.run_fig13(SMOKE, seed=0)
         assert_report(report, "fig13", min_rows=5)
+
+
+class TestRegenerationHarnessIsWired:
+    """`pytest benchmarks/ --benchmark-only`, the documented way to
+    regenerate every table and figure, silently skips any test that does
+    not take the ``benchmark`` fixture; the docs name wrappers and drivers
+    by path."""
+
+    ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+    def test_every_bench_test_takes_the_benchmark_fixture(self):
+        for path in sorted((self.ROOT / "benchmarks").glob("bench_*.py")):
+            for node in ast.parse(path.read_text()).body:
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("test_"):
+                    assert "benchmark" in [a.arg for a in node.args.args], (
+                        f"{path.name}::{node.name} is skipped by --benchmark-only"
+                    )
+
+    @pytest.mark.parametrize("doc", ["DESIGN.md", "README.md", "EXPERIMENTS.md"])
+    def test_docs_name_only_files_that_exist(self, doc):
+        text = (self.ROOT / doc).read_text(encoding="utf-8")
+        paths = {
+            f"benchmarks/{name}"
+            for name in re.findall(r"\bbench_\w+\.py\b", text)
+        } | {
+            f"src/repro/experiments/{name}.py"
+            for name in re.findall(r"\bexp_[a-z0-9_]*[a-z0-9]\b", text)
+        }
+        missing = sorted(p for p in paths if not (self.ROOT / p).exists())
+        assert not missing, f"{doc} names files that do not exist: {missing}"

@@ -102,6 +102,25 @@ class TestMarketTickInvariants:
         assert all(not t.live for t in market.tenants.values())
         assert all(not t.queue for t in market.tenants.values())
 
+    def test_saturated_pooled_tick_fills_capacity_exactly(self):
+        """1 000 jobs that never finish, each guaranteed one token and
+        bidding for seven more, on a 2 000-token pool: every tick keeps all
+        of them live, grants every guarantee and sells every spare token."""
+        names = [f"t{t}" for t in range(10)]
+        market = TokenMarket(
+            [Tenant(name=name, quota=100) for name in names],
+            [
+                JobSpec(name=f"{name}-j{i}", tenant=name, work=1e9, width=8,
+                        deadline_seconds=2e9)
+                for name in names for i in range(100)
+            ],
+            MarketConfig(capacity=2000, mode="pooled"),
+        )
+        market.step()  # admits all 1 000
+        for _ in range(3):
+            sample = market.step()
+            assert sample.live == sample.guaranteed == sample.spare == 1000
+
 
 @st.composite
 def bid_schedules(draw):

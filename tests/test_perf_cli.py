@@ -69,7 +69,9 @@ class TestPerfRun:
         phases = doc["perf"]["phases"]
         assert {"load", "simulate", "report"} <= set(phases)
         assert doc["perf"]["counters"]["simkit.events_dispatched"] > 0
-        assert "control.tick" in doc["perf"]["timers"]
+        assert {"simkit.run", "control.tick", "control.cpa_query"} <= set(
+            doc["perf"]["timers"]
+        )
 
     def test_profile_out_writes_collapsed_stacks(self, bundle, tmp_path):
         folded = tmp_path / "run.folded"
@@ -115,34 +117,15 @@ class TestPerfReport:
         assert "perf run digest" in text
         assert "phase breakdown" in text
 
-    def test_renders_committed_sim_scale_digest(self):
-        committed = (
-            pathlib.Path(__file__).parent.parent
-            / "results" / "bench_sim_scale.json"
-        )
-        assert committed.exists(), (
-            "results/bench_sim_scale.json must be committed "
-            "(run benchmarks/bench_sim_scale.py)"
-        )
-        doc = json.loads(committed.read_text())
-        assert doc["schema_version"] >= 2
-        assert len(doc["sizes"]) >= 3
-        code, text = run_cli("perf", "report", str(committed))
-        assert code == 0
-        assert "bench_sim_scale digest" in text
-        assert "events/sec" in text
-
-    def test_renders_generic_bench_digest_as_key_values(self, tmp_path):
-        # Other bench digests (cpa_build, cpa_query, ...) fall back to a
-        # flat key/value listing.
-        from repro.perf.digest import write_digest
-
-        path = tmp_path / "bench_other.json"
-        write_digest(path, {"benchmark": "cpa_build", "speedup": 3.1})
+    def test_non_perf_run_digest_exits_one(self, tmp_path):
+        path = tmp_path / "other.json"
+        path.write_text('{"benchmark": "cpa_build", "speedup": 3.1}')
         code, text = run_cli("perf", "report", str(path))
-        assert code == 0
-        assert "benchmark: cpa_build" in text
-        assert "speedup: 3.1" in text
+        assert code == 1
+        assert text == (
+            f"error: {path} is not a perf run digest "
+            "(kind=None, benchmark='cpa_build')\n"
+        )
 
     def test_missing_digest_exits_one(self, tmp_path):
         code, text = run_cli("perf", "report", str(tmp_path / "nope.json"))
@@ -153,93 +136,6 @@ class TestPerfReport:
         bad = tmp_path / "bad.json"
         bad.write_text("not json{")
         code, text = run_cli("perf", "report", str(bad))
-        assert code == 1
-        assert "error" in text
-
-
-def _scale_digest(path, eps_by_size, tolerance=0.15):
-    from repro.perf.digest import write_digest
-
-    write_digest(path, {
-        "benchmark": "sim_scale",
-        "tolerance": tolerance,
-        "sizes": [
-            {"events": events, "events_per_sec": eps,
-             "wall_seconds": events / eps, "peak_rss_kb": 1000}
-            for events, eps in eps_by_size.items()
-        ],
-    })
-    return path
-
-
-class TestPerfCompare:
-    def test_committed_digest_vs_itself_is_flat(self):
-        committed = (
-            pathlib.Path(__file__).parent.parent
-            / "results" / "bench_sim_scale.json"
-        )
-        code, text = run_cli(
-            "perf", "compare", str(committed), str(committed)
-        )
-        assert code == 0
-        assert "+0.0%" in text
-        assert "ok: no size regressed" in text
-
-    def test_regression_flags_size_and_exits_one(self, tmp_path):
-        old = _scale_digest(
-            tmp_path / "old.json", {1000: 100_000.0, 10_000: 90_000.0}
-        )
-        new = _scale_digest(
-            tmp_path / "new.json", {1000: 40_000.0, 10_000: 95_000.0}
-        )
-        code, text = run_cli("perf", "compare", str(old), str(new))
-        assert code == 1
-        assert "REGRESSED" in text
-        assert "-60.0%" in text
-        assert "1 size(s) regressed" in text
-
-    def test_improvement_reports_positive_delta(self, tmp_path):
-        old = _scale_digest(tmp_path / "old.json", {1000: 100_000.0})
-        new = _scale_digest(tmp_path / "new.json", {1000: 250_000.0})
-        code, text = run_cli("perf", "compare", str(old), str(new))
-        assert code == 0
-        assert "+150.0%" in text
-
-    def test_tolerance_flag_overrides_digest(self, tmp_path):
-        old = _scale_digest(tmp_path / "old.json", {1000: 100_000.0})
-        new = _scale_digest(tmp_path / "new.json", {1000: 90_000.0})
-        code, _text = run_cli("perf", "compare", str(old), str(new))
-        assert code == 0  # 10% drop within the default 15%
-        code, text = run_cli(
-            "perf", "compare", str(old), str(new), "--tolerance", "0.05"
-        )
-        assert code == 1
-        assert "REGRESSED" in text
-
-    def test_extra_sizes_are_noted_and_skipped(self, tmp_path):
-        old = _scale_digest(tmp_path / "old.json", {1000: 100_000.0})
-        new = _scale_digest(
-            tmp_path / "new.json", {1000: 100_000.0, 10_000: 90_000.0}
-        )
-        code, text = run_cli("perf", "compare", str(old), str(new))
-        assert code == 0
-        assert "only in new digest; skipped" in text
-
-    def test_disjoint_sizes_error(self, tmp_path):
-        old = _scale_digest(tmp_path / "old.json", {1000: 100_000.0})
-        new = _scale_digest(tmp_path / "new.json", {2000: 100_000.0})
-        code, text = run_cli("perf", "compare", str(old), str(new))
-        assert code == 1
-        assert "share no run sizes" in text
-
-    def test_missing_file_exits_one(self, tmp_path):
-        committed = (
-            pathlib.Path(__file__).parent.parent
-            / "results" / "bench_sim_scale.json"
-        )
-        code, text = run_cli(
-            "perf", "compare", str(tmp_path / "nope.json"), str(committed)
-        )
         assert code == 1
         assert "error" in text
 

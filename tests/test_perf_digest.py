@@ -1,4 +1,4 @@
-"""Unit tests for schema-stamped benchmark digests (repro.perf.digest)."""
+"""Unit tests for schema-stamped digests (repro.perf.digest)."""
 
 import json
 
@@ -7,23 +7,12 @@ import pytest
 from repro.perf.digest import (
     SCHEMA_VERSION,
     DigestError,
-    compare_events_per_sec,
     host_metadata,
     peak_rss_kb,
     read_digest,
     stamp,
     write_digest,
 )
-
-
-def _scale_digest(rows):
-    return {
-        "benchmark": "sim_scale",
-        "sizes": [
-            {"events": events, "events_per_sec": eps}
-            for events, eps in rows
-        ],
-    }
 
 
 class TestStamping:
@@ -63,45 +52,3 @@ class TestStamping:
         bad.write_text("[1, 2]")
         with pytest.raises(DigestError):
             read_digest(bad)
-
-
-class TestCompare:
-    def test_no_regression_within_tolerance(self):
-        new = _scale_digest([(1000, 90.0), (10000, 86.0)])
-        base = _scale_digest([(1000, 100.0), (10000, 100.0)])
-        assert compare_events_per_sec(new, base, tolerance=0.15) == []
-
-    def test_regression_beyond_tolerance_reported(self):
-        new = _scale_digest([(1000, 80.0), (10000, 100.0)])
-        base = _scale_digest([(1000, 100.0), (10000, 100.0)])
-        regressions = compare_events_per_sec(new, base, tolerance=0.15)
-        assert len(regressions) == 1
-        events, new_eps, base_eps, ratio = regressions[0]
-        assert events == 1000
-        assert new_eps == 80.0
-        assert base_eps == 100.0
-        assert ratio == pytest.approx(0.8)
-
-    def test_only_intersecting_sizes_compared(self):
-        # Smoke sweep (prefix) vs full baseline: the extra baseline size
-        # must not count as a regression.
-        new = _scale_digest([(1000, 100.0)])
-        base = _scale_digest([(1000, 100.0), (1_000_000, 100.0)])
-        assert compare_events_per_sec(new, base) == []
-
-    def test_zero_baseline_rows_skipped(self):
-        new = _scale_digest([(1000, 50.0)])
-        base = _scale_digest([(1000, 0.0)])
-        assert compare_events_per_sec(new, base) == []
-
-    def test_bad_tolerance_rejected(self):
-        digest = _scale_digest([(1000, 1.0)])
-        with pytest.raises(DigestError):
-            compare_events_per_sec(digest, digest, tolerance=1.5)
-        with pytest.raises(DigestError):
-            compare_events_per_sec(digest, digest, tolerance=-0.1)
-
-    def test_faster_is_never_a_regression(self):
-        new = _scale_digest([(1000, 500.0)])
-        base = _scale_digest([(1000, 100.0)])
-        assert compare_events_per_sec(new, base) == []

@@ -461,6 +461,18 @@ class TestSubmitValidation:
         assert reply["job_id"] == "job-00001"
         assert svc._tenants["default"].submitted == 1
 
+    def test_back_to_back_submits_each_get_a_verdict(self, svc):
+        """The front door never drops: 100 submissions, 100 verdicts."""
+        verdicts = {"running": 0, "queued": 0, "rejected": 0}
+        for _ in range(100):
+            reply = svc.submit({
+                "template": "tiny", "policy": "jockey-no-sim",
+                "deadline_minutes": 600.0,
+            })
+            verdicts[reply["status"]] += 1
+        assert sum(verdicts.values()) == 100
+        assert len(svc._jobs) == svc._tenants["default"].submitted == 100
+
     @pytest.mark.parametrize("field", ["tasks", "task_seconds"])
     def test_non_numeric_command_field_is_a_400_naming_it(self, svc, field):
         message = self.refused(svc, {

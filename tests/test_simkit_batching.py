@@ -16,6 +16,7 @@ Three layers of evidence that the throughput refactor changed no results:
 import hashlib
 import io
 import json
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -297,6 +298,52 @@ class TestQueueInvariants:
         sim.call_after(1.0, fired.append, "after")
         sim.run()
         assert fired == ["live", "after"]
+
+    def test_mixed_storm_is_deterministic(self):
+        """Re-launching waves, self-rescheduling chains and cancelled
+        long-horizon victims take their order from the queue alone."""
+        a, b = _storm(), _storm()
+        assert a.compactions > 0  # the victims reached the compactor
+        assert (a.now, a.events_scheduled, a.heap_size, a.compactions) == (
+            b.now, b.events_scheduled, b.heap_size, b.compactions
+        )
+
+
+def _storm() -> Simulator:
+    """5 000 events of: two 192-task completion waves that re-launch on
+    drain, eight control chains on integer-mixed delays (no RNG), and a
+    ~200 s victim every fourth chain step, cancelled once 32 are out."""
+    sim = Simulator()
+    offsets = [1.0 + ((i * 2654435761) & 0xFFFF) / 16384.0 for i in range(192)]
+    victims = deque()
+    left = [0, 0]
+
+    def chain_step(state):
+        state[1] += 1
+        mixed = (state[0] * 2654435761 + state[1] * 40503) & 0xFFFF
+        sim.call_after(0.25 + mixed / 65536.0, chain_step, state)
+        if state[1] % 4 == 0:
+            victims.append(sim.schedule(200.0 + mixed / 256.0, lambda: None))
+            if len(victims) > 32:
+                victims.popleft().cancel()
+
+    def launch(wave):
+        left[wave] = len(offsets)
+        sim.schedule_batch(
+            [sim.now + off for off in offsets], task_done, [wave] * len(offsets)
+        )
+
+    def task_done(wave):
+        left[wave] -= 1
+        if not left[wave]:
+            launch(wave)
+
+    for chain in range(8):
+        sim.call_after(0.001 * (chain + 1), chain_step, [chain, 0])
+    launch(0)
+    launch(1)
+    sim.run(max_events=5_000)
+    return sim
 
 
 # ----------------------------------------------------------------------
