@@ -118,7 +118,7 @@ class MarketAdmission:
             _QUEUE_WAITS.inc()
             return ("queued", None, None)
         job = MarketJob(spec=spec, guarantee=minimum, admitted_at=now)
-        tenant.live[spec.name] = job
+        tenant.admit(job)
         tenant.admitted += 1
         tenant.queue_delay_total += job.queue_delay
         self.stats.admitted += 1

@@ -1,16 +1,19 @@
 """The token market's tick loop: admission, clearing, work drain.
 
-Every tick the engine
+The live set is the engine's own struct-of-arrays (``_LIVE_DTYPE``: one
+row per live job, tenant name then job name); rows join once per tick
+that admits and leave in one compress when jobs complete, and the
+``MarketJob`` objects are the reporting view.  Every tick the engine
 
 1. runs the admission pass (:mod:`repro.market.admission`),
 2. hands each live job the guaranteed part of its grant —
    ``min(guarantee, demand)`` — straight off its admission reservation
    (spare traffic can *never* displace it),
 3. auctions the leftover capacity as spare tokens
-   (:mod:`repro.market.arbiter`), with the bids built in one vectorized
-   pass over every live job, and
-4. drains each job's remaining work at its granted token rate,
-   completing and releasing jobs whose work hits zero.
+   (:mod:`repro.market.arbiter`), the bids computed, clamped and cleared
+   as one flat array that is never sliced per job, and
+4. drains every job's remaining work at its granted rate in one array
+   operation, visiting one by one only the jobs that complete.
 
 Two market structures, the PAPERS.md "When Two is Worse Than One"
 comparison:
@@ -36,7 +39,7 @@ import numpy as np
 
 from repro.core.utility import deadline_utility
 from repro.market.admission import MarketAdmission
-from repro.market.arbiter import Bid, Clearing, MarketArbiter, concave_marginals
+from repro.market.arbiter import BidBook, Clearing, MarketArbiter, concave_marginals
 from repro.market.tenant import JobSpec, MarketError, MarketJob, Tenant
 from repro.simkit.events import Simulator
 from repro.telemetry import metrics as _metrics
@@ -53,20 +56,17 @@ _LIVE = _metrics.REGISTRY.gauge(
     "repro_market_live_jobs", "Live (admitted, unfinished) jobs"
 )
 
-#: Utility floor for a job granted nothing: the paper's worst utility
-#: (−1000 at deadline + 1000 minutes).  Bounded so starving jobs bid
-#: urgently but finitely.
-_UTILITY_FLOOR = -1000.0
-
 #: The paper's piecewise-linear deadline utility, expressed relative to
 #: the deadline: flat 1 until it, −1 ten minutes later, −1000 a thousand
 #: minutes later.  Read off :func:`repro.core.utility.deadline_utility`
 #: (its points from the deadline on) so the two cannot disagree; past the
-#: last point ``np.interp`` holds −1000 where the core function keeps
-#: falling, which is the bound ``_UTILITY_FLOOR`` relies on.
+#: last point ``np.interp`` holds ``_UTILITY_FLOOR`` (the paper's worst
+#: utility, −1000 at deadline + 1000 minutes) where the core function
+#: keeps falling, so starving jobs bid urgently but finitely.
 _FROM_DEADLINE = deadline_utility(1.0).points[1:]
 _UTIL_X = np.array([t - 1.0 for t, _u in _FROM_DEADLINE])
 _UTIL_Y = np.array([u for _t, u in _FROM_DEADLINE])
+_UTILITY_FLOOR = float(_UTIL_Y[-1])
 
 #: Work-conserving bid floor: an unfinished job values its ``k``-th token
 #: at least ``_EPS_BID / k`` even when its guarantee already meets the
@@ -75,6 +75,16 @@ _UTIL_Y = np.array([u for _t, u in _FROM_DEADLINE])
 #: any real utility gap, so genuinely late jobs always outbid cruising
 #: ones.  ``/ k`` keeps schedules strictly decreasing (prefix grants).
 _EPS_BID = 1e-6
+
+#: One row per live job.  ``remaining`` and ``allocation`` are the state
+#: the tick moves; the rest is fixed at admission, except ``rank`` (the
+#: job's name order among the live jobs — the auction's tie-break), which
+#: is recomputed whenever jobs join.  ``job`` is the reporting view.
+_LIVE_DTYPE = np.dtype([
+    ("remaining", "f8"), ("deadline", "f8"), ("width", "i8"),
+    ("guarantee", "i8"), ("tenant", "i8"), ("rank", "i8"),
+    ("allocation", "i8"), ("name", "O"), ("job", "O"),
+])
 
 
 def _utility_at(lateness: np.ndarray) -> np.ndarray:
@@ -179,11 +189,9 @@ class MarketResult:
         }
 
 
-def _tenant_buckets(
-    tenants: Sequence[Tenant], capacity: int
-) -> Dict[str, int]:
+def _tenant_buckets(tenants: Sequence[Tenant], capacity: int) -> List[int]:
     """Split ``capacity`` across tenants proportional to quota
-    (largest-remainder rounding, name-ordered for determinism)."""
+    (largest-remainder rounding), in tenant-name order."""
     ordered = sorted(tenants, key=lambda t: t.name)
     total_quota = sum(t.quota for t in ordered)
     shares = [capacity * t.quota / total_quota for t in ordered]
@@ -195,7 +203,7 @@ def _tenant_buckets(
     )
     for i in by_frac[:leftover]:
         floors[i] += 1
-    return {t.name: f for t, f in zip(ordered, floors)}
+    return floors
 
 
 class TokenMarket:
@@ -224,6 +232,9 @@ class TokenMarket:
         if len(set(job_names)) != len(job_names):
             raise MarketError("duplicate job names")
         self.tenants: Dict[str, Tenant] = {t.name: t for t in tenants}
+        self._tenant_names = sorted(self.tenants)
+        self._tenant_index = {n: i for i, n in enumerate(self._tenant_names)}
+        self._live = np.empty(0, dtype=_LIVE_DTYPE)
         for spec in jobs:
             if spec.tenant not in self.tenants:
                 raise MarketError(
@@ -239,9 +250,10 @@ class TokenMarket:
         self._samples: List[TickSample] = []
         self._completions: List[Dict] = []
         self._ticks = 0
+        #: Spare-auction buckets: one per tenant, or the whole cluster.
         self._buckets = (
             _tenant_buckets(tenants, config.capacity)
-            if config.mode == "split" else {}
+            if config.mode == "split" else [config.capacity]
         )
         # One batched heap merge for the whole arrival schedule.
         self.sim.schedule_batch(
@@ -265,13 +277,24 @@ class TokenMarket:
 
     @property
     def live_jobs(self) -> List[MarketJob]:
-        out: List[MarketJob] = []
-        for name in sorted(self.tenants):
-            out.extend(
-                self.tenants[name].live[j]
-                for j in sorted(self.tenants[name].live)
-            )
-        return out
+        """The live jobs, tenant name then job name, with ``remaining``
+        and ``allocation`` written back from the engine's arrays."""
+        jobs = self._live["job"].tolist()
+        state = self._live[["remaining", "allocation"]].tolist()
+        for job, (remaining, allocation) in zip(jobs, state):
+            job.remaining, job.allocation = remaining, allocation
+        return jobs
+
+    def _join(self, admitted: List[MarketJob]) -> None:
+        """Append newly admitted jobs, re-rank every name and restore
+        the (tenant, job name) order — once per tick that admits."""
+        live = np.concatenate((self._live, np.array([
+            (j.remaining, j.spec.absolute_deadline, j.spec.width,
+             j.guarantee, self._tenant_index[j.tenant], 0, 0, j.name, j)
+            for j in admitted
+        ], dtype=_LIVE_DTYPE)))
+        live["rank"][np.argsort(live["name"])] = np.arange(live.size)
+        self._live = live[np.lexsort((live["rank"], live["tenant"]))]
 
     # ------------------------------------------------------------------
     # The tick
@@ -281,178 +304,115 @@ class TokenMarket:
         """One market round at the simulator's current time."""
         now = self.sim.now
         dt = self.config.tick_seconds
-        rejected_before = sum(t.rejected for t in self.tenants.values())
-        self.admission.tick(self.tenants, now)
-        live = self.live_jobs
-        grants, guaranteed_total, clearing = self._clear(live, dt)
-        self._advance(live, grants, now, dt)
-        rejected_after = sum(t.rejected for t in self.tenants.values())
-        self._pending -= rejected_after - rejected_before
-        queued = sum(len(t.queue) for t in self.tenants.values())
+        rejected_before = self.admission.stats.rejected
+        admitted = self.admission.tick(self.tenants, now)
+        if admitted:
+            self._join(admitted)
+        g, clearing = self._clear(dt)
+        grants = g + clearing.granted
+        guaranteed, granted = int(g.sum()), int(grants.sum())
+        self._advance(grants, now, dt)
+        self._pending -= self.admission.stats.rejected - rejected_before
         sample = TickSample(
-            tick=self._ticks,
-            now=now,
-            live=len(live),
-            queued=queued,
-            granted=int(sum(grants)),
-            guaranteed=guaranteed_total,
-            spare=int(sum(grants)) - guaranteed_total,
-            price=clearing.price,
-            demand=clearing.demand,
+            tick=self._ticks, now=now, live=g.size,
+            queued=sum(len(t.queue) for t in self.tenants.values()),
+            granted=granted, guaranteed=guaranteed, spare=granted - guaranteed,
+            price=clearing.price, demand=clearing.demand,
         )
         self._samples.append(sample)
         self._ticks += 1
         _TICKS.inc()
         _PRICE.set(clearing.price)
-        _LIVE.set(len(live))
+        _LIVE.set(g.size)
         return sample
 
-    def _clear(
-        self, live: List[MarketJob], dt: float
-    ) -> Tuple[np.ndarray, int, Clearing]:
-        """Guaranteed grants plus the spare auction(s).
-
-        Returns (per-job total grants aligned with ``live``, total
-        guaranteed part, the clearing — for split mode the bucket
-        clearings merged, with the price reported as the dearest
-        bucket's price).
-        """
-        n = len(live)
-        if n == 0:
-            return np.empty(0, dtype=np.int64), 0, Clearing(
-                supply=self.config.capacity
+    def _clear(self, dt: float) -> Tuple[np.ndarray, Clearing]:
+        """The guaranteed part of every live job's grant, and the spare
+        auction on top of it: the bucket clearings merged (one bucket when
+        pooled), the price being the dearest bucket's."""
+        live = self._live
+        demand = np.minimum(live["width"], np.maximum(
+            1, np.ceil(live["remaining"] / dt).astype(np.int64)
+        ))
+        # >= 1 for every live job: admission reserves at least one token.
+        g = np.minimum(live["guarantee"], demand)
+        values, job_idx, step = self._bid_schedules(g, demand)
+        names, ranks = live["name"], live["rank"]
+        # Pooled is one bucket over the whole live set; in split mode each
+        # tenant is a contiguous slice of it, and so of the flat bids.
+        edges = np.array([0, live.size])
+        if self.config.mode == "split":
+            edges = np.searchsorted(live["tenant"], np.arange(len(self._buckets) + 1))
+        flat = np.searchsorted(job_idx, edges)
+        merged = Clearing(names, np.zeros_like(g))
+        for t, bucket in enumerate(self._buckets):
+            jobs = slice(edges[t], edges[t + 1])
+            bids = slice(flat[t], flat[t + 1])
+            book = BidBook(
+                names[jobs], ranks[jobs], values[bids], job_idx[bids] - edges[t], step[bids]
             )
-        remaining = np.array([j.remaining for j in live])
-        width = np.array([j.spec.width for j in live], dtype=np.int64)
-        deadline = np.array([j.spec.absolute_deadline for j in live])
-        guarantee = np.array([j.guarantee for j in live], dtype=np.int64)
-        demand = np.minimum(
-            width, np.maximum(1, np.ceil(remaining / dt).astype(np.int64))
-        )
-        g = np.minimum(guarantee, demand)
-        marginals = self._bid_schedules(
-            live, remaining, deadline, g, demand
-        )
-        if self.config.mode == "pooled":
-            supply = self.config.capacity - int(g.sum())
-            bids = [
-                Bid(job=j.name, tenant=j.tenant, marginals=m)
-                for j, m in zip(live, marginals) if m
-            ]
-            clearing = self.arbiter.clear(bids, supply)
-            spare = np.array(
-                [clearing.grants.get(j.name, 0) for j in live],
-                dtype=np.int64,
-            )
-            return g + spare, int(g.sum()), clearing
-        # split: one auction per tenant bucket.
-        spare = np.zeros(n, dtype=np.int64)
-        price = 0.0
-        demand_total = 0
-        value_total = 0.0
-        grants_all: Dict[str, int] = {}
-        supply_total = 0
-        for name in sorted(self.tenants):
-            idx = [i for i, j in enumerate(live) if j.tenant == name]
-            bucket = self._buckets[name]
-            g_used = int(g[idx].sum()) if idx else 0
-            supply = max(0, bucket - g_used)
-            supply_total += supply
-            bids = [
-                Bid(job=live[i].name, tenant=name, marginals=marginals[i])
-                for i in idx if marginals[i]
-            ]
-            clearing = self.arbiter.clear(bids, supply)
-            for i in idx:
-                spare[i] = clearing.grants.get(live[i].name, 0)
-            price = max(price, clearing.price)
-            demand_total += clearing.demand
-            value_total += clearing.value
-            grants_all.update(clearing.grants)
-        merged = Clearing(
-            grants=grants_all,
-            price=price,
-            supply=supply_total,
-            demand=demand_total,
-            value=value_total,
-        )
-        return g + spare, int(g.sum()), merged
+            clearing = self.arbiter.clear(book, max(0, bucket - int(g[jobs].sum())))
+            merged.granted[jobs] = clearing.granted
+            merged.price = max(merged.price, clearing.price)
+            merged.supply += clearing.supply
+            merged.demand += clearing.demand
+            merged.value += clearing.value
+        return g, merged
 
-    def _bid_schedules(
-        self,
-        live: List[MarketJob],
-        remaining: np.ndarray,
-        deadline: np.ndarray,
-        g: np.ndarray,
-        demand: np.ndarray,
-    ) -> List[Tuple[float, ...]]:
-        """Marginal-value schedules for tokens ``g+1 .. demand``, built
-        for every live job in one flat vectorized pass (this is what
-        keeps thousand-job ticks cheap)."""
+    def _bid_schedules(self, g: np.ndarray, demand: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Marginal values of tokens ``g+1 .. demand`` for every live job,
+        flat in the :class:`BidBook` layout and never sliced per job:
+        ``(values, job_idx, step)``, entry ``i`` being job ``job_idx[i]``'s
+        ``g + step[i] + 1``-th token."""
+        live = self._live
         now = self.sim.now
         slack = self.config.slack
-        counts = (demand - g).astype(np.int64)
-        total = int(counts.sum())
-        if total == 0:
-            return [() for _ in live]
-        job_idx = np.repeat(np.arange(len(live)), counts)
-        offsets = np.concatenate(([0], np.cumsum(counts)))[:-1]
-        k_local = np.arange(total) - np.repeat(offsets, counts) + 1
-        k = g[job_idx] + k_local
-        finish = now + slack * remaining[job_idx] / k
-        values = _utility_at(finish - deadline[job_idx])
-        bonus = _EPS_BID / k
-        # Utility at the guaranteed-only allocation (the schedule's floor);
-        # jobs with zero guarantee start from the worst-case utility.
-        g_pos = g > 0
-        floors = np.full(len(live), _UTILITY_FLOOR)
-        if g_pos.any():
-            finish_g = now + slack * remaining[g_pos] / g[g_pos]
-            floors[g_pos] = _utility_at(finish_g - deadline[g_pos])
-        schedules: List[Tuple[float, ...]] = []
-        for i, count in enumerate(counts):
-            if count == 0:
-                schedules.append(())
-                continue
-            start = offsets[i]
-            seg = concave_marginals(
-                values[start:start + count], floors[i]
-            )
-            seg = seg + bonus[start:start + count]
-            schedules.append(tuple(seg))
-        return schedules
+        job_idx, step = BidBook.layout(demand - g)
+        k = g[job_idx] + step + 1
+        remaining, deadline = live["remaining"], live["deadline"]
+        # Utility of finishing at now + slack * remaining / tokens: with k
+        # tokens, and (each schedule's floor) with the guarantee alone.
+        curve = _utility_at(
+            now + slack * remaining[job_idx] / k - deadline[job_idx]
+        )
+        floors = _utility_at(now + slack * remaining / g - deadline)
+        values = concave_marginals(curve, floors[job_idx], step)
+        values += _EPS_BID / k
+        return values, job_idx, step
 
-    def _advance(
-        self,
-        live: List[MarketJob],
-        grants: np.ndarray,
-        now: float,
-        dt: float,
-    ) -> None:
-        for job, grant in zip(live, grants):
-            job.allocation = int(grant)
-            if grant <= 0:
-                continue
-            drained = float(grant) * dt
-            if drained >= job.remaining - 1e-9:
-                # Interpolated completion inside the tick.
-                job.finished_at = now + job.remaining / float(grant)
-                job.remaining = 0.0
-                tenant = self.tenants[job.tenant]
-                del tenant.live[job.name]
-                tenant.completed += 1
-                if job.met_deadline:
-                    tenant.met += 1
-                self._pending -= 1
-                self._completions.append({
-                    "job": job.name,
-                    "tenant": job.tenant,
-                    "finished_at": round(job.finished_at, 6),
-                    "met": job.met_deadline,
-                    "queue_delay": round(job.queue_delay, 6),
-                })
-            else:
-                job.remaining -= drained
+    def _advance(self, grants: np.ndarray, now: float, dt: float) -> None:
+        """Drain every job at its granted rate; complete and release the
+        ones whose work runs out inside the tick."""
+        live = self._live
+        live["allocation"] = grants
+        remaining = live["remaining"]
+        drained = grants * dt
+        done = (grants > 0) & (drained >= remaining - 1e-9)
+        # Interpolated completion inside the tick.
+        finished = (now + remaining[done] / grants[done]).tolist()
+        remaining -= drained
+        if not finished:
+            return
+        for job, finished_at, allocation in zip(
+            live["job"][done].tolist(), finished, grants[done].tolist()
+        ):
+            job.finished_at = finished_at
+            job.remaining = 0.0
+            job.allocation = allocation
+            tenant = self.tenants[job.tenant]
+            tenant.release(job.name)
+            tenant.completed += 1
+            if job.met_deadline:
+                tenant.met += 1
+            self._pending -= 1
+            self._completions.append({
+                "job": job.name,
+                "tenant": job.tenant,
+                "finished_at": round(finished_at, 6),
+                "met": job.met_deadline,
+                "queue_delay": round(job.queue_delay, 6),
+            })
+        self._live = live[~done]
 
     # ------------------------------------------------------------------
     # Driving
@@ -483,7 +443,7 @@ class TokenMarket:
             tick_seconds=self.config.tick_seconds,
             ticks=self._ticks,
             tenants=[
-                self.tenants[name].stats() for name in sorted(self.tenants)
+                self.tenants[name].stats() for name in self._tenant_names
             ],
             samples=list(self._samples),
             completions=sorted(

@@ -1,13 +1,14 @@
 """Tenants and the jobs they submit to the token market.
 
-A *tenant* is the unit of isolation: it owns a guaranteed-token quota,
-a FIFO queue of not-yet-admitted jobs, and the set of its live jobs.
-Jobs are deliberately fluid-model lightweight — remaining work drains at
-the granted token rate — so a single market tick over thousands of live
-jobs stays a handful of vectorized array operations rather than a full
-per-task simulation (the per-job C(p, a) machinery stays in
-:mod:`repro.core`; the market reproduces its *allocation* behavior, not
-its task scheduling).
+A *tenant* is the unit of isolation: it owns a guaranteed-token quota, a
+FIFO queue of not-yet-admitted jobs, the name -> job dict of its live jobs
+and the ledger of what they reserve (``guaranteed_in_use``, moved only by
+:meth:`Tenant.admit` / :meth:`Tenant.release`).  Jobs are fluid-model
+lightweight — remaining work drains at the granted token rate, with no
+per-task simulation (that stays in :mod:`repro.core`; the market
+reproduces its *allocation* behavior).  A live job's ``remaining`` and
+``allocation`` are held in the :class:`~repro.market.engine.TokenMarket`'s
+arrays; the :class:`MarketJob` is the view they are written back to.
 """
 
 from __future__ import annotations
@@ -58,11 +59,6 @@ class JobSpec:
     @property
     def absolute_deadline(self) -> float:
         return self.submit_seconds + self.deadline_seconds
-
-    @property
-    def ideal_duration(self) -> float:
-        """Fastest possible execution: full width from the first second."""
-        return self.work / self.width
 
 
 @dataclass
@@ -130,6 +126,8 @@ class Tenant:
     #: reason -> count of rejections.
     rejected_reasons: Dict[str, int] = field(default_factory=dict)
     queue_delay_total: float = 0.0
+    #: Sum of the live jobs' guarantees (the reservation ledger).
+    guaranteed_in_use: int = field(default=0, init=False)
 
     def __post_init__(self):
         if not self.name:
@@ -137,9 +135,17 @@ class Tenant:
         if self.quota < 1:
             raise MarketError(f"tenant {self.name!r}: quota must be >= 1")
 
-    @property
-    def guaranteed_in_use(self) -> int:
-        return sum(j.guarantee for j in self.live.values())
+    def admit(self, job: MarketJob) -> None:
+        """Make ``job`` live and reserve its guarantee."""
+        self.live[job.name] = job
+        self.guaranteed_in_use += job.guarantee
+
+    def release(self, name: str) -> Optional[MarketJob]:
+        """Drop a live job (if ``name`` is one) and free its guarantee."""
+        job = self.live.pop(name, None)
+        if job is not None:
+            self.guaranteed_in_use -= job.guarantee
+        return job
 
     def reject(self, reason: str) -> None:
         self.rejected += 1

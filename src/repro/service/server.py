@@ -815,7 +815,7 @@ class ClusterService:
         _JOBS_FINISHED.labels(outcome="met" if met else "missed").inc()
         tenant = self._tenants.get(job.tenant)
         if tenant is not None:
-            market_job = tenant.live.pop(job.job_id, None)
+            market_job = tenant.release(job.job_id)
             if market_job is not None:
                 market_job.finished_at = now
                 market_job.remaining = 0.0
@@ -831,7 +831,7 @@ class ClusterService:
         _JOBS_FINISHED.labels(outcome="failed").inc()
         tenant = self._tenants.get(job.tenant)
         if tenant is not None:
-            market_job = tenant.live.pop(job.job_id, None)
+            market_job = tenant.release(job.job_id)
             if market_job is not None:
                 market_job.finished_at = now
             tenant.completed += 1

@@ -109,7 +109,7 @@ class TestAdmissionController:
         tenant = Tenant(name="t", quota=5)
         admission = MarketAdmission(slack=1.0)
         admission.admit_one(tenant, spec("a", 120.0, 30.0), 0.0)
-        del tenant.live["a"]  # what the engine does on completion
+        tenant.release("a")  # what the engine does on completion
         assert admission.admit_one(tenant, spec("b", 120.0, 30.0), 0.0)[0] == "admitted"
 
     def test_release_unknown(self):

@@ -8,11 +8,13 @@ by-definition reference the clearing is compared with.
 import heapq
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.multijob import split_slice
-from repro.market.arbiter import concave_marginals
+from repro.market.arbiter import Bid, BidBook, MarketArbiter, concave_marginals
+from repro.market.tenant import MarketError
 
 
 def heap_walk(utilities, total_tokens, *, min_tokens, step):
@@ -98,3 +100,96 @@ class TestBlockSchedule:
         (+0.5), and a loss bids nothing."""
         curve = np.array([1.0, 1.5, 4.5, 4.0])
         assert concave_marginals(curve, 0.0).tolist() == [1.0, 0.5, 0.5, 0.0]
+
+
+#: Utility values: a few repeated ones (flat stretches and exact ties in
+#: the running minimum) among arbitrary floats.
+utility_values = st.one_of(
+    st.sampled_from([-1000.0, -1.0, 0.0, 0.5, 1.0]),
+    st.floats(-1000.0, 1.0, allow_nan=False),
+)
+
+
+def clamp_alone(floor, curve):
+    """One curve's schedule by definition: the sequential running minimum."""
+    return np.minimum.accumulate(np.maximum(np.diff([floor, *curve]), 0))
+
+
+class TestOneClamp:
+    """The segmented clamp the engine runs over every live job's curve at
+    once is ``concave_marginals``; a single curve is its one-segment case."""
+
+    @given(curves=st.lists(
+        st.tuples(utility_values, st.lists(utility_values, max_size=40)),
+        max_size=12,
+    ))
+    def test_segmented_equals_each_curve_alone_bit_for_bit(self, curves):
+        job_idx, step = BidBook.layout([len(curve) for _floor, curve in curves])
+        values = np.array([v for _floor, curve in curves for v in curve])
+        floors = np.array([floor for floor, _curve in curves])
+        segmented = concave_marginals(values, floors[job_idx], step)
+        alone = [clamp_alone(floor, curve) for floor, curve in curves]
+        assert segmented.tobytes() == np.concatenate(alone + [np.empty(0)]).tobytes()
+        for floor, curve in curves:
+            assert (
+                concave_marginals(np.array(curve), floor).tobytes()
+                == clamp_alone(floor, curve).tobytes()
+            )
+
+    def test_layout_skips_empty_and_counts_single_entries(self):
+        job_idx, step = BidBook.layout([2, 0, 1, 3])
+        assert job_idx.tolist() == [0, 0, 2, 3, 3, 3]
+        assert step.tolist() == [0, 1, 0, 0, 1, 2]
+
+
+def flat_book(schedules):
+    """A ``BidBook`` from ``{name: marginals}``, ranked by name."""
+    names = list(schedules)
+    job_idx, step = BidBook.layout([len(m) for m in schedules.values()])
+    return BidBook(
+        names, np.argsort(np.argsort(names)),
+        np.array([v for m in schedules.values() for v in m], dtype=float),
+        job_idx, step,
+    )
+
+
+class TestFlatBookBoundaries:
+    def test_rising_schedule_names_the_job(self):
+        with pytest.raises(
+            MarketError, match="bid for 'c': marginals must be non-increasing"
+        ):
+            flat_book({"a": [3.0, 2.0], "b": [4.0], "c": [1.0, 1.5], "d": [0.5]})
+
+    def test_a_rise_from_one_job_to_the_next_is_no_rise(self):
+        book = flat_book({"a": [3.0, 2.0], "b": [], "c": [9.0, 9.0], "d": [9.5]})
+        assert len(book) == 3               # b bids nothing
+        clearing = MarketArbiter().clear(book, 3)
+        assert clearing.granted.tolist() == [0, 0, 2, 1]
+        assert clearing.grants == {"c": 2, "d": 1}
+        assert (clearing.price, clearing.demand) == (9.0, 5)
+
+    def test_same_clearing_as_the_bid_list(self):
+        schedules = {"b": [7.0, 7.0, 1.0], "a": [7.0, 7.0], "c": []}
+        bids = [Bid(job, "t", tuple(m)) for job, m in schedules.items()]
+        flat = MarketArbiter().clear(flat_book(schedules), 3)
+        listed = MarketArbiter().clear(bids, 3)
+        assert flat.grants == listed.grants == {"a": 2, "b": 1}
+        assert (flat.price, flat.demand, flat.value, flat.supply) == (
+            listed.price, listed.demand, listed.value, listed.supply
+        )
+
+    def test_duplicate_names_and_negative_supply(self):
+        book = flat_book({"a": [1.0]})
+        twice = BidBook(["a", "a"], np.array([0, 1]), book.values, book.job_idx, book.step)
+        with pytest.raises(MarketError, match="duplicate job names in bids"):
+            MarketArbiter().clear(twice, 1)
+        with pytest.raises(MarketError, match="negative supply -1"):
+            MarketArbiter().clear(book, -1)
+
+    @pytest.mark.parametrize("bids", [[], flat_book({}), flat_book({"a": [], "b": []})])
+    def test_nothing_bid_is_an_empty_clearing(self, bids):
+        assert len(bids) == 0
+        clearing = MarketArbiter().clear(bids, 5)
+        assert clearing.granted_total == 0 and clearing.grants == {}
+        assert clearing.granted.tolist() == [0] * len(clearing.names)
+        assert (clearing.supply, clearing.demand, clearing.price) == (5, 0, 0.0)

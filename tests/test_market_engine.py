@@ -1,0 +1,240 @@
+"""The array-backed market tick: pinned tick by tick, compared with the
+per-job bid construction it replaced, and checked as a view."""
+
+import json
+from dataclasses import astuple
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from repro.market.admission import MarketAdmission
+from repro.market.arbiter import Bid, MarketArbiter, concave_marginals
+from repro.market.engine import _EPS_BID, MarketConfig, TokenMarket, _utility_at
+from repro.market.tenant import JobSpec, Tenant
+from repro.market.workload import generate_market_workload
+
+PINS_PATH = Path(__file__).parent / "golden" / "market_pins.json"
+
+#: (mode, quota_scale, seed): 4 tenants x 10 jobs on 120 tokens.  At
+#: quota_scale 1.0 jobs queue, run late and bid real utility (pooled and
+#: split part ways); at 0.5 most of the workload is rejected.
+PIN_CASES = [
+    ("pooled", 0.5, 11),
+    ("split", 0.5, 11),
+    ("pooled", 1.0, 7),
+    ("split", 1.0, 7),
+]
+
+
+def pin_id(case) -> str:
+    mode, quota_scale, seed = case
+    return f"{mode}-q{quota_scale:g}-seed{seed}"
+
+
+def tick_series(case) -> dict:
+    mode, quota_scale, seed = case
+    tenants, jobs = generate_market_workload(
+        tenants=4, jobs_per_tenant=10, capacity=120,
+        quota_scale=quota_scale, horizon_ticks=6, seed=seed,
+    )
+    result = TokenMarket(
+        tenants, jobs, MarketConfig(capacity=120, mode=mode)
+    ).run()
+    # json writes floats with repr, so equal files mean equal bits.
+    return {
+        "samples": [list(astuple(s))[2:] for s in result.samples],
+        "completions": result.completions,
+    }
+
+
+class TestPerTickPins:
+    """``golden/market_pins.json`` was captured on the commit before the
+    live set became arrays and the bids stayed flat (``{pin_id(c):
+    tick_series(c) for c in PIN_CASES}`` dumped with that commit's ``src``
+    on the path); it passes unchanged on both sides.
+    ``MarketResult.to_digest`` drops the per-tick series, so only this can
+    see a tick-level change that nets out: every ``TickSample`` (live,
+    queued, granted, guaranteed, spare, price, demand) and the completions
+    list."""
+
+    PINS = json.loads(PINS_PATH.read_text())
+
+    def test_pins_cover_the_cases(self):
+        assert list(self.PINS) == [pin_id(c) for c in PIN_CASES]
+
+    @pytest.mark.parametrize("case", PIN_CASES, ids=pin_id)
+    def test_run_matches_pin(self, case):
+        assert tick_series(case) == self.PINS[pin_id(case)]
+
+
+# ----------------------------------------------------------------------
+# The flat tick against the per-job path it replaced
+# ----------------------------------------------------------------------
+
+
+def per_job_clear(market):
+    """The reference: what ``TokenMarket._clear`` did before the bids
+    stayed flat.  Each live job's utility curve is clamped on its own,
+    becomes a tuple and a ``Bid``; a bucket's bids are a Python list and
+    each job's grant is looked up by name."""
+    live = market.live_jobs
+    now, slack = market.sim.now, market.config.slack
+    dt = market.config.tick_seconds
+    g, schedules = [], []
+    for job in live:
+        demand = job.demand(dt)
+        g.append(min(job.guarantee, demand))
+        k = np.arange(g[-1] + 1, demand + 1)
+        deadline = job.spec.absolute_deadline
+        values = _utility_at(now + slack * job.remaining / k - deadline)
+        floor = _utility_at(now + slack * job.remaining / g[-1] - deadline)
+        schedules.append(tuple(concave_marginals(values, floor) + _EPS_BID / k))
+    if market.config.mode == "pooled":
+        groups = [range(len(live))]
+    else:
+        groups = [
+            [i for i, job in enumerate(live) if job.tenant == name]
+            for name in sorted(market.tenants)
+        ]
+    grants = list(g)
+    merged = {"price": 0.0, "demand": 0, "value": 0.0, "supply": 0}
+    for bucket, group in zip(market._buckets, groups):
+        clearing = MarketArbiter().clear(
+            [
+                Bid(live[i].name, live[i].tenant, schedules[i])
+                for i in group if schedules[i]
+            ],
+            max(0, bucket - sum(g[i] for i in group)),
+        )
+        for i in group:
+            grants[i] += clearing.grants.get(live[i].name, 0)
+        merged["price"] = max(merged["price"], clearing.price)
+        for field in ("demand", "value", "supply"):
+            merged[field] += getattr(clearing, field)
+    return g, grants, merged
+
+
+#: (tenant, width, work, deadline).  Few distinct shapes, so many jobs bid
+#: identical schedules and the name-rank tie-break decides at the cut;
+#: width 1 and the small works give jobs whose demand equals their
+#: guarantee (they bid nothing).
+job_shapes = st.tuples(
+    st.integers(0, 4),
+    st.sampled_from([1, 3, 8, 30]),
+    st.sampled_from([400.0, 2_500.0, 31_000.0, 120_000.0]),
+    st.sampled_from([200.0, 1_000.0, 4_000.0]),
+)
+
+
+@st.composite
+def live_sets(draw):
+    n_jobs = draw(st.integers(1, 60))
+    return dict(
+        shapes=draw(st.lists(job_shapes, min_size=n_jobs, max_size=n_jobs)),
+        # Shuffled numbering: name order is not (tenant, name) order.
+        numbers=draw(st.permutations(range(n_jobs))),
+        n_tenants=draw(st.integers(1, 5)),
+        mode=draw(st.sampled_from(["pooled", "split"])),
+        # Spare tokens beyond the quotas: supply 0 / tight / slack.
+        extra=draw(st.sampled_from([0, 0, 1, 2, 5, 100_000])),
+        ticks=draw(st.integers(1, 3)),
+        # Seconds the clock moves on before the compared tick: jobs run
+        # anywhere from early to hopelessly late.
+        later=draw(st.sampled_from(
+            [0.0, 0.0, 60.0, 900.0, 2_500.0, 5_000.0, 12_000.0, 90_000.0]
+        )),
+    )
+
+
+def live_market(shapes, numbers, n_tenants, mode, extra, ticks, later):
+    """A market ``ticks`` ticks in: every feasible job admitted at tick 0
+    into quotas that are exactly full."""
+    jobs = [
+        JobSpec(name=f"j{number:02d}", tenant=f"t{tenant % n_tenants}",
+                work=work, width=width, deadline_seconds=deadline)
+        for number, (tenant, width, work, deadline) in zip(numbers, shapes)
+    ]
+    admission = MarketAdmission()
+    tenants = [
+        Tenant(name=f"t{t}", quota=max(1, sum(
+            admission.minimum_guarantee(job, 0.0) or 0
+            for job in jobs if job.tenant == f"t{t}"
+        )))
+        for t in range(n_tenants)
+    ]
+    capacity = sum(t.quota for t in tenants) + extra
+    market = TokenMarket(tenants, jobs, MarketConfig(capacity=capacity, mode=mode))
+    for _ in range(ticks):
+        market.step()
+    market.sim.run(until=market.sim.now + later)
+    return market
+
+
+class TestFlatTickIsThePerJobPath:
+    # Two identical jobs, one spare token, the smaller name in the later
+    # tenant: rank is by name across the auction, not by live-set position.
+    @example(live_set=dict(
+        shapes=[(0, 30, 31_000.0, 4_000.0), (1, 30, 31_000.0, 4_000.0)],
+        numbers=[1, 0], n_tenants=2, mode="pooled", extra=1, ticks=1, later=0.0,
+    ))
+    @given(live_set=live_sets())
+    def test_equal_clearings(self, live_set):
+        market = live_market(**live_set)
+        g, grants, merged = per_job_clear(market)
+        flat_g, clearing = market._clear(market.config.tick_seconds)
+        # Admission reserves >= 1 token and demand is >= 1, so no live job
+        # has a zero guaranteed part (the engine has no branch for one).
+        assert not g or min(g) >= 1
+        assert flat_g.tolist() == g
+        assert (flat_g + clearing.granted).tolist() == grants
+        assert {
+            field: getattr(clearing, field) for field in merged
+        } == merged
+
+
+# ----------------------------------------------------------------------
+# MarketJob as the reporting view
+# ----------------------------------------------------------------------
+
+
+class TestMarketJobIsAView:
+    @pytest.mark.parametrize("mode", ["pooled", "split"])
+    def test_jobs_report_the_arrays(self, mode):
+        tenants, jobs = generate_market_workload(
+            tenants=3, jobs_per_tenant=8, capacity=90, horizon_ticks=5, seed=5
+        )
+        market = TokenMarket(tenants, jobs, MarketConfig(capacity=90, mode=mode))
+        admitted = {}
+        admission_tick = market.admission.tick
+
+        def recording_tick(tenants, now):
+            jobs = admission_tick(tenants, now)
+            admitted.update((job.name, job) for job in jobs)
+            return jobs
+
+        market.admission.tick = recording_tick
+        completed = 0
+        while not market.done:
+            sample = market.step()
+            live, rows = market.live_jobs, market._live
+            assert [j.name for j in live] == rows["name"].tolist()
+            assert [(j.tenant, j.name) for j in live] == sorted(
+                (j.tenant, j.name) for j in live
+            )
+            assert [j.remaining for j in live] == rows["remaining"].tolist()
+            assert [j.allocation for j in live] == rows["allocation"].tolist()
+            assert all(j.remaining > 0 and j.finished_at is None for j in live)
+            assert sample.granted >= sum(j.allocation for j in live)
+            for record in market._completions[completed:]:
+                job = admitted[record["job"]]
+                assert job.finished_at is not None and job.remaining == 0.0
+                assert record["finished_at"] == round(job.finished_at, 6)
+                assert sample.now < job.finished_at <= sample.now + 60.0
+                assert job.allocation >= 1
+                assert job.name not in market.tenants[job.tenant].live
+                assert job not in live
+            completed = len(market._completions)
+        assert completed == len(admitted) > 0

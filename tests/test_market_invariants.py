@@ -63,6 +63,10 @@ class TestMarketTickInvariants:
             market.step()
             for tenant in market.tenants.values():
                 assert tenant.guaranteed_in_use <= tenant.quota
+                # The ledger is the sum it replaced.
+                assert tenant.guaranteed_in_use == sum(
+                    j.guarantee for j in tenant.live.values()
+                )
 
     @given(**market_params)
     @settings(max_examples=25, deadline=None)

@@ -514,6 +514,45 @@ class TestSubmitValidation:
         )
 
 
+class TestQuotaReturned:
+    """A job that ends — finished or failed — hands its guarantee back to
+    its tenant's ledger (in-process on a manual clock)."""
+
+    SUBMIT = {"template": "tiny", "policy": "jockey-no-sim",
+              "tenant": "a", "deadline_minutes": 1.0}
+
+    def service(self, quota):
+        svc = ClusterService(
+            ServiceConfig(capacity_tokens=8, max_task_attempts=1,
+                          tenants=(("a", quota),)),
+            store=tiny_store(),
+        )
+        svc.clock = ManualClock()
+        return svc
+
+    def test_finished_and_failed_jobs_free_their_guarantee(self):
+        # Size the quota to exactly one job's guarantee.
+        quota = self.service(8).submit(dict(self.SUBMIT))["guarantee"]
+        svc = self.service(quota)
+        tenant = svc._tenants["a"]
+        worker = svc.register_worker({"name": "w", "slots": 8})["worker_id"]
+        for outcome, status in (("ok", "completed"), ("failed", "failed")):
+            reply = svc.submit(dict(self.SUBMIT))
+            assert (reply["status"], reply["guarantee"]) == ("running", quota)
+            assert tenant.guaranteed_in_use == quota   # the whole quota
+            job = svc._jobs[reply["job_id"]]
+            while job.status == "running":
+                tasks = svc.lease({"worker_id": worker, "max_tasks": 8})["tasks"]
+                assert tasks
+                for task in tasks:
+                    svc.complete_task({
+                        "task_id": task["task_id"], "worker_id": worker,
+                        "outcome": outcome,
+                    })
+            assert job.status == status
+            assert tenant.guaranteed_in_use == 0 and tenant.live == {}
+
+
 class TestServiceFreed:
     def test_stopped_service_is_freed_by_refcount(self):
         """No reference cycle through the HTTP plumbing: a stopped
