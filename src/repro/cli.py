@@ -71,37 +71,13 @@ from repro.core.policies import (
 )
 from repro.core.progress import totalwork_with_q
 from repro.core.utility import deadline_utility
+from repro.experiments.registry import EXPERIMENTS, RUNS
 from repro.experiments.runner import run_control_loop
 from repro.experiments.scenarios import learn_model, run_training
 from repro.fleet.driver import MODEL_MODES as FLEET_MODEL_MODES
 from repro.jobs.workloads import TABLE2_SPECS, generate_job, mapreduce_job
 from repro.simkit.events import Simulator
 from repro.simkit.random import RngRegistry, derive_seed
-
-EXPERIMENTS = {
-    "table1": ("exp_table1", "run"),
-    "fig1": ("exp_fig1", "run"),
-    "table2": ("exp_table2", "run"),
-    "fig4": ("exp_fig4_5", "run"),
-    "fig5": ("exp_fig4_5", "run"),
-    "fig6": ("exp_fig6_table3", "run"),
-    "table3": ("exp_fig6_table3", "run"),
-    "fig7": ("exp_fig7", "run"),
-    "fig8": ("exp_fig8", "run"),
-    "fig9": ("exp_fig9_10", "run"),
-    "fig10": ("exp_fig9_10", "run"),
-    "fig11": ("exp_fig11", "run"),
-    "fig12": ("exp_fig12_13", "run_fig12"),
-    "fig13": ("exp_fig12_13", "run_fig13"),
-    "ablation-model": ("exp_ablation_model", "run"),
-    "ablation-speculation": ("exp_ablation_speculation", "run"),
-    "multijob": ("exp_multijob", "run"),
-    "sec2.4": ("exp_section24", "run"),
-    "chaos": ("exp_chaos", "run"),
-    "fleet": ("exp_fleet", "run"),
-    "market": ("exp_market", "run"),
-    "predict": ("exp_predict", "run"),
-}
 
 def _add_job_args(p) -> None:
     """What ``run``, ``perf run`` and ``predict`` take to pick a job, a
@@ -191,11 +167,21 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser(
         "experiment", help="regenerate one of the paper's tables/figures"
     )
-    experiment.add_argument("id", choices=sorted(EXPERIMENTS))
     experiment.add_argument(
-        "--scale", choices=("smoke", "default", "paper"), default="default"
+        "id", nargs="+", metavar="ID", choices=sorted(EXPERIMENTS) + ["all"],
+        help="'all' runs every experiment once, at the scale and seed its "
+             "committed results/ files are at",
     )
-    experiment.add_argument("--seed", type=int, default=0)
+    experiment.add_argument(
+        "--scale", choices=("smoke", "default", "paper"), default=None,
+        help="default: default ('all': what each run is committed at)",
+    )
+    experiment.add_argument("--seed", type=int, default=None, help="default: 0")
+    experiment.add_argument(
+        "--results-dir", default=None, metavar="DIR",
+        help="also write each report (and sweep digest) into DIR; nothing "
+             "is written without it",
+    )
     experiment.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="worker processes for model builds and run sweeps "
@@ -789,12 +775,11 @@ def _run_job(
             out.write(f"  wrote JSONL trace to {args.trace_jsonl}\n")
     if args.metrics_out:
         sim.publish_metrics()
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            # sort_keys on top of the registry's own ordering: snapshots of
-            # the same run are byte-identical regardless of creation order.
-            json.dump(telemetry_metrics.REGISTRY.snapshot(), fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
+        # Sorted keys on top of the registry's own ordering: snapshots of
+        # the same run are byte-identical regardless of creation order.
+        persist.write_json(
+            args.metrics_out, telemetry_metrics.REGISTRY.snapshot(), indent=2
+        )
         out.write(f"  wrote metrics snapshot to {args.metrics_out}\n")
     if args.report_out:
         from repro.telemetry import report as telemetry_report
@@ -809,21 +794,39 @@ def _run_job(
 
 
 def cmd_experiment(args, out) -> int:
-    import importlib
     import os
 
+    from repro.experiments.reporting import write_results
     from repro.experiments.scenarios import SCALES
 
+    committed = "all" in args.id
+    runs = RUNS if committed else dict.fromkeys(EXPERIMENTS[i] for i in args.id)
+    # Experiment drivers pick up parallelism through the environment:
+    # every parallel_map call under this command inherits the setting.
+    previous_jobs = os.environ.get(repro_parallel.JOBS_ENV)
     if args.jobs is not None:
-        # Experiment drivers pick up parallelism through the environment:
-        # every parallel_map call under this command inherits the setting.
         os.environ[repro_parallel.JOBS_ENV] = str(args.jobs)
-    module_name, func_name = EXPERIMENTS[args.id]
-    module = importlib.import_module(f"repro.experiments.{module_name}")
-    result = getattr(module, func_name)(SCALES[args.scale], seed=args.seed)
-    reports = result if isinstance(result, tuple) else (result,)
-    for report in reports:
-        out.write(report.render() + "\n")
+    try:
+        for run in runs:
+            scale = args.scale or (run.scale if committed else "default")
+            seed = run.seed if args.seed is None else args.seed
+            reports = run.execute(SCALES[scale], seed=seed)
+            for report in reports:
+                out.write(report.render() + "\n")
+            if args.results_dir is not None:
+                written = write_results(reports, args.results_dir)
+                names = [p.name for p in written]
+                if names != list(run.outputs):
+                    raise RuntimeError(
+                        f"experiment {run.ids[0]} wrote {names}, the "
+                        f"registry declares {list(run.outputs)}"
+                    )
+                out.write(f"wrote {', '.join(str(p) for p in written)}\n")
+    finally:
+        if previous_jobs is None:
+            os.environ.pop(repro_parallel.JOBS_ENV, None)
+        else:
+            os.environ[repro_parallel.JOBS_ENV] = previous_jobs
     return 0
 
 
@@ -941,9 +944,7 @@ def cmd_fleet(args, out) -> int:
     if config.store_root is not None:
         out.write(f"  profile store: {config.store_root}\n")
     if args.digest_out:
-        with open(args.digest_out, "w", encoding="utf-8") as fh:
-            json.dump(result.to_digest(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        persist.write_json(args.digest_out, result.to_digest(), indent=2)
         out.write(f"  wrote fleet digest to {args.digest_out}\n")
     if args.report_out:
         from repro.telemetry import report as telemetry_report
@@ -1075,9 +1076,7 @@ def cmd_market(args, out) -> int:
         [[label, value] for label, value in rows],
     ) + "\n")
     if args.digest_out:
-        with open(args.digest_out, "w", encoding="utf-8") as fh:
-            json.dump(digest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        persist.write_json(args.digest_out, digest, indent=2)
         out.write(f"  wrote market digest to {args.digest_out}\n")
     return 0
 
@@ -1318,17 +1317,14 @@ def cmd_predict(args, out) -> int:
                 for p in cal.rolling
             ],
         }
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        persist.write_json(args.json_out, payload, indent=2)
         out.write(f"wrote prediction digest to {args.json_out}\n")
     return 0
 
 
 def cmd_list_experiments(args, out) -> int:
     for exp_id in sorted(EXPERIMENTS):
-        module_name, _func = EXPERIMENTS[exp_id]
-        out.write(f"{exp_id:22s} repro.experiments.{module_name}\n")
+        out.write(f"{exp_id:22s} repro.experiments.{EXPERIMENTS[exp_id].module}\n")
     return 0
 
 

@@ -1,26 +1,10 @@
-"""Experiment drivers: one module per table/figure of the paper's
-evaluation, a shared runner, metrics, and plain-text reporting.
+"""Experiment drivers: one ``exp_*`` module per table/figure of the paper's
+evaluation (and per extension sweep), a shared runner, metrics, and
+plain-text reporting.
 
-==========  ==========================================================
-module      regenerates
-==========  ==========================================================
-exp_table1  Table 1 — CoV of recurring-job completion times
-exp_fig1    Fig. 1 — inter-job dependency CDFs
-exp_table2  Table 2 + Fig. 3 — evaluation job statistics and DAGs
-exp_fig4_5  Fig. 4 + Fig. 5 — policy comparison (the headline result)
-exp_fig6_table3  Fig. 6 + Table 3 — adaptation case studies
-exp_fig7    Fig. 7 — mid-run deadline changes
-exp_fig8    Fig. 8 — prediction accuracy, simulator vs Amdahl
-exp_fig9_10 Fig. 9 + Fig. 10 — progress indicator comparison
-exp_fig11   Fig. 11 — control-loop sensitivity analysis
-exp_fig12_13  Fig. 12 + Fig. 13 — slack and hysteresis sweeps
-exp_ablation_model  extension: online model correction (§5.6)
-exp_ablation_speculation  extension: straggler mitigation (§4.4)
-exp_multijob  extension: multi-SLO-job co-execution with the arbiter
-exp_chaos   extension: chaos-injection intensity vs SLO attainment
-exp_fleet   extension: recurring-job fleet, SLO attainment vs
-            profile-update policy under drift
-==========  ==========================================================
+:mod:`repro.experiments.registry` lists every run once — driver, CLI ids,
+the ``results/`` files it produces and the scale and seed they are committed
+at; ``repro experiment`` is the one entry point that runs them.
 """
 
 from repro.experiments.metrics import (

@@ -111,7 +111,3 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0, reps: int = 2):
         "while the static allocation degrades fastest"
     )
     return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

@@ -111,7 +111,3 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0, reps: int = 3):
         "speculation trims the p90 finish at a small wasted-work premium"
     )
     return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

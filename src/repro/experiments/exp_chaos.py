@@ -16,15 +16,13 @@ higher utility than the ablation — holding a stale allocation through a
 blackout while the job drifts late is exactly the failure the degraded
 mode exists to avoid.
 
-Besides the rendered table, the sweep writes a machine-readable digest to
-``results/exp_chaos.json`` (deterministic bytes for a given seed/scale, at
-any worker count).
+The report carries a machine-readable ``digest`` (deterministic bytes for
+a given seed/scale, at any worker count); ``repro experiment chaos
+--results-dir DIR`` writes it to ``DIR/exp_chaos.json``.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 from dataclasses import replace
 from typing import Dict, List, Tuple
 
@@ -47,7 +45,6 @@ from repro.simkit.random import derive_seed
 
 INTENSITIES = (0.0, 0.5, 1.0, 1.5)
 MODES = ("fallback", "no-fallback")
-DIGEST_PATH = pathlib.Path("results") / "exp_chaos.json"
 
 #: Long staleness bound so the fallback-vs-ablation comparison isolates
 #: ``degraded_fallback`` itself (the default 600 s bound would demote the
@@ -172,13 +169,6 @@ def _aggregate(rows: List[Dict]) -> List[Dict]:
     return out
 
 
-def write_digest(path: pathlib.Path, digest: Dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(digest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
 def run(scale: Scale = DEFAULT, *, seed: int = 0):
     report = ExperimentReport(
         experiment_id="chaos",
@@ -230,7 +220,7 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
             agg["mean_degraded_ticks"],
             agg["mean_allocation_deficits"],
         )
-    digest = {
+    report.digest = {
         "experiment": "chaos",
         "scale": scale.name,
         "seed": seed,
@@ -239,7 +229,6 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
         "aggregates": aggregates,
         "runs": rows,
     }
-    write_digest(DIGEST_PATH, digest)
     report.add_note(
         "schedule per run: 6-machine rack loss, eviction storm, 35% "
         "guaranteed-token shock, 1.7x profile drift, 10%/10% dropped/"
@@ -251,9 +240,4 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
         "controller holds its allocation through predictor blackouts "
         "instead of re-optimizing the last-known-good C(p, a) curve"
     )
-    report.add_note(f"digest written to {DIGEST_PATH}")
     return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

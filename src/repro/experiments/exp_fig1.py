@@ -47,7 +47,3 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0, num_jobs: int = 3000):
         "long cross-group chains"
     )
     return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

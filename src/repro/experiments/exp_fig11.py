@@ -89,7 +89,3 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
         "5-min period 95% met but -22% latency; minstage 100%; CP 95%"
     )
     return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

@@ -129,13 +129,3 @@ def run_fig13(scale: Scale = DEFAULT, *, seed: int = 0) -> ExperimentReport:
         "finish closer to the deadline with higher max allocations"
     )
     return report
-
-
-def run(scale: Scale = DEFAULT, *, seed: int = 0):
-    return run_fig12(scale, seed=seed), run_fig13(scale, seed=seed)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for r in run():
-        print(r.render())
-        print()

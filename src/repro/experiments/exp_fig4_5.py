@@ -132,9 +132,3 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
     """Both reports from one shared suite."""
     results = run_policy_comparison(scale, seed=seed)
     return fig4_report(results), fig5_report(results)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for r in run():
-        print(r.render())
-        print()

@@ -204,9 +204,3 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
         "(c) over-provisioned start, released as the deadline approaches"
     )
     return report, table3
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for r in run():
-        print(r.render())
-        print()

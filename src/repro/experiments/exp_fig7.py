@@ -98,7 +98,3 @@ def hashpair(name: str, label: str) -> int:
     import zlib
 
     return zlib.crc32(f"{name}:{label}".encode()) % 1000
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

@@ -100,7 +100,3 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0, runs_per_allocation: int = 3):
         "allocations"
     )
     return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

@@ -170,9 +170,3 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0, allocation: int = 40):
         "3.9%/26.7%"
     )
     return fig9, fig10
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for r in run():
-        print(r.render())
-        print()

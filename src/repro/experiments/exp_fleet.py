@@ -19,15 +19,13 @@ pays for its pinned model while the drift-aware arms recover within a
 day, so ``blended >= stale`` with ``oracle`` as the upper bound — at a
 fraction of cold-start's profiling/rebuild spend.
 
-Besides the rendered table, the sweep writes a machine-readable digest to
-``results/exp_fleet.json`` (deterministic bytes for a given seed/scale,
-at any worker count).
+The report carries a machine-readable ``digest`` (deterministic bytes for
+a given seed/scale, at any worker count); ``repro experiment fleet
+--results-dir DIR`` writes it to ``DIR/exp_fleet.json``.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -50,7 +48,6 @@ ARM_MODES = {
     "oracle": "oracle",
 }
 
-DIGEST_PATH = pathlib.Path("results") / "exp_fleet.json"
 
 #: Simulated days per template, with the ground truth drifting at the
 #: midpoint: enough post-drift days for attainment to separate the arms.
@@ -121,13 +118,6 @@ def _aggregate(summaries: List[Dict], runs: List[Dict]) -> List[Dict]:
     return out
 
 
-def write_digest(path: pathlib.Path, digest: Dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(digest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
 def run(scale: Scale = DEFAULT, *, seed: int = 0):
     report = ExperimentReport(
         experiment_id="fleet",
@@ -165,7 +155,7 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
             agg["profiling_runs"],
             agg["mean_staleness_days"],
         )
-    digest = {
+    report.digest = {
         "experiment": "fleet",
         "scale": scale.name,
         "seed": seed,
@@ -177,7 +167,6 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
         "summaries": summaries,
         "runs": runs,
     }
-    write_digest(DIGEST_PATH, digest)
     by_arm = {a["arm"]: a for a in aggregates}
     report.add_note(
         "post-drift ordering: stale "
@@ -192,9 +181,4 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
         "arms share fleet seeds (paired days and drift); only the "
         "update policy differs"
     )
-    report.add_note(f"digest written to {DIGEST_PATH}")
     return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

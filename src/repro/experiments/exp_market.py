@@ -11,15 +11,13 @@ from the same derived seed — once under a single pooled spare auction
 and once with the capacity pre-partitioned per tenant, so any attainment
 gap is the market structure's doing, nothing else's.
 
-Besides the rendered table, the sweep writes a machine-readable digest
-to ``results/exp_market.json`` (deterministic bytes for a given
-seed/scale, at any worker count).
+The report carries a machine-readable ``digest`` (deterministic bytes for
+a given seed/scale, at any worker count); ``repro experiment market
+--results-dir DIR`` writes it to ``DIR/exp_market.json``.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -32,7 +30,6 @@ from repro.market.workload import generate_market_workload
 from repro.parallel import parallel_map
 from repro.simkit.random import derive_seed
 
-DIGEST_PATH = pathlib.Path("results") / "exp_market.json"
 
 #: Quota sizings swept, as fractions of a tenant's 1/n capacity share:
 #: at 1.0 the quotas tile the cluster; tighter quotas leave more spare
@@ -141,13 +138,6 @@ def _pairs(units: List[Dict]) -> List[Dict]:
     return pairs
 
 
-def write_digest(path: pathlib.Path, digest: Dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(digest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
 def run(scale: Scale = DEFAULT, *, seed: int = 0):
     shape = SHAPES.get(scale.name, SHAPES["default"])
     report = ExperimentReport(
@@ -193,7 +183,7 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
     split_mean = float(np.mean(
         [a["attainment"] for a in aggregates if a["mode"] == "split"]
     ))
-    digest = {
+    report.digest = {
         "experiment": "market",
         "scale": scale.name,
         "seed": seed,
@@ -212,7 +202,6 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
         "pairs": pairs,
         "runs": units,
     }
-    write_digest(DIGEST_PATH, digest)
     report.add_note(
         f"splitting the pool costs attainment: pooled "
         f"{100 * pooled_mean:.1f}% vs split {100 * split_mean:.1f}% on "
@@ -222,9 +211,4 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
         "tight quotas widen the gap: spare capacity dominates and only "
         "the pooled market moves it between tenants"
     )
-    report.add_note(f"digest written to {DIGEST_PATH}")
     return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

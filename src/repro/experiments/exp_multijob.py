@@ -85,7 +85,3 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0, reps: int = 4):
         "closer to their deadlines (it redistributes their slack)"
     )
     return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

@@ -20,15 +20,13 @@ with :func:`repro.telemetry.predict.pooled_calibration`.  Expected shape:
   observatory's value is exactly that it *says so* instead of quietly
   publishing stale bands.
 
-Besides the rendered table, the sweep writes a machine-readable digest to
-``results/exp_predict.json`` (deterministic bytes for a given seed/scale,
-at any worker count).
+The report carries a machine-readable ``digest`` (deterministic bytes for
+a given seed/scale, at any worker count); ``repro experiment predict
+--results-dir DIR`` writes it to ``DIR/exp_predict.json``.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 from dataclasses import replace
 from typing import Dict, List, Tuple
 
@@ -46,7 +44,6 @@ from repro.simkit.random import derive_seed
 from repro.telemetry import predict as _predict
 
 INTENSITIES = (0.0, 0.5, 1.0, 1.5)
-DIGEST_PATH = pathlib.Path("results") / "exp_predict.json"
 
 #: Runs pooled per (job, intensity).  Fixed rather than scale-driven:
 #: coverage at the 90% level needs tens of pooled ticks before the
@@ -149,13 +146,6 @@ def _aggregate(rows: List[Dict]) -> List[Dict]:
     return out
 
 
-def write_digest(path: pathlib.Path, digest: Dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(digest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
 def run(scale: Scale = DEFAULT, *, seed: int = 0):
     report = ExperimentReport(
         experiment_id="predict",
@@ -198,7 +188,7 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
             agg["pinball_loss_seconds"] / 60.0,
             agg["verdict"],
         )
-    digest = {
+    report.digest = {
         "experiment": "predict",
         "scale": scale.name,
         "seed": seed,
@@ -214,7 +204,6 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
             {k: v for k, v in r.items() if k != "records"} for r in rows
         ],
     }
-    write_digest(DIGEST_PATH, digest)
     calm = aggregates[0]
     calm_cov = calm["coverage"].get(_predict.level_label(CALM_LEVEL), 0.0)
     lo, hi = CALM_COVERAGE_BAND
@@ -235,9 +224,4 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
         "coverage is pooled over paired-seed runs: each tick's band is "
         "judged against its own run's realized completion"
     )
-    report.add_note(f"digest written to {DIGEST_PATH}")
     return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

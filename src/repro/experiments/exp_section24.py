@@ -152,9 +152,3 @@ def run_quota_sizing(
 
 def run(scale: Scale = DEFAULT, *, seed: int = 0):
     return run_spare_variance(scale, seed=seed), run_quota_sizing(scale, seed=seed)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for r in run():
-        print(r.render())
-        print()

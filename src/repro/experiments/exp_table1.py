@@ -116,7 +116,3 @@ def run(
         f".13/.20/.37/.85)"
     )
     return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

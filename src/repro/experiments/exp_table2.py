@@ -86,7 +86,3 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0, include_dags: bool = True):
             "ASCII DAGs stand in for Fig. 3; ▲ marks full-shuffle (barrier) stages"
         )
     return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

@@ -2,13 +2,17 @@
 
 Every experiment driver returns an :class:`ExperimentReport` whose
 ``render()`` prints the same rows/series the paper's table or figure shows,
-so benchmark output can be compared side-by-side with the publication.
+so the output can be compared side-by-side with the publication.
+:func:`write_results` is the one place a report becomes a file.
 """
 
 from __future__ import annotations
 
+import pathlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
+
+from repro import persist
 
 
 def format_cell(value) -> str:
@@ -73,6 +77,9 @@ class ExperimentReport:
     notes: List[str] = field(default_factory=list)
     #: Free-form extra sections appended after the main table.
     extra_sections: List[str] = field(default_factory=list)
+    #: Machine-readable twin of the report (the sweep drivers set it):
+    #: deterministic for a given seed/scale at any worker count.
+    digest: Optional[Dict] = None
 
     def add_row(self, *cells) -> None:
         self.rows.append(list(cells))
@@ -94,6 +101,25 @@ class ExperimentReport:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.render()
+
+
+def write_results(reports: Sequence[ExperimentReport], out_dir) -> List[pathlib.Path]:
+    """Write each report's rendering to ``out_dir/<experiment_id>.txt``
+    (``+`` in an id becomes ``_``) and, for a report that carries a digest,
+    ``out_dir/exp_<experiment_id>.json``; returns the paths written."""
+    out_dir = pathlib.Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for report in reports:
+        name = report.experiment_id.replace("+", "_")
+        if report.digest is None:
+            path = out_dir / f"{name}.txt"
+            path.write_text(report.render() + "\n", encoding="utf-8")
+        else:
+            path = out_dir / f"exp_{name}.json"
+            persist.write_json(path, report.digest, indent=2)
+        written.append(path)
+    return written
 
 
 def scorecard_section(
@@ -132,4 +158,5 @@ __all__ = [
     "format_cell",
     "scorecard_section",
     "sparkline",
+    "write_results",
 ]

@@ -59,10 +59,12 @@ def stamp(payload: Dict[str, object]) -> Dict[str, object]:
 def write_digest(path, payload: Dict[str, object]) -> Dict[str, object]:
     """Stamp and write a digest (sorted keys, trailing newline); returns
     the stamped document."""
+    # Imported here: repro.persist imports the model layers, which import
+    # repro.perf.instrument, which runs this package's __init__.
+    from repro.persist import write_json
+
     stamped = stamp(payload)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(stamped, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, stamped, indent=2)
     return stamped
 
 

@@ -15,6 +15,7 @@ submission time.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 from typing import Dict, Optional, Tuple, Union
 
@@ -227,14 +228,33 @@ def table_from_dict(data: Dict) -> CpaTable:
 PathLike = Union[str, pathlib.Path]
 
 
+def write_json(path: PathLike, doc, *, indent: Optional[int] = None) -> None:
+    """Write ``doc`` to ``path`` as JSON, atomically: the text goes to a
+    temporary file beside ``path`` (parents created) which then replaces
+    it, so a reader — or the next command after a killed writer — sees the
+    previous file or the new one, never a truncated one.  With ``indent``
+    the keys are sorted and a newline ends the file (digests and specs:
+    diffable bytes); without it, the compact form bundles use."""
+    path = pathlib.Path(path)
+    if indent is None:
+        text = json.dumps(doc)
+    else:
+        text = json.dumps(doc, indent=indent, sort_keys=True) + "\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_chaos_spec(path: PathLike, spec) -> None:
     """Write a :class:`repro.chaos.ChaosSpec` as JSON."""
     from repro.chaos.spec import spec_to_dict
 
     payload = {"format_version": FORMAT_VERSION, "chaos": spec_to_dict(spec)}
-    pathlib.Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(path, payload, indent=2)
 
 
 def _read_json(path: PathLike):
@@ -293,7 +313,7 @@ def save_bundle(
         "table": table_to_dict(table) if table is not None else None,
         "metadata": metadata or {},
     }
-    pathlib.Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    write_json(path, payload)
 
 
 def _bundle_field(payload: Dict, field: str, decode, *args):
@@ -356,4 +376,5 @@ __all__ = [
     "save_bundle",
     "table_from_dict",
     "table_to_dict",
+    "write_json",
 ]

@@ -7,8 +7,6 @@ acceptance properties of the ``exp_chaos`` sweep itself.
 import dataclasses
 import hashlib
 import io
-import json
-import os
 
 import pytest
 
@@ -107,46 +105,25 @@ class TestReplayDeterminism:
         )
 
 
-def _sweep_digest(tmp_path, monkeypatch, jobs: str) -> bytes:
-    monkeypatch.setenv("REPRO_JOBS", jobs)
-    monkeypatch.chdir(tmp_path)
-    exp_chaos.run(SMOKE, seed=0)
-    return (tmp_path / exp_chaos.DIGEST_PATH).read_bytes()
+def _sweep_digest(jobs: str) -> dict:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_JOBS", jobs)
+        return exp_chaos.run(SMOKE, seed=0).digest
 
 
 class TestSweepDigest:
     @pytest.fixture(scope="class")
-    def digest_serial(self, tmp_path_factory):
-        tmp = tmp_path_factory.mktemp("chaos_serial")
-        old_jobs = os.environ.get("REPRO_JOBS")
-        old_cwd = os.getcwd()
-        os.environ["REPRO_JOBS"] = "1"
-        os.chdir(tmp)
-        try:
-            exp_chaos.run(SMOKE, seed=0)
-            return (tmp / exp_chaos.DIGEST_PATH).read_bytes()
-        finally:
-            os.chdir(old_cwd)
-            if old_jobs is None:
-                os.environ.pop("REPRO_JOBS", None)
-            else:
-                os.environ["REPRO_JOBS"] = old_jobs
+    def digest(self):
+        return _sweep_digest(jobs="1")
 
-    def test_digest_identical_across_worker_counts(
-        self, digest_serial, tmp_path, monkeypatch
-    ):
-        parallel = _sweep_digest(tmp_path, monkeypatch, jobs="2")
-        assert (
-            hashlib.sha256(digest_serial).hexdigest()
-            == hashlib.sha256(parallel).hexdigest()
-        )
+    def test_digest_identical_across_worker_counts(self, digest):
+        assert _sweep_digest(jobs="2") == digest
 
-    def test_attainment_monotone_and_fallback_wins(self, digest_serial):
+    def test_attainment_monotone_and_fallback_wins(self, digest):
         """The ISSUE's acceptance shape: per-mode SLO attainment is
         monotone non-increasing in intensity, and at the highest
         intensity the degraded-mode fallback attains strictly higher
         utility than the no-fallback ablation."""
-        digest = json.loads(digest_serial.decode("utf-8"))
         by_mode = {}
         for agg in digest["aggregates"]:
             by_mode.setdefault(agg["mode"], []).append(
@@ -164,8 +141,7 @@ class TestSweepDigest:
         }
         assert utility["fallback"] > utility["no-fallback"]
 
-    def test_digest_records_runs_and_schedule(self, digest_serial):
-        digest = json.loads(digest_serial.decode("utf-8"))
+    def test_digest_records_runs_and_schedule(self, digest):
         assert digest["experiment"] == "chaos"
         assert digest["intensities"] == list(exp_chaos.INTENSITIES)
         assert digest["modes"] == list(exp_chaos.MODES)

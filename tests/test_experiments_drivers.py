@@ -2,12 +2,14 @@
 produces a well-formed report.  These are the repository's acceptance tests
 for the per-table/figure regeneration harness."""
 
-import ast
+import io
+import os
 import pathlib
 import re
 
 import pytest
 
+from repro.cli import main
 from repro.experiments import (
     exp_fig1,
     exp_fig4_5,
@@ -20,8 +22,13 @@ from repro.experiments import (
     exp_table1,
     exp_table2,
 )
+from repro.experiments.registry import EXPERIMENTS, RUNS, Run
 from repro.experiments.reporting import ExperimentReport
 from repro.experiments.scenarios import SMOKE
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+RESULTS = ROOT / "results"
 
 
 def assert_report(report, experiment_id, min_rows=1):
@@ -160,24 +167,11 @@ class TestFig12And13:
 
 
 class TestRegenerationHarnessIsWired:
-    """`pytest benchmarks/ --benchmark-only`, the documented way to
-    regenerate every table and figure, silently skips any test that does
-    not take the ``benchmark`` fixture; the docs name wrappers and drivers
-    by path."""
-
-    ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-    def test_every_bench_test_takes_the_benchmark_fixture(self):
-        for path in sorted((self.ROOT / "benchmarks").glob("bench_*.py")):
-            for node in ast.parse(path.read_text()).body:
-                if isinstance(node, ast.FunctionDef) and node.name.startswith("test_"):
-                    assert "benchmark" in [a.arg for a in node.args.args], (
-                        f"{path.name}::{node.name} is skipped by --benchmark-only"
-                    )
+    """The docs name drivers by path; every one of them must exist."""
 
     @pytest.mark.parametrize("doc", ["DESIGN.md", "README.md", "EXPERIMENTS.md"])
     def test_docs_name_only_files_that_exist(self, doc):
-        text = (self.ROOT / doc).read_text(encoding="utf-8")
+        text = (ROOT / doc).read_text(encoding="utf-8")
         paths = {
             f"benchmarks/{name}"
             for name in re.findall(r"\bbench_\w+\.py\b", text)
@@ -185,5 +179,102 @@ class TestRegenerationHarnessIsWired:
             f"src/repro/experiments/{name}.py"
             for name in re.findall(r"\bexp_[a-z0-9_]*[a-z0-9]\b", text)
         }
-        missing = sorted(p for p in paths if not (self.ROOT / p).exists())
+        missing = sorted(p for p in paths if not (ROOT / p).exists())
         assert not missing, f"{doc} names files that do not exist: {missing}"
+
+
+
+def run_cli(*argv):
+    out = io.StringIO()
+    code = main(list(argv), out=out)
+    return code, out.getvalue()
+
+
+class TestRegistryIsTheManifest:
+    """``repro experiment ... --results-dir`` is the one way a file reaches
+    ``results/``, and the registry says which files those are."""
+
+    def test_results_dir_holds_exactly_the_declared_outputs(self):
+        declared = [name for run in RUNS for name in run.outputs]
+        assert len(declared) == len(set(declared)), "an output is declared twice"
+        assert sorted(p.name for p in RESULTS.iterdir()) == sorted(declared)
+
+    # The runs cheap enough for tier-1 (each < 3 s); CI's results job and
+    # the sweep jobs do the same for every entry.
+    @pytest.mark.parametrize("exp_id", ["fig1", "table2", "chaos", "market", "predict"])
+    def test_committed_equals_code(self, exp_id, tmp_path):
+        run = EXPERIMENTS[exp_id]
+        code, text = run_cli(
+            "experiment", exp_id, "--scale", run.scale, "--results-dir", str(tmp_path)
+        )
+        assert code == 0, text
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(run.outputs)
+        for name in run.outputs:
+            assert (tmp_path / name).read_bytes() == (RESULTS / name).read_bytes(), name
+
+    def test_aliases_share_an_entry(self):
+        assert EXPERIMENTS["fig4"] is EXPERIMENTS["fig5"]
+        assert EXPERIMENTS["fig6"] is EXPERIMENTS["table3"]
+        assert EXPERIMENTS["fig9"] is EXPERIMENTS["fig10"]
+        assert len(EXPERIMENTS) == 22 and len(RUNS) == 19
+
+    def test_each_run_executes_once(self, monkeypatch):
+        calls = []
+
+        def execute(self, scale, *, seed):
+            calls.append((self.ids, scale.name, seed))
+            return ()
+
+        monkeypatch.setattr(Run, "execute", execute)
+        assert run_cli("experiment", "all")[0] == 0
+        assert calls == [(run.ids, run.scale, run.seed) for run in RUNS]
+        del calls[:]
+        assert run_cli("experiment", "fig5", "fig4", "--scale", "smoke", "--seed", "3")[0] == 0
+        assert calls == [(("fig4", "fig5"), "smoke", 3)]
+
+    def test_nothing_is_written_unasked(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, text = run_cli("experiment", "chaos", "--scale", "smoke")
+        assert code == 0, text
+        assert "== chaos:" in text and "digest written" not in text
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_results_dir_exits_one_naming_it(self, tmp_path):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("", encoding="utf-8")
+        code, text = run_cli("experiment", "fig1", "--results-dir", str(blocker))
+        assert code == 1
+        assert str(blocker) in text
+
+    def test_unknown_id_exits_two(self):
+        assert run_cli("experiment", "fig99")[0] == 2
+
+    def test_undeclared_output_is_a_runtime_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            Run, "execute",
+            lambda self, scale, *, seed: (ExperimentReport("stray", "t"),),
+        )
+        code, text = run_cli("experiment", "fig1", "--results-dir", str(tmp_path))
+        assert code == 1
+        assert "stray.txt" in text and "fig1.txt" in text
+
+    @pytest.mark.parametrize("before", [None, "1"])
+    def test_jobs_flag_does_not_leak_into_the_process(self, before, monkeypatch):
+        if before is None:
+            monkeypatch.delenv("REPRO_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_JOBS", before)
+        assert run_cli("experiment", "fig1", "--scale", "smoke", "--jobs", "2")[0] == 0
+        assert os.environ.get("REPRO_JOBS") == before
+
+    def test_ci_rebuilds_every_run(self):
+        """No file under ``results/`` that CI does not rebuild: every
+        registry entry is named on some ``repro experiment`` line of the
+        workflow (matrix legs expanded)."""
+        text = (ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+        legs = " ".join(re.findall(r"^\s*- ids: \"([^\"]*)\"", text, flags=re.M))
+        rebuilt = set()
+        for line in re.findall(r"repro experiment ([^\n]*--results-dir results)", text):
+            rebuilt.update(line.replace("${{ matrix.leg.ids }}", legs).split())
+        missing = [run.ids[0] for run in RUNS if not rebuilt & set(run.ids)]
+        assert not missing, f"ci.yml never regenerates {missing}"

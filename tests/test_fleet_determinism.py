@@ -7,8 +7,6 @@ oracle as the upper bound — and the drift-gated arms never rebuild on a
 calm (pre-drift) day.
 """
 
-import hashlib
-import json
 import os
 
 import pytest
@@ -33,43 +31,24 @@ def fleet_cache(tmp_path_factory):
             os.environ["REPRO_CACHE_DIR"] = old
 
 
-def _sweep_digest(tmp, jobs: str) -> bytes:
-    old_jobs = os.environ.get("REPRO_JOBS")
-    old_cwd = os.getcwd()
-    os.environ["REPRO_JOBS"] = jobs
-    os.chdir(tmp)
-    try:
-        exp_fleet.run(SMOKE, seed=0)
-        return (tmp / exp_fleet.DIGEST_PATH).read_bytes()
-    finally:
-        os.chdir(old_cwd)
-        if old_jobs is None:
-            os.environ.pop("REPRO_JOBS", None)
-        else:
-            os.environ["REPRO_JOBS"] = old_jobs
+def _sweep_digest(jobs: str) -> dict:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_JOBS", jobs)
+        return exp_fleet.run(SMOKE, seed=0).digest
 
 
 @pytest.fixture(scope="module")
-def digest_serial(fleet_cache, tmp_path_factory):
-    return _sweep_digest(tmp_path_factory.mktemp("fleet_serial"), jobs="1")
+def digest(fleet_cache):
+    return _sweep_digest(jobs="1")
 
 
 class TestSweepDigest:
-    def test_digest_identical_across_worker_counts(
-        self, digest_serial, fleet_cache, tmp_path_factory
-    ):
-        parallel = _sweep_digest(
-            tmp_path_factory.mktemp("fleet_parallel"), jobs="2"
-        )
-        assert (
-            hashlib.sha256(digest_serial).hexdigest()
-            == hashlib.sha256(parallel).hexdigest()
-        )
+    def test_digest_identical_across_worker_counts(self, digest, fleet_cache):
+        assert _sweep_digest(jobs="2") == digest
 
-    def test_update_policies_beat_stale_under_drift(self, digest_serial):
+    def test_update_policies_beat_stale_under_drift(self, digest):
         """The ISSUE's acceptance ordering on post-drift attainment:
         stale <= blended <= oracle."""
-        digest = json.loads(digest_serial.decode("utf-8"))
         post = {
             agg["arm"]: agg["attainment_post_drift"]
             for agg in digest["aggregates"]
@@ -78,8 +57,7 @@ class TestSweepDigest:
         assert post["oracle"] >= post["blended"]
         assert post["latest"] >= post["stale"]
 
-    def test_drift_aware_arms_cost_less_than_cold_start(self, digest_serial):
-        digest = json.loads(digest_serial.decode("utf-8"))
+    def test_drift_aware_arms_cost_less_than_cold_start(self, digest):
         cost = {
             agg["arm"]: agg["profiling_runs"]
             for agg in digest["aggregates"]
@@ -87,10 +65,9 @@ class TestSweepDigest:
         assert cost["blended"] < cost["cold-start"]
         assert cost["latest"] < cost["cold-start"]
 
-    def test_no_rebuilds_before_drift(self, digest_serial):
+    def test_no_rebuilds_before_drift(self, digest):
         """Warm-path acceptance: drift-gated arms rebuild nothing while
         the workload is calm."""
-        digest = json.loads(digest_serial.decode("utf-8"))
         calm = [
             r for r in digest["runs"]
             if r["arm"] in ("stale", "latest", "blended")
@@ -100,8 +77,7 @@ class TestSweepDigest:
         assert all(not r["rebuilt"] for r in calm)
         assert all(not r["drift_significant"] for r in calm)
 
-    def test_drift_detected_after_injection(self, digest_serial):
-        digest = json.loads(digest_serial.decode("utf-8"))
+    def test_drift_detected_after_injection(self, digest):
         for arm in ("latest", "blended"):
             hits = [
                 r["day"] for r in digest["runs"]
@@ -110,8 +86,7 @@ class TestSweepDigest:
             assert hits, arm
             assert min(hits) >= digest["drift"]["day"], arm
 
-    def test_digest_records_every_run(self, digest_serial):
-        digest = json.loads(digest_serial.decode("utf-8"))
+    def test_digest_records_every_run(self, digest):
         assert digest["experiment"] == "fleet"
         assert digest["arms"] == list(exp_fleet.ARMS)
         expected = len(exp_fleet.ARMS) * len(SMOKE.jobs) * exp_fleet.DAYS
@@ -120,10 +95,9 @@ class TestSweepDigest:
             SMOKE.jobs
         )
 
-    def test_staleness_ordering(self, digest_serial):
+    def test_staleness_ordering(self, digest):
         """Cold-start is always fresh; stale ages linearly; the drift-gated
         arms sit in between."""
-        digest = json.loads(digest_serial.decode("utf-8"))
         staleness = {
             agg["arm"]: agg["mean_staleness_days"]
             for agg in digest["aggregates"]

@@ -155,12 +155,15 @@ class TestMarketStats:
         assert "Token market (pooled)" in text
         assert "t00:" in text
 
-    def test_stats_on_sweep_digest(self, tmp_path, monkeypatch):
-        from repro.experiments import SMOKE, exp_market
-
-        monkeypatch.chdir(tmp_path)
-        exp_market.run(SMOKE, seed=0)
-        code, text = run_cli("market", "stats")
+    def test_stats_on_sweep_digest(self, tmp_path):
+        code, _text = run_cli(
+            "experiment", "market", "--scale", "smoke",
+            "--results-dir", str(tmp_path),
+        )
+        assert code == 0
+        code, text = run_cli(
+            "market", "stats", "--digest", str(tmp_path / "exp_market.json")
+        )
         assert code == 0
         assert "market sweep" in text
         assert "pooled" in text and "split" in text

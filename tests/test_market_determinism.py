@@ -6,68 +6,39 @@ shape: split token buckets attain strictly less than the pooled market
 on paired workloads.
 """
 
-import hashlib
-import json
-import os
-
 import pytest
 
 from repro.experiments import SMOKE
 from repro.experiments import exp_market
 
 
-def _sweep_digest(tmp, jobs: str) -> bytes:
-    old_jobs = os.environ.get("REPRO_JOBS")
-    old_cwd = os.getcwd()
-    os.environ["REPRO_JOBS"] = jobs
-    os.chdir(tmp)
-    try:
-        exp_market.run(SMOKE, seed=0)
-        return (tmp / exp_market.DIGEST_PATH).read_bytes()
-    finally:
-        os.chdir(old_cwd)
-        if old_jobs is None:
-            os.environ.pop("REPRO_JOBS", None)
-        else:
-            os.environ["REPRO_JOBS"] = old_jobs
+def _sweep_digest(jobs: str) -> dict:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_JOBS", jobs)
+        return exp_market.run(SMOKE, seed=0).digest
 
 
 @pytest.fixture(scope="module")
-def digest_serial(tmp_path_factory):
-    return _sweep_digest(tmp_path_factory.mktemp("market_serial"), jobs="1")
+def digest():
+    return _sweep_digest(jobs="1")
 
 
 class TestSweepDigest:
-    def test_digest_identical_across_worker_counts(
-        self, digest_serial, tmp_path_factory
-    ):
-        parallel = _sweep_digest(
-            tmp_path_factory.mktemp("market_parallel"), jobs="2"
-        )
-        assert (
-            hashlib.sha256(digest_serial).hexdigest()
-            == hashlib.sha256(parallel).hexdigest()
-        )
+    def test_digest_identical_across_worker_counts(self, digest):
+        assert _sweep_digest(jobs="2") == digest
 
-    def test_digest_identical_across_repeat_runs(
-        self, digest_serial, tmp_path_factory
-    ):
-        again = _sweep_digest(
-            tmp_path_factory.mktemp("market_again"), jobs="1"
-        )
-        assert again == digest_serial
+    def test_digest_identical_across_repeat_runs(self, digest):
+        assert _sweep_digest(jobs="1") == digest
 
-    def test_split_attains_strictly_less_than_pooled(self, digest_serial):
+    def test_split_attains_strictly_less_than_pooled(self, digest):
         """The ISSUE's acceptance inequality on paired seeds."""
-        digest = json.loads(digest_serial.decode("utf-8"))
         assert digest["split_attainment"] < digest["pooled_attainment"]
         # And per paired workload, splitting never helps.
         for pair in digest["pairs"]:
             assert pair["split_attainment"] <= pair["pooled_attainment"]
 
-    def test_pairs_share_workloads(self, digest_serial):
+    def test_pairs_share_workloads(self, digest):
         """Pooled and split cells submit identical job populations."""
-        digest = json.loads(digest_serial.decode("utf-8"))
         by_key = {
             (u["mode"], u["quota_scale"], u["rep"]): u
             for u in digest["runs"]
@@ -86,8 +57,7 @@ class TestSweepDigest:
                     == [t["quota"] for t in split["tenants"]]
                 )
 
-    def test_digest_records_every_run(self, digest_serial):
-        digest = json.loads(digest_serial.decode("utf-8"))
+    def test_digest_records_every_run(self, digest):
         assert digest["experiment"] == "market"
         shape = digest["shape"]
         expected = 2 * len(digest["quota_scales"]) * shape["reps"]
@@ -99,10 +69,9 @@ class TestSweepDigest:
                 == shape["tenants"] * shape["jobs_per_tenant"]
             )
 
-    def test_tighter_quotas_cost_attainment(self, digest_serial):
+    def test_tighter_quotas_cost_attainment(self, digest):
         """Quota sizing matters: the fully-tiled quota (1.0) beats the
         tightest sizing swept, in both market structures."""
-        digest = json.loads(digest_serial.decode("utf-8"))
         for mode in ("pooled", "split"):
             by_qs = {
                 a["quota_scale"]: a["attainment"]

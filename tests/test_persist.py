@@ -219,3 +219,37 @@ class TestBundleFromDict:
         del (broken := dict(payload))["profile"]
         with pytest.raises(persist.PersistError, match="no 'profile' field"):
             persist.bundle_from_dict(broken)
+
+
+class TestWriteJson:
+    def test_bytes_are_the_two_forms_callers_used(self, tmp_path):
+        doc = {"b": [1, 2.5], "a": {"z": None, "y": "é"}}
+        persist.write_json(tmp_path / "compact.json", doc)
+        assert (tmp_path / "compact.json").read_text("utf-8") == json.dumps(doc)
+        persist.write_json(tmp_path / "sub" / "digest.json", doc, indent=2)
+        assert (tmp_path / "sub" / "digest.json").read_text("utf-8") == (
+            json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        )
+
+    def test_failed_dump_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "bundle.json"
+        persist.write_json(path, {"generation": 1})
+        with pytest.raises(TypeError):
+            persist.write_json(path, {"generation": 2, "bad": object()})
+        assert json.loads(path.read_text("utf-8")) == {"generation": 1}
+        assert [p.name for p in tmp_path.iterdir()] == ["bundle.json"]
+
+    def test_writer_killed_before_the_rename_keeps_the_previous_file(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "bundle.json"
+        persist.write_json(path, {"generation": 1})
+
+        def die(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(persist.os, "replace", die)
+        with pytest.raises(KeyboardInterrupt):
+            persist.write_json(path, {"generation": 2})
+        assert json.loads(path.read_text("utf-8")) == {"generation": 1}
+        assert [p.name for p in tmp_path.iterdir()] == ["bundle.json"]
