@@ -14,13 +14,14 @@ stage to the end of the job, and ``T_s`` the stage's total CPU time.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import List, Mapping, Sequence
 
 from repro.jobs.profiles import JobProfile
 
 
 class AmdahlModel:
-    """Implements the Predictor protocol: ``remaining_seconds(fractions, a)``."""
+    """Implements the Predictor protocol: ``remaining_seconds(fractions, a)``
+    and its ``remaining_seconds_batch`` over a grid of allocations."""
 
     name = "amdahl"
 
@@ -33,8 +34,17 @@ class AmdahlModel:
     def remaining_seconds(
         self, fractions: Mapping[str, float], allocation: float
     ) -> float:
-        if allocation <= 0:
-            raise ValueError(f"allocation must be positive, got {allocation!r}")
+        return self.remaining_seconds_batch(fractions, (allocation,))[0]
+
+    def remaining_seconds_batch(
+        self, fractions: Mapping[str, float], allocations: Sequence[float]
+    ) -> List[float]:
+        """The control tick's whole candidate grid from one S_t, P_t pass
+        (neither depends on the allocation).  Element ``i`` equals
+        ``remaining_seconds(fractions, allocations[i])`` exactly."""
+        for a in allocations:
+            if a <= 0:
+                raise ValueError(f"allocation must be positive, got {a!r}")
         serial = 0.0
         parallel = 0.0
         for s in self._stage_names:
@@ -44,7 +54,7 @@ class AmdahlModel:
                     serial, (1.0 - f) * self._longest_task[s] + self._path_after[s]
                 )
                 parallel += (1.0 - f) * self._total_exec[s]
-        return serial + parallel / allocation
+        return [serial + parallel / a for a in allocations]
 
     def predicted_duration(self, allocation: float) -> float:
         """Full-job latency estimate at a steady allocation."""

@@ -144,6 +144,11 @@ def run_multi_job(
     deadlines: Dict[str, float] = {}
     smoothed: Dict[str, float] = {}
     control = ControlConfig(max_tokens=slice_tokens)
+
+    def halt_after_last(_done: JobManager) -> None:
+        if all(m.finished for m in managers.values()):
+            sim.halt()
+
     for trained in jobs:
         deadline = trained.short_deadline * deadline_factor
         deadlines[trained.name] = deadline
@@ -165,6 +170,7 @@ def run_multi_job(
             initial_allocation=max(initial, 1),
             rng=rng.stream(f"job:{trained.name}"),
             deadline=deadline,
+            on_complete=halt_after_last,
         )
 
     result = MultiJobResult(mode=mode)
@@ -226,11 +232,11 @@ def run_multi_job(
 
     sim.schedule_every(control_period, tick)
 
-    while not all(m.finished for m in managers.values()):
-        if sim.peek_time() is None or sim.now > max_virtual_seconds:
-            unfinished = [n for n, m in managers.items() if not m.finished]
-            raise RuntimeError(f"jobs did not finish: {unfinished}")
-        sim.run(until=sim.peek_time(), max_events=10_000)
+    # One dispatch loop, halted by whichever manager completes last.
+    sim.run(until=max_virtual_seconds)
+    unfinished = [n for n, m in managers.items() if not m.finished]
+    if unfinished:
+        raise RuntimeError(f"jobs did not finish: {unfinished}")
 
     for trained in jobs:
         trace = managers[trained.name].trace

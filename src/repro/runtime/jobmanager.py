@@ -190,7 +190,7 @@ class JobManager:
         )
         cluster.on_machine_down(self._on_machine_down)
         for task_id in self._tracker.initially_ready():
-            self._enqueue(task_id)
+            self._enqueue(task_id, self.start_time)
         self.set_allocation(initial_allocation)
         self._update_demand()
         if self._speculation is not None:
@@ -300,13 +300,13 @@ class JobManager:
     # Scheduling internals
     # ------------------------------------------------------------------
 
-    def _enqueue(self, task_id: TaskId) -> None:
+    def _enqueue(self, task_id: TaskId, now: float) -> None:
         self._ready.append(task_id)
-        self._ready_times.setdefault(task_id, self.sim.now)
+        self._ready_times.setdefault(task_id, now)
         rec = _trace.RECORDER
         if rec.enabled:
             rec.emitted += 1
-            rec.raw((self.sim.now, "task.queued",
+            rec.raw((now, "task.queued",
                      (("job", self.name), ("stage", task_id[0]),
                       ("index", task_id[1]),
                       ("attempt", self._attempts.get(task_id, 0)))))
@@ -330,7 +330,7 @@ class JobManager:
         cap = self._grant_cap(grant)
         if len(self._running) > cap:
             self._evict(len(self._running) - cap)
-        self._start_ready_tasks()
+        self._start_ready_tasks(self.sim.now)
         self._rebalance_tokens()
 
     def _rebalance_tokens(self) -> None:
@@ -360,7 +360,7 @@ class JobManager:
                 task.used_spare_token = True
                 self._guaranteed_count -= 1
 
-    def _start_ready_tasks(self) -> None:
+    def _start_ready_tasks(self, now: float) -> None:
         grant = self.consumer.grant
         cap = self._grant_cap(grant)
         ready = self._ready
@@ -369,10 +369,10 @@ class JobManager:
             return
         n = len(ready) if len(ready) < room else room
         if n == 1:
-            self._start_task(ready.popleft(), grant)
+            self._start_task(ready.popleft(), grant, now)
         else:
             self._start_wave([ready.popleft() for _ in range(n)], grant)
-        self.trace.mark_running(self.sim.now, len(self._running))
+        self.trace.mark_running(now, len(self._running))
 
     def _start_wave(self, task_ids: Sequence[TaskId], grant: Grant) -> None:
         """Start a whole wave of ready tasks with one batched heap insert.
@@ -410,7 +410,7 @@ class JobManager:
                 profile.failure_prob > 0 and rng.random() < profile.failure_prob
             )
             if will_fail:
-                runtime *= float(rng.uniform(0.05, 0.95))
+                runtime *= 0.05 + (0.95 - 0.05) * rng.random()
             machine = pick(rng)
             attempt = attempts.get(task_id, 0)
             used_spare = g_count >= guaranteed_part
@@ -445,11 +445,12 @@ class JobManager:
         _STARTS.inc(len(tasks))
 
     def _start_task(
-        self, task_id: TaskId, grant: Grant, *, is_duplicate: bool = False
+        self, task_id: TaskId, grant: Grant, now: float, *, is_duplicate: bool = False
     ) -> None:
-        self._accrue_busy_time()
-        sim = self.sim
-        now = sim.now
+        # Inlined _accrue_busy_time: a no-op when _finish already accrued.
+        if now > self._busy_marker:
+            self._busy_token_seconds += len(self._running) * (now - self._busy_marker)
+            self._busy_marker = now
         rng = self._rng
         stage_name = task_id[0]
         profile = self.behavior.stage(stage_name)
@@ -459,8 +460,10 @@ class JobManager:
         runtime *= self.cluster.contention_factor()
         will_fail = profile.failure_prob > 0 and rng.random() < profile.failure_prob
         if will_fail:
-            # The attempt dies after doing only part of its work.
-            runtime *= float(rng.uniform(0.05, 0.95))
+            # The attempt dies after doing only part of its work: a uniform
+            # draw on [0.05, 0.95), spelled as the arithmetic numpy's
+            # Generator.uniform does on the same rng.random().
+            runtime *= 0.05 + (0.95 - 0.05) * rng.random()
         machine = self.cluster.machines.pick_up_machine(rng)
         attempt = self._attempts.get(task_id, 0)
         # Take a guaranteed token if one is free (e.g. just released by a
@@ -473,19 +476,12 @@ class JobManager:
             ready_time = now
         else:
             ready_time = self._ready_times.pop(task_id, now)
+        planned_end = now + runtime
         task = RunningTask(
-            task_id=task_id,
-            attempt=attempt,
-            ready_time=ready_time,
-            start_time=now,
-            planned_end=now + runtime,
-            machine=machine,
-            used_spare_token=used_spare,
-            will_fail=will_fail,
-            spare_at_start=used_spare,
-            is_duplicate=is_duplicate,
+            task_id, attempt, ready_time, now, planned_end, machine,
+            used_spare, will_fail, used_spare, is_duplicate,
         )
-        task.finish_handle = sim.schedule(runtime, self._finish, task)
+        task.finish_handle = self.sim.schedule_at(planned_end, self._finish, task)
         self._running.append(task)
         _STARTS.inc()
         rec = _trace.RECORDER
@@ -498,17 +494,11 @@ class JobManager:
                       ("duplicate", is_duplicate))))
 
     def _record(self, task: RunningTask, outcome: str, end_time: float) -> None:
+        stage, index = task.task_id
         self.trace.add(
             TaskRecord(
-                stage=task.task_id[0],
-                index=task.task_id[1],
-                attempt=task.attempt,
-                ready_time=task.ready_time,
-                start_time=task.start_time,
-                end_time=end_time,
-                outcome=outcome,
-                machine=task.machine,
-                used_spare_token=task.spare_at_start,
+                stage, index, task.attempt, task.ready_time, task.start_time,
+                end_time, outcome, task.machine, task.spare_at_start,
             )
         )
         counter = _TASK_OUTCOMES.get(outcome)
@@ -520,8 +510,8 @@ class JobManager:
             # `start`/`end` make the exporter render this as a Perfetto span.
             rec.emitted += 1
             rec.raw((end_time, "task.end",
-                     (("job", self.name), ("stage", task.task_id[0]),
-                      ("index", task.task_id[1]), ("attempt", task.attempt),
+                     (("job", self.name), ("stage", stage),
+                      ("index", index), ("attempt", task.attempt),
                       ("outcome", outcome), ("machine", task.machine),
                       ("spare", task.spare_at_start),
                       ("duplicate", task.is_duplicate),
@@ -550,9 +540,20 @@ class JobManager:
         # simulator's free list — drop the reference before anything here
         # can recycle it into a different event.
         task.finish_handle = None
-        self._accrue_busy_time()
         now = self.sim.now
-        siblings = self._release(task)
+        running = self._running
+        # Inlined _accrue_busy_time.
+        if now > self._busy_marker:
+            self._busy_token_seconds += len(running) * (now - self._busy_marker)
+            self._busy_marker = now
+        if self._duplicates_in_flight:
+            siblings = self._release(task)
+        else:
+            # No speculative race in flight: no sibling scan to do.
+            siblings = ()
+            running.remove(task)
+            if not task.used_spare_token:
+                self._guaranteed_count -= 1
         if task.will_fail:
             self._record(task, OUTCOME_FAILED, now)
             # A surviving speculative sibling keeps the task alive; only
@@ -576,15 +577,17 @@ class JobManager:
                     now - task.start_time
                 )
             self._completed_tasks += 1
-            newly_ready = self._tracker.complete(*task.task_id)
-            for task_id in newly_ready:
-                self._enqueue(task_id)
-            if self._tracker.all_complete():
+            for task_id in self._tracker.complete(*task.task_id):
+                self._enqueue(task_id, now)
+            if (
+                self._completed_tasks >= self._total_tasks
+                and self._tracker.all_complete()
+            ):
                 self._complete_job()
                 return
-        self.trace.mark_running(now, len(self._running))
+        self.trace.mark_running(now, len(running))
         self._update_demand()
-        self._start_ready_tasks()
+        self._start_ready_tasks(now)
 
     def _retry(self, task: RunningTask) -> None:
         """Re-queue a failed or evicted attempt; its work is lost."""
@@ -627,7 +630,7 @@ class JobManager:
         if victims:
             self.trace.mark_running(self.sim.now, len(self._running))
             self._update_demand()
-            self._start_ready_tasks()
+            self._start_ready_tasks(self.sim.now)
 
     def _speculate(self) -> None:
         """Launch duplicates for straggling attempts (paper §4.4's
@@ -680,7 +683,7 @@ class JobManager:
         for task in stragglers:
             if len(self._running) >= self._grant_cap(grant):
                 break
-            self._start_task(task.task_id, grant, is_duplicate=True)
+            self._start_task(task.task_id, grant, self.sim.now, is_duplicate=True)
             self.duplicates_launched += 1
             launched += 1
         self._speculative_demand = 0
@@ -715,17 +718,31 @@ class JobManager:
 def run_to_completion(
     manager: JobManager, *, max_seconds: float = 86_400.0
 ) -> RunTrace:
-    """Drive the simulator until the job finishes.  Raises if it does not
-    finish within ``max_seconds`` of virtual time (degenerate configs)."""
+    """Drive the simulator until the job finishes: one ``Simulator.run``,
+    halted by *this* manager's completion (another manager sharing the
+    simulator does not stop it).  Raises if the job does not finish within
+    ``max_seconds`` of virtual time (degenerate configs) or the event queue
+    drains first."""
+    sim = manager.sim
     deadline = manager.start_time + max_seconds
-    while not manager.finished:
-        next_time = manager.sim.peek_time()
-        if next_time is None or manager.sim.now >= deadline:
-            raise JobManagerError(
-                f"job {manager.graph.name!r} did not finish within "
-                f"{max_seconds:.0f}s of virtual time"
-            )
-        manager.sim.run(until=min(next_time, deadline), max_events=10_000)
+    chained = manager._on_complete
+
+    def halt_when_done(done: JobManager) -> None:
+        if chained is not None:
+            chained(done)
+        sim.halt()
+
+    manager._on_complete = halt_when_done
+    try:
+        if not manager.finished and sim.now < deadline:
+            sim.run(until=deadline)
+    finally:
+        manager._on_complete = chained
+    if not manager.finished:
+        raise JobManagerError(
+            f"job {manager.graph.name!r} did not finish within "
+            f"{max_seconds:.0f}s of virtual time"
+        )
     return manager.trace
 
 

@@ -58,7 +58,9 @@ class Uniform:
             raise DistributionError(f"bad uniform bounds [{self.low}, {self.high}]")
 
     def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.low, self.high))
+        # The expression numpy's random_uniform evaluates on the same
+        # next_double, without rng.uniform's scalar-argument handling.
+        return self.low + (self.high - self.low) * rng.random()
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.low, self.high, size=n)

@@ -41,6 +41,9 @@ from repro.telemetry import trace as _trace
 #: Sentinel meaning "callback takes no payload argument".
 _NO_ARG = object()
 
+#: The horizon of a ``run`` with no ``until``.
+_FOREVER = float("inf")
+
 #: Free-list bound: handles beyond this are left to the garbage collector.
 _POOL_MAX = 1024
 
@@ -114,6 +117,7 @@ class Simulator:
         self._cancelled = 0
         self._compactions = 0
         self._handle_pool: List[EventHandle] = []
+        self._until = _FOREVER
 
     @property
     def now(self) -> float:
@@ -367,67 +371,66 @@ class Simulator:
                 "simkit.heap_peak", max(heap_before, len(self._queue))
             )
 
+    def halt(self) -> None:
+        """Finish the events of the current instant, then return from the
+        ``run`` in progress.
+
+        Events at ``now`` — including ones scheduled at ``now`` from here on
+        — still fire in sequence order; later ones stay queued and the clock
+        is *not* advanced to the run's ``until``, so the next ``run``
+        continues as if this one had been called with ``until=now``.  With
+        no ``run`` in progress this does nothing.
+        """
+        self._until = self._now
+
     def _run_loop(self, until: Optional[float], max_events: Optional[int]) -> None:
-        # The engine's hot loop.  Everything it touches per event is a local;
-        # cancelled entries are shed inline as they surface at the heap top,
-        # so each dispatch pays at most one cancelled-entry check (there is
-        # no separate _drop_cancelled pre-scan per iteration).  ``fired !=
-        # max_events`` doubles as the no-limit test: with max_events=None the
-        # comparison never becomes equal.  The dispatched counter is settled
-        # once per call (in ``finally`` so a raising callback still counts
-        # its own dispatch).
+        # The engine's hot loop.  Everything it touches per event is a local
+        # except the horizon ``self._until``, which :meth:`halt` may lower
+        # mid-run; cancelled entries are shed inline as they surface at the
+        # heap top, so each dispatch pays at most one cancelled-entry check
+        # (there is no separate _drop_cancelled pre-scan per iteration).
+        # ``fired != max_events`` doubles as the no-limit test: with
+        # max_events=None the comparison never becomes equal.  The dispatched
+        # counter is settled once per call (in ``finally`` so a raising
+        # callback still counts its own dispatch).
         q = self._queue
         pop = heapq.heappop
         pool = self._handle_pool
         pool_max = _POOL_MAX
         noarg = _NO_ARG
         fired = 0
+        outer = self._until
+        self._until = _FOREVER if until is None else until
         try:
-            if until is None:
-                while q and fired != max_events:
-                    t, _s, cb, arg = pop(q)
-                    if cb is None:
-                        handle = arg
-                        handle._queued = False
-                        if len(pool) < pool_max:
-                            pool.append(handle)
-                        if handle.cancelled:
-                            self._cancelled -= 1
-                            continue
-                        cb = handle.callback
-                        arg = handle.arg
-                    self._now = t
-                    fired += 1
-                    if arg is noarg:
-                        cb()
-                    else:
-                        cb(arg)
+            while q and fired != max_events:
+                if q[0][0] > self._until:
+                    self._now = self._until
+                    break
+                t, _s, cb, arg = pop(q)
+                if cb is None:
+                    handle = arg
+                    handle._queued = False
+                    if len(pool) < pool_max:
+                        pool.append(handle)
+                    if handle.cancelled:
+                        self._cancelled -= 1
+                        continue
+                    cb = handle.callback
+                    arg = handle.arg
+                self._now = t
+                fired += 1
+                if arg is noarg:
+                    cb()
+                else:
+                    cb(arg)
             else:
-                while q and fired != max_events:
-                    if q[0][0] > until:
-                        self._now = until
-                        return
-                    t, _s, cb, arg = pop(q)
-                    if cb is None:
-                        handle = arg
-                        handle._queued = False
-                        if len(pool) < pool_max:
-                            pool.append(handle)
-                        if handle.cancelled:
-                            self._cancelled -= 1
-                            continue
-                        cb = handle.callback
-                        arg = handle.arg
-                    self._now = t
-                    fired += 1
-                    if arg is noarg:
-                        cb()
-                    else:
-                        cb(arg)
-                if not q and until > self._now:
-                    self._now = until
+                # No later event held the loop back: a drained queue still
+                # moves the clock to a finite horizon (after halt(), ``now``).
+                if not q and self._now < self._until < _FOREVER:
+                    self._now = self._until
         finally:
             self._dispatched += fired
+            self._until = outer
 
     def _drop_cancelled(self) -> None:
         q = self._queue

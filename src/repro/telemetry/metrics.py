@@ -18,6 +18,7 @@ values *in place* so those cached instruments stay valid across tests.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -113,11 +114,10 @@ class _HistogramChild:
     def observe(self, value: float) -> None:
         self.sum += value
         self.count += 1
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+        # The first bound >= value, or the +Inf slot past the last one; NaN
+        # is <= no bound, which bisection alone would file under the first.
+        slot = bisect_left(self.buckets, value) if value == value else -1
+        self.counts[slot] += 1
 
     def reset(self) -> None:
         self.counts = [0] * (len(self.buckets) + 1)

@@ -1,6 +1,8 @@
 """Unit tests for the Amdahl model, utility functions, and the oracle."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.amdahl import AmdahlModel
 from repro.core.oracle import oracle_allocation
@@ -44,6 +46,50 @@ class TestAmdahlModel:
     def test_invalid_allocation(self):
         with pytest.raises(ValueError):
             AmdahlModel(profile()).remaining_seconds({"map": 0, "reduce": 0}, 0)
+
+    @given(
+        fractions=st.fixed_dictionaries(
+            {
+                "map": st.floats(min_value=-0.5, max_value=1.5),
+                "reduce": st.floats(min_value=-0.5, max_value=1.5),
+            }
+        ),
+        grid=st.lists(
+            st.one_of(
+                st.integers(min_value=1, max_value=500),
+                st.floats(min_value=0.01, max_value=500.0),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_batch_is_the_per_allocation_answers(self, fractions, grid):
+        """One S_t, P_t pass answers the whole grid with the floats the
+        per-allocation formula (paper §4.1, written out here) gives."""
+        prof = profile()
+        longest = prof.longest_task_seconds()
+        path_after = prof.longest_path_after()
+        total = prof.total_exec_seconds()
+
+        def reference(a):
+            serial = parallel = 0.0
+            for s in prof.stage_names:
+                f = min(max(fractions[s], 0.0), 1.0)
+                if f < 1.0:
+                    serial = max(serial, (1.0 - f) * longest[s] + path_after[s])
+                    parallel += (1.0 - f) * total[s]
+            return serial + parallel / a
+
+        model = AmdahlModel(prof)
+        batch = model.remaining_seconds_batch(fractions, grid)
+        assert batch == [model.remaining_seconds(fractions, a) for a in grid]
+        assert batch == [reference(a) for a in grid]
+
+    def test_batch_rejects_a_non_positive_allocation(self):
+        with pytest.raises(ValueError, match="allocation must be positive, got 0"):
+            AmdahlModel(profile()).remaining_seconds_batch(
+                {"map": 0, "reduce": 0}, [10, 0, 20]
+            )
 
 
 class TestPiecewiseLinearUtility:

@@ -6,8 +6,9 @@ from repro.cluster import Cluster, ClusterConfig, Consumer
 from repro.jobs.dag import Edge, EdgeType, JobGraph, Stage
 from repro.jobs.profiles import JobProfile, StageProfile
 from repro.runtime.jobmanager import JobManager, JobManagerError, run_to_completion
+from repro.runtime.speculation import SpeculationConfig
 from repro.runtime.task import RunningTask
-from repro.simkit.distributions import Constant
+from repro.simkit.distributions import Constant, LogNormal, Uniform, WithOutliers
 from repro.simkit.events import Simulator
 from repro.simkit.random import RngRegistry
 
@@ -273,16 +274,127 @@ class TestSnapshot:
         assert manager.snapshot().allocation == 3
 
 
+def noisy_run(seed, driver, *, speculate=False):
+    """A stochastic job (lognormal runtimes, failures, outliers) on a
+    cluster with background demand, contention and machine loss, driven to
+    its end by ``driver``."""
+    sim = Simulator()
+    config = ClusterConfig(
+        num_machines=20,
+        slots_per_machine=4,
+        background_guaranteed=30,
+        background_mean_demand=50.0,
+        background_min_demand=20,
+        background_max_demand=70,
+        machine_mtbf_seconds=30_000.0,
+        spare_soaker_weight=40.0,
+    )
+    cluster = Cluster(sim, config, rng=RngRegistry(seed))
+    graph = JobGraph(
+        "noisy",
+        [Stage("map", 60), Stage("reduce", 10)],
+        [Edge("map", "reduce", EdgeType.ALL_TO_ALL)],
+    )
+    profile = JobProfile(
+        graph,
+        {
+            "map": StageProfile(
+                "map",
+                runtime=WithOutliers(LogNormal.from_median_p90(20.0, 45.0), 0.1, 6.0),
+                init=Uniform(0.5, 2.0),
+                failure_prob=0.05,
+            ),
+            "reduce": StageProfile(
+                "reduce", runtime=LogNormal.from_median_p90(12.0, 20.0)
+            ),
+        },
+    )
+    manager = JobManager(
+        cluster, graph, profile, initial_allocation=20,
+        speculation=SpeculationConfig(check_period_seconds=10.0) if speculate else None,
+    )
+    return driver(manager)
+
+
+def per_timestamp_run(manager, *, max_seconds=86_400.0):
+    """The driver ``run_to_completion`` replaced, verbatim: re-enter the
+    dispatch loop once per timestamp and look at ``finished`` in between."""
+    deadline = manager.start_time + max_seconds
+    while not manager.finished:
+        next_time = manager.sim.peek_time()
+        if next_time is None or manager.sim.now >= deadline:
+            raise JobManagerError(
+                f"job {manager.graph.name!r} did not finish within "
+                f"{max_seconds:.0f}s of virtual time"
+            )
+        manager.sim.run(until=min(next_time, deadline), max_events=10_000)
+    return manager.trace
+
+
 class TestRunToCompletion:
-    def test_stalled_job_raises(self):
-        sim = Simulator()
+    MESSAGE = "job 'tiny' did not finish within 100s of virtual time"
+
+    def stalled(self, sim):
         cluster = quiet_cluster(sim)
-        hog = cluster.pool.register(Consumer("hog", cluster.pool.capacity))
+        cluster.pool.register(Consumer("hog", cluster.pool.capacity))
         cluster.pool.set_demand("hog", cluster.pool.capacity)
         graph, profile = two_stage_job()
-        manager = JobManager(cluster, graph, profile, initial_allocation=0)
+        return JobManager(cluster, graph, profile, initial_allocation=0)
+
+    def test_stalled_job_raises(self):
+        manager = self.stalled(Simulator())
         with pytest.raises(JobManagerError, match="did not finish"):
             run_to_completion(manager, max_seconds=100.0)
+
+    @pytest.mark.parametrize("driver", [run_to_completion, per_timestamp_run])
+    def test_same_message_when_the_queue_drains_early(self, driver):
+        sim = Simulator()
+        manager = self.stalled(sim)
+        assert sim.pending_count == 0
+        with pytest.raises(JobManagerError) as err:
+            driver(manager, max_seconds=100.0)
+        assert str(err.value) == self.MESSAGE
+
+    @pytest.mark.parametrize("driver", [run_to_completion, per_timestamp_run])
+    def test_same_message_when_max_seconds_is_reached(self, driver):
+        sim = Simulator()
+        manager = self.stalled(sim)
+        sim.schedule_every(30.0, lambda: None)  # the queue never drains
+        with pytest.raises(JobManagerError) as err:
+            driver(manager, max_seconds=100.0)
+        assert str(err.value) == self.MESSAGE
+        assert sim.now == 100.0
+        # The completion hook the driver chained is gone again.
+        assert manager._on_complete is None
+
+    def test_only_the_driven_manager_halts_the_run(self):
+        """Two managers on one simulator: the undriven one finishes first
+        and the driven one still runs to its end."""
+        sim = Simulator()
+        cluster = quiet_cluster(sim)
+        done = []
+        managers = {}
+        for name, map_time in (("short", 5.0), ("long", 40.0)):
+            graph, profile = two_stage_job(map_time=map_time)
+            managers[name] = JobManager(
+                cluster, graph, profile, name=name, initial_allocation=4,
+                on_complete=lambda m: done.append((m.name, sim.now)),
+            )
+        trace = run_to_completion(managers["long"])
+        assert [name for name, _t in done] == ["short", "long"]
+        assert managers["short"].trace.end_time < trace.end_time == sim.now
+
+    @pytest.mark.parametrize(
+        "seed, speculate", [(2, False), (9, False), (21, True)]
+    )
+    def test_one_dispatch_loop_is_the_per_timestamp_run(self, seed, speculate):
+        """Entering ``Simulator.run`` once and halting on completion is the
+        run the per-timestamp driver produced: every record, both timelines
+        and the end time."""
+        new = noisy_run(seed, run_to_completion, speculate=speculate)
+        old = noisy_run(seed, per_timestamp_run, speculate=speculate)
+        assert new == old
+        assert any(r.outcome != "ok" for r in new.records)
 
 
 class TestAttemptIdentity:

@@ -392,15 +392,15 @@ class _ScalarStartManager(JobManager):
     ready task.  Used as the reference the batched wave path must match
     byte-for-byte."""
 
-    def _start_ready_tasks(self):
+    def _start_ready_tasks(self, now):
         grant = self.consumer.grant
         cap = self._grant_cap(grant)
         started = False
         while self._ready and len(self._running) < cap:
-            self._start_task(self._ready.popleft(), grant)
+            self._start_task(self._ready.popleft(), grant, now)
             started = True
         if started:
-            self.trace.mark_running(self.sim.now, len(self._running))
+            self.trace.mark_running(now, len(self._running))
 
 
 def _traced_run(manager_cls, seed, **manager_kwargs):

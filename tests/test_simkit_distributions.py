@@ -58,6 +58,22 @@ class TestUniform:
         with pytest.raises(DistributionError):
             Uniform(-1.0, 2.0)
 
+    @given(
+        low=st.floats(min_value=0.0, max_value=1e9),
+        width=st.floats(min_value=0.0, max_value=1e9),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_sample_is_numpys_uniform_bit_for_bit(self, low, width, seed):
+        """``sample`` spells ``rng.uniform(low, high)`` as arithmetic on
+        ``rng.random()``: same floats, and the stream ends up in the same
+        place (``width == 0`` is the ``low == high`` case)."""
+        high = low + width
+        dist = Uniform(low, high)
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(300):
+            assert dist.sample(ours) == float(numpys.uniform(low, high))
+        assert ours.random() == numpys.random()
+
 
 class TestExponential:
     def test_mean_matches(self, rng):

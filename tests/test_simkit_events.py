@@ -133,6 +133,65 @@ class TestRunControl:
         assert sim.peek_time() == 3.0
 
 
+class TestHalt:
+    def test_halt_finishes_the_instant_and_keeps_later_events(self):
+        sim = Simulator()
+        fired = []
+
+        def halting():
+            fired.append("halting")
+            sim.call_at(sim.now, lambda: fired.append("scheduled-by-halting"))
+            sim.halt()
+
+        sim.call_at(5.0, halting)
+        sim.call_at(5.0, lambda: fired.append("same-instant"))
+        sim.schedule_at(6.0, lambda: fired.append("later"))
+        sim.run(until=100.0)
+        assert fired == ["halting", "same-instant", "scheduled-by-halting"]
+        assert sim.now == 5.0  # the halting instant, not ``until``
+        assert sim.events_dispatched == 3
+        assert sim.peek_time() == 6.0
+        # The next run carries on as if the last had been run(until=5.0).
+        sim.run(until=100.0)
+        assert fired[-1] == "later"
+        assert sim.now == 100.0
+        assert sim.events_dispatched == 4
+
+    def test_halt_stops_a_run_without_until(self):
+        sim = Simulator()
+        fired = []
+        sim.call_at(1.0, sim.halt)
+        sim.call_at(2.0, lambda: fired.append(2.0))
+        sim.run()
+        assert (fired, sim.now) == ([], 1.0)
+        sim.run()
+        assert (fired, sim.now) == ([2.0], 2.0)
+
+    def test_halt_with_nothing_running_does_not_shorten_the_next_run(self):
+        sim = Simulator()
+        fired = []
+        sim.halt()
+        sim.call_at(3.0, lambda: fired.append(3.0))
+        sim.run(until=10.0)
+        assert (fired, sim.now) == ([3.0], 10.0)
+
+    def test_halt_returns_from_the_innermost_run_only(self):
+        sim = Simulator()
+        fired = []
+
+        def nested():
+            sim.call_at(2.0, sim.halt)
+            sim.call_at(3.0, lambda: fired.append("inner-later"))
+            sim.run(until=50.0)
+            fired.append(("inner-returned", sim.now))
+
+        sim.call_at(1.0, nested)
+        sim.call_at(4.0, lambda: fired.append("outer-later"))
+        sim.run(until=10.0)
+        assert fired == [("inner-returned", 2.0), "inner-later", "outer-later"]
+        assert sim.now == 10.0
+
+
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
         sim = Simulator()

@@ -2,13 +2,19 @@
 
 import io
 import json
+import math
 
 import pytest
 
 from repro.telemetry import audit as audit_mod
 from repro.telemetry import export, metrics, trace
 from repro.telemetry.audit import ControlAudit, TickRecord, reconstruct_allocations
-from repro.telemetry.metrics import MetricError, MetricsRegistry
+from repro.telemetry.metrics import (
+    DEFAULT_BUCKETS,
+    MetricError,
+    MetricsRegistry,
+    _HistogramChild,
+)
 from repro.telemetry.trace import NULL, TraceEvent, TraceRecorder
 
 
@@ -86,6 +92,31 @@ class TestHistogram:
                           buckets=(1.0,))
         h.labels(outcome="ok").observe(0.5)
         assert h.snapshot()["values"]['outcome="ok"']["count"] == 1
+
+    @pytest.mark.parametrize(
+        "buckets", [DEFAULT_BUCKETS, (1.0,), (0.0, 0.0, 2.5), ()]
+    )
+    def test_bisected_bucket_is_the_linear_scans(self, buckets):
+        """``observe`` finds its bucket by bisection; it is the bucket the
+        scan ``first bound with value <= bound, else +Inf`` picks — at every
+        bound, the float either side of it, and the non-finite values (NaN
+        is <= nothing: the +Inf slot)."""
+        values = [0.0, -1.0, math.inf, -math.inf, math.nan]
+        for bound in buckets:
+            values += [bound, math.nextafter(bound, -math.inf),
+                       math.nextafter(bound, math.inf)]
+        if buckets:
+            values.append(buckets[-1] * 2 + 1)
+        for value in values:
+            child = _HistogramChild(tuple(buckets))
+            child.observe(value)
+            scan = next(
+                (i for i, bound in enumerate(buckets) if value <= bound),
+                len(buckets),
+            )
+            expected = [0] * (len(buckets) + 1)
+            expected[scan] = 1
+            assert child.counts == expected, value
 
 
 class TestRegistry:
