@@ -23,6 +23,7 @@ Performance notes:
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -165,6 +166,8 @@ class CpaTable:
             raise CpaError("need at least one repetition")
         if num_bins < 2:
             raise CpaError("need at least two progress bins")
+        if not (sample_dt > 0 and math.isfinite(sample_dt)):
+            raise CpaError(f"sample_dt must be finite and > 0, got {sample_dt!r}")
         if seed is not None:
             base_seed = int(seed)
         elif rng is not None:

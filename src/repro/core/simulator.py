@@ -15,6 +15,7 @@ contributes one ``(p_t, T − t)`` sample per sampling interval.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -53,36 +54,38 @@ class _StageSampler:
     sequence depends only on how many of its tasks have started, never on
     how other stages interleave.  That is what lets the sampling be
     batched without changing results between runs.
+
+    What a slot means is resolved for the whole block at refill, with the
+    comparisons and the one IEEE multiply a per-start resolution would do:
+    slot ``i`` fails iff ``fail_u[i] < failure_prob`` and then costs
+    ``raw_costs[i] * fail_frac[i]``.  The task loop reads ``costs[pos]`` and
+    ``fails[pos]`` and advances ``pos`` itself (refilling at ``chunk``);
+    ``raw_costs`` is for an attempt the livelock guard forces to succeed.
     """
 
-    __slots__ = ("_sp", "_rng", "_chunk", "_costs", "_fail_us", "_fail_fracs", "_pos")
+    __slots__ = ("_sp", "_rng", "chunk", "pos", "costs", "fails", "raw_costs")
 
     def __init__(self, sp: StageProfile, seed: int, num_tasks: int):
         self._sp = sp
         self._rng = np.random.default_rng(seed)
-        self._chunk = min(256, max(16, num_tasks))
-        self._pos = self._chunk  # force a refill on the first draw
-        self._costs: List[float] = []
-        self._fail_us: List[float] = []
-        self._fail_fracs: List[float] = []
+        self.chunk = min(256, max(16, num_tasks))
+        self.pos = self.chunk  # the first start refills
+        self.costs: List[float] = []
+        self.fails: List[bool] = []
+        self.raw_costs: List[float] = []
 
-    def _refill(self) -> None:
-        sp, rng, k = self._sp, self._rng, self._chunk
+    def refill(self) -> None:
+        sp, rng, k = self._sp, self._rng, self.chunk
+        raw = _dist.sample_n(sp.runtime, rng, k) + _dist.sample_n(sp.init, rng, k)
+        fail_us = rng.random(k)
+        fail_fracs = rng.uniform(0.05, 0.95, k)
+        fails = fail_us < sp.failure_prob
+        costs = np.where(fails, raw * fail_fracs, raw)
         # Python floats (same values): the task loop does scalar arithmetic.
-        self._costs = (
-            _dist.sample_n(sp.runtime, rng, k) + _dist.sample_n(sp.init, rng, k)
-        ).tolist()
-        self._fail_us = rng.random(k).tolist()
-        self._fail_fracs = rng.uniform(0.05, 0.95, k).tolist()
-        self._pos = 0
-
-    def draw(self) -> Tuple[float, float, float]:
-        pos = self._pos
-        if pos >= self._chunk:
-            self._refill()
-            pos = 0
-        self._pos = pos + 1
-        return self._costs[pos], self._fail_us[pos], self._fail_fracs[pos]
+        self.raw_costs = raw.tolist()
+        self.costs = costs.tolist()
+        self.fails = fails.tolist()
+        self.pos = 0
 
 
 @dataclass
@@ -129,64 +132,86 @@ def simulate_job(
     """
     if allocation < 1:
         raise SimulatorError(f"allocation must be >= 1, got {allocation}")
+    if not (sample_dt > 0 and math.isfinite(sample_dt)):
+        raise SimulatorError(
+            f"sample_dt must be finite and > 0, got {sample_dt!r}"
+        )
     graph = profile.graph
+    # Tasks are the tracker's global ids from here to the end of the loop.
     tracker = DependencyTracker(graph)
-    ready = deque(tracker.initially_ready())
+    ready = deque(tracker.initially_ready_ids())
     if not ready:
         raise SimulatorError(f"job {graph.name!r} has no runnable root tasks")
 
-    #: stage -> (failure probability, next-draw function), in stage order.
-    stages = {}
-    for stage in graph.stages:
-        sp = profile.stage(stage.name)
-        sampler = _StageSampler(sp, int(rng.integers(0, 2**63)), stage.num_tasks)
-        stages[stage.name] = (sp.failure_prob, sampler.draw)
+    #: One sampler per stage, in stage order.
+    samplers = [
+        _StageSampler(
+            profile.stage(stage.name), int(rng.integers(0, 2**63)), stage.num_tasks
+        )
+        for stage in graph.stages
+    ]
+    stage_of = tracker.stage_of
     # Hoisted telemetry handles: one registry/recorder resolution per run,
     # not per task or per metric update.
     metrics_on = _metrics.REGISTRY.enabled
     rec = _trace.RECORDER
     #: running tasks as (finish_time, seq, task id, will_fail); seq is unique,
     #: so ties on finish_time break on start order and nothing past it compares.
-    running: List[Tuple[float, int, Tuple[str, int], bool]] = []
+    running: List[Tuple[float, int, int, bool]] = []
+    #: The task that just finished is still ``running[0]``: the first start
+    #: after it takes its place in one ``heapreplace`` (pop, then push).
+    vacated = False
     in_flight = 0
     seq = 0
     now = 0.0
     total_cpu = 0.0
     failures = 0
-    attempts: Dict[Tuple[str, int], int] = {}
-    stage_first_start: Dict[str, float] = {}
-    stage_last_end: Dict[str, float] = {}
+    attempts: Dict[int, int] = {}
+    first_start: List[Optional[float]] = [None] * len(samplers)
+    last_end: List[Optional[float]] = [None] * len(samplers)
     samples: List[Tuple[float, float]] = []
     next_sample = 0.0 if indicator is not None else float("inf")
 
     heappush = heapq.heappush
     heappop = heapq.heappop
+    heapreplace = heapq.heapreplace
     popleft = ready.popleft
-    complete = tracker.complete
+    complete_id = tracker.complete_id
     fractions = tracker.stage_fractions
 
     while True:
         # Greedy FIFO: fill free tokens from the head of the ready queue.
         while ready and in_flight < allocation:
             task = popleft()
-            stage = task[0]
-            failure_prob, draw = stages[stage]
-            runtime, fail_u, fail_frac = draw()
-            will_fail = failure_prob > 0 and fail_u < failure_prob
-            if will_fail:
-                if attempts.get(task, 0) + 1 >= max_task_attempts:
-                    will_fail = False  # give up on failing: avoid livelock
-                else:
-                    runtime *= fail_frac
+            stage = stage_of[task]
+            sampler = samplers[stage]
+            pos = sampler.pos
+            if pos == sampler.chunk:
+                sampler.refill()
+                pos = 0
+            sampler.pos = pos + 1
+            runtime = sampler.costs[pos]
+            will_fail = sampler.fails[pos]
+            if will_fail and attempts.get(task, 0) + 1 >= max_task_attempts:
+                will_fail = False  # give up on failing: avoid livelock
+                runtime = sampler.raw_costs[pos]
             total_cpu += runtime
-            if track_spans and stage not in stage_first_start:
-                stage_first_start[stage] = now
-            heappush(running, (now + runtime, seq, task, will_fail))
+            if track_spans and first_start[stage] is None:
+                first_start[stage] = now
+            if vacated:
+                heapreplace(running, (now + runtime, seq, task, will_fail))
+                vacated = False
+            else:
+                heappush(running, (now + runtime, seq, task, will_fail))
             seq += 1
             in_flight += 1
+        if vacated:
+            heappop(running)
+            vacated = False
         if not running:
             break
-        finish_time, _seq, task, will_fail = heappop(running)
+        finish_time, _seq, task, will_fail = running[0]
+        vacated = True
         in_flight -= 1
         # Sample progress at interval boundaries strictly before this event.
         up_to = finish_time - 1e-9
@@ -199,9 +224,9 @@ def simulate_job(
             attempts[task] = attempts.get(task, 0) + 1
             ready.append(task)
         else:
-            ready.extend(complete(*task))
+            ready.extend(complete_id(task))
             if track_spans:
-                stage_last_end[task[0]] = now
+                last_end[stage_of[task]] = now
 
     if not tracker.all_complete():
         unfinished = [
@@ -217,10 +242,11 @@ def simulate_job(
     duration = now
     spans: Dict[str, Tuple[float, float]] = {}
     if track_spans and duration > 0:
-        for name in stages:
-            lo = stage_first_start.get(name, 0.0) / duration
-            hi = stage_last_end.get(name, duration) / duration
-            spans[name] = (min(lo, 1.0), min(max(hi, lo), 1.0))
+        # Every stage started and ended: the run drained.
+        for stage, start, end in zip(graph.stages, first_start, last_end):
+            lo = start / duration
+            hi = end / duration
+            spans[stage.name] = (min(lo, 1.0), min(max(hi, lo), 1.0))
     if indicator is not None:
         samples.append((duration, indicator.progress(fractions())))
     if metrics_on:

@@ -22,7 +22,7 @@ from repro.core.progress import build_indicator
 from repro.core.simulator import simulate_relative_spans
 from repro.jobs.profiles import JobProfile
 from repro.jobs.trace import RunTrace
-from repro.jobs.workloads import GeneratedJob, generate_table2_jobs
+from repro.jobs.workloads import TABLE2_SPECS, GeneratedJob, generate_job
 from repro.runtime.jobmanager import JobManager, run_to_completion
 from repro.simkit.events import Simulator
 from repro.simkit.random import RngRegistry, derive_seed
@@ -229,7 +229,9 @@ def trained_job(
     key = (name, seed, scale.name)
     if use_cache and key in _TRAINED_CACHE:
         return _TRAINED_CACHE[key]
-    generated = generate_table2_jobs(seed=seed, vertex_scale=scale.vertex_scale)[name]
+    generated = generate_job(
+        TABLE2_SPECS[name], seed=seed, vertex_scale=scale.vertex_scale
+    )
     trace = run_training(
         generated, seed=seed, allocation=scale.training_allocation
     )

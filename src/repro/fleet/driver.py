@@ -61,7 +61,7 @@ from repro.fleet.update import (
     detect_drift,
     resolve_profile,
 )
-from repro.jobs.workloads import TABLE2_SPECS, generate_table2_jobs, mapreduce_job
+from repro.jobs.workloads import TABLE2_SPECS, generate_job, mapreduce_job
 from repro.simkit.random import derive_seed
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import predict as _predict
@@ -264,9 +264,11 @@ def _generate(template: FleetTemplate, config: FleetConfig):
     if job == "mapreduce":
         return mapreduce_job()
     if job in TABLE2_SPECS:
-        return generate_table2_jobs(
-            seed=config.seed, vertex_scale=config.scale.vertex_scale
-        )[job]
+        return generate_job(
+            TABLE2_SPECS[job],
+            seed=config.seed,
+            vertex_scale=config.scale.vertex_scale,
+        )
     raise FleetError(
         f"unknown template job {job!r} for template {template.name!r} "
         "(choose A-G or mapreduce)"

@@ -11,10 +11,11 @@ A job is a DAG of *stages*; each stage holds one or more parallel *tasks*
   the upstream stage fully completes (paper §2.1).
 
 The :class:`DependencyTracker` gives both the cluster runtime and Jockey's
-offline simulator an O(E)-memory, O(1)-amortized readiness test even for
-all-to-all edges between large stages.  What it needs to know about the
-graph is compiled once per graph (:class:`_ReadinessPlan`); a tracker is
-only the mutable counters over that plan.
+offline simulator an O(1)-amortized readiness test in O(|V| + pointwise
+fan-out) memory — an all-to-all edge between large stages costs one count
+per downstream task, never a record per pair.  What it needs to know about
+the graph is compiled once per graph (:class:`_ReadinessPlan`); a tracker
+is only the mutable counters over that plan.
 """
 
 from __future__ import annotations
@@ -254,65 +255,108 @@ def one_to_one_range(i: int, n_dst: int, n_src: int) -> Tuple[int, int]:
 class _ReadinessPlan:
     """Everything :class:`DependencyTracker` needs to know about a graph,
     derived once (the graph is immutable) and shared by every tracker over
-    it.  Stages are addressed by their position in ``graph.stages``.
+    it.
+
+    Stages are addressed by their position in ``graph.stages`` and tasks by
+    a global id, ``offsets[stage] + index``.  The task-level view costs
+    O(|V| + pointwise fan-out) memory; an all-to-all edge adds one to each
+    downstream task's input count and nothing else.
     """
 
-    __slots__ = ("index", "names", "sizes", "total", "roots", "barriers",
-                 "pointwise", "out_edges")
+    __slots__ = ("index", "names", "sizes", "offsets", "total", "stage_of",
+                 "root_ids", "counts", "dependents", "out_edges", "_task_names")
 
     def __init__(self, graph: JobGraph):
         stages = graph.stages
         self.index: Dict[str, int] = {s.name: i for i, s in enumerate(stages)}
         self.names: Tuple[str, ...] = tuple(s.name for s in stages)
         self.sizes: Tuple[int, ...] = tuple(s.num_tasks for s in stages)
-        self.total: int = graph.num_vertices
-        #: In-edge-free stages in topological order: the tasks ready at start.
-        self.roots: Tuple[int, ...] = tuple(
+        offsets: List[int] = []
+        total = 0
+        for size in self.sizes:
+            offsets.append(total)
+            total += size
+        self.offsets: Tuple[int, ...] = tuple(offsets)
+        self.total: int = total
+        #: Per task id: the position of its stage.
+        self.stage_of: Tuple[int, ...] = tuple(
+            s for s, size in enumerate(self.sizes) for _ in range(size)
+        )
+        # One int object per task; every tuple of ids below is a slice of it.
+        ids = tuple(range(total))
+        roots = [
             self.index[name]
             for name in graph.topological_order()
             if not graph.in_edges(name)
+        ]
+        #: Tasks of the in-edge-free stages, stages in topological order:
+        #: what is ready at start.
+        self.root_ids: Tuple[int, ...] = tuple(
+            task
+            for s in roots
+            for task in ids[offsets[s]:offsets[s] + self.sizes[s]]
         )
-        #: Per stage: how many ALL_TO_ALL inputs gate it.
-        barriers: List[int] = []
-        #: Per stage, per task: how many upstream tasks feed it pointwise.
-        pointwise: List[Tuple[int, ...]] = []
-        for stage in stages:
-            n_dst = stage.num_tasks
-            counts = [0] * n_dst
-            gates = 0
-            for edge in graph.in_edges(stage.name):
-                if edge.kind is EdgeType.ALL_TO_ALL:
-                    gates += 1
-                    continue
-                n_src = graph.stage(edge.src).num_tasks
-                for i in range(n_dst):
-                    lo, hi = one_to_one_range(i, n_dst, n_src)
-                    counts[i] += hi - lo + 1
-            barriers.append(gates)
-            pointwise.append(tuple(counts))
-        self.barriers: Tuple[int, ...] = tuple(barriers)
-        self.pointwise: Tuple[Tuple[int, ...], ...] = tuple(pointwise)
-        #: Per stage: ``(dst index, dst name, is_barrier, n_dst)`` per out-edge.
+        #: Per task id: the inputs it waits for — one per upstream task
+        #: that feeds it pointwise plus one per ALL_TO_ALL in-edge (paid
+        #: when that upstream stage completes).  Ready at 0.
+        counts = [0] * total
+        #: Per task id: the ids it feeds pointwise, per out-edge in edge
+        #: order and ascending within an edge — the order they become
+        #: ready in.
+        dependents: List[Tuple[int, ...]] = [()] * total
+        for edge in graph.edges:
+            src, dst = self.index[edge.src], self.index[edge.dst]
+            n_src, n_dst = self.sizes[src], self.sizes[dst]
+            first = offsets[dst]
+            if edge.kind is EdgeType.ALL_TO_ALL:
+                for j in range(first, first + n_dst):
+                    counts[j] += 1
+                continue
+            for i in range(n_src):
+                # The relation is symmetric: the downstream tasks that read
+                # upstream ``i`` are ``i``'s own range seen from the other side.
+                lo, hi = one_to_one_range(i, n_src, n_dst)
+                fed = ids[first + lo:first + hi + 1]
+                dependents[offsets[src] + i] += fed
+                for j in fed:
+                    counts[j] += 1
+        self.counts: Tuple[int, ...] = tuple(counts)
+        self.dependents: Tuple[Tuple[int, ...], ...] = tuple(dependents)
+        #: Per stage, per out-edge: ``(is_barrier, first id, end id)`` of the
+        #: downstream stage.  Read only when a stage's last task completes.
         self.out_edges = tuple(
             tuple(
-                (
-                    self.index[e.dst],
-                    e.dst,
-                    e.kind is EdgeType.ALL_TO_ALL,
-                    graph.stage(e.dst).num_tasks,
-                )
+                (e.kind is EdgeType.ALL_TO_ALL, offsets[d], offsets[d] + self.sizes[d])
                 for e in graph.out_edges(name)
+                for d in (self.index[e.dst],)
             )
             for name in self.names
         )
+        self._task_names = None
+
+    @property
+    def task_names(self) -> Tuple[Tuple[str, int], ...]:
+        """Per task id: its ``(stage name, index)``.  Built when a
+        name-addressed caller first asks; the simulator never does."""
+        if self._task_names is None:
+            self._task_names = tuple(
+                (name, i)
+                for name, size in zip(self.names, self.sizes)
+                for i in range(size)
+            )
+        return self._task_names
 
 
 class DependencyTracker:
     """Incremental task-readiness tracking over a :class:`JobGraph`.
 
-    Usage: construct, drain :meth:`initially_ready`, then feed each task
-    completion to :meth:`complete` and schedule the task ids it returns.
-    Task ids are ``(stage_name, index)`` tuples.
+    Usage: construct, drain the initially ready tasks, then feed each task
+    completion back and schedule the tasks it returns.  There is one
+    implementation, addressed by global task id (``stage offset + index``,
+    stages in ``graph.stages`` order): :meth:`initially_ready_ids` and
+    :meth:`complete_id`, which the offline simulator calls.
+    :meth:`initially_ready` and :meth:`complete` speak ``(stage_name,
+    index)`` for the job manager and the service and translate to it.
 
     The structure lives in the graph's :class:`_ReadinessPlan`; a tracker
     holds only counters, so construction and ``reset`` are list copies —
@@ -320,89 +364,116 @@ class DependencyTracker:
     thousands of times while building C(p, a).
     """
 
-    __slots__ = ("graph", "_plan", "_barriers", "_pointwise", "_completed",
-                 "_remaining", "_roots_pending")
+    __slots__ = ("graph", "_plan", "_stage_of", "_dependents", "_counts",
+                 "_pending", "_stages_pending", "_roots_pending")
 
     def __init__(self, graph: JobGraph):
         self.graph = graph
-        self._plan = graph._plan
+        plan = self._plan = graph._plan
+        # What every completion reads, one attribute hop away.
+        self._stage_of = plan.stage_of
+        self._dependents = plan.dependents
         self.reset()
 
     def reset(self) -> None:
         """Restore initial readiness state (all tasks un-run) without
         re-deriving structure."""
         plan = self._plan
-        self._barriers = list(plan.barriers)
-        self._pointwise = [list(counts) for counts in plan.pointwise]
-        self._completed = [0] * len(plan.sizes)
-        self._remaining = plan.total
+        #: Per task id: inputs still missing.
+        self._counts = list(plan.counts)
+        #: Per stage: tasks not yet completed.
+        self._pending = list(plan.sizes)
+        self._stages_pending = len(plan.sizes)
         self._roots_pending = True
 
-    def initially_ready(self) -> List[Tuple[str, int]]:
-        """Tasks with no unmet dependencies at job start (handed out once)."""
+    @property
+    def stage_of(self) -> Tuple[int, ...]:
+        """Per task id: the position of its stage in ``graph.stages``."""
+        return self._stage_of
+
+    def initially_ready_ids(self) -> Tuple[int, ...]:
+        """Ids of the tasks with no unmet dependencies at job start (handed
+        out once)."""
         if not self._roots_pending:
-            return []
+            return ()
         self._roots_pending = False
-        plan = self._plan
-        return [
-            (plan.names[s], i) for s in plan.roots for i in range(plan.sizes[s])
-        ]
+        return self._plan.root_ids
+
+    def complete_id(self, task_id: int) -> List[int]:
+        """Record completion of one task; return the ids it made ready."""
+        try:
+            if task_id < 0:
+                raise IndexError
+            s = self._stage_of[task_id]
+        except IndexError:
+            raise GraphError(
+                f"task id {task_id} out of range for {self._plan.total} tasks"
+            ) from None
+        pending = self._pending
+        left_in_stage = pending[s] - 1
+        if left_in_stage < 0:
+            raise GraphError(
+                f"stage {self._plan.names[s]!r} completed more tasks than it has"
+            )
+        pending[s] = left_in_stage
+        counts = self._counts
+        newly_ready: List[int] = []
+        fed = self._dependents[task_id]
+        if left_in_stage:
+            for j in fed:
+                left = counts[j] = counts[j] - 1
+                if not left:
+                    newly_ready.append(j)
+            return newly_ready
+        # The stage's last task also pays the stage's ALL_TO_ALL out-edges,
+        # edge by edge so shuffled and pointwise releases keep their order.
+        self._stages_pending -= 1
+        for is_barrier, first, end in self._plan.out_edges[s]:
+            # An edge owns its downstream stage, so the id range picks this
+            # edge's share out of the task's dependents.
+            for j in (
+                range(first, end) if is_barrier
+                else [t for t in fed if first <= t < end]
+            ):
+                left = counts[j] = counts[j] - 1
+                if not left:
+                    newly_ready.append(j)
+        return newly_ready
+
+    def initially_ready(self) -> List[Tuple[str, int]]:
+        """:meth:`initially_ready_ids` as ``(stage_name, index)`` pairs."""
+        names = self._plan.task_names
+        return [names[t] for t in self.initially_ready_ids()]
 
     def complete(self, stage: str, index: int) -> List[Tuple[str, int]]:
-        """Record completion of one task; return newly-ready tasks."""
+        """:meth:`complete_id` for the task ``(stage, index)``."""
         plan = self._plan
         try:
             s = plan.index[stage]
         except KeyError:
             raise GraphError(f"no stage named {stage!r}") from None
-        n_src = plan.sizes[s]
-        if not 0 <= index < n_src:
+        if not 0 <= index < plan.sizes[s]:
             raise GraphError(f"task index {index} out of range for stage {stage!r}")
-        done = self._completed[s] + 1
-        if done > n_src:
-            raise GraphError(f"stage {stage!r} completed more tasks than it has")
-        self._completed[s] = done
-        self._remaining -= 1
-        newly_ready: List[Tuple[str, int]] = []
-        for d, dst, is_barrier, n_dst in plan.out_edges[s]:
-            if is_barrier:
-                if done == n_src:
-                    barriers = self._barriers
-                    barriers[d] -= 1
-                    if barriers[d] == 0:
-                        for j, remaining in enumerate(self._pointwise[d]):
-                            if remaining == 0:
-                                newly_ready.append((dst, j))
-            else:
-                # Downstream tasks whose input range includes `index`.
-                # (index < n_src, so the range's upper end is < n_dst.)
-                counts = self._pointwise[d]
-                open_gate = self._barriers[d] == 0
-                for j in range(
-                    (index * n_dst) // n_src, ((index + 1) * n_dst - 1) // n_src + 1
-                ):
-                    left = counts[j] = counts[j] - 1
-                    if left == 0 and open_gate:
-                        newly_ready.append((dst, j))
-        return newly_ready
+        names = plan.task_names
+        return [names[t] for t in self.complete_id(plan.offsets[s] + index)]
 
     def stage_fractions(self) -> Dict[str, float]:
         """Fraction of each stage's tasks completed, in stage order."""
         plan = self._plan
         return {
-            name: done / size
-            for name, done, size in zip(plan.names, self._completed, plan.sizes)
+            name: (size - pending) / size
+            for name, pending, size in zip(plan.names, self._pending, plan.sizes)
         }
 
     def completed_in_stage(self, stage: str) -> int:
-        return self._completed[self._plan.index[stage]]
+        s = self._plan.index[stage]
+        return self._plan.sizes[s] - self._pending[s]
 
     def is_stage_complete(self, stage: str) -> bool:
-        s = self._plan.index[stage]
-        return self._completed[s] == self._plan.sizes[s]
+        return self._pending[self._plan.index[stage]] == 0
 
     def all_complete(self) -> bool:
-        return self._remaining == 0
+        return self._stages_pending == 0
 
 
 __all__ = [

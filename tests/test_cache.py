@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro import cache as model_cache
-from repro.core.cpa import CpaTable
+from repro.core.cpa import CpaError, CpaTable
 from repro.core.progress import totalwork
 
 from tests.test_parallel import stochastic_profile
@@ -124,6 +124,14 @@ class TestRoundTrip:
             use_cache=False,
             **BUILD_KWARGS,
         )
+        assert model_cache.default_cache().entries() == []
+
+
+    def test_bad_sample_dt_is_the_builds_error(self, cache_dir):
+        """``get_or_build_table`` has no table to find for a step that
+        cannot be built: ``CpaTable.build`` rejects it, nothing is stored."""
+        with pytest.raises(CpaError, match="sample_dt must be finite and > 0, got 0"):
+            build_via_cache(stochastic_profile(), sample_dt=0)
         assert model_cache.default_cache().entries() == []
 
 

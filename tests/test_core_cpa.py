@@ -126,6 +126,15 @@ class TestValidation:
         with pytest.raises(CpaError):
             CpaTable.build(profile, totalwork(profile), rng, num_bins=1)
 
+    @pytest.mark.parametrize("sample_dt", [0, -15.0, float("nan"), float("inf")])
+    def test_bad_sample_dt_names_the_value(self, sample_dt):
+        """Rejected before any unit is simulated (a zero step used to hang
+        the first one)."""
+        profile = deterministic_profile()
+        with pytest.raises(CpaError, match="sample_dt") as err:
+            CpaTable.build(profile, totalwork(profile), seed=1, sample_dt=sample_dt)
+        assert repr(sample_dt) in str(err.value)
+
 
 class TestVectorizedQueries:
     def test_remaining_curve_matches_scalar_exactly(self, table):

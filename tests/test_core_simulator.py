@@ -1,13 +1,19 @@
 """Unit tests for Jockey's offline job simulator."""
 
 import hashlib
+import heapq
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.progress import totalwork, totalwork_with_q
 from repro.core.simulator import (
+    SimulatedRun,
     SimulatorError,
+    _StageSampler,
     simulate_durations,
     simulate_job,
     simulate_relative_spans,
@@ -15,7 +21,9 @@ from repro.core.simulator import (
 from repro.jobs.dag import Edge, EdgeType, JobGraph, Stage
 from repro.jobs.profiles import JobProfile, StageProfile
 from repro.jobs.workloads import generate_table2_jobs
-from repro.simkit.distributions import Constant, LogNormal
+from repro.simkit import distributions as _dist
+from repro.simkit.distributions import Constant, LogNormal, Uniform
+from tests.test_jobs_dag import NaiveTracker, random_dags
 
 
 def deterministic_profile(num_maps=6, num_reduces=2, map_time=10.0,
@@ -68,6 +76,19 @@ class TestDeterministicJobs:
     def test_invalid_allocation(self, rng):
         with pytest.raises(SimulatorError):
             simulate_job(deterministic_profile(), 0, rng)
+
+    @pytest.mark.parametrize(
+        "sample_dt", [0, 0.0, -15.0, float("nan"), float("inf"), float("-inf")]
+    )
+    @pytest.mark.parametrize("with_indicator", [True, False])
+    def test_invalid_sample_dt_names_the_value(self, rng, sample_dt, with_indicator):
+        """A zero step never advanced the sampling loop (the run hung), a
+        negative or NaN one did no better: rejected up front, sampled or not."""
+        profile = deterministic_profile()
+        indicator = totalwork(profile) if with_indicator else None
+        with pytest.raises(SimulatorError, match="sample_dt") as err:
+            simulate_job(profile, 4, rng, indicator=indicator, sample_dt=sample_dt)
+        assert repr(sample_dt) in str(err.value)
 
 
 class TestFailures:
@@ -238,3 +259,231 @@ class TestGoldenDeterminism:
         )
         spans = hashlib.sha256(repr(list(run.stage_spans.items())).encode())
         assert run_fingerprint(run) + (spans.hexdigest(),) == self.SPANS
+
+
+class ScalarSampler:
+    """``_StageSampler`` as it was before failures were resolved a block at
+    a time, verbatim: raw slots out, the caller applies the failure rule."""
+
+    def __init__(self, sp, seed, num_tasks):
+        self._sp = sp
+        self._rng = np.random.default_rng(seed)
+        self._chunk = min(256, max(16, num_tasks))
+        self._pos = self._chunk  # force a refill on the first draw
+        self._costs = []
+        self._fail_us = []
+        self._fail_fracs = []
+
+    def _refill(self):
+        sp, rng, k = self._sp, self._rng, self._chunk
+        self._costs = (
+            _dist.sample_n(sp.runtime, rng, k) + _dist.sample_n(sp.init, rng, k)
+        ).tolist()
+        self._fail_us = rng.random(k).tolist()
+        self._fail_fracs = rng.uniform(0.05, 0.95, k).tolist()
+        self._pos = 0
+
+    def draw(self):
+        pos = self._pos
+        if pos >= self._chunk:
+            self._refill()
+            pos = 0
+        self._pos = pos + 1
+        return self._costs[pos], self._fail_us[pos], self._fail_fracs[pos]
+
+
+class TrackerByDefinition(NaiveTracker):
+    """The by-definition tracker of ``tests/test_jobs_dag.py`` with the
+    read-out the simulator loop samples progress from."""
+
+    def stage_fractions(self):
+        done = {s.name: 0 for s in self.graph.stages}
+        for stage, _index in self.done:
+            done[stage] += 1
+        return {s.name: done[s.name] / s.num_tasks for s in self.graph.stages}
+
+
+def reference_simulate_job(profile, allocation, rng, *, indicator=None,
+                           sample_dt=15.0, max_task_attempts=20,
+                           track_spans=False):
+    """``simulate_job``'s loop as it was before it ran on task ids, verbatim
+    (telemetry dropped): ``(stage, index)`` tasks, one ``draw()`` and the
+    scalar failure rule per start, pop + push per event.  Readiness comes
+    from the by-definition tracker, so nothing below the loop is shared
+    with the code under test either."""
+    graph = profile.graph
+    tracker = TrackerByDefinition(graph)
+    ready = deque(tracker.initially_ready())
+    stages = {}
+    for stage in graph.stages:
+        sp = profile.stage(stage.name)
+        sampler = ScalarSampler(sp, int(rng.integers(0, 2**63)), stage.num_tasks)
+        stages[stage.name] = (sp.failure_prob, sampler.draw)
+    running = []
+    in_flight = 0
+    seq = 0
+    now = 0.0
+    total_cpu = 0.0
+    failures = 0
+    attempts = {}
+    stage_first_start = {}
+    stage_last_end = {}
+    samples = []
+    next_sample = 0.0 if indicator is not None else float("inf")
+
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+    popleft = ready.popleft
+    complete = tracker.complete
+    fractions = tracker.stage_fractions
+
+    while True:
+        while ready and in_flight < allocation:
+            task = popleft()
+            stage = task[0]
+            failure_prob, draw = stages[stage]
+            runtime, fail_u, fail_frac = draw()
+            will_fail = failure_prob > 0 and fail_u < failure_prob
+            if will_fail:
+                if attempts.get(task, 0) + 1 >= max_task_attempts:
+                    will_fail = False  # give up on failing: avoid livelock
+                else:
+                    runtime *= fail_frac
+            total_cpu += runtime
+            if track_spans and stage not in stage_first_start:
+                stage_first_start[stage] = now
+            heappush(running, (now + runtime, seq, task, will_fail))
+            seq += 1
+            in_flight += 1
+        if not running:
+            break
+        finish_time, _seq, task, will_fail = heappop(running)
+        in_flight -= 1
+        up_to = finish_time - 1e-9
+        while next_sample <= up_to:
+            samples.append((next_sample, indicator.progress(fractions())))
+            next_sample += sample_dt
+        now = finish_time
+        if will_fail:
+            failures += 1
+            attempts[task] = attempts.get(task, 0) + 1
+            ready.append(task)
+        else:
+            ready.extend(complete(*task))
+            if track_spans:
+                stage_last_end[task[0]] = now
+
+    assert tracker.all_complete()
+    duration = now
+    spans = {}
+    if track_spans and duration > 0:
+        for name in stages:
+            lo = stage_first_start.get(name, 0.0) / duration
+            hi = stage_last_end.get(name, duration) / duration
+            spans[name] = (min(lo, 1.0), min(max(hi, lo), 1.0))
+    if indicator is not None:
+        samples.append((duration, indicator.progress(fractions())))
+    return SimulatedRun(
+        allocation=allocation,
+        duration=duration,
+        total_cpu_seconds=total_cpu,
+        failures=failures,
+        progress_samples=samples,
+        stage_spans=spans,
+    )
+
+
+@st.composite
+def random_profiles(draw):
+    """A random DAG (unequal pointwise widths both ways, several barrier
+    in-edges on one stage, diamonds, single-stage) with noisy stages, some
+    of which fail most of their attempts."""
+    graph = draw(random_dags())
+    failure_prob = st.sampled_from([0.0, 0.0, 0.05, 0.5, 0.9])
+    # Constant stages finish together: the (finish_time, seq) tie-break and
+    # the FIFO order behind it decide those runs.
+    runtime = st.one_of(
+        st.builds(LogNormal, st.floats(0.5, 3.0), st.just(0.6)),
+        st.builds(Constant, st.sampled_from([1.0, 2.0])),
+    )
+    init = st.sampled_from([Uniform(0.5, 1.5), Constant(0.0)])
+    stages = {
+        s.name: StageProfile(
+            s.name, runtime=draw(runtime), init=draw(init),
+            failure_prob=draw(failure_prob),
+        )
+        for s in graph.stages
+    }
+    return JobProfile(graph, stages)
+
+
+class TestSimulatorIsTheNameAddressedLoop:
+    @given(
+        profile=random_profiles(),
+        seed=st.integers(0, 2**32 - 1),
+        max_task_attempts=st.sampled_from([2, 3, 20]),
+        sampled=st.booleans(),
+        sample_dt=st.sampled_from([0.7, 5.0, 15.0]),
+        track_spans=st.booleans(),
+    )
+    def test_equal_runs(self, profile, seed, max_task_attempts, sampled,
+                        sample_dt, track_spans):
+        """Every field of the run, exactly, at one token, a few and one per
+        vertex — with the livelock guard's raw-cost branch in reach."""
+        options = dict(
+            indicator=totalwork(profile) if sampled else None,
+            sample_dt=sample_dt,
+            max_task_attempts=max_task_attempts,
+            track_spans=track_spans,
+        )
+        for allocation in (1, 3, profile.graph.num_vertices):
+            new = simulate_job(
+                profile, allocation, np.random.default_rng(seed), **options
+            )
+            old = reference_simulate_job(
+                profile, allocation, np.random.default_rng(seed), **options
+            )
+            assert new == old
+
+    def test_the_guard_branch_is_exercised(self):
+        """The differential above is only worth its name if forced
+        successes happen in it: at 0.9 and two attempts nearly every task
+        is one."""
+        profile = flaky_profile()
+        options = dict(indicator=totalwork(profile), sample_dt=5.0,
+                       max_task_attempts=2, track_spans=True)
+        new = simulate_job(profile, 8, np.random.default_rng(3), **options)
+        old = reference_simulate_job(profile, 8, np.random.default_rng(3), **options)
+        assert new == old
+        assert new.failures > 0.8 * profile.graph.num_vertices
+
+
+class TestBlockResolvedDraws:
+    @pytest.mark.parametrize("failure_prob", [0.0, 0.001, 0.3, 0.9])
+    @pytest.mark.parametrize("num_tasks", [5, 40, 1000])
+    def test_slot_for_slot_the_scalar_rule(self, failure_prob, num_tasks):
+        """Four refills of the block-resolved sampler against the scalar
+        rule applied to the raw slots of the same substream."""
+        sp = StageProfile("s", runtime=LogNormal(2.0, 0.5), init=Uniform(0.5, 1.5),
+                          failure_prob=failure_prob)
+        resolved = _StageSampler(sp, 77, num_tasks)
+        scalar = ScalarSampler(sp, 77, num_tasks)
+        assert resolved.pos == resolved.chunk == scalar._chunk
+        failed = 0
+        for _refill in range(4):
+            resolved.refill()
+            assert resolved.pos == 0
+            assert len(resolved.costs) == len(resolved.fails) == resolved.chunk
+            for pos in range(resolved.chunk):
+                runtime, fail_u, fail_frac = scalar.draw()
+                will_fail = failure_prob > 0 and fail_u < failure_prob
+                assert resolved.fails[pos] is will_fail
+                assert resolved.raw_costs[pos] == runtime
+                assert resolved.costs[pos] == (
+                    runtime * fail_frac if will_fail else runtime
+                )
+                failed += will_fail
+        if failure_prob == 0:
+            assert failed == 0
+        elif failure_prob >= 0.3:
+            assert failed > 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cache import profile_fingerprint
 from repro.core.cpa import CpaTable
 from repro.core.progress import totalwork
 from repro.experiments.scenarios import (
@@ -17,6 +18,7 @@ from repro.experiments.scenarios import (
     trained_job,
     trained_jobs,
 )
+from repro.jobs.workloads import generate_table2_jobs
 from tests.test_core_simulator import deterministic_profile
 
 
@@ -79,6 +81,18 @@ class TestTrainedJobCaching:
     def test_trained_jobs_roster(self):
         jobs = trained_jobs(seed=0, scale=SMOKE)
         assert set(jobs) == set(SMOKE.jobs)
+
+    def test_generates_only_the_job_it_keeps(self):
+        """The one job is the dict form's entry (it used to build all seven
+        for it), and an unknown name is still the lookup's ``KeyError``."""
+        trained = trained_job("C", seed=3, scale=SMOKE)
+        expected = generate_table2_jobs(seed=3, vertex_scale=SMOKE.vertex_scale)["C"]
+        # Graph and per-stage statistics both go into the fingerprint.
+        assert profile_fingerprint(trained.generated.profile) == profile_fingerprint(
+            expected.profile
+        )
+        with pytest.raises(KeyError, match="'Z'"):
+            trained_job("Z", seed=3, scale=SMOKE)
 
     def test_deterministic_training(self):
         clear_trained_cache()

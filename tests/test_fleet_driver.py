@@ -11,19 +11,21 @@ import os
 
 import pytest
 
+from repro.cache import profile_fingerprint
 from repro.chaos.injectors import drifted_profile
 from repro.chaos.spec import ProfileDrift
 from repro.experiments.scenarios import SMOKE, run_training
 from repro.fleet.driver import (
     FleetConfig,
     FleetTemplate,
+    _generate,
     fleet_spec_from_dict,
     load_fleet_spec,
     run_fleet,
 )
 from repro.fleet.store import FleetError, FleetSpecError, ProfileStore
 from repro.jobs.profiles import JobProfile
-from repro.jobs.workloads import mapreduce_job
+from repro.jobs.workloads import generate_table2_jobs, mapreduce_job
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +185,17 @@ class TestRunFleetValidation:
     def test_unknown_job_names_offender(self):
         with pytest.raises(FleetError, match="unknown template job 'ZZZ'"):
             run_fleet([FleetTemplate("ZZZ")], FleetConfig(days=1))
+
+    def test_template_job_is_its_entry_among_the_seven(self):
+        config = FleetConfig(seed=5, scale=SMOKE)
+        generated = _generate(FleetTemplate("nightly", job="D"), config)
+        expected = generate_table2_jobs(
+            seed=5, vertex_scale=SMOKE.vertex_scale
+        )["D"]
+        # Graph and per-stage statistics both go into the fingerprint.
+        assert profile_fingerprint(generated.profile) == profile_fingerprint(
+            expected.profile
+        )
 
     def test_bad_mode(self):
         with pytest.raises(FleetError, match="unknown model mode"):

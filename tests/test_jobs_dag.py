@@ -321,6 +321,39 @@ class TestDependencyTracker:
         tracker.complete("aggregate", 1)
         assert tracker.all_complete()
 
+    @pytest.mark.parametrize("bad_id", [0, 3, -1, -10, 10, 99])
+    def test_rejected_id_completion_leaves_state_untouched(self, bad_id):
+        """The id core has the same rule: an over-completion (ids 0 and 3:
+        ``extract`` is done) or an id outside the graph — negative ones
+        included, which would index from the end — raises before anything is
+        counted."""
+        tracker = DependencyTracker(chain_graph())
+        assert tracker.initially_ready_ids() == (0, 1, 2, 3)
+        released = [j for i in range(4) for j in tracker.complete_id(i)]
+        assert released == [4, 5, 6, 7]
+        with pytest.raises(GraphError):
+            tracker.complete_id(bad_id)
+        assert tracker.stage_fractions() == {
+            "extract": 1.0, "process": 0.0, "aggregate": 0.0,
+        }
+        for i in (4, 5, 6):
+            assert tracker.complete_id(i) == []
+        assert tracker.complete_id(7) == [8, 9]
+        assert not tracker.all_complete()
+        assert tracker.complete_id(8) == tracker.complete_id(9) == []
+        assert tracker.all_complete()
+
+    def test_ids_and_names_are_one_tracker(self):
+        """A completion recorded by id is seen by name and the other way
+        round: the adapters keep no state of their own."""
+        tracker = DependencyTracker(chain_graph())
+        assert tracker.initially_ready() == [("extract", i) for i in range(4)]
+        assert tracker.initially_ready_ids() == ()
+        assert tracker.complete_id(2) == [6]
+        assert tracker.complete("extract", 0) == [("process", 0)]
+        assert tracker.completed_in_stage("extract") == 2
+        assert [tracker.stage_of[t] for t in (0, 3, 4, 7, 8, 9)] == [0, 0, 1, 1, 2, 2]
+
     def test_initially_ready_hands_out_roots_once(self):
         tracker = DependencyTracker(chain_graph())
         assert len(tracker.initially_ready()) == 4
@@ -384,6 +417,38 @@ class TestReadinessPlan:
         clone = pickle.loads(before)
         assert "_plan" not in vars(clone)
         assert drain(DependencyTracker(clone)) == drain(DependencyTracker(graph))
+
+    def test_name_table_is_built_for_the_first_name_addressed_caller(self):
+        """A process that only simulates (ids in, ids out) never allocates
+        the ``(stage, index)`` table; the job manager's first call does,
+        once per graph."""
+        graph = chain_graph()
+        tracker = DependencyTracker(graph)
+        ready = list(tracker.initially_ready_ids())
+        for task in ready:
+            ready.extend(tracker.complete_id(task))
+        assert tracker.all_complete()
+        assert graph._plan._task_names is None
+        drain(DependencyTracker(graph))
+        table = graph._plan._task_names
+        assert table == tuple(
+            (stage.name, i) for stage in graph.stages for i in range(stage.num_tasks)
+        )
+        drain(DependencyTracker(graph))
+        assert graph._plan._task_names is table
+
+    def test_plan_memory_is_per_task_and_per_pointwise_input(self):
+        """|V| tuples holding one entry per pointwise (upstream, downstream)
+        pair; an all-to-all edge between 40 and 30 tasks adds no entry."""
+        graph = JobGraph(
+            "wide",
+            [Stage("a", 40), Stage("b", 30), Stage("c", 60)],
+            [Edge("a", "b", EdgeType.ALL_TO_ALL), Edge("b", "c")],
+        )
+        plan = graph._plan
+        assert len(plan.dependents) == len(plan.counts) == graph.num_vertices
+        assert sum(map(len, plan.dependents)) == 60
+        assert plan.counts == (0,) * 40 + (1,) * 30 + (1,) * 60
 
 
 class NaiveTracker:
@@ -474,6 +539,32 @@ class TestAgainstNaiveReference:
             completions += 1
         assert completions == graph.num_vertices
         assert compiled.all_complete() and naive.all_complete()
+
+    @given(graph=random_dags(), order=st.randoms(use_true_random=False))
+    def test_id_core_and_name_adapter_match(self, graph, order):
+        """Three trackers in lockstep: the id core driven by ids, the name
+        adapter driven by names, and readiness by definition.  Ids are
+        translated here (stage offset + index), not by the plan's table."""
+        names = [
+            (stage.name, i) for stage in graph.stages for i in range(stage.num_tasks)
+        ]
+        by_id, by_name, naive = (
+            DependencyTracker(graph), DependencyTracker(graph), NaiveTracker(graph)
+        )
+        ready = naive.initially_ready()
+        assert [names[t] for t in by_id.initially_ready_ids()] == ready
+        assert by_name.initially_ready() == ready
+        assert by_id.initially_ready_ids() == ()
+        while ready:
+            task = ready.pop(order.randrange(len(ready)))
+            reply = naive.complete(*task)
+            assert [names[t] for t in by_id.complete_id(names.index(task))] == reply
+            assert by_name.complete(*task) == reply
+            assert by_id.stage_fractions() == by_name.stage_fractions()
+            ready.extend(reply)
+        assert by_id.all_complete() and by_name.all_complete()
+        with pytest.raises(GraphError):
+            by_id.complete_id(0)
 
     @given(graph=random_dags(), order=st.randoms(use_true_random=False))
     @settings(max_examples=50, deadline=None)

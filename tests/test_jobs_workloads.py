@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import persist
 from repro.jobs.workloads import (
     TABLE2_SPECS,
     JobSpec,
@@ -93,6 +94,20 @@ class TestGenerateTable2Jobs:
     def test_generates_all(self):
         jobs = generate_table2_jobs(seed=0)
         assert sorted(jobs) == list("ABCDEFG")
+
+    @pytest.mark.parametrize("seed, vertex_scale", [(0, 1.0), (3, 0.15)])
+    def test_one_job_alone_is_its_entry_in_the_dict(self, seed, vertex_scale):
+        """Each job draws from its own ``workload:<name>`` stream, so callers
+        that want one (``trained_job``, the fleet, the CLI) generate one."""
+        together = generate_table2_jobs(seed=seed, vertex_scale=vertex_scale)
+        for name, spec in TABLE2_SPECS.items():
+            alone = generate_job(spec, seed=seed, vertex_scale=vertex_scale)
+            assert alone.spec is together[name].spec
+            assert alone.graph.stages == together[name].graph.stages
+            assert alone.graph.edges == together[name].graph.edges
+            assert persist.profile_to_dict(alone.profile) == persist.profile_to_dict(
+                together[name].profile
+            )
 
 
 class TestMapReduce:
