@@ -68,7 +68,6 @@ from repro.telemetry import (
     TraceEvent,
     TraceRecorder,
     capture,
-    default_registry,
 )
 
 __version__ = "1.11.0"
@@ -98,7 +97,6 @@ __all__ = [
     "__version__",
     "capture",
     "deadline_utility",
-    "default_registry",
     "generate_table2_jobs",
     "get_or_build_table",
     "oracle_allocation",

@@ -62,10 +62,7 @@ class CacheError(ValueError):
 
 def default_root() -> pathlib.Path:
     """Cache root: ``REPRO_CACHE_DIR`` or ``~/.cache/repro-jockey/cpa``."""
-    env = os.environ.get(CACHE_DIR_ENV, "").strip()
-    if env:
-        return pathlib.Path(env)
-    return pathlib.Path.home() / ".cache" / "repro-jockey" / "cpa"
+    return persist.store_root(CACHE_DIR_ENV, "cpa")
 
 
 def cache_enabled() -> bool:
@@ -125,24 +122,24 @@ class CpaTableCache:
     def path_for(self, key: str) -> pathlib.Path:
         return self.root / f"{key}.json"
 
+    def _counts(self) -> Dict[str, int]:
+        """The cumulative cross-process counters (empty when unreadable)."""
+        try:
+            text = (self.root / self.STATS_FILE).read_text(encoding="utf-8")
+            return {k: int(v) for k, v in json.loads(text).items()}
+        except (OSError, ValueError, AttributeError):
+            return {}
+
     def _bump(self, **deltas: int) -> None:
         """Update the cumulative cross-process counters (best effort)."""
-        path = self.root / self.STATS_FILE
-        counts: Dict[str, int] = {}
-        try:
-            counts = {
-                k: int(v)
-                for k, v in json.loads(path.read_text(encoding="utf-8")).items()
-            }
-        except (OSError, ValueError, AttributeError):
-            counts = {}
+        counts = self._counts()
         for name, delta in deltas.items():
             counts[name] = counts.get(name, 0) + delta
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(counts, sort_keys=True), encoding="utf-8")
-            tmp.replace(path)
+            # Sorted keys are the file's format (compact form keeps order).
+            persist.write_json(
+                self.root / self.STATS_FILE, dict(sorted(counts.items()))
+            )
         except OSError:  # read-only cache dir: in-process metrics still count
             pass
 
@@ -155,26 +152,16 @@ class CpaTableCache:
             _MISSES.inc()
             self._bump(misses=1)
             return None
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            if payload.get("schema") != SCHEMA_VERSION:
-                raise persist.PersistError(
-                    f"schema {payload.get('schema')!r} != {SCHEMA_VERSION}"
-                )
-            table = persist.table_from_dict(payload["table"])
-        except (OSError, ValueError, KeyError, persist.PersistError) as exc:
-            warnings.warn(
-                f"dropping corrupt C(p, a) cache entry {path.name}: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        table = persist.read_entry(
+            path,
+            SCHEMA_VERSION,
+            lambda payload: persist.table_from_dict(payload["table"]),
+            what=f"C(p, a) cache entry {path.name}",
+        )
+        if table is None:
             _CORRUPT.inc()
             _MISSES.inc()
             self._bump(misses=1, corrupt=1)
-            try:
-                path.unlink()
-            except OSError:
-                pass
             return None
         _HITS.inc()
         self._bump(hits=1)
@@ -183,19 +170,15 @@ class CpaTableCache:
     def store(
         self, key: str, table: CpaTable, metadata: Optional[Dict] = None
     ) -> pathlib.Path:
-        """Write an entry atomically (tmp file + rename); returns its path."""
-        self.root.mkdir(parents=True, exist_ok=True)
+        """Write an entry atomically; returns its path."""
         path = self.path_for(key)
-        payload = {
+        persist.write_json(path, {
             "schema": SCHEMA_VERSION,
             "metadata": metadata or {},
             # Full precision: a cache hit must answer queries identically
             # to the build it replaced.
             "table": persist.table_to_dict(table, precision=None),
-        }
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(payload), encoding="utf-8")
-        tmp.replace(path)
+        })
         _STORES.inc()
         self._bump(stores=1)
         return path
@@ -215,27 +198,11 @@ class CpaTableCache:
     def stats(self) -> Dict[str, object]:
         """Entry count/bytes plus cumulative hit/miss/store counters."""
         entries = self.entries()
-        total_bytes = 0
-        for path in entries:
-            try:
-                total_bytes += path.stat().st_size
-            except OSError:
-                pass
-        counts: Dict[str, int] = {}
-        stats_path = self.root / self.STATS_FILE
-        try:
-            counts = {
-                k: int(v)
-                for k, v in json.loads(
-                    stats_path.read_text(encoding="utf-8")
-                ).items()
-            }
-        except (OSError, ValueError, AttributeError):
-            counts = {}
+        counts = self._counts()
         return {
             "root": str(self.root),
             "entries": len(entries),
-            "bytes": total_bytes,
+            "bytes": persist.file_bytes(entries),
             "hits": counts.get("hits", 0),
             "misses": counts.get("misses", 0),
             "stores": counts.get("stores", 0),
@@ -267,9 +234,7 @@ class CpaTableCache:
         for _mtime, _name, size, path in sorted(sized):
             if total <= max_bytes:
                 break
-            try:
-                path.unlink()
-            except OSError:
+            if not persist.remove_file(path):
                 continue
             total -= size
             freed += size
@@ -281,17 +246,8 @@ class CpaTableCache:
 
     def clear(self) -> int:
         """Delete every entry (and the stats file); returns entries removed."""
-        removed = 0
-        for path in self.entries():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        try:
-            (self.root / self.STATS_FILE).unlink()
-        except OSError:
-            pass
+        removed = sum(persist.remove_file(path) for path in self.entries())
+        persist.remove_file(self.root / self.STATS_FILE)
         return removed
 
 

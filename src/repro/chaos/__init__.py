@@ -13,7 +13,7 @@ its own derived RNG substream, so a chaos run replays bit-identically for
 a fixed (seed, spec) at any worker count.
 """
 
-from repro.chaos.engine import ChaosEngine, maybe_engine
+from repro.chaos.engine import ChaosEngine
 from repro.chaos.injectors import drifted_profile
 from repro.chaos.spec import (
     ChaosError,
@@ -37,7 +37,6 @@ __all__ = [
     "RackFailure",
     "TokenShock",
     "drifted_profile",
-    "maybe_engine",
     "spec_from_dict",
     "spec_to_dict",
 ]

@@ -16,7 +16,7 @@ worker count.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.chaos.injectors import (
     ControlFaultInjector,
@@ -113,23 +113,4 @@ class ChaosEngine:
         return out
 
 
-def maybe_engine(
-    spec: Optional[ChaosSpec],
-    *,
-    sim: Simulator,
-    cluster: Cluster,
-    manager,
-    policy=None,
-    seed: int = 0,
-) -> Optional[ChaosEngine]:
-    """Build-and-install helper: ``None`` spec means no chaos."""
-    if spec is None:
-        return None
-    engine = ChaosEngine(
-        spec, sim=sim, cluster=cluster, manager=manager, policy=policy, seed=seed
-    )
-    engine.install()
-    return engine
-
-
-__all__ = ["ChaosEngine", "maybe_engine"]
+__all__ = ["ChaosEngine"]

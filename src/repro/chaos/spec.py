@@ -144,13 +144,6 @@ class ControlFaults:
             if start < 0 or end < start:
                 raise ChaosError(f"bad blackout window [{start}, {end})")
 
-    def any_faults(self) -> bool:
-        return (
-            self.drop_tick_prob > 0
-            or self.delay_tick_prob > 0
-            or any(end > start for start, end in self.blackouts)
-        )
-
 
 @dataclass(frozen=True)
 class ChaosSpec:
@@ -213,17 +206,6 @@ class ChaosSpec:
                     _scaled_window(s, e, x) for s, e in cf.blackouts
                 ),
             ),
-        )
-
-    def is_noop(self) -> bool:
-        """True when the (intensity-folded) schedule injects nothing."""
-        eff = self.effective()
-        return (
-            all(rf.count == 0 and not rf.machines for rf in eff.rack_failures)
-            and all(s.demand_fraction == 0 for s in eff.eviction_storms)
-            and all(s.guaranteed_fraction == 0 for s in eff.token_shocks)
-            and all(d.factor == 1.0 for d in eff.profile_drifts)
-            and not eff.control_faults.any_faults()
         )
 
     def validate(

@@ -35,9 +35,9 @@ Commands mirror the operational workflow of the paper's system:
   pinball loss, and the honesty verdict, with ``--json-out`` writing the
   calibration digest (byte-identical at any worker count).
 
-``run`` can additionally serve live Prometheus metrics while it executes
-(``--serve-metrics PORT``) and write the same SLO report for the run it
-just finished (``--report-out PATH``).
+``run`` can additionally write the same SLO report for the run it just
+finished (``--report-out PATH``); live Prometheus metrics are ``repro
+serve``'s ``/metrics``, a batch run's registry is ``--metrics-out``.
 
 Exit codes: 0 success, 1 runtime failure (or a missed deadline for
 ``run``), 2 argument/usage errors.
@@ -75,7 +75,7 @@ from repro.experiments.registry import EXPERIMENTS, RUNS
 from repro.experiments.runner import run_control_loop
 from repro.experiments.scenarios import learn_model, run_training
 from repro.fleet.driver import MODEL_MODES as FLEET_MODEL_MODES
-from repro.jobs.workloads import TABLE2_SPECS, generate_job, mapreduce_job
+from repro.jobs.workloads import named_job
 from repro.simkit.events import Simulator
 from repro.simkit.random import RngRegistry, derive_seed
 
@@ -157,11 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--report-out", default=None, metavar="PATH",
         help="write a self-contained SLO run report (HTML for .html/.htm, "
              "plain text otherwise)",
-    )
-    run.add_argument(
-        "--serve-metrics", type=int, default=None, metavar="PORT",
-        help="serve /metrics (Prometheus text format) and /healthz on this "
-             "port for the duration of the command (0 picks a free port)",
     )
 
     experiment = sub.add_parser(
@@ -579,11 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_train(args, out) -> int:
-    if args.job == "mapreduce":
-        generated = mapreduce_job()
-    elif args.job in TABLE2_SPECS:
-        generated = generate_job(TABLE2_SPECS[args.job], seed=args.seed)
-    else:
+    generated = named_job(args.job, seed=args.seed)
+    if generated is None:
         out.write(f"error: unknown job {args.job!r} "
                   f"(choose A-G or mapreduce)\n")
         return 2
@@ -704,30 +696,7 @@ def cmd_run(args, out) -> int:
     job = _load_job(args, out, "run")
     if job is None:
         return 2
-    server = None
-    shutdown = None
-    if args.serve_metrics is not None:
-        from repro.service.lifecycle import GracefulShutdown
-        from repro.telemetry.exposition import MetricsServer
-
-        server = MetricsServer(port=args.serve_metrics)
-        server.start()
-        out.write(f"serving metrics at {server.url}/metrics\n")
-        # Same graceful path as `repro serve`: SIGINT/SIGTERM request a
-        # clean stop (run finishes, server shuts down and joins its
-        # thread) instead of killing the scrape endpoint mid-response.
-        shutdown = GracefulShutdown()
-    try:
-        with shutdown if shutdown is not None else nullcontext():
-            return _run_job(args, out, *job)
-    finally:
-        if server is not None:
-            server.stop()
-
-
-def _run_job(
-    args, out, graph, profile, table, policy, deadline: float, chaos_spec
-) -> int:
+    graph, profile, table, policy, deadline, chaos_spec = job
     if args.metrics_out:
         # Per-run metrics: zero the registry so the snapshot covers this
         # run only (values reset in place; cached instruments stay valid).

@@ -41,7 +41,6 @@ from repro.core.progress import (
 from repro.core.simulator import (
     SimulatedRun,
     SimulatorError,
-    simulate_durations,
     simulate_job,
     simulate_relative_spans,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "deadline_utility",
     "make_monitor",
     "oracle_allocation",
-    "simulate_durations",
     "simulate_job",
     "simulate_relative_spans",
     "totalwork",

@@ -268,19 +268,6 @@ def simulate_job(
     )
 
 
-def simulate_durations(
-    profile: JobProfile,
-    allocation: int,
-    rng: np.random.Generator,
-    *,
-    reps: int = 10,
-) -> List[float]:
-    """Just the completion times of ``reps`` independent simulations."""
-    return [
-        simulate_job(profile, allocation, rng).duration for _ in range(reps)
-    ]
-
-
 def simulate_relative_spans(
     profile: JobProfile,
     rng: np.random.Generator,
@@ -303,7 +290,6 @@ def simulate_relative_spans(
 __all__ = [
     "SimulatedRun",
     "SimulatorError",
-    "simulate_durations",
     "simulate_job",
     "simulate_relative_spans",
 ]

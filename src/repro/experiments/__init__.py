@@ -17,7 +17,7 @@ from repro.experiments.metrics import (
     percentiles,
     summarize_policy,
 )
-from repro.experiments.reporting import ExperimentReport, ascii_cdf, ascii_table
+from repro.experiments.reporting import ExperimentReport, ascii_table
 from repro.experiments.runner import (
     POLICY_KINDS,
     ExperimentResult,
@@ -51,7 +51,6 @@ __all__ = [
     "SMOKE",
     "Scale",
     "TrainedJob",
-    "ascii_cdf",
     "ascii_table",
     "cdf_points",
     "clear_trained_cache",

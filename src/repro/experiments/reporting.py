@@ -47,25 +47,6 @@ def ascii_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
     return "\n".join(lines)
 
 
-def ascii_cdf(
-    series: Dict[str, Sequence[float]],
-    *,
-    title: str = "",
-    points: Sequence[float] = (10, 25, 50, 75, 90, 99),
-) -> str:
-    """Render CDFs as a percentile table (one row per series)."""
-    import numpy as np
-
-    headers = ["series"] + [f"p{int(p)}" for p in points]
-    rows = []
-    for name, values in series.items():
-        if len(values) == 0:
-            raise ValueError(f"empty series {name!r}")
-        rows.append([name] + list(np.percentile(list(values), list(points))))
-    table = ascii_table(headers, rows)
-    return f"{title}\n{table}" if title else table
-
-
 @dataclass
 class ExperimentReport:
     """A regenerated table/figure: identification, rows, and commentary."""
@@ -153,7 +134,6 @@ def sparkline(values: Sequence[float], width: int = 60) -> str:
 
 __all__ = [
     "ExperimentReport",
-    "ascii_cdf",
     "ascii_table",
     "format_cell",
     "scorecard_section",

@@ -145,17 +145,6 @@ class ExperimentResult:
             schedule=self.deadline_changes,
         )
 
-    def prediction_report(self, **kwargs):
-        """Calibration verdict on this run's interval ledger (see
-        :func:`repro.telemetry.predict.calibration`); keyword arguments
-        forward to it (tolerance, window, ...)."""
-        from repro.telemetry.predict import calibration
-
-        kwargs.setdefault("predictor", self.metrics.policy)
-        return calibration(
-            self.prediction_records, self.metrics.duration_seconds, **kwargs
-        )
-
 
 def run_control_loop(
     cluster: Cluster,

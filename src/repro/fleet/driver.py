@@ -61,7 +61,7 @@ from repro.fleet.update import (
     detect_drift,
     resolve_profile,
 )
-from repro.jobs.workloads import TABLE2_SPECS, generate_job, mapreduce_job
+from repro.jobs.workloads import named_job
 from repro.simkit.random import derive_seed
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import predict as _predict
@@ -261,18 +261,15 @@ class FleetResult:
 
 def _generate(template: FleetTemplate, config: FleetConfig):
     job = template.job_name()
-    if job == "mapreduce":
-        return mapreduce_job()
-    if job in TABLE2_SPECS:
-        return generate_job(
-            TABLE2_SPECS[job],
-            seed=config.seed,
-            vertex_scale=config.scale.vertex_scale,
-        )
-    raise FleetError(
-        f"unknown template job {job!r} for template {template.name!r} "
-        "(choose A-G or mapreduce)"
+    generated = named_job(
+        job, seed=config.seed, vertex_scale=config.scale.vertex_scale
     )
+    if generated is None:
+        raise FleetError(
+            f"unknown template job {job!r} for template {template.name!r} "
+            "(choose A-G or mapreduce)"
+        )
+    return generated
 
 
 def _pick_fleet_deadline(table, trim: float) -> float:

@@ -9,7 +9,8 @@ policies (:mod:`repro.fleet.update`) always have the history they blend.
 
 Layout mirrors :mod:`repro.cache`: one JSON file per generation under
 ``root/<template>/gen-NNNNNN.json`` (``REPRO_FLEET_DIR`` or
-``~/.cache/repro-jockey/fleet``), written atomically (tmp + rename).  Each
+``~/.cache/repro-jockey/fleet``), written and read through the entry
+primitives of :mod:`repro.persist`.  What is the lineage's own: each
 entry carries the profile's content-addressed fingerprint
 (:func:`repro.cache.profile_fingerprint`); on load the fingerprint is
 recomputed and compared, so silent corruption is caught, warned about, and
@@ -19,12 +20,10 @@ like a corrupt C(p, a) cache entry rebuilds on the next miss.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import re
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro import persist
@@ -64,26 +63,29 @@ class FleetSpecError(FleetError):
 
 def default_root() -> pathlib.Path:
     """Store root: ``REPRO_FLEET_DIR`` or ``~/.cache/repro-jockey/fleet``."""
-    env = os.environ.get(STORE_DIR_ENV, "").strip()
-    if env:
-        return pathlib.Path(env)
-    return pathlib.Path.home() / ".cache" / "repro-jockey" / "fleet"
+    return persist.store_root(STORE_DIR_ENV, "fleet")
 
 
 @dataclass(frozen=True)
 class Generation:
-    """One stored profile generation (metadata only; the profile loads on
-    demand via :meth:`load_profile`)."""
+    """One stored profile generation: its metadata and the profile that
+    was verified (schema, fingerprint) by the one read of its file."""
 
     template: str
     number: int
     fingerprint: str
     path: pathlib.Path
     metadata: Dict
+    profile: JobProfile = field(repr=False, compare=False)
 
     def load_profile(self, graph: Optional[JobGraph] = None) -> JobProfile:
-        payload = json.loads(self.path.read_text(encoding="utf-8"))
-        return persist.profile_from_dict(payload["profile"], graph=graph)
+        """The verified profile, re-bound to ``graph`` when one is given
+        (the caller's graph object instead of the stored copy)."""
+        if graph is None:
+            return self.profile
+        return JobProfile(
+            graph, {n: self.profile.stage(n) for n in self.profile.stage_names}
+        )
 
 
 class ProfileStore:
@@ -120,41 +122,34 @@ class ProfileStore:
     def _read_generation(
         self, template: str, path: pathlib.Path
     ) -> Optional[Generation]:
-        """Load one entry's metadata, verifying schema and fingerprint.
-        Corrupt entries are warned about, counted, deleted, and skipped —
-        the lineage self-heals from the next appended run."""
+        """Load one entry, verifying schema and fingerprint.  Corrupt
+        entries are warned about, counted, deleted, and skipped — the
+        lineage self-heals from the next appended run."""
         match = _GEN_RE.match(path.name)
-        number = int(match.group(1)) if match else -1
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            if payload.get("schema") != SCHEMA_VERSION:
-                raise persist.PersistError(
-                    f"schema {payload.get('schema')!r} != {SCHEMA_VERSION}"
-                )
+
+        def decode(payload: Dict) -> Generation:
             profile = persist.profile_from_dict(payload["profile"])
             fingerprint = str(payload["fingerprint"])
             if profile_fingerprint(profile) != fingerprint:
                 raise persist.PersistError("fingerprint mismatch")
-        except (OSError, ValueError, KeyError, persist.PersistError) as exc:
-            warnings.warn(
-                f"dropping corrupt fleet-store generation {path.name} of "
-                f"template {template!r}: {exc}",
-                RuntimeWarning,
-                stacklevel=3,
+            return Generation(
+                template=template,
+                number=int(match.group(1)) if match else -1,
+                fingerprint=fingerprint,
+                path=path,
+                metadata=dict(payload.get("metadata") or {}),
+                profile=profile,
             )
-            _STORE_CORRUPT.inc()
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        return Generation(
-            template=template,
-            number=number,
-            fingerprint=fingerprint,
-            path=path,
-            metadata=dict(payload.get("metadata") or {}),
+
+        generation = persist.read_entry(
+            path,
+            SCHEMA_VERSION,
+            decode,
+            what=f"fleet-store generation {path.name} of template {template!r}",
         )
+        if generation is None:
+            _STORE_CORRUPT.inc()
+        return generation
 
     def generations(self, template: str) -> List[Generation]:
         """All readable generations of a template, oldest first."""
@@ -181,7 +176,6 @@ class ProfileStore:
     ) -> Generation:
         """Append a profile as the template's next generation (atomic)."""
         directory = self.template_dir(template)
-        directory.mkdir(parents=True, exist_ok=True)
         numbers = [
             int(m.group(1))
             for m in (_GEN_RE.match(p.name) for p in directory.glob("gen-*.json"))
@@ -189,24 +183,23 @@ class ProfileStore:
         ]
         number = (max(numbers) + 1) if numbers else 0
         path = directory / self._gen_name(number)
-        payload = {
+        fingerprint = profile_fingerprint(profile)
+        persist.write_json(path, {
             "schema": SCHEMA_VERSION,
             "template": template,
             "generation": number,
-            "fingerprint": profile_fingerprint(profile),
+            "fingerprint": fingerprint,
             "profile": persist.profile_to_dict(profile),
             "metadata": metadata or {},
-        }
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(payload), encoding="utf-8")
-        tmp.replace(path)
+        })
         _APPENDS.labels(template=template).inc()
         return Generation(
             template=template,
             number=number,
-            fingerprint=payload["fingerprint"],
+            fingerprint=fingerprint,
             path=path,
-            metadata=dict(payload["metadata"]),
+            metadata=dict(metadata or {}),
+            profile=profile,
         )
 
     # ------------------------------------------------------------------
@@ -256,12 +249,7 @@ class ProfileStore:
         for template in self.templates():
             directory = self.template_dir(template)
             paths = sorted(directory.glob("gen-*.json"))
-            size = 0
-            for path in paths:
-                try:
-                    size += path.stat().st_size
-                except OSError:
-                    pass
+            size = persist.file_bytes(paths)
             per_template[template] = {
                 "generations": len(paths),
                 "bytes": size,
@@ -285,12 +273,9 @@ class ProfileStore:
             directory = self.template_dir(name)
             if not directory.is_dir():
                 continue
-            for path in directory.glob("gen-*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
+            removed += sum(
+                persist.remove_file(path) for path in directory.glob("gen-*.json")
+            )
             try:
                 directory.rmdir()
             except OSError:

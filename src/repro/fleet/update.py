@@ -270,16 +270,6 @@ class DriftReport:
     def work_shift(self) -> float:
         return abs(self.work_ratio - 1.0)
 
-    @property
-    def max_mean_shift(self) -> float:
-        return max((abs(s.mean_ratio - 1.0) for s in self.stages), default=0.0)
-
-    def worst_stage(self) -> Optional[StageDrift]:
-        """The stage with the largest relative mean shift."""
-        if not self.stages:
-            return None
-        return max(self.stages, key=lambda s: abs(s.mean_ratio - 1.0))
-
     def drifted_stages(self) -> Tuple[str, ...]:
         return tuple(s.stage for s in self.stages if s.significant)
 

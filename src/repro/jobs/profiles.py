@@ -207,10 +207,6 @@ class JobProfile:
             name: inclusive[name] - longest_task[name] for name in inclusive
         }
 
-    def critical_path_seconds(self) -> float:
-        """Minimum possible job latency (infinite parallelism)."""
-        return self.graph.critical_path(self.longest_task_seconds())
-
     def total_work_seconds(self) -> float:
         """Expected aggregate CPU seconds across the job."""
         return sum(self.total_exec_seconds().values())

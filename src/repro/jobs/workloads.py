@@ -284,6 +284,21 @@ def mapreduce_job(
     return GeneratedJob(spec=spec, graph=graph, profile=profile)
 
 
+def named_job(
+    name: str, *, seed: int = 0, vertex_scale: float = 1.0
+) -> Optional[GeneratedJob]:
+    """The job a name stands for at the CLI, the service and the fleet:
+    ``mapreduce`` (which has no seed or scale) or one of Table 2's A-G.
+    None for any other name; each caller words its own error."""
+    if name == "mapreduce":
+        return mapreduce_job()
+    if name not in TABLE2_SPECS:
+        return None
+    return generate_job(
+        TABLE2_SPECS[name], seed=seed, vertex_scale=vertex_scale
+    )
+
+
 def random_job(
     name: str,
     *,
@@ -325,5 +340,6 @@ __all__ = [
     "generate_job",
     "generate_table2_jobs",
     "mapreduce_job",
+    "named_job",
     "random_job",
 ]

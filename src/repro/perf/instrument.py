@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 #: Per-timer latency samples kept for percentile estimation; beyond this
 #: the count/sum/min/max stay exact and percentiles describe the first
@@ -213,16 +213,6 @@ class PerfCollector:
             "counters": dict(sorted(self._counters.items())),
             "maxima": dict(sorted(self._maxima.items())),
         }
-
-    def top_level_phases(self) -> List[Tuple[str, float, int]]:
-        """(name, seconds, count) for depth-0 phases, in recorded order of
-        the sorted snapshot — these are the rows whose times should sum to
-        roughly the measured wall clock."""
-        return [
-            (path, stat[0], int(stat[1]))
-            for path, stat in sorted(self._phases.items())
-            if "/" not in path
-        ]
 
 
 #: The shared no-op instance (identity-comparable: ``COLLECTOR is NULL``).

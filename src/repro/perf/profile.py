@@ -20,7 +20,7 @@ import io
 import pstats
 from contextlib import contextmanager
 from pathlib import PurePath
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 #: Functions shown by :meth:`ProfileSession.text_summary` by default.
 DEFAULT_TOP = 25
@@ -109,14 +109,6 @@ class ProfileSession:
             calls = str(nc) if nc == cc else f"{nc}/{cc}"
             lines.append(f"{ct:10.4f} {tt:10.4f} {calls:>10s}  {name}")
         return "\n".join(lines) + "\n"
-
-    def function_totals(self) -> Dict[str, float]:
-        """Cumulative seconds by rendered frame name (tests and tooling)."""
-        stats = self._require_stats()
-        return {
-            _frame_name(func): ct
-            for func, (_cc, _nc, _tt, ct, _callers) in stats.stats.items()
-        }
 
 
 @contextmanager

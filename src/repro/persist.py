@@ -17,7 +17,9 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from typing import Dict, Optional, Tuple, Union
+import threading
+import warnings
+from typing import Callable, Dict, Iterable, Optional, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -221,18 +223,21 @@ def table_from_dict(data: Dict) -> CpaTable:
 
 
 # ----------------------------------------------------------------------
-# Chaos schedules
+# Files: the one writer, the one entry reader
 # ----------------------------------------------------------------------
 
 
 PathLike = Union[str, pathlib.Path]
+_T = TypeVar("_T")
 
 
 def write_json(path: PathLike, doc, *, indent: Optional[int] = None) -> None:
     """Write ``doc`` to ``path`` as JSON, atomically: the text goes to a
     temporary file beside ``path`` (parents created) which then replaces
     it, so a reader — or the next command after a killed writer — sees the
-    previous file or the new one, never a truncated one.  With ``indent``
+    previous file or the new one, never a truncated one.  The temporary
+    name is the writer's own (process and thread), so two writers of one
+    path each rename a whole file and the later one wins.  With ``indent``
     the keys are sorted and a newline ends the file (digests and specs:
     diffable bytes); without it, the compact form bundles use."""
     path = pathlib.Path(path)
@@ -241,12 +246,77 @@ def write_json(path: PathLike, doc, *, indent: Optional[int] = None) -> None:
     else:
         text = json.dumps(doc, indent=indent, sort_keys=True) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(
+        f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+    )
     try:
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def store_root(env: str, leaf: str) -> pathlib.Path:
+    """Root directory of an on-disk store: ``$env`` when set, otherwise
+    ``~/.cache/repro-jockey/<leaf>``."""
+    value = os.environ.get(env, "").strip()
+    if value:
+        return pathlib.Path(value)
+    return pathlib.Path.home() / ".cache" / "repro-jockey" / leaf
+
+
+def remove_file(path: pathlib.Path) -> bool:
+    """Unlink ``path``; False when it could not be removed (already gone,
+    read-only store) — a store never fails because cleanup did."""
+    try:
+        path.unlink()
+    except OSError:
+        return False
+    return True
+
+
+def file_bytes(paths: Iterable[pathlib.Path]) -> int:
+    """Total size of ``paths``, skipping any that vanished meanwhile."""
+    total = 0
+    for path in paths:
+        try:
+            total += path.stat().st_size
+        except OSError:
+            pass
+    return total
+
+
+def read_entry(
+    path: pathlib.Path,
+    schema: int,
+    decode: Callable[[Dict], _T],
+    *,
+    what: str,
+) -> Optional[_T]:
+    """Read one store entry — a JSON object ``{"schema": N, ...}`` written
+    by :func:`write_json` — and return ``decode(payload)``.
+
+    A store answers from a file exactly or not at all: an entry that does
+    not parse, carries another schema version, or that ``decode`` rejects
+    (by raising) is warned about as ``dropping corrupt <what>: <reason>``,
+    deleted, and reported as ``None``, so the caller rebuilds it instead
+    of serving — or crashing on — damaged bytes."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        if payload.get("schema") != schema:
+            raise PersistError(f"schema {payload.get('schema')!r} != {schema}")
+        return decode(payload)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        warnings.warn(
+            f"dropping corrupt {what}: {exc}", RuntimeWarning, stacklevel=3
+        )
+        remove_file(path)
+        return None
+
+
+# ----------------------------------------------------------------------
+# Chaos schedules
+# ----------------------------------------------------------------------
 
 
 def save_chaos_spec(path: PathLike, spec) -> None:
@@ -365,15 +435,19 @@ __all__ = [
     "bundle_from_dict",
     "distribution_from_dict",
     "distribution_to_dict",
+    "file_bytes",
     "graph_from_dict",
     "graph_to_dict",
     "load_bundle",
     "load_chaos_spec",
+    "read_entry",
     "read_spec",
+    "remove_file",
     "save_chaos_spec",
     "profile_from_dict",
     "profile_to_dict",
     "save_bundle",
+    "store_root",
     "table_from_dict",
     "table_to_dict",
     "write_json",

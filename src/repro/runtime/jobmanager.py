@@ -289,10 +289,6 @@ class JobManager:
         return self.sim.now - self.start_time
 
     @property
-    def tasks_completed(self) -> int:
-        return self._completed_tasks
-
-    @property
     def tasks_running(self) -> int:
         return len(self._running)
 

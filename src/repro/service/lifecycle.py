@@ -1,9 +1,9 @@
 """Graceful shutdown shared by every long-running CLI surface.
 
-``repro serve``, ``repro worker``, and ``repro run --serve-metrics``
-all want the same thing: block until SIGINT/SIGTERM (or an explicit
-programmatic request), then tear the server down cleanly instead of
-dying with the process.  This module is that one path.
+``repro serve`` and ``repro worker`` want the same thing: block until
+SIGINT/SIGTERM (or an explicit programmatic request), then tear the
+server down cleanly instead of dying with the process.  This module is
+that one path.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from repro.core.cpa import DEFAULT_ALLOCATIONS, CpaTable
 from repro.experiments.scenarios import learn_model, run_training
 from repro.jobs.dag import JobGraph
 from repro.jobs.profiles import JobProfile
-from repro.jobs.workloads import TABLE2_SPECS, generate_job, mapreduce_job
+from repro.jobs.workloads import TABLE2_SPECS, named_job
 from repro.simkit.random import derive_seed
 
 #: Guaranteed tokens of a template's profiling run (as ``repro train``).
@@ -116,11 +116,8 @@ class TemplateModelStore:
     # ------------------------------------------------------------------
 
     def _train(self, name: str) -> TrainedTemplate:
-        if name == "mapreduce":
-            generated = mapreduce_job()
-        elif name in TABLE2_SPECS:
-            generated = generate_job(TABLE2_SPECS[name], seed=self.seed)
-        else:
+        generated = named_job(name, seed=self.seed)
+        if generated is None:
             raise TemplateError(
                 f"unknown template {name!r} "
                 f"(choose from {', '.join(self.available())})"

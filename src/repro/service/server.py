@@ -142,7 +142,9 @@ class ServiceConfig:
 
     ``tick_seconds`` and ``heartbeat_timeout`` are *virtual* and *wall*
     seconds respectively: the control period belongs to the model's time
-    base, liveness detection to the real one.
+    base, liveness detection to the real one.  The arbiter still tells
+    time once — liveness is stamped with ``ClusterService.now()`` and the
+    timeout divided by ``time_scale`` at the sweep.
     """
 
     host: str = "127.0.0.1"
@@ -213,7 +215,7 @@ class _Worker:
     worker_id: str
     name: str
     slots: int
-    last_seen: float                     # wall monotonic
+    last_seen: float                     # virtual seconds (service.now())
     lost: bool = False
     #: task_id -> job_id for every lease this worker holds.
     leased: Dict[str, str] = field(default_factory=dict)
@@ -434,7 +436,6 @@ class ClusterService:
         self._http_thread: Optional[threading.Thread] = None
         self._control_thread: Optional[threading.Thread] = None
         self._port: Optional[int] = None
-        self.started_wall: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -445,7 +446,6 @@ class ClusterService:
         if self._httpd is not None:
             raise ServiceError("service already started", status=409)
         self.clock = WallClock(time_scale=self.config.time_scale)
-        self.started_wall = time.monotonic()
         self._httpd = _ServiceHTTPServer(
             (self.config.host, self.config.port), self
         )
@@ -543,9 +543,8 @@ class ClusterService:
     def tick(self) -> None:
         """One live control period: liveness sweep, admission, re-plan."""
         now = self.now()
-        wall = time.monotonic()
         with self._lock:
-            self._sweep_workers(wall, now)
+            self._sweep_workers(now)
             self._admit_queued(now)
             disposition = self._tick_disposition()
             _TICKS.labels(disposition=disposition).inc()
@@ -569,10 +568,12 @@ class ClusterService:
             return "dropped"
         return "ok"
 
-    def _sweep_workers(self, wall: float, now: float) -> None:
-        timeout = self.config.heartbeat_timeout
+    def _sweep_workers(self, now: float) -> None:
+        # Configured in wall seconds, compared on the service clock: one
+        # wall second is 1 / time_scale virtual seconds.
+        timeout = self.config.heartbeat_timeout / self.config.time_scale
         for worker in list(self._workers.values()):
-            if worker.lost or wall - worker.last_seen <= timeout:
+            if worker.lost or now - worker.last_seen <= timeout:
                 continue
             worker.lost = True
             _WORKERS_LOST.inc()
@@ -852,7 +853,7 @@ class ClusterService:
                 worker_id=worker_id,
                 name=name,
                 slots=slots,
-                last_seen=time.monotonic(),
+                last_seen=self.now(),
             )
             _WORKERS_GAUGE.set(
                 sum(1 for w in self._workers.values() if not w.lost)
@@ -881,7 +882,7 @@ class ClusterService:
     def heartbeat(self, body: Dict) -> Dict:
         with self._lock:
             worker = self._worker(body.get("worker_id"))
-            worker.last_seen = time.monotonic()
+            worker.last_seen = self.now()
             return {"ok": True, "shutdown": self._stop.is_set()}
 
     def lease(self, body: Dict) -> Dict:
@@ -889,7 +890,7 @@ class ClusterService:
         max_tasks = int(body.get("max_tasks", 1))
         with self._lock:
             worker = self._worker(body.get("worker_id"))
-            worker.last_seen = time.monotonic()
+            worker.last_seen = self.now()
             granted = self._grant_tasks(worker, max_tasks)
             return {
                 "tasks": granted,
@@ -964,7 +965,8 @@ class ClusterService:
                     f"stale completion for {task_id!r}: worker no longer live",
                     status=409,
                 )
-            worker.last_seen = time.monotonic()
+            clock_now = self.now()
+            worker.last_seen = clock_now
             job_id = task_id.split("/", 1)[0]
             job = self._jobs.get(job_id)
             lease = job.running.get(task_id) if job is not None else None
@@ -974,7 +976,7 @@ class ClusterService:
                     f"{worker.worker_id!r}",
                     status=409,
                 )
-            now = max(self.now(), lease.start_v)
+            now = max(clock_now, lease.start_v)
             del job.running[task_id]
             self._running_tasks -= 1
             worker.leased.pop(task_id, None)

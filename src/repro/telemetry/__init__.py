@@ -20,8 +20,8 @@ Analysis & exposition (built on the collectors):
 * :mod:`repro.telemetry.predict` — distribution-valued completion-time
   predictions (the per-tick interval ledger) and their calibration:
   reliability diagrams, pinball loss, honesty verdicts.
-* :mod:`repro.telemetry.exposition` — Prometheus text-format rendering and
-  a live ``/metrics`` + ``/healthz`` endpoint.
+* :mod:`repro.telemetry.exposition` — Prometheus text-format rendering
+  and a strict parser (``repro serve`` is the one ``/metrics`` server).
 * :mod:`repro.telemetry.report` — self-contained HTML (or text) run
   reports: verdict, timelines, risk, scorecards.
 
@@ -35,8 +35,6 @@ from repro.telemetry.audit import (
     reconstruct_allocations,
 )
 from repro.telemetry.exposition import (
-    CONTENT_TYPE,
-    MetricsServer,
     parse_prometheus,
     render_prometheus,
 )
@@ -52,7 +50,6 @@ from repro.telemetry.metrics import (
     REGISTRY,
     MetricError,
     MetricsRegistry,
-    default_registry,
 )
 from repro.telemetry.predict import (
     CalibrationReport,
@@ -71,19 +68,16 @@ from repro.telemetry.trace import (
     TraceRecorder,
     capture,
     disable,
-    get_recorder,
     install,
 )
 
 __all__ = [
-    "CONTENT_TYPE",
     "CalibrationReport",
     "CandidateEval",
     "ControlAudit",
     "IntervalBand",
     "MetricError",
     "MetricsRegistry",
-    "MetricsServer",
     "NullRecorder",
     "PredictionLedger",
     "PredictionRecord",
@@ -98,9 +92,7 @@ __all__ = [
     "analyze_run",
     "calibration",
     "capture",
-    "default_registry",
     "disable",
-    "get_recorder",
     "install",
     "load_events",
     "parse_prometheus",

@@ -1,4 +1,4 @@
-"""Prometheus text-format exposition and a live ``/metrics`` endpoint.
+"""Prometheus text-format exposition.
 
 :func:`render_prometheus` renders a :class:`~repro.telemetry.metrics.MetricsRegistry`
 in the Prometheus text format (version 0.0.4): ``# HELP`` / ``# TYPE``
@@ -7,13 +7,9 @@ comments, one sample per line, histograms expanded to cumulative
 deterministic — metrics sorted by name, label sets sorted by value — so
 exposition diffs are stable across runs.
 
-:class:`MetricsServer` serves that rendering over stdlib ``http.server``
-on ``/metrics`` (plus a ``/healthz`` liveness probe) from a daemon thread,
-so a long experiment sweep can be scraped while it runs
-(``repro run --serve-metrics PORT``).  The simulator mutates the registry
-from the main thread while the server thread reads; individual metric
-values are plain floats guarded by the GIL, and a scrape is a monotonic
-point-in-time read, which is exactly the consistency Prometheus expects.
+The live arbiter serves that rendering on its ``/metrics``
+(:mod:`repro.service.server`, ``repro serve``); a batch run writes the
+same registry with ``repro run --metrics-out``.
 
 :func:`parse_prometheus` is a strict line-grammar parser used by tests to
 assert the rendering stays valid, and handy for scripted scraping.
@@ -21,17 +17,10 @@ assert the rendering stays valid, and handy for scripted scraping.
 
 from __future__ import annotations
 
-import json
 import re
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
 from repro.telemetry import metrics as _metrics
-
-#: The content type Prometheus scrapers expect for text format 0.0.4.
-CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
 
 class ExpositionError(ValueError):
     """Raised when exposition text does not match the format grammar."""
@@ -160,107 +149,8 @@ def parse_prometheus(text: str) -> Dict[str, Dict[str, float]]:
     return samples
 
 
-# ----------------------------------------------------------------------
-# HTTP endpoint
-# ----------------------------------------------------------------------
-
-
-class _Handler(BaseHTTPRequestHandler):
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        path = self.path.split("?", 1)[0]
-        if path == "/metrics":
-            body = render_prometheus(self.server.registry).encode("utf-8")
-            self._respond(200, CONTENT_TYPE, body)
-        elif path == "/healthz":
-            payload = {
-                "status": "ok",
-                "metrics": len(self.server.registry.names()),
-            }
-            body = (json.dumps(payload) + "\n").encode("utf-8")
-            self._respond(200, "application/json", body)
-        else:
-            self._respond(404, "text/plain; charset=utf-8", b"not found\n")
-
-    def _respond(self, status: int, content_type: str, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # scrapes must not spam the experiment's stdout
-
-
-class MetricsServer:
-    """Background ``/metrics`` + ``/healthz`` endpoint over a registry.
-
-        with MetricsServer(port=0) as server:   # 0 -> ephemeral port
-            print(server.url)                   # http://127.0.0.1:PORT
-            run_long_sweep()
-    """
-
-    def __init__(
-        self,
-        port: int = 0,
-        *,
-        host: str = "127.0.0.1",
-        registry: Optional[_metrics.MetricsRegistry] = None,
-    ):
-        self._host = host
-        self._requested_port = port
-        self._registry = (
-            registry if registry is not None else _metrics.REGISTRY
-        )
-        self._server: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def port(self) -> int:
-        if self._server is None:
-            raise RuntimeError("server not started")
-        return self._server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self._host}:{self.port}"
-
-    def start(self) -> int:
-        """Bind and serve from a daemon thread; returns the bound port."""
-        if self._server is not None:
-            raise RuntimeError("server already started")
-        server = ThreadingHTTPServer((self._host, self._requested_port), _Handler)
-        server.daemon_threads = True
-        server.registry = self._registry
-        self._server = server
-        self._thread = threading.Thread(
-            target=server.serve_forever, name="repro-metrics", daemon=True
-        )
-        self._thread.start()
-        return self.port
-
-    def stop(self) -> None:
-        if self._server is None:
-            return
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        self._server = None
-        self._thread = None
-
-    def __enter__(self) -> "MetricsServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-
 __all__ = [
-    "CONTENT_TYPE",
     "ExpositionError",
-    "MetricsServer",
     "parse_prometheus",
     "render_prometheus",
 ]

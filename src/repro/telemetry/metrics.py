@@ -307,15 +307,10 @@ class MetricsRegistry:
 REGISTRY = MetricsRegistry()
 
 
-def default_registry() -> MetricsRegistry:
-    return REGISTRY
-
-
 __all__ = [
     "DEFAULT_BUCKETS",
     "Metric",
     "MetricError",
     "MetricsRegistry",
     "REGISTRY",
-    "default_registry",
 ]

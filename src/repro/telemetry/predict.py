@@ -164,14 +164,6 @@ class PredictionRecord:
                 return b
         return None
 
-    def deadline_in_force(
-        self, initial_deadline: float,
-        schedule: Sequence[Tuple[float, float]] = (),
-    ) -> float:
-        """The deadline this tick's forecast was racing (shared
-        schedule-interpolation helper from the SLO analytics)."""
-        return deadline_at(self.elapsed, initial_deadline, schedule)
-
 
 def _envelope_quantile(level: float) -> float:
     """Central-interval half-width of the model-error envelope at

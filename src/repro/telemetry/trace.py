@@ -150,11 +150,6 @@ NULL = NullRecorder()
 RECORDER = NULL
 
 
-def get_recorder():
-    """The currently installed recorder (the no-op one when disabled)."""
-    return RECORDER
-
-
 def install(recorder) -> object:
     """Make ``recorder`` the active recorder; returns the previous one.
     Passing ``None`` disables recording."""
@@ -199,6 +194,5 @@ __all__ = [
     "capture",
     "disable",
     "enabled",
-    "get_recorder",
     "install",
 ]

@@ -94,6 +94,25 @@ class TestRoundTrip:
                 cached.exceedance(0.3, 4, threshold)
             )
 
+    def test_entry_and_stats_files_are_the_documented_text(self, cache_dir):
+        """The bytes are the format: a store written by another commit of
+        the same schema version is a warm store."""
+        from repro import persist
+
+        table = build_via_cache(stochastic_profile())
+        (entry,) = model_cache.default_cache().entries()
+        assert entry.read_text("utf-8") == json.dumps({
+            "schema": model_cache.SCHEMA_VERSION,
+            "metadata": {"indicator": "totalwork", "reps": 3, "seed": 42},
+            "table": persist.table_to_dict(table, precision=None),
+        })
+        assert (cache_dir / "_stats.json").read_text("utf-8") == (
+            '{"misses": 1, "stores": 1}'
+        )
+        assert sorted(p.name for p in cache_dir.iterdir()) == sorted(
+            [entry.name, "_stats.json"]
+        )
+
     def test_warm_cache_runs_zero_simulations(self, cache_dir, monkeypatch):
         profile = stochastic_profile()
         build_via_cache(profile)

@@ -189,8 +189,16 @@ class TestChaosRunInvariants:
     @given(spec=chaos_specs())
     @settings(max_examples=50, deadline=None)
     def test_intensity_zero_is_noop(self, spec):
-        calm = dataclasses.replace(spec, intensity=0.0)
-        assert calm.is_noop()
+        calm = dataclasses.replace(spec, intensity=0.0).effective()
+        assert all(
+            rf.count == 0 and not rf.machines for rf in calm.rack_failures
+        )
+        assert all(s.demand_fraction == 0 for s in calm.eviction_storms)
+        assert all(s.guaranteed_fraction == 0 for s in calm.token_shocks)
+        assert all(d.factor == 1.0 for d in calm.profile_drifts)
+        faults = calm.control_faults
+        assert faults.drop_tick_prob == 0 and faults.delay_tick_prob == 0
+        assert all(end <= start for start, end in faults.blackouts)
 
     @given(spec=chaos_specs())
     @settings(max_examples=50, deadline=None)

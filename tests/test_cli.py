@@ -203,7 +203,7 @@ class TestExperimentCommand:
 
 
 class TestObservatory:
-    """The report command, --report-out, --serve-metrics, and the
+    """The report command, --report-out, --metrics-out, and the
     empty-trace guard."""
 
     @pytest.fixture(scope="class")
@@ -230,15 +230,6 @@ class TestObservatory:
         assert "<script" not in html.lower()
         assert " src=" not in html
         assert "href=" not in html
-
-    def test_run_serves_metrics_while_running(self, bundle):
-        # Port 0 asks the OS for a free port; the CLI prints the bound URL.
-        code, text = run_cli(
-            "run", "--bundle", str(bundle), "--deadline-minutes", "60",
-            "--seed", "2", "--serve-metrics", "0",
-        )
-        assert code == 0
-        assert "serving metrics at http://127.0.0.1:" in text
 
     def test_metrics_out_is_sorted(self, bundle, tmp_path):
         metrics_path = tmp_path / "metrics.json"

@@ -14,7 +14,6 @@ from repro.core.simulator import (
     SimulatedRun,
     SimulatorError,
     _StageSampler,
-    simulate_durations,
     simulate_job,
     simulate_relative_spans,
 )
@@ -150,7 +149,11 @@ class TestSpans:
 
 class TestSimulateDurations:
     def test_returns_requested_count(self, rng):
-        durations = simulate_durations(deterministic_profile(), 4, rng, reps=5)
+        """Repeated runs off one generator, as a C(p, a) column draws them."""
+        durations = [
+            simulate_job(deterministic_profile(), 4, rng).duration
+            for _ in range(5)
+        ]
         assert len(durations) == 5
         assert all(d == pytest.approx(25.0) for d in durations)
 

@@ -13,7 +13,6 @@ from repro.experiments.metrics import (
 )
 from repro.experiments.reporting import (
     ExperimentReport,
-    ascii_cdf,
     ascii_table,
     format_cell,
     sparkline,
@@ -125,14 +124,6 @@ class TestReporting:
         assert format_cell(2.0) == "2"
         assert format_cell(1234.6) == "1,235"
         assert format_cell(float("nan")) == "nan"
-
-    def test_ascii_cdf(self):
-        text = ascii_cdf({"x": [1.0, 2.0, 3.0]}, points=(50,))
-        assert "p50" in text and "x" in text
-
-    def test_ascii_cdf_empty_series(self):
-        with pytest.raises(ValueError):
-            ascii_cdf({"x": []})
 
     def test_report_render(self):
         report = ExperimentReport("fig0", "demo", headers=["a"], rows=[])

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro import persist
 from repro.cache import profile_fingerprint
 from repro.fleet.store import (
     STORE_DIR_ENV,
@@ -78,6 +79,22 @@ class TestAppendAndLoad:
         assert profile_fingerprint(loaded) == gen.fingerprint
         assert gen.metadata == {"day": 3}
 
+    def test_entry_file_is_the_documented_text(self, store, graph):
+        """The bytes are the format: a lineage written by another commit
+        of the same schema version still loads."""
+        profile = profile_with_map_runtimes(graph, [10.0, 12.0])
+        gen = store.append("A", profile, metadata={"day": 3})
+        assert gen.path == store.root / "A" / "gen-000000.json"
+        assert gen.path.read_text("utf-8") == json.dumps({
+            "schema": 1,
+            "template": "A",
+            "generation": 0,
+            "fingerprint": profile_fingerprint(profile),
+            "profile": persist.profile_to_dict(profile),
+            "metadata": {"day": 3},
+        })
+        assert [p.name for p in gen.path.parent.iterdir()] == [gen.path.name]
+
     def test_load_specific_generation(self, store, graph):
         store.append("A", profile_with_map_runtimes(graph, [10.0] * 8))
         store.append("A", profile_with_map_runtimes(graph, [20.0] * 8))
@@ -97,6 +114,24 @@ class TestAppendAndLoad:
             )
         lineage = store.lineage("A", limit=2, graph=graph)
         assert [p.stage("map").runtime.mean() for p in lineage] == [12.0, 13.0]
+
+    def test_each_generation_is_decoded_once(self, store, graph, monkeypatch):
+        for i in range(3):
+            store.append(
+                "A", profile_with_map_runtimes(graph, [float(10 + i)] * 8)
+            )
+        decoded = []
+        decode = persist.profile_from_dict
+
+        def counting(data, graph=None):
+            decoded.append(data)
+            return decode(data, graph=graph)
+
+        monkeypatch.setattr(persist, "profile_from_dict", counting)
+        lineage = store.lineage("A", limit=2, graph=graph)
+        assert len(decoded) == 3
+        assert [p.stage("map").runtime.mean() for p in lineage] == [11.0, 12.0]
+        assert all(p.graph is graph for p in lineage)
 
     def test_invalid_template_name_rejected(self, store, graph):
         with pytest.raises(FleetError, match="invalid template name"):
@@ -132,6 +167,24 @@ class TestCorruption:
         gen.path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.warns(RuntimeWarning, match="schema"):
             assert store.latest("A") is None
+
+    def test_lineage_trusts_only_the_read_that_verified(
+        self, store, graph, monkeypatch
+    ):
+        """Damage landing after ``generations()`` verified an entry cannot
+        reach the caller: the profile comes out of that one read."""
+        self._one_entry(store, graph)
+        verified = store.generations
+
+        def then_damaged(template):
+            gens = verified(template)
+            for gen in gens:
+                gen.path.write_text("{not json", encoding="utf-8")
+            return gens
+
+        monkeypatch.setattr(store, "generations", then_damaged)
+        (profile,) = store.lineage("A", graph=graph)
+        assert profile.stage("map").runtime.mean() == pytest.approx(11.5)
 
     def test_lineage_self_heals_after_drop(self, store, graph):
         gen = self._one_entry(store, graph)

@@ -219,7 +219,6 @@ class TestDetectDrift:
         assert report.significant
         assert report.work_ratio == pytest.approx(1.6, rel=0.01)
         assert report.work_shift == pytest.approx(0.6, rel=0.01)
-        assert report.worst_stage() is not None
         assert report.drifted_stages()  # per-stage evidence corroborates
 
     def test_mean_mode_uses_work_ratio_only(self):

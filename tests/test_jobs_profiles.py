@@ -93,7 +93,9 @@ class TestAggregates:
         assert paths["map"] == 30.0
 
     def test_critical_path(self):
-        assert profile_for(small_graph()).critical_path_seconds() == 41.0
+        profile = profile_for(small_graph())
+        longest = profile.longest_task_seconds()
+        assert profile.graph.critical_path(longest) == 41.0
 
 
 class TestScaling:

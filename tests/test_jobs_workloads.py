@@ -10,6 +10,7 @@ from repro.jobs.workloads import (
     generate_job,
     generate_table2_jobs,
     mapreduce_job,
+    named_job,
     random_job,
 )
 
@@ -101,13 +102,19 @@ class TestGenerateTable2Jobs:
         that want one (``trained_job``, the fleet, the CLI) generate one."""
         together = generate_table2_jobs(seed=seed, vertex_scale=vertex_scale)
         for name, spec in TABLE2_SPECS.items():
-            alone = generate_job(spec, seed=seed, vertex_scale=vertex_scale)
-            assert alone.spec is together[name].spec
-            assert alone.graph.stages == together[name].graph.stages
-            assert alone.graph.edges == together[name].graph.edges
-            assert persist.profile_to_dict(alone.profile) == persist.profile_to_dict(
-                together[name].profile
-            )
+            for alone in (
+                generate_job(spec, seed=seed, vertex_scale=vertex_scale),
+                named_job(name, seed=seed, vertex_scale=vertex_scale),
+            ):
+                assert alone.spec is together[name].spec
+                assert alone.graph.stages == together[name].graph.stages
+                assert alone.graph.edges == together[name].graph.edges
+                assert persist.profile_to_dict(
+                    alone.profile
+                ) == persist.profile_to_dict(together[name].profile)
+        assert named_job("H", seed=seed) is None
+        by_name = named_job("mapreduce", seed=seed, vertex_scale=vertex_scale)
+        assert by_name.graph.stages == mapreduce_job().graph.stages
 
 
 class TestMapReduce:

@@ -45,8 +45,9 @@ class TestPhases:
         with perf.phase("run"):
             with perf.phase("inner"):
                 pass
-        names = [name for name, _, _ in perf.top_level_phases()]
-        assert names == ["load", "run"]
+        phases = perf.snapshot()["phases"]
+        assert list(phases) == ["load", "run", "run/inner"]
+        assert [name for name in phases if "/" not in name] == ["load", "run"]
 
     def test_phase_rejects_empty_and_slashed_names(self):
         perf = PerfCollector()

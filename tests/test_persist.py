@@ -1,6 +1,11 @@
 """Unit tests for the JSON persistence layer."""
 
 import json
+import pathlib
+import re
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -253,3 +258,132 @@ class TestWriteJson:
             persist.write_json(path, {"generation": 2})
         assert json.loads(path.read_text("utf-8")) == {"generation": 1}
         assert [p.name for p in tmp_path.iterdir()] == ["bundle.json"]
+
+    def test_concurrent_writers_of_one_path_never_tear_it(self, tmp_path):
+        """Two request threads may train one template and store one key
+        (``TemplateModelStore.get``); every hit rewrites ``_stats.json``."""
+        path = tmp_path / "entry.json"
+        persist.write_json(path, {"writer": -1, "fill": "x" * 4096})
+        failures = []
+        done = threading.Event()
+
+        def write(writer):
+            try:
+                for i in range(50):
+                    persist.write_json(
+                        path, {"writer": writer, "fill": str(i) * 4096}
+                    )
+            except BaseException as exc:    # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        def read():
+            try:
+                while not done.is_set():
+                    assert "writer" in json.loads(path.read_text("utf-8"))
+            except BaseException as exc:    # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reader = threading.Thread(target=read)
+            writers = [
+                threading.Thread(target=write, args=(n,)) for n in range(4)
+            ]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                reader.start()
+                for thread in writers:
+                    thread.start()
+                for thread in writers:
+                    thread.join(timeout=60.0)
+                done.set()
+                reader.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not reader.is_alive()
+        assert not any(thread.is_alive() for thread in writers)
+        assert failures == []
+        assert [p.name for p in tmp_path.iterdir()] == ["entry.json"]
+
+
+class TestReadEntry:
+    """An entry answers exactly or is dropped with a warning naming it."""
+
+    @staticmethod
+    def read(path, schema=3):
+        return persist.read_entry(
+            path, schema, lambda payload: payload["body"],
+            what=f"test entry {path.name}",
+        )
+
+    def test_returns_what_decode_returns(self, tmp_path):
+        path = tmp_path / "e.json"
+        persist.write_json(path, {"schema": 3, "metadata": {}, "body": [1, 2]})
+        assert self.read(path) == [1, 2]
+        assert path.exists()
+
+    @pytest.mark.parametrize("text, reason", [
+        ("{ not json", "Expecting property name"),
+        ('{"schema": 2, "body": 1}', "schema 2 != 3"),
+        ('{"schema": 3}', "'body'"),
+        ("[1, 2]", "has no attribute 'get'"),
+        ('{"schema": 3, "body"', "Expecting"),
+    ])
+    def test_damaged_entry_warns_drops_and_misses(self, tmp_path, text, reason):
+        path = tmp_path / "e.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.warns(RuntimeWarning) as caught:
+            assert self.read(path) is None
+        (warning,) = caught
+        assert str(warning.message).startswith(
+            "dropping corrupt test entry e.json: "
+        )
+        assert reason in str(warning.message)
+        assert not path.exists()
+
+    def test_missing_file_is_a_warned_miss(self, tmp_path):
+        with pytest.warns(RuntimeWarning, match="corrupt test entry"):
+            assert self.read(tmp_path / "gone.json") is None
+
+
+class TestStoreHelpers:
+    def test_store_root_env_wins_over_home(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_TEST_DIR", f"  {tmp_path}  ")
+        assert persist.store_root("REPRO_TEST_DIR", "leaf") == tmp_path
+        monkeypatch.setenv("REPRO_TEST_DIR", " ")
+        root = persist.store_root("REPRO_TEST_DIR", "leaf")
+        assert root.parts[-3:] == (".cache", "repro-jockey", "leaf")
+
+    def test_file_helpers_shrug_off_vanished_files(self, tmp_path):
+        kept = tmp_path / "kept"
+        kept.write_bytes(b"12345")
+        gone = tmp_path / "gone"
+        assert persist.file_bytes([kept, gone]) == 5
+        assert persist.remove_file(kept) is True
+        assert persist.remove_file(gone) is False
+
+
+class TestOneOwner:
+    """The decisions this module owns are made nowhere else under
+    ``src/repro``: how a file is replaced, and (for the arbiter) what
+    time it is."""
+
+    SRC = pathlib.Path(persist.__file__).parent
+
+    def test_only_persist_renames_a_tmp_file_into_place(self):
+        needle = re.compile(r"\.tmp|os\.replace|\.replace\(path\)")
+        offenders = [
+            f"{path.relative_to(self.SRC)}:{lineno}"
+            for path in sorted(self.SRC.rglob("*.py"))
+            if path.name != "persist.py"
+            for lineno, line in enumerate(
+                path.read_text("utf-8").splitlines(), 1
+            )
+            if needle.search(line)
+        ]
+        assert offenders == []
+
+    def test_the_arbiter_reads_no_second_clock(self):
+        server = (self.SRC / "service" / "server.py").read_text("utf-8")
+        assert "time.monotonic" not in server

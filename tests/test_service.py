@@ -212,85 +212,97 @@ class TestLifecycle:
 
 
 class TestWorkerLoss:
-    """Kill a worker mid-run: heartbeat timeout must reschedule its tasks."""
+    """A worker goes silent mid-run: the heartbeat sweep must reschedule
+    its tasks (in-process on a manual clock: liveness is told on the
+    service clock, so silence is ``clock.advance``, not ``time.sleep``)."""
 
-    def test_job_survives_worker_crash(self):
-        config = ServiceConfig(
-            capacity_tokens=8,
-            tick_seconds=10.0,
-            time_scale=0.01,           # 100-virtual-second task = 1 s wall
-            heartbeat_timeout=0.8,
+    CONFIG = ServiceConfig(
+        capacity_tokens=8,
+        tick_seconds=10.0,
+        time_scale=0.01,               # heartbeat_timeout is wall seconds:
+        heartbeat_timeout=0.8,         # 0.8 s of silence = 80 virtual seconds
+    )
+    TIMEOUT_V = CONFIG.heartbeat_timeout / CONFIG.time_scale
+
+    @pytest.fixture
+    def svc(self):
+        svc = ClusterService(
+            self.CONFIG,
+            store=tiny_store(runtime_map=100.0, runtime_reduce=50.0),
         )
-        store = tiny_store(runtime_map=100.0, runtime_reduce=50.0)
-        with ClusterService(config, store=store) as svc:
-            client = ServiceClient(svc.url)
-            # The victim starts alone: with the survivor already polling,
-            # its chained leases can drain the job before the victim's
-            # first lease lands.
-            victim = ServiceWorker(
-                WorkerConfig(url=svc.url, name="victim", slots=4)
-            ).start()
-            reply = client.submit(
-                template="tiny", deadline_minutes=60.0, policy="jockey-no-sim"
-            )
-            job_id = reply["job_id"]
+        svc.clock = ManualClock()
+        return svc
 
-            # Wait until the victim actually holds leases, then bring in
-            # the survivor and crash the victim.
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                workers = {
-                    w["name"]: w for w in client.state()["workers"]
-                }
-                if workers.get("victim", {}).get("leased_tasks", 0) > 0:
-                    break
-                time.sleep(0.02)
-            else:
-                pytest.fail("victim never leased a task")
-            survivor = ServiceWorker(
-                WorkerConfig(url=svc.url, name="survivor", slots=4)
-            ).start()
-            victim.kill()
+    @staticmethod
+    def submit(svc):
+        reply = svc.submit({
+            "template": "tiny", "deadline_minutes": 60.0,
+            "policy": "jockey-no-sim",
+        })
+        assert reply["status"] == "running"
+        return reply["job_id"]
 
-            info = client.wait(job_id, timeout=60.0)
-            assert info["status"] == "completed"
-            assert info["completed_tasks"] == info["total_tasks"]
-            # The loss was detected and attributed to the job.
-            assert info["workers_lost"] >= 1
-            workers = {w["name"]: w for w in client.state()["workers"]}
-            assert workers["victim"]["lost"] is True
-            assert workers["survivor"]["lost"] is False
-            # The arbiter is still healthy after the crash.
-            assert client.healthz()["status"] == "ok"
-            survivor.stop()
+    def test_job_survives_worker_crash(self, svc):
+        victim = svc.register_worker({"name": "victim", "slots": 4})["worker_id"]
+        job_id = self.submit(svc)
+        held = svc.lease({"worker_id": victim, "max_tasks": 4})["tasks"]
+        assert held
+        survivor = svc.register_worker(
+            {"name": "survivor", "slots": 4}
+        )["worker_id"]
+        # The victim crashes: only the survivor beats through the silence.
+        svc.clock.advance(self.TIMEOUT_V + 1)
+        svc.heartbeat({"worker_id": survivor})
+        svc.tick()
 
-    def test_zombie_completion_rejected(self):
-        """A worker that outlives its heartbeat must not report results."""
-        config = ServiceConfig(
-            capacity_tokens=4,
-            tick_seconds=10.0,
-            time_scale=0.01,
-            heartbeat_timeout=0.5,
-        )
-        store = tiny_store(runtime_map=100.0, runtime_reduce=50.0)
-        with ClusterService(config, store=store) as svc:
-            client = ServiceClient(svc.url)
-            registered = client.register_worker(name="zombie", slots=2)
-            worker_id = registered["worker_id"]
-            client.submit(
-                template="tiny", deadline_minutes=60.0,
-                policy="jockey-no-sim",
-            )
-            tasks = client.lease(worker_id, max_tasks=1)["tasks"]
-            assert tasks
-            # Go silent past the heartbeat timeout; the sweep runs on the
-            # control tick (0.1 s wall here).
-            time.sleep(1.0)
-            with pytest.raises(ServiceClientError) as err:
-                client.complete_task(
-                    task_id=tasks[0]["task_id"], worker_id=worker_id
+        for _round in range(20):
+            tasks = svc.lease({"worker_id": survivor, "max_tasks": 4})["tasks"]
+            svc.clock.advance(self.CONFIG.tick_seconds)
+            for task in tasks:
+                svc.complete_task(
+                    {"worker_id": survivor, "task_id": task["task_id"]}
                 )
-            assert err.value.status == 409
+            svc.tick()
+            if svc.job_status(job_id)["status"] == "completed":
+                break
+        info = svc.job_status(job_id)
+        assert info["status"] == "completed"
+        assert info["completed_tasks"] == info["total_tasks"]
+        # The loss was detected and attributed to the job.
+        assert info["workers_lost"] >= 1
+        workers = {w["name"]: w for w in svc.state()["workers"]}
+        assert workers["victim"]["lost"] is True
+        assert workers["survivor"]["lost"] is False
+        # The arbiter is still healthy after the crash.
+        assert svc.healthz()["status"] == "ok"
+
+    def test_zombie_completion_rejected(self, svc):
+        """A worker that outlives its heartbeat must not report results —
+        not even in the very tick that swept it."""
+        worker_id = svc.register_worker({"name": "zombie", "slots": 2})["worker_id"]
+        self.submit(svc)
+        tasks = svc.lease({"worker_id": worker_id, "max_tasks": 1})["tasks"]
+        assert tasks
+        svc.clock.advance(self.TIMEOUT_V + 1)
+        svc.tick()
+        with pytest.raises(ServiceError) as err:
+            svc.complete_task(
+                {"task_id": tasks[0]["task_id"], "worker_id": worker_id}
+            )
+        assert err.value.status == 409
+
+    def test_lost_one_virtual_second_past_the_timeout(self, svc):
+        worker_id = svc.register_worker({"name": "edge", "slots": 1})["worker_id"]
+        svc.clock.advance(self.TIMEOUT_V)
+        svc.tick()
+        assert svc.state()["workers"][0]["lost"] is False
+        assert svc.healthz()["workers"] == 1
+        svc.clock.advance(1.0)
+        svc.tick()
+        assert svc.state()["workers"][0]["lost"] is True
+        with pytest.raises(ServiceError) as err:
+            svc.heartbeat({"worker_id": worker_id})
+        assert err.value.status == 409
 
 
 class ScanningService(ClusterService):
@@ -359,10 +371,15 @@ class TestGrantOrder:
                     svc.tick()
                 continue
             if roll < 0.23 and len(workers) < 6:
-                # A worker goes silent; the sweep re-queues its leases.
+                # A worker goes silent while the others beat; the sweep
+                # re-queues its leases.
                 lost = workers.pop(rng.randrange(len(workers)))
                 for svc in pair:
-                    svc._workers[lost].last_seen -= 60.0
+                    svc.clock.advance(
+                        config.heartbeat_timeout / config.time_scale + 1
+                    )
+                    for live in workers:
+                        svc.heartbeat({"worker_id": live})
                     svc.tick()
                 leased = [held for held in leased if held[1] != lost]
                 workers.append(self.both(

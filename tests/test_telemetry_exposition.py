@@ -1,4 +1,5 @@
-"""Tests for Prometheus text exposition and the embedded metrics server."""
+"""Tests for Prometheus text exposition and the one server that serves
+it: the live arbiter's ``/metrics`` (``repro serve``)."""
 
 import json
 import urllib.error
@@ -6,10 +7,9 @@ import urllib.request
 
 import pytest
 
+from repro.service import ClusterService, ServiceConfig
 from repro.telemetry.exposition import (
-    CONTENT_TYPE,
     ExpositionError,
-    MetricsServer,
     parse_prometheus,
     render_prometheus,
 )
@@ -96,43 +96,52 @@ class TestParse:
             parse_prometheus("repro_x notanumber\n")
 
 
+def scrape(service):
+    with urllib.request.urlopen(service.url + "/metrics") as resp:
+        return parse_prometheus(resp.read().decode("utf-8"))
+
+
 class TestServer:
-    def test_serves_metrics_and_health(self):
-        reg = populated_registry()
-        with MetricsServer(0, registry=reg) as server:
-            with urllib.request.urlopen(server.url + "/metrics") as resp:
-                assert resp.headers["Content-Type"] == CONTENT_TYPE
-                body = resp.read().decode("utf-8")
-            assert parse_prometheus(body)["repro_test_tokens"][""] == 42
+    """``/metrics`` has one server, the arbiter; it serves the process
+    registry in the format the strict parser accepts."""
 
-            with urllib.request.urlopen(server.url + "/healthz") as resp:
-                health = json.loads(resp.read())
-            assert health["status"] == "ok"
+    @pytest.fixture
+    def service(self):
+        with ClusterService(ServiceConfig()) as svc:
+            yield svc
 
-    def test_scrapes_see_live_updates(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("repro_live_tokens")
-        with MetricsServer(0, registry=reg) as server:
-            def scrape():
-                with urllib.request.urlopen(server.url + "/metrics") as resp:
-                    text = resp.read().decode("utf-8")
-                return parse_prometheus(text)["repro_live_tokens"][""]
+    def test_serves_metrics_and_health(self, service):
+        with urllib.request.urlopen(service.url + "/metrics") as resp:
+            # What Prometheus scrapers expect for text format 0.0.4.
+            assert resp.headers["Content-Type"] == (
+                "text/plain; version=0.0.4; charset=utf-8"
+            )
+            body = resp.read().decode("utf-8")
+        assert "repro_service_requests_total" in parse_prometheus(body)
 
-            g.set(1)
-            assert scrape() == 1
-            g.set(99)
-            assert scrape() == 99
+        with urllib.request.urlopen(service.url + "/healthz") as resp:
+            health = json.loads(resp.read())
+        assert health["status"] == "ok"
 
-    def test_unknown_path_404(self):
-        with MetricsServer(0, registry=MetricsRegistry()) as server:
-            with pytest.raises(urllib.error.HTTPError) as err:
-                urllib.request.urlopen(server.url + "/nope")
-            assert err.value.code == 404
+    def test_scrapes_see_live_updates(self, service):
+        def scrapes_served():
+            return scrape(service)["repro_service_requests_total"][
+                'endpoint="/metrics"'
+            ]
+
+        first = scrapes_served()
+        assert scrapes_served() == first + 1
+
+    def test_unknown_path_404(self, service):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(service.url + "/nope")
+        assert err.value.code == 404
 
     def test_stop_closes_port(self):
-        server = MetricsServer(0, registry=MetricsRegistry())
-        url = server.start() and server.url
-        server.stop()
+        service = ClusterService(ServiceConfig())
+        service.start()
+        url = service.url
+        service.stop(drain=False)
         with pytest.raises(urllib.error.URLError):
             urllib.request.urlopen(url + "/healthz", timeout=0.5)
 
@@ -216,11 +225,9 @@ class TestPredictionGauges:
         assert coverage == 1
 
     def test_served_metrics_expose_prediction_bands(self):
-        _record, registry = self.publish_and_score("exposition-served")
-        with MetricsServer(0, registry=registry) as server:
-            with urllib.request.urlopen(server.url + "/metrics") as resp:
-                body = resp.read().decode("utf-8")
-        parsed = parse_prometheus(body)
+        self.publish_and_score("exposition-served")
+        with ClusterService(ServiceConfig()) as service:
+            parsed = scrape(service)
         assert self.sample(
             parsed, "repro_prediction_ticks_total", "exposition-served"
         ) >= 1

@@ -142,8 +142,13 @@ class TestRecordFromQuantiles:
 
     def test_deadline_in_force_replays_schedule(self):
         rec = make_record(0, elapsed=120.0, median=200.0, half_widths={0.9: 10.0})
-        assert rec.deadline_in_force(600.0) == 600.0
-        assert rec.deadline_in_force(600.0, schedule=((100.0, 900.0),)) == 900.0
+        # The timeline's in-force deadline column (minutes) at this tick.
+        ((*_, deadline, _hit),) = timeline_rows([rec], deadline=600.0)
+        assert deadline == 10.0
+        ((*_, deadline, _hit),) = timeline_rows(
+            [rec], deadline=600.0, schedule=((100.0, 900.0),)
+        )
+        assert deadline == 15.0
 
 
 class TestLedger:
