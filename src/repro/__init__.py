@@ -63,7 +63,6 @@ from repro.jobs import JobGraph, JobProfile, RunTrace, generate_table2_jobs
 from repro.parallel import parallel_map, resolve_jobs
 from repro.runtime import JobManager, run_to_completion
 from repro.telemetry import (
-    ControlAudit,
     MetricsRegistry,
     TraceEvent,
     TraceRecorder,
@@ -77,7 +76,6 @@ __all__ = [
     "AmdahlPolicy",
     "Cluster",
     "ClusterConfig",
-    "ControlAudit",
     "ControlConfig",
     "CpaPredictor",
     "CpaTable",

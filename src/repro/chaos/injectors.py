@@ -14,7 +14,7 @@ run digest and the report's chaos section.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -227,11 +227,17 @@ class BlackoutPredictor:
     :class:`~repro.core.control.PredictorUnavailable` inside blackout
     windows and delegates otherwise.  The progress indicator stays
     reachable — blackouts model the *model service* going away, not the
-    job's own instrumentation."""
+    job's own instrumentation.  ``now`` reads the windows' time base:
+    ``lambda: sim.now`` in a batch run, ``ClusterService.now`` live."""
 
-    def __init__(self, inner, sim: Simulator, windows: Sequence[Tuple[float, float]]):
+    def __init__(
+        self,
+        inner,
+        now: Callable[[], float],
+        windows: Sequence[Tuple[float, float]],
+    ):
         self._inner = inner
-        self._sim = sim
+        self._now = now
         self._windows = tuple(windows)
         self.name = getattr(inner, "name", "unknown")
         self.blackout_hits = 0
@@ -241,7 +247,7 @@ class BlackoutPredictor:
         return getattr(self._inner, "indicator", None)
 
     def _check(self) -> None:
-        now = self._sim.now
+        now = self._now()
         for start, end in self._windows:
             if start <= now < end:
                 self.blackout_hits += 1
@@ -299,7 +305,8 @@ class ControlFaultInjector:
         predictor = getattr(controller, "predictor", None)
         if predictor is None:
             return  # static policies have no predictor to black out
-        self._blackout = BlackoutPredictor(predictor, self._sim, windows)
+        sim = self._sim
+        self._blackout = BlackoutPredictor(predictor, lambda: sim.now, windows)
         controller.predictor = self._blackout
 
     @property

@@ -11,7 +11,6 @@ from repro.core.adaptive import (
 from repro.core.amdahl import AmdahlModel
 from repro.core.control import (
     ControlConfig,
-    ControlDecision,
     ControlError,
     CpaPredictor,
     JockeyController,
@@ -53,7 +52,6 @@ __all__ = [
     "AmdahlModel",
     "AmdahlPolicy",
     "ControlConfig",
-    "ControlDecision",
     "ControlError",
     "CpaError",
     "CpaPredictor",

@@ -1,4 +1,4 @@
-"""Clock abstraction: one control loop, two substrates.
+"""The live service's clocks.
 
 Everything in the Jockey control loop is expressed in *virtual seconds* —
 the time base of the job profiles, deadlines, and C(p, a) tables.  In
@@ -7,42 +7,22 @@ mode it is wall time divided by a compression factor, so a profile whose
 tasks take tens of virtual seconds can be replayed against real worker
 processes in milliseconds without retraining the model.
 
-* :class:`SimClock` — virtual time read straight from a simulator.
 * :class:`WallClock` — monotonic wall time mapped into virtual seconds
   through ``time_scale`` (wall seconds per virtual second).
-* :class:`ManualClock` — a settable clock for deterministic unit tests.
+* :class:`ManualClock` — a settable clock for deterministic tests.
 
-:meth:`JockeyController.attach_clock <repro.core.control.JockeyController>`
-accepts any of these, which is how the controller ticks from wall-clock
-in the live service instead of simkit time.
+Only :class:`~repro.service.server.ClusterService` reads one (as
+``ClusterService.now()``).  The controller reads no clock: the caller
+tells it the job's elapsed time on every decision.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional, Protocol, runtime_checkable
 
 
 class ClockError(ValueError):
     """Raised for invalid clock configuration."""
-
-
-@runtime_checkable
-class Clock(Protocol):
-    """Source of virtual-time ``now`` readings (monotonic, seconds)."""
-
-    def now(self) -> float: ...
-
-
-class SimClock:
-    """Virtual time read from a :class:`~repro.simkit.events.Simulator`
-    (or anything with a ``now`` attribute)."""
-
-    def __init__(self, sim):
-        self._sim = sim
-
-    def now(self) -> float:
-        return float(self._sim.now)
 
 
 class WallClock:
@@ -62,19 +42,6 @@ class WallClock:
 
     def now(self) -> float:
         return (time.monotonic() - self._epoch) / self.time_scale
-
-    def to_wall(self, virtual_seconds: float) -> float:
-        """Wall seconds corresponding to a virtual duration."""
-        return virtual_seconds * self.time_scale
-
-    def to_virtual(self, wall_seconds: float) -> float:
-        """Virtual seconds corresponding to a wall duration."""
-        return wall_seconds / self.time_scale
-
-    def sleep(self, virtual_seconds: float) -> None:
-        """Block for a virtual duration (scaled to wall time)."""
-        if virtual_seconds > 0:
-            time.sleep(self.to_wall(virtual_seconds))
 
 
 class ManualClock:
@@ -98,16 +65,8 @@ class ManualClock:
         self._now = float(now)
 
 
-def ensure_clock(clock: Optional[Clock]) -> Clock:
-    """``clock`` itself, or a real-time :class:`WallClock` when None."""
-    return clock if clock is not None else WallClock()
-
-
 __all__ = [
-    "Clock",
     "ClockError",
     "ManualClock",
-    "SimClock",
     "WallClock",
-    "ensure_clock",
 ]

@@ -15,16 +15,19 @@ indicator noise:
   exponentially: ``A_t = A_{t-1} + alpha (A_raw − A_{t-1})``;
 * **dead zone** — the utility function is shifted left by ``D`` seconds, so
   allocations only react once the job is at least ``D`` behind schedule.
+
+The controller reads no clock: every caller (the batch runner, the
+multi-job arbiter, the live service) tells it the job's elapsed time, and
+each decision leaves exactly one :class:`~repro.telemetry.audit.TickRecord`
+— the value :meth:`JockeyController.decide` returns.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Protocol, Sequence, Tuple
 
-from repro.core.clock import Clock
 from repro.core.cpa import CpaTable
 from repro.core.utility import PiecewiseLinearUtility
 from repro.perf import instrument as _perf
@@ -186,15 +189,11 @@ class ControlConfig:
         return grid
 
 
-@dataclass(frozen=True)
-class ControlDecision:
-    """One control-loop iteration's outputs (Fig. 6's blue and black lines)."""
-
-    raw: int           # utility-maximizing minimum allocation
-    smoothed: float    # after hysteresis
-    allocation: int    # integer tokens actually requested
-    predicted_remaining: float  # slacked prediction at `allocation`
-    utility: float     # expected utility at `allocation`
+def first_best(utilities: Sequence[float]) -> int:
+    """The argmin of §4.3: index of the first (smallest-allocation)
+    candidate whose utility is within 1e-9 of the best."""
+    best = max(utilities)
+    return next(i for i, u in enumerate(utilities) if u >= best - 1e-9)
 
 
 class JockeyController:
@@ -208,15 +207,9 @@ class JockeyController:
         *,
         stage_names: Sequence[str] = (),
         grid_floor: Optional[int] = None,
-        clock: Optional[Clock] = None,
     ):
         self.predictor = predictor
         self.config = config
-        #: Optional virtual-time source (see :mod:`repro.core.clock`).  In
-        #: batch simulation the runner passes elapsed time explicitly; the
-        #: live service attaches a wall clock and calls :meth:`decide_now`.
-        self.clock = clock
-        self._clock_start: Optional[float] = None
         self._utility = utility
         self._effective = utility.shifted_left(config.dead_zone_seconds)
         self._degraded_effective = utility.shifted_left(
@@ -238,22 +231,17 @@ class JockeyController:
         self._last_good: Optional[Tuple[float, List[float]]] = None
         #: Ticks decided without a live predictor (fallback or hold).
         self.degraded_ticks = 0
-        self.decisions: List[ControlDecision] = []
-        #: Per-tick decision trail (progress, per-candidate predictions,
-        #: raw/dead-zone/hysteresis chain); ``audit.decisions()`` is the
-        #: accessor experiments use.
-        self.audit = _audit.ControlAudit()
+        #: One record per decision, oldest first (the initial allocation
+        #: included): progress, per-candidate predictions, the
+        #: raw/dead-zone/hysteresis chain and the applied allocation.
+        self.audit: List[_audit.TickRecord] = []
         #: Per-tick completion-time interval forecasts (the prediction
         #: observatory's ledger); empty for predictors without a
         #: distribution (Amdahl) and skipped on degraded ticks — a model
         #: outage means there is no honest interval to publish.
-        self.predictions = _predict.PredictionLedger()
+        self.predictions: List[_predict.PredictionRecord] = []
 
     # ------------------------------------------------------------------
-
-    @property
-    def utility(self) -> PiecewiseLinearUtility:
-        return self._utility
 
     @property
     def effective_utility(self) -> PiecewiseLinearUtility:
@@ -292,55 +280,42 @@ class JockeyController:
                 indicator_swapped=indicator is not None,
             )
 
-    def attach_clock(self, clock: Clock, *, start: Optional[float] = None) -> None:
-        """Tick from ``clock`` (e.g. a wall clock in live service mode):
-        :meth:`decide_now` and :meth:`elapsed` read it instead of taking an
-        explicit elapsed argument.  ``start`` anchors the job's epoch on the
-        clock's timeline (default: the clock's current reading)."""
-        self.clock = clock
-        self._clock_start = float(clock.now() if start is None else start)
-
-    def elapsed(self) -> float:
-        """Seconds since the attached clock's job epoch."""
-        if self.clock is None:
-            raise ControlError("no clock attached; call attach_clock first")
-        if self._clock_start is None:
-            self._clock_start = self.clock.now()
-        return max(0.0, self.clock.now() - self._clock_start)
-
-    def decide_now(self, fractions: Mapping[str, float]) -> "ControlDecision":
-        """One control iteration with elapsed time read from the attached
-        clock — the live-service tick (wall-clock substrate) equivalent of
-        ``decide(fractions, sim_elapsed)``."""
-        return self.decide(fractions, self.elapsed())
-
     def reset_run_state(self) -> None:
         """Forget everything tied to one run — hysteresis, cached
-        predictions, decisions, audit trail, degraded-tick count — so a
+        predictions, audit trail, ledger, degraded-tick count — so a
         long-lived controller (one per recurring-job template) starts each
         day's run clean while keeping its model."""
         self._smoothed = None
         self._last_good = None
-        self._clock_start = None
         self.degraded_ticks = 0
-        self.decisions = []
-        self.audit = _audit.ControlAudit()
-        self.predictions = _predict.PredictionLedger()
+        self.audit = []
+        self.predictions = []
 
     # ------------------------------------------------------------------
 
+    def _scan(
+        self, utility: PiecewiseLinearUtility, elapsed: float, predictions: Sequence[float]
+    ) -> Tuple[int, Tuple[_audit.CandidateEval, ...]]:
+        """The one candidate scan: slack each grid allocation's prediction,
+        price it under ``utility``, and return the :func:`first_best`
+        index with every candidate's evaluation."""
+        slack = self.config.slack
+        candidates = []
+        for a, predicted in zip(self._grid, predictions):
+            remaining = slack * predicted
+            candidates.append(
+                _audit.CandidateEval(a, remaining, utility.value(elapsed + remaining))
+            )
+        return first_best([c.utility for c in candidates]), tuple(candidates)
+
     def _raw_allocation(
         self, fractions: Mapping[str, float], elapsed: float
-    ) -> Tuple[int, float, float, Tuple[_audit.CandidateEval, ...], bool]:
+    ) -> Tuple[_audit.CandidateEval, Tuple[_audit.CandidateEval, ...], bool]:
         """Minimum allocation maximizing expected (dead-zone-shifted,
-        slacked) utility; returns (allocation, prediction, utility,
-        candidate evaluations, dead-zone-triggered flag).  The flag is True
-        when the dead-zone shift changed which allocation the argmin picks
-        versus the unshifted utility."""
-        best_u = -math.inf
-        best_u0 = -math.inf
-        utilities = []
-        candidates = []
+        slacked) utility; returns (the chosen candidate, every candidate,
+        dead-zone-triggered flag).  The flag is True when the dead-zone
+        shift changed which allocation the argmin picks versus the
+        unshifted utility."""
         perf = _perf.COLLECTOR
         query_start = time.perf_counter() if perf.enabled else 0.0
         batch = getattr(self.predictor, "remaining_seconds_batch", None)
@@ -354,26 +329,11 @@ class JockeyController:
         if perf.enabled:
             perf.record("control.cpa_query", time.perf_counter() - query_start)
         self._last_good = (elapsed, [float(p) for p in predictions])
-        for a, predicted in zip(self._grid, predictions):
-            remaining = self.config.slack * float(predicted)
-            u = self._effective.value(elapsed + remaining)
-            u0 = self._utility.value(elapsed + remaining)
-            utilities.append((a, remaining, u, u0))
-            candidates.append(_audit.CandidateEval(a, remaining, u))
-            best_u = max(best_u, u)
-            best_u0 = max(best_u0, u0)
-        chosen = None
-        unshifted = None
-        for a, remaining, u, u0 in utilities:
-            if chosen is None and u >= best_u - 1e-9:
-                chosen = (a, remaining, u)
-            if unshifted is None and u0 >= best_u0 - 1e-9:
-                unshifted = a
-            if chosen is not None and unshifted is not None:
-                break
-        assert chosen is not None and unshifted is not None
-        a, remaining, u = chosen
-        return a, remaining, u, tuple(candidates), a != unshifted
+        index, candidates = self._scan(self._effective, elapsed, self._last_good[1])
+        unshifted = first_best([
+            self._utility.value(elapsed + c.predicted_remaining) for c in candidates
+        ])
+        return candidates[index], candidates, index != unshifted
 
     def _observed_progress(self, fractions: Mapping[str, float]) -> Optional[float]:
         """The predictor's indicator progress, when it has one (the
@@ -387,12 +347,7 @@ class JockeyController:
             return None
 
     def _record_prediction(
-        self,
-        fractions: Mapping[str, float],
-        elapsed: float,
-        allocation: int,
-        progress: Optional[float],
-        tick: int,
+        self, fractions: Mapping[str, float], tick: _audit.TickRecord
     ) -> None:
         """Append one tick's completion-time interval forecast to the
         prediction ledger (when the predictor has a distribution), update
@@ -402,19 +357,20 @@ class JockeyController:
             return
         try:
             quantiles = dict(quantiler(
-                fractions, allocation, _predict.quantiles_for(_predict.NOMINAL_LEVELS)
+                fractions, tick.allocation,
+                _predict.quantiles_for(_predict.NOMINAL_LEVELS),
             ))
         except PredictorUnavailable:
             return
         record = _predict.record_from_quantiles(
-            tick=tick,
-            elapsed=elapsed,
-            progress=progress,
-            allocation=allocation,
+            tick=tick.tick,
+            elapsed=tick.elapsed,
+            progress=tick.progress,
+            allocation=tick.allocation,
             quantiles=quantiles,
             error_rel=self.config.prediction_error_rel,
         )
-        self.predictions.record(record)
+        self.predictions.append(record)
         predictor_name = getattr(self.predictor, "name", "unknown")
         _predict.publish(record, predictor=predictor_name)
         rec = _trace.RECORDER
@@ -424,32 +380,57 @@ class JockeyController:
                 label = _predict.level_label(band.level)
                 fields[f"lo{label}"] = band.lo
                 fields[f"hi{label}"] = band.hi
-            rec.emit(elapsed, "control.predict", **fields)
+            rec.emit(tick.elapsed, "control.predict", **fields)
+
+    def _append(
+        self,
+        fractions: Mapping[str, float],
+        *,
+        predict: bool,
+        **fields,
+    ) -> _audit.TickRecord:
+        """The one record of one decision: append it to the audit, add its
+        interval forecast to the ledger when ``predict``, and emit its
+        ``control.tick`` trace event."""
+        record = _audit.TickRecord(
+            tick=len(self.audit),
+            progress=self._observed_progress(fractions),
+            smoothed=self._smoothed,
+            **fields,
+        )
+        self.audit.append(record)
+        if predict:
+            self._record_prediction(fractions, record)
+        rec = _trace.RECORDER
+        if rec.enabled:
+            rec.emit(
+                record.elapsed, "control.tick",
+                predictor=getattr(self.predictor, "name", "unknown"),
+                **{name: getattr(record, name) for name in _audit.EVENT_FIELDS},
+            )
+        return record
 
     def initial_allocation(self, fractions: Optional[Mapping[str, float]] = None) -> int:
         """Allocation before the job starts (progress 0, elapsed 0).  Also
         resets hysteresis state."""
         if fractions is None:
             fractions = self._zero_fractions()
-        raw, remaining, u, candidates, dead_zone = self._raw_allocation(fractions, 0.0)
-        self._smoothed = float(raw)
-        progress = self._observed_progress(fractions)
-        tick = len(self.audit)
-        self.audit.record(_audit.TickRecord(
-            tick=tick,
+        chosen, candidates, dead_zone = self._raw_allocation(fractions, 0.0)
+        raw = chosen.allocation
+        self._smoothed = _audit.apply_hysteresis(None, raw, self.config.hysteresis)
+        self._append(
+            fractions,
+            predict=True,
             phase=_audit.PHASE_INITIAL,
             elapsed=0.0,
-            progress=progress,
             candidates=candidates,
             raw=raw,
             dead_zone_triggered=dead_zone,
             prev_smoothed=None,
-            smoothed=self._smoothed,
             allocation=raw,
-            predicted_remaining=remaining,
-            utility=u,
-        ))
-        self._record_prediction(fractions, 0.0, raw, progress, tick)
+            predicted_remaining=chosen.predicted_remaining,
+            utility=chosen.utility,
+        )
         return raw
 
     def _zero_fractions(self) -> Mapping[str, float]:
@@ -485,17 +466,11 @@ class JockeyController:
                     int(round(self._smoothed))
                     if self._smoothed is not None else self._grid[0]
                 )
-                best_u = -math.inf
-                candidates = []
-                for a, predicted in zip(self._grid, predictions):
-                    remaining = config.slack * predicted
-                    u = self._degraded_effective.value(elapsed + remaining)
-                    candidates.append(_audit.CandidateEval(a, remaining, u))
-                    best_u = max(best_u, u)
-                for cand in candidates:
-                    if cand.utility >= best_u - 1e-9:
-                        raw = max(cand.allocation, floor)
-                        return raw, tuple(candidates), "fallback", staleness
+                index, candidates = self._scan(
+                    self._degraded_effective, elapsed, predictions
+                )
+                raw = max(candidates[index].allocation, floor)
+                return raw, candidates, "fallback", staleness
         else:
             staleness = elapsed
         if self._smoothed is not None:
@@ -515,8 +490,12 @@ class JockeyController:
         )
         return predictions[nearest]
 
-    def decide(self, fractions: Mapping[str, float], elapsed: float) -> ControlDecision:
-        """One control iteration.
+    def decide(
+        self, fractions: Mapping[str, float], elapsed: float
+    ) -> _audit.TickRecord:
+        """One control iteration at ``elapsed`` seconds into the job (the
+        caller's clock reading); returns the :class:`TickRecord` it appends
+        to :attr:`audit`.
 
         If the predictor raises :class:`PredictorUnavailable`, the tick is
         decided in degraded mode (see :meth:`_degraded_raw`) instead of
@@ -526,66 +505,36 @@ class JockeyController:
         degraded_mode: Optional[str] = None
         staleness = 0.0
         try:
-            raw, _rem, _u, candidates, dead_zone = self._raw_allocation(
-                fractions, elapsed
-            )
+            chosen, candidates, dead_zone = self._raw_allocation(fractions, elapsed)
+            raw = chosen.allocation
         except PredictorUnavailable:
             raw, candidates, degraded_mode, staleness = self._degraded_raw(elapsed)
             dead_zone = False
+        config = self.config
         prev_smoothed = self._smoothed
-        if self._smoothed is None:
-            self._smoothed = float(raw)
-        else:
-            self._smoothed += self.config.hysteresis * (raw - self._smoothed)
-        allocation = int(min(
-            max(math.ceil(self._smoothed - 1e-9), self.config.min_tokens),
-            self.config.max_tokens,
-        ))
+        self._smoothed = _audit.apply_hysteresis(prev_smoothed, raw, config.hysteresis)
+        allocation = _audit.quantize_allocation(
+            self._smoothed, config.min_tokens, config.max_tokens
+        )
         if degraded_mode is None:
-            predicted = self.config.slack * self.predictor.remaining_seconds(
+            predicted = config.slack * self.predictor.remaining_seconds(
                 fractions, allocation
             )
             utility_now = self._effective.value(elapsed + predicted)
         else:
             # The predictor would raise again: price the applied allocation
             # from the cached curve, under the widened dead zone.
-            predicted = self.config.slack * self._cached_remaining(allocation)
+            predicted = config.slack * self._cached_remaining(allocation)
             utility_now = self._degraded_effective.value(elapsed + predicted)
-        decision = ControlDecision(
-            raw=raw,
-            smoothed=self._smoothed,
-            allocation=allocation,
-            predicted_remaining=predicted,
-            utility=utility_now,
-        )
-        self.decisions.append(decision)
-        progress = self._observed_progress(fractions)
-        tick = len(self.audit)
-        self.audit.record(_audit.TickRecord(
-            tick=tick,
-            phase=_audit.PHASE_TICK,
-            elapsed=elapsed,
-            progress=progress,
-            candidates=candidates,
-            raw=raw,
-            dead_zone_triggered=dead_zone,
-            prev_smoothed=prev_smoothed,
-            smoothed=self._smoothed,
-            allocation=allocation,
-            predicted_remaining=predicted,
-            utility=decision.utility,
-        ))
-        if degraded_mode is None:
-            self._record_prediction(fractions, elapsed, allocation, progress, tick)
         predictor_name = getattr(self.predictor, "name", "unknown")
         _TICKS.labels(predictor=predictor_name).inc()
         if dead_zone:
             _DEAD_ZONE.labels(predictor=predictor_name).inc()
         _ALLOCATION.labels(predictor=predictor_name).set(allocation)
-        rec = _trace.RECORDER
         if degraded_mode is not None:
             self.degraded_ticks += 1
             _DEGRADED.labels(predictor=predictor_name, mode=degraded_mode).inc()
+            rec = _trace.RECORDER
             if rec.enabled:
                 rec.emit(
                     elapsed, "control.degraded",
@@ -594,29 +543,30 @@ class JockeyController:
                     staleness=staleness,
                     allocation=allocation,
                 )
-        if rec.enabled:
-            rec.emit(
-                elapsed, "control.tick",
-                predictor=predictor_name,
-                raw=raw,
-                smoothed=self._smoothed,
-                allocation=allocation,
-                dead_zone_triggered=dead_zone,
-                predicted_remaining=predicted,
-                utility=decision.utility,
-                progress=progress,
-            )
+        record = self._append(
+            fractions,
+            predict=degraded_mode is None,
+            phase=_audit.PHASE_TICK,
+            elapsed=elapsed,
+            candidates=candidates,
+            raw=raw,
+            dead_zone_triggered=dead_zone,
+            prev_smoothed=prev_smoothed,
+            allocation=allocation,
+            predicted_remaining=predicted,
+            utility=utility_now,
+        )
         if perf.enabled:
             perf.record("control.tick", time.perf_counter() - tick_start)
-        return decision
+        return record
 
 
 __all__ = [
     "ControlConfig",
-    "ControlDecision",
     "ControlError",
     "CpaPredictor",
     "JockeyController",
     "Predictor",
     "PredictorUnavailable",
+    "first_best",
 ]

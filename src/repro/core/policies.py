@@ -14,13 +14,9 @@ from __future__ import annotations
 import abc
 from typing import List, Optional, Tuple
 
+from repro.core.adaptive import AdaptiveCpaPredictor, make_monitor
 from repro.core.amdahl import AmdahlModel
-from repro.core.control import (
-    ControlConfig,
-    ControlDecision,
-    CpaPredictor,
-    JockeyController,
-)
+from repro.core.control import ControlConfig, CpaPredictor, JockeyController
 from repro.core.cpa import CpaTable
 from repro.core.utility import PiecewiseLinearUtility
 from repro.jobs.profiles import JobProfile
@@ -46,42 +42,22 @@ class AllocationPolicy(abc.ABC):
     def change_utility(self, utility: PiecewiseLinearUtility) -> None:
         """React to a mid-run deadline change; default: unsupported no-op."""
 
-    def last_decision(self) -> Optional[ControlDecision]:
-        return None
 
+class ControllerPolicy(AllocationPolicy):
+    """An adaptive policy that is its :class:`JockeyController` and nothing
+    more: every call forwards to ``self.controller``, whose ``audit`` and
+    ``predictions`` are what the run leaves behind."""
 
-class JockeyPolicy(AllocationPolicy):
-    """Full Jockey: simulator model + dynamic control."""
-
-    name = "jockey"
     adaptive = True
-
-    def __init__(
-        self,
-        table: CpaTable,
-        indicator,
-        utility: PiecewiseLinearUtility,
-        config: ControlConfig = ControlConfig(),
-        *,
-        profile: Optional[JobProfile] = None,
-        percentile: float = 0.6,
-    ):
-        predictor = CpaPredictor(table, indicator, percentile=percentile)
-        stage_names = profile.stage_names if profile is not None else ()
-        self.controller = JockeyController(
-            predictor,
-            utility,
-            config,
-            stage_names=stage_names,
-            grid_floor=min(table.allocations),
-        )
+    controller: JockeyController
 
     def initial_allocation(self) -> int:
         return self.controller.initial_allocation()
 
     def on_tick(self, snapshot: JobSnapshot) -> Optional[int]:
-        decision = self.controller.decide(snapshot.stage_fractions, snapshot.elapsed)
-        return decision.allocation
+        return self.controller.decide(
+            snapshot.stage_fractions, snapshot.elapsed
+        ).allocation
 
     def change_utility(self, utility: PiecewiseLinearUtility) -> None:
         self.controller.set_utility(utility)
@@ -96,15 +72,23 @@ class JockeyPolicy(AllocationPolicy):
         another run of the same recurring job."""
         self.controller.reset_run_state()
 
-    def last_decision(self) -> Optional[ControlDecision]:
-        return self.controller.decisions[-1] if self.controller.decisions else None
+
+def _table_controller(
+    predictor, table: CpaTable, utility, config, profile
+) -> JockeyController:
+    """A controller over a C(p, a)-backed predictor, its candidate grid
+    floored at the table's smallest simulated allocation."""
+    return JockeyController(
+        predictor, utility, config,
+        stage_names=profile.stage_names if profile is not None else (),
+        grid_floor=min(table.allocations),
+    )
 
 
-class NoAdaptationPolicy(AllocationPolicy):
-    """Jockey w/o adaptation: the simulator picks a static allocation."""
+class JockeyPolicy(ControllerPolicy):
+    """Full Jockey: simulator model + dynamic control."""
 
-    name = "jockey-no-adapt"
-    adaptive = False
+    name = "jockey"
 
     def __init__(
         self,
@@ -116,15 +100,22 @@ class NoAdaptationPolicy(AllocationPolicy):
         profile: Optional[JobProfile] = None,
         percentile: float = 0.6,
     ):
-        predictor = CpaPredictor(table, indicator, percentile=percentile)
-        stage_names = profile.stage_names if profile is not None else ()
-        self._controller = JockeyController(
-            predictor,
-            utility,
-            config,
-            stage_names=stage_names,
-            grid_floor=min(table.allocations),
+        self.controller = _table_controller(
+            CpaPredictor(table, indicator, percentile=percentile),
+            table, utility, config, profile,
         )
+
+
+class NoAdaptationPolicy(AllocationPolicy):
+    """Jockey w/o adaptation: the simulator picks a static allocation.
+    Takes :class:`JockeyPolicy`'s arguments; its controller is private, so
+    a static policy leaves no audit, ledger or control config behind."""
+
+    name = "jockey-no-adapt"
+    adaptive = False
+
+    def __init__(self, *args, **kwargs):
+        self._controller = JockeyPolicy(*args, **kwargs).controller
         self._fixed: Optional[int] = None
 
     def initial_allocation(self) -> int:
@@ -136,11 +127,10 @@ class NoAdaptationPolicy(AllocationPolicy):
         return None
 
 
-class AmdahlPolicy(AllocationPolicy):
+class AmdahlPolicy(ControllerPolicy):
     """Jockey w/o simulator: dynamic control over the Amdahl model."""
 
     name = "jockey-no-sim"
-    adaptive = True
 
     def __init__(
         self,
@@ -148,26 +138,12 @@ class AmdahlPolicy(AllocationPolicy):
         utility: PiecewiseLinearUtility,
         config: ControlConfig = ControlConfig(),
     ):
-        predictor = AmdahlModel(profile)
         self.controller = JockeyController(
-            predictor, utility, config, stage_names=profile.stage_names
+            AmdahlModel(profile), utility, config, stage_names=profile.stage_names
         )
 
-    def initial_allocation(self) -> int:
-        return self.controller.initial_allocation()
 
-    def on_tick(self, snapshot: JobSnapshot) -> Optional[int]:
-        decision = self.controller.decide(snapshot.stage_fractions, snapshot.elapsed)
-        return decision.allocation
-
-    def change_utility(self, utility: PiecewiseLinearUtility) -> None:
-        self.controller.set_utility(utility)
-
-    def last_decision(self) -> Optional[ControlDecision]:
-        return self.controller.decisions[-1] if self.controller.decisions else None
-
-
-class AdaptiveModelPolicy(AllocationPolicy):
+class AdaptiveModelPolicy(ControllerPolicy):
     """Jockey plus online model correction (paper §5.6, implemented).
 
     Identical to :class:`JockeyPolicy` except that C(p, a) predictions are
@@ -178,7 +154,6 @@ class AdaptiveModelPolicy(AllocationPolicy):
     """
 
     name = "jockey-online-model"
-    adaptive = True
 
     def __init__(
         self,
@@ -190,35 +165,25 @@ class AdaptiveModelPolicy(AllocationPolicy):
         profile: JobProfile,
         percentile: float = 0.6,
     ):
-        from repro.core.adaptive import AdaptiveCpaPredictor, make_monitor
-
+        self._profile = profile
         self.monitor = make_monitor(profile)
-        self._indicator = indicator
-        predictor = AdaptiveCpaPredictor(
+        self._predictor = AdaptiveCpaPredictor(
             table, indicator, self.monitor, percentile=percentile
         )
-        self.controller = JockeyController(
-            predictor,
-            utility,
-            config,
-            stage_names=profile.stage_names,
-            grid_floor=min(table.allocations),
+        self.controller = _table_controller(
+            self._predictor, table, utility, config, profile
         )
 
-    def initial_allocation(self) -> int:
-        return self.controller.initial_allocation()
-
     def on_tick(self, snapshot: JobSnapshot) -> Optional[int]:
-        progress = self._indicator.progress(snapshot.stage_fractions)
+        progress = self._predictor.indicator.progress(snapshot.stage_fractions)
         self.monitor.observe(progress, snapshot.consumed_token_seconds)
-        decision = self.controller.decide(snapshot.stage_fractions, snapshot.elapsed)
-        return decision.allocation
+        return super().on_tick(snapshot)
 
-    def change_utility(self, utility: PiecewiseLinearUtility) -> None:
-        self.controller.set_utility(utility)
-
-    def last_decision(self) -> Optional[ControlDecision]:
-        return self.controller.decisions[-1] if self.controller.decisions else None
+    def reset_run_state(self) -> None:
+        """Also restart the inflation estimate: one run's divergence must
+        not carry into the next."""
+        super().reset_run_state()
+        self.monitor = self._predictor.monitor = make_monitor(self._profile)
 
 
 class MaxAllocationPolicy(AllocationPolicy):
@@ -301,8 +266,10 @@ def run_artifacts(
     controller = getattr(policy, "controller", None)
     if controller is None:
         return [], default_slack, []
-    audit, ledger = controller.audit, controller.predictions
-    return audit.decisions(), controller.config.slack, ledger.records()
+    return (
+        list(controller.audit), controller.config.slack,
+        list(controller.predictions),
+    )
 
 
 __all__ = [
@@ -310,6 +277,7 @@ __all__ = [
     "AdaptiveModelPolicy",
     "AllocationPolicy",
     "AmdahlPolicy",
+    "ControllerPolicy",
     "JockeyPolicy",
     "MaxAllocationPolicy",
     "NoAdaptationPolicy",

@@ -32,7 +32,7 @@ from repro.simkit.events import Simulator
 from repro.simkit.random import RngRegistry, derive_seed
 from repro.telemetry import export as telemetry_export
 from repro.telemetry import trace as telemetry_trace
-from repro.telemetry.audit import TickRecord
+from repro.telemetry.audit import PHASE_TICK, TickRecord
 from repro.telemetry.trace import TraceEvent
 
 
@@ -103,8 +103,6 @@ class ExperimentResult:
     allocation_series: List[Tuple[float, int]] = field(default_factory=list)
     #: (minute, running tasks).
     running_series: List[Tuple[float, int]] = field(default_factory=list)
-    #: (minute, raw controller allocation) for adaptive policies.
-    raw_series: List[Tuple[float, int]] = field(default_factory=list)
     final_deadline: float = 0.0
     #: The deadline the run *started* with; differs from ``final_deadline``
     #: only when ``RunConfig.deadline_changes`` rewrote it mid-run.
@@ -126,6 +124,16 @@ class ExperimentResult:
     #: (:class:`repro.telemetry.predict.PredictionRecord`; empty for
     #: non-controller policies and distribution-free predictors).
     prediction_records: List = field(default_factory=list)
+
+    @property
+    def raw_series(self) -> List[Tuple[float, int]]:
+        """(minute, raw controller allocation) per periodic tick, read off
+        the audit: the job starts at simulator time 0, so a tick's elapsed
+        is the simulator time it was decided at."""
+        return [
+            (r.elapsed / 60.0, r.raw)
+            for r in self.audit_records if r.phase == PHASE_TICK
+        ]
 
     def slo_report(self, *, table=None):
         """SLO attainment for this run, computed from its own artifacts
@@ -160,7 +168,6 @@ def run_control_loop(
     speculation: Optional[SpeculationConfig] = None,
     deadline_changes: Sequence[Tuple[float, float]] = (),
     max_seconds: float = 86_400.0,
-    on_tick: Optional[Callable[[], None]] = None,
 ) -> Tuple[RunTrace, Optional[object]]:
     """Drive one job under ``policy`` on an already-built simkit cluster —
     the paper's control loop (§4.3/§5.1), written once.
@@ -169,8 +176,8 @@ def run_control_loop(
     the cluster itself), so callers with different seeding conventions share
     the loop bit for bit.  A ``chaos`` spec installs its injectors, turns on
     allocation retry and may drop or delay ticks; ``deadline_changes`` are
-    ``(at_seconds, new_deadline)`` rewrites; ``on_tick`` runs after every
-    decision that was not dropped.  Returns ``(trace, chaos engine or None)``.
+    ``(at_seconds, new_deadline)`` rewrites.  Returns ``(trace, chaos
+    engine or None)``.
     """
     sim = cluster.sim
     manager = JobManager(
@@ -201,8 +208,6 @@ def run_control_loop(
         allocation = policy.on_tick(manager.snapshot())
         if allocation is not None:
             manager.set_allocation(allocation)
-        if on_tick is not None:
-            on_tick()
 
     def control_tick() -> None:
         if manager.finished:
@@ -262,18 +267,11 @@ def run_experiment(
     capture_ctx = (
         telemetry_trace.capture() if capture_needed else nullcontext(None)
     )
-    raw_series: List[Tuple[float, int]] = []
     with capture_ctx as recorder:
         sim = Simulator()
         cluster = Cluster(
             sim, cluster_config, rng=rng.spawn("cluster"), episodes=config.episodes
         )
-
-        def record_raw() -> None:
-            decision = policy.last_decision()
-            if decision is not None:
-                raw_series.append((sim.now / 60.0, decision.raw))
-
         trace, engine = run_control_loop(
             cluster,
             trained.graph,
@@ -287,7 +285,6 @@ def run_experiment(
             speculation=config.speculation,
             deadline_changes=config.deadline_changes,
             max_seconds=config.max_virtual_seconds,
-            on_tick=record_raw,
         )
     trace.metadata["cluster_day_mean_demand"] = float(
         cluster_config.background_mean_demand or 0.0
@@ -304,7 +301,6 @@ def run_experiment(
         runtime_scale=runtime_scale,
         allocation_series=[(t / 60.0, a) for t, a in trace.allocation_timeline],
         running_series=[(t / 60.0, r) for t, r in trace.running_timeline],
-        raw_series=raw_series,
         final_deadline=trace.deadline,
         initial_deadline=config.deadline_seconds,
         deadline_changes=tuple(config.deadline_changes),

@@ -194,14 +194,9 @@ class JobGraph:
         return tuple(order)
 
     # ------------------------------------------------------------------
-    # Critical-path analytics (used by Amdahl's-law model and feasibility)
+    # Critical-path analytics (used by Amdahl's-law model and the
+    # critical-path indicator)
     # ------------------------------------------------------------------
-
-    def critical_path(self, stage_task_time: Dict[str, float]) -> float:
-        """Length of the longest dependency chain, charging each stage the
-        given per-task time (the job's runtime with infinite parallelism)."""
-        longest = self.longest_path_from(stage_task_time)
-        return max(longest.values()) if longest else 0.0
 
     def longest_path_from(self, stage_task_time: Dict[str, float]) -> Dict[str, float]:
         """For each stage ``s``: the paper's ``L_s + l_s`` — the longest path

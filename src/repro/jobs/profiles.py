@@ -146,14 +146,6 @@ class JobProfile:
         }
         return JobProfile(self.graph, scaled)
 
-    def with_failure_prob(self, failure_prob: float) -> "JobProfile":
-        """A copy with every stage's failure probability replaced."""
-        stages = {
-            name: replace(sp, failure_prob=failure_prob)
-            for name, sp in self._stages.items()
-        }
-        return JobProfile(self.graph, stages)
-
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------

@@ -8,9 +8,10 @@ processes that lease task slots sized by the arbiter's token allocation
 (:mod:`repro.service.client`), and a seeded open-loop load generator
 (:mod:`repro.service.loadgen`).  The control math is unchanged: the
 service runs the same :class:`~repro.core.control.JockeyController`
-over the same C(p, a) tables, ticking from wall-clock through the
-:mod:`repro.core.clock` abstraction with a ``time_scale`` compression
-factor so trained profiles replay against live workers in seconds.
+over the same C(p, a) tables.  The service owns the one clock — a
+:class:`~repro.core.clock.WallClock` with a ``time_scale`` compression
+factor, so trained profiles replay against live workers in seconds — and
+tells each controller its job's elapsed virtual time at every tick.
 """
 
 from repro.service.client import ServiceClient, ServiceClientError

@@ -13,9 +13,10 @@ profiles, deadlines, and C(p, a) tables).  A single
 :class:`~repro.core.clock.WallClock` with ``time_scale`` wall-seconds
 per virtual-second maps the service's life onto that axis, so a profile
 trained on tens-of-minutes jobs replays against live workers in a few
-wall seconds without retraining — and the controller, attached to that
-clock, ticks from wall time exactly as it ticks from simulator time in
-batch mode.
+wall seconds without retraining.  The service reads it once per request
+or tick (``ClusterService.now()``) and tells each controller the job's
+elapsed time, ``now - started_v``, exactly as the batch runner tells it
+simulator time.
 
 Protocol (all request/response bodies JSON)::
 
@@ -173,12 +174,13 @@ class ServiceConfig:
     #: from ``time_scale`` so idle polling costs only a couple of
     #: *virtual* seconds regardless of compression.
     poll_seconds: Optional[float] = None
-    slack: float = 1.2
     max_task_attempts: int = 4
     seed: int = 0
     #: (tenant, quota) pairs; empty means one "default" tenant owning the
     #: whole capacity.
     tenants: Tuple[Tuple[str, int], ...] = ()
+    #: Every controller's parameters; its ``slack`` is also the one
+    #: admission reserves against and ``template_info`` sizes with.
     control: ControlConfig = field(default_factory=ControlConfig)
     #: Control-plane chaos applied to the *live* loop (dropped ticks,
     #: predictor blackouts).  Blackout windows are virtual seconds since
@@ -196,8 +198,6 @@ class ServiceConfig:
             raise ServiceError("heartbeat_timeout must be positive")
         if self.max_task_attempts < 1:
             raise ServiceError("max_task_attempts must be >= 1")
-        if self.slack < 1.0:
-            raise ServiceError(f"slack must be >= 1, got {self.slack!r}")
         if self.poll_seconds is not None and self.poll_seconds <= 0:
             raise ServiceError("poll_seconds must be positive")
 
@@ -230,18 +230,6 @@ class _Lease:
     attempt: int
     ready_v: float
     start_v: float
-
-
-class _VirtualNow:
-    """Duck-types ``Simulator.now`` for :class:`BlackoutPredictor` so the
-    chaos injector reads the service's virtual clock."""
-
-    def __init__(self, service: "ClusterService"):
-        self._service = service
-
-    @property
-    def now(self) -> float:
-        return self._service.now()
 
 
 _TERMINAL = ("completed", "failed", "rejected")
@@ -304,16 +292,11 @@ class LiveJob:
         }
 
     def snapshot(self, now: float) -> JobSnapshot:
-        controller = getattr(self.policy, "controller", None)
-        if controller is not None and controller.clock is not None:
-            # The wall-clock path from core/control.py: elapsed comes from
-            # the attached clock, not from a simulator argument.
-            elapsed = controller.elapsed()
-        else:
-            elapsed = now - (self.started_v or now)
+        """What the controller sees at ``now`` (the tick's one clock
+        reading): elapsed is ``now - started_v``."""
         return JobSnapshot(
             self.fractions(),
-            max(0.0, elapsed),
+            max(0.0, now - self.started_v),
             running=len(self.running),
             allocation=self.allocation,
             consumed_token_seconds=self.consumed_token_seconds,
@@ -325,9 +308,9 @@ class LiveJob:
 
     def latest_prediction(self) -> Optional[_predict.PredictionRecord]:
         controller = getattr(self.policy, "controller", None)
-        if controller is None or not controller.predictions.records():
+        if controller is None or not controller.predictions:
             return None
-        return controller.predictions.records()[-1]
+        return controller.predictions[-1]
 
     # -- serialization -------------------------------------------------
 
@@ -412,7 +395,7 @@ class ClusterService:
         )
         self.clock: Optional[WallClock] = None
         self._lock = threading.RLock()
-        self._admission = MarketAdmission(slack=config.slack)
+        self._admission = MarketAdmission(slack=config.control.slack)
         tenant_pairs = config.tenants or (("default", config.capacity_tokens),)
         self._tenants = {
             name: Tenant(name=name, quota=int(quota))
@@ -782,22 +765,17 @@ class ClusterService:
             job_name=job.name, start_time=now, deadline=job.deadline_seconds
         )
         controller = getattr(job.policy, "controller", None)
-        if controller is not None and self.clock is not None:
-            controller.attach_clock(self.clock, start=now)
-            faults = self.config.control_faults
-            if faults is not None and faults.blackouts:
-                controller.predictor = BlackoutPredictor(
-                    controller.predictor, _VirtualNow(self), faults.blackouts
-                )
+        faults = self.config.control_faults
+        if controller is not None and faults is not None and faults.blackouts:
+            controller.predictor = BlackoutPredictor(
+                controller.predictor, self.now, faults.blackouts
+            )
         try:
             job.allocation = max(1, int(job.policy.initial_allocation()))
         except Exception:
             # Degraded start (e.g. blackout at t=0): hold the market
             # guarantee until the predictor comes back.
             job.allocation = job.market.guarantee if job.market else 1
-        if job.market is not None:
-            # Never run below the guarantee the market reserved.
-            job.allocation = max(job.allocation, 1)
         job.trace.mark_allocation(now, job.allocation)
         for task in job.tracker.initially_ready():
             job.ready.append((task, now))
@@ -1088,7 +1066,7 @@ class ClusterService:
                     f"job {job_id!r} has no finished trace yet", status=409
                 )
             records, slack, predictions = run_artifacts(
-                job.policy, default_slack=self.config.slack
+                job.policy, default_slack=self.config.control.slack
             )
             table = job.trained.table if job.trained is not None else None
             run_report = telemetry_report.from_audit_and_trace(
@@ -1174,7 +1152,9 @@ class ClusterService:
             "width": width,
             # Smallest relative deadline the market will ever admit at
             # full width (callers should submit with headroom above it).
-            "min_feasible_seconds": self.config.slack * work / max(1, width),
+            "min_feasible_seconds": (
+                self.config.control.slack * work / max(1, width)
+            ),
         }
 
     def request_shutdown(self, body: Dict) -> Dict:

@@ -30,7 +30,6 @@ Metric names follow ``repro_<layer>_<name>`` (see README "Observability").
 
 from repro.telemetry.audit import (
     CandidateEval,
-    ControlAudit,
     TickRecord,
     reconstruct_allocations,
 )
@@ -54,7 +53,6 @@ from repro.telemetry.metrics import (
 from repro.telemetry.predict import (
     CalibrationReport,
     IntervalBand,
-    PredictionLedger,
     PredictionRecord,
     calibration,
     pooled_calibration,
@@ -74,12 +72,10 @@ from repro.telemetry.trace import (
 __all__ = [
     "CalibrationReport",
     "CandidateEval",
-    "ControlAudit",
     "IntervalBand",
     "MetricError",
     "MetricsRegistry",
     "NullRecorder",
-    "PredictionLedger",
     "PredictionRecord",
     "REGISTRY",
     "RiskPoint",

@@ -2,13 +2,14 @@
 
 Jockey's contribution is the control loop; judging it requires seeing each
 tick's inputs and intermediate values, not just the applied allocation.
-:class:`ControlAudit` accumulates one :class:`TickRecord` per controller
-iteration carrying the observed progress, the predicted remaining time and
-utility for *every* candidate allocation, the raw argmin choice, whether
-the dead zone changed that choice, and the hysteresis chain
-(``prev_smoothed`` → ``smoothed`` → applied) — enough to replay the
-controller's arithmetic from the audit alone (see
-:func:`reconstruct_allocations`).
+The controller's ``audit`` list holds one :class:`TickRecord` per decision
+carrying the observed progress, the predicted remaining time and utility
+for *every* candidate allocation, the raw argmin choice, whether the dead
+zone changed that choice, and the hysteresis chain (``prev_smoothed`` →
+``smoothed`` → applied).  The controller smooths and rounds with
+:func:`apply_hysteresis` and :func:`quantize_allocation`, so
+:func:`reconstruct_allocations` replays the code that ran from the audit
+alone.
 """
 
 from __future__ import annotations
@@ -19,6 +20,12 @@ from typing import List, Optional, Sequence, Tuple
 
 PHASE_INITIAL = "initial"
 PHASE_TICK = "tick"
+#: The :class:`TickRecord` fields each decision's ``control.tick`` trace
+#: event carries (at ``ts = elapsed``).
+EVENT_FIELDS = (
+    "tick", "phase", "raw", "smoothed", "allocation", "dead_zone_triggered",
+    "predicted_remaining", "utility", "progress",
+)
 
 
 @dataclass(frozen=True)
@@ -48,50 +55,17 @@ class TickRecord:
     utility: float
 
 
-class ControlAudit:
-    """Per-controller accumulator of :class:`TickRecord`\\ s."""
-
-    def __init__(self, capacity: Optional[int] = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity!r}")
-        self._capacity = capacity
-        self._records: List[TickRecord] = []
-
-    def record(self, record: TickRecord) -> None:
-        self._records.append(record)
-        if self._capacity is not None and len(self._records) > self._capacity:
-            del self._records[0]
-
-    def decisions(self) -> List[TickRecord]:
-        """All recorded ticks, oldest first (includes the initial one)."""
-        return list(self._records)
-
-    def ticks(self) -> List[TickRecord]:
-        """Only the periodic ticks (excludes the initial allocation)."""
-        return [r for r in self._records if r.phase == PHASE_TICK]
-
-    def dead_zone_ticks(self) -> List[TickRecord]:
-        """Ticks where the dead zone changed the raw argmin choice."""
-        return [r for r in self._records if r.dead_zone_triggered]
-
-    def clear(self) -> None:
-        self._records.clear()
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-
 def apply_hysteresis(
     prev_smoothed: Optional[float], raw: int, hysteresis: float
 ) -> float:
-    """The controller's smoothing step, exposed for replay."""
+    """The controller's smoothing step (and the replay's)."""
     if prev_smoothed is None:
         return float(raw)
     return prev_smoothed + hysteresis * (raw - prev_smoothed)
 
 
 def quantize_allocation(smoothed: float, min_tokens: int, max_tokens: int) -> int:
-    """The controller's rounding/clamping step, exposed for replay."""
+    """The controller's rounding/clamping step (and the replay's)."""
     return int(min(max(math.ceil(smoothed - 1e-9), min_tokens), max_tokens))
 
 
@@ -110,7 +84,7 @@ def reconstruct_allocations(
     smoothed: Optional[float] = None
     for record in records:
         if record.phase == PHASE_INITIAL:
-            smoothed = float(record.raw)
+            smoothed = apply_hysteresis(None, record.raw, hysteresis)
             applied.append(record.raw)
             continue
         smoothed = apply_hysteresis(smoothed, record.raw, hysteresis)
@@ -120,7 +94,7 @@ def reconstruct_allocations(
 
 __all__ = [
     "CandidateEval",
-    "ControlAudit",
+    "EVENT_FIELDS",
     "PHASE_INITIAL",
     "PHASE_TICK",
     "TickRecord",

@@ -9,8 +9,8 @@ the stated probabilities are honest.  This module is that product surface:
 * **Interval ledger** — at every non-degraded control tick the controller
   derives central prediction intervals (p50/p80/p90/p95 by default) for
   the *completion time* from the live C(p, a) distribution at the applied
-  allocation, and appends a :class:`PredictionRecord` to a
-  :class:`PredictionLedger`.  Once the run finishes, each record pairs a
+  allocation, and appends a :class:`PredictionRecord` to its
+  ``predictions`` list.  Once the run finishes, each record pairs a
   nominal band with the eventually-realized completion.
 * **Calibration engine** — :func:`calibration` turns a finished ledger
   into a :class:`CalibrationReport`: empirical-vs-nominal coverage per
@@ -220,32 +220,6 @@ def record_from_quantiles(
         median=median,
         bands=tuple(bands),
     )
-
-
-class PredictionLedger:
-    """Per-controller accumulator of :class:`PredictionRecord`\\ s
-    (mirrors :class:`repro.telemetry.audit.ControlAudit`)."""
-
-    def __init__(self, capacity: Optional[int] = None):
-        if capacity is not None and capacity < 1:
-            raise PredictError(f"capacity must be >= 1, got {capacity!r}")
-        self._capacity = capacity
-        self._records: List[PredictionRecord] = []
-
-    def record(self, record: PredictionRecord) -> None:
-        self._records.append(record)
-        if self._capacity is not None and len(self._records) > self._capacity:
-            del self._records[0]
-
-    def records(self) -> List[PredictionRecord]:
-        """All recorded forecasts, oldest first."""
-        return list(self._records)
-
-    def clear(self) -> None:
-        self._records.clear()
-
-    def __len__(self) -> int:
-        return len(self._records)
 
 
 def publish(record: PredictionRecord, *, predictor: str = "unknown") -> None:
@@ -710,7 +684,6 @@ __all__ = [
     "LevelCalibration",
     "NOMINAL_LEVELS",
     "PredictError",
-    "PredictionLedger",
     "PredictionRecord",
     "RELIABILITY_HEADERS",
     "ROLLING_WINDOW",

@@ -33,6 +33,7 @@ import html as _html
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.telemetry.audit import EVENT_FIELDS, PHASE_TICK, TickRecord
 from repro.telemetry.predict import (
     RELIABILITY_HEADERS,
     CalibrationReport,
@@ -52,19 +53,6 @@ from repro.telemetry.slo import AT_RISK_THRESHOLD, SloAttainment, analyze_run
 
 class ReportError(ValueError):
     """Raised when a report cannot be built from the given artifacts."""
-
-
-@dataclass(frozen=True)
-class TickView:
-    """Audit-shaped view of one ``control.tick`` trace event (the subset of
-    :class:`~repro.telemetry.audit.TickRecord` the analytics need)."""
-
-    tick: int
-    elapsed: float
-    progress: Optional[float]
-    allocation: int
-    predicted_remaining: float
-    raw: int
 
 
 @dataclass
@@ -297,7 +285,7 @@ def from_trace_events(
     from repro.jobs.trace import RunTrace, TaskRecord  # deferred: layering
 
     complete = None
-    ticks: List[TickView] = []
+    ticks: List[TickRecord] = []
     allocation_series: List[Tuple[float, float]] = []
     tasks: List[TaskRecord] = []
     predictor = None
@@ -314,16 +302,13 @@ def from_trace_events(
             complete = event
         elif event.kind == "control.tick":
             predictor = fields.get("predictor", predictor)
-            ticks.append(
-                TickView(
-                    tick=len(ticks),
-                    elapsed=event.ts,
-                    progress=fields.get("progress"),
-                    allocation=int(fields["allocation"]),
-                    predicted_remaining=float(fields["predicted_remaining"]),
-                    raw=int(fields["raw"]),
-                )
-            )
+            # Traces written before the initial decision had its own event
+            # carry no tick or phase: every event was a periodic tick.
+            values = {"tick": len(ticks), "phase": PHASE_TICK, **fields}
+            ticks.append(TickRecord(
+                elapsed=event.ts, candidates=(), prev_smoothed=None,
+                **{name: values[name] for name in EVENT_FIELDS},
+            ))
         elif event.kind == "job.allocation":
             allocation_series.append((event.ts, float(fields["applied"])))
         elif event.kind == "task.end" and "start" in fields:
@@ -964,7 +949,6 @@ def write(report: RunReport, path: str) -> str:
 __all__ = [
     "ReportError",
     "RunReport",
-    "TickView",
     "chaos_rows_from_summary",
     "fleet_rows_from_summary",
     "from_audit_and_trace",

@@ -9,9 +9,7 @@ run finishes), then summarize the error distribution — signed bias plus
 the p50/p90/max of the absolute error, in seconds and as fractions of the
 job duration.
 
-Build one from a controller audit trail (:func:`from_audit`), from any
-predictor replayed over sampled stage fractions (:func:`predictor_scorecard`
-— works for both the C(p, a)-backed and the Amdahl predictor), or from raw
+Build one from a controller audit trail (:func:`from_audit`) or from raw
 ``(elapsed, predicted_remaining)`` pairs (:meth:`Scorecard.from_predictions`
 — what the indicator comparison uses for all six indicators).
 
@@ -187,27 +185,6 @@ def from_audit(
     )
 
 
-def predictor_scorecard(
-    predictor,
-    samples: Sequence[Tuple[float, dict]],
-    duration: float,
-    *,
-    allocation: float,
-    name: Optional[str] = None,
-) -> Scorecard:
-    """Replay any :class:`~repro.core.control.Predictor` (simulator-backed
-    or Amdahl) over sampled ``(elapsed, stage_fractions)`` pairs."""
-    predictions = [
-        (t, predictor.remaining_seconds(fractions, allocation))
-        for t, fractions in samples
-    ]
-    return Scorecard.from_predictions(
-        name if name is not None else getattr(predictor, "name", "predictor"),
-        predictions,
-        duration,
-    )
-
-
 def merge(name: str, cards: Sequence[Scorecard]) -> Scorecard:
     """Pool several runs' scorecards (e.g. one per experiment repetition)
     into a single error distribution.  Interval-coverage counts sum per
@@ -280,7 +257,6 @@ __all__ = [
     "Scorecard",
     "from_audit",
     "merge",
-    "predictor_scorecard",
     "quantile",
     "scorecard_rows",
 ]

@@ -1,32 +1,50 @@
-"""Clock abstraction tests: the control loop's two time substrates."""
+"""Clock tests: the service owns the one clock, the controller is told
+the time, and simulator time reaches the chaos blackouts as a callable."""
 
 import time
 
 import pytest
 
-from repro.core.clock import (
-    Clock,
-    ClockError,
-    ManualClock,
-    SimClock,
-    WallClock,
-    ensure_clock,
-)
-from repro.core.control import ControlError, JockeyController
+from repro.chaos.injectors import BlackoutPredictor
+from repro.core import clock as clock_mod
+from repro.core.clock import ClockError, ManualClock, WallClock
+from repro.core.control import ControlConfig, JockeyController, PredictorUnavailable
+from repro.service import ClusterService, ServiceConfig
 from repro.simkit.events import Simulator
+from tests.test_service import tiny_store
+
+
+class _Constant:
+    """A predictor answering one second at every allocation."""
+
+    name = "constant"
+
+    def remaining_seconds(self, fractions, allocation):
+        return 1.0
 
 
 class TestSimClock:
+    """Simulator time as a clock: the batch path hands the blackout
+    injector ``lambda: sim.now``."""
+
     def test_reads_simulator_now(self):
         sim = Simulator()
-        clock = SimClock(sim)
-        assert clock.now() == 0.0
+        blackout = BlackoutPredictor(_Constant(), lambda: sim.now, [(10.0, 20.0)])
+        assert blackout.remaining_seconds({}, 1) == 1.0
         sim.schedule(12.5, lambda: None)
         sim.run()
-        assert clock.now() == pytest.approx(12.5)
+        with pytest.raises(PredictorUnavailable):
+            blackout.remaining_seconds({}, 1)
 
     def test_satisfies_protocol(self):
-        assert isinstance(SimClock(Simulator()), Clock)
+        # Any zero-argument reading of virtual seconds will do: the
+        # service's ``now`` (what the live path passes) or a bare clock's.
+        svc = ClusterService(ServiceConfig(), store=tiny_store())
+        svc.clock = ManualClock(start=15.0)
+        for now in (svc.now, ManualClock(start=15.0).now):
+            blackout = BlackoutPredictor(_Constant(), now, [(10.0, 20.0)])
+            with pytest.raises(PredictorUnavailable):
+                blackout.remaining_seconds({}, 1)
 
 
 class TestWallClock:
@@ -44,11 +62,14 @@ class TestWallClock:
         time.sleep(0.02)
         assert clock.now() == pytest.approx(2.0, abs=1.5)
 
-    def test_conversions_round_trip(self):
+    def test_conversions_round_trip(self, monkeypatch):
+        wall = [100.0]
+        monkeypatch.setattr(clock_mod.time, "monotonic", lambda: wall[0])
         clock = WallClock(time_scale=0.05)
-        assert clock.to_wall(100.0) == pytest.approx(5.0)
-        assert clock.to_virtual(5.0) == pytest.approx(100.0)
-        assert clock.to_virtual(clock.to_wall(7.0)) == pytest.approx(7.0)
+        wall[0] += 5.0
+        # 5 wall seconds read as 100 virtual ones, and scale back.
+        assert clock.now() == pytest.approx(100.0)
+        assert clock.now() * clock.time_scale == pytest.approx(5.0)
 
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ClockError):
@@ -75,20 +96,31 @@ class TestManualClock:
 
 
 class TestEnsureClock:
+    """The service tells time on whichever clock it holds."""
+
     def test_passthrough(self):
-        clock = ManualClock()
-        assert ensure_clock(clock) is clock
+        svc = ClusterService(ServiceConfig(), store=tiny_store())
+        assert svc.now() == 0.0          # no clock before start
+        svc.clock = ManualClock(start=42.0)
+        assert svc.now() == 42.0
 
     def test_default_is_wall(self):
-        assert isinstance(ensure_clock(None), WallClock)
+        with ClusterService(
+            ServiceConfig(time_scale=0.5), store=tiny_store()
+        ) as svc:
+            assert isinstance(svc.clock, WallClock)
+            assert svc.clock.time_scale == 0.5
 
 
 class TestControllerClock:
-    """attach_clock / elapsed / decide_now on the Jockey controller."""
+    """The controller reads no clock: its caller tells it the elapsed
+    time, and the live service's reading is ``now - started_v``."""
+
+    SUBMIT = {"template": "tiny", "policy": "jockey-no-sim",
+              "deadline_minutes": 30.0}
 
     def _controller(self):
         from repro.core.amdahl import AmdahlModel
-        from repro.core.control import ControlConfig
         from repro.core.utility import deadline_utility
         from repro.jobs.dag import JobGraph, Stage
         from repro.jobs.profiles import JobProfile, StageProfile
@@ -105,34 +137,50 @@ class TestControllerClock:
             stage_names=profile.stage_names,
         )
 
+    @staticmethod
+    def _service():
+        svc = ClusterService(ServiceConfig(), store=tiny_store())
+        svc.clock = ManualClock()
+        return svc
+
     def test_elapsed_requires_clock(self):
         controller = self._controller()
-        with pytest.raises(ControlError):
-            controller.elapsed()
+        assert not hasattr(controller, "clock")
+        with pytest.raises(TypeError):
+            controller.decide({"all": 0.5})    # elapsed is the caller's
 
     def test_elapsed_tracks_attached_clock(self):
-        controller = self._controller()
-        clock = ManualClock(start=50.0)
-        controller.attach_clock(clock, start=50.0)
-        assert controller.elapsed() == 0.0
-        clock.advance(30.0)
-        assert controller.elapsed() == pytest.approx(30.0)
+        svc = self._service()
+        svc.clock.advance(50.0)
+        job = svc._jobs[svc.submit(dict(self.SUBMIT))["job_id"]]
+        assert job.started_v == 50.0
+        assert job.snapshot(svc.now()).elapsed == 0.0
+        svc.clock.advance(30.0)
+        assert job.snapshot(svc.now()).elapsed == 30.0
 
     def test_decide_now_uses_clock_elapsed(self):
-        controller = self._controller()
-        clock = ManualClock()
-        controller.attach_clock(clock)
-        clock.advance(60.0)
-        decision = controller.decide_now({"all": 0.5})
-        explicit = self._controller().decide({"all": 0.5}, 60.0)
-        assert decision.allocation == explicit.allocation
+        from repro.core.policies import AmdahlPolicy
+        from repro.core.utility import deadline_utility
+
+        svc = self._service()
+        job = svc._jobs[svc.submit(dict(self.SUBMIT))["job_id"]]
+        svc.clock.advance(60.0)
+        svc.tick()
+        record = job.policy.controller.audit[-1]
+        assert (record.phase, record.elapsed) == ("tick", 60.0)
+        explicit = AmdahlPolicy(
+            job.trained.profile, deadline_utility(30.0 * 60.0),
+            svc.config.control,
+        ).controller
+        explicit.initial_allocation()
+        assert explicit.decide(job.fractions(), 60.0) == record
 
     def test_reset_run_state_clears_epoch(self):
         controller = self._controller()
-        clock = ManualClock()
-        controller.attach_clock(clock, start=0.0)
-        clock.advance(100.0)
-        assert controller.elapsed() == pytest.approx(100.0)
+        controller.initial_allocation()
+        controller.decide({"all": 0.5}, 100.0)
         controller.reset_run_state()
-        # The next elapsed() re-anchors at the clock's current reading.
-        assert controller.elapsed() == pytest.approx(0.0)
+        record = controller.decide({"all": 0.0}, 0.0)
+        # A new run: ticks count from 0 and hysteresis starts afresh.
+        assert (record.tick, record.prev_smoothed) == (0, None)
+        assert controller.audit == [record]

@@ -4,14 +4,18 @@ zone) using an exactly-solvable stub predictor."""
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.control import (
     ControlConfig,
     ControlError,
     CpaPredictor,
     JockeyController,
+    PredictorUnavailable,
 )
 from repro.core.utility import deadline_utility
+from repro.telemetry.audit import CandidateEval
 
 
 class LinearPredictor:
@@ -116,9 +120,11 @@ class TestHysteresis:
     def test_decisions_recorded(self):
         ctl = controller()
         ctl.initial_allocation()
-        ctl.decide({"s": 0.0}, elapsed=60.0)
-        ctl.decide({"s": 0.1}, elapsed=120.0)
-        assert len(ctl.decisions) == 2
+        first = ctl.decide({"s": 0.0}, elapsed=60.0)
+        second = ctl.decide({"s": 0.1}, elapsed=120.0)
+        # decide returns the one record it appends.
+        assert ctl.audit[1:] == [first, second]
+        assert [r.phase for r in ctl.audit] == ["initial", "tick", "tick"]
 
 
 class TestUtilityChanges:
@@ -171,7 +177,7 @@ class TestAudit:
         ctl.initial_allocation()
         ctl.decide({"s": 0.0}, elapsed=60.0)
         ctl.decide({"s": 0.1}, elapsed=120.0)
-        records = ctl.audit.decisions()
+        records = ctl.audit
         assert len(records) == 3  # initial + two ticks
         assert records[0].phase == "initial"
         assert all(r.phase == "tick" for r in records[1:])
@@ -186,7 +192,7 @@ class TestAudit:
         for fraction, elapsed in [(0.0, 60.0), (0.05, 600.0), (0.1, 2800.0),
                                   (0.5, 3000.0), (0.9, 3300.0)]:
             applied.append(ctl.decide({"s": fraction}, elapsed=elapsed).allocation)
-        records = ctl.audit.decisions()
+        records = ctl.audit
         replayed = reconstruct_allocations(
             records, hysteresis=0.5, min_tokens=5, max_tokens=100
         )
@@ -201,7 +207,7 @@ class TestAudit:
     def test_candidates_cover_grid_and_contain_choice(self):
         ctl = controller()
         ctl.initial_allocation()
-        record = ctl.audit.decisions()[0]
+        record = ctl.audit[0]
         grid = ctl.config.allocation_grid()
         assert [c.allocation for c in record.candidates] == list(grid)
         chosen = {c.allocation: c for c in record.candidates}[record.raw]
@@ -217,15 +223,13 @@ class TestAudit:
         ctl = controller(work=61_000.0, dead_zone_seconds=600.0)
         ctl.initial_allocation()
         ctl.decide({"s": 0.0}, elapsed=60.0)
-        assert len(ctl.audit.dead_zone_ticks()) == 2
-        for rec in ctl.audit.decisions():
-            assert rec.dead_zone_triggered
+        assert len([r for r in ctl.audit if r.dead_zone_triggered]) == 2
 
     def test_no_dead_zone_no_trigger(self):
         ctl = controller()
         ctl.initial_allocation()
         ctl.decide({"s": 0.0}, elapsed=60.0)
-        assert ctl.audit.dead_zone_ticks() == []
+        assert not any(r.dead_zone_triggered for r in ctl.audit)
 
     def test_progress_observed_via_predictor_indicator(self):
         class Indicator:
@@ -236,7 +240,7 @@ class TestAudit:
         ctl.predictor.indicator = Indicator()
         ctl.initial_allocation()
         ctl.decide({"s": 0.4}, elapsed=60.0)
-        records = ctl.audit.decisions()
+        records = ctl.audit
         assert records[0].progress == pytest.approx(0.0)
         assert records[1].progress == pytest.approx(0.2)
 
@@ -244,7 +248,7 @@ class TestAudit:
         ctl = controller()
         ctl.initial_allocation()
         ctl.decide({"s": 0.25}, elapsed=60.0)
-        assert ctl.audit.ticks()[-1].progress is None
+        assert ctl.audit[-1].progress is None
 
 
 class TestConfigValidation:
@@ -316,3 +320,146 @@ class TestAuditReconstructionMidRunDeadlineChange:
             max_tokens=cfg.max_tokens,
         )
         assert replayed == [r.allocation for r in records]
+
+
+# ----------------------------------------------------------------------
+# One argmin against the two loops it replaced
+# ----------------------------------------------------------------------
+
+
+def reference_raw_allocation(grid, predictions, slack, elapsed, effective, utility):
+    """``JockeyController._raw_allocation``'s scan before the live and
+    degraded paths shared one, verbatim but for ``self``."""
+    best_u = -math.inf
+    best_u0 = -math.inf
+    utilities = []
+    candidates = []
+    for a, predicted in zip(grid, predictions):
+        remaining = slack * float(predicted)
+        u = effective.value(elapsed + remaining)
+        u0 = utility.value(elapsed + remaining)
+        utilities.append((a, remaining, u, u0))
+        candidates.append(CandidateEval(a, remaining, u))
+        best_u = max(best_u, u)
+        best_u0 = max(best_u0, u0)
+    chosen = None
+    unshifted = None
+    for a, remaining, u, u0 in utilities:
+        if chosen is None and u >= best_u - 1e-9:
+            chosen = (a, remaining, u)
+        if unshifted is None and u0 >= best_u0 - 1e-9:
+            unshifted = a
+        if chosen is not None and unshifted is not None:
+            break
+    assert chosen is not None and unshifted is not None
+    a, remaining, u = chosen
+    return a, remaining, u, tuple(candidates), a != unshifted
+
+
+def reference_degraded_raw(grid, predictions, slack, elapsed, degraded, floor):
+    """``JockeyController._degraded_raw``'s fallback argmin, verbatim but
+    for ``self``."""
+    best_u = -math.inf
+    candidates = []
+    for a, predicted in zip(grid, predictions):
+        remaining = slack * predicted
+        u = degraded.value(elapsed + remaining)
+        candidates.append(CandidateEval(a, remaining, u))
+        best_u = max(best_u, u)
+    for cand in candidates:
+        if cand.utility >= best_u - 1e-9:
+            raw = max(cand.allocation, floor)
+            return raw, tuple(candidates)
+
+
+class CurvePredictor:
+    """Answers a per-allocation curve (an allocation off the grid reads its
+    nearest grid point); ``down`` blacks it out."""
+
+    name = "curve"
+
+    def __init__(self, curve):
+        self.curve = curve
+        self.down = False
+
+    def remaining_seconds(self, fractions, allocation):
+        if self.down:
+            raise PredictorUnavailable("down")
+        return self.curve[min(self.curve, key=lambda a: abs(a - allocation))]
+
+    def remaining_seconds_batch(self, fractions, allocations):
+        return [self.remaining_seconds(fractions, a) for a in allocations]
+
+
+@st.composite
+def scan_cases(draw):
+    size = draw(st.integers(1, 25))
+    step = draw(st.integers(1, 5))
+    low = draw(st.integers(1, 10))
+    # Predictions from a few levels, each nudged by less than the argmin's
+    # 1e-9 tolerance or not at all, so utilities tie exactly and nearly.
+    levels = draw(st.lists(st.floats(0.0, 20_000.0), min_size=1, max_size=4))
+
+    def curve():
+        return [
+            max(0.0, draw(st.sampled_from(levels))
+                + draw(st.sampled_from((0.0, 3e-10, -3e-10))))
+            for _ in range(size)
+        ]
+
+    return dict(
+        config=ControlConfig(
+            slack=draw(st.floats(1.0, 2.0)),
+            hysteresis=draw(st.sampled_from((1.0,)) | st.floats(0.05, 1.0)),
+            dead_zone_seconds=draw(st.sampled_from((0.0, 180.0)) | st.floats(0.0, 900.0)),
+            min_tokens=low,
+            max_tokens=low + step * (size - 1),
+            allocation_step=step,
+        ),
+        # A first decision on another curve leaves hysteresis state behind,
+        # so the degraded floor can bind.
+        first=curve(),
+        predictions=curve(),
+        deadline=draw(st.floats(60.0, 20_000.0)),
+        elapsed=draw(st.floats(0.0, 20_000.0)),
+        outage=draw(st.floats(0.0, 600.0)),
+    )
+
+
+class TestOneArgmin:
+    @given(case=scan_cases())
+    def test_scan_is_the_two_loops_it_replaced(self, case):
+        config, predictions = case["config"], case["predictions"]
+        grid = config.allocation_grid()
+        assert len(grid) == len(predictions)
+        utility = deadline_utility(case["deadline"])
+        predictor = CurvePredictor(dict(zip(grid, case["first"])))
+        ctl = JockeyController(predictor, utility, config)
+        elapsed = case["elapsed"]
+
+        ctl.decide({}, elapsed)
+        predictor.curve = dict(zip(grid, predictions))
+        live = ctl.decide({}, elapsed)
+        raw, remaining, u, candidates, dead_zone = reference_raw_allocation(
+            grid, predictions, config.slack, elapsed,
+            utility.shifted_left(config.dead_zone_seconds), utility,
+        )
+        assert (live.raw, live.candidates, live.dead_zone_triggered) == (
+            raw, candidates, dead_zone
+        )
+        chosen = {c.allocation: c for c in live.candidates}[live.raw]
+        assert (chosen.predicted_remaining, chosen.utility) == (remaining, u)
+
+        # The predictor goes away: the fallback re-solves over the cached
+        # curve under the widened dead zone, floored at the smoothed value.
+        predictor.down = True
+        later = elapsed + case["outage"]
+        degraded = ctl.decide({}, later)
+        want_raw, want_candidates = reference_degraded_raw(
+            grid, predictions, config.slack, later,
+            utility.shifted_left(
+                config.dead_zone_seconds * config.degraded_dead_zone_factor
+            ),
+            floor=int(round(live.smoothed)),
+        )
+        assert (degraded.raw, degraded.candidates) == (want_raw, want_candidates)

@@ -6,6 +6,7 @@ import pytest
 from repro.core.control import ControlConfig
 from repro.core.cpa import CpaTable
 from repro.core.policies import (
+    AdaptiveModelPolicy,
     AmdahlPolicy,
     JockeyPolicy,
     MaxAllocationPolicy,
@@ -79,10 +80,13 @@ class TestJockeyPolicy:
         policy = JockeyPolicy(
             table, indicator, deadline_utility(80.0), config(), profile=profile
         )
-        assert policy.last_decision() is None
+        assert policy.controller.audit == []
         policy.initial_allocation()
-        policy.on_tick(snapshot({"map": 0.5, "reduce": 0.0}, 10.0))
-        assert policy.last_decision() is not None
+        allocation = policy.on_tick(snapshot({"map": 0.5, "reduce": 0.0}, 10.0))
+        last = policy.controller.audit[-1]
+        assert (last.phase, last.elapsed, last.allocation) == (
+            "tick", 10.0, allocation
+        )
 
     def test_is_adaptive(self, artifacts):
         profile, indicator, table = artifacts
@@ -124,6 +128,39 @@ class TestAmdahlPolicy:
         policy.initial_allocation()
         behind = policy.on_tick(snapshot({"map": 0.0, "reduce": 0.0}, 30.0))
         assert behind == 8  # pegged to max: impossible to finish in time
+
+
+class TestAdaptiveModelPolicy:
+    def test_reused_policy_after_reset_decides_like_a_fresh_one(self, artifacts):
+        profile, indicator, table = artifacts
+
+        def fresh():
+            return AdaptiveModelPolicy(
+                table, indicator, deadline_utility(60.0), config(),
+                profile=profile,
+            )
+
+        def run(policy, heaviness):
+            out = [policy.initial_allocation()]
+            for i, frac in enumerate((0.2, 0.5, 0.9)):
+                fractions = {"map": frac, "reduce": 0.0}
+                consumed = heaviness * profile.total_work_seconds() \
+                    * indicator.progress(fractions)
+                out.append(policy.on_tick(JobSnapshot(
+                    fractions, 10.0 * (i + 1), running=0, allocation=4,
+                    consumed_token_seconds=consumed,
+                )))
+            return out
+
+        reused = fresh()
+        run(reused, heaviness=3.0)
+        assert reused.monitor.inflation > 1.5
+        reused.reset_run_state()
+        second = run(reused, heaviness=1.0)
+        reference = fresh()
+        assert second == run(reference, heaviness=1.0)
+        assert reused.controller.audit == reference.controller.audit
+        assert reused.controller.predictions == reference.controller.predictions
 
 
 class TestMaxAllocationPolicy:
@@ -253,9 +290,9 @@ class TestRunArtifacts:
         policy.initial_allocation()
         policy.on_tick(snapshot({"map": 0.5, "reduce": 0.0}, 5.0))
         records, slack, predictions = run_artifacts(policy, default_slack=9.0)
-        assert len(records) == len(policy.controller.audit.decisions()) >= 1
+        assert records == policy.controller.audit and len(records) == 2
         assert slack == config().slack
-        assert predictions == policy.controller.predictions.records()
+        assert predictions == policy.controller.predictions
 
     def test_static_policy_leaves_nothing_but_the_default_slack(self):
         from repro.core.policies import run_artifacts

@@ -95,7 +95,7 @@ class TestAggregates:
     def test_critical_path(self):
         profile = profile_for(small_graph())
         longest = profile.longest_task_seconds()
-        assert profile.graph.critical_path(longest) == 41.0
+        assert max(profile.graph.longest_path_from(longest).values()) == 41.0
 
 
 class TestScaling:
@@ -104,10 +104,6 @@ class TestScaling:
         assert scaled.stage("reduce").runtime.mean() == 60.0
         # queue_obs is observed data, not behaviour — unscaled.
         assert scaled.stage("reduce").queue_obs.mean() == 4.0
-
-    def test_with_failure_prob(self):
-        adjusted = profile_for(small_graph()).with_failure_prob(0.1)
-        assert adjusted.stage("map").failure_prob == 0.1
 
 
 class TestFromTrace:

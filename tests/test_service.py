@@ -8,15 +8,20 @@ hard (a 30-virtual-second task is ~60 ms of wall time).
 """
 
 import gc
+import math
 import pathlib
 import random
 import sys
 import time
 import weakref
 
+import numpy as np
 import pytest
 
 from repro.core.clock import ManualClock
+from repro.core.control import ControlConfig, ControlError
+from repro.core.cpa import CpaTable
+from repro.core.progress import totalwork_with_q
 from repro.jobs.dag import Edge, EdgeType, JobGraph, Stage
 from repro.jobs.profiles import JobProfile, StageProfile
 from repro.service import (
@@ -64,8 +69,28 @@ class TestServiceConfig:
             ServiceConfig(time_scale=0.0)
 
     def test_rejects_bad_slack(self):
-        with pytest.raises(ServiceError):
-            ServiceConfig(slack=0.5)
+        with pytest.raises(ControlError):
+            ServiceConfig(control=ControlConfig(slack=0.5))
+
+    def test_admission_and_sizing_use_the_controllers_slack(self):
+        svc = ClusterService(
+            ServiceConfig(control=ControlConfig(slack=1.5)), store=tiny_store()
+        )
+        svc.clock = ManualClock()
+        work = svc.store.get("tiny").total_work_seconds
+        info = svc.template_info("tiny")
+        assert info["min_feasible_seconds"] == pytest.approx(
+            1.5 * work / info["width"]
+        )
+        reply = svc.submit({
+            "template": "tiny", "policy": "jockey-no-sim",
+            "deadline_minutes": 1.0,
+        })
+        # The default slack (1.2) would reserve one token fewer.
+        assert reply["guarantee"] == math.ceil(1.5 * work / 60.0)
+        assert reply["guarantee"] != math.ceil(1.2 * work / 60.0)
+        policy = svc._jobs[reply["job_id"]].policy
+        assert policy.controller.config.slack == 1.5
 
     def test_poll_interval_derived_from_time_scale(self):
         assert ServiceConfig(time_scale=0.02).effective_poll_seconds == \
@@ -303,6 +328,64 @@ class TestWorkerLoss:
         with pytest.raises(ServiceError) as err:
             svc.heartbeat({"worker_id": worker_id})
         assert err.value.status == 409
+
+
+class TestControllerIsToldTheTime:
+    """Table-backed controllers on a manual clock, in-process: at every
+    tick each job's newest audit record was decided at the service's one
+    reading, ``svc.now() - started_v``, and ``/deadline`` serves the newest
+    ledger record."""
+
+    @staticmethod
+    def store():
+        store = tiny_store()
+        tiny = store.get("tiny")
+        table = CpaTable.build(
+            tiny.profile, totalwork_with_q(tiny.profile),
+            np.random.default_rng(0), allocations=(1, 2, 4, 6), reps=1,
+            num_bins=20, sample_dt=5.0,
+        )
+        store.add("tiny", tiny.graph, tiny.profile, table)
+        return store
+
+    def test_every_record_is_elapsed_since_start(self):
+        svc = ClusterService(
+            ServiceConfig(capacity_tokens=8, tick_seconds=10.0),
+            store=self.store(),
+        )
+        svc.clock = ManualClock()
+        worker = svc.register_worker({"name": "w", "slots": 8})["worker_id"]
+        jobs = []
+        for policy in ("jockey", "jockey-online-model"):
+            svc.clock.advance(7.0)
+            reply = svc.submit({
+                "template": "tiny", "policy": policy, "deadline_minutes": 30.0,
+            })
+            assert reply["status"] == "running"
+            jobs.append(svc._jobs[reply["job_id"]])
+        decided = 0
+        for _round in range(40):
+            tasks = svc.lease({"worker_id": worker, "max_tasks": 2})["tasks"]
+            svc.clock.advance(10.0)
+            for task in tasks:
+                svc.complete_task({"worker_id": worker, "task_id": task["task_id"]})
+            svc.tick()
+            for job in jobs:
+                if job.status != "running":
+                    continue
+                controller = job.policy.controller
+                assert controller.audit[-1].phase == "tick"
+                assert controller.audit[-1].elapsed == svc.now() - job.started_v
+                served = svc.job_deadline(job.job_id)["prediction"]
+                newest = controller.predictions[-1]
+                assert (served["tick"], served["median"]) == (
+                    newest.tick, newest.median
+                )
+                decided += 1
+            if all(job.terminal for job in jobs):
+                break
+        assert [job.status for job in jobs] == ["completed", "completed"]
+        assert decided >= 4
 
 
 class ScanningService(ClusterService):

@@ -8,7 +8,7 @@ import pytest
 
 from repro.telemetry import audit as audit_mod
 from repro.telemetry import export, metrics, trace
-from repro.telemetry.audit import ControlAudit, TickRecord, reconstruct_allocations
+from repro.telemetry.audit import TickRecord, reconstruct_allocations
 from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
     MetricError,
@@ -366,23 +366,11 @@ class TestControlAudit:
         )
         assert replayed == [r.allocation for r in records]
 
-    def test_capacity_bounds_records(self):
-        aud = ControlAudit(capacity=2)
-        prev = None
-        for i in range(5):
-            rec = _tick(i, 10, prev)
-            aud.record(rec)
-            prev = rec.smoothed
-        assert len(aud) == 2
-        assert aud.decisions()[-1].tick == 4
-
     def test_dead_zone_filter(self):
-        aud = ControlAudit()
         base = _tick(0, 10, None)
-        aud.record(base)
-        aud.record(TickRecord(**{**base.__dict__, "tick": 1,
-                                 "dead_zone_triggered": True}))
-        assert len(aud.dead_zone_ticks()) == 1
+        audit = [base, TickRecord(**{**base.__dict__, "tick": 1,
+                                     "dead_zone_triggered": True})]
+        assert [r.tick for r in audit if r.dead_zone_triggered] == [1]
 
 
 # ----------------------------------------------------------------------

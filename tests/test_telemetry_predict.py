@@ -12,7 +12,6 @@ from repro.telemetry.predict import (
     IntervalBand,
     NOMINAL_LEVELS,
     PredictError,
-    PredictionLedger,
     PredictionRecord,
     RELIABILITY_HEADERS,
     TIMELINE_HEADERS,
@@ -152,28 +151,34 @@ class TestRecordFromQuantiles:
 
 
 class TestLedger:
-    def test_records_in_order(self):
-        ledger = PredictionLedger()
-        for i in range(3):
-            ledger.record(make_record(i, float(i), 100.0, {0.9: 5.0}))
-        assert [r.tick for r in ledger.records()] == [0, 1, 2]
-        assert len(ledger) == 3
+    """The controller's ``predictions`` list: one record per predicted
+    decision, in tick order, emptied with the rest of the run state."""
 
-    def test_capacity_evicts_oldest(self):
-        ledger = PredictionLedger(capacity=2)
-        for i in range(4):
-            ledger.record(make_record(i, float(i), 100.0, {0.9: 5.0}))
-        assert [r.tick for r in ledger.records()] == [2, 3]
+    @pytest.fixture
+    def controller(self):
+        profile = deterministic_profile()
+        table = CpaTable.build(
+            profile, totalwork(profile), np.random.default_rng(0),
+            allocations=(1, 2, 4, 8), reps=1, num_bins=10, sample_dt=2.0,
+        )
+        ctl = JockeyController(
+            CpaPredictor(table, totalwork(profile)),
+            deadline_utility(120.0),
+            ControlConfig(min_tokens=1, max_tokens=8, allocation_step=1),
+            stage_names=("map", "reduce"),
+        )
+        ctl.initial_allocation()
+        for i in range(2):
+            ctl.decide({"map": 0.3 * (i + 1), "reduce": 0.0}, 20.0 * (i + 1))
+        return ctl
 
-    def test_clear(self):
-        ledger = PredictionLedger()
-        ledger.record(make_record(0, 0.0, 100.0, {0.9: 5.0}))
-        ledger.clear()
-        assert len(ledger) == 0
+    def test_records_in_order(self, controller):
+        assert [r.tick for r in controller.predictions] == [0, 1, 2]
+        assert [r.elapsed for r in controller.predictions] == [0.0, 20.0, 40.0]
 
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(PredictError):
-            PredictionLedger(capacity=0)
+    def test_clear(self, controller):
+        controller.reset_run_state()
+        assert controller.predictions == [] and controller.audit == []
 
 
 class TestCalibration:
@@ -404,9 +409,9 @@ class TestAuditReplay:
         ]
         for i, fr in enumerate(fractions):
             ctl.decide(fr, elapsed=20.0 * (i + 1))
-        live = ctl.predictions.records()
+        live = ctl.predictions
         assert len(live) == 4    # initial + three ticks
-        replayed = intervals_from_audit(ctl.audit.decisions(), table)
+        replayed = intervals_from_audit(ctl.audit, table)
         assert replayed == live
 
     def test_replay_skips_records_without_progress(self, table):

@@ -118,6 +118,48 @@ class TestFromTraceEvents:
         assert rebuilt.slo.deadline == pytest.approx(direct.deadline)
         assert rebuilt.slo.cpu_seconds == pytest.approx(direct.cpu_seconds)
 
+    def test_rebuilt_and_in_process_reports_agree(self, jockey_run):
+        tj, result = jockey_run
+        rebuilt = report_mod.from_trace_events(
+            result.trace_events, policy="jockey", table=tj.table,
+            slack=result.control_config.slack,
+        )
+        direct = report_mod.from_result(result, table=tj.table)
+        (card,), (want,) = rebuilt.scorecards, direct.scorecards
+        assert card.ticks == want.ticks == len(result.audit_records)
+        assert card.bias_seconds == want.bias_seconds
+        assert card.p90_abs_error == want.p90_abs_error
+        assert rebuilt.slo.risk == direct.slo.risk
+
+    def test_one_tick_event_per_audit_record(self, jockey_run):
+        _tj, result = jockey_run
+        events = [e for e in result.trace_events if e.kind == "control.tick"]
+        assert [
+            (e.ts, e.fields["tick"], e.fields["phase"], e.fields["raw"],
+             e.fields["allocation"], e.fields["predicted_remaining"])
+            for e in events
+        ] == [
+            (r.elapsed, r.tick, r.phase, r.raw, r.allocation,
+             r.predicted_remaining)
+            for r in result.audit_records
+        ]
+
+    def test_events_without_phase_read_as_periodic_ticks(self, jockey_run):
+        from repro.telemetry.trace import TraceEvent
+
+        tj, result = jockey_run
+        older = [
+            TraceEvent(e.ts, e.kind, {
+                k: v for k, v in e.fields.items() if k not in ("tick", "phase")
+            }) if e.kind == "control.tick" else e
+            for e in result.trace_events
+        ]
+        rebuilt = report_mod.from_trace_events(
+            older, policy="jockey", table=tj.table,
+            slack=result.control_config.slack,
+        )
+        assert rebuilt.scorecards[0].ticks == len(result.audit_records)
+
     def test_empty_events_rejected(self):
         with pytest.raises(ReportError):
             report_mod.from_trace_events([], policy="jockey")
