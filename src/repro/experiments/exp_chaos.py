@@ -205,7 +205,7 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
                     # paired — same cluster noise, fallback on vs off.
                     run_seed = derive_seed(
                         seed, f"chaos:{name}:{intensity}:{rep}"
-                    ) % 1_000_003
+                    )
                     specs.append((jobs[name], mode, intensity, run_seed))
     rows = list(parallel_map(_unit, specs))
     aggregates = _aggregate(rows)

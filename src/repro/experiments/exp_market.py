@@ -161,9 +161,7 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
                 # Mode deliberately NOT in the seed: pooled and split are
                 # paired — the same tenants, the same jobs, the same
                 # arrival times; only the market structure differs.
-                market_seed = derive_seed(
-                    seed, f"market:{qs}:{rep}"
-                ) % 1_000_003
+                market_seed = derive_seed(seed, f"market:{qs}:{rep}")
                 specs.append((mode, qs, rep, market_seed, shape))
     units = list(parallel_map(_unit, specs))
     aggregates = _aggregate(units)

@@ -170,9 +170,7 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
             for rep in range(REPS):
                 # Intensity deliberately NOT in the seed: the sweep is
                 # paired — same cluster noise, chaos dialled up.
-                run_seed = derive_seed(
-                    seed, f"predict:{name}:{rep}"
-                ) % 1_000_003
+                run_seed = derive_seed(seed, f"predict:{name}:{rep}")
                 specs.append((jobs[name], intensity, run_seed))
     rows = list(parallel_map(_unit, specs))
     aggregates = _aggregate(rows)

@@ -403,9 +403,7 @@ def _simulate_template(
             policy,
             RunConfig(
                 deadline_seconds=deadline,
-                seed=derive_seed(
-                    config.seed, f"fleet:{template.name}:{day}"
-                ) % 1_000_003,
+                seed=derive_seed(config.seed, f"fleet:{template.name}:{day}"),
                 # The fleet isolates *model freshness*: day-to-day change
                 # comes from the injected drift, not sampled noise.
                 runtime_scale=1.0,

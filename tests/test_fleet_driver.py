@@ -56,22 +56,32 @@ def calm_fleet(fleet_env, tmp_path_factory):
 
 DRIFT = ProfileDrift(at=1.0, factor=1.6)
 
+#: Detection is a statistical test on one day's run, so it is judged over
+#: seeds: a property that holds at one seed can be a lucky draw.
+DRIFT_SEEDS = range(10)
 
-def drifted_config(mode):
+
+def drifted_config(mode, seed):
     return FleetConfig(
-        days=3, model_mode=mode, drift=DRIFT, scale=SMOKE, seed=0,
+        days=3, model_mode=mode, drift=DRIFT, scale=SMOKE, seed=seed,
         deadline_trim=1.0,
     )
 
 
 @pytest.fixture(scope="module")
-def drifted_ewma(fleet_env):
-    return run_fleet([FleetTemplate("A")], drifted_config("ewma"))
+def drifted(fleet_env):
+    """seed -> {mode: one-template fleet} for the paired ewma/stale arms."""
+    return {
+        seed: {
+            mode: run_fleet([FleetTemplate("A")], drifted_config(mode, seed))
+            for mode in ("ewma", "stale")
+        }
+        for seed in DRIFT_SEEDS
+    }
 
 
-@pytest.fixture(scope="module")
-def drifted_stale(fleet_env):
-    return run_fleet([FleetTemplate("A")], drifted_config("stale"))
+def detection_days(result):
+    return [r.day for r in result.rows if r.drift_significant]
 
 
 class TestWarmPath:
@@ -103,31 +113,39 @@ class TestWarmPath:
 
 
 class TestDriftRefresh:
-    def test_drift_triggers_rebuild(self, drifted_ewma):
-        summary = drifted_ewma.summaries[0]
-        assert summary.drift_detections >= 1
-        assert summary.rebuilds >= 1
+    """Over seeds 0-9: at least 9 detect the drift and act on it, none
+    before the drift day, and ``stale`` never rebuilds."""
 
-    def test_no_rebuild_before_drift(self, drifted_ewma):
-        pre = [r for r in drifted_ewma.rows if r.day < int(DRIFT.at)]
-        assert all(not r.rebuilt for r in pre)
-        assert all(not r.drift_significant for r in pre)
+    def test_drift_triggers_rebuild(self, drifted):
+        ewma = [arms["ewma"].summaries[0] for arms in drifted.values()]
+        assert sum(
+            1 for s in ewma if s.drift_detections >= 1 and s.rebuilds >= 1
+        ) >= 9
 
-    def test_detection_lands_on_or_after_drift_day(self, drifted_ewma):
-        hits = [r.day for r in drifted_ewma.rows if r.drift_significant]
-        assert hits and min(hits) >= int(DRIFT.at)
+    def test_no_rebuild_before_drift(self, drifted):
+        for arms in drifted.values():
+            for result in arms.values():
+                pre = [r for r in result.rows if r.day < int(DRIFT.at)]
+                assert all(not r.rebuilt for r in pre)
+                assert all(not r.drift_significant for r in pre)
 
-    def test_stale_mode_never_rebuilds(self, drifted_stale):
-        summary = drifted_stale.summaries[0]
-        assert summary.rebuilds == 0
+    def test_detection_lands_on_or_after_drift_day(self, drifted):
+        hits = [detection_days(arms["ewma"]) for arms in drifted.values()]
+        assert sum(1 for days in hits if days) >= 9
+        assert all(min(days) >= int(DRIFT.at) for days in hits if days)
+
+    def test_stale_mode_never_rebuilds(self, drifted):
+        stale = [arms["stale"] for arms in drifted.values()]
+        assert all(result.summaries[0].rebuilds == 0 for result in stale)
         # The drift is still *observed* (and recorded), just not acted on.
-        assert any(r.drift_significant for r in drifted_stale.rows)
+        assert sum(1 for result in stale if detection_days(result)) >= 9
 
-    def test_paired_arms_share_deadline(self, drifted_ewma, drifted_stale):
-        assert (
-            drifted_ewma.summaries[0].deadline_minutes
-            == drifted_stale.summaries[0].deadline_minutes
-        )
+    def test_paired_arms_share_deadline(self, drifted):
+        for arms in drifted.values():
+            assert (
+                arms["ewma"].summaries[0].deadline_minutes
+                == arms["stale"].summaries[0].deadline_minutes
+            )
 
 
 class TestProfileRoundTripUnderDrift:
