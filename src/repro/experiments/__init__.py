@@ -10,7 +10,6 @@ at; ``repro experiment`` is the one entry point that runs them.
 from repro.experiments.metrics import (
     PolicySummary,
     RunMetrics,
-    cdf_points,
     coefficient_of_variation,
     group_by,
     metrics_from_trace,
@@ -24,7 +23,6 @@ from repro.experiments.runner import (
     RunConfig,
     make_policy,
     run_experiment,
-    run_suite,
 )
 from repro.experiments.scenarios import (
     DEFAULT,
@@ -52,7 +50,6 @@ __all__ = [
     "Scale",
     "TrainedJob",
     "ascii_table",
-    "cdf_points",
     "clear_trained_cache",
     "coefficient_of_variation",
     "group_by",
@@ -60,7 +57,6 @@ __all__ = [
     "metrics_from_trace",
     "percentiles",
     "run_experiment",
-    "run_suite",
     "summarize_policy",
     "trained_job",
     "trained_jobs",

@@ -9,7 +9,7 @@ statistics of §2.3 (coefficient of variation of completion times).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -33,15 +33,6 @@ def percentiles(values: Sequence[float], qs: Sequence[float]) -> List[float]:
     if not values:
         raise ValueError("no values")
     return [float(v) for v in np.percentile(np.asarray(values, dtype=float), qs)]
-
-
-def cdf_points(values: Sequence[float]) -> List[Tuple[float, float]]:
-    """Empirical CDF as (value, cumulative fraction) steps."""
-    if not values:
-        return []
-    ordered = sorted(values)
-    n = len(ordered)
-    return [(v, (i + 1) / n) for i, v in enumerate(ordered)]
 
 
 @dataclass(frozen=True)
@@ -104,7 +95,6 @@ class PolicySummary:
     fraction_missed: float
     mean_impact_above_oracle: float
     mean_latency_vs_deadline: float  # mean of (duration/deadline − 1)
-    median_relative_latency: float
 
     @property
     def fraction_met(self) -> float:
@@ -124,7 +114,6 @@ def summarize_policy(runs: Sequence[RunMetrics]) -> PolicySummary:
         fraction_missed=sum(1 for r in runs if not r.met_deadline) / len(runs),
         mean_impact_above_oracle=float(np.mean([r.impact_above_oracle for r in runs])),
         mean_latency_vs_deadline=float(np.mean([x - 1.0 for x in rel])),
-        median_relative_latency=float(np.median(rel)),
     )
 
 
@@ -140,7 +129,6 @@ def group_by(
 __all__ = [
     "PolicySummary",
     "RunMetrics",
-    "cdf_points",
     "coefficient_of_variation",
     "group_by",
     "metrics_from_trace",

@@ -119,6 +119,30 @@ def scorecard_section(
     return caption + ":\n" + ascii_table(list(SCORECARD_HEADERS), scorecard_rows(cards))
 
 
+def policy_scorecards(results: Sequence, kinds: Sequence[str]) -> List:
+    """One pooled scorecard per adaptive policy kind: every run's audit-trail
+    predictions joined against that run's realized remaining time."""
+    from repro.telemetry import scorecard as tscorecard
+
+    cards = []
+    for kind in kinds:
+        per_run = [
+            tscorecard.from_audit(
+                r.audit_records,
+                r.trace.duration,
+                name=kind,
+                slack=r.control_config.slack,
+            )
+            for r in results
+            if r.metrics.policy == kind
+            and r.audit_records
+            and r.control_config is not None
+        ]
+        if per_run:
+            cards.append(tscorecard.merge(kind, per_run))
+    return cards
+
+
 def sparkline(values: Sequence[float], width: int = 60) -> str:
     """A coarse text sparkline for time series (Fig. 6/7 renderings)."""
     if not values:

@@ -79,7 +79,6 @@ def parallel_map(
     items: Sequence[T],
     *,
     jobs: Optional[int] = None,
-    chunksize: int = 1,
 ) -> List[R]:
     """Apply ``fn`` to every item, preserving order.
 
@@ -100,7 +99,7 @@ def parallel_map(
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(workers, len(items))
         ) as pool:
-            results = list(pool.map(fn, items, chunksize=max(1, chunksize)))
+            results = list(pool.map(fn, items))
         _UNITS.labels(mode="process").inc(len(items))
         return results
     except (OSError, ImportError, PermissionError) as exc:

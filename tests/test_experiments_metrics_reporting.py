@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments.metrics import (
     RunMetrics,
-    cdf_points,
     coefficient_of_variation,
     group_by,
     metrics_from_trace,
@@ -40,13 +39,6 @@ class TestBasicStats:
     def test_percentiles_empty(self):
         with pytest.raises(ValueError):
             percentiles([], (50,))
-
-    def test_cdf_points(self):
-        points = cdf_points([3.0, 1.0, 2.0])
-        assert points == [(1.0, 1 / 3), (2.0, 2 / 3), (3.0, 1.0)]
-
-    def test_cdf_empty(self):
-        assert cdf_points([]) == []
 
 
 def make_trace(duration=600.0, deadline=1200.0, allocation=10, cpu=3000.0):

@@ -3,15 +3,18 @@ smoke scale.  These are the slowest tests in the suite (a few seconds)."""
 
 import pytest
 
+from repro.experiments import exp_fig4_5, exp_fig11, exp_fig12_13
 from repro.experiments.runner import (
     POLICY_KINDS,
     RunConfig,
+    Sweep,
+    Variant,
     make_policy,
     run_experiment,
-    run_suite,
     sample_runtime_scale,
 )
 from repro.experiments.scenarios import (
+    DEFAULT,
     SMOKE,
     clear_trained_cache,
     pick_deadline,
@@ -133,19 +136,71 @@ class TestRunExperiment:
             make_policy("nonsense", trained, 100.0)
 
 
-class TestRunSuite:
+class TestSweep:
     def test_cross_product_size(self, trained):
-        results = run_suite(
-            [trained], ("jockey", "max-allocation"), reps=2,
-            deadline_of=lambda t: (t.short_deadline,),
+        sweep = Sweep(
+            (Variant("jockey"), Variant("max-allocation", kind="max-allocation")),
+            reps=2,
         )
-        assert len(results) == 4
+        assert len(sweep.run([trained], seed=0)) == 4
 
     def test_metrics_carry_policy_names(self, trained):
-        results = run_suite(
-            [trained], ("max-allocation",), reps=1,
+        sweep = Sweep((Variant("max", kind="max-allocation"),))
+        [(_unit, result)] = sweep.run([trained], seed=0)
+        assert result.metrics.policy == "max-allocation"
+
+
+class TestPairedSeeds:
+    """One seed rule: ``derive_seed(root, "job:deadline:rep")``, never the
+    variant.  Checked on plans: the runs would also differ by retraining,
+    since ``trained_jobs(seed)`` depends on the root."""
+
+    def test_two_roots_give_disjoint_fig4_plans(self, trained):
+        sweep = exp_fig4_5.policy_sweep(DEFAULT)
+        seeds = [
+            {u.config.seed for u in sweep.plan([trained], root)}
+            for root in (0, 5)
+        ]
+        assert len(seeds[0]) == len(seeds[1]) == 2 * DEFAULT.reps
+        assert not seeds[0] & seeds[1]
+
+    def test_the_four_kinds_of_a_unit_share_one_seed(self, trained):
+        by_key = {}
+        for u in exp_fig4_5.policy_sweep(DEFAULT).plan([trained], 0):
+            key = (u.trained.name, u.config.deadline_seconds, u.rep)
+            by_key.setdefault(key, []).append((u.variant.kind, u.config.seed))
+        assert len(by_key) == 2 * DEFAULT.reps
+        for cell in by_key.values():
+            assert sorted(kind for kind, _ in cell) == sorted(POLICY_KINDS)
+            assert len({seed for _, seed in cell}) == 1
+        assert len({cell[0][1] for cell in by_key.values()}) == len(by_key)
+
+    def test_sensitivity_baselines_are_fig4_jockey_short_runs(self, trained):
+        """fig11's baseline, fig12's slack 1.2 and fig13's hysteresis 0.2
+        rows are made of the very runs fig4 makes for jockey at the short
+        deadline."""
+        jockey = next(
+            v for v in exp_fig4_5.policy_sweep(SMOKE).variants
+            if v.kind == "jockey"
         )
-        assert results[0].metrics.policy == "max-allocation"
+        variants = (
+            jockey,
+            exp_fig11.VARIANTS[0],
+            next(v for v in exp_fig12_13.SLACK_VARIANTS if v.control.slack == 1.2),
+            next(
+                v for v in exp_fig12_13.HYSTERESIS_VARIANTS
+                if v.control.hysteresis == 0.2
+            ),
+        )
+        runs = [
+            Sweep((v,), reps=2).run([trained], seed=0) for v in variants
+        ]
+        reference = runs[0]
+        for rows in runs[1:]:
+            for (ua, a), (ub, b) in zip(reference, rows):
+                assert ua.config == ub.config
+                assert a.metrics == b.metrics
+                assert a.allocation_series == b.allocation_series
 
 
 class TestRuntimeScaleSampler:

@@ -137,19 +137,32 @@ class TestWorkerCountInvariance:
             )
 
 
-class TestSuiteFanOut:
-    def test_run_suite_parallel_matches_serial(self, tmp_path, monkeypatch):
+class TestSweepFanOut:
+    def test_sweep_parallel_matches_serial(self, tmp_path, monkeypatch):
+        """Units cross the process pool and come back bit-identical,
+        including a transformed job (ablation-speculation's heavier
+        stragglers) and its speculation config."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.experiments.runner import run_suite
+        from repro.experiments import exp_ablation_speculation
+        from repro.experiments.runner import Sweep, Variant
         from repro.experiments.scenarios import SMOKE, trained_job
 
         trained = trained_job("A", seed=11, scale=SMOKE, use_cache=False)
-        kinds = ("jockey", "max-allocation")
-        serial = run_suite([trained], kinds, reps=2, jobs=1)
-        fanned = run_suite([trained], kinds, reps=2, jobs=2)
-        assert len(serial) == len(fanned) == 4
-        for a, b in zip(serial, fanned):
-            assert a.metrics.policy == b.metrics.policy
-            assert a.metrics.duration_seconds == b.metrics.duration_seconds
+        sweep = Sweep(
+            (
+                Variant("jockey"),
+                Variant("max-allocation", kind="max-allocation"),
+                exp_ablation_speculation.VARIANTS[1],
+            ),
+            reps=2,
+        )
+        serial = sweep.run([trained], seed=3, jobs=1)
+        fanned = sweep.run([trained], seed=3, jobs=2)
+        assert len(serial) == len(fanned) == 6
+        for (ua, a), (ub, b) in zip(serial, fanned):
+            assert ua.variant is ub.variant
+            assert a.metrics == b.metrics
             assert a.runtime_scale == b.runtime_scale
             assert a.allocation_series == b.allocation_series
+        transformed = [u for u, _r in serial if u.variant.transform is not None]
+        assert all(u.trained.generated is not trained.generated for u in transformed)
