@@ -684,11 +684,10 @@ def _slo_report(trace, policy, kind: str, table, title: str, chaos_summary=None)
     """The SLO run report of a finished CLI run."""
     from repro.telemetry import report as telemetry_report
 
-    records, slack, predictions = run_artifacts(policy)
+    records, slack = run_artifacts(policy)
     return telemetry_report.from_audit_and_trace(
         trace, records, policy=kind, table=table, slack=slack, title=title,
         chaos=telemetry_report.chaos_rows_from_summary(chaos_summary),
-        prediction_records=predictions,
     )
 
 
@@ -1215,7 +1214,8 @@ def cmd_predict(args, out) -> int:
         args, graph, profile.with_runtime_scale(args.runtime_scale),
         policy, deadline, chaos_spec,
     )
-    _audit, _slack, records = run_artifacts(policy)
+    audit, _slack = run_artifacts(policy)
+    records = telemetry_predict.forecasts(audit)
     verdict = "MET" if trace.met_deadline() else "MISSED"
     out.write(
         f"job {graph.name!r} under {args.policy}: finished in "

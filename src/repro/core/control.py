@@ -233,13 +233,9 @@ class JockeyController:
         self.degraded_ticks = 0
         #: One record per decision, oldest first (the initial allocation
         #: included): progress, per-candidate predictions, the
-        #: raw/dead-zone/hysteresis chain and the applied allocation.
+        #: raw/dead-zone/hysteresis chain, the applied allocation and its
+        #: completion-time interval forecast.
         self.audit: List[_audit.TickRecord] = []
-        #: Per-tick completion-time interval forecasts (the prediction
-        #: observatory's ledger); empty for predictors without a
-        #: distribution (Amdahl) and skipped on degraded ticks — a model
-        #: outage means there is no honest interval to publish.
-        self.predictions: List[_predict.PredictionRecord] = []
 
     # ------------------------------------------------------------------
 
@@ -282,14 +278,13 @@ class JockeyController:
 
     def reset_run_state(self) -> None:
         """Forget everything tied to one run — hysteresis, cached
-        predictions, audit trail, ledger, degraded-tick count — so a
+        predictions, audit trail, degraded-tick count — so a
         long-lived controller (one per recurring-job template) starts each
         day's run clean while keeping its model."""
         self._smoothed = None
         self._last_good = None
         self.degraded_ticks = 0
         self.audit = []
-        self.predictions = []
 
     # ------------------------------------------------------------------
 
@@ -346,41 +341,25 @@ class JockeyController:
         except Exception:
             return None
 
-    def _record_prediction(
-        self, fractions: Mapping[str, float], tick: _audit.TickRecord
-    ) -> None:
-        """Append one tick's completion-time interval forecast to the
-        prediction ledger (when the predictor has a distribution), update
-        the live gauges, and emit a ``control.predict`` trace event."""
+    def _forecast(
+        self, fractions: Mapping[str, float], allocation: int, elapsed: float
+    ) -> Tuple[Optional[float], Tuple[_audit.IntervalBand, ...]]:
+        """The completion-time ``(median, bands)`` at ``allocation`` from
+        the predictor's distribution; ``(None, ())`` when it has none or is
+        unavailable — a model outage leaves no honest interval to publish."""
         quantiler = getattr(self.predictor, "remaining_quantiles", None)
         if quantiler is None:
-            return
+            return None, ()
         try:
             quantiles = dict(quantiler(
-                fractions, tick.allocation,
+                fractions, allocation,
                 _predict.quantiles_for(_predict.NOMINAL_LEVELS),
             ))
         except PredictorUnavailable:
-            return
-        record = _predict.record_from_quantiles(
-            tick=tick.tick,
-            elapsed=tick.elapsed,
-            progress=tick.progress,
-            allocation=tick.allocation,
-            quantiles=quantiles,
-            error_rel=self.config.prediction_error_rel,
+            return None, ()
+        return _predict.bands_from_quantiles(
+            elapsed, quantiles, error_rel=self.config.prediction_error_rel
         )
-        self.predictions.append(record)
-        predictor_name = getattr(self.predictor, "name", "unknown")
-        _predict.publish(record, predictor=predictor_name)
-        rec = _trace.RECORDER
-        if rec.enabled:
-            fields = {"predictor": predictor_name, "median": record.median}
-            for band in record.bands:
-                label = _predict.level_label(band.level)
-                fields[f"lo{label}"] = band.lo
-                fields[f"hi{label}"] = band.hi
-            rec.emit(tick.elapsed, "control.predict", **fields)
 
     def _append(
         self,
@@ -389,23 +368,39 @@ class JockeyController:
         predict: bool,
         **fields,
     ) -> _audit.TickRecord:
-        """The one record of one decision: append it to the audit, add its
-        interval forecast to the ledger when ``predict``, and emit its
-        ``control.tick`` trace event."""
+        """The one record of one decision: its interval forecast when
+        ``predict``, appended to the audit; then the live gauges, its
+        ``control.predict`` event (when banded) and its ``control.tick``
+        event."""
+        progress = self._observed_progress(fractions)
+        median, bands = (
+            self._forecast(fractions, fields["allocation"], fields["elapsed"])
+            if predict else (None, ())
+        )
         record = _audit.TickRecord(
             tick=len(self.audit),
-            progress=self._observed_progress(fractions),
+            progress=progress,
             smoothed=self._smoothed,
+            median=median,
+            bands=bands,
             **fields,
         )
         self.audit.append(record)
-        if predict:
-            self._record_prediction(fractions, record)
+        predictor_name = getattr(self.predictor, "name", "unknown")
         rec = _trace.RECORDER
+        if bands:
+            _predict.publish(record, predictor=predictor_name)
+            if rec.enabled:
+                predicted = {"predictor": predictor_name, "median": median}
+                for band in bands:
+                    label = _predict.level_label(band.level)
+                    predicted[f"lo{label}"] = band.lo
+                    predicted[f"hi{label}"] = band.hi
+                rec.emit(record.elapsed, "control.predict", **predicted)
         if rec.enabled:
             rec.emit(
                 record.elapsed, "control.tick",
-                predictor=getattr(self.predictor, "name", "unknown"),
+                predictor=predictor_name,
                 **{name: getattr(record, name) for name in _audit.EVENT_FIELDS},
             )
         return record

@@ -45,8 +45,8 @@ class AllocationPolicy(abc.ABC):
 
 class ControllerPolicy(AllocationPolicy):
     """An adaptive policy that is its :class:`JockeyController` and nothing
-    more: every call forwards to ``self.controller``, whose ``audit`` and
-    ``predictions`` are what the run leaves behind."""
+    more: every call forwards to ``self.controller``, whose ``audit`` is
+    what the run leaves behind."""
 
     adaptive = True
     controller: JockeyController
@@ -109,7 +109,7 @@ class JockeyPolicy(ControllerPolicy):
 class NoAdaptationPolicy(AllocationPolicy):
     """Jockey w/o adaptation: the simulator picks a static allocation.
     Takes :class:`JockeyPolicy`'s arguments; its controller is private, so
-    a static policy leaves no audit, ledger or control config behind."""
+    a static policy leaves no audit or control config behind."""
 
     name = "jockey-no-adapt"
     adaptive = False
@@ -259,17 +259,15 @@ def build_policy(
 
 def run_artifacts(
     policy: AllocationPolicy, *, default_slack: float = 1.0
-) -> Tuple[List, float, List]:
+) -> Tuple[List, float]:
     """What a finished policy leaves for reports and SLO analytics:
-    ``(decision audit records, controller slack, prediction records)``; a
-    static policy has no controller, so ``([], default_slack, [])``."""
+    ``(decision audit records, controller slack)`` — each record carries
+    its tick's interval forecast; a static policy has no controller, so
+    ``([], default_slack)``."""
     controller = getattr(policy, "controller", None)
     if controller is None:
-        return [], default_slack, []
-    return (
-        list(controller.audit), controller.config.slack,
-        list(controller.predictions),
-    )
+        return [], default_slack
+    return list(controller.audit), controller.config.slack
 
 
 __all__ = [

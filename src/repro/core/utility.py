@@ -8,6 +8,7 @@ to −1000 a thousand minutes later.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -68,9 +69,11 @@ class PiecewiseLinearUtility:
 def deadline_utility(deadline_seconds: float) -> PiecewiseLinearUtility:
     """The paper's experimental utility for a deadline of ``d``: through
     (0, 1), (d, 1), (d + 10 min, −1), (d + 1000 min, −1000)."""
-    if deadline_seconds <= 0:
-        raise UtilityError(f"deadline must be positive, got {deadline_seconds!r}")
     d = float(deadline_seconds)
+    if not (math.isfinite(d) and d > 0):
+        raise UtilityError(
+            f"deadline must be positive and finite, got {deadline_seconds!r}"
+        )
     return PiecewiseLinearUtility(
         points=(
             (0.0, 1.0),

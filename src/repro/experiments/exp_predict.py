@@ -108,7 +108,7 @@ def _unit(spec) -> Dict:
         "intensity": intensity,
         "met": bool(result.metrics.met_deadline),
         "duration": float(result.metrics.duration_seconds),
-        "records": result.prediction_records,
+        "records": result.audit_records,
         "degraded_ticks": int(summary.get("degraded_ticks", 0)),
         "blackout_hits": int(summary.get("blackout_hits", 0)),
     }

@@ -117,15 +117,12 @@ class ExperimentResult:
     #: Structured events captured when ``RunConfig.capture_trace`` was set.
     trace_events: List[TraceEvent] = field(default_factory=list)
     #: The controller's per-tick decision audit (empty for non-controller
-    #: policies): progress, candidate predictions, raw/dead-zone/hysteresis.
+    #: policies): progress, candidate predictions, raw/dead-zone/hysteresis
+    #: and each tick's completion-time interval forecast.
     audit_records: List[TickRecord] = field(default_factory=list)
     #: Chaos-engine counters (None for calm runs): events fired per
     #: injector, degraded ticks, allocation deficits/retries.
     chaos_summary: Optional[dict] = None
-    #: The controller's per-tick completion-time interval forecasts
-    #: (:class:`repro.telemetry.predict.PredictionRecord`; empty for
-    #: non-controller policies and distribution-free predictors).
-    prediction_records: List = field(default_factory=list)
 
     @property
     def raw_series(self) -> List[Tuple[float, int]]:
@@ -296,7 +293,7 @@ def run_experiment(
     trace_events = recorder.events() if recorder is not None else []
     if config.trace_path is not None:
         telemetry_export.write_chrome_trace(trace_events, config.trace_path)
-    audit_records, _slack, prediction_records = run_artifacts(policy)
+    audit_records, _slack = run_artifacts(policy)
     return ExperimentResult(
         metrics=metrics,
         trace=trace,
@@ -312,7 +309,6 @@ def run_experiment(
         trace_events=trace_events,
         audit_records=audit_records,
         chaos_summary=engine.summary() if engine is not None else None,
-        prediction_records=prediction_records,
     )
 
 

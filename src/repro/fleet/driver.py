@@ -445,11 +445,12 @@ def _simulate_template(
                     rebuilt_today = True
                     model_refresh_day = day + 1
 
-        day_records = result.prediction_records
-        day_duration = float(result.metrics.duration_seconds)
-        ledgers.append((day_records, day_duration))
-        ((_level, day_covered, day_ticks),) = _predict.interval_hits(
-            day_records, day_duration, levels=(0.9,)
+        day_ledger = (
+            result.audit_records, float(result.metrics.duration_seconds)
+        )
+        ledgers.append(day_ledger)
+        day_ticks, day_covered, _width = _predict.coverage_count(
+            [day_ledger], 0.9
         )
 
         slo = result.slo_report()

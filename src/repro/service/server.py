@@ -45,6 +45,7 @@ crashing it.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import threading
 import time
@@ -78,7 +79,7 @@ from repro.runtime.jobmanager import JobSnapshot
 from repro.service.models import TemplateError, TemplateModelStore, TrainedTemplate
 from repro.simkit.random import derive_seed
 from repro.telemetry import metrics as _metrics
-from repro.telemetry import predict as _predict
+from repro.telemetry.audit import TickRecord
 from repro.telemetry.exposition import render_prometheus
 
 
@@ -274,9 +275,6 @@ class LiveJob:
         self.workers_lost = 0
 
         self.tracker = DependencyTracker(graph)
-        self.total_tasks = sum(s.num_tasks for s in graph.stages)
-        self.stage_total = {s.name: s.num_tasks for s in graph.stages}
-        self.stage_done = {s.name: 0 for s in graph.stages}
         self.done: set = set()           # (stage, index) first successes
         self.attempts: Dict[Tuple[str, int], int] = {}
         self.ready: Deque[Tuple[Tuple[str, int], float]] = deque()
@@ -285,17 +283,11 @@ class LiveJob:
 
     # -- observation ---------------------------------------------------
 
-    def fractions(self) -> Dict[str, float]:
-        return {
-            name: self.stage_done[name] / total
-            for name, total in self.stage_total.items()
-        }
-
     def snapshot(self, now: float) -> JobSnapshot:
         """What the controller sees at ``now`` (the tick's one clock
         reading): elapsed is ``now - started_v``."""
         return JobSnapshot(
-            self.fractions(),
+            self.tracker.stage_fractions(),
             max(0.0, now - self.started_v),
             running=len(self.running),
             allocation=self.allocation,
@@ -306,11 +298,11 @@ class LiveJob:
     def terminal(self) -> bool:
         return self.status in _TERMINAL
 
-    def latest_prediction(self) -> Optional[_predict.PredictionRecord]:
+    def latest_prediction(self) -> Optional[TickRecord]:
+        """The newest decision that carried an interval forecast."""
         controller = getattr(self.policy, "controller", None)
-        if controller is None or not controller.predictions:
-            return None
-        return controller.predictions[-1]
+        audit = controller.audit if controller is not None else ()
+        return next((r for r in reversed(audit) if r.bands), None)
 
     # -- serialization -------------------------------------------------
 
@@ -325,8 +317,8 @@ class LiveJob:
             "allocation": self.allocation,
             "running_tasks": len(self.running),
             "completed_tasks": len(self.done),
-            "total_tasks": self.total_tasks,
-            "stage_fractions": self.fractions(),
+            "total_tasks": self.graph.num_vertices,
+            "stage_fractions": self.tracker.stage_fractions(),
             "workers_lost": self.workers_lost,
         }
         if self.reject_reason:
@@ -342,13 +334,15 @@ class LiveJob:
         return info
 
 
-def _command_number(command: Dict, key: str, default, cast):
-    value = command.get(key, default)
+def _number(body: Dict, key: str, default, cast, *, field: Optional[str] = None):
+    """``cast(body[key])`` (``default`` when absent); a 400 naming the
+    field (``field``, default ``key``) when the value is not a number."""
+    value = body.get(key, default)
     try:
         return cast(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ServiceError(
-            f"command {key} must be a number, got {value!r}"
+            f"{field or key} must be a number, got {value!r}"
         ) from None
 
 
@@ -361,14 +355,16 @@ def _parse_command(command) -> Tuple[List[str], int, float]:
         or not command["argv"]
     ):
         raise ServiceError("command submissions need {argv: [...], tasks: N}")
-    num_tasks = _command_number(command, "tasks", 1, int)
-    task_seconds = _command_number(command, "task_seconds", 1.0, float)
+    num_tasks = _number(command, "tasks", 1, int, field="command tasks")
+    task_seconds = _number(
+        command, "task_seconds", 1.0, float, field="command task_seconds"
+    )
     if num_tasks < 1 or not task_seconds > 0:
         raise ServiceError("command tasks/task_seconds must be positive")
     return [str(a) for a in command["argv"]], num_tasks, task_seconds
 
 
-def _serialize_prediction(rec: _predict.PredictionRecord) -> Dict:
+def _serialize_prediction(rec: TickRecord) -> Dict:
     return {
         "tick": rec.tick,
         "elapsed": rec.elapsed,
@@ -639,8 +635,11 @@ class ClusterService:
             deadline_v = float(deadline_minutes) * 60.0
         except (TypeError, ValueError):
             raise ServiceError(f"bad deadline_minutes {deadline_minutes!r}")
-        if deadline_v <= 0:
-            raise ServiceError("deadline_minutes must be positive")
+        if not (math.isfinite(deadline_v) and deadline_v > 0):
+            raise ServiceError(
+                "deadline_minutes must be positive and finite, got "
+                f"{deadline_minutes!r}"
+            )
 
         template = body.get("template")
         bundle = body.get("bundle")
@@ -821,7 +820,7 @@ class ClusterService:
 
     def register_worker(self, body: Dict) -> Dict:
         name = str(body.get("name", "worker"))
-        slots = int(body.get("slots", 1))
+        slots = _number(body, "slots", 1, int)
         if slots < 1:
             raise ServiceError(f"slots must be >= 1, got {slots!r}")
         with self._lock:
@@ -865,7 +864,7 @@ class ClusterService:
 
     def lease(self, body: Dict) -> Dict:
         """Hand out ready tasks up to each job's current allocation."""
-        max_tasks = int(body.get("max_tasks", 1))
+        max_tasks = _number(body, "max_tasks", 1, int)
         with self._lock:
             worker = self._worker(body.get("worker_id"))
             worker.last_seen = self.now()
@@ -934,6 +933,7 @@ class ClusterService:
         outcome = str(body.get("outcome", OUTCOME_OK))
         if outcome not in (OUTCOME_OK, OUTCOME_FAILED):
             raise ServiceError(f"unknown outcome {outcome!r}")
+        lease_max = _number(body, "lease_max", 0, int)
         with self._lock:
             worker = self._workers.get(str(body.get("worker_id")))
             if worker is None or worker.lost:
@@ -975,10 +975,9 @@ class ClusterService:
                 job.consumed_token_seconds += record.run_time
                 if key not in job.done:
                     job.done.add(key)
-                    job.stage_done[lease.stage] += 1
                     for task in job.tracker.complete(lease.stage, lease.index):
                         job.ready.append((task, now))
-                if len(job.done) == job.total_tasks:
+                if job.tracker.all_complete():
                     self._finish_job(job, now)
             else:
                 attempts = job.attempts.get(key, 0) + 1
@@ -996,7 +995,6 @@ class ClusterService:
             # completion reply removes a full poll interval of *virtual*
             # dead time per task, which at high compression is the
             # difference between meeting and missing deadlines.
-            lease_max = int(body.get("lease_max", 0))
             if lease_max > 0:
                 reply["tasks"] = self._grant_tasks(worker, lease_max)
             return reply
@@ -1065,7 +1063,7 @@ class ClusterService:
                 raise ServiceError(
                     f"job {job_id!r} has no finished trace yet", status=409
                 )
-            records, slack, predictions = run_artifacts(
+            records, slack = run_artifacts(
                 job.policy, default_slack=self.config.control.slack
             )
             table = job.trained.table if job.trained is not None else None
@@ -1076,7 +1074,6 @@ class ClusterService:
                 table=table,
                 slack=slack,
                 title=f"{job.name} / {job.policy_kind} (live)",
-                prediction_records=predictions,
                 notes=(
                     f"live service run; {job.workers_lost} task attempts "
                     "lost to worker failures",

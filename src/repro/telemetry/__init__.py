@@ -9,7 +9,8 @@ Collection (each usable alone):
 * :mod:`repro.telemetry.export` — JSONL and Chrome trace-event exporters
   (open timelines in Perfetto) plus a plain-text summary.
 * :mod:`repro.telemetry.audit` — the control loop's per-tick decision
-  trail, reconstructible raw → hysteresis → applied.
+  trail, reconstructible raw → hysteresis → applied, one record per
+  decision carrying its completion-time interval forecast.
 
 Analysis & exposition (built on the collectors):
 
@@ -18,8 +19,8 @@ Analysis & exposition (built on the collectors):
 * :mod:`repro.telemetry.scorecard` — predicted-vs-realized remaining-time
   error distributions for any predictor or progress indicator.
 * :mod:`repro.telemetry.predict` — distribution-valued completion-time
-  predictions (the per-tick interval ledger) and their calibration:
-  reliability diagrams, pinball loss, honesty verdicts.
+  predictions (the bands each tick's record carries) and their
+  calibration: reliability diagrams, pinball loss, honesty verdicts.
 * :mod:`repro.telemetry.exposition` — Prometheus text-format rendering
   and a strict parser (``repro serve`` is the one ``/metrics`` server).
 * :mod:`repro.telemetry.report` — self-contained HTML (or text) run
@@ -30,6 +31,7 @@ Metric names follow ``repro_<layer>_<name>`` (see README "Observability").
 
 from repro.telemetry.audit import (
     CandidateEval,
+    IntervalBand,
     TickRecord,
     reconstruct_allocations,
 )
@@ -52,8 +54,6 @@ from repro.telemetry.metrics import (
 )
 from repro.telemetry.predict import (
     CalibrationReport,
-    IntervalBand,
-    PredictionRecord,
     calibration,
     pooled_calibration,
 )
@@ -76,7 +76,6 @@ __all__ = [
     "MetricError",
     "MetricsRegistry",
     "NullRecorder",
-    "PredictionRecord",
     "REGISTRY",
     "RiskPoint",
     "RunReport",

@@ -6,7 +6,9 @@ The controller's ``audit`` list holds one :class:`TickRecord` per decision
 carrying the observed progress, the predicted remaining time and utility
 for *every* candidate allocation, the raw argmin choice, whether the dead
 zone changed that choice, and the hysteresis chain (``prev_smoothed`` →
-``smoothed`` → applied).  The controller smooths and rounds with
+``smoothed`` → applied), and the completion-time forecast the decision
+was published with (the median and central :class:`IntervalBand`\\ s of
+:mod:`repro.telemetry.predict`).  The controller smooths and rounds with
 :func:`apply_hysteresis` and :func:`quantize_allocation`, so
 :func:`reconstruct_allocations` replays the code that ran from the audit
 alone.
@@ -38,6 +40,23 @@ class CandidateEval:
 
 
 @dataclass(frozen=True)
+class IntervalBand:
+    """One central interval for the *completion time* (seconds since job
+    start): ``P(lo <= completion <= hi) = level``, per the model."""
+
+    level: float
+    lo: float
+    hi: float
+
+    @property
+    def width(self) -> float:
+        return self.hi - self.lo
+
+    def covers(self, completion: float) -> bool:
+        return self.lo <= completion <= self.hi
+
+
+@dataclass(frozen=True)
 class TickRecord:
     """Everything one control iteration saw and decided."""
 
@@ -53,6 +72,17 @@ class TickRecord:
     allocation: int             # integer tokens actually requested
     predicted_remaining: float
     utility: float
+    #: The completion-time forecast at the applied allocation: the p50 and
+    #: the central bands in ascending level.  None / () on degraded ticks
+    #: and for predictors without a distribution (Amdahl).
+    median: Optional[float] = None
+    bands: Tuple[IntervalBand, ...] = ()
+
+    def band(self, level: float) -> Optional[IntervalBand]:
+        for b in self.bands:
+            if abs(b.level - level) < 1e-9:
+                return b
+        return None
 
 
 def apply_hysteresis(
@@ -95,6 +125,7 @@ def reconstruct_allocations(
 __all__ = [
     "CandidateEval",
     "EVENT_FIELDS",
+    "IntervalBand",
     "PHASE_INITIAL",
     "PHASE_TICK",
     "TickRecord",

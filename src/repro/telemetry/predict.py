@@ -6,13 +6,15 @@ PCS", PAPERS.md) argues that what a user needs is the whole distribution —
 an interval with a stated probability — *plus* continuous evidence that
 the stated probabilities are honest.  This module is that product surface:
 
-* **Interval ledger** — at every non-degraded control tick the controller
-  derives central prediction intervals (p50/p80/p90/p95 by default) for
-  the *completion time* from the live C(p, a) distribution at the applied
-  allocation, and appends a :class:`PredictionRecord` to its
-  ``predictions`` list.  Once the run finishes, each record pairs a
+* **Interval forecast** — at every non-degraded control tick the
+  controller derives central prediction intervals (p50/p80/p90/p95 by
+  default) for the *completion time* from the live C(p, a) distribution
+  at the applied allocation (:func:`bands_from_quantiles`) and carries
+  them on that decision's :class:`~repro.telemetry.audit.TickRecord`
+  (``median``, ``bands``).  The audit's banded records
+  (:func:`forecasts`) are the ledger: once the run finishes, each pairs a
   nominal band with the eventually-realized completion.
-* **Calibration engine** — :func:`calibration` turns a finished ledger
+* **Calibration engine** — :func:`calibration` turns a finished audit
   into a :class:`CalibrationReport`: empirical-vs-nominal coverage per
   level (reliability-diagram data), mean interval width (sharpness),
   a pinball-loss score over all quantiles (the CRPS-style proper scoring
@@ -39,9 +41,7 @@ schedule interpolation.
 
 No module-level imports from :mod:`repro.core` (the control loop imports
 :mod:`repro.telemetry`; keeping this layer import-free of it avoids a
-cycle).  The C(p, a) ``table`` parameter of :func:`intervals_from_audit`
-is duck-typed: anything with ``remaining(progress, allocation, q=...)``
-works.
+cycle).
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry import metrics as _metrics
+from repro.telemetry.audit import IntervalBand, TickRecord
 from repro.telemetry.slo import deadline_at
 
 #: Central-interval probabilities the ledger records by default.  The
@@ -129,42 +130,6 @@ def quantiles_for(levels: Sequence[float]) -> Tuple[float, ...]:
     return tuple(sorted(qs))
 
 
-@dataclass(frozen=True)
-class IntervalBand:
-    """One central interval for the *completion time* (seconds since job
-    start): ``P(lo <= completion <= hi) = level``, per the model."""
-
-    level: float
-    lo: float
-    hi: float
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def covers(self, completion: float) -> bool:
-        return self.lo <= completion <= self.hi
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One tick's full interval forecast, conditioned on the allocation
-    applied at that tick."""
-
-    tick: int
-    elapsed: float
-    progress: Optional[float]
-    allocation: int
-    median: float                       # p50 completion time
-    bands: Tuple[IntervalBand, ...]     # ascending nominal level
-
-    def band(self, level: float) -> Optional[IntervalBand]:
-        for b in self.bands:
-            if abs(b.level - level) < 1e-9:
-                return b
-        return None
-
-
 def _envelope_quantile(level: float) -> float:
     """Central-interval half-width of the model-error envelope at
     ``level``, in units of the envelope half-width: linear in the level
@@ -172,17 +137,15 @@ def _envelope_quantile(level: float) -> float:
     return level
 
 
-def record_from_quantiles(
-    *,
-    tick: int,
+def bands_from_quantiles(
     elapsed: float,
-    progress: Optional[float],
-    allocation: int,
     quantiles: Dict[float, float],
+    *,
     levels: Sequence[float] = NOMINAL_LEVELS,
     error_rel: float = MODEL_ERROR_REL,
-) -> PredictionRecord:
-    """Build a record from raw remaining-time quantiles ``{q: seconds}``.
+) -> Tuple[float, Tuple[IntervalBand, ...]]:
+    """One tick's ``(median, bands)`` completion-time forecast from raw
+    remaining-time quantiles ``{q: seconds}``.
 
     Remaining-time quantiles become completion-time quantiles by adding
     ``elapsed``.  Each band then widens, in quadrature, by the
@@ -212,17 +175,17 @@ def record_from_quantiles(
         lo = median - ((median - lo) ** 2 + extra ** 2) ** 0.5
         hi = median + ((hi - median) ** 2 + extra ** 2) ** 0.5
         bands.append(IntervalBand(level=level, lo=max(lo, elapsed), hi=hi))
-    return PredictionRecord(
-        tick=tick,
-        elapsed=elapsed,
-        progress=progress,
-        allocation=allocation,
-        median=median,
-        bands=tuple(bands),
-    )
+    return median, tuple(bands)
 
 
-def publish(record: PredictionRecord, *, predictor: str = "unknown") -> None:
+def forecasts(records: Sequence[TickRecord]) -> List[TickRecord]:
+    """The decisions that carry an interval forecast — an audit minus its
+    degraded ticks and distribution-free decisions.  Every scoring
+    function below reads only these."""
+    return [r for r in records if r.bands]
+
+
+def publish(record: TickRecord, *, predictor: str = "unknown") -> None:
     """Update the live Prometheus gauges with one tick's band."""
     _MEDIAN.labels(predictor=predictor).set(record.median)
     for band in record.bands:
@@ -230,41 +193,6 @@ def publish(record: PredictionRecord, *, predictor: str = "unknown") -> None:
         _INTERVAL_LO.labels(predictor=predictor, level=label).set(band.lo)
         _INTERVAL_HI.labels(predictor=predictor, level=label).set(band.hi)
     _TICKS.labels(predictor=predictor).inc()
-
-
-def intervals_from_audit(
-    records: Sequence,
-    table,
-    *,
-    levels: Sequence[float] = NOMINAL_LEVELS,
-) -> List[PredictionRecord]:
-    """Recompute the interval ledger offline from a controller audit trail
-    and the same C(p, a) table the run used.
-
-    Each :class:`~repro.telemetry.audit.TickRecord` carries the observed
-    progress and applied allocation, so the recomputed bands are identical
-    to what the live hook recorded (asserted in
-    ``tests/test_telemetry_predict.py``).  Records without progress (the
-    Amdahl predictor has no indicator — and no distribution) are skipped.
-    """
-    qs = quantiles_for(levels)
-    out: List[PredictionRecord] = []
-    for record in records:
-        if record.progress is None:
-            continue
-        quantiles = {
-            q: float(table.remaining(record.progress, record.allocation, q=q))
-            for q in qs
-        }
-        out.append(record_from_quantiles(
-            tick=record.tick,
-            elapsed=record.elapsed,
-            progress=record.progress,
-            allocation=record.allocation,
-            quantiles=quantiles,
-            levels=levels,
-        ))
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -367,15 +295,36 @@ class CalibrationReport:
         }
 
 
-def pinball_loss(
-    records: Sequence[PredictionRecord], duration: float
-) -> float:
+def coverage_count(
+    ledgers: Sequence[Tuple[Sequence[TickRecord], float]], level: float
+) -> Tuple[int, int, float]:
+    """``(ticks, covered, width sum)`` of the nominal ``level`` band over
+    ``(records, realized completion)`` ledgers — each band judged against
+    its own run's completion, a record without that band no tick.  The one
+    count behind :func:`calibration`, :func:`pooled_calibration` and the
+    scorecards' coverage columns."""
+    ticks = 0
+    covered = 0
+    width_sum = 0.0
+    for records, duration in ledgers:
+        for record in records:
+            band = record.band(level)
+            if band is None:
+                continue
+            ticks += 1
+            width_sum += band.width
+            if band.covers(duration):
+                covered += 1
+    return ticks, covered, width_sum
+
+
+def pinball_loss(records: Sequence[TickRecord], duration: float) -> float:
     """Mean pinball (quantile) loss of the completion-time forecasts over
     every recorded quantile — the discretized CRPS-style proper score.
     Lower is better; honest *and* sharp forecasts minimize it."""
     total = 0.0
     count = 0
-    for record in records:
+    for record in forecasts(records):
         pairs = [(0.5, record.median)]
         for band in record.bands:
             pairs.append(((1.0 - band.level) / 2.0, band.lo))
@@ -388,7 +337,7 @@ def pinball_loss(
 
 
 def rolling_coverage(
-    records: Sequence[PredictionRecord],
+    records: Sequence[TickRecord],
     duration: float,
     *,
     level: float = 0.9,
@@ -422,8 +371,18 @@ def rolling_coverage(
     return points
 
 
+def _levels(ledgers: Sequence[Tuple[Sequence[TickRecord], float]]) -> List[float]:
+    """Every nominal level the ledgers' bands carry, ascending."""
+    return sorted({
+        band.level
+        for records, _duration in ledgers
+        for record in records
+        for band in record.bands
+    })
+
+
 def calibration(
-    records: Sequence[PredictionRecord],
+    records: Sequence[TickRecord],
     duration: float,
     *,
     predictor: str = "controller",
@@ -431,9 +390,10 @@ def calibration(
     window: int = ROLLING_WINDOW,
     rolling_level: float = 0.9,
 ) -> CalibrationReport:
-    """Score a finished ledger against the realized completion time.
+    """Score a finished run's forecasts against the realized completion
+    time (records without bands are skipped).
 
-    ``records`` may pool several runs (concatenate their ledgers and pass
+    ``records`` may pool several runs (concatenate their audits and pass
     the mean duration) — coverage then aggregates across runs, which is
     how the experiment sweeps gate on it.  Per-tick coverage uses each
     record's own ``covers`` test, so pooling requires same-duration runs
@@ -441,24 +401,11 @@ def calibration(
     """
     if duration <= 0:
         raise PredictError(f"duration must be positive, got {duration!r}")
-    seen_levels: List[float] = []
-    for record in records:
-        for band in record.bands:
-            if band.level not in seen_levels:
-                seen_levels.append(band.level)
+    records = forecasts(records)
+    ledger = [(records, duration)]
     levels: List[LevelCalibration] = []
-    for level in sorted(seen_levels):
-        ticks = 0
-        covered = 0
-        width_sum = 0.0
-        for record in records:
-            band = record.band(level)
-            if band is None:
-                continue
-            ticks += 1
-            width_sum += band.width
-            if band.covers(duration):
-                covered += 1
+    for level in _levels(ledger):
+        ticks, covered, width_sum = coverage_count(ledger, level)
         mean_width = width_sum / ticks if ticks else 0.0
         empirical = covered / ticks if ticks else 0.0
         # One tick's worth of quantization error is not evidence of
@@ -492,7 +439,7 @@ def calibration(
 
 
 def pooled_calibration(
-    ledgers: Sequence[Tuple[Sequence[PredictionRecord], float]],
+    ledgers: Sequence[Tuple[Sequence[TickRecord], float]],
     *,
     predictor: str = "controller",
     tolerance: float = HONESTY_TOLERANCE,
@@ -509,32 +456,15 @@ def pooled_calibration(
     size), not the tick count; the per-tick coverage numbers themselves
     are reported unwidened.
     """
-    seen_levels: List[float] = []
-    pooled: List[Tuple[PredictionRecord, float]] = []
-    durations: List[float] = []
-    for records, duration in ledgers:
+    for _records, duration in ledgers:
         if duration <= 0:
             raise PredictError(f"duration must be positive, got {duration!r}")
-        durations.append(float(duration))
-        for record in records:
-            pooled.append((record, float(duration)))
-            for band in record.bands:
-                if band.level not in seen_levels:
-                    seen_levels.append(band.level)
+    ledgers = [(forecasts(records), duration) for records, duration in ledgers]
+    durations = [float(duration) for _records, duration in ledgers]
     mean_duration = sum(durations) / len(durations) if durations else 1.0
     levels: List[LevelCalibration] = []
-    for level in sorted(seen_levels):
-        ticks = 0
-        covered = 0
-        width_sum = 0.0
-        for record, duration in pooled:
-            band = record.band(level)
-            if band is None:
-                continue
-            ticks += 1
-            width_sum += band.width
-            if band.covers(duration):
-                covered += 1
+    for level in _levels(ledgers):
+        ticks, covered, width_sum = coverage_count(ledgers, level)
         mean_width = width_sum / ticks if ticks else 0.0
         empirical = covered / ticks if ticks else 0.0
         tol = tolerance
@@ -557,7 +487,7 @@ def pooled_calibration(
     for records, duration in ledgers:
         if records:
             total_loss += pinball_loss(records, duration) * len(records)
-    ticks_total = len(pooled)
+    ticks_total = sum(len(records) for records, _duration in ledgers)
     report = CalibrationReport(
         predictor=predictor,
         duration=mean_duration,
@@ -572,29 +502,6 @@ def pooled_calibration(
             predictor=predictor, level=level_label(lv.level)
         ).set(lv.empirical)
     return report
-
-
-def interval_hits(
-    records: Sequence[PredictionRecord],
-    duration: float,
-    *,
-    levels: Sequence[float] = (0.8, 0.95),
-) -> Tuple[Tuple[float, int, int], ...]:
-    """Per-level ``(level, covered, ticks)`` counts — the scorecard's
-    interval-coverage columns are built from these."""
-    out: List[Tuple[float, int, int]] = []
-    for level in levels:
-        ticks = 0
-        covered = 0
-        for record in records:
-            band = record.band(level)
-            if band is None:
-                continue
-            ticks += 1
-            if band.covers(duration):
-                covered += 1
-        out.append((float(level), covered, ticks))
-    return tuple(out)
 
 
 #: Table headers matching :func:`reliability_rows`.
@@ -639,13 +546,14 @@ TIMELINE_HEADERS = (
 
 
 def timeline_rows(
-    records: Sequence[PredictionRecord],
+    records: Sequence[TickRecord],
     *,
     duration: Optional[float] = None,
     deadline: Optional[float] = None,
     schedule: Sequence[Tuple[float, float]] = (),
 ) -> List[List]:
-    """Per-tick interval table (what ``repro predict timeline`` prints).
+    """Per-tick interval table (what ``repro predict timeline`` prints),
+    one row per record that carries bands.
 
     With a ``duration`` the last column marks whether the 90% band covered
     the realized completion; with a ``deadline`` the in-force deadline
@@ -653,7 +561,7 @@ def timeline_rows(
     :func:`~repro.telemetry.slo.deadline_at` helper.
     """
     rows: List[List] = []
-    for record in records:
+    for record in forecasts(records):
         b80 = record.band(0.8)
         b95 = record.band(0.95)
         b90 = record.band(0.9)
@@ -684,7 +592,6 @@ __all__ = [
     "LevelCalibration",
     "NOMINAL_LEVELS",
     "PredictError",
-    "PredictionRecord",
     "RELIABILITY_HEADERS",
     "ROLLING_WINDOW",
     "RollingPoint",
@@ -693,15 +600,15 @@ __all__ = [
     "VERDICT_HONEST",
     "VERDICT_NO_DATA",
     "VERDICT_OVERCONFIDENT",
+    "bands_from_quantiles",
     "calibration",
-    "interval_hits",
-    "intervals_from_audit",
+    "coverage_count",
+    "forecasts",
     "level_label",
     "pinball_loss",
     "pooled_calibration",
     "publish",
     "quantiles_for",
-    "record_from_quantiles",
     "reliability_rows",
     "rolling_coverage",
     "timeline_rows",

@@ -13,7 +13,8 @@ Three builders cover the artifact shapes a run can leave:
   :class:`~repro.experiments.runner.ExperimentResult` (``repro run
   --report-out``);
 * :func:`from_audit_and_trace` — a finished trace plus the controller's
-  audit records (what experiments hold);
+  audit records, whose banded ticks carry the interval forecasts (what
+  experiments hold);
 * :func:`from_trace_events` — a saved structured-event file alone
   (``repro report run.trace.json``), reconstructing the series from
   ``control.tick`` / ``job.allocation`` / ``task.end`` / ``job.complete``
@@ -37,9 +38,8 @@ from repro.telemetry.audit import EVENT_FIELDS, PHASE_TICK, TickRecord
 from repro.telemetry.predict import (
     RELIABILITY_HEADERS,
     CalibrationReport,
-    PredictionRecord,
     calibration as _predict_calibration,
-    interval_hits as _interval_hits,
+    forecasts as _forecasts,
     reliability_rows,
 )
 from repro.telemetry.scorecard import (
@@ -76,10 +76,10 @@ class RunReport:
     #: after the chaos section — e.g. the fleet driver's per-template
     #: lineage/staleness summary.
     extra_sections: Tuple[Tuple[str, Tuple[Tuple[str, float], ...]], ...] = ()
-    #: The run's interval ledger (one record per non-degraded control
-    #: tick); drives the fan chart.
-    prediction_records: Tuple[PredictionRecord, ...] = ()
-    #: Honesty verdict on the ledger, scored against the realized
+    #: The audit records that carry an interval forecast (one per
+    #: non-degraded control tick); drive the fan chart.
+    forecasts: Tuple[TickRecord, ...] = ()
+    #: Honesty verdict on those forecasts, scored against the realized
     #: completion; None when the run recorded no intervals.
     prediction_calibration: Optional[CalibrationReport] = None
 
@@ -185,7 +185,6 @@ def from_audit_and_trace(
     notes: Sequence[str] = (),
     chaos: Sequence[Tuple[str, float]] = (),
     extra_sections: Sequence[Tuple[str, Sequence[Tuple[str, float]]]] = (),
-    prediction_records: Sequence[PredictionRecord] = (),
 ) -> RunReport:
     """Report for a finished :class:`~repro.jobs.trace.RunTrace` plus its
     controller audit trail (the in-process case); ``deadline`` is the initial
@@ -196,15 +195,11 @@ def from_audit_and_trace(
     )
     cards: List[Scorecard] = []
     if records:
-        card = _scorecard_from_audit(
+        cards.append(_scorecard_from_audit(
             records, trace.duration, name=policy, slack=slack
-        )
-        if prediction_records:
-            card = card.with_interval_hits(
-                _interval_hits(tuple(prediction_records), trace.duration)
-            )
-        cards.append(card)
+        ))
     cards.extend(extra_scorecards)
+    forecasts = tuple(_forecasts(records))
     return RunReport(
         title=title if title is not None else f"{trace.job_name} / {policy}",
         slo=slo,
@@ -223,12 +218,10 @@ def from_audit_and_trace(
         extra_sections=tuple(
             (section_title, tuple(rows)) for section_title, rows in extra_sections
         ),
-        prediction_records=tuple(prediction_records),
+        forecasts=forecasts,
         prediction_calibration=(
-            _predict_calibration(
-                tuple(prediction_records), trace.duration, predictor=policy
-            )
-            if prediction_records
+            _predict_calibration(forecasts, trace.duration, predictor=policy)
+            if forecasts
             else None
         ),
     )
@@ -261,7 +254,6 @@ def from_result(result, *, table=None, title: Optional[str] = None) -> RunReport
         ),
         notes=notes,
         chaos=chaos_rows_from_summary(result.chaos_summary),
-        prediction_records=result.prediction_records,
     )
 
 
@@ -528,7 +520,7 @@ def _svg_chart(
 
 
 def _band_polygon(
-    records: Sequence[PredictionRecord], level: float, sx, sy, opacity: float
+    records: Sequence[TickRecord], level: float, sx, sy, opacity: float
 ) -> str:
     """One nominal level's fan wedge: upper edge left-to-right, lower edge
     back, closed and filled."""
@@ -552,14 +544,13 @@ def _band_polygon(
 
 
 def _fan_chart(
-    records: Sequence[PredictionRecord],
+    pts: Sequence[TickRecord],
     duration: float,
     deadline: float,
 ) -> str:
     """The prediction fan: p95/p80 completion-time bands (y, minutes) per
-    control tick (x), the median path, and the realized completion the
-    bands were supposed to cover."""
-    pts = [r for r in records if r.bands]
+    banded control tick (x), the median path, and the realized completion
+    the bands were supposed to cover."""
     if len(pts) < 2:
         return ""
     x_max = max(duration, max(r.elapsed for r in pts))
@@ -764,7 +755,7 @@ def render_html(report: RunReport) -> str:
     predict_html = ""
     if report.prediction_calibration is not None:
         cal = report.prediction_calibration
-        fan = _fan_chart(report.prediction_records, slo.duration, slo.deadline)
+        fan = _fan_chart(report.forecasts, slo.duration, slo.deadline)
         head = "".join(
             f"<th>{_html.escape(h)}</th>" for h in RELIABILITY_HEADERS
         )

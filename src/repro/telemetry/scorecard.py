@@ -9,19 +9,27 @@ run finishes), then summarize the error distribution — signed bias plus
 the p50/p90/max of the absolute error, in seconds and as fractions of the
 job duration.
 
-Build one from a controller audit trail (:func:`from_audit`) or from raw
-``(elapsed, predicted_remaining)`` pairs (:meth:`Scorecard.from_predictions`
-— what the indicator comparison uses for all six indicators).
+Build one from a controller audit trail (:func:`from_audit`, which also
+counts how often the records' interval forecasts covered the realized
+completion) or from raw ``(elapsed, predicted_remaining)`` pairs
+(:meth:`Scorecard.from_predictions` — what the indicator comparison uses
+for all six indicators).
 
-Pure stdlib on purpose: scorecard numbers appear in golden-tested reports,
-so quantiles are computed with an explicit linear-interpolation rule rather
-than delegating to a library whose defaults could drift.
+No numerical library on purpose: scorecard numbers appear in golden-tested
+reports, so quantiles are computed with an explicit linear-interpolation
+rule rather than delegating to a library whose defaults could drift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as _replace
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.telemetry.predict import coverage_count
+
+#: The nominal levels whose interval coverage a scorecard reports (its
+#: ``cov@80%`` / ``cov@95%`` columns).
+COVERAGE_LEVELS = (0.8, 0.95)
 
 
 def quantile(sorted_values: Sequence[float], q: float) -> float:
@@ -60,24 +68,10 @@ class Scorecard:
     name: str
     points: Tuple[ScorePoint, ...]
     duration: float              # mean job duration over the merged runs
-    #: Per-level ``(nominal level, covered ticks, interval ticks)`` from
-    #: the prediction observatory's interval ledger
-    #: (:func:`repro.telemetry.predict.interval_hits`) — attached by the
-    #: report layer so this module stays stdlib-pure.  Empty when the run
-    #: recorded no distribution-valued predictions.
+    #: Per-level ``(nominal level, covered ticks, interval ticks)`` over
+    #: :data:`COVERAGE_LEVELS`, counted by :func:`from_audit` from the
+    #: records' interval forecasts.  Empty when no record carried one.
     interval_hits: Tuple[Tuple[float, int, int], ...] = ()
-
-    def with_interval_hits(
-        self, hits: Sequence[Tuple[float, int, int]]
-    ) -> "Scorecard":
-        """This card with interval-coverage counts attached."""
-        return _replace(
-            self,
-            interval_hits=tuple(
-                (float(level), int(covered), int(ticks))
-                for level, covered, ticks in hits
-            ),
-        )
 
     def interval_coverage(self, level: float) -> Optional[float]:
         """Empirical coverage of the nominal ``level`` band, or None when
@@ -176,13 +170,21 @@ def from_audit(
 ) -> Scorecard:
     """Scorecard for a controller's own predictions, from its audit trail.
     Pass the control config's ``slack`` so predictions are judged pre-slack
-    (the slack is deliberate pessimism, not model error)."""
-    return Scorecard.from_predictions(
+    (the slack is deliberate pessimism, not model error).  When records
+    carry interval forecasts, the card counts their coverage too."""
+    card = Scorecard.from_predictions(
         name if name is not None else "controller",
         [(r.elapsed, r.predicted_remaining) for r in records],
         duration,
         slack=slack,
     )
+    if not any(r.bands for r in records):
+        return card
+    hits = []
+    for level in COVERAGE_LEVELS:
+        ticks, covered, _width = coverage_count([(records, duration)], level)
+        hits.append((level, covered, ticks))
+    return _replace(card, interval_hits=tuple(hits))
 
 
 def merge(name: str, cards: Sequence[Scorecard]) -> Scorecard:
@@ -213,8 +215,8 @@ def merge(name: str, cards: Sequence[Scorecard]) -> Scorecard:
 
 #: Table headers matching :func:`scorecard_rows`.  The last two columns
 #: are the prediction observatory's interval coverage: the empirical hit
-#: rate of the nominal 80% / 95% completion-time bands ("-" when the run
-#: recorded no distribution-valued predictions).
+#: rate of the nominal 80% / 95% completion-time bands ("-" when no record
+#: carried a forecast: distribution-free predictors, indicator cards).
 SCORECARD_HEADERS = (
     "predictor",
     "ticks",
@@ -245,13 +247,13 @@ def scorecard_rows(cards: Sequence[Scorecard]) -> List[List]:
             card.p90_abs_error / 60.0,
             card.max_abs_error / 60.0,
             100.0 * card.relative(card.p90_abs_error),
-            _coverage_cell(card, 0.8),
-            _coverage_cell(card, 0.95),
+            *(_coverage_cell(card, level) for level in COVERAGE_LEVELS),
         ])
     return rows
 
 
 __all__ = [
+    "COVERAGE_LEVELS",
     "SCORECARD_HEADERS",
     "ScorePoint",
     "Scorecard",

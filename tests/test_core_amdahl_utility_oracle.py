@@ -151,6 +151,11 @@ class TestDeadlineUtility:
         with pytest.raises(UtilityError):
             deadline_utility(0.0)
 
+    @pytest.mark.parametrize("deadline", [float("nan"), float("inf")])
+    def test_non_finite_deadline_is_named(self, deadline):
+        with pytest.raises(UtilityError, match=f"got {deadline!r}"):
+            deadline_utility(deadline)
+
 
 class TestOracle:
     def test_ceiling_division(self):

@@ -173,7 +173,7 @@ class TestControllerClock:
             svc.config.control,
         ).controller
         explicit.initial_allocation()
-        assert explicit.decide(job.fractions(), 60.0) == record
+        assert explicit.decide(job.tracker.stage_fractions(), 60.0) == record
 
     def test_reset_run_state_clears_epoch(self):
         controller = self._controller()

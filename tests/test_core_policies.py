@@ -160,7 +160,6 @@ class TestAdaptiveModelPolicy:
         reference = fresh()
         assert second == run(reference, heaviness=1.0)
         assert reused.controller.audit == reference.controller.audit
-        assert reused.controller.predictions == reference.controller.predictions
 
 
 class TestMaxAllocationPolicy:
@@ -289,15 +288,16 @@ class TestRunArtifacts:
                               config(), profile=profile)
         policy.initial_allocation()
         policy.on_tick(snapshot({"map": 0.5, "reduce": 0.0}, 5.0))
-        records, slack, predictions = run_artifacts(policy, default_slack=9.0)
+        records, slack = run_artifacts(policy, default_slack=9.0)
         assert records == policy.controller.audit and len(records) == 2
         assert slack == config().slack
-        assert predictions == policy.controller.predictions
+        # The ledger is the audit: each decision's record carries its bands.
+        assert all(r.bands and r.median is not None for r in records)
 
     def test_static_policy_leaves_nothing_but_the_default_slack(self):
         from repro.core.policies import run_artifacts
 
-        assert run_artifacts(MaxAllocationPolicy(5)) == ([], 1.0, [])
+        assert run_artifacts(MaxAllocationPolicy(5)) == ([], 1.0)
         assert run_artifacts(
             MaxAllocationPolicy(5), default_slack=1.2
-        ) == ([], 1.2, [])
+        ) == ([], 1.2)

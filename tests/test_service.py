@@ -377,7 +377,7 @@ class TestControllerIsToldTheTime:
                 assert controller.audit[-1].phase == "tick"
                 assert controller.audit[-1].elapsed == svc.now() - job.started_v
                 served = svc.job_deadline(job.job_id)["prediction"]
-                newest = controller.predictions[-1]
+                newest = [r for r in controller.audit if r.bands][-1]
                 assert (served["tick"], served["median"]) == (
                     newest.tick, newest.median
                 )
@@ -504,6 +504,57 @@ class TestGrantOrder:
         return replies[0]
 
 
+class TestWorkerProtocolValidation:
+    """A non-number in a worker request's integer field is a 400 naming the
+    field (in-process on a manual clock), and refuses before any state
+    moves."""
+
+    @pytest.fixture
+    def svc(self):
+        svc = ClusterService(
+            ServiceConfig(capacity_tokens=8), store=tiny_store()
+        )
+        svc.clock = ManualClock()
+        return svc
+
+    @staticmethod
+    def refused(call, body, field):
+        with pytest.raises(ServiceError) as excinfo:
+            call(body)
+        assert excinfo.value.status == 400
+        message = str(excinfo.value)
+        assert message.startswith(f"{field} must be a number")
+        assert repr(body[field]) in message
+
+    @pytest.mark.parametrize("value", ["x", None, float("inf")])
+    def test_register_slots(self, svc, value):
+        self.refused(svc.register_worker, {"name": "w", "slots": value}, "slots")
+        assert svc.state()["workers"] == []
+
+    @pytest.mark.parametrize("value", ["x", [2], float("nan")])
+    def test_lease_max_tasks(self, svc, value):
+        worker = svc.register_worker({"name": "w", "slots": 2})["worker_id"]
+        self.refused(
+            svc.lease, {"worker_id": worker, "max_tasks": value}, "max_tasks"
+        )
+
+    @pytest.mark.parametrize("value", ["x", {}, float("inf")])
+    def test_complete_lease_max(self, svc, value):
+        worker = svc.register_worker({"name": "w", "slots": 2})["worker_id"]
+        svc.submit({
+            "template": "tiny", "policy": "jockey-no-sim",
+            "deadline_minutes": 30.0,
+        })
+        (task,) = svc.lease({"worker_id": worker, "max_tasks": 1})["tasks"]
+        body = {
+            "worker_id": worker, "task_id": task["task_id"], "lease_max": value,
+        }
+        self.refused(svc.complete_task, body, "lease_max")
+        # The refused completion did not land: the lease is still live.
+        del body["lease_max"]
+        assert svc.complete_task(body)["ok"]
+
+
 class TestSubmitValidation:
     """``submit`` refuses a bad request before the job exists: no id is
     consumed, nothing is registered, the tenant's counters do not move
@@ -581,6 +632,15 @@ class TestSubmitValidation:
         })
         assert f"command {field} must be a number" in message
         assert "'abc'" in message
+
+    @pytest.mark.parametrize("deadline", [float("nan"), float("inf")])
+    def test_non_finite_deadline_is_a_400_naming_it(self, svc, deadline):
+        # json.loads accepts NaN / Infinity, so the wire can carry these.
+        message = self.refused(svc, {
+            "template": "tiny", "policy": "jockey-no-sim",
+            "deadline_minutes": deadline,
+        })
+        assert "deadline_minutes" in message and repr(deadline) in message
 
     def test_unknown_policy_lists_the_kinds(self, svc):
         from repro.core.policies import POLICY_KINDS

@@ -169,14 +169,21 @@ class TestPredictionGauges:
 
     def publish_and_score(self, predictor):
         from repro.telemetry import predict
+        from repro.telemetry.audit import TickRecord
         from repro.telemetry.metrics import REGISTRY
 
-        record = predict.record_from_quantiles(
-            tick=0, elapsed=60.0, progress=0.5, allocation=10,
-            quantiles={
+        median, bands = predict.bands_from_quantiles(
+            60.0,
+            {
                 q: 300.0 + 100.0 * (2.0 * q - 1.0)
                 for q in predict.quantiles_for(predict.NOMINAL_LEVELS)
             },
+        )
+        record = TickRecord(
+            tick=0, phase="tick", elapsed=60.0, progress=0.5, candidates=(),
+            raw=10, dead_zone_triggered=False, prev_smoothed=None,
+            smoothed=10.0, allocation=10, predicted_remaining=300.0,
+            utility=1.0, median=median, bands=bands,
         )
         predict.publish(record, predictor=predictor)
         predict.calibration([record], 360.0, predictor=predictor)

@@ -1,37 +1,61 @@
-"""Unit tests for the prediction observatory: interval ledger, band
-construction, calibration engine, and the audit-trail replay guarantee."""
+"""Unit tests for the prediction observatory: the forecast each decision's
+record carries, band construction, calibration engine, and the guarantee
+that the audit plus the C(p, a) table reproduce every forecast."""
+
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.core.control import ControlConfig, CpaPredictor, JockeyController
+from repro.core.amdahl import AmdahlModel
+from repro.core.control import (
+    ControlConfig,
+    CpaPredictor,
+    JockeyController,
+    PredictorUnavailable,
+)
 from repro.core.cpa import CpaTable
 from repro.core.progress import totalwork
 from repro.core.utility import deadline_utility
+from repro.telemetry.audit import TickRecord
 from repro.telemetry.predict import (
     IntervalBand,
+    MODEL_ERROR_REL,
     NOMINAL_LEVELS,
     PredictError,
-    PredictionRecord,
     RELIABILITY_HEADERS,
     TIMELINE_HEADERS,
     VERDICT_CONSERVATIVE,
     VERDICT_HONEST,
     VERDICT_NO_DATA,
     VERDICT_OVERCONFIDENT,
+    bands_from_quantiles,
     calibration,
-    interval_hits,
-    intervals_from_audit,
+    coverage_count,
+    forecasts,
     level_label,
     pinball_loss,
     pooled_calibration,
     quantiles_for,
-    record_from_quantiles,
     reliability_rows,
     rolling_coverage,
     timeline_rows,
 )
 from tests.test_core_simulator import deterministic_profile
+
+
+def tick_record(tick, elapsed, median, bands, *, progress=0.5, allocation=10):
+    """A periodic-tick audit record carrying the given forecast."""
+    return TickRecord(
+        tick=tick, phase="tick", elapsed=elapsed, progress=progress,
+        candidates=(), raw=allocation, dead_zone_triggered=False,
+        prev_smoothed=None, smoothed=float(allocation), allocation=allocation,
+        predicted_remaining=max(median - elapsed, 0.0), utility=1.0,
+        median=median, bands=bands,
+    )
 
 
 def make_record(tick, elapsed, median, half_widths):
@@ -41,10 +65,7 @@ def make_record(tick, elapsed, median, half_widths):
         IntervalBand(level=level, lo=median - hw, hi=median + hw)
         for level, hw in sorted(half_widths.items())
     )
-    return PredictionRecord(
-        tick=tick, elapsed=elapsed, progress=0.5, allocation=10,
-        median=median, bands=bands,
-    )
+    return tick_record(tick, elapsed, median, bands)
 
 
 class TestQuantilesFor:
@@ -71,6 +92,8 @@ class TestLevelLabel:
 
 
 class TestRecordFromQuantiles:
+    """:func:`bands_from_quantiles`, read through the record it fills."""
+
     # Linear quantile function over exactly the keys the live hook uses
     # (dict float keys must match quantiles_for's own arithmetic).
     QUANTILES = {
@@ -78,13 +101,14 @@ class TestRecordFromQuantiles:
         for q in quantiles_for(NOMINAL_LEVELS)
     }
 
-    def build(self, **kwargs):
-        defaults = dict(
-            tick=0, elapsed=50.0, progress=0.4, allocation=20,
-            quantiles=dict(self.QUANTILES), levels=NOMINAL_LEVELS,
+    def build(self, quantiles=None, **kwargs):
+        elapsed = 50.0
+        median, bands = bands_from_quantiles(
+            elapsed, dict(self.QUANTILES if quantiles is None else quantiles),
+            **kwargs,
         )
-        defaults.update(kwargs)
-        return record_from_quantiles(**defaults)
+        return tick_record(0, elapsed, median, bands, progress=0.4,
+                           allocation=20)
 
     def test_median_is_elapsed_plus_remaining_median(self):
         rec = self.build(error_rel=0.0)
@@ -151,8 +175,9 @@ class TestRecordFromQuantiles:
 
 
 class TestLedger:
-    """The controller's ``predictions`` list: one record per predicted
-    decision, in tick order, emptied with the rest of the run state."""
+    """The controller's forecasts ride on its one ``audit`` list: every
+    predicted decision's record carries bands, in tick order, and a reset
+    empties them with the rest of the run state."""
 
     @pytest.fixture
     def controller(self):
@@ -173,12 +198,30 @@ class TestLedger:
         return ctl
 
     def test_records_in_order(self, controller):
-        assert [r.tick for r in controller.predictions] == [0, 1, 2]
-        assert [r.elapsed for r in controller.predictions] == [0.0, 20.0, 40.0]
+        banded = forecasts(controller.audit)
+        assert banded == controller.audit
+        assert [r.tick for r in banded] == [0, 1, 2]
+        assert [r.elapsed for r in banded] == [0.0, 20.0, 40.0]
 
     def test_clear(self, controller):
         controller.reset_run_state()
-        assert controller.predictions == [] and controller.audit == []
+        assert controller.audit == []
+
+    def test_one_per_decision_list(self, controller):
+        """The audit is the controller's only per-decision list: a decision
+        grows it, and no other list, by one record."""
+        def sizes():
+            return {
+                name: len(value) for name, value in vars(controller).items()
+                if isinstance(value, list)
+            }
+
+        before = sizes()
+        controller.decide({"map": 1.0, "reduce": 0.5}, 60.0)
+        after = sizes()
+        grew = [name for name in after if after[name] != before.get(name)]
+        assert grew == ["audit"]
+        assert after["audit"] == before["audit"] + 1
 
 
 class TestCalibration:
@@ -333,17 +376,34 @@ class TestPooledCalibration:
 
 
 class TestIntervalHits:
+    """:func:`coverage_count`, the one per-level count, and the scorecard
+    columns built on it."""
+
     def test_counts_per_level(self):
+        from repro.telemetry.scorecard import from_audit
+
         records = [
             make_record(0, 10.0, 100.0, {0.8: 5.0, 0.95: 10.0}),
             make_record(1, 10.0, 200.0, {0.8: 5.0, 0.95: 150.0}),
         ]
-        hits = interval_hits(records, 100.0)
-        assert hits == ((0.8, 1, 2), (0.95, 2, 2))
+        assert coverage_count([(records, 100.0)], 0.8) == (2, 1, 20.0)
+        assert coverage_count([(records, 100.0)], 0.95) == (2, 2, 320.0)
+        card = from_audit(records, 100.0)
+        assert card.interval_hits == ((0.8, 1, 2), (0.95, 2, 2))
 
     def test_missing_level_counts_zero_ticks(self):
         records = [make_record(0, 10.0, 100.0, {0.8: 5.0})]
-        assert interval_hits(records, 100.0, levels=(0.5,)) == ((0.5, 0, 0),)
+        assert coverage_count([(records, 100.0)], 0.5) == (0, 0, 0.0)
+
+    def test_records_without_bands_are_no_ticks(self):
+        from repro.telemetry.scorecard import from_audit
+
+        bare = tick_record(0, 10.0, 100.0, (), progress=None)
+        records = [bare, make_record(1, 10.0, 100.0, {0.8: 5.0})]
+        assert coverage_count([(records, 100.0)], 0.8) == (1, 1, 10.0)
+        assert from_audit([bare], 100.0).interval_hits == ()
+        assert calibration(records, 100.0).ticks == 1
+        assert len(timeline_rows(records)) == 1
 
 
 class TestRows:
@@ -375,8 +435,9 @@ class TestRows:
 
 
 class TestAuditReplay:
-    """The offline replay from the audit trail must reproduce the live
-    ledger exactly (the guarantee promised in ``intervals_from_audit``)."""
+    """The audit plus the run's C(p, a) table reproduce every forecast the
+    controller published: each banded record's progress and applied
+    allocation are the whole input of its bands."""
 
     @pytest.fixture()
     def table(self):
@@ -409,16 +470,227 @@ class TestAuditReplay:
         ]
         for i, fr in enumerate(fractions):
             ctl.decide(fr, elapsed=20.0 * (i + 1))
-        live = ctl.predictions
+        live = forecasts(ctl.audit)
         assert len(live) == 4    # initial + three ticks
-        replayed = intervals_from_audit(ctl.audit, table)
-        assert replayed == live
+        qs = quantiles_for(NOMINAL_LEVELS)
+        for record in live:
+            quantiles = {
+                q: float(table.remaining(record.progress, record.allocation, q=q))
+                for q in qs
+            }
+            assert (record.median, record.bands) == bands_from_quantiles(
+                record.elapsed, quantiles
+            )
 
     def test_replay_skips_records_without_progress(self, table):
-        class NoProgress:
-            tick = 0
-            elapsed = 0.0
-            progress = None
-            allocation = 4
+        # Amdahl's Law has no indicator (no progress) and no distribution:
+        # its decisions carry no forecast.
+        profile = deterministic_profile()
+        ctl = JockeyController(
+            AmdahlModel(profile), deadline_utility(120.0),
+            ControlConfig(min_tokens=1, max_tokens=8, allocation_step=1),
+            stage_names=("map", "reduce"),
+        )
+        ctl.initial_allocation()
+        ctl.decide({"map": 0.5, "reduce": 0.0}, 20.0)
+        assert [r.progress for r in ctl.audit] == [None, None]
+        assert [(r.median, r.bands) for r in ctl.audit] == [(None, ())] * 2
+        assert forecasts(ctl.audit) == []
 
-        assert intervals_from_audit([NoProgress()], table) == []
+
+# ----------------------------------------------------------------------
+# Differential: the banded audit against the ledger it replaced
+# ----------------------------------------------------------------------
+#
+# Until the forecast moved onto the TickRecord, the controller kept a
+# second list: on every non-degraded decision its ``_record_prediction``
+# hook built a ``PredictionRecord`` with ``record_from_quantiles``.  Both
+# are kept here verbatim (the band class is the same dataclass, now defined
+# in ``repro.telemetry.audit``) as the reference.
+
+@dataclass(frozen=True)
+class PredictionRecord:
+    """One tick's full interval forecast, conditioned on the allocation
+    applied at that tick."""
+
+    tick: int
+    elapsed: float
+    progress: Optional[float]
+    allocation: int
+    median: float                       # p50 completion time
+    bands: Tuple[IntervalBand, ...]     # ascending nominal level
+
+    def band(self, level: float) -> Optional[IntervalBand]:
+        for b in self.bands:
+            if abs(b.level - level) < 1e-9:
+                return b
+        return None
+
+
+def _envelope_quantile(level: float) -> float:
+    return level
+
+
+def record_from_quantiles(
+    *,
+    tick: int,
+    elapsed: float,
+    progress: Optional[float],
+    allocation: int,
+    quantiles: Dict[float, float],
+    levels: Sequence[float] = NOMINAL_LEVELS,
+    error_rel: float = MODEL_ERROR_REL,
+) -> PredictionRecord:
+    if 0.5 not in quantiles:
+        raise PredictError("quantiles must include the median (0.5)")
+    if error_rel < 0:
+        raise PredictError(f"error_rel must be >= 0, got {error_rel!r}")
+    median = elapsed + quantiles[0.5]
+    sigma = error_rel * median
+    bands: List[IntervalBand] = []
+    for level in sorted(levels):
+        lo_q = (1.0 - level) / 2.0
+        hi_q = (1.0 + level) / 2.0
+        if lo_q not in quantiles or hi_q not in quantiles:
+            raise PredictError(f"missing quantiles for level {level!r}")
+        # Monotonicity is enforced against the median (interpolated
+        # C(p, a) columns can cross by floating-point hairs).
+        lo = elapsed + min(quantiles[lo_q], quantiles[0.5])
+        hi = elapsed + max(quantiles[hi_q], quantiles[0.5])
+        extra = _envelope_quantile(level) * sigma
+        lo = median - ((median - lo) ** 2 + extra ** 2) ** 0.5
+        hi = median + ((hi - median) ** 2 + extra ** 2) ** 0.5
+        bands.append(IntervalBand(level=level, lo=max(lo, elapsed), hi=hi))
+    return PredictionRecord(
+        tick=tick,
+        elapsed=elapsed,
+        progress=progress,
+        allocation=allocation,
+        median=median,
+        bands=tuple(bands),
+    )
+
+
+def reference_record_prediction(predictor, config, fractions, tick, ledger):
+    """The controller's old ``_record_prediction`` hook (``self`` spelled
+    out): called after each decision that was not degraded."""
+    quantiler = getattr(predictor, "remaining_quantiles", None)
+    if quantiler is None:
+        return
+    try:
+        quantiles = dict(quantiler(
+            fractions, tick.allocation,
+            quantiles_for(NOMINAL_LEVELS),
+        ))
+    except PredictorUnavailable:
+        return
+    record = record_from_quantiles(
+        tick=tick.tick,
+        elapsed=tick.elapsed,
+        progress=tick.progress,
+        allocation=tick.allocation,
+        quantiles=quantiles,
+        error_rel=config.prediction_error_rel,
+    )
+    ledger.append(record)
+
+
+@lru_cache(maxsize=None)
+def spread_table() -> CpaTable:
+    """A small table with real spread (failures re-run map tasks)."""
+    profile = deterministic_profile(failure_prob=0.3)
+    return CpaTable.build(
+        profile, totalwork(profile), np.random.default_rng(3),
+        allocations=(1, 2, 4, 8), reps=4, num_bins=12, sample_dt=2.0,
+    )
+
+
+class SwitchablePredictor(CpaPredictor):
+    """A C(p, a) predictor the test blacks out tick by tick."""
+
+    down = False
+
+    def remaining_seconds(self, fractions, allocation):
+        if self.down:
+            raise PredictorUnavailable("test blackout")
+        return super().remaining_seconds(fractions, allocation)
+
+    def remaining_seconds_batch(self, fractions, allocations):
+        if self.down:
+            raise PredictorUnavailable("test blackout")
+        return super().remaining_seconds_batch(fractions, allocations)
+
+    def remaining_quantiles(self, fractions, allocation, qs):
+        if self.down:
+            raise PredictorUnavailable("test blackout")
+        return super().remaining_quantiles(fractions, allocation, qs)
+
+
+class PointPredictor(SwitchablePredictor):
+    """The same model without a distribution (no interval to publish)."""
+
+    remaining_quantiles = None
+
+
+@st.composite
+def ledger_cases(draw):
+    return dict(
+        config=ControlConfig(
+            min_tokens=1,
+            max_tokens=draw(st.integers(1, 12)),
+            allocation_step=draw(st.integers(1, 3)),
+            hysteresis=draw(st.floats(0.05, 1.0)),
+            dead_zone_seconds=draw(st.sampled_from((0.0, 30.0, 180.0))),
+            prediction_error_rel=draw(st.floats(0.0, 0.6)),
+        ),
+        deadline=draw(st.floats(20.0, 400.0)),
+        distribution=draw(st.booleans()),
+        ticks=draw(st.lists(
+            st.tuples(
+                st.floats(0.0, 1.0),      # map fraction
+                st.floats(0.0, 1.0),      # reduce fraction
+                st.floats(1.0, 90.0),     # seconds since the last tick
+                st.booleans(),            # predictor blacked out
+            ),
+            min_size=1, max_size=10,
+        )),
+    )
+
+
+class TestOneRecordPerDecision:
+    @given(case=ledger_cases())
+    def test_banded_records_are_the_ledger_they_replaced(self, case):
+        config = case["config"]
+        profile = deterministic_profile(failure_prob=0.3)
+        cls = SwitchablePredictor if case["distribution"] else PointPredictor
+        predictor = cls(spread_table(), totalwork(profile))
+        ctl = JockeyController(
+            predictor, deadline_utility(case["deadline"]), config,
+            stage_names=("map", "reduce"),
+        )
+        reference: List[PredictionRecord] = []
+        zero = {"map": 0.0, "reduce": 0.0}
+        ctl.initial_allocation(zero)
+        reference_record_prediction(predictor, config, zero, ctl.audit[-1],
+                                    reference)
+        elapsed = 0.0
+        for map_fraction, reduce_fraction, step, down in case["ticks"]:
+            elapsed += step
+            fractions = {"map": map_fraction, "reduce": reduce_fraction}
+            predictor.down = down
+            record = ctl.decide(fractions, elapsed)
+            predictor.down = False
+            if not down:
+                reference_record_prediction(predictor, config, fractions,
+                                            record, reference)
+        banded = forecasts(ctl.audit)
+        assert [
+            PredictionRecord(
+                tick=r.tick, elapsed=r.elapsed, progress=r.progress,
+                allocation=r.allocation, median=r.median, bands=r.bands,
+            )
+            for r in banded
+        ] == reference
+        for record in ctl.audit:
+            if not record.bands:
+                assert record.median is None
