@@ -14,10 +14,17 @@ Performance notes:
   ``(allocation, rep)`` simulation is an independent unit with its own RNG
   substream (derived via :func:`repro.simkit.random.derive_seed`), so the
   table is bit-identical for a fixed seed at any worker count.
-* **Queries** never call ``np.quantile``: each progress bin's samples are
-  stored sorted and concatenated per column, and a percentile is O(1)
-  index arithmetic into that array.  :meth:`remaining_curve` answers a
-  whole candidate-allocation scan in one vectorized call.
+* **Queries** are row reads: C(p, a) is computed offline and only indexed
+  at runtime.  Samples are stored sorted per progress bin; the first query
+  at a percentile ``q`` derives its ``(num_bins + 1) x |allocations|``
+  quantile rows by index arithmetic vectorized over bins (the scalar
+  lookup's IEEE operations in its order, so the same bits), and the first
+  :meth:`remaining_curve` over a candidate grid interpolates them to the
+  grid once.  Both memos fill idempotently (no lock) and are not pickled.
+* **Construction** checks what every query reads blind — positive
+  allocations, each with ``num_bins + 1`` non-empty bins of finite
+  ascending samples — so a malformed bundle or cache entry is refused
+  where it enters.
 """
 
 from __future__ import annotations
@@ -67,28 +74,49 @@ class _AllocationColumn:
         self._offsets = offsets
         self._sizes = sizes
 
-    def percentile(self, bin_index: int, q: float) -> float:
-        """Linear-interpolated quantile (``np.quantile``'s default method)
-        computed by direct index arithmetic on the stored sorted samples."""
-        n = int(self._sizes[bin_index])
-        if n == 0:
-            raise CpaError(f"empty progress bin {bin_index}")
-        off = int(self._offsets[bin_index])
-        data = self._data
-        if n == 1:
-            return float(data[off])
-        pos = q * (n - 1)
-        lo = int(pos)
-        if lo >= n - 1:
-            return float(data[off + n - 1])
-        lo_v = data[off + lo]
-        return float(lo_v + (data[off + lo + 1] - lo_v) * (pos - lo))
+    def check(self, allocation: int, num_bins: int) -> None:
+        """Raise :class:`CpaError` naming ``allocation`` and the bin unless
+        the column holds ``num_bins + 1`` non-empty bins of finite samples
+        in ascending order: what :meth:`percentiles` reads blind."""
+        data, offsets = self._data, self._offsets
+        if len(self.bins) != num_bins + 1 or data.ndim != 1:
+            raise CpaError(
+                f"allocation {allocation}: needs {num_bins + 1} one-dimensional"
+                f" progress bins, got {len(self.bins)}"
+            )
+        empty = np.flatnonzero(self._sizes == 0)
+        if empty.size:
+            raise CpaError(
+                f"allocation {allocation}: progress bin {empty[0]} is empty"
+            )
+        starts = np.zeros(data.size, dtype=bool)
+        starts[offsets] = True
+        for bad, what in (
+            (~np.isfinite(data), "holds a non-finite sample"),
+            ((data < np.roll(data, 1)) & ~starts, "is not in ascending order"),
+        ):
+            if bad.any():
+                bin_index = np.searchsorted(offsets, bad.argmax(), "right") - 1
+                raise CpaError(
+                    f"allocation {allocation}: progress bin {bin_index} {what}"
+                )
+
+    def percentiles(self, q: float) -> np.ndarray:
+        """Quantile ``q`` of every bin, linearly interpolated
+        (``np.quantile``'s default method) by index arithmetic on the
+        stored sorted samples.  Assumes :meth:`check` passed."""
+        data, sizes = self._data, self._sizes
+        last = self._offsets + sizes - 1
+        pos = q * (sizes - 1)
+        lo = pos.astype(np.int64)
+        at = np.minimum(self._offsets + lo, last)
+        lo_v = data[at]
+        between = lo_v + (data[np.minimum(at + 1, last)] - lo_v) * (pos - lo)
+        return np.where(lo >= sizes - 1, data[last], between)
 
     def frac_above(self, bin_index: int, threshold: float) -> float:
         """Fraction of the bin's samples strictly above ``threshold``."""
         n = int(self._sizes[bin_index])
-        if n == 0:
-            raise CpaError(f"empty progress bin {bin_index}")
         off = int(self._offsets[bin_index])
         pos = int(
             np.searchsorted(self._data[off:off + n], threshold, side="right")
@@ -130,10 +158,27 @@ class CpaTable:
     ):
         if not allocations:
             raise CpaError("no allocations")
+        if num_bins < 1:
+            raise CpaError(f"need at least one progress bin, got {num_bins!r}")
         self.allocations = sorted(set(int(a) for a in allocations))
+        for a in self.allocations:
+            if a <= 0:
+                raise CpaError(f"allocation {a} is not positive")
+            if a not in columns:
+                raise CpaError(f"allocation {a} has no column")
+            columns[a].check(a, num_bins)
         self._columns = columns
-        self._grid_array = np.asarray(self.allocations, dtype=float)
         self.num_bins = num_bins
+        #: Memos (see the module's performance notes): q -> quantile rows,
+        #: and (q, candidate grid) -> those rows interpolated to the grid.
+        self._quantile_rows: Dict[float, np.ndarray] = {}
+        self._curves: Dict[tuple, np.ndarray] = {}
+
+    def __getstate__(self):
+        # Derived data: a copy or a worker process fills its own.
+        state = self.__dict__.copy()
+        state["_quantile_rows"], state["_curves"] = {}, {}
+        return state
 
     # ------------------------------------------------------------------
     # Construction
@@ -229,31 +274,43 @@ class CpaTable:
             raise CpaError(f"progress {progress!r} out of [0, 1]")
         return min(max(int(progress * self.num_bins), 0), self.num_bins)
 
+    def _bracket(self, allocation: float) -> Tuple[int, int, float]:
+        """Grid positions ``lo``, ``hi`` and weight ``w`` of ``allocation``:
+        a query reads ``v[lo] + (v[hi] - v[lo]) * w`` off a per-allocation
+        row ``v``.  An exact grid hit and both clamped ends read one column
+        with ``w = 0``."""
+        if not 0 < allocation < math.inf:
+            raise CpaError(f"allocation must be finite and > 0, got {allocation!r}")
+        allocation = float(allocation)
+        grid = self.allocations
+        hi = bisect.bisect_left(grid, allocation)
+        if hi == len(grid):
+            return hi - 1, hi - 1, 0.0
+        if hi == 0 or grid[hi] == allocation:
+            return hi, hi, 0.0
+        lo_a, hi_a = grid[hi - 1], grid[hi]
+        return hi - 1, hi, (allocation - lo_a) / (hi_a - lo_a)
+
+    def _rows(self, q: float) -> np.ndarray:
+        """Percentile ``q``'s ``(num_bins + 1) x |allocations|`` quantile
+        rows, built on first use: ``[i, j]`` is quantile ``q`` of progress
+        bin ``i`` at grid allocation ``j``."""
+        rows = self._quantile_rows.get(q)
+        if rows is None:
+            if not 0 <= q <= 1:
+                raise CpaError(f"percentile {q!r} out of [0, 1]")
+            rows = np.stack(
+                [self._columns[a].percentiles(q) for a in self.allocations], axis=1
+            )
+            self._quantile_rows[q] = rows
+        return rows
+
     def remaining(self, progress: float, allocation: float, *, q: float = 0.9) -> float:
         """Remaining seconds at the given progress and allocation, at
         percentile ``q`` of the simulated distribution."""
-        if allocation <= 0:
-            raise CpaError(f"allocation must be positive, got {allocation!r}")
-        if not 0 <= q <= 1:
-            raise CpaError(f"percentile {q!r} out of [0, 1]")
-        idx = self._bin_index(progress)
-        allocation = float(allocation)
-        grid = self.allocations
-        # Exact-grid fast path: a query at a simulated allocation reads its
-        # column directly (no bisect, no interpolation).
-        a_int = int(allocation)
-        if a_int == allocation and a_int in self._columns:
-            return self._columns[a_int].percentile(idx, q)
-        if allocation <= grid[0]:
-            return self._columns[grid[0]].percentile(idx, q)
-        if allocation >= grid[-1]:
-            return self._columns[grid[-1]].percentile(idx, q)
-        hi_pos = bisect.bisect_left(grid, allocation)
-        lo_a, hi_a = grid[hi_pos - 1], grid[hi_pos]
-        lo_v = self._columns[lo_a].percentile(idx, q)
-        hi_v = self._columns[hi_a].percentile(idx, q)
-        w = (allocation - lo_a) / (hi_a - lo_a)
-        return lo_v + (hi_v - lo_v) * w
+        lo, hi, w = self._bracket(allocation)
+        row = self._rows(q)[self._bin_index(progress)]
+        return float(row[lo] + (row[hi] - row[lo]) * w)
 
     def remaining_curve(
         self,
@@ -266,32 +323,27 @@ class CpaTable:
 
         One call answers the control loop's whole allocation scan; each
         element equals the corresponding scalar ``remaining`` query
-        exactly (same interpolation arithmetic, vectorized).
+        exactly.  The first call for a ``(q, allocations)`` pair
+        interpolates every progress bin at once; later calls copy one row.
         """
-        if not 0 <= q <= 1:
-            raise CpaError(f"percentile {q!r} out of [0, 1]")
         idx = self._bin_index(progress)
-        asked = np.asarray(allocations, dtype=float)
-        if asked.ndim != 1:
-            raise CpaError("allocations must be one-dimensional")
-        if asked.size == 0:
-            return np.empty(0, dtype=float)
-        if np.any(asked <= 0):
-            raise CpaError("allocations must be positive")
-        grid = self._grid_array
-        gvals = np.array(
-            [self._columns[a].percentile(idx, q) for a in self.allocations]
-        )
-        clamped = np.clip(asked, grid[0], grid[-1])
-        hi = np.searchsorted(grid, clamped, side="left")
-        lo = np.maximum(hi - 1, 0)
-        # Exact grid hits (including both clamped ends) take the column
-        # value directly: weight 0 against its own column.
-        lo = np.where(grid[hi] == clamped, hi, lo)
-        lo_a, hi_a = grid[lo], grid[hi]
-        denom = np.where(hi_a > lo_a, hi_a - lo_a, 1.0)
-        w = (clamped - lo_a) / denom
-        return gvals[lo] + (gvals[hi] - gvals[lo]) * w
+        try:
+            key = (q, tuple(allocations))
+            curves = self._curves.get(key)
+        except TypeError:  # not iterable, or unhashable items: checked below
+            key = curves = None
+        if curves is None:
+            asked = np.asarray(allocations, dtype=float)
+            if asked.ndim != 1:
+                raise CpaError("allocations must be one-dimensional")
+            rows = self._rows(q)
+            brackets = [self._bracket(a) for a in asked.tolist()]
+            lo, hi, w = np.array(brackets, dtype=float).reshape(-1, 3).T
+            lo, hi = lo.astype(np.intp), hi.astype(np.intp)
+            curves = rows[:, lo] + (rows[:, hi] - rows[:, lo]) * w
+            if key is not None:
+                self._curves[key] = curves
+        return curves[idx].copy()
 
     def remaining_quantiles(
         self,
@@ -300,40 +352,18 @@ class CpaTable:
         qs: Sequence[float],
     ) -> Dict[float, float]:
         """Several quantiles of the same C(p, a) distribution in one call:
-        ``{q: remaining seconds}``.  The column (or interpolating column
-        pair) is resolved once; each quantile is then O(1) index
-        arithmetic, so reading a whole prediction band costs barely more
-        than one :meth:`remaining` query.  Every value equals the
-        corresponding scalar ``remaining(progress, allocation, q=q)``
-        exactly."""
-        if allocation <= 0:
-            raise CpaError(f"allocation must be positive, got {allocation!r}")
-        for q in qs:
-            if not 0 <= q <= 1:
-                raise CpaError(f"percentile {q!r} out of [0, 1]")
+        ``{q: remaining seconds}``.  The allocation is bracketed once and
+        each quantile is a read of its quantile row, so reading a whole
+        prediction band costs barely more than one :meth:`remaining`
+        query.  Every value equals the corresponding scalar
+        ``remaining(progress, allocation, q=q)`` exactly."""
+        lo, hi, w = self._bracket(allocation)
         idx = self._bin_index(progress)
-        allocation = float(allocation)
-        grid = self.allocations
-        a_int = int(allocation)
-        if a_int == allocation and a_int in self._columns:
-            col = self._columns[a_int]
-            return {q: col.percentile(idx, q) for q in qs}
-        if allocation <= grid[0]:
-            col = self._columns[grid[0]]
-            return {q: col.percentile(idx, q) for q in qs}
-        if allocation >= grid[-1]:
-            col = self._columns[grid[-1]]
-            return {q: col.percentile(idx, q) for q in qs}
-        hi_pos = bisect.bisect_left(grid, allocation)
-        lo_a, hi_a = grid[hi_pos - 1], grid[hi_pos]
-        lo_col, hi_col = self._columns[lo_a], self._columns[hi_a]
-        w = (allocation - lo_a) / (hi_a - lo_a)
-        return {
-            q: (lambda lo_v, hi_v: lo_v + (hi_v - lo_v) * w)(
-                lo_col.percentile(idx, q), hi_col.percentile(idx, q)
-            )
-            for q in qs
-        }
+        band = {}
+        for q in qs:
+            row = self._rows(q)[idx]
+            band[q] = float(row[lo] + (row[hi] - row[lo]) * w)
+        return band
 
     def predicted_duration(self, allocation: float, *, q: float = 0.9) -> float:
         """Predicted full-job latency at a steady allocation: C(0, a)."""
@@ -348,24 +378,11 @@ class CpaTable:
         :meth:`remaining`).  With ``threshold`` set to the time left until
         the deadline, this is the per-tick probability of missing it — the
         deadline-risk signal the SLO analytics report."""
-        if allocation <= 0:
-            raise CpaError(f"allocation must be positive, got {allocation!r}")
+        lo, hi, w = self._bracket(allocation)
         idx = self._bin_index(progress)
-        allocation = float(allocation)
-        grid = self.allocations
-        # Exact-grid fast path, mirroring :meth:`remaining`.
-        a_int = int(allocation)
-        if a_int == allocation and a_int in self._columns:
-            return self._columns[a_int].frac_above(idx, threshold)
-        if allocation <= grid[0]:
-            return self._columns[grid[0]].frac_above(idx, threshold)
-        if allocation >= grid[-1]:
-            return self._columns[grid[-1]].frac_above(idx, threshold)
-        hi_pos = bisect.bisect_left(grid, allocation)
-        lo_a, hi_a = grid[hi_pos - 1], grid[hi_pos]
-        lo_v = self._columns[lo_a].frac_above(idx, threshold)
-        hi_v = self._columns[hi_a].frac_above(idx, threshold)
-        w = (allocation - lo_a) / (hi_a - lo_a)
+        grid, columns = self.allocations, self._columns
+        lo_v = columns[grid[lo]].frac_above(idx, threshold)
+        hi_v = lo_v if hi == lo else columns[grid[hi]].frac_above(idx, threshold)
         return lo_v + (hi_v - lo_v) * w
 
     def min_allocation_for(
@@ -376,11 +393,12 @@ class CpaTable:
         the least the job can be guaranteed.  A running job passes its
         progress and ``deadline - elapsed``; a caller that wants slack
         divides the budget by it."""
-        idx = self._bin_index(progress)
-        for a in self.allocations:
-            if self._columns[a].percentile(idx, q) <= budget_seconds:
-                return a
-        return None
+        if math.isnan(budget_seconds):
+            raise CpaError(f"budget_seconds must be a number, got {budget_seconds!r}")
+        row = self._rows(q)[self._bin_index(progress)]
+        return next(
+            (a for a, v in zip(self.allocations, row) if v <= budget_seconds), None
+        )
 
     def sample_counts(self) -> Dict[int, int]:
         """Total samples per allocation (diagnostics)."""

@@ -15,6 +15,7 @@ from repro.core.cpa import CpaError, CpaTable
 from repro.core.progress import totalwork
 
 from tests.test_parallel import stochastic_profile
+from tests.test_persist import MALFORMED_SHAPES, break_table
 
 
 @pytest.fixture
@@ -166,6 +167,25 @@ class TestCorruption:
         # The bad file was replaced by a fresh store.
         (entry_after,) = model_cache.default_cache().entries()
         json.loads(entry_after.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("shape", MALFORMED_SHAPES)
+    def test_malformed_table_entry_is_dropped(self, cache_dir, shape):
+        """An entry that parses but holds a table no query could read is
+        corrupt like any other: warned by name, dropped, rebuilt."""
+        profile = stochastic_profile()
+        built = build_via_cache(profile)
+        (entry,) = model_cache.default_cache().entries()
+        payload = json.loads(entry.read_text(encoding="utf-8"))
+        payload["table"], message = break_table(payload["table"], shape)
+        entry.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.warns(RuntimeWarning) as caught:
+            rebuilt = build_via_cache(profile)
+        (warning,) = caught
+        assert str(warning.message) == (
+            f"dropping corrupt C(p, a) cache entry {entry.name}: {message}"
+        )
+        assert rebuilt.remaining(0.5, 4) == built.remaining(0.5, 4)
+        assert model_cache.default_cache().stats()["corrupt"] == 1
 
     def test_schema_mismatch_is_a_miss(self, cache_dir):
         profile = stochastic_profile()

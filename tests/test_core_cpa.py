@@ -1,11 +1,18 @@
 """Unit tests for the C(p, a) tables."""
 
+import bisect
+import copy
 import hashlib
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core.cpa import CpaError, CpaTable
+from repro.core.cpa import CpaError, CpaTable, _AllocationColumn
 from repro.core.progress import totalwork, totalwork_with_q
 from repro.jobs.workloads import generate_table2_jobs
 from tests.test_core_simulator import deterministic_profile
@@ -126,6 +133,51 @@ class TestValidation:
         with pytest.raises(CpaError):
             CpaTable.build(profile, totalwork(profile), rng, num_bins=1)
 
+    @pytest.mark.parametrize("allocation", [float("inf"), float("nan"), -float("inf")])
+    def test_non_finite_allocation_is_named_on_every_path(self, table, allocation):
+        queries = (
+            lambda: table.remaining(0.5, allocation),
+            lambda: table.remaining_curve(0.5, [1, allocation]),
+            lambda: table.remaining_quantiles(0.5, allocation, (0.1, 0.9)),
+            lambda: table.exceedance(0.5, allocation, 10.0),
+            lambda: table.predicted_duration(allocation),
+        )
+        for query in queries:
+            with pytest.raises(CpaError, match="allocation must be finite") as err:
+                query()
+            assert repr(allocation) in str(err.value)
+        assert table._curves == {}
+
+    def test_nan_budget_is_named(self, table):
+        with pytest.raises(CpaError, match="budget_seconds must be a number, got nan"):
+            table.min_allocation_for(float("nan"))
+
+    @pytest.mark.parametrize(
+        "allocations", [[[1, 2], [3, 4]], np.ones((2, 2)), [[1], [2]], 4],
+        ids=["nested-lists", "2d-array", "unhashable-rows", "scalar"],
+    )
+    def test_curve_grid_must_be_one_dimensional(self, table, allocations):
+        with pytest.raises(CpaError, match="one-dimensional"):
+            table.remaining_curve(0.5, allocations)
+        assert table._curves == {}
+
+    def test_construction_checks_what_queries_assume(self, table):
+        """The shape every query reads blind (see also the malformed
+        tables in tests/test_persist.py)."""
+        columns = table._columns
+        with pytest.raises(CpaError, match="allocation 0 is not positive"):
+            CpaTable([0, 1], columns, table.num_bins)
+        with pytest.raises(CpaError, match="allocation 3 has no column"):
+            CpaTable([1, 3], columns, table.num_bins)
+        with pytest.raises(CpaError, match="at least one progress bin"):
+            CpaTable([1], columns, 0)
+        bins = list(columns[1].bins)
+        bins[5] = np.array([1.0, np.nan])
+        with pytest.raises(
+            CpaError, match="allocation 1: progress bin 5 holds a non-finite sample"
+        ):
+            CpaTable([1], {1: _AllocationColumn(bins=bins)}, table.num_bins)
+
     @pytest.mark.parametrize("sample_dt", [0, -15.0, float("nan"), float("inf")])
     def test_bad_sample_dt_names_the_value(self, sample_dt):
         """Rejected before any unit is simulated (a zero step used to hang
@@ -168,17 +220,336 @@ class TestVectorizedQueries:
             )
 
     def test_percentile_matches_numpy_quantile(self, table):
-        # The O(1) presorted lookup must agree with np.quantile's 'linear'
-        # interpolation, which the original implementation called per query.
-        column = table._columns[4]
-        for bin_index in (0, 5, 10):
-            samples = column.bins[bin_index]
-            if samples.size == 0:
-                continue
+        # The presorted index arithmetic must agree with np.quantile's
+        # 'linear' interpolation, which the original implementation called
+        # per query — in every bin of every column.
+        for allocation in table.allocations:
+            column = table._columns[allocation]
             for q in (0.0, 0.25, 0.5, 0.9, 1.0):
-                assert column.percentile(bin_index, q) == pytest.approx(
-                    float(np.quantile(samples, q)), abs=1e-9
-                )
+                rows = column.percentiles(q)
+                assert rows.shape == (table.num_bins + 1,)
+                for bin_index, samples in enumerate(column.bins):
+                    assert rows[bin_index] == pytest.approx(
+                        float(np.quantile(samples, q)), abs=1e-9
+                    )
+
+
+class _ReferenceColumn:
+    """The column reads every query made before the quantile rows, kept
+    verbatim (``percentile`` was the one quantile path)."""
+
+    def __init__(self, column):
+        self._data = column._data
+        self._offsets = column._offsets
+        self._sizes = column._sizes
+
+    def percentile(self, bin_index: int, q: float) -> float:
+        """Linear-interpolated quantile (``np.quantile``'s default method)
+        computed by direct index arithmetic on the stored sorted samples."""
+        n = int(self._sizes[bin_index])
+        if n == 0:
+            raise CpaError(f"empty progress bin {bin_index}")
+        off = int(self._offsets[bin_index])
+        data = self._data
+        if n == 1:
+            return float(data[off])
+        pos = q * (n - 1)
+        lo = int(pos)
+        if lo >= n - 1:
+            return float(data[off + n - 1])
+        lo_v = data[off + lo]
+        return float(lo_v + (data[off + lo + 1] - lo_v) * (pos - lo))
+
+    def frac_above(self, bin_index: int, threshold: float) -> float:
+        """Fraction of the bin's samples strictly above ``threshold``."""
+        n = int(self._sizes[bin_index])
+        if n == 0:
+            raise CpaError(f"empty progress bin {bin_index}")
+        off = int(self._offsets[bin_index])
+        pos = int(
+            np.searchsorted(self._data[off:off + n], threshold, side="right")
+        )
+        return (n - pos) / n
+
+
+class ReferenceTable:
+    """The query methods before the quantile rows, verbatim over
+    :class:`_ReferenceColumn`: three spellings of the bracket
+    (``remaining``, ``remaining_quantiles``, ``exceedance``), the
+    vectorized one in ``remaining_curve`` and the scan in
+    ``min_allocation_for``."""
+
+    def __init__(self, table):
+        self.allocations = table.allocations
+        self._columns = {
+            a: _ReferenceColumn(table._columns[a]) for a in table.allocations
+        }
+        self._grid_array = np.asarray(self.allocations, dtype=float)
+        self.num_bins = table.num_bins
+
+    def _bin_index(self, progress: float) -> int:
+        if not -1e-9 <= progress <= 1 + 1e-9:
+            raise CpaError(f"progress {progress!r} out of [0, 1]")
+        return min(max(int(progress * self.num_bins), 0), self.num_bins)
+
+    def remaining(self, progress: float, allocation: float, *, q: float = 0.9) -> float:
+        if allocation <= 0:
+            raise CpaError(f"allocation must be positive, got {allocation!r}")
+        if not 0 <= q <= 1:
+            raise CpaError(f"percentile {q!r} out of [0, 1]")
+        idx = self._bin_index(progress)
+        allocation = float(allocation)
+        grid = self.allocations
+        # Exact-grid fast path: a query at a simulated allocation reads its
+        # column directly (no bisect, no interpolation).
+        a_int = int(allocation)
+        if a_int == allocation and a_int in self._columns:
+            return self._columns[a_int].percentile(idx, q)
+        if allocation <= grid[0]:
+            return self._columns[grid[0]].percentile(idx, q)
+        if allocation >= grid[-1]:
+            return self._columns[grid[-1]].percentile(idx, q)
+        hi_pos = bisect.bisect_left(grid, allocation)
+        lo_a, hi_a = grid[hi_pos - 1], grid[hi_pos]
+        lo_v = self._columns[lo_a].percentile(idx, q)
+        hi_v = self._columns[hi_a].percentile(idx, q)
+        w = (allocation - lo_a) / (hi_a - lo_a)
+        return lo_v + (hi_v - lo_v) * w
+
+    def remaining_curve(self, progress, allocations, *, q: float = 0.9):
+        if not 0 <= q <= 1:
+            raise CpaError(f"percentile {q!r} out of [0, 1]")
+        idx = self._bin_index(progress)
+        asked = np.asarray(allocations, dtype=float)
+        if asked.ndim != 1:
+            raise CpaError("allocations must be one-dimensional")
+        if asked.size == 0:
+            return np.empty(0, dtype=float)
+        if np.any(asked <= 0):
+            raise CpaError("allocations must be positive")
+        grid = self._grid_array
+        gvals = np.array(
+            [self._columns[a].percentile(idx, q) for a in self.allocations]
+        )
+        clamped = np.clip(asked, grid[0], grid[-1])
+        hi = np.searchsorted(grid, clamped, side="left")
+        lo = np.maximum(hi - 1, 0)
+        # Exact grid hits (including both clamped ends) take the column
+        # value directly: weight 0 against its own column.
+        lo = np.where(grid[hi] == clamped, hi, lo)
+        lo_a, hi_a = grid[lo], grid[hi]
+        denom = np.where(hi_a > lo_a, hi_a - lo_a, 1.0)
+        w = (clamped - lo_a) / denom
+        return gvals[lo] + (gvals[hi] - gvals[lo]) * w
+
+    def remaining_quantiles(self, progress, allocation, qs):
+        if allocation <= 0:
+            raise CpaError(f"allocation must be positive, got {allocation!r}")
+        for q in qs:
+            if not 0 <= q <= 1:
+                raise CpaError(f"percentile {q!r} out of [0, 1]")
+        idx = self._bin_index(progress)
+        allocation = float(allocation)
+        grid = self.allocations
+        a_int = int(allocation)
+        if a_int == allocation and a_int in self._columns:
+            col = self._columns[a_int]
+            return {q: col.percentile(idx, q) for q in qs}
+        if allocation <= grid[0]:
+            col = self._columns[grid[0]]
+            return {q: col.percentile(idx, q) for q in qs}
+        if allocation >= grid[-1]:
+            col = self._columns[grid[-1]]
+            return {q: col.percentile(idx, q) for q in qs}
+        hi_pos = bisect.bisect_left(grid, allocation)
+        lo_a, hi_a = grid[hi_pos - 1], grid[hi_pos]
+        lo_col, hi_col = self._columns[lo_a], self._columns[hi_a]
+        w = (allocation - lo_a) / (hi_a - lo_a)
+        return {
+            q: (lambda lo_v, hi_v: lo_v + (hi_v - lo_v) * w)(
+                lo_col.percentile(idx, q), hi_col.percentile(idx, q)
+            )
+            for q in qs
+        }
+
+    def predicted_duration(self, allocation: float, *, q: float = 0.9) -> float:
+        return self.remaining(0.0, allocation, q=q)
+
+    def exceedance(self, progress, allocation, threshold) -> float:
+        if allocation <= 0:
+            raise CpaError(f"allocation must be positive, got {allocation!r}")
+        idx = self._bin_index(progress)
+        allocation = float(allocation)
+        grid = self.allocations
+        # Exact-grid fast path, mirroring :meth:`remaining`.
+        a_int = int(allocation)
+        if a_int == allocation and a_int in self._columns:
+            return self._columns[a_int].frac_above(idx, threshold)
+        if allocation <= grid[0]:
+            return self._columns[grid[0]].frac_above(idx, threshold)
+        if allocation >= grid[-1]:
+            return self._columns[grid[-1]].frac_above(idx, threshold)
+        hi_pos = bisect.bisect_left(grid, allocation)
+        lo_a, hi_a = grid[hi_pos - 1], grid[hi_pos]
+        lo_v = self._columns[lo_a].frac_above(idx, threshold)
+        hi_v = self._columns[hi_a].frac_above(idx, threshold)
+        w = (allocation - lo_a) / (hi_a - lo_a)
+        return lo_v + (hi_v - lo_v) * w
+
+    def min_allocation_for(self, budget_seconds, *, progress=0.0, q=0.9):
+        idx = self._bin_index(progress)
+        for a in self.allocations:
+            if self._columns[a].percentile(idx, q) <= budget_seconds:
+                return a
+        return None
+
+
+@st.composite
+def random_tables(draw):
+    """A hand-made table: 1-6 samples a bin, some bins inherited from the
+    bin below (the same array, as ``_finalize_column`` shares it)."""
+    num_bins = draw(st.integers(1, 6))
+    grid = draw(st.lists(st.integers(1, 120), min_size=1, max_size=5, unique=True))
+    sample = st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False)
+    columns = {}
+    for a in grid:
+        bins = []
+        for _ in range(num_bins + 1):
+            if bins and draw(st.booleans()):
+                bins.append(bins[-1])
+            else:
+                drawn = draw(st.lists(sample, min_size=1, max_size=6))
+                bins.append(np.sort(np.asarray(drawn, dtype=float)))
+        columns[a] = _AllocationColumn(bins=bins)
+    return CpaTable(grid, columns, num_bins)
+
+
+def every_answer(table, case):
+    """Each query path's answers over one drawn case, keyed by path."""
+    points, qs, asked, threshold, budget = case
+    return {
+        "remaining": [
+            table.remaining(p, a, q=q) for p in points for q in qs for a in asked
+        ],
+        "remaining_curve": [
+            table.remaining_curve(p, asked, q=q).tolist() for p in points for q in qs
+        ],
+        "remaining_quantiles": [
+            table.remaining_quantiles(p, a, qs) for p in points for a in asked
+        ],
+        "predicted_duration": [
+            table.predicted_duration(a, q=q) for q in qs for a in asked
+        ],
+        "exceedance": [
+            table.exceedance(p, a, threshold) for p in points for a in asked
+        ],
+        "min_allocation_for": [
+            table.min_allocation_for(budget, progress=p, q=q)
+            for p in points for q in qs
+        ],
+    }
+
+
+class TestQuantileRowsAreTheScalarQueries:
+    """Every query path reads quantile rows and a curve memo now; each
+    answer must be ``==`` the per-query code they replaced."""
+
+    @given(data=st.data())
+    def test_every_path_equals_the_reference(self, data):
+        table = data.draw(random_tables())
+        grid = table.allocations
+        edges = [
+            i / table.num_bins + delta
+            for i in range(table.num_bins + 1) for delta in (-1e-9, 0.0, 1e-9)
+        ]
+        progress = st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0))
+        quantile = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+        allocation = st.one_of(
+            st.sampled_from(grid),                                  # on the grid
+            st.sampled_from(grid).map(float),                       # int-valued floats
+            st.integers(1, grid[-1] + 20).map(float),               # off-grid, too
+            st.floats(1e-3, grid[-1] + 20.0, allow_nan=False),      # between, clamped
+        )
+        case = (
+            data.draw(st.lists(progress, min_size=1, max_size=3)),
+            data.draw(st.lists(quantile, min_size=1, max_size=3)),
+            data.draw(st.lists(allocation, min_size=1, max_size=5)),
+            data.draw(st.floats(-1.0, 2e4)),
+            data.draw(st.floats(-1.0, 2e4)),
+        )
+        expected = every_answer(ReferenceTable(table), case)
+        fresh = copy.deepcopy(table)  # no memo: the first call builds it
+        assert every_answer(fresh, case) == expected
+        assert every_answer(fresh, case) == expected
+
+
+class TestQueryMemo:
+    def test_pickle_drops_the_memos(self, table):
+        before = pickle.dumps(table)
+        table.remaining_curve(0.3, [1, 2, 3, 5])
+        table.remaining_quantiles(0.3, 3, (0.1, 0.9))
+        table.min_allocation_for(30.0, q=0.5)
+        assert table._curves and table._quantile_rows
+        assert pickle.dumps(table) == before
+
+    def test_a_returned_curve_is_the_callers(self, table):
+        curve = table.remaining_curve(0.3, [1, 3, 8], q=0.6)
+        expected = curve.tolist()
+        curve[:] = -1.0
+        assert table.remaining_curve(0.3, [1, 3, 8], q=0.6).tolist() == expected
+
+    def test_one_controller_run_leaves_one_curve_per_grid(self, table):
+        from repro.core.control import ControlConfig, CpaPredictor, JockeyController
+        from repro.core.utility import deadline_utility
+        from repro.telemetry import predict
+
+        profile = deterministic_profile()
+        ctl = JockeyController(
+            CpaPredictor(table, totalwork(profile)),
+            deadline_utility(60.0),
+            ControlConfig(min_tokens=1, max_tokens=8, allocation_step=1),
+            stage_names=profile.stage_names,
+        )
+        for tick, done in enumerate((0.0, 0.3, 0.6, 1.0)):
+            ctl.decide({"map": done, "reduce": 0.0}, 10.0 * tick)
+        assert list(table._curves) == [(0.6, tuple(range(1, 9)))]
+        assert set(table._quantile_rows) == {
+            0.6, *predict.quantiles_for(predict.NOMINAL_LEVELS)
+        }
+        assert len(ctl.audit) == 4
+
+    def test_racing_threads_fill_identical_memos(self, table):
+        """Two service threads may fill one memo entry at once; both
+        compute the same array, so the later write changes nothing."""
+        grid = [1, 2, 3, 5, 8]
+        work = [(p, q) for p in (0.0, 0.3, 0.77, 1.0) for q in (0.1, 0.5, 0.6, 0.9)]
+
+        def answers(t):
+            return [
+                (t.remaining_curve(p, grid, q=q).tolist(),
+                 t.remaining_quantiles(p, 3, (q, 0.95)))
+                for p, q in work
+            ]
+
+        expected = answers(copy.deepcopy(table))
+        shared = copy.deepcopy(table)
+        results = [None] * 6
+        threads = [
+            threading.Thread(target=lambda n=n: results.__setitem__(n, answers(shared)))
+            for n in range(len(results))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * len(results)
+        assert answers(shared) == expected
 
 
 class TestGoldenTable:

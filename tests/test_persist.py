@@ -1,5 +1,6 @@
 """Unit tests for the JSON persistence layer."""
 
+import copy
 import json
 import pathlib
 import re
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import persist
-from repro.core.cpa import CpaTable
+from repro.core.cpa import CpaError, CpaTable
 from repro.core.progress import totalwork
 from repro.jobs.dag import EdgeType
 from repro.simkit import distributions as dist
@@ -28,6 +29,29 @@ ALL_DISTRIBUTIONS = [
     dist.Empirical([1.0, 2.0, 3.0]),
     dist.Scaled(dist.Constant(2.0), 1.5),
 ]
+
+
+#: What a table payload can get wrong that every query would read blind.
+MALFORMED_SHAPES = ("short column", "empty bin", "unsorted samples")
+
+
+def break_table(payload, shape):
+    """A ``table_to_dict`` payload with its first column broken one way,
+    and the message ``CpaTable`` must refuse it with."""
+    payload = copy.deepcopy(payload)
+    a = payload["allocations"][0]
+    column = payload["columns"][str(a)]
+    if shape == "short column":
+        del column[2:]
+        needs = payload["num_bins"] + 1
+        return payload, (
+            f"allocation {a}: needs {needs} one-dimensional progress bins, got 2"
+        )
+    if shape == "empty bin":
+        column[1] = []
+        return payload, f"allocation {a}: progress bin 1 is empty"
+    column[0] = [9.0, 1.0]
+    return payload, f"allocation {a}: progress bin 0 is not in ascending order"
 
 
 class TestDistributionRoundTrip:
@@ -107,6 +131,15 @@ class TestTableRoundTrip:
         assert restored.remaining(0.0, 4, q=0.5) == pytest.approx(
             table.remaining(0.0, 4, q=0.5), abs=1.0
         )
+
+    @pytest.mark.parametrize("shape", MALFORMED_SHAPES)
+    def test_malformed_table_is_refused_naming_allocation_and_bin(self, shape):
+        payload, message = break_table(
+            persist.table_to_dict(self.make_table()), shape
+        )
+        with pytest.raises(CpaError) as err:
+            persist.table_from_dict(payload)
+        assert str(err.value) == message
 
 
 class TestBundle:

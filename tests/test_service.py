@@ -38,6 +38,7 @@ from repro.service import (
 )
 from repro.service.loadgen import workload_fingerprint
 from repro.simkit.distributions import Constant
+from tests.test_persist import MALFORMED_SHAPES, break_table
 
 
 def tiny_store(runtime_map=30.0, runtime_reduce=20.0):
@@ -660,6 +661,32 @@ class TestSubmitValidation:
             "deadline_minutes": 5.0,
         })
         assert "supports only max-allocation" in message
+
+    @pytest.mark.parametrize("shape", MALFORMED_SHAPES)
+    def test_malformed_table_in_bundle_is_a_400_naming_it(self, svc, shape):
+        """A table that parses but that no query could read is refused at
+        the door, not found out at the job's first control tick."""
+        from repro import persist
+
+        tiny = svc.store.get("tiny")
+        table = CpaTable.build(
+            tiny.profile, totalwork_with_q(tiny.profile), seed=0,
+            allocations=(2, 4), reps=1, num_bins=10,
+        )
+        broken, reason = break_table(persist.table_to_dict(table), shape)
+        message = self.refused(svc, {
+            "bundle": {
+                "format_version": persist.FORMAT_VERSION,
+                "graph": persist.graph_to_dict(tiny.graph),
+                "profile": persist.profile_to_dict(tiny.profile),
+                "table": broken,
+            },
+            "policy": "jockey", "deadline_minutes": 30.0,
+        })
+        assert message == (
+            "cannot load bundle: bundle field 'table' is malformed: "
+            f"CpaError: {reason}"
+        )
 
     def test_malformed_inline_bundle_names_the_field(self, svc):
         message = self.refused(svc, {
