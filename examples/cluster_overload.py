@@ -17,7 +17,7 @@ Run:  python examples/cluster_overload.py
 from repro.cluster import LoadEpisode
 from repro.experiments.reporting import sparkline
 from repro.experiments.runner import RunConfig, make_policy, run_experiment
-from repro.experiments.scenarios import DEFAULT, trained_job
+from repro.experiments.scenarios import DEFAULT, TRAINING_ALLOCATION, trained_job
 
 
 def show(title, result, deadline):
@@ -44,7 +44,7 @@ def main() -> None:
     deadline = tj.short_deadline
     print(f"deadline: {deadline / 60:.0f} min; training run took "
           f"{tj.training_trace.duration / 60:.1f} min at "
-          f"{DEFAULT.training_allocation} tokens")
+          f"{TRAINING_ALLOCATION} tokens")
 
     calm = run_experiment(
         tj,

@@ -262,12 +262,7 @@ class BlackoutPredictor:
 
     def remaining_seconds_batch(self, fractions, allocations):
         self._check()
-        batch = getattr(self._inner, "remaining_seconds_batch", None)
-        if batch is not None:
-            return batch(fractions, allocations)
-        return [
-            self._inner.remaining_seconds(fractions, a) for a in allocations
-        ]
+        return self._inner.remaining_seconds_batch(fractions, allocations)
 
     def remaining_quantiles(self, fractions, allocation, qs):
         """The interval ledger's read degrades with the rest of the model

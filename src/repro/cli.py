@@ -73,7 +73,7 @@ from repro.core.progress import totalwork_with_q
 from repro.core.utility import deadline_utility
 from repro.experiments.registry import EXPERIMENTS, RUNS
 from repro.experiments.runner import run_control_loop
-from repro.experiments.scenarios import learn_model, run_training
+from repro.experiments.scenarios import TRAINING_ALLOCATION, learn_model, run_training
 from repro.fleet.driver import MODEL_MODES as FLEET_MODEL_MODES
 from repro.jobs.workloads import named_job
 from repro.simkit.events import Simulator
@@ -107,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--out", required=True, help="output bundle path (.json)")
     train.add_argument("--seed", type=int, default=0)
     train.add_argument(
-        "--allocation", type=int, default=50,
-        help="guaranteed tokens for the training run (default: 50)",
+        "--allocation", type=int, default=TRAINING_ALLOCATION,
+        help="guaranteed tokens for the training run (default: %(default)s)",
     )
     train.add_argument(
         "--cpa-reps", type=int, default=8,
@@ -684,9 +684,8 @@ def _slo_report(trace, policy, kind: str, table, title: str, chaos_summary=None)
     """The SLO run report of a finished CLI run."""
     from repro.telemetry import report as telemetry_report
 
-    records, slack = run_artifacts(policy)
     return telemetry_report.from_audit_and_trace(
-        trace, records, policy=kind, table=table, slack=slack, title=title,
+        trace, run_artifacts(policy), policy=kind, table=table, title=title,
         chaos=telemetry_report.chaos_rows_from_summary(chaos_summary),
     )
 
@@ -1086,8 +1085,9 @@ def cmd_perf_run(args, out) -> int:
             if session is not None:
                 session.stop()
                 if args.profile_out:
-                    with open(args.profile_out, "w", encoding="utf-8") as fh:
-                        fh.write(session.collapsed_stacks())
+                    persist.write_text(
+                        args.profile_out, session.collapsed_stacks()
+                    )
             if args.report_out:
                 from repro.telemetry import report as telemetry_report
 
@@ -1214,8 +1214,7 @@ def cmd_predict(args, out) -> int:
         args, graph, profile.with_runtime_scale(args.runtime_scale),
         policy, deadline, chaos_spec,
     )
-    audit, _slack = run_artifacts(policy)
-    records = telemetry_predict.forecasts(audit)
+    records = telemetry_predict.forecasts(run_artifacts(policy))
     verdict = "MET" if trace.met_deadline() else "MISSED"
     out.write(
         f"job {graph.name!r} under {args.policy}: finished in "
@@ -1403,8 +1402,7 @@ def cmd_serve(args, out) -> int:
               f"tick {config.tick_seconds:.0f}s virtual | "
               f"1 virtual minute = {60 * config.time_scale:.2f}s wall\n")
     if args.port_file:
-        with open(args.port_file, "w", encoding="utf-8") as fh:
-            fh.write(f"{port}\n")
+        persist.write_text(args.port_file, f"{port}\n")
     try:
         with GracefulShutdown() as shutdown:
             while not shutdown.wait(0.25):
@@ -1543,8 +1541,7 @@ def _submit_and_wait(args, client, bundle_payload, command_payload, out) -> int:
         except ServiceClientError as exc:
             out.write(f"error: cannot fetch report: {exc}\n")
             return 1
-        with open(args.report_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        persist.write_text(args.report_out, text)
         out.write(f"wrote {fmt} report to {args.report_out}\n")
     return 0 if final.get("met_deadline") else 1
 

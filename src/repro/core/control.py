@@ -24,6 +24,7 @@ each decision leaves exactly one :class:`~repro.telemetry.audit.TickRecord`
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Protocol, Sequence, Tuple
@@ -62,6 +63,10 @@ _REFRESHES = _metrics.REGISTRY.counter(
     labelnames=("predictor",),
 )
 
+#: Degraded decisions widen the dead zone by this factor: stale
+#: predictions should move the allocation only for clear lateness.
+DEGRADED_DEAD_ZONE_FACTOR = 2.0
+
 
 class ControlError(ValueError):
     """Raised for invalid control configuration."""
@@ -81,6 +86,14 @@ class Predictor(Protocol):
     def remaining_seconds(
         self, fractions: Mapping[str, float], allocation: float
     ) -> float: ...
+
+    def remaining_seconds_batch(
+        self, fractions: Mapping[str, float], allocations: Sequence[float]
+    ) -> Sequence[float]:
+        """``remaining_seconds`` at every allocation of the control grid
+        in one call; element ``i`` equals ``remaining_seconds(fractions,
+        allocations[i])``."""
+        ...
 
 
 class CpaPredictor:
@@ -151,22 +164,15 @@ class ControlConfig:
     #: When the predictor is unavailable, reuse the last successful
     #: per-candidate predictions for up to this long (then hold).
     fallback_staleness_seconds: float = 600.0
-    #: Degraded decisions widen the dead zone by this factor: stale
-    #: predictions should move the allocation only for clear lateness.
-    degraded_dead_zone_factor: float = 2.0
     #: False disables the last-known-good fallback entirely (ablation):
     #: predictor outages freeze the allocation at its current value.
     degraded_fallback: bool = True
-    #: Relative model-error scale folded into the published prediction
-    #: intervals (see :data:`repro.telemetry.predict.MODEL_ERROR_REL`);
-    #: 0 publishes the raw C(p, a) band.
-    prediction_error_rel: float = _predict.MODEL_ERROR_REL
 
     def __post_init__(self):
         if self.period_seconds <= 0:
             raise ControlError("period must be positive")
-        if self.slack < 1.0:
-            raise ControlError(f"slack must be >= 1, got {self.slack!r}")
+        if not 1.0 <= self.slack < math.inf:
+            raise ControlError(f"slack must be finite and >= 1, got {self.slack!r}")
         if not 0 < self.hysteresis <= 1:
             raise ControlError(f"hysteresis must be in (0, 1], got {self.hysteresis!r}")
         if self.dead_zone_seconds < 0:
@@ -177,10 +183,6 @@ class ControlConfig:
             raise ControlError("allocation step must be >= 1")
         if self.fallback_staleness_seconds < 0:
             raise ControlError("fallback staleness bound must be >= 0")
-        if self.degraded_dead_zone_factor < 1:
-            raise ControlError("degraded dead-zone factor must be >= 1")
-        if self.prediction_error_rel < 0:
-            raise ControlError("prediction error scale must be >= 0")
 
     def allocation_grid(self) -> List[int]:
         grid = list(range(self.min_tokens, self.max_tokens + 1, self.allocation_step))
@@ -213,7 +215,7 @@ class JockeyController:
         self._utility = utility
         self._effective = utility.shifted_left(config.dead_zone_seconds)
         self._degraded_effective = utility.shifted_left(
-            config.dead_zone_seconds * config.degraded_dead_zone_factor
+            config.dead_zone_seconds * DEGRADED_DEAD_ZONE_FACTOR
         )
         # Candidate allocations.  A C(p, a) table clamps queries below its
         # smallest simulated allocation (it has no data there), so the grid
@@ -249,7 +251,7 @@ class JockeyController:
         self._utility = utility
         self._effective = utility.shifted_left(self.config.dead_zone_seconds)
         self._degraded_effective = utility.shifted_left(
-            self.config.dead_zone_seconds * self.config.degraded_dead_zone_factor
+            self.config.dead_zone_seconds * DEGRADED_DEAD_ZONE_FACTOR
         )
 
     def refresh_model(self, table=None, indicator=None) -> None:
@@ -313,14 +315,7 @@ class JockeyController:
         unshifted utility."""
         perf = _perf.COLLECTOR
         query_start = time.perf_counter() if perf.enabled else 0.0
-        batch = getattr(self.predictor, "remaining_seconds_batch", None)
-        if batch is not None:
-            predictions = batch(fractions, self._grid)
-        else:
-            predictions = [
-                self.predictor.remaining_seconds(fractions, a)
-                for a in self._grid
-            ]
+        predictions = self.predictor.remaining_seconds_batch(fractions, self._grid)
         if perf.enabled:
             perf.record("control.cpa_query", time.perf_counter() - query_start)
         self._last_good = (elapsed, [float(p) for p in predictions])
@@ -357,9 +352,7 @@ class JockeyController:
             ))
         except PredictorUnavailable:
             return None, ()
-        return _predict.bands_from_quantiles(
-            elapsed, quantiles, error_rel=self.config.prediction_error_rel
-        )
+        return _predict.bands_from_quantiles(elapsed, quantiles)
 
     def _append(
         self,
@@ -368,10 +361,10 @@ class JockeyController:
         predict: bool,
         **fields,
     ) -> _audit.TickRecord:
-        """The one record of one decision: its interval forecast when
-        ``predict``, appended to the audit; then the live gauges, its
-        ``control.predict`` event (when banded) and its ``control.tick``
-        event."""
+        """The one record of one decision, stamped with the slack it was
+        decided with and, when ``predict``, its interval forecast; appended
+        to the audit.  Then the live gauges, its ``control.predict`` event
+        (when banded) and its ``control.tick`` event."""
         progress = self._observed_progress(fractions)
         median, bands = (
             self._forecast(fractions, fields["allocation"], fields["elapsed"])
@@ -381,6 +374,7 @@ class JockeyController:
             tick=len(self.audit),
             progress=progress,
             smoothed=self._smoothed,
+            slack=self.config.slack,
             median=median,
             bands=bands,
             **fields,
@@ -557,6 +551,7 @@ class JockeyController:
 
 
 __all__ = [
+    "DEGRADED_DEAD_ZONE_FACTOR",
     "ControlConfig",
     "ControlError",
     "CpaPredictor",

@@ -12,7 +12,7 @@
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.adaptive import AdaptiveCpaPredictor, make_monitor
 from repro.core.amdahl import AmdahlModel
@@ -21,6 +21,7 @@ from repro.core.cpa import CpaTable
 from repro.core.utility import PiecewiseLinearUtility
 from repro.jobs.profiles import JobProfile
 from repro.runtime.jobmanager import JobSnapshot
+from repro.telemetry.audit import TickRecord
 
 
 class AllocationPolicy(abc.ABC):
@@ -109,7 +110,7 @@ class JockeyPolicy(ControllerPolicy):
 class NoAdaptationPolicy(AllocationPolicy):
     """Jockey w/o adaptation: the simulator picks a static allocation.
     Takes :class:`JockeyPolicy`'s arguments; its controller is private, so
-    a static policy leaves no audit or control config behind."""
+    a static policy leaves no audit behind."""
 
     name = "jockey-no-adapt"
     adaptive = False
@@ -257,17 +258,15 @@ def build_policy(
     )
 
 
-def run_artifacts(
-    policy: AllocationPolicy, *, default_slack: float = 1.0
-) -> Tuple[List, float]:
-    """What a finished policy leaves for reports and SLO analytics:
-    ``(decision audit records, controller slack)`` — each record carries
-    its tick's interval forecast; a static policy has no controller, so
-    ``([], default_slack)``."""
+def run_artifacts(policy: AllocationPolicy) -> List[TickRecord]:
+    """What a finished policy leaves for reports and SLO analytics: its
+    decision audit records, each carrying the slack it was decided with
+    and its tick's interval forecast; a static policy has no controller,
+    so none."""
     controller = getattr(policy, "controller", None)
     if controller is None:
-        return [], default_slack
-    return list(controller.audit), controller.config.slack
+        return []
+    return list(controller.audit)
 
 
 __all__ = [

@@ -26,9 +26,8 @@ from repro.telemetry import scorecard as tscorecard
 
 
 def _case_card(label: str, result: ExperimentResult):
-    slack = result.control_config.slack if result.control_config else 1.0
     return tscorecard.from_audit(
-        result.audit_records, result.trace.duration, name=label, slack=slack
+        result.audit_records, result.trace.duration, name=label
     )
 
 

@@ -28,7 +28,7 @@ from repro.cluster import Cluster, ClusterConfig
 from repro.core.control import ControlConfig, Predictor
 from repro.core.utility import PiecewiseLinearUtility
 from repro.experiments.metrics import RunMetrics, metrics_from_trace
-from repro.experiments.runner import make_policy
+from repro.experiments.runner import MAX_VIRTUAL_SECONDS, make_policy
 from repro.experiments.scenarios import TrainedJob
 from repro.market.arbiter import Bid, MarketArbiter, concave_marginals
 from repro.runtime.jobmanager import JobManager
@@ -122,7 +122,6 @@ def run_multi_job(
     control_period: float = 60.0,
     cluster_config: ClusterConfig = ClusterConfig(),
     deadline_factor: float = 1.0,
-    max_virtual_seconds: float = 12 * 3600.0,
 ) -> MultiJobResult:
     """Run every job in ``jobs`` simultaneously against its own short
     deadline (scaled by ``deadline_factor``) in one shared cluster."""
@@ -233,7 +232,7 @@ def run_multi_job(
     sim.schedule_every(control_period, tick)
 
     # One dispatch loop, halted by whichever manager completes last.
-    sim.run(until=max_virtual_seconds)
+    sim.run(until=MAX_VIRTUAL_SECONDS)
     unfinished = [n for n, m in managers.items() if not m.finished]
     if unfinished:
         raise RuntimeError(f"jobs did not finish: {unfinished}")

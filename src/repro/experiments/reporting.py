@@ -95,7 +95,7 @@ def write_results(reports: Sequence[ExperimentReport], out_dir) -> List[pathlib.
         name = report.experiment_id.replace("+", "_")
         if report.digest is None:
             path = out_dir / f"{name}.txt"
-            path.write_text(report.render() + "\n", encoding="utf-8")
+            persist.write_text(path, report.render() + "\n")
         else:
             path = out_dir / f"exp_{name}.json"
             persist.write_json(path, report.digest, indent=2)
@@ -127,16 +127,9 @@ def policy_scorecards(results: Sequence, kinds: Sequence[str]) -> List:
     cards = []
     for kind in kinds:
         per_run = [
-            tscorecard.from_audit(
-                r.audit_records,
-                r.trace.duration,
-                name=kind,
-                slack=r.control_config.slack,
-            )
+            tscorecard.from_audit(r.audit_records, r.trace.duration, name=kind)
             for r in results
-            if r.metrics.policy == kind
-            and r.audit_records
-            and r.control_config is not None
+            if r.metrics.policy == kind and r.audit_records
         ]
         if per_run:
             cards.append(tscorecard.merge(kind, per_run))

@@ -12,7 +12,6 @@ one fan-out.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -32,10 +31,7 @@ from repro.runtime.jobmanager import JobManager, run_to_completion
 from repro.runtime.speculation import SpeculationConfig
 from repro.simkit.events import Simulator
 from repro.simkit.random import RngRegistry, derive_seed
-from repro.telemetry import export as telemetry_export
-from repro.telemetry import trace as telemetry_trace
 from repro.telemetry.audit import PHASE_TICK, TickRecord
-from repro.telemetry.trace import TraceEvent
 
 
 #: Per-run ground-truth perturbation: recurring jobs' work varies run to
@@ -68,17 +64,15 @@ class RunConfig:
     sample_cluster_day: bool = True
     #: Optional straggler mitigation (speculative duplicates, §4.4).
     speculation: Optional[SpeculationConfig] = None
-    max_virtual_seconds: float = 12 * 3600.0
     #: Chaos-injection schedule for this run (None = calm cluster); see
     #: :mod:`repro.chaos`.  Enables the job manager's allocation-retry
     #: backoff so clamped requests are re-asked.
     chaos: Optional[ChaosSpec] = None
-    #: Record structured trace events for this run (implied by trace_path);
-    #: the events land in ``ExperimentResult.trace_events``.
-    capture_trace: bool = False
-    #: When set, the run's timeline is written here in Chrome trace-event
-    #: format — any figure reproduction can emit a Perfetto timeline.
-    trace_path: Optional[str] = None
+
+
+#: Virtual seconds an experiment run (one job, or a multi-job run) may take
+#: before it is reported as not finishing.
+MAX_VIRTUAL_SECONDS = 12 * 3600.0
 
 
 #: Per-run cluster-day sampling: most days are near the trained mean, but
@@ -111,14 +105,9 @@ class ExperimentResult:
     initial_deadline: float = 0.0
     #: Scripted mid-run deadline changes, as configured.
     deadline_changes: Tuple[Tuple[float, float], ...] = ()
-    #: The adaptive policy's control configuration (None for static ones);
-    #: SLO analytics need its ``slack`` to judge predictions pre-slack.
-    control_config: Optional[ControlConfig] = None
-    #: Structured events captured when ``RunConfig.capture_trace`` was set.
-    trace_events: List[TraceEvent] = field(default_factory=list)
     #: The controller's per-tick decision audit (empty for non-controller
-    #: policies): progress, candidate predictions, raw/dead-zone/hysteresis
-    #: and each tick's completion-time interval forecast.
+    #: policies): progress, candidate predictions, raw/dead-zone/hysteresis,
+    #: the slack and each tick's completion-time interval forecast.
     audit_records: List[TickRecord] = field(default_factory=list)
     #: Chaos-engine counters (None for calm runs): events fired per
     #: injector, degraded ticks, allocation deficits/retries.
@@ -141,14 +130,12 @@ class ExperimentResult:
         timeline degrades to the binary margin check."""
         from repro.telemetry.slo import analyze_run
 
-        slack = self.control_config.slack if self.control_config is not None else 1.0
         return analyze_run(
             self.trace,
             self.audit_records,
             policy=self.metrics.policy,
             deadline=self.initial_deadline or self.trace.deadline,
             table=table,
-            slack=slack,
             schedule=self.deadline_changes,
         )
 
@@ -240,8 +227,9 @@ def run_experiment(
     config: RunConfig,
 ) -> ExperimentResult:
     """Execute one SLO run and compute its metrics: per-run sampling of the
-    runtime scale and the cluster day, optional trace capture, then
-    :func:`run_control_loop`."""
+    runtime scale and the cluster day, then :func:`run_control_loop`.  A
+    caller that wants the run's trace events wraps this call in
+    :func:`repro.telemetry.trace.capture`."""
     rng = RngRegistry(config.seed)
     if config.runtime_scale is None:
         runtime_scale = sample_runtime_scale(rng.stream("runtime-scale"))
@@ -262,38 +250,29 @@ def run_experiment(
         )
         cluster_config = replace(cluster_config, background_mean_demand=day)
 
-    capture_needed = config.capture_trace or config.trace_path is not None
-    capture_ctx = (
-        telemetry_trace.capture() if capture_needed else nullcontext(None)
+    sim = Simulator()
+    cluster = Cluster(
+        sim, cluster_config, rng=rng.spawn("cluster"), episodes=config.episodes
     )
-    with capture_ctx as recorder:
-        sim = Simulator()
-        cluster = Cluster(
-            sim, cluster_config, rng=rng.spawn("cluster"), episodes=config.episodes
-        )
-        trace, engine = run_control_loop(
-            cluster,
-            trained.graph,
-            behavior,
-            policy,
-            rng=rng.stream("job"),
-            deadline=config.deadline_seconds,
-            chaos=config.chaos,
-            chaos_seed=derive_seed(config.seed, "chaos"),
-            control_period=config.control_period,
-            speculation=config.speculation,
-            deadline_changes=config.deadline_changes,
-            max_seconds=config.max_virtual_seconds,
-        )
+    trace, engine = run_control_loop(
+        cluster,
+        trained.graph,
+        behavior,
+        policy,
+        rng=rng.stream("job"),
+        deadline=config.deadline_seconds,
+        chaos=config.chaos,
+        chaos_seed=derive_seed(config.seed, "chaos"),
+        control_period=config.control_period,
+        speculation=config.speculation,
+        deadline_changes=config.deadline_changes,
+        max_seconds=MAX_VIRTUAL_SECONDS,
+    )
     trace.metadata["cluster_day_mean_demand"] = float(
         cluster_config.background_mean_demand or 0.0
     )
     trace.metadata["runtime_scale"] = runtime_scale
     metrics = metrics_from_trace(trace, policy=policy.name)
-    trace_events = recorder.events() if recorder is not None else []
-    if config.trace_path is not None:
-        telemetry_export.write_chrome_trace(trace_events, config.trace_path)
-    audit_records, _slack = run_artifacts(policy)
     return ExperimentResult(
         metrics=metrics,
         trace=trace,
@@ -303,11 +282,7 @@ def run_experiment(
         final_deadline=trace.deadline,
         initial_deadline=config.deadline_seconds,
         deadline_changes=tuple(config.deadline_changes),
-        control_config=getattr(
-            getattr(policy, "controller", None), "config", None
-        ),
-        trace_events=trace_events,
-        audit_records=audit_records,
+        audit_records=run_artifacts(policy),
         chaos_summary=engine.summary() if engine is not None else None,
     )
 
@@ -428,6 +403,7 @@ class Sweep:
 
 
 __all__ = [
+    "MAX_VIRTUAL_SECONDS",
     "POLICY_KINDS",
     "ExperimentResult",
     "RunConfig",

@@ -42,7 +42,6 @@ class Scale:
     cpa_reps: int                   # simulations per allocation when building C(p, a)
     allocations: Tuple[int, ...]    # C(p, a) allocation grid
     vertex_scale: float = 1.0       # shrink factor for stage task counts
-    training_allocation: int = 50   # fixed tokens for the training run
 
     def __post_init__(self):
         if self.reps < 1 or self.cpa_reps < 1:
@@ -77,6 +76,10 @@ PAPER = Scale(
 )
 
 SCALES = {s.name: s for s in (SMOKE, DEFAULT, PAPER)}
+
+#: Guaranteed tokens of every profiling run: the experiments', the fleet's,
+#: the live service's templates' and ``repro train``'s default.
+TRAINING_ALLOCATION = 50
 
 #: Deadlines are chosen from this grid (seconds): the paper uses 30/45/60-
 #: minute-style deadlines set from the job's critical path (§2.2, §5.1).
@@ -232,9 +235,7 @@ def trained_job(
     generated = generate_job(
         TABLE2_SPECS[name], seed=seed, vertex_scale=scale.vertex_scale
     )
-    trace = run_training(
-        generated, seed=seed, allocation=scale.training_allocation
-    )
+    trace = run_training(generated, seed=seed, allocation=TRAINING_ALLOCATION)
     learned, indicator, table = learn_model(
         generated.graph,
         trace,
@@ -280,6 +281,7 @@ __all__ = [
     "SCALES",
     "SMOKE",
     "Scale",
+    "TRAINING_ALLOCATION",
     "TrainedJob",
     "clear_trained_cache",
     "fit_model",

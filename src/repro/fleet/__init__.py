@@ -28,20 +28,15 @@ from repro.fleet.driver import (
 )
 from repro.fleet.store import FleetError, FleetSpecError, Generation, ProfileStore
 from repro.fleet.update import (
-    DRIFT_MODES,
     UPDATE_POLICIES,
-    DriftConfig,
     DriftReport,
     StageDrift,
-    UpdateConfig,
     detect_drift,
     ks_statistic,
     resolve_profile,
 )
 
 __all__ = [
-    "DRIFT_MODES",
-    "DriftConfig",
     "DriftReport",
     "FleetConfig",
     "FleetError",
@@ -55,7 +50,6 @@ __all__ = [
     "StageDrift",
     "TemplateSummary",
     "UPDATE_POLICIES",
-    "UpdateConfig",
     "detect_drift",
     "fleet_spec_from_dict",
     "ks_statistic",

@@ -47,6 +47,7 @@ from repro.experiments.runner import ExperimentResult, RunConfig, run_experiment
 from repro.experiments.scenarios import (
     DEADLINE_HEADROOM,
     SMOKE,
+    TRAINING_ALLOCATION,
     Scale,
     TrainedJob,
     fit_model,
@@ -56,8 +57,8 @@ from repro.experiments.scenarios import (
 )
 from repro.fleet.store import FleetError, FleetSpecError, ProfileStore
 from repro.fleet.update import (
-    DriftConfig,
-    UpdateConfig,
+    UPDATE_POLICIES,
+    WINDOW,
     detect_drift,
     resolve_profile,
 )
@@ -119,8 +120,6 @@ class FleetConfig:
 
     days: int = 5
     model_mode: str = "ewma"
-    update: UpdateConfig = field(default_factory=UpdateConfig)
-    detector: DriftConfig = field(default_factory=DriftConfig)
     #: Ground-truth drift: ``at`` is the first **day index** the drifted
     #: profile applies (None = no drift).
     drift: Optional[ProfileDrift] = None
@@ -129,7 +128,6 @@ class FleetConfig:
     #: model; < 1 tightens the budget so staleness has consequences.
     deadline_trim: float = 0.85
     seed: int = 0
-    control: Optional[ControlConfig] = None
     #: Store root; None = a private temp dir, discarded after the run.
     store_root: Optional[str] = None
     #: Retain each template's final-day ExperimentResult (heavy) — the CLI
@@ -146,13 +144,6 @@ class FleetConfig:
             )
         if not 0 < self.deadline_trim <= 1.5:
             raise FleetError("deadline_trim must be in (0, 1.5]")
-
-    def update_for_mode(self) -> UpdateConfig:
-        """The update policy the model mode implies (blend modes map to
-        themselves; everything else resolves latest-only)."""
-        if self.model_mode in ("latest", "window", "ewma"):
-            return replace(self.update, policy=self.model_mode)
-        return replace(self.update, policy="latest")
 
 
 @dataclass(frozen=True)
@@ -291,14 +282,15 @@ def _simulate_template(
     generated = _generate(template, config)
     base_truth = generated.profile
     uses_store = mode in ("stale", "latest", "window", "ewma")
-    update = config.update_for_mode()
+    # The update-policy modes resolve by their own policy; stale by latest.
+    update_policy = mode if mode in UPDATE_POLICIES else "latest"
 
     # Bootstrap: one profiling run on the undrifted ground truth seeds the
     # lineage, the first model, and the (arm-independent) deadline.
     bootstrap_trace = run_training(
         generated,
         seed=derive_seed(config.seed, f"fleet-train:{template.name}"),
-        allocation=scale.training_allocation,
+        allocation=TRAINING_ALLOCATION,
     )
     _PROFILING.labels(template=template.name).inc()
     profiling_runs = 1
@@ -319,7 +311,7 @@ def _simulate_template(
     else:
         generation = 0
     deadline = _pick_fleet_deadline(table, config.deadline_trim)
-    control = config.control if config.control is not None else ControlConfig()
+    control = ControlConfig()
     policy = build_policy(
         "jockey",
         table=table,
@@ -364,7 +356,7 @@ def _simulate_template(
                 seed=derive_seed(
                     config.seed, f"fleet-profiling:{template.name}:{day}"
                 ),
-                allocation=scale.training_allocation,
+                allocation=TRAINING_ALLOCATION,
             )
             _PROFILING.labels(template=template.name).inc()
             profiling_runs += 1
@@ -423,7 +415,7 @@ def _simulate_template(
             generation = store.append(
                 template.name, observed, metadata={"day": day}
             ).number
-            report = detect_drift(model_profile, observed, config.detector)
+            report = detect_drift(model_profile, observed)
             drift_stat = report.max_statistic
             drift_shift = report.work_shift
             significant = report.significant
@@ -434,11 +426,9 @@ def _simulate_template(
                     # Relearn from the lineage per the update policy; the
                     # rebuilt model serves from the next day on.
                     model_profile = resolve_profile(
-                        update,
+                        update_policy,
                         store.lineage(
-                            template.name,
-                            limit=update.window,
-                            graph=generated.graph,
+                            template.name, limit=WINDOW, graph=generated.graph
                         ),
                     )
                     refit(model_profile)

@@ -6,13 +6,14 @@ per-stage :class:`~repro.simkit.distributions.Empirical` samples learned
 from one run) into the single profile the next C(p, a) build trains on:
 
 * ``latest`` — the newest generation verbatim;
-* ``window`` — pool the last ``window`` generations' samples with equal
-  weight (a sliding-window blend);
-* ``ewma`` — exponentially-weighted blend: generation at age ``k`` gets
-  weight ``alpha * (1 - alpha)^k`` (normalized), realized by drawing a
-  proportional, *quantile-spaced* subsample from each generation's sorted
-  values — order statistics at evenly spaced ranks — so blending needs no
-  RNG and is deterministic for a fixed lineage.
+* ``window`` — pool the last :data:`WINDOW` generations' samples with
+  equal weight (a sliding-window blend);
+* ``ewma`` — exponentially-weighted blend over the same generations: the
+  one at age ``k`` gets weight ``alpha * (1 - alpha)^k`` (normalized,
+  ``alpha`` = :data:`EWMA_ALPHA`), realized by drawing a proportional,
+  *quantile-spaced* subsample from each generation's sorted values —
+  order statistics at evenly spaced ranks — so blending needs no RNG and
+  is deterministic for a fixed lineage.
 
 The **drift detector** compares the profile the current model was built
 from against the profile observed in the run that just finished.  Per
@@ -21,11 +22,12 @@ classical large-sample threshold ``c * sqrt((n + m) / (n m))`` plus
 mean- and median-ratio shifts.  The *decision*, though, is job-level:
 single-run stage samples are few and heavy-tailed (a straggler moves a
 12-task stage's mean by 30%), so per-stage votes alone would rebuild on
-calm days.  Under the default ``mode="ks+mean"`` a drift is significant
-when the task-seconds-weighted work ratio shifts past the threshold AND
-either the median of per-stage median ratios corroborates it or a
-majority of KS-eligible stages trip — a real profile drift moves the
-weighted mean *and* shows up robustly; run-to-run noise rarely does both.
+calm days.  A drift is significant when the task-seconds-weighted work
+ratio shifts past :data:`MEAN_SHIFT_THRESHOLD` AND either the median of
+per-stage median ratios corroborates it or at least
+:data:`KS_STAGE_FRACTION` of the KS-eligible stages trip — a real profile
+drift moves the weighted mean *and* shows up robustly; run-to-run noise
+rarely does both.
 """
 
 from __future__ import annotations
@@ -42,32 +44,29 @@ from repro.simkit import distributions as dist
 
 UPDATE_POLICIES = ("latest", "window", "ewma")
 
-DRIFT_MODES = ("ks+mean", "ks", "mean")
+#: Newest generations a blend reads (and a resolve loads from the store).
+WINDOW = 3
+#: The ``ewma`` policy's weight on the newest generation.
+EWMA_ALPHA = 0.5
+#: Cap on pooled samples per stage distribution: keeps blended profiles
+#: (and their fingerprints) bounded as lineages grow.
+MAX_SAMPLES = 512
 
-
-@dataclass(frozen=True)
-class UpdateConfig:
-    """How the stored lineage folds into the next training profile."""
-
-    policy: str = "ewma"
-    window: int = 3
-    ewma_alpha: float = 0.5
-    #: Cap on pooled samples per stage distribution: keeps blended profiles
-    #: (and their fingerprints) bounded as lineages grow.
-    max_samples: int = 512
-
-    def __post_init__(self):
-        if self.policy not in UPDATE_POLICIES:
-            raise FleetError(
-                f"unknown update policy {self.policy!r} "
-                f"(choose from {', '.join(UPDATE_POLICIES)})"
-            )
-        if self.window < 1:
-            raise FleetError("window must be >= 1")
-        if not 0 < self.ewma_alpha <= 1:
-            raise FleetError("ewma_alpha must be in (0, 1]")
-        if self.max_samples < 8:
-            raise FleetError("max_samples must be >= 8")
+#: KS threshold coefficient: 1.36 ≈ the classical alpha=0.05 value of
+#: ``c(alpha) = sqrt(-ln(alpha / 2) / 2)``.
+KS_COEFFICIENT = 1.36
+#: Relative shift (|ratio - 1|) of the job-level work ratio (and the
+#: per-stage median ratios) that counts as drift.  Calibrated against
+#: run-to-run noise at smoke scale: calm single-run pairs shift up to
+#: ~0.3 (heavy-tailed task runtimes over ~100 tasks); a 1.6x drift lands
+#: past 0.6 against the pre-drift model.
+MEAN_SHIFT_THRESHOLD = 0.4
+#: Stages with fewer samples than this on either side are KS-ineligible
+#: (reported, but never individually significant): both the KS threshold
+#: and a median are meaningless at tiny n.
+MIN_SAMPLES = 8
+#: Fraction of KS-eligible stages that must trip for the KS vote.
+KS_STAGE_FRACTION = 0.5
 
 
 def _samples(d) -> Optional[List[float]]:
@@ -96,12 +95,12 @@ def _quantile_subsample(values: Sequence[float], count: int) -> List[float]:
     return [ordered[i] for i in idx]
 
 
-def _generation_weights(config: UpdateConfig, count: int) -> List[float]:
+def _generation_weights(policy: str, count: int) -> List[float]:
     """Normalized blend weight per generation (oldest → newest)."""
-    if config.policy == "window":
+    if policy == "window":
         return [1.0 / count] * count
     # ewma: newest has age 0.
-    alpha = config.ewma_alpha
+    alpha = EWMA_ALPHA
     raw = [alpha * (1.0 - alpha) ** (count - 1 - i) for i in range(count)]
     total = sum(raw)
     return [w / total for w in raw]
@@ -122,7 +121,6 @@ def _apportion(weights: Sequence[float], total: int) -> List[int]:
 def _blend_stage_samples(
     per_generation: Sequence[Optional[List[float]]],
     weights: Sequence[float],
-    max_samples: int,
 ) -> Optional[List[float]]:
     """Pooled samples for one stage distribution across generations, or
     None when no generation has finite samples."""
@@ -135,7 +133,7 @@ def _blend_stage_samples(
         return None
     total_weight = sum(w for _vals, w in pairs)
     available = sum(len(vals) for vals, _w in pairs)
-    budget = min(max_samples, available)
+    budget = min(MAX_SAMPLES, available)
     counts = _apportion([w / total_weight for _vals, w in pairs], budget)
     pooled: List[float] = []
     for (vals, _w), count in zip(pairs, counts):
@@ -145,33 +143,33 @@ def _blend_stage_samples(
     return pooled or None
 
 
-def resolve_profile(
-    config: UpdateConfig, lineage: Sequence[JobProfile]
-) -> JobProfile:
-    """The training profile the update policy derives from a lineage
-    (oldest → newest).  ``latest`` returns the newest generation; the blend
-    policies pool per-stage runtime/queue samples across the last
-    ``window`` generations.  Stages whose distributions carry no finite
-    samples (parametric profiles) fall back to the newest generation."""
+def resolve_profile(policy: str, lineage: Sequence[JobProfile]) -> JobProfile:
+    """The training profile the update ``policy`` (one of
+    :data:`UPDATE_POLICIES`) derives from a lineage (oldest → newest).
+    ``latest`` returns the newest generation; the blend policies pool
+    per-stage runtime/queue samples across the last :data:`WINDOW`
+    generations.  Stages whose distributions carry no finite samples
+    (parametric profiles) fall back to the newest generation."""
+    if policy not in UPDATE_POLICIES:
+        raise FleetError(
+            f"unknown update policy {policy!r} "
+            f"(choose from {', '.join(UPDATE_POLICIES)})"
+        )
     if not lineage:
         raise FleetError("cannot resolve a profile from an empty lineage")
     newest = lineage[-1]
-    if config.policy == "latest" or len(lineage) == 1:
+    if policy == "latest" or len(lineage) == 1:
         return newest
-    recent = list(lineage[-config.window:])
-    weights = _generation_weights(config, len(recent))
+    recent = list(lineage[-WINDOW:])
+    weights = _generation_weights(policy, len(recent))
     stages = {}
     for name in newest.stage_names:
         sp_new = newest.stage(name)
         runtime = _blend_stage_samples(
-            [_samples(p.stage(name).runtime) for p in recent],
-            weights,
-            config.max_samples,
+            [_samples(p.stage(name).runtime) for p in recent], weights
         )
         queue = _blend_stage_samples(
-            [_samples(p.stage(name).queue_obs) for p in recent],
-            weights,
-            config.max_samples,
+            [_samples(p.stage(name).queue_obs) for p in recent], weights
         )
         failure = sum(
             w * p.stage(name).failure_prob for p, w in zip(recent, weights)
@@ -188,45 +186,6 @@ def resolve_profile(
 # ----------------------------------------------------------------------
 # Drift detection
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DriftConfig:
-    """Significance thresholds for the drift detector."""
-
-    #: KS threshold coefficient: 1.36 ≈ the classical alpha=0.05 value of
-    #: ``c(alpha) = sqrt(-ln(alpha / 2) / 2)``.
-    ks_coefficient: float = 1.36
-    #: Relative shift (|ratio - 1|) of the job-level work ratio (and the
-    #: per-stage median ratios) that counts as drift.  Calibrated against
-    #: run-to-run noise at smoke scale: calm single-run pairs shift up to
-    #: ~0.3 (heavy-tailed task runtimes over ~100 tasks); a 1.6x drift
-    #: lands past 0.6 against the pre-drift model.
-    mean_shift_threshold: float = 0.4
-    #: Stages with fewer samples than this on either side are KS-ineligible
-    #: (reported, but never individually significant): both the KS
-    #: threshold and a median are meaningless at tiny n.
-    min_samples: int = 8
-    #: Fraction of KS-eligible stages that must trip for the KS vote.
-    ks_stage_fraction: float = 0.5
-    #: Job-level decision rule: "ks+mean" (work shift AND a median or KS
-    #: corroboration; the robust default), "ks", or "mean".
-    mode: str = "ks+mean"
-
-    def __post_init__(self):
-        if self.ks_coefficient <= 0:
-            raise FleetError("ks_coefficient must be positive")
-        if self.mean_shift_threshold <= 0:
-            raise FleetError("mean_shift_threshold must be positive")
-        if self.min_samples < 2:
-            raise FleetError("min_samples must be >= 2")
-        if not 0 < self.ks_stage_fraction <= 1:
-            raise FleetError("ks_stage_fraction must be in (0, 1]")
-        if self.mode not in DRIFT_MODES:
-            raise FleetError(
-                f"unknown drift mode {self.mode!r} "
-                f"(choose from {', '.join(DRIFT_MODES)})"
-            )
 
 
 @dataclass(frozen=True)
@@ -259,7 +218,6 @@ class DriftReport:
     median_ratio: float
     #: Fraction of KS-eligible stages whose KS statistic tripped.
     ks_trip_fraction: float
-    mode: str
     significant: bool
 
     @property
@@ -297,7 +255,6 @@ def _stage_drift(
     reference: StageProfile,
     observed: StageProfile,
     num_tasks: int,
-    config: DriftConfig,
 ) -> StageDrift:
     ref_samples = _samples(reference.runtime)
     obs_samples = _samples(observed.runtime)
@@ -310,11 +267,11 @@ def _stage_drift(
     if (
         ref_samples is not None
         and obs_samples is not None
-        and min(len(ref_samples), len(obs_samples)) >= config.min_samples
+        and min(len(ref_samples), len(obs_samples)) >= MIN_SAMPLES
     ):
         n, m = len(ref_samples), len(obs_samples)
         ks_stat = ks_statistic(ref_samples, obs_samples)
-        ks_threshold = config.ks_coefficient * math.sqrt((n + m) / (n * m))
+        ks_threshold = KS_COEFFICIENT * math.sqrt((n + m) / (n * m))
         ref_median = float(np.median(ref_samples))
         if ref_median > 0:
             median_ratio = float(np.median(obs_samples)) / ref_median
@@ -322,7 +279,7 @@ def _stage_drift(
     # robust-location (median) evidence; KS-ineligible stages never are.
     significant = (
         ks_stat > ks_threshold
-        and abs(median_ratio - 1.0) > config.mean_shift_threshold
+        and abs(median_ratio - 1.0) > MEAN_SHIFT_THRESHOLD
     )
     return StageDrift(
         stage=name,
@@ -338,22 +295,15 @@ def _stage_drift(
     )
 
 
-def detect_drift(
-    reference: JobProfile,
-    observed: JobProfile,
-    config: DriftConfig = DriftConfig(),
-) -> DriftReport:
+def detect_drift(reference: JobProfile, observed: JobProfile) -> DriftReport:
     """Compare the profile the current model was built from (``reference``)
     against the profile learned from the run that just finished.
 
     Per-stage KS / mean / median statistics are reported for all stages;
-    the job-level verdict aggregates them per ``config.mode``:
-
-    * ``mean`` — the task-seconds-weighted work ratio shifted past the
-      threshold;
-    * ``ks`` — at least ``ks_stage_fraction`` of KS-eligible stages trip;
-    * ``ks+mean`` (default) — the work ratio shifted AND either the median
-      of stage median-ratios corroborates it or the KS vote passes.
+    the job-level verdict is significant when the task-seconds-weighted
+    work ratio shifted past :data:`MEAN_SHIFT_THRESHOLD` AND either the
+    median of stage median-ratios shifted as far or at least
+    :data:`KS_STAGE_FRACTION` of the KS-eligible stages trip.
     """
     if reference.stage_names != observed.stage_names:
         raise FleetError(
@@ -366,7 +316,6 @@ def detect_drift(
             reference.stage(name),
             observed.stage(name),
             reference.graph.stage(name).num_tasks,
-            config,
         )
         for name in reference.stage_names
     )
@@ -383,33 +332,29 @@ def detect_drift(
     else:
         median_ratio = 1.0
         ks_fraction = 0.0
-    threshold = config.mean_shift_threshold
-    work_shifted = abs(work_ratio - 1.0) > threshold
-    median_shifted = abs(median_ratio - 1.0) > threshold
-    ks_voted = eligible and ks_fraction >= config.ks_stage_fraction
-    if config.mode == "mean":
-        significant = work_shifted
-    elif config.mode == "ks":
-        significant = bool(ks_voted)
-    else:  # ks+mean
-        significant = work_shifted and (median_shifted or bool(ks_voted))
+    work_shifted = abs(work_ratio - 1.0) > MEAN_SHIFT_THRESHOLD
+    median_shifted = abs(median_ratio - 1.0) > MEAN_SHIFT_THRESHOLD
+    ks_voted = bool(eligible) and ks_fraction >= KS_STAGE_FRACTION
     return DriftReport(
         stages=stages,
         work_ratio=work_ratio,
         median_ratio=median_ratio,
         ks_trip_fraction=ks_fraction,
-        mode=config.mode,
-        significant=significant,
+        significant=work_shifted and (median_shifted or ks_voted),
     )
 
 
 __all__ = [
-    "DRIFT_MODES",
-    "DriftConfig",
     "DriftReport",
+    "EWMA_ALPHA",
+    "KS_COEFFICIENT",
+    "KS_STAGE_FRACTION",
+    "MAX_SAMPLES",
+    "MEAN_SHIFT_THRESHOLD",
+    "MIN_SAMPLES",
     "StageDrift",
     "UPDATE_POLICIES",
-    "UpdateConfig",
+    "WINDOW",
     "detect_drift",
     "ks_statistic",
     "resolve_profile",

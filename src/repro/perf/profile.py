@@ -42,7 +42,7 @@ class ProfileSession:
         session.start()
         ...work...
         session.stop()
-        path.write_text(session.collapsed_stacks())
+        persist.write_text(path, session.collapsed_stacks())
     """
 
     def __init__(self) -> None:
@@ -127,8 +127,11 @@ def profiling(out_path: Optional[str] = None) -> Iterator[ProfileSession]:
     finally:
         session.stop()
         if out_path is not None:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(session.collapsed_stacks())
+            # Imported here: repro.persist imports the model layers, which
+            # import repro.perf.instrument, which runs this package's __init__.
+            from repro.persist import write_text
+
+            write_text(out_path, session.collapsed_stacks())
 
 
 __all__ = ["DEFAULT_TOP", "ProfileSession", "profiling"]

@@ -232,19 +232,24 @@ _T = TypeVar("_T")
 
 
 def write_json(path: PathLike, doc, *, indent: Optional[int] = None) -> None:
-    """Write ``doc`` to ``path`` as JSON, atomically: the text goes to a
-    temporary file beside ``path`` (parents created) which then replaces
-    it, so a reader — or the next command after a killed writer — sees the
-    previous file or the new one, never a truncated one.  The temporary
-    name is the writer's own (process and thread), so two writers of one
-    path each rename a whole file and the later one wins.  With ``indent``
-    the keys are sorted and a newline ends the file (digests and specs:
-    diffable bytes); without it, the compact form bundles use."""
-    path = pathlib.Path(path)
+    """Write ``doc`` to ``path`` as JSON through :func:`write_text`.  With
+    ``indent`` the keys are sorted and a newline ends the file (digests and
+    specs: diffable bytes); without it, the compact form bundles use."""
     if indent is None:
         text = json.dumps(doc)
     else:
         text = json.dumps(doc, indent=indent, sort_keys=True) + "\n"
+    write_text(path, text)
+
+
+def write_text(path: PathLike, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, atomically: the text goes to a
+    temporary file beside ``path`` (parents created) which then replaces
+    it, so a reader — or the next command after a killed writer — sees the
+    previous file or the new one, never a truncated one.  The temporary
+    name is the writer's own (process and thread), so two writers of one
+    path each rename a whole file and the later one wins."""
+    path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(
         f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
@@ -451,4 +456,5 @@ __all__ = [
     "table_from_dict",
     "table_to_dict",
     "write_json",
+    "write_text",
 ]

@@ -20,14 +20,11 @@ from typing import Dict, Optional, Tuple
 
 from repro import persist
 from repro.core.cpa import DEFAULT_ALLOCATIONS, CpaTable
-from repro.experiments.scenarios import learn_model, run_training
+from repro.experiments.scenarios import TRAINING_ALLOCATION, learn_model, run_training
 from repro.jobs.dag import JobGraph
 from repro.jobs.profiles import JobProfile
 from repro.jobs.workloads import TABLE2_SPECS, named_job
 from repro.simkit.random import derive_seed
-
-#: Guaranteed tokens of a template's profiling run (as ``repro train``).
-PROFILE_ALLOCATION = 50
 
 
 class TemplateError(ValueError):
@@ -125,7 +122,7 @@ class TemplateModelStore:
         trace = run_training(
             generated,
             seed=self.seed,
-            allocation=PROFILE_ALLOCATION,
+            allocation=TRAINING_ALLOCATION,
             stream=f"service-train:{name}",
         )
         learned, _indicator, table = learn_model(

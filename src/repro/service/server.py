@@ -171,10 +171,6 @@ class ServiceConfig:
     time_scale: float = 0.02
     #: Wall seconds of silence before a worker is declared lost.
     heartbeat_timeout: float = 5.0
-    #: Wall-seconds poll interval handed to workers; None derives one
-    #: from ``time_scale`` so idle polling costs only a couple of
-    #: *virtual* seconds regardless of compression.
-    poll_seconds: Optional[float] = None
     max_task_attempts: int = 4
     seed: int = 0
     #: (tenant, quota) pairs; empty means one "default" tenant owning the
@@ -199,15 +195,13 @@ class ServiceConfig:
             raise ServiceError("heartbeat_timeout must be positive")
         if self.max_task_attempts < 1:
             raise ServiceError("max_task_attempts must be >= 1")
-        if self.poll_seconds is not None and self.poll_seconds <= 0:
-            raise ServiceError("poll_seconds must be positive")
 
     @property
     def effective_poll_seconds(self) -> float:
-        """Worker idle-poll interval: explicit, or ~2 virtual seconds of
-        wall time bounded to [5 ms, 50 ms]."""
-        if self.poll_seconds is not None:
-            return self.poll_seconds
+        """Wall-seconds poll interval handed to workers: ~2 virtual
+        seconds of wall time bounded to [5 ms, 50 ms], so idle polling
+        costs only a couple of *virtual* seconds regardless of
+        compression."""
         return max(0.005, min(0.05, 2.0 * self.time_scale))
 
 
@@ -779,40 +773,31 @@ class ClusterService:
         for task in job.tracker.initially_ready():
             job.ready.append((task, now))
 
-    def _retire(self, job: LiveJob) -> None:
-        """Running -> terminal: leave the grant order.  (A failed job's
-        outstanding leases can fail it again; it left the first time.)"""
-        if job.status == "running":
-            self._running.remove(job)
-
-    def _finish_job(self, job: LiveJob, now: float) -> None:
-        self._retire(job)
-        job.trace.end_time = now
-        job.status = "completed"
-        met = job.trace.duration <= job.deadline_seconds
-        _JOBS_FINISHED.labels(outcome="met" if met else "missed").inc()
+    def _end_job(self, job: LiveJob, now: float, failure: Optional[str]) -> None:
+        """Running -> terminal, exactly once per job: leave the grant
+        order, close the trace, count the outcome and hand the guarantee
+        back to the tenant.  ``failure`` is the reason a failed job gives;
+        None completes it."""
+        self._running.remove(job)
+        job.trace.end_time = max(now, job.trace.start_time)
+        met = failure is None and job.trace.duration <= job.deadline_seconds
+        if failure is None:
+            job.status = "completed"
+            _JOBS_FINISHED.labels(outcome="met" if met else "missed").inc()
+        else:
+            job.status = "failed"
+            job.reject_reason = failure
+            _JOBS_FINISHED.labels(outcome="failed").inc()
         tenant = self._tenants.get(job.tenant)
         if tenant is not None:
             market_job = tenant.release(job.job_id)
             if market_job is not None:
                 market_job.finished_at = now
-                market_job.remaining = 0.0
+                if failure is None:
+                    market_job.remaining = 0.0
             tenant.completed += 1
             if met:
                 tenant.met += 1
-
-    def _fail_job(self, job: LiveJob, now: float, reason: str) -> None:
-        self._retire(job)
-        job.trace.end_time = max(now, job.trace.start_time)
-        job.status = "failed"
-        job.reject_reason = reason
-        _JOBS_FINISHED.labels(outcome="failed").inc()
-        tenant = self._tenants.get(job.tenant)
-        if tenant is not None:
-            market_job = tenant.release(job.job_id)
-            if market_job is not None:
-                market_job.finished_at = now
-            tenant.completed += 1
 
     # ------------------------------------------------------------------
     # Workers
@@ -954,42 +939,13 @@ class ClusterService:
                     f"{worker.worker_id!r}",
                     status=409,
                 )
-            now = max(clock_now, lease.start_v)
             del job.running[task_id]
             self._running_tasks -= 1
             worker.leased.pop(task_id, None)
-            record = TaskRecord(
-                stage=lease.stage,
-                index=lease.index,
-                attempt=lease.attempt,
-                ready_time=lease.ready_v,
-                start_time=lease.start_v,
-                end_time=now,
-                outcome=outcome,
-            )
-            job.trace.add(record)
-            job.trace.mark_running(now, len(job.running))
-            _TASKS.labels(outcome=outcome).inc()
-            key = (lease.stage, lease.index)
-            if outcome == OUTCOME_OK:
-                job.consumed_token_seconds += record.run_time
-                if key not in job.done:
-                    job.done.add(key)
-                    for task in job.tracker.complete(lease.stage, lease.index):
-                        job.ready.append((task, now))
-                if job.tracker.all_complete():
-                    self._finish_job(job, now)
-            else:
-                attempts = job.attempts.get(key, 0) + 1
-                job.attempts[key] = attempts
-                if attempts >= self.config.max_task_attempts:
-                    self._fail_job(
-                        job, now,
-                        f"task {lease.stage}[{lease.index}] failed "
-                        f"{attempts} times",
-                    )
-                else:
-                    job.ready.append((key, now))
+            # A failed job's other leases still report in: their slots are
+            # free again, and the job stays as it ended.
+            if not job.terminal:
+                self._settle(job, lease, outcome, max(clock_now, lease.start_v))
             reply = {"ok": True, "job_status": job.status}
             # Piggybacked lease: chaining the next task onto the
             # completion reply removes a full poll interval of *virtual*
@@ -998,6 +954,42 @@ class ClusterService:
             if lease_max > 0:
                 reply["tasks"] = self._grant_tasks(worker, lease_max)
             return reply
+
+    def _settle(self, job: LiveJob, lease: _Lease, outcome: str, now: float) -> None:
+        """Record a running job's finished task attempt (lock held): an ok
+        one releases its successors, a failed one is retried until it has
+        failed ``max_task_attempts`` times, which fails the job."""
+        record = TaskRecord(
+            stage=lease.stage,
+            index=lease.index,
+            attempt=lease.attempt,
+            ready_time=lease.ready_v,
+            start_time=lease.start_v,
+            end_time=now,
+            outcome=outcome,
+        )
+        job.trace.add(record)
+        job.trace.mark_running(now, len(job.running))
+        _TASKS.labels(outcome=outcome).inc()
+        key = (lease.stage, lease.index)
+        if outcome == OUTCOME_OK:
+            job.consumed_token_seconds += record.run_time
+            if key not in job.done:
+                job.done.add(key)
+                for task in job.tracker.complete(lease.stage, lease.index):
+                    job.ready.append((task, now))
+            if job.tracker.all_complete():
+                self._end_job(job, now, None)
+        else:
+            attempts = job.attempts.get(key, 0) + 1
+            job.attempts[key] = attempts
+            if attempts >= self.config.max_task_attempts:
+                self._end_job(
+                    job, now,
+                    f"task {lease.stage}[{lease.index}] failed {attempts} times",
+                )
+            else:
+                job.ready.append((key, now))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1063,16 +1055,12 @@ class ClusterService:
                 raise ServiceError(
                     f"job {job_id!r} has no finished trace yet", status=409
                 )
-            records, slack = run_artifacts(
-                job.policy, default_slack=self.config.control.slack
-            )
             table = job.trained.table if job.trained is not None else None
             run_report = telemetry_report.from_audit_and_trace(
                 job.trace,
-                records,
+                run_artifacts(job.policy),
                 policy=job.policy_kind,
                 table=table,
-                slack=slack,
                 title=f"{job.name} / {job.policy_kind} (live)",
                 notes=(
                     f"live service run; {job.workers_lost} task attempts "

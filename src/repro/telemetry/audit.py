@@ -6,9 +6,10 @@ The controller's ``audit`` list holds one :class:`TickRecord` per decision
 carrying the observed progress, the predicted remaining time and utility
 for *every* candidate allocation, the raw argmin choice, whether the dead
 zone changed that choice, and the hysteresis chain (``prev_smoothed`` →
-``smoothed`` → applied), and the completion-time forecast the decision
-was published with (the median and central :class:`IntervalBand`\\ s of
-:mod:`repro.telemetry.predict`).  The controller smooths and rounds with
+``smoothed`` → applied), the slack it was decided with, and the
+completion-time forecast the decision was published with (the median and
+central :class:`IntervalBand`\\ s of :mod:`repro.telemetry.predict`).
+The controller smooths and rounds with
 :func:`apply_hysteresis` and :func:`quantize_allocation`, so
 :func:`reconstruct_allocations` replays the code that ran from the audit
 alone.
@@ -70,8 +71,11 @@ class TickRecord:
     prev_smoothed: Optional[float]
     smoothed: float
     allocation: int             # integer tokens actually requested
-    predicted_remaining: float
+    predicted_remaining: float  # slack x the model's remaining time
     utility: float
+    #: The slack the decision multiplied its predictions by: dividing
+    #: ``predicted_remaining`` by it recovers the model's own estimate.
+    slack: float
     #: The completion-time forecast at the applied allocation: the p50 and
     #: the central bands in ascending level.  None / () on degraded ticks
     #: and for predictors without a distribution (Amdahl).

@@ -386,12 +386,11 @@ def calibration(
     duration: float,
     *,
     predictor: str = "controller",
-    tolerance: float = HONESTY_TOLERANCE,
-    window: int = ROLLING_WINDOW,
-    rolling_level: float = 0.9,
 ) -> CalibrationReport:
     """Score a finished run's forecasts against the realized completion
-    time (records without bands are skipped).
+    time (records without bands are skipped), within
+    :data:`HONESTY_TOLERANCE`, with a rolling 90% coverage timeline over
+    :data:`ROLLING_WINDOW` ticks.
 
     ``records`` may pool several runs (concatenate their audits and pass
     the mean duration) — coverage then aggregates across runs, which is
@@ -410,7 +409,7 @@ def calibration(
         empirical = covered / ticks if ticks else 0.0
         # One tick's worth of quantization error is not evidence of
         # dishonesty: widen the tolerance on short ledgers.
-        tol = max(tolerance, 1.0 / ticks) if ticks else tolerance
+        tol = max(HONESTY_TOLERANCE, 1.0 / ticks) if ticks else HONESTY_TOLERANCE
         levels.append(LevelCalibration(
             level=level,
             ticks=ticks,
@@ -425,11 +424,8 @@ def calibration(
         ticks=len(records),
         levels=tuple(levels),
         pinball_loss=pinball_loss(records, duration),
-        rolling=tuple(rolling_coverage(
-            records, duration,
-            level=rolling_level, window=window, tolerance=tolerance,
-        )),
-        tolerance=tolerance,
+        rolling=tuple(rolling_coverage(records, duration)),
+        tolerance=HONESTY_TOLERANCE,
     )
     for lv in report.levels:
         _COVERAGE.labels(
@@ -442,8 +438,6 @@ def pooled_calibration(
     ledgers: Sequence[Tuple[Sequence[TickRecord], float]],
     *,
     predictor: str = "controller",
-    tolerance: float = HONESTY_TOLERANCE,
-    window: int = ROLLING_WINDOW,
 ) -> CalibrationReport:
     """Pool several runs' ``(records, realized duration)`` pairs into one
     reliability report: each record is judged against *its own* run's
@@ -467,7 +461,7 @@ def pooled_calibration(
         ticks, covered, width_sum = coverage_count(ledgers, level)
         mean_width = width_sum / ticks if ticks else 0.0
         empirical = covered / ticks if ticks else 0.0
-        tol = tolerance
+        tol = HONESTY_TOLERANCE
         if ticks:
             tol = max(tol, 1.0 / ticks)
         if durations:
@@ -495,7 +489,7 @@ def pooled_calibration(
         levels=tuple(levels),
         pinball_loss=total_loss / ticks_total if ticks_total else 0.0,
         rolling=(),
-        tolerance=tolerance,
+        tolerance=HONESTY_TOLERANCE,
     )
     for lv in report.levels:
         _COVERAGE.labels(

@@ -31,6 +31,7 @@ stay stdlib-only.
 from __future__ import annotations
 
 import html as _html
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -178,10 +179,8 @@ def from_audit_and_trace(
     policy: str = "unknown",
     deadline: Optional[float] = None,
     table=None,
-    slack: float = 1.0,
     schedule: Sequence[Tuple[float, float]] = (),
     title: Optional[str] = None,
-    extra_scorecards: Sequence[Scorecard] = (),
     notes: Sequence[str] = (),
     chaos: Sequence[Tuple[str, float]] = (),
     extra_sections: Sequence[Tuple[str, Sequence[Tuple[str, float]]]] = (),
@@ -191,19 +190,16 @@ def from_audit_and_trace(
     one when a ``schedule`` changed it mid-run (default: the trace's)."""
     slo = analyze_run(
         trace, records, policy=policy, deadline=deadline, table=table,
-        slack=slack, schedule=schedule,
+        schedule=schedule,
     )
-    cards: List[Scorecard] = []
-    if records:
-        cards.append(_scorecard_from_audit(
-            records, trace.duration, name=policy, slack=slack
-        ))
-    cards.extend(extra_scorecards)
     forecasts = tuple(_forecasts(records))
     return RunReport(
         title=title if title is not None else f"{trace.job_name} / {policy}",
         slo=slo,
-        scorecards=tuple(cards),
+        scorecards=(
+            (_scorecard_from_audit(records, trace.duration, name=policy),)
+            if records else ()
+        ),
         allocation_series=tuple(
             (float(t), float(a)) for t, a in trace.allocation_timeline
         ),
@@ -229,9 +225,8 @@ def from_audit_and_trace(
 
 def from_result(result, *, table=None, title: Optional[str] = None) -> RunReport:
     """Report for an :class:`~repro.experiments.runner.ExperimentResult`:
-    :func:`from_audit_and_trace` over the run's own artifacts, control
-    config (slack) and scripted deadline changes."""
-    control = result.control_config
+    :func:`from_audit_and_trace` over the run's own artifacts and scripted
+    deadline changes."""
     schedule = tuple(result.deadline_changes)
     notes = [f"runtime scale {result.runtime_scale:.3f}"]
     if schedule:
@@ -245,7 +240,6 @@ def from_result(result, *, table=None, title: Optional[str] = None) -> RunReport
         policy=result.metrics.policy,
         deadline=result.initial_deadline or result.trace.deadline,
         table=table,
-        slack=control.slack if control is not None else 1.0,
         schedule=schedule,
         title=(
             title
@@ -272,10 +266,13 @@ def from_trace_events(
     the ring buffer's window) and a deadline — either recorded on the
     ``job.complete`` event or passed explicitly.  Early events lost to
     ring-buffer overflow only thin out the series; the verdict needs just
-    the completion event.
+    the completion event.  The trace does not record the controller's
+    slack: every rebuilt decision is stamped with ``slack``.
     """
     from repro.jobs.trace import RunTrace, TaskRecord  # deferred: layering
 
+    if not 0.0 < slack < math.inf:
+        raise ReportError(f"slack must be positive and finite, got {slack!r}")
     complete = None
     ticks: List[TickRecord] = []
     allocation_series: List[Tuple[float, float]] = []
@@ -298,7 +295,7 @@ def from_trace_events(
             # carry no tick or phase: every event was a periodic tick.
             values = {"tick": len(ticks), "phase": PHASE_TICK, **fields}
             ticks.append(TickRecord(
-                elapsed=event.ts, candidates=(), prev_smoothed=None,
+                elapsed=event.ts, candidates=(), prev_smoothed=None, slack=slack,
                 **{name: values[name] for name in EVENT_FIELDS},
             ))
         elif event.kind == "job.allocation":
@@ -354,7 +351,6 @@ def from_trace_events(
         ticks,
         policy=policy_name,
         table=table,
-        slack=slack,
         title=title if title is not None else f"{job} / {policy_name} (from trace)",
         notes=notes,
         chaos=chaos_rows,
@@ -927,13 +923,14 @@ def render_text(report: RunReport) -> str:
 def write(report: RunReport, path: str) -> str:
     """Write the report to ``path`` — HTML for ``.html``/``.htm``, text
     otherwise.  Returns the format written."""
+    from repro import persist  # deferred: layering
+
     lowered = path.lower()
     if lowered.endswith((".html", ".htm")):
         content, fmt = render_html(report), "html"
     else:
         content, fmt = render_text(report), "text"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(content)
+    persist.write_text(path, content)
     return fmt
 
 

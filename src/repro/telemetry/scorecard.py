@@ -87,20 +87,15 @@ class Scorecard:
         name: str,
         predictions: Sequence[Tuple[float, float]],
         duration: float,
-        *,
-        slack: float = 1.0,
     ) -> "Scorecard":
         """Join ``(elapsed, predicted_remaining)`` pairs against the known
-        duration.  ``slack`` divides the predictions back out when they
-        were recorded post-slack (the controller's audit trail is)."""
+        duration."""
         if duration <= 0:
             raise ValueError(f"duration must be positive, got {duration!r}")
-        if slack <= 0:
-            raise ValueError(f"slack must be positive, got {slack!r}")
         points = tuple(
             ScorePoint(
                 elapsed=float(t),
-                predicted_remaining=float(pred) / slack,
+                predicted_remaining=float(pred),
                 realized_remaining=duration - float(t),
             )
             for t, pred in predictions
@@ -166,17 +161,16 @@ def from_audit(
     duration: float,
     *,
     name: Optional[str] = None,
-    slack: float = 1.0,
 ) -> Scorecard:
     """Scorecard for a controller's own predictions, from its audit trail.
-    Pass the control config's ``slack`` so predictions are judged pre-slack
-    (the slack is deliberate pessimism, not model error).  When records
-    carry interval forecasts, the card counts their coverage too."""
+    Each prediction is judged pre-slack, divided by the slack its record
+    was decided with (the slack is deliberate pessimism, not model error).
+    When records carry interval forecasts, the card counts their coverage
+    too."""
     card = Scorecard.from_predictions(
         name if name is not None else "controller",
-        [(r.elapsed, r.predicted_remaining) for r in records],
+        [(r.elapsed, r.predicted_remaining / r.slack) for r in records],
         duration,
-        slack=slack,
     )
     if not any(r.bands for r in records):
         return card

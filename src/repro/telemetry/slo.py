@@ -78,19 +78,17 @@ def risk_timeline(
     *,
     deadline: float,
     table=None,
-    slack: float = 1.0,
     schedule: Sequence[Tuple[float, float]] = (),
 ) -> List[RiskPoint]:
     """Per-tick deadline-miss probability from the audit trail.
 
     With a C(p, a) ``table`` the risk is exact w.r.t. the model:
     ``P(slack * C(p, a) > budget)`` at the tick's observed progress and
-    applied allocation.  Without one (e.g. the Amdahl predictor has no
-    distribution), the point prediction stands in: risk 1.0 when the
-    slacked prediction overshoots the budget, else 0.0.
+    applied allocation, with the slack the record was decided at.  Without
+    one (e.g. the Amdahl predictor has no distribution), the point
+    prediction stands in: risk 1.0 when the slacked prediction overshoots
+    the budget, else 0.0.
     """
-    if slack <= 0:
-        raise ValueError(f"slack must be positive, got {slack!r}")
     points: List[RiskPoint] = []
     for record in records:
         budget = deadline_at(record.elapsed, deadline, schedule) - record.elapsed
@@ -98,7 +96,9 @@ def risk_timeline(
             risk = 1.0
         elif table is not None and record.progress is not None:
             risk = float(
-                table.exceedance(record.progress, record.allocation, budget / slack)
+                table.exceedance(
+                    record.progress, record.allocation, budget / record.slack
+                )
             )
         else:
             risk = 1.0 if record.predicted_remaining > budget else 0.0
@@ -199,7 +199,6 @@ def analyze_run(
     policy: str = "unknown",
     deadline: Optional[float] = None,
     table=None,
-    slack: float = 1.0,
     schedule: Sequence[Tuple[float, float]] = (),
     utility=None,
 ) -> SloAttainment:
@@ -238,13 +237,7 @@ def analyze_run(
         oracle_tokens=int(oracle),
         excess_token_seconds=float(trace.allocation_excess_seconds(oracle)),
         risk=tuple(
-            risk_timeline(
-                records,
-                deadline=deadline,
-                table=table,
-                slack=slack,
-                schedule=schedule,
-            )
+            risk_timeline(records, deadline=deadline, table=table, schedule=schedule)
         ),
     )
 

@@ -169,15 +169,15 @@ def enabled() -> bool:
 
 
 @contextmanager
-def capture(capacity: int = 65536, recorder: Optional[TraceRecorder] = None):
-    """Record everything inside the ``with`` block; restores the previous
-    recorder on exit.
+def capture(capacity: int = 65536):
+    """Record everything inside the ``with`` block into a fresh
+    :class:`TraceRecorder`; restores the previous recorder on exit.
 
         with trace.capture() as rec:
             run_to_completion(manager)
         export.write_chrome_trace(rec.events(), "timeline.json")
     """
-    rec = recorder if recorder is not None else TraceRecorder(capacity)
+    rec = TraceRecorder(capacity)
     previous = install(rec)
     try:
         yield rec

@@ -21,6 +21,7 @@ from repro.chaos.spec import (
 from repro.experiments import SMOKE, RunConfig, make_policy, run_experiment, trained_job
 from repro.experiments import exp_chaos
 from repro.telemetry import export as telemetry_export
+from repro.telemetry import trace
 
 
 def _spec() -> ChaosSpec:
@@ -49,40 +50,36 @@ def trained():
 
 
 def _run_once(trained):
+    """One chaos run: its result and the trace events it emitted."""
     deadline = trained.short_deadline
     policy = make_policy("jockey", trained, deadline)
-    return run_experiment(
-        trained,
-        policy,
-        RunConfig(
-            deadline_seconds=deadline,
-            seed=7,
-            capture_trace=True,
-            chaos=_spec(),
-        ),
-    )
+    with trace.capture() as recorder:
+        result = run_experiment(
+            trained,
+            policy,
+            RunConfig(deadline_seconds=deadline, seed=7, chaos=_spec()),
+        )
+    return result, recorder.events()
 
 
-def _jsonl_bytes(result) -> bytes:
+def _jsonl_bytes(events) -> bytes:
     buf = io.StringIO()
-    telemetry_export.write_jsonl(result.trace_events, buf)
+    telemetry_export.write_jsonl(events, buf)
     return buf.getvalue().encode("utf-8")
 
 
 class TestReplayDeterminism:
     def test_trace_jsonl_byte_identical(self, trained):
-        first = _run_once(trained)
-        second = _run_once(trained)
+        (_first, first), (_second, second) = _run_once(trained), _run_once(trained)
         a, b = _jsonl_bytes(first), _jsonl_bytes(second)
         assert hashlib.sha256(a).hexdigest() == hashlib.sha256(b).hexdigest()
         assert a == b
         # The run actually exercised the injectors — this is not a
         # vacuous comparison of two calm runs.
-        assert any(e.kind.startswith("chaos.") for e in first.trace_events)
+        assert any(e.kind.startswith("chaos.") for e in first)
 
     def test_chaos_summary_stable(self, trained):
-        first = _run_once(trained)
-        second = _run_once(trained)
+        (first, _), (second, _) = _run_once(trained), _run_once(trained)
         assert first.chaos_summary == second.chaos_summary
         assert first.chaos_summary["machines_failed"] > 0
 

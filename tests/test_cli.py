@@ -260,6 +260,18 @@ class TestObservatory:
         assert code == 0
         assert out.read_text(encoding="utf-8").startswith("<!DOCTYPE html>")
 
+    def test_report_refuses_a_bad_slack(self, bundle, tmp_path):
+        jsonl = tmp_path / "run.jsonl"
+        code, _text = run_cli(
+            "run", "--bundle", str(bundle), "--deadline-minutes", "60",
+            "--seed", "2", "--trace-jsonl", str(jsonl),
+        )
+        assert code == 0
+        for slack in ("0", "nan", "inf"):
+            code, text = run_cli("report", str(jsonl), "--slack", slack)
+            assert code == 1, slack
+            assert text.startswith("error: slack must be positive and finite")
+
     def test_report_missing_file(self, tmp_path):
         code, text = run_cli("report", str(tmp_path / "nope.jsonl"))
         assert code == 1

@@ -22,6 +22,9 @@ class _Constant:
     def remaining_seconds(self, fractions, allocation):
         return 1.0
 
+    def remaining_seconds_batch(self, fractions, allocations):
+        return [1.0] * len(allocations)
+
 
 class TestSimClock:
     """Simulator time as a clock: the batch path hands the blackout

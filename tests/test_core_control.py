@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.control import (
+    DEGRADED_DEAD_ZONE_FACTOR,
     ControlConfig,
     ControlError,
     CpaPredictor,
@@ -29,6 +30,9 @@ class LinearPredictor:
     def remaining_seconds(self, fractions, allocation):
         done = fractions.get("s", 0.0)
         return (1.0 - done) * self.work / allocation
+
+    def remaining_seconds_batch(self, fractions, allocations):
+        return [self.remaining_seconds(fractions, a) for a in allocations]
 
 
 def controller(work=60_000.0, deadline=3600.0, **config_kwargs):
@@ -312,7 +316,7 @@ class TestAuditReconstructionMidRunDeadlineChange:
         result = run_experiment(tj, policy, config)
         records = result.audit_records
         assert len(records) >= 2
-        cfg = result.control_config
+        cfg = policy.controller.config
         replayed = reconstruct_allocations(
             records,
             hysteresis=cfg.hysteresis,
@@ -458,7 +462,7 @@ class TestOneArgmin:
         want_raw, want_candidates = reference_degraded_raw(
             grid, predictions, config.slack, later,
             utility.shifted_left(
-                config.dead_zone_seconds * config.degraded_dead_zone_factor
+                config.dead_zone_seconds * DEGRADED_DEAD_ZONE_FACTOR
             ),
             floor=int(round(live.smoothed)),
         )

@@ -288,16 +288,15 @@ class TestRunArtifacts:
                               config(), profile=profile)
         policy.initial_allocation()
         policy.on_tick(snapshot({"map": 0.5, "reduce": 0.0}, 5.0))
-        records, slack = run_artifacts(policy, default_slack=9.0)
+        records = run_artifacts(policy)
         assert records == policy.controller.audit and len(records) == 2
-        assert slack == config().slack
-        # The ledger is the audit: each decision's record carries its bands.
+        # Each record carries the slack it was decided with ...
+        assert [r.slack for r in records] == [config().slack] * 2
+        # ... and the ledger is the audit: each carries its bands.
         assert all(r.bands and r.median is not None for r in records)
 
     def test_static_policy_leaves_nothing_but_the_default_slack(self):
         from repro.core.policies import run_artifacts
 
-        assert run_artifacts(MaxAllocationPolicy(5)) == ([], 1.0)
-        assert run_artifacts(
-            MaxAllocationPolicy(5), default_slack=1.2
-        ) == ([], 1.2)
+        # No controller, no decisions: nothing to read a slack off.
+        assert run_artifacts(MaxAllocationPolicy(5)) == []

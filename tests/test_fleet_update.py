@@ -13,8 +13,10 @@ import pytest
 
 from repro.fleet.store import FleetError
 from repro.fleet.update import (
-    DriftConfig,
-    UpdateConfig,
+    KS_STAGE_FRACTION,
+    MAX_SAMPLES,
+    MEAN_SHIFT_THRESHOLD,
+    WINDOW,
     _quantile_subsample,
     detect_drift,
     ks_statistic,
@@ -78,38 +80,31 @@ class TestQuantileSubsample:
 
 class TestUpdateConfigValidation:
     def test_unknown_policy(self):
+        g = graph()
         with pytest.raises(FleetError, match="unknown update policy"):
-            UpdateConfig(policy="psychic")
-
-    def test_bad_window(self):
-        with pytest.raises(FleetError, match="window"):
-            UpdateConfig(window=0)
-
-    def test_bad_alpha(self):
-        with pytest.raises(FleetError, match="ewma_alpha"):
-            UpdateConfig(ewma_alpha=0.0)
+            resolve_profile("psychic", [make_profile(g, spread(10.0))])
 
 
 class TestResolveProfile:
     def test_empty_lineage_raises(self):
         with pytest.raises(FleetError, match="empty lineage"):
-            resolve_profile(UpdateConfig(), [])
+            resolve_profile("ewma", [])
 
     def test_latest_returns_newest_verbatim(self):
         g = graph()
         old = make_profile(g, spread(10.0))
         new = make_profile(g, spread(20.0))
-        assert resolve_profile(UpdateConfig(policy="latest"), [old, new]) is new
+        assert resolve_profile("latest", [old, new]) is new
 
     def test_single_generation_short_circuits(self):
         g = graph()
         only = make_profile(g, spread(10.0))
-        assert resolve_profile(UpdateConfig(policy="ewma"), [only]) is only
+        assert resolve_profile("ewma", [only]) is only
 
     def test_window_blend_is_equal_weight(self):
         g = graph()
         lineage = [make_profile(g, spread(10.0)), make_profile(g, spread(20.0))]
-        blended = resolve_profile(UpdateConfig(policy="window"), lineage)
+        blended = resolve_profile("window", lineage)
         assert blended.stage("map").runtime.mean() == pytest.approx(
             15.0, rel=0.05
         )
@@ -117,9 +112,7 @@ class TestResolveProfile:
     def test_ewma_weights_newest_more(self):
         g = graph()
         lineage = [make_profile(g, spread(10.0)), make_profile(g, spread(20.0))]
-        blended = resolve_profile(
-            UpdateConfig(policy="ewma", ewma_alpha=0.5), lineage
-        )
+        blended = resolve_profile("ewma", lineage)
         # Weights 1/3 vs 2/3: the blend sits between the window midpoint
         # and the newest generation.
         mean = blended.stage("map").runtime.mean()
@@ -127,14 +120,10 @@ class TestResolveProfile:
 
     def test_window_drops_old_generations(self):
         g = graph()
-        lineage = [
-            make_profile(g, spread(100.0)),
-            make_profile(g, spread(10.0)),
-            make_profile(g, spread(10.0)),
+        lineage = [make_profile(g, spread(100.0))] + [
+            make_profile(g, spread(10.0)) for _ in range(WINDOW)
         ]
-        blended = resolve_profile(
-            UpdateConfig(policy="window", window=2), lineage
-        )
+        blended = resolve_profile("window", lineage)
         assert blended.stage("map").runtime.mean() == pytest.approx(
             10.0, rel=0.05
         )
@@ -145,23 +134,20 @@ class TestResolveProfile:
             make_profile(g, spread(10.0, n=400)),
             make_profile(g, spread(20.0, n=400)),
         ]
-        blended = resolve_profile(
-            UpdateConfig(policy="window", max_samples=64), lineage
-        )
-        assert len(blended.stage("map").runtime.values) <= 64
+        blended = resolve_profile("window", lineage)
+        assert len(blended.stage("map").runtime.values) == MAX_SAMPLES < 800
 
     def test_failure_prob_blends(self):
         g = graph()
         lineage = [make_profile(g, spread(10.0)), make_profile(g, spread(10.0))]
-        blended = resolve_profile(UpdateConfig(policy="window"), lineage)
+        blended = resolve_profile("window", lineage)
         assert blended.stage("map").failure_prob == pytest.approx(0.01)
 
     def test_deterministic_for_fixed_lineage(self):
         g = graph()
         lineage = [make_profile(g, spread(10.0)), make_profile(g, spread(14.0))]
-        config = UpdateConfig(policy="ewma")
-        a = resolve_profile(config, lineage)
-        b = resolve_profile(config, lineage)
+        a = resolve_profile("ewma", lineage)
+        b = resolve_profile("ewma", lineage)
         assert list(a.stage("map").runtime.values) == list(
             b.stage("map").runtime.values
         )
@@ -174,16 +160,6 @@ class TestKsStatistic:
 
     def test_disjoint_samples_one(self):
         assert ks_statistic([1.0, 2.0, 3.0], [10.0, 11.0]) == 1.0
-
-
-class TestDriftConfigValidation:
-    def test_unknown_mode(self):
-        with pytest.raises(FleetError, match="unknown drift mode"):
-            DriftConfig(mode="vibes")
-
-    def test_bad_threshold(self):
-        with pytest.raises(FleetError, match="mean_shift_threshold"):
-            DriftConfig(mean_shift_threshold=0.0)
 
 
 class TestDetectDrift:
@@ -222,20 +198,21 @@ class TestDetectDrift:
         assert report.drifted_stages()  # per-stage evidence corroborates
 
     def test_mean_mode_uses_work_ratio_only(self):
+        # The work-ratio statistic alone passes its threshold.
         g = graph()
         ref = make_profile(g, spread(10.0), spread(30.0))
         obs = make_profile(g, spread(16.0), spread(48.0))
-        report = detect_drift(ref, obs, DriftConfig(mode="mean"))
+        report = detect_drift(ref, obs)
         assert report.significant
-        assert report.mode == "mean"
+        assert report.work_shift > MEAN_SHIFT_THRESHOLD
 
     def test_ks_mode_needs_stage_votes(self):
         g = graph()
         ref = make_profile(g, spread(10.0), spread(30.0))
         obs = make_profile(g, spread(16.0), spread(48.0))
-        report = detect_drift(ref, obs, DriftConfig(mode="ks"))
+        report = detect_drift(ref, obs)
         assert report.significant
-        assert report.ks_trip_fraction == 1.0
+        assert report.ks_trip_fraction == 1.0 >= KS_STAGE_FRACTION
 
     def test_tiny_stages_are_ks_ineligible(self):
         g = JobGraph("tiny", [Stage("s", 1)], [])
@@ -245,9 +222,11 @@ class TestDetectDrift:
         obs = JobProfile(
             g, {"s": StageProfile("s", runtime=Empirical([30.0, 31.0]))}
         )
-        report = detect_drift(ref, obs, DriftConfig(mode="ks"))
+        report = detect_drift(ref, obs)
         # No eligible stage: the KS vote cannot pass, however large the
-        # shift looks at n=2.
+        # shift looks at n=2, and nothing corroborates the work shift.
+        assert report.ks_trip_fraction == 0.0 and report.median_ratio == 1.0
+        assert report.work_shift > MEAN_SHIFT_THRESHOLD
         assert not report.significant
         assert math.isinf(report.stages[0].ks_threshold)
         assert not report.stages[0].significant
@@ -256,6 +235,10 @@ class TestDetectDrift:
         g = JobGraph("param", [Stage("s", 4)], [])
         ref = JobProfile(g, {"s": StageProfile("s", runtime=Constant(10.0))})
         obs = JobProfile(g, {"s": StageProfile("s", runtime=Constant(16.0))})
-        report = detect_drift(ref, obs, DriftConfig(mode="mean"))
-        assert report.significant
+        report = detect_drift(ref, obs)
         assert report.work_ratio == pytest.approx(1.6)
+        # Parametric stages have no samples to corroborate the means: the
+        # shift is reported, and without corroboration it is not a drift.
+        assert report.work_shift > MEAN_SHIFT_THRESHOLD
+        assert report.median_ratio == 1.0 and report.ks_trip_fraction == 0.0
+        assert not report.significant

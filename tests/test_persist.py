@@ -417,6 +417,26 @@ class TestOneOwner:
         ]
         assert offenders == []
 
+    def test_only_persist_writes_a_text_file(self):
+        """Reports, results, profiles and port files go through
+        ``persist.write_text``, so an interrupted write leaves no truncated
+        file, whatever its extension: no ``open(..., "w")`` and no
+        ``.write_text(`` outside persist.py.  (The trace exporters stream
+        to a path or an open file object and are not matched here.)"""
+        needle = re.compile(
+            r"""open\([^)]*,\s*["'][wax]["']|(?<!persist)\.write_text\("""
+        )
+        offenders = [
+            f"{path.relative_to(self.SRC)}:{lineno}"
+            for path in sorted(self.SRC.rglob("*.py"))
+            if path.name != "persist.py"
+            for lineno, line in enumerate(
+                path.read_text("utf-8").splitlines(), 1
+            )
+            if needle.search(line)
+        ]
+        assert offenders == []
+
     def test_the_arbiter_reads_no_second_clock(self):
         server = (self.SRC / "service" / "server.py").read_text("utf-8")
         assert "time.monotonic" not in server

@@ -60,6 +60,9 @@ class StubPredictor:
     def remaining_seconds(self, fractions, allocation):
         return (1.0 - fractions.get("s", 0.0)) * self.work / allocation
 
+    def remaining_seconds_batch(self, fractions, allocations):
+        return [self.remaining_seconds(fractions, a) for a in allocations]
+
 
 class TestControllerInvariants:
     @given(

@@ -96,9 +96,9 @@ class TestServiceConfig:
     def test_poll_interval_derived_from_time_scale(self):
         assert ServiceConfig(time_scale=0.02).effective_poll_seconds == \
             pytest.approx(0.04)
-        assert ServiceConfig(
-            time_scale=0.02, poll_seconds=0.2
-        ).effective_poll_seconds == pytest.approx(0.2)
+        # Two virtual seconds of wall time, bounded to [5 ms, 50 ms].
+        assert ServiceConfig(time_scale=1.0).effective_poll_seconds == 0.05
+        assert ServiceConfig(time_scale=0.001).effective_poll_seconds == 0.005
 
 
 class TestLifecycle:
@@ -738,6 +738,32 @@ class TestQuotaReturned:
                     })
             assert job.status == status
             assert tenant.guaranteed_in_use == 0 and tenant.live == {}
+
+    def test_a_failed_job_is_finished_once(self):
+        """The failed job's other leases still report failures after it
+        failed: each frees its slot, and the job, its trace and its tenant
+        stay as the first failure left them."""
+        svc = self.service(8)
+        tenant = svc._tenants["a"]
+        worker = svc.register_worker({"name": "w", "slots": 8})["worker_id"]
+        reply = svc.submit(dict(self.SUBMIT))
+        assert reply["status"] == "running"
+        job = svc._jobs[reply["job_id"]]
+        tasks = svc.lease({"worker_id": worker, "max_tasks": 8})["tasks"]
+        assert len(tasks) > 1
+        for task in tasks:
+            svc.clock.advance(5.0)
+            reply = svc.complete_task({
+                "task_id": task["task_id"], "worker_id": worker,
+                "outcome": "failed",
+            })
+            assert reply["job_status"] == "failed"
+        assert job.trace.end_time == 5.0
+        assert len(job.trace.records) == 1
+        stats = tenant.stats()
+        assert (stats["completed"], stats["unfinished"]) == (1, 0)
+        assert job.running == {} and svc._running_tasks == 0
+        assert svc._workers[worker].leased == {}
 
 
 class TestServiceFreed:

@@ -342,7 +342,7 @@ def _tick(i, raw, prev, alpha=0.5, min_t=1, max_t=100):
         candidates=(), raw=raw, dead_zone_triggered=False,
         prev_smoothed=prev, smoothed=smoothed,
         allocation=audit_mod.quantize_allocation(smoothed, min_t, max_t),
-        predicted_remaining=0.0, utility=0.0,
+        predicted_remaining=0.0, utility=0.0, slack=1.0,
     )
 
 
@@ -354,7 +354,7 @@ class TestControlAudit:
             tick=0, phase=audit_mod.PHASE_INITIAL, elapsed=0.0, progress=0.0,
             candidates=(), raw=20, dead_zone_triggered=False,
             prev_smoothed=None, smoothed=20.0, allocation=20,
-            predicted_remaining=0.0, utility=0.0,
+            predicted_remaining=0.0, utility=0.0, slack=1.0,
         ))
         prev = 20.0
         for i, raw in enumerate((70, 70, 30), start=1):

@@ -183,7 +183,7 @@ class TestPredictionGauges:
             tick=0, phase="tick", elapsed=60.0, progress=0.5, candidates=(),
             raw=10, dead_zone_triggered=False, prev_smoothed=None,
             smoothed=10.0, allocation=10, predicted_remaining=300.0,
-            utility=1.0, median=median, bands=bands,
+            utility=1.0, slack=1.0, median=median, bands=bands,
         )
         predict.publish(record, predictor=predictor)
         predict.calibration([record], 360.0, predictor=predictor)

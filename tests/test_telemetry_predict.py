@@ -54,7 +54,7 @@ def tick_record(tick, elapsed, median, bands, *, progress=0.5, allocation=10):
         candidates=(), raw=allocation, dead_zone_triggered=False,
         prev_smoothed=None, smoothed=float(allocation), allocation=allocation,
         predicted_remaining=max(median - elapsed, 0.0), utility=1.0,
-        median=median, bands=bands,
+        slack=1.0, median=median, bands=bands,
     )
 
 
@@ -571,7 +571,7 @@ def record_from_quantiles(
     )
 
 
-def reference_record_prediction(predictor, config, fractions, tick, ledger):
+def reference_record_prediction(predictor, fractions, tick, ledger):
     """The controller's old ``_record_prediction`` hook (``self`` spelled
     out): called after each decision that was not degraded."""
     quantiler = getattr(predictor, "remaining_quantiles", None)
@@ -590,7 +590,6 @@ def reference_record_prediction(predictor, config, fractions, tick, ledger):
         progress=tick.progress,
         allocation=tick.allocation,
         quantiles=quantiles,
-        error_rel=config.prediction_error_rel,
     )
     ledger.append(record)
 
@@ -641,7 +640,6 @@ def ledger_cases(draw):
             allocation_step=draw(st.integers(1, 3)),
             hysteresis=draw(st.floats(0.05, 1.0)),
             dead_zone_seconds=draw(st.sampled_from((0.0, 30.0, 180.0))),
-            prediction_error_rel=draw(st.floats(0.0, 0.6)),
         ),
         deadline=draw(st.floats(20.0, 400.0)),
         distribution=draw(st.booleans()),
@@ -671,8 +669,7 @@ class TestOneRecordPerDecision:
         reference: List[PredictionRecord] = []
         zero = {"map": 0.0, "reduce": 0.0}
         ctl.initial_allocation(zero)
-        reference_record_prediction(predictor, config, zero, ctl.audit[-1],
-                                    reference)
+        reference_record_prediction(predictor, zero, ctl.audit[-1], reference)
         elapsed = 0.0
         for map_fraction, reduce_fraction, step, down in case["ticks"]:
             elapsed += step
@@ -681,8 +678,8 @@ class TestOneRecordPerDecision:
             record = ctl.decide(fractions, elapsed)
             predictor.down = False
             if not down:
-                reference_record_prediction(predictor, config, fractions,
-                                            record, reference)
+                reference_record_prediction(predictor, fractions, record,
+                                            reference)
         banded = forecasts(ctl.audit)
         assert [
             PredictionRecord(

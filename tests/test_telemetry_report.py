@@ -13,6 +13,7 @@ import pytest
 from repro.experiments.runner import RunConfig, make_policy, run_experiment
 from repro.experiments.scenarios import SMOKE, trained_job
 from repro.telemetry import report as report_mod
+from repro.telemetry import trace
 from repro.telemetry.report import ReportError, RunReport, render_html, render_text
 
 
@@ -20,18 +21,19 @@ from repro.telemetry.report import ReportError, RunReport, render_html, render_t
 def jockey_run():
     tj = trained_job("A", seed=0, scale=SMOKE)
     policy = make_policy("jockey", tj, tj.short_deadline)
-    result = run_experiment(
-        tj,
-        policy,
-        RunConfig(deadline_seconds=tj.short_deadline, seed=7,
-                  capture_trace=True, sample_cluster_day=False),
-    )
-    return tj, result
+    with trace.capture() as recorder:
+        result = run_experiment(
+            tj,
+            policy,
+            RunConfig(deadline_seconds=tj.short_deadline, seed=7,
+                      sample_cluster_day=False),
+        )
+    return tj, result, recorder.events()
 
 
 @pytest.fixture(scope="module")
 def html_report(jockey_run):
-    tj, result = jockey_run
+    tj, result, _events = jockey_run
     report = report_mod.from_result(result, table=tj.table)
     return report, render_html(report)
 
@@ -59,7 +61,7 @@ class TestSelfContained:
 
 class TestNumbersMatchAnalysis:
     def test_verdict_and_margin_in_html(self, jockey_run, html_report):
-        tj, result = jockey_run
+        tj, result, _events = jockey_run
         report, html = html_report
         slo = result.slo_report(table=tj.table)
         assert report.slo.summary() == slo.summary()
@@ -74,7 +76,7 @@ class TestNumbersMatchAnalysis:
                 assert f"<td>{card.p90_abs_error / 60:.2f}</td>" in html
 
     def test_series_come_from_the_run(self, jockey_run, html_report):
-        _tj, result = jockey_run
+        _tj, result, _events = jockey_run
         report, _html = html_report
         assert [a for _t, a in report.allocation_series] == [
             a for _t, a in result.trace.allocation_timeline
@@ -83,7 +85,7 @@ class TestNumbersMatchAnalysis:
 
 class TestTextFallback:
     def test_text_renders_same_verdict(self, jockey_run, html_report):
-        tj, result = jockey_run
+        tj, result, _events = jockey_run
         report, _html = html_report
         text = render_text(report)
         slo = result.slo_report(table=tj.table)
@@ -107,10 +109,10 @@ class TestWrite:
 
 class TestFromTraceEvents:
     def test_reproduces_run_from_events_alone(self, jockey_run):
-        tj, result = jockey_run
+        tj, result, events = jockey_run
         rebuilt = report_mod.from_trace_events(
-            result.trace_events, policy="jockey", table=tj.table,
-            slack=result.control_config.slack,
+            events, policy="jockey", table=tj.table,
+            slack=result.audit_records[0].slack,
         )
         direct = result.slo_report(table=tj.table)
         assert rebuilt.slo.verdict == direct.verdict
@@ -119,10 +121,10 @@ class TestFromTraceEvents:
         assert rebuilt.slo.cpu_seconds == pytest.approx(direct.cpu_seconds)
 
     def test_rebuilt_and_in_process_reports_agree(self, jockey_run):
-        tj, result = jockey_run
+        tj, result, events = jockey_run
         rebuilt = report_mod.from_trace_events(
-            result.trace_events, policy="jockey", table=tj.table,
-            slack=result.control_config.slack,
+            events, policy="jockey", table=tj.table,
+            slack=result.audit_records[0].slack,
         )
         direct = report_mod.from_result(result, table=tj.table)
         (card,), (want,) = rebuilt.scorecards, direct.scorecards
@@ -132,8 +134,8 @@ class TestFromTraceEvents:
         assert rebuilt.slo.risk == direct.slo.risk
 
     def test_one_tick_event_per_audit_record(self, jockey_run):
-        _tj, result = jockey_run
-        events = [e for e in result.trace_events if e.kind == "control.tick"]
+        _tj, result, events = jockey_run
+        events = [e for e in events if e.kind == "control.tick"]
         assert [
             (e.ts, e.fields["tick"], e.fields["phase"], e.fields["raw"],
              e.fields["allocation"], e.fields["predicted_remaining"])
@@ -147,16 +149,16 @@ class TestFromTraceEvents:
     def test_events_without_phase_read_as_periodic_ticks(self, jockey_run):
         from repro.telemetry.trace import TraceEvent
 
-        tj, result = jockey_run
+        tj, result, events = jockey_run
         older = [
             TraceEvent(e.ts, e.kind, {
                 k: v for k, v in e.fields.items() if k not in ("tick", "phase")
             }) if e.kind == "control.tick" else e
-            for e in result.trace_events
+            for e in events
         ]
         rebuilt = report_mod.from_trace_events(
             older, policy="jockey", table=tj.table,
-            slack=result.control_config.slack,
+            slack=result.audit_records[0].slack,
         )
         assert rebuilt.scorecards[0].ticks == len(result.audit_records)
 
@@ -165,10 +167,10 @@ class TestFromTraceEvents:
             report_mod.from_trace_events([], policy="jockey")
 
     def test_rebuilt_report_renders(self, jockey_run):
-        tj, result = jockey_run
+        tj, result, events = jockey_run
         rebuilt = report_mod.from_trace_events(
-            result.trace_events, policy="jockey", table=tj.table,
-            slack=result.control_config.slack,
+            events, policy="jockey", table=tj.table,
+            slack=result.audit_records[0].slack,
         )
         html = render_html(rebuilt)
         assert rebuilt.slo.verdict in html
@@ -203,7 +205,7 @@ class TestFleetSection:
         assert rows == (("days simulated", 3.0),)
 
     def test_extra_sections_render_in_both_formats(self, jockey_run):
-        tj, result = jockey_run
+        tj, result, _events = jockey_run
         import dataclasses
 
         report = dataclasses.replace(
@@ -223,7 +225,7 @@ class TestFleetSection:
         assert "SLO attainment" in text
 
     def test_empty_sections_are_skipped(self, jockey_run):
-        tj, result = jockey_run
+        tj, result, _events = jockey_run
         import dataclasses
 
         report = dataclasses.replace(

@@ -9,8 +9,10 @@ import math
 
 import pytest
 
+from repro.core.control import ControlConfig
 from repro.experiments.runner import RunConfig, make_policy, run_experiment
 from repro.experiments.scenarios import SMOKE, trained_job
+from repro.telemetry import report as report_mod
 from repro.telemetry import scorecard as scorecard_mod
 from repro.telemetry.scorecard import Scorecard, quantile, scorecard_rows
 from repro.telemetry.slo import (
@@ -33,6 +35,24 @@ def jockey_run():
                   sample_cluster_day=False),
     )
     return tj, result
+
+
+def _record(elapsed, predicted, progress=None, allocation=10, slack=1.0):
+    # Duck-typed stand-in for a TickRecord: the risk timeline and the
+    # audit scorecard read only tick/elapsed/progress/allocation/
+    # predicted_remaining/slack (and bands).
+    class R:
+        pass
+
+    r = R()
+    r.tick = 0
+    r.elapsed = elapsed
+    r.progress = progress
+    r.allocation = allocation
+    r.predicted_remaining = predicted
+    r.slack = slack
+    r.bands = ()
+    return r
 
 
 class TestDeadlineAt:
@@ -81,8 +101,9 @@ class TestScorecard:
         assert card.bias_seconds == pytest.approx(40.0)
 
     def test_slack_divided_out(self):
-        card = Scorecard.from_predictions(
-            "x", [(0.0, 120.0)], 100.0, slack=1.2
+        # Each record is judged at the slack it was decided with.
+        card = scorecard_mod.from_audit(
+            [_record(elapsed=0.0, predicted=120.0, slack=1.2)], 100.0
         )
         assert card.points[0].predicted_remaining == pytest.approx(100.0)
         assert card.bias_seconds == pytest.approx(0.0)
@@ -110,8 +131,10 @@ class TestScorecard:
     def test_bad_duration_or_slack_rejected(self):
         with pytest.raises(ValueError):
             Scorecard.from_predictions("x", [], 0.0)
-        with pytest.raises(ValueError):
-            Scorecard.from_predictions("x", [], 100.0, slack=0.0)
+        # A controller's slack enters with its config and is checked there.
+        for slack in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="slack"):
+                ControlConfig(slack=slack)
 
     def test_merge_pools_points_and_averages_duration(self):
         a = Scorecard.from_predictions("a", [(0.0, 100.0)], 100.0)
@@ -134,30 +157,16 @@ class TestScorecard:
 
 
 class TestRiskTimeline:
-    def _record(self, elapsed, predicted, progress=None, allocation=10):
-        # Duck-typed stand-in for a TickRecord: risk_timeline reads only
-        # tick/elapsed/progress/allocation/predicted_remaining.
-        class R:
-            pass
-
-        r = R()
-        r.tick = 0
-        r.elapsed = elapsed
-        r.progress = progress
-        r.allocation = allocation
-        r.predicted_remaining = predicted
-        return r
-
     def test_exhausted_budget_is_certain_miss(self):
         points = risk_timeline(
-            [self._record(elapsed=200.0, predicted=1.0)], deadline=100.0
+            [_record(elapsed=200.0, predicted=1.0)], deadline=100.0
         )
         assert points[0].budget < 0
         assert points[0].risk == 1.0
 
     def test_binary_fallback_without_table(self):
-        late = self._record(elapsed=0.0, predicted=150.0)
-        fine = self._record(elapsed=0.0, predicted=50.0)
+        late = _record(elapsed=0.0, predicted=150.0)
+        fine = _record(elapsed=0.0, predicted=50.0)
         points = risk_timeline([late, fine], deadline=100.0)
         assert [p.risk for p in points] == [1.0, 0.0]
         assert points[1].margin == pytest.approx(50.0)
@@ -171,22 +180,25 @@ class TestRiskTimeline:
                 return 0.25
 
         points = risk_timeline(
-            [self._record(elapsed=40.0, predicted=80.0, progress=0.5)],
-            deadline=100.0, table=Table(), slack=1.2,
+            [_record(elapsed=40.0, predicted=80.0, progress=0.5, slack=1.2)],
+            deadline=100.0, table=Table(),
         )
         assert points[0].risk == 0.25
         assert calls == [(0.5, 10, pytest.approx(60.0 / 1.2))]
 
     def test_schedule_changes_budget(self):
         points = risk_timeline(
-            [self._record(elapsed=30.0, predicted=10.0)],
+            [_record(elapsed=30.0, predicted=10.0)],
             deadline=1000.0, schedule=((20.0, 50.0),),
         )
         assert points[0].budget == pytest.approx(20.0)
 
     def test_bad_slack_rejected(self):
-        with pytest.raises(ValueError):
-            risk_timeline([], deadline=100.0, slack=0.0)
+        # A trace records no slack: the report reader stamps the one it is
+        # given on every record, and refuses a bad one before reading.
+        for slack in (0.0, -1.2, float("nan"), float("inf")):
+            with pytest.raises(report_mod.ReportError, match="slack"):
+                report_mod.from_trace_events([], slack=slack)
 
     def test_at_risk_threshold(self):
         p = RiskPoint(tick=0, elapsed=0, progress=None, allocation=1,
@@ -263,10 +275,10 @@ class TestAnalyzeRun:
 
     def test_audit_scorecard_reproducible(self, jockey_run):
         tj, result = jockey_run
-        slack = result.control_config.slack
+        slack = result.audit_records[0].slack
+        assert {r.slack for r in result.audit_records} == {ControlConfig().slack}
         card = scorecard_mod.from_audit(
-            result.audit_records, result.trace.duration,
-            name="jockey", slack=slack,
+            result.audit_records, result.trace.duration, name="jockey",
         )
         assert card.ticks == len(result.audit_records)
         # Recompute one point by hand from the raw record.
@@ -278,6 +290,5 @@ class TestAnalyzeRun:
             result.trace.duration - record.elapsed
         )
         assert card.summary() == scorecard_mod.from_audit(
-            result.audit_records, result.trace.duration,
-            name="jockey", slack=slack,
+            result.audit_records, result.trace.duration, name="jockey",
         ).summary()
