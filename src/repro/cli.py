@@ -940,6 +940,7 @@ def cmd_market(args, out) -> int:
     from repro.experiments.reporting import ascii_table
     from repro.market import (
         MarketConfig,
+        MarketError,
         MarketSpecError,
         TokenMarket,
         generate_market_workload,
@@ -1008,20 +1009,26 @@ def cmd_market(args, out) -> int:
             )
             return 2
     else:
-        tenants, jobs = generate_market_workload(
-            tenants=args.tenants,
-            jobs_per_tenant=args.jobs_per_tenant,
-            capacity=args.capacity,
-            quota_scale=args.quota_scale,
-            tick_seconds=args.tick_seconds,
-            horizon_ticks=args.horizon_ticks,
-            seed=args.seed,
-        )
-        config = MarketConfig(
-            capacity=args.capacity,
-            mode=args.mode,
-            tick_seconds=args.tick_seconds,
-        )
+        try:
+            # The config first: it refuses a non-finite --tick-seconds
+            # before the workload draws arrivals over it.
+            config = MarketConfig(
+                capacity=args.capacity,
+                mode=args.mode,
+                tick_seconds=args.tick_seconds,
+            )
+            tenants, jobs = generate_market_workload(
+                tenants=args.tenants,
+                jobs_per_tenant=args.jobs_per_tenant,
+                capacity=args.capacity,
+                quota_scale=args.quota_scale,
+                tick_seconds=args.tick_seconds,
+                horizon_ticks=args.horizon_ticks,
+                seed=args.seed,
+            )
+        except MarketError as exc:
+            out.write(f"error: bad synthetic-workload flag: {exc}\n")
+            return 2
     # MarketError (e.g. a job referencing an unknown tenant, naming the
     # offender) propagates to main() as a runtime failure: exit 1.
     result = TokenMarket(tenants, jobs, config).run()

@@ -33,18 +33,24 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.market.tenant import JobSpec, MarketError, MarketJob, Tenant
 from repro.telemetry import metrics as _metrics
 
-_ADMITTED = _metrics.REGISTRY.counter(
-    "repro_market_admitted_total", "Jobs admitted to the token market"
-)
-_REJECTED = _metrics.REGISTRY.counter(
+_REJECTED_TOTAL = _metrics.REGISTRY.counter(
     "repro_market_rejected_total",
     "Jobs rejected by market admission",
     labelnames=("reason",),
 )
+#: The counter cells, resolved once: a queued spec is re-decided on every
+#: tick, so the hot path is one attribute call.
+_ADMITTED = _metrics.REGISTRY.counter(
+    "repro_market_admitted_total", "Jobs admitted to the token market"
+).labels()
+_REJECTED = {
+    reason: _REJECTED_TOTAL.labels(reason=reason)
+    for reason in ("deadline_passed", "infeasible_width", "exceeds_quota")
+}
 _QUEUE_WAITS = _metrics.REGISTRY.counter(
     "repro_market_queue_waits_total",
     "Job-ticks spent waiting in tenant admission queues",
-)
+).labels()
 
 
 @dataclass
@@ -67,8 +73,8 @@ class MarketAdmission:
     """Turns queued job specs into guaranteed reservations."""
 
     def __init__(self, *, slack: float = 1.2):
-        if slack < 1.0:
-            raise MarketError(f"slack must be >= 1, got {slack!r}")
+        if not 1.0 <= slack < math.inf:
+            raise MarketError(f"slack must be finite and >= 1, got {slack!r}")
         self.slack = slack
         self.stats = AdmissionStats()
 
@@ -78,10 +84,8 @@ class MarketAdmission:
         budget = spec.absolute_deadline - now
         if budget <= 0:
             return None
-        need = math.ceil(self.slack * spec.work / budget)
-        if need > spec.width:
-            return None
-        return max(1, need)
+        need = math.ceil(self.slack * spec.work / budget) or 1
+        return need if need <= spec.width else None
 
     def admit_one(
         self, tenant: Tenant, spec: JobSpec, now: float
@@ -97,20 +101,17 @@ class MarketAdmission:
         rejection reasons stay identical across substrates.
         """
         minimum = self.minimum_guarantee(spec, now)
-        if minimum is None:
-            budget = spec.absolute_deadline - now
-            reason = (
-                "deadline_passed" if budget <= 0 else "infeasible_width"
-            )
+        if minimum is None or minimum > tenant.quota:
+            if minimum is not None:
+                reason = "exceeds_quota"
+            elif spec.absolute_deadline <= now:
+                reason = "deadline_passed"
+            else:
+                reason = "infeasible_width"
             tenant.reject(reason)
             self.stats.reject(reason)
-            _REJECTED.labels(reason=reason).inc()
+            _REJECTED[reason].inc()
             return ("rejected", None, reason)
-        if minimum > tenant.quota:
-            tenant.reject("exceeds_quota")
-            self.stats.reject("exceeds_quota")
-            _REJECTED.labels(reason="exceeds_quota").inc()
-            return ("rejected", None, "exceeds_quota")
         if tenant.guaranteed_in_use + minimum > tenant.quota:
             # Fits a quiet quota, just not now: wait for live jobs to
             # release their guarantees.

@@ -11,7 +11,13 @@ top ``supply`` entries, hand each job the prefix of its schedule that made
 the cut.  Because every schedule is non-increasing, that selection *is*
 what handing out one unit at a time to the currently highest bidder
 converges to, without the per-step loop; ``tests/test_market_arbiter.py``
-holds that walk as a reference and checks the two grant for grant.
+holds that walk as a reference and checks the two grant for grant.  The
+top entries are found by selection (``np.partition`` to the cut), and only
+the entries at or above the cut are sorted; the same file keeps the full
+sort as the reference for that.  A book may hold several independent
+auctions (slices of its jobs, each with its own supply): the split
+market's tenant buckets clear in one call, the pooled market is the
+one-slice case.
 
 Callers: the token market's per-tick spare auction over thousands of
 fluid jobs (:mod:`repro.market.engine`, which builds the book directly)
@@ -22,7 +28,7 @@ allocation that clamp *defines* the ascent — a late payoff bids no more
 than the blocks that must be bought before it.
 
 The *clearing price* is the aggregate-marginal-utility price of a token
-this tick:
+this tick, per slice:
 
 * supply exhausted — the value of the cheapest token actually sold
   (lowest accepted bid, uniform-price auction style);
@@ -54,6 +60,11 @@ class BidBook:
     ``job_idx[i]``, each job's entries contiguous and in order; a job may
     have none.  ``ranks`` orders the jobs by *name* (any integers that
     sort as the names do).  Every schedule must be non-increasing.
+
+    ``slices`` cuts the jobs into independent auctions, each clearing its
+    own supply: slice ``s`` is jobs ``slices[s]`` to ``slices[s + 1]``
+    (the split market's tenant buckets).  ``None`` is one slice of every
+    job (the pooled market, a ``Bid`` list).
     """
 
     names: Sequence[str]
@@ -61,12 +72,21 @@ class BidBook:
     values: np.ndarray
     job_idx: np.ndarray
     step: np.ndarray
+    slices: Optional[np.ndarray] = None
 
     def __post_init__(self):
         rises = (self.values[1:] > self.values[:-1] + 1e-12) & (self.step[1:] > 0)
         if rises.any():
             job = self.names[self.job_idx[1 + rises.argmax()]]
             raise MarketError(f"bid for {job!r}: marginals must be non-increasing")
+        if self.slices is not None and not (
+            len(self.slices) >= 2 and self.slices[0] == 0
+            and self.slices[-1] == len(self.names)
+            and (np.diff(self.slices) >= 0).all()
+        ):
+            raise MarketError(
+                f"slices {self.slices!r} do not tile {len(self.names)} jobs"
+            )
 
     def __len__(self) -> int:
         """Jobs that bid at all (a non-empty schedule)."""
@@ -114,17 +134,29 @@ class Bid:
 
 @dataclass
 class Clearing:
-    """Outcome of one auction round."""
+    """Outcome of one auction round, per job and per slice of the book."""
 
     #: The book's job names and the spare tokens each was granted.
     names: Sequence[str]
     granted: np.ndarray
-    price: float = 0.0
-    supply: int = 0
-    #: Number of strictly-positive marginal entries across all bids.
-    demand: int = 0
-    #: Sum of the accepted marginal values (the utility the auction bought).
-    value: float = 0.0
+    #: Per slice: the clearing price, the tokens auctioned and the number
+    #: of strictly-positive marginal entries bid.
+    prices: np.ndarray
+    supplies: np.ndarray
+    demands: np.ndarray
+
+    @property
+    def price(self) -> float:
+        """The dearest slice's price."""
+        return float(self.prices.max())
+
+    @property
+    def supply(self) -> int:
+        return int(self.supplies.sum())
+
+    @property
+    def demand(self) -> int:
+        return int(self.demands.sum())
 
     @property
     def grants(self) -> Dict[str, int]:
@@ -139,40 +171,65 @@ class Clearing:
 class MarketArbiter:
     """Clears spare-token auctions; stateless."""
 
-    def clear(self, bids: Union[BidBook, Sequence[Bid]], supply: int) -> Clearing:
-        """Grant ``supply`` spare tokens to the highest marginal bids.
+    def clear(
+        self, bids: Union[BidBook, Sequence[Bid]], supply: Union[int, Sequence[int]]
+    ) -> Clearing:
+        """Grant each slice of the book its ``supply`` (one count per
+        slice; an int for a one-slice book) of spare tokens, to the
+        highest marginal bids in that slice.
 
         Deterministic tie-break: equal marginal values go to the
         lexicographically smaller job name, earlier schedule position
         first (so grants are always schedule prefixes).  ``granted`` in
         the result is aligned with the book's jobs.
         """
-        if supply < 0:
-            raise MarketError(f"negative supply {supply!r}")
         book = bids if isinstance(bids, BidBook) else Bid.book(bids)
         names = book.names
+        edges = np.array([0, len(names)]) if book.slices is None else book.slices
+        supplies = np.array(supply, dtype=np.int64).reshape(-1)
+        if supplies.size != len(edges) - 1:
+            raise MarketError(f"{supplies.size} supplies for {len(edges) - 1} slices")
+        if (supplies < 0).any():
+            raise MarketError(f"negative supply {supply!r}")
         if len(set(names)) != len(names):
             raise MarketError("duplicate job names in bids")
-        out = Clearing(names, np.zeros(len(names), dtype=np.int64), supply=supply)
         positive = book.values > 0.0
-        out.demand = int(np.count_nonzero(positive))
-        if out.demand == 0:
-            return out
         values, job_idx, step = (
             flat[positive] for flat in (book.values, book.job_idx, book.step)
         )
-        if supply == 0:
-            out.price = float(values.max())
-            return out
-        # Job rank by *name*, not bid order: the tie-break callers can
-        # reason about without knowing how the engine ordered its bids.
-        order = np.lexsort((step, book.ranks[job_idx], -values))
-        taken = order[:supply]
-        out.granted = np.bincount(job_idx[taken], minlength=len(names))
-        if out.demand >= supply:
-            out.price = float(values[taken[-1]])
-        out.value = float(values[taken].sum())
-        return out
+        # Jobs, and so their entries, are contiguous per slice: slice ``s``
+        # bids ``values[bounds[s]:bounds[s + 1]]``.
+        bounds = np.searchsorted(job_idx, edges)
+        demands = np.diff(bounds)
+        # A slice is contested when its bids reach its supply (or it has
+        # none to sell).  Its cut is its k-th largest bid, k = max(supply,
+        # 1), and the cut is its price: the cheapest token sold, or the
+        # best unserved bid.  An uncontested slice sells every bid at 0.
+        prices = np.zeros(supplies.size)
+        contested = np.flatnonzero(demands >= np.maximum(supplies, 1))
+        for s in contested:
+            bid = values[bounds[s]:bounds[s + 1]]
+            kth = bid.size - max(supplies[s], 1)
+            prices[s] = np.partition(bid, kth)[kth]
+        taken = slice(None)
+        if contested.size:
+            # Only bids at or above their slice's cut can clear; sorted by
+            # the full order's keys they are its prefix, so each slice
+            # takes its first min(supply, demand).  Job rank by *name*, not
+            # bid order: the tie-break callers can reason about without
+            # knowing how the engine ordered its bids.
+            slice_of = np.repeat(np.arange(supplies.size), demands)
+            cand = np.flatnonzero(values >= prices[slice_of])
+            order = cand[np.lexsort((
+                step[cand], book.ranks[job_idx[cand]], -values[cand], slice_of[cand]
+            ))]
+            counts = np.bincount(slice_of[cand], minlength=supplies.size)
+            ends = np.cumsum(counts) - counts + np.minimum(supplies, demands)
+            taken = order[np.arange(order.size) < np.repeat(ends, counts)]
+        return Clearing(
+            names, np.bincount(job_idx[taken], minlength=len(names)),
+            prices, supplies, demands,
+        )
 
 
 def concave_marginals(

@@ -11,7 +11,8 @@ that admits and leave in one compress when jobs complete, and the
    (spare traffic can *never* displace it),
 3. auctions the leftover capacity as spare tokens
    (:mod:`repro.market.arbiter`), the bids computed, clamped and cleared
-   as one flat array that is never sliced per job, and
+   as one flat array that is never sliced per job, in one
+   :meth:`~repro.market.arbiter.MarketArbiter.clear` call, and
 4. drains every job's remaining work at its granted rate in one array
    operation, visiting one by one only the jobs that complete.
 
@@ -22,8 +23,9 @@ comparison:
   idle tenant's tokens flow to whoever bids highest;
 * ``split`` — capacity is pre-partitioned into per-tenant buckets
   (proportional to quota, largest-remainder rounded) and each bucket
-  clears its own auction; a busy tenant cannot borrow a quiet one's
-  tokens, which is exactly the latency penalty the theory predicts.
+  clears its own auction (a slice of the one book); a busy tenant cannot
+  borrow a quiet one's tokens, which is exactly the latency penalty the
+  theory predicts.
 
 Job arrivals ride the simkit event heap through one
 :meth:`~repro.simkit.events.Simulator.schedule_batch` call, so
@@ -32,6 +34,7 @@ million-job arrival schedules stay cheap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -111,8 +114,12 @@ class MarketConfig:
             raise MarketError(
                 f"mode must be one of {MARKET_MODES}, got {self.mode!r}"
             )
-        if self.tick_seconds <= 0:
-            raise MarketError("tick_seconds must be positive")
+        if not 0 < self.tick_seconds < math.inf:
+            raise MarketError(
+                f"tick_seconds must be positive and finite, got {self.tick_seconds!r}"
+            )
+        if not 1.0 <= self.slack < math.inf:
+            raise MarketError(f"slack must be finite and >= 1, got {self.slack!r}")
 
 
 @dataclass
@@ -251,7 +258,7 @@ class TokenMarket:
         self._completions: List[Dict] = []
         self._ticks = 0
         #: Spare-auction buckets: one per tenant, or the whole cluster.
-        self._buckets = (
+        self._buckets = np.array(
             _tenant_buckets(tenants, config.capacity)
             if config.mode == "split" else [config.capacity]
         )
@@ -328,8 +335,7 @@ class TokenMarket:
 
     def _clear(self, dt: float) -> Tuple[np.ndarray, Clearing]:
         """The guaranteed part of every live job's grant, and the spare
-        auction on top of it: the bucket clearings merged (one bucket when
-        pooled), the price being the dearest bucket's."""
+        auction on top of it: one clearing, one slice per bucket."""
         live = self._live
         demand = np.minimum(live["width"], np.maximum(
             1, np.ceil(live["remaining"] / dt).astype(np.int64)
@@ -337,27 +343,14 @@ class TokenMarket:
         # >= 1 for every live job: admission reserves at least one token.
         g = np.minimum(live["guarantee"], demand)
         values, job_idx, step = self._bid_schedules(g, demand)
-        names, ranks = live["name"], live["rank"]
-        # Pooled is one bucket over the whole live set; in split mode each
+        # Pooled is one slice over the whole live set; in split mode each
         # tenant is a contiguous slice of it, and so of the flat bids.
-        edges = np.array([0, live.size])
+        slices = np.array([0, live.size])
         if self.config.mode == "split":
-            edges = np.searchsorted(live["tenant"], np.arange(len(self._buckets) + 1))
-        flat = np.searchsorted(job_idx, edges)
-        merged = Clearing(names, np.zeros_like(g))
-        for t, bucket in enumerate(self._buckets):
-            jobs = slice(edges[t], edges[t + 1])
-            bids = slice(flat[t], flat[t + 1])
-            book = BidBook(
-                names[jobs], ranks[jobs], values[bids], job_idx[bids] - edges[t], step[bids]
-            )
-            clearing = self.arbiter.clear(book, max(0, bucket - int(g[jobs].sum())))
-            merged.granted[jobs] = clearing.granted
-            merged.price = max(merged.price, clearing.price)
-            merged.supply += clearing.supply
-            merged.demand += clearing.demand
-            merged.value += clearing.value
-        return g, merged
+            slices = np.searchsorted(live["tenant"], np.arange(self._buckets.size + 1))
+        reserved = np.diff(np.concatenate(([0], np.cumsum(g)))[slices])
+        book = BidBook(live["name"], live["rank"], values, job_idx, step, slices)
+        return g, self.arbiter.clear(book, np.maximum(0, self._buckets - reserved))
 
     def _bid_schedules(self, g: np.ndarray, demand: np.ndarray) -> Tuple[np.ndarray, ...]:
         """Marginal values of tokens ``g+1 .. demand`` for every live job,

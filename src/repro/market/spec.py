@@ -54,6 +54,20 @@ def _require_list(data: Dict, key: str) -> List:
     return raw
 
 
+def _number(raw, what: str) -> float:
+    """A JSON number (not a bool or a string) as a float."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise MarketSpecError(f"{what} must be a number, got {raw!r}")
+    return float(raw)
+
+
+def _integer(raw, what: str) -> int:
+    """A JSON integer: a fraction is refused, not truncated."""
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise MarketSpecError(f"{what} must be an integer, got {raw!r}")
+    return raw
+
+
 def market_spec_from_dict(
     data: Dict,
 ) -> Tuple[List[Tenant], List[JobSpec], MarketConfig]:
@@ -80,11 +94,12 @@ def market_spec_from_dict(
                 f"tenant entries take exactly 'name' and 'quota', "
                 f"got {sorted(item)}"
             )
+        name = str(item["name"])
         try:
             tenants.append(Tenant(
-                name=str(item["name"]), quota=int(item["quota"])
+                name=name, quota=_integer(item["quota"], f"tenant {name!r}: 'quota'")
             ))
-        except (TypeError, MarketError) as exc:
+        except MarketError as exc:
             raise MarketSpecError(f"malformed tenant: {exc}") from exc
     jobs: List[JobSpec] = []
     for item in _require_list(data, "jobs"):
@@ -100,26 +115,32 @@ def market_spec_from_dict(
                 f"job entries take {sorted(_JOB_FIELDS)} "
                 f"('submit_seconds' optional), got {sorted(item)}"
             )
+        name = str(item["name"])
+        job = f"job {name!r}:"
         try:
             jobs.append(JobSpec(
-                name=str(item["name"]),
+                name=name,
                 tenant=str(item["tenant"]),
-                work=float(item["work"]),
-                width=int(item["width"]),
-                deadline_seconds=float(item["deadline_seconds"]),
-                submit_seconds=float(item.get("submit_seconds", 0.0)),
+                work=_number(item["work"], f"{job} 'work'"),
+                width=_integer(item["width"], f"{job} 'width'"),
+                deadline_seconds=_number(
+                    item["deadline_seconds"], f"{job} 'deadline_seconds'"
+                ),
+                submit_seconds=_number(
+                    item.get("submit_seconds", 0.0), f"{job} 'submit_seconds'"
+                ),
             ))
-        except (TypeError, MarketError) as exc:
+        except MarketError as exc:
             raise MarketSpecError(f"malformed job: {exc}") from exc
     try:
         config = MarketConfig(
-            capacity=int(data.get("capacity", 200)),
+            capacity=_integer(data.get("capacity", 200), "'capacity'"),
             mode=str(data.get("mode", "pooled")),
-            tick_seconds=float(data.get("tick_seconds", 60.0)),
-            slack=float(data.get("slack", 1.2)),
-            max_ticks=int(data.get("max_ticks", 200_000)),
+            tick_seconds=_number(data.get("tick_seconds", 60.0), "'tick_seconds'"),
+            slack=_number(data.get("slack", 1.2), "'slack'"),
+            max_ticks=_integer(data.get("max_ticks", 200_000), "'max_ticks'"),
         )
-    except (TypeError, MarketError) as exc:
+    except MarketError as exc:
         raise MarketSpecError(f"malformed market spec: {exc}") from exc
     return tenants, jobs, config
 

@@ -14,6 +14,7 @@ arrays; the :class:`MarketJob` is the view they are written back to.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Optional
@@ -30,7 +31,9 @@ class JobSpec:
     ``work`` is in token-seconds: a job holding ``a`` tokens for ``s``
     seconds drains ``a * s`` of it.  ``width`` caps useful parallelism —
     tokens beyond it are wasted, so the market never grants them.
-    ``deadline_seconds`` is relative to ``submit_seconds``.
+    ``deadline_seconds`` is relative to ``submit_seconds``; their sum,
+    ``absolute_deadline``, is computed once here (admission reads it for
+    every queued spec on every tick).
     """
 
     name: str
@@ -39,26 +42,38 @@ class JobSpec:
     width: int
     deadline_seconds: float
     submit_seconds: float = 0.0
+    absolute_deadline: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.name:
             raise MarketError("job needs a name")
-        if self.work <= 0:
-            raise MarketError(f"job {self.name!r}: work must be positive")
-        if self.width < 1:
-            raise MarketError(f"job {self.name!r}: width must be >= 1")
-        if self.deadline_seconds <= 0:
+        if not (0 < self.work < math.inf):
             raise MarketError(
-                f"job {self.name!r}: deadline must be positive"
+                f"job {self.name!r}: work must be positive and finite, "
+                f"got {self.work!r}"
             )
-        if self.submit_seconds < 0:
+        try:
+            width = operator.index(self.width)     # an integer of any kind
+        except TypeError:
+            width = 0
+        if width < 1:
             raise MarketError(
-                f"job {self.name!r}: negative submit time"
+                f"job {self.name!r}: width must be an integer >= 1, "
+                f"got {self.width!r}"
             )
-
-    @property
-    def absolute_deadline(self) -> float:
-        return self.submit_seconds + self.deadline_seconds
+        if not self.deadline_seconds > 0:
+            raise MarketError(
+                f"job {self.name!r}: deadline_seconds must be positive, "
+                f"got {self.deadline_seconds!r}"
+            )
+        if not (0 <= self.submit_seconds < math.inf):
+            raise MarketError(
+                f"job {self.name!r}: submit_seconds must be finite and "
+                f"non-negative, got {self.submit_seconds!r}"
+            )
+        object.__setattr__(
+            self, "absolute_deadline", self.submit_seconds + self.deadline_seconds
+        )
 
 
 @dataclass

@@ -232,7 +232,7 @@ class TestMarketArbiterEdges:
         )
         assert clearing.grants == {"only": 3}
         assert clearing.price == 0.0
-        assert clearing.value == 8.0
+        assert clearing.demand == 3
 
     def test_exact_tie_broken_by_job_name(self):
         """Equal marginal values go to the lexicographically smaller job

@@ -6,10 +6,12 @@ by-definition reference the clearing is compared with.
 """
 
 import heapq
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.multijob import split_slice
@@ -174,8 +176,8 @@ class TestFlatBookBoundaries:
         flat = MarketArbiter().clear(flat_book(schedules), 3)
         listed = MarketArbiter().clear(bids, 3)
         assert flat.grants == listed.grants == {"a": 2, "b": 1}
-        assert (flat.price, flat.demand, flat.value, flat.supply) == (
-            listed.price, listed.demand, listed.value, listed.supply
+        assert (flat.price, flat.demand, flat.supply) == (
+            listed.price, listed.demand, listed.supply
         )
 
     def test_duplicate_names_and_negative_supply(self):
@@ -193,3 +195,119 @@ class TestFlatBookBoundaries:
         assert clearing.granted_total == 0 and clearing.grants == {}
         assert clearing.granted.tolist() == [0] * len(clearing.names)
         assert (clearing.supply, clearing.demand, clearing.price) == (5, 0, 0.0)
+
+
+# ----------------------------------------------------------------------
+# The selection against the full sort it replaced
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class SortedClearing:
+    """``Clearing`` as it was: one auction, scalar fields."""
+
+    names: Sequence[str]
+    granted: np.ndarray
+    price: float = 0.0
+    supply: int = 0
+    demand: int = 0
+    value: float = 0.0
+
+
+def sort_clear(bids, supply):
+    """The reference: ``MarketArbiter.clear`` before it selected, verbatim
+    (one auction; one ``np.lexsort`` over every positive bid, the first
+    ``supply`` of that order taken)."""
+    if supply < 0:
+        raise MarketError(f"negative supply {supply!r}")
+    book = bids if isinstance(bids, BidBook) else Bid.book(bids)
+    names = book.names
+    if len(set(names)) != len(names):
+        raise MarketError("duplicate job names in bids")
+    out = SortedClearing(names, np.zeros(len(names), dtype=np.int64), supply=supply)
+    positive = book.values > 0.0
+    out.demand = int(np.count_nonzero(positive))
+    if out.demand == 0:
+        return out
+    values, job_idx, step = (
+        flat[positive] for flat in (book.values, book.job_idx, book.step)
+    )
+    if supply == 0:
+        out.price = float(values.max())
+        return out
+    # Job rank by *name*, not bid order: the tie-break callers can
+    # reason about without knowing how the engine ordered its bids.
+    order = np.lexsort((step, book.ranks[job_idx], -values))
+    taken = order[:supply]
+    out.granted = np.bincount(job_idx[taken], minlength=len(names))
+    if out.demand >= supply:
+        out.price = float(values[taken[-1]])
+    out.value = float(values[taken].sum())
+    return out
+
+
+#: A small palette, so many jobs bid the same schedule and ties fall at
+#: the cut (the standing market's shape); ``()`` and the zeros are jobs
+#: that bid nothing, or stop bidding.
+PALETTE = [(), (0.0,), (2.0,), (2.0, 1.0), (2.0, 1.0, 1.0), (1.0, 1.0, 0.5, 0.0), (0.5, 0.5)]
+
+#: Each slice's supply, relative to its positive bids ``n``.
+SUPPLIES = {"0": lambda n: 0, "1": lambda n: 1, "n-1": lambda n: max(n - 1, 0),
+            "n": lambda n: n, "n+5": lambda n: n + 5}
+
+
+@st.composite
+def sliced_books(draw):
+    sizes = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4))
+    jobs = sum(sizes)
+    return dict(
+        sizes=sizes,
+        schedules=draw(st.lists(st.sampled_from(PALETTE), min_size=jobs, max_size=jobs)),
+        # Name order is not book order, so the rank key is visible.
+        ranks=draw(st.permutations(range(jobs))),
+        supplies=draw(st.lists(
+            st.sampled_from(sorted(SUPPLIES)), min_size=len(sizes), max_size=len(sizes)
+        )),
+    )
+
+
+class TestSelectionIsTheSort:
+    """``clear`` selects each slice's cut with ``np.partition`` and sorts
+    only the bids at or above it; ``sort_clear`` above is the full sort it
+    replaced, run on each slice alone.  ``test_market_engine``'s per-job
+    reference calls the new ``clear``, so only this sees the selection."""
+
+    # Two slices; in each, identical schedules tie at the cut and the
+    # smaller name sits later in the book.
+    @example(book=dict(
+        sizes=[3, 2], schedules=[(2.0, 1.0)] * 3 + [(0.5, 0.5)] * 2,
+        ranks=[2, 1, 0, 4, 3], supplies=["n-1", "1"],
+    ))
+    @given(book=sliced_books())
+    def test_equal_to_the_full_sort_slice_by_slice(self, book):
+        schedules, sizes = book["schedules"], book["sizes"]
+        names = np.array([f"j{rank:02d}" for rank in book["ranks"]], dtype=object)
+        ranks = np.array(book["ranks"], dtype=np.int64)
+        values = np.array([v for s in schedules for v in s], dtype=np.float64)
+        job_idx, step = BidBook.layout([len(s) for s in schedules])
+        edges = np.cumsum([0] + sizes)
+        at = np.searchsorted(job_idx, edges)
+        slices = [
+            (slice(edges[s], edges[s + 1]), slice(at[s], at[s + 1]))
+            for s in range(len(sizes))
+        ]
+        supply = [
+            SUPPLIES[pick](int(np.count_nonzero(values[bids] > 0.0)))
+            for pick, (_jobs, bids) in zip(book["supplies"], slices)
+        ]
+        clearing = MarketArbiter().clear(
+            BidBook(names, ranks, values, job_idx, step, edges), supply
+        )
+        for s, (jobs, bids) in enumerate(slices):
+            ref = sort_clear(BidBook(
+                names[jobs], ranks[jobs], values[bids], job_idx[bids] - edges[s], step[bids]
+            ), supply[s])
+            assert clearing.granted[jobs].tolist() == ref.granted.tolist()
+            assert clearing.prices[s].hex() == ref.price.hex()
+            assert (clearing.demands[s], clearing.supplies[s]) == (ref.demand, ref.supply)
+        assert (clearing.demand, clearing.supply) == (sum(clearing.demands), sum(supply))

@@ -1,15 +1,21 @@
 """CLI coverage for ``repro market run|stats``.
 
-Exit-code contract: malformed market specs are usage errors (2, with a
-pointer at the spec format); a well-formed spec whose jobs reference a
+Exit-code contract: malformed market specs and bad synthetic-workload
+flags are usage errors (2, a spec with a pointer at the spec format); a
+well-formed spec whose jobs reference a
 tenant that does not exist is a runtime failure (1) naming the offender;
 successful runs and stats exit 0.
 """
 
 import json
+import math
 import pathlib
 
+import pytest
+
 from repro.cli import main
+from repro.market import JobSpec, MarketConfig, MarketError, MarketSpecError
+from repro.market.spec import market_spec_from_dict
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "market_help.txt"
 
@@ -140,6 +146,98 @@ class TestMarketRun:
             "help text drifted; regenerate tests/golden/market_help.txt "
             "(COLUMNS=80) if the change is intentional"
         )
+
+
+def job_spec(**overrides):
+    fields = dict(name="etl", tenant="acme", work=6000.0, width=10,
+                  deadline_seconds=1800.0)
+    return JobSpec(**{**fields, **overrides})
+
+
+def spec_with_job(**overrides):
+    payload = json.loads(json.dumps(GOOD_SPEC))
+    payload["jobs"][0].update(overrides)
+    return payload
+
+
+class TestInputsRefusedWhereTheyEnter:
+    """Each of these used to be accepted and fail later (mid-tick, or as a
+    bare ValueError / OverflowError, exit 1) without naming the job or the
+    field.  Now each is a ``MarketError`` at construction, and a spec or a
+    synthetic-workload flag carrying one exits 2."""
+
+    @pytest.mark.parametrize("work", [math.nan, math.inf, -math.inf])
+    def test_non_finite_work(self, work):
+        with pytest.raises(MarketError, match=r"job 'etl': work must be positive and finite"):
+            job_spec(work=work)
+
+    def test_nan_deadline(self):
+        with pytest.raises(MarketError, match="job 'etl': deadline_seconds must be positive"):
+            job_spec(deadline_seconds=math.nan)
+
+    def test_nan_submit_time(self):
+        with pytest.raises(MarketError, match="job 'etl': submit_seconds must be finite"):
+            job_spec(submit_seconds=math.nan)
+
+    def test_fractional_width(self):
+        with pytest.raises(MarketError, match="job 'etl': width must be an integer >= 1, got 2.7"):
+            job_spec(width=2.7)
+
+    @pytest.mark.parametrize("field", ["slack", "tick_seconds"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_config(self, field, value):
+        with pytest.raises(MarketError, match=f"{field} must be .*finite"):
+            MarketConfig(**{field: value})
+
+    def test_nan_work_in_a_spec_exits_two_naming_the_job(self, tmp_path):
+        """Used to pass the loader and exit 1 mid-tick with ``cannot
+        convert float NaN to integer`` from ``math.ceil``."""
+        spec = tmp_path / "market.json"
+        # json.dumps writes NaN as the bare token Python's reader accepts.
+        spec.write_text(json.dumps(spec_with_job(work=math.nan)), encoding="utf-8")
+        code, text = run_cli("market", "run", "--spec", str(spec))
+        assert code == 2
+        assert "job 'etl': work must be positive and finite, got nan" in text
+
+    @pytest.mark.parametrize("field, value", [
+        ("work", "abc"), ("width", "x"), ("width", 2.7),
+        ("deadline_seconds", None), ("submit_seconds", True),
+    ])
+    def test_wrong_job_field_type_is_a_spec_error(self, tmp_path, field, value):
+        payload = spec_with_job(**{field: value})
+        with pytest.raises(MarketSpecError, match=f"job 'etl': '{field}' must be"):
+            market_spec_from_dict(payload)
+        code, text = run_cli(
+            "market", "run", "--spec", str(write_spec(tmp_path, payload))
+        )
+        assert code == 2
+        assert f"'{field}' must be" in text
+
+    def test_wrong_quota_type_is_a_spec_error(self, tmp_path):
+        payload = json.loads(json.dumps(GOOD_SPEC))
+        payload["tenants"][0]["quota"] = "x"
+        with pytest.raises(MarketSpecError, match="tenant 'acme': 'quota' must be an integer"):
+            market_spec_from_dict(payload)
+        code, _text = run_cli(
+            "market", "run", "--spec", str(write_spec(tmp_path, payload))
+        )
+        assert code == 2
+
+    def test_wrong_config_type_is_a_spec_error(self):
+        payload = dict(GOOD_SPEC, capacity=40.5)
+        with pytest.raises(MarketSpecError, match="'capacity' must be an integer, got 40.5"):
+            market_spec_from_dict(payload)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tick-seconds", "nan"), ("--tick-seconds", "inf"),
+        ("--quota-scale", "nan"), ("--tenants", "0"),
+    ])
+    def test_bad_synthetic_flag_exits_two(self, flag, value):
+        """``--tick-seconds nan`` used to exit 1 with ``OverflowError:
+        high - low range exceeds valid bounds``."""
+        code, text = run_cli("market", "run", flag, value)
+        assert code == 2
+        assert text.startswith("error: bad synthetic-workload flag:")
 
 
 class TestMarketStats:

@@ -100,7 +100,7 @@ def per_job_clear(market):
             for name in sorted(market.tenants)
         ]
     grants = list(g)
-    merged = {"price": 0.0, "demand": 0, "value": 0.0, "supply": 0}
+    merged = {"price": 0.0, "demand": 0, "supply": 0}
     for bucket, group in zip(market._buckets, groups):
         clearing = MarketArbiter().clear(
             [
@@ -112,7 +112,7 @@ def per_job_clear(market):
         for i in group:
             grants[i] += clearing.grants.get(live[i].name, 0)
         merged["price"] = max(merged["price"], clearing.price)
-        for field in ("demand", "value", "supply"):
+        for field in ("demand", "supply"):
             merged[field] += getattr(clearing, field)
     return g, grants, merged
 
