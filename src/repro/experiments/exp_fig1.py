@@ -19,9 +19,8 @@ from repro.experiments.scenarios import DEFAULT, Scale
 from repro.jobs.pipelines import generate_pipeline_trace
 
 
-def run(scale: Scale = DEFAULT, *, seed: int = 0, num_jobs: int = 3000):
-    if scale.name == "smoke":
-        num_jobs = min(num_jobs, 400)
+def run(scale: Scale = DEFAULT, *, seed: int = 0):
+    num_jobs = 400 if scale.name == "smoke" else 3000
     trace = generate_pipeline_trace(seed=seed, num_jobs=num_jobs)
     gaps = trace.dependency_gaps_minutes()
     indirect = list(trace.indirect_dependents().values())

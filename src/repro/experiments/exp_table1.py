@@ -60,16 +60,8 @@ def _input_clusters(scales: List[float], tolerance: float = 0.10) -> List[List[i
     return clusters
 
 
-def run(
-    scale: Scale = DEFAULT,
-    *,
-    seed: int = 0,
-    num_job_types: int = 24,
-    runs_per_job: int = 10,
-):
-    if scale.name == "smoke":
-        num_job_types = min(num_job_types, 5)
-        runs_per_job = min(runs_per_job, 5)
+def run(scale: Scale = DEFAULT, *, seed: int = 0):
+    num_job_types, runs_per_job = (5, 5) if scale.name == "smoke" else (24, 10)
     rng = RngRegistry(seed).stream("table1")
     covs: List[float] = []
     cluster_covs: List[float] = []

@@ -17,7 +17,7 @@ from repro.experiments.scenarios import DEFAULT, Scale, trained_job
 from repro.jobs.workloads import TABLE2_SPECS
 
 
-def run(scale: Scale = DEFAULT, *, seed: int = 0, include_dags: bool = True):
+def run(scale: Scale = DEFAULT, *, seed: int = 0):
     """Build the Table 2 report (and the Fig. 3 ASCII rendering)."""
     report = ExperimentReport(
         experiment_id="table2",
@@ -79,10 +79,9 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0, include_dags: bool = True):
         report.add_note(
             f"vertex counts scaled by {scale.vertex_scale} at this scale preset"
         )
-    if include_dags:
-        for name in scale.jobs:
-            report.add_section(trained[name].graph.render_ascii())
-        report.add_note(
-            "ASCII DAGs stand in for Fig. 3; ▲ marks full-shuffle (barrier) stages"
-        )
+    for name in scale.jobs:
+        report.add_section(trained[name].graph.render_ascii())
+    report.add_note(
+        "ASCII DAGs stand in for Fig. 3; ▲ marks full-shuffle (barrier) stages"
+    )
     return report

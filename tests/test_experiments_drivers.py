@@ -59,17 +59,13 @@ class TestFig1:
 
 class TestTable2:
     def test_report(self):
-        report = exp_table2.run(SMOKE, include_dags=True)
+        report = exp_table2.run(SMOKE)
         assert_report(report, "table2", min_rows=7)
         # Structural rows match the published values exactly at full
         # vertex scale; stage/barrier counts match at every scale.
         by_stat = {row[0]: row[1:] for row in report.rows}
         stages_row = by_stat["number of stages"]
         assert stages_row[0] == "23 (23)"  # job A
-
-    def test_dags_optional(self):
-        report = exp_table2.run(SMOKE, include_dags=False)
-        assert not any("tasks=" in s for s in report.extra_sections)
 
 
 class TestFig4And5:
@@ -137,7 +133,7 @@ class TestFig8:
 
 class TestFig9And10:
     def test_reports(self):
-        fig9, fig10 = exp_fig9_10.run(SMOKE, seed=0, allocation=25)
+        fig9, fig10 = exp_fig9_10.run(SMOKE, seed=0)
         assert_report(fig9, "fig9")
         assert_report(fig10, "fig10", min_rows=6)
         names = [row[0] for row in fig10.rows]
@@ -278,3 +274,15 @@ class TestRegistryIsTheManifest:
             rebuilt.update(line.replace("${{ matrix.leg.ids }}", legs).split())
         missing = [run.ids[0] for run in RUNS if not rebuilt & set(run.ids)]
         assert not missing, f"ci.yml never regenerates {missing}"
+
+    def test_ci_reruns_every_text_run_at_another_seed(self):
+        """CI's ``--seed 1`` step, diffed at ``REPRO_JOBS`` 1 and 2, names
+        every registry entry except the smoke-scale JSON sweeps."""
+        text = (ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+        [ids] = re.findall(r'^\s*ids="([^"]*)"\s*$', text, flags=re.M)
+        assert "--seed 1" in text and "diff -r seed1-jobs1 seed1-jobs2" in text
+        missing = [
+            run.ids[0] for run in RUNS
+            if run.scale != "smoke" and not set(ids.split()) & set(run.ids)
+        ]
+        assert not missing, f"ci.yml's --seed 1 step never runs {missing}"

@@ -41,7 +41,7 @@ class TestGuaranteedOnlyMode:
 
 class TestSpareVarianceStudy:
     def test_report_shape(self):
-        report = exp_section24.run_spare_variance(SMOKE, reps=4)
+        report = exp_section24.run_spare_variance(SMOKE)
         assert len(report.rows) == len(SMOKE.jobs)
         for _job, cov_spare, cov_guaranteed, ratio in report.rows:
             assert cov_spare >= 0 and cov_guaranteed >= 0
@@ -50,14 +50,14 @@ class TestSpareVarianceStudy:
             )
 
     def test_spare_increases_variance_on_average(self):
-        report = exp_section24.run_spare_variance(SMOKE, reps=4)
+        report = exp_section24.run_spare_variance(SMOKE)
         ratios = [row[3] for row in report.rows]
         assert sum(ratios) / len(ratios) > 1.0
 
 
 class TestQuotaSizingStudy:
     def test_report_shape(self):
-        report = exp_section24.run_quota_sizing(SMOKE, num_jobs=8)
+        report = exp_section24.run_quota_sizing(SMOKE)
         assert len(report.rows) == 2
         for row in report.rows:
             assert 0.0 <= row[1] <= 100.0

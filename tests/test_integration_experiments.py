@@ -1,9 +1,19 @@
 """Integration tests: the full training -> modeling -> control pipeline at
 smoke scale.  These are the slowest tests in the suite (a few seconds)."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.experiments import exp_fig4_5, exp_fig11, exp_fig12_13
+from repro.experiments import (
+    exp_fig4_5,
+    exp_fig6_table3,
+    exp_fig9_10,
+    exp_fig11,
+    exp_fig12_13,
+    exp_multijob,
+    exp_section24,
+)
 from repro.experiments.runner import (
     POLICY_KINDS,
     RunConfig,
@@ -19,6 +29,7 @@ from repro.experiments.scenarios import (
     clear_trained_cache,
     pick_deadline,
     trained_job,
+    trained_jobs,
 )
 from repro.market.admission import MarketAdmission
 from repro.market.tenant import JobSpec, Tenant
@@ -201,6 +212,94 @@ class TestPairedSeeds:
                 assert ua.config == ub.config
                 assert a.metrics == b.metrics
                 assert a.allocation_series == b.allocation_series
+
+    # The drivers that are not whole-roster sweeps: each root must give its
+    # own runs.  Planned, or with the call the seed flows into recorded.
+
+    @pytest.fixture(scope="class")
+    def smoke_jobs(self):
+        return trained_jobs(seed=0, scale=SMOKE)
+
+    def test_two_roots_give_disjoint_case_study_runs(self, smoke_jobs):
+        seeds = [
+            {
+                u.config.seed
+                for name, sweep in exp_fig6_table3.case_sweeps(SMOKE)
+                for u in sweep.plan([smoke_jobs[name]], root)
+            }
+            for root in (0, 5)
+        ]
+        assert seeds[0] and seeds[1] and not seeds[0] & seeds[1]
+
+    def test_table3_reruns_share_one_seed(self, trained):
+        (_job, sweep), *_ = exp_fig6_table3.case_sweeps(DEFAULT)
+        rerun_1, rerun_2 = sweep.plan([trained], 0)
+        assert rerun_1.variant is exp_fig6_table3.OVERLOAD
+        assert rerun_2.variant is exp_fig6_table3.RERUN_2
+        assert rerun_1.config.seed == rerun_2.config.seed
+        assert rerun_1.config.runtime_scale != rerun_2.config.runtime_scale
+
+    def test_multijob_modes_share_each_rep_and_roots_do_not(self, smoke_jobs, monkeypatch):
+        calls = []
+
+        def run_multi_job(jobs, *, mode, seed, runtime_scales, **_):
+            calls.append((mode, seed, runtime_scales))
+            return SimpleNamespace(
+                jobs_missed=0, per_job=dict.fromkeys(runtime_scales),
+                worst_relative_latency=0.5,
+            )
+
+        monkeypatch.setattr(exp_multijob, "run_multi_job", run_multi_job)
+        monkeypatch.setattr(exp_multijob, "trained_job", lambda name, **_: smoke_jobs[name])
+        seeds = []
+        for root in (0, 5):
+            del calls[:]
+            exp_multijob.run(SMOKE, seed=root)
+            by_mode = {}
+            for mode, seed, scales in calls:
+                by_mode.setdefault(mode, []).append((seed, scales))
+            # Same seed and same input scales per rep under both modes.
+            assert by_mode["independent"] == by_mode["arbiter"]
+            seeds.append({seed for seed, _ in by_mode["arbiter"]})
+            assert len(seeds[-1]) == 2
+        assert not seeds[0] & seeds[1]
+
+    def test_two_roots_give_disjoint_indicator_runs(self, smoke_jobs, monkeypatch):
+        seeds = []
+        real = exp_fig9_10.sample_fraction_timeline
+
+        def sample_fraction_timeline(tj, *, seed):
+            seeds[-1][tj.name] = seed
+            return real(tj, seed=seed)
+
+        monkeypatch.setattr(exp_fig9_10, "sample_fraction_timeline", sample_fraction_timeline)
+        monkeypatch.setattr(exp_fig9_10, "trained_jobs", lambda **_: smoke_jobs)
+        for root in (0, 5):
+            seeds.append({})
+            exp_fig9_10.run(SMOKE, seed=root)
+        # One run per job, its own seed, read by both figures.
+        assert [sorted(s) for s in seeds] == [sorted(SMOKE.jobs)] * 2
+        assert len(set(seeds[0].values())) == len(SMOKE.jobs)
+        assert not set(seeds[0].values()) & set(seeds[1].values())
+
+    def test_two_roots_give_disjoint_quota_runs(self, monkeypatch):
+        seeds = []
+        real = exp_section24.Cluster
+
+        def cluster(sim, config, *, rng):
+            seeds[-1].append(rng.seed)
+            return real(sim, config, rng=rng)
+
+        monkeypatch.setattr(exp_section24, "Cluster", cluster)
+        monkeypatch.setattr(
+            exp_section24, "run_to_completion",
+            lambda manager: SimpleNamespace(running_timeline=[(0.0, 1)]),
+        )
+        for root in (0, 5):
+            seeds.append([])
+            exp_section24.run_quota_sizing(SMOKE, seed=root)
+        assert len(set(seeds[0])) == len(seeds[0]) == 10
+        assert not set(seeds[0]) & set(seeds[1])
 
 
 class TestRuntimeScaleSampler:
