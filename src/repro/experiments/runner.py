@@ -95,10 +95,6 @@ class ExperimentResult:
     metrics: RunMetrics
     trace: RunTrace
     runtime_scale: float
-    #: (minute, requested allocation) for Fig. 6/7-style time series.
-    allocation_series: List[Tuple[float, int]] = field(default_factory=list)
-    #: (minute, running tasks).
-    running_series: List[Tuple[float, int]] = field(default_factory=list)
     final_deadline: float = 0.0
     #: The deadline the run *started* with; differs from ``final_deadline``
     #: only when ``RunConfig.deadline_changes`` rewrote it mid-run.
@@ -112,6 +108,17 @@ class ExperimentResult:
     #: Chaos-engine counters (None for calm runs): events fired per
     #: injector, degraded ticks, allocation deficits/retries.
     chaos_summary: Optional[dict] = None
+
+    @property
+    def allocation_series(self) -> List[Tuple[float, int]]:
+        """(minute, requested allocation) for Fig. 6/7-style time series,
+        read off the trace."""
+        return [(t / 60.0, a) for t, a in self.trace.allocation_timeline]
+
+    @property
+    def running_series(self) -> List[Tuple[float, int]]:
+        """(minute, running tasks), read off the trace."""
+        return [(t / 60.0, r) for t, r in self.trace.running_timeline]
 
     @property
     def raw_series(self) -> List[Tuple[float, int]]:
@@ -277,8 +284,6 @@ def run_experiment(
         metrics=metrics,
         trace=trace,
         runtime_scale=runtime_scale,
-        allocation_series=[(t / 60.0, a) for t, a in trace.allocation_timeline],
-        running_series=[(t / 60.0, r) for t, r in trace.running_timeline],
         final_deadline=trace.deadline,
         initial_deadline=config.deadline_seconds,
         deadline_changes=tuple(config.deadline_changes),

@@ -232,11 +232,13 @@ class ProfileStore:
         limit: Optional[int] = None,
         graph: Optional[JobGraph] = None,
     ) -> List[JobProfile]:
-        """The last ``limit`` profiles (all when None), oldest first — the
-        input shape the update policies blend over."""
+        """The last ``limit`` profiles (all when None, none when 0), oldest
+        first — the input shape the update policies blend over."""
         gens = self.generations(template)
         if limit is not None:
-            gens = gens[-limit:]
+            if limit < 0:
+                raise FleetError(f"lineage limit must be >= 0, got {limit!r}")
+            gens = gens[max(len(gens) - limit, 0):]
         return [gen.load_profile(graph) for gen in gens]
 
     # ------------------------------------------------------------------

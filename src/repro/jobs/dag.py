@@ -386,6 +386,18 @@ class DependencyTracker:
         """Per task id: the position of its stage in ``graph.stages``."""
         return self._stage_of
 
+    @property
+    def stage_offsets(self) -> Dict[str, int]:
+        """Per stage name: the id of its task 0, so ``(stage, index)`` is id
+        ``stage_offsets[stage] + index``."""
+        plan = self._plan
+        return dict(zip(plan.names, plan.offsets))
+
+    @property
+    def task_names(self) -> Tuple[Tuple[str, int], ...]:
+        """Per task id: its ``(stage name, index)``."""
+        return self._plan.task_names
+
     def initially_ready_ids(self) -> Tuple[int, ...]:
         """Ids of the tasks with no unmet dependencies at job start (handed
         out once)."""

@@ -10,7 +10,7 @@ allocation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 
 class TraceError(ValueError):
@@ -22,13 +22,11 @@ OUTCOME_FAILED = "failed"
 OUTCOME_EVICTED = "evicted"
 #: A speculative duplicate cancelled because its sibling finished first.
 OUTCOME_SUPERSEDED = "superseded"
-_OUTCOMES = (OUTCOME_OK, OUTCOME_FAILED, OUTCOME_EVICTED, OUTCOME_SUPERSEDED)
+#: Every outcome a :class:`TaskRecord` may carry.
+OUTCOMES = (OUTCOME_OK, OUTCOME_FAILED, OUTCOME_EVICTED, OUTCOME_SUPERSEDED)
 
 
-@dataclass(frozen=True)
-class TaskRecord:
-    """One attempt of one task (vertex)."""
-
+class _TaskRecordFields(NamedTuple):
     stage: str
     index: int
     attempt: int
@@ -39,17 +37,51 @@ class TaskRecord:
     machine: Optional[int] = None
     used_spare_token: bool = False
 
-    def __post_init__(self):
-        if self.outcome not in _OUTCOMES:
-            raise TraceError(f"unknown outcome {self.outcome!r}")
-        if not self.ready_time <= self.start_time <= self.end_time:
+
+_new_tuple = tuple.__new__
+
+
+class TaskRecord(_TaskRecordFields):
+    """One attempt of one task (vertex).
+
+    An immutable tuple: a run builds one per attempt (tens of thousands a
+    sweep) and ships traces across process pools, so the record is a
+    tuple checked once in ``__new__``.  Every way to build one —
+    positional, keyword, ``_make`` / ``_replace``, unpickling — goes
+    through that check."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        stage: str,
+        index: int,
+        attempt: int,
+        ready_time: float,
+        start_time: float,
+        end_time: float,
+        outcome: str = OUTCOME_OK,
+        machine: Optional[int] = None,
+        used_spare_token: bool = False,
+    ) -> "TaskRecord":
+        if outcome not in OUTCOMES:
+            raise TraceError(f"unknown outcome {outcome!r}")
+        if not ready_time <= start_time <= end_time:
             raise TraceError(
-                f"non-monotonic times for {self.stage}[{self.index}]: "
-                f"ready={self.ready_time}, start={self.start_time}, "
-                f"end={self.end_time}"
+                f"non-monotonic times for {stage}[{index}]: "
+                f"ready={ready_time}, start={start_time}, "
+                f"end={end_time}"
             )
-        if self.attempt < 0:
-            raise TraceError(f"negative attempt {self.attempt}")
+        if attempt < 0:
+            raise TraceError(f"negative attempt {attempt}")
+        return _new_tuple(cls, (
+            stage, index, attempt, ready_time, start_time, end_time,
+            outcome, machine, used_spare_token,
+        ))
+
+    @classmethod
+    def _make(cls, iterable) -> "TaskRecord":
+        return cls(*iterable)
 
     @property
     def queue_time(self) -> float:
@@ -213,6 +245,7 @@ __all__ = [
     "OUTCOME_FAILED",
     "OUTCOME_OK",
     "OUTCOME_SUPERSEDED",
+    "OUTCOMES",
     "RunTrace",
     "TaskRecord",
     "TraceError",

@@ -31,6 +31,7 @@ from repro.jobs.trace import (
     OUTCOME_FAILED,
     OUTCOME_OK,
     OUTCOME_SUPERSEDED,
+    OUTCOMES,
     RunTrace,
     TaskRecord,
 )
@@ -46,8 +47,7 @@ _TASKS = _metrics.REGISTRY.counter(
 )
 #: Cache the per-outcome children so the hot path is one attribute call.
 _TASK_OUTCOMES = {
-    outcome: _TASKS.labels(outcome=outcome)
-    for outcome in (OUTCOME_OK, OUTCOME_FAILED, OUTCOME_EVICTED, OUTCOME_SUPERSEDED)
+    outcome: _TASKS.labels(outcome=outcome) for outcome in OUTCOMES
 }
 _TASK_SECONDS = _metrics.REGISTRY.histogram(
     "repro_runtime_task_seconds",
@@ -145,6 +145,10 @@ class JobManager:
         self._rng = rng if rng is not None else cluster.rng.stream(f"jm:{self.name}")
         self._on_complete = on_complete
         self._tracker = DependencyTracker(graph)
+        # A completion goes through the tracker's id core: (stage, index)
+        # to id and back are two reads of these, not a translating call.
+        self._task_offsets = self._tracker.stage_offsets
+        self._task_names = self._tracker.task_names
         self._ready: Deque[TaskId] = deque()
         self._ready_times: Dict[TaskId, float] = {}
         self._attempts: Dict[TaskId, int] = {}
@@ -573,8 +577,10 @@ class JobManager:
                     now - task.start_time
                 )
             self._completed_tasks += 1
-            for task_id in self._tracker.complete(*task.task_id):
-                self._enqueue(task_id, now)
+            stage, index = task.task_id
+            names = self._task_names
+            for ready in self._tracker.complete_id(self._task_offsets[stage] + index):
+                self._enqueue(names[ready], now)
             if (
                 self._completed_tasks >= self._total_tasks
                 and self._tracker.all_complete()

@@ -17,13 +17,14 @@ from repro.simkit.events import EventHandle
 TaskId = Tuple[str, int]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class RunningTask:
     """Bookkeeping for one in-flight attempt.
 
     Attempts compare by identity (``eq=False``): ``list.remove``, ``in`` and
     ``is`` must all mean *this* attempt, never another one whose fields
-    happen to match.
+    happen to match.  Slotted: one is built per attempt, and it carries no
+    ``__dict__``.
     """
 
     task_id: TaskId

@@ -251,6 +251,58 @@ def from_result(result, *, table=None, title: Optional[str] = None) -> RunReport
     )
 
 
+#: The ``task.end`` fields a rebuilt record reads: (name, conversion,
+#: default — None when the field is required).
+_TASK_END_FIELDS = (
+    ("index", int, 0),
+    ("attempt", int, 0),
+    ("start", float, None),
+    ("end", float, None),
+    ("outcome", str, "ok"),
+)
+
+
+def _task_end_record(fields: Dict, position: int, count: int):
+    """The :class:`~repro.jobs.trace.TaskRecord` a ``task.end`` event
+    describes; a malformed event is a :class:`ReportError` naming its
+    position among the ``count`` events, its job and stage, and the field."""
+    from repro.jobs.trace import OUTCOMES, TaskRecord  # deferred: layering
+
+    def bad(name: str, why: str) -> ReportError:
+        return ReportError(
+            f"malformed task.end event {position} of {count} "
+            f"(job {fields.get('job', '?')!r}, stage {fields.get('stage', '?')!r}): "
+            f"field {name!r} {why}"
+        )
+
+    values = {}
+    for name, convert, default in _TASK_END_FIELDS:
+        if name not in fields:
+            if default is None:
+                raise bad(name, "is missing")
+            values[name] = default
+            continue
+        try:
+            values[name] = convert(fields[name])
+        except (TypeError, ValueError):
+            raise bad(name, f"is not {convert.__name__}: {fields[name]!r}") from None
+    if values["outcome"] not in OUTCOMES:
+        raise bad("outcome", f"is not one of {', '.join(OUTCOMES)}: {values['outcome']!r}")
+    if values["attempt"] < 0:
+        raise bad("attempt", f"is negative: {values['attempt']!r}")
+    if not values["start"] <= values["end"]:
+        raise bad("end", f"is not at or after start {values['start']!r}: {values['end']!r}")
+    return TaskRecord(
+        stage=str(fields.get("stage", "?")),
+        index=values["index"],
+        attempt=values["attempt"],
+        ready_time=values["start"],
+        start_time=values["start"],
+        end_time=values["end"],
+        outcome=values["outcome"],
+    )
+
+
 def from_trace_events(
     events: Sequence,
     *,
@@ -279,7 +331,7 @@ def from_trace_events(
     tasks: List[TaskRecord] = []
     predictor = None
     chaos_counts: Dict[str, int] = {}
-    for event in events:
+    for position, event in enumerate(events, 1):
         fields = event.fields
         if event.kind.startswith("chaos.") or event.kind in (
             "control.degraded",
@@ -301,17 +353,7 @@ def from_trace_events(
         elif event.kind == "job.allocation":
             allocation_series.append((event.ts, float(fields["applied"])))
         elif event.kind == "task.end" and "start" in fields:
-            tasks.append(
-                TaskRecord(
-                    stage=str(fields.get("stage", "?")),
-                    index=int(fields.get("index", 0)),
-                    attempt=int(fields.get("attempt", 0)),
-                    ready_time=float(fields["start"]),
-                    start_time=float(fields["start"]),
-                    end_time=float(fields["end"]),
-                    outcome=str(fields.get("outcome", "ok")),
-                )
-            )
+            tasks.append(_task_end_record(fields, position, len(events)))
     if complete is None:
         raise ReportError(
             "no job.complete event in the trace — the run did not finish "

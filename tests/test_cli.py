@@ -7,6 +7,7 @@ import pytest
 
 from repro import __version__
 from repro.cli import EXPERIMENTS, build_parser, main
+from tests.test_telemetry_report import MALFORMED_TASK_ENDS, malformed_task_end_events
 
 
 def run_cli(*argv):
@@ -271,6 +272,19 @@ class TestObservatory:
             code, text = run_cli("report", str(jsonl), "--slack", slack)
             assert code == 1, slack
             assert text.startswith("error: slack must be positive and finite")
+
+    @pytest.mark.parametrize("change, why", MALFORMED_TASK_ENDS)
+    def test_report_names_a_malformed_task_end(self, change, why, tmp_path):
+        from repro.telemetry.export import write_jsonl
+
+        jsonl = tmp_path / "run.jsonl"
+        write_jsonl(malformed_task_end_events(change), str(jsonl))
+        code, text = run_cli("report", str(jsonl))
+        assert code == 1
+        assert text == (
+            "error: malformed task.end event 2 of 3 (job 'job:A', stage 'map'): "
+            f"{why}\n"
+        )
 
     def test_report_missing_file(self, tmp_path):
         code, text = run_cli("report", str(tmp_path / "nope.jsonl"))

@@ -115,6 +115,16 @@ class TestAppendAndLoad:
         lineage = store.lineage("A", limit=2, graph=graph)
         assert [p.stage("map").runtime.mean() for p in lineage] == [12.0, 13.0]
 
+    def test_lineage_limit_zero_is_empty_and_negative_refused(self, store, graph):
+        for i in range(3):
+            store.append(
+                "A", profile_with_map_runtimes(graph, [float(10 + i)] * 8)
+            )
+        assert store.lineage("A", limit=0, graph=graph) == []
+        assert len(store.lineage("A", limit=5, graph=graph)) == 3
+        with pytest.raises(FleetError, match="lineage limit must be >= 0, got -1"):
+            store.lineage("A", limit=-1, graph=graph)
+
     def test_each_generation_is_decoded_once(self, store, graph, monkeypatch):
         for i in range(3):
             store.append(

@@ -1,11 +1,22 @@
 """Unit tests for run traces."""
 
+import copy
+import dataclasses
+import math
+import pickle
+from dataclasses import dataclass
+from typing import Optional
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.jobs.trace import (
     OUTCOME_EVICTED,
     OUTCOME_FAILED,
     OUTCOME_OK,
+    OUTCOME_SUPERSEDED,
+    OUTCOMES,
     RunTrace,
     TaskRecord,
     TraceError,
@@ -149,3 +160,142 @@ class TestAllocationTimelines:
         trace.mark_running(1.0, 3)
         trace.mark_running(2.0, 4)
         assert trace.running_timeline == [(0.0, 3), (2.0, 4)]
+
+
+# ----------------------------------------------------------------------
+# The tuple record against the frozen dataclass it replaced
+# ----------------------------------------------------------------------
+
+_OUTCOMES = (OUTCOME_OK, OUTCOME_FAILED, OUTCOME_EVICTED, OUTCOME_SUPERSEDED)
+
+
+@dataclass(frozen=True)
+class ReferenceTaskRecord:
+    """One attempt of one task (vertex)."""
+
+    stage: str
+    index: int
+    attempt: int
+    ready_time: float
+    start_time: float
+    end_time: float
+    outcome: str = OUTCOME_OK
+    machine: Optional[int] = None
+    used_spare_token: bool = False
+
+    def __post_init__(self):
+        if self.outcome not in _OUTCOMES:
+            raise TraceError(f"unknown outcome {self.outcome!r}")
+        if not self.ready_time <= self.start_time <= self.end_time:
+            raise TraceError(
+                f"non-monotonic times for {self.stage}[{self.index}]: "
+                f"ready={self.ready_time}, start={self.start_time}, "
+                f"end={self.end_time}"
+            )
+        if self.attempt < 0:
+            raise TraceError(f"negative attempt {self.attempt}")
+
+    @property
+    def queue_time(self) -> float:
+        """Seconds spent waiting between readiness and execution."""
+        return self.start_time - self.ready_time
+
+    @property
+    def run_time(self) -> float:
+        """Seconds spent holding a token."""
+        return self.end_time - self.start_time
+
+    @property
+    def succeeded(self) -> bool:
+        return self.outcome == OUTCOME_OK
+
+
+FIELDS = tuple(f.name for f in dataclasses.fields(ReferenceTaskRecord))
+#: Times drawn from a small pool so equal, infinite and NaN times are common.
+times = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+record_args = st.tuples(
+    st.sampled_from(["map", "reduce", ""]),
+    st.integers(-2, 5),
+    st.integers(-3, 3),
+    times,
+    times,
+    times,
+    st.sampled_from(OUTCOMES + ("exploded", "OK")),
+    st.one_of(st.none(), st.integers(0, 50)),
+    st.booleans(),
+)
+#: How a record is spelled: positional or keyword, and how many of the
+#: three defaulted fields are given.
+spellings = st.tuples(st.booleans(), st.integers(6, 9))
+
+
+def build(cls, args, spelling):
+    keyword, given_count = spelling
+    args = args[:given_count]
+    try:
+        if keyword:
+            return cls(**dict(zip(FIELDS, args)))
+        return cls(*args)
+    except TraceError as exc:
+        return exc
+
+
+def same_float(a, b) -> bool:
+    return a == b or (a != a and b != b)
+
+
+class TestTupleRecordIsTheDataclass:
+    """:class:`TaskRecord` accepts and refuses exactly what the frozen
+    dataclass did, with the same message, and holds the same values under
+    the same ``==`` and ``hash``."""
+
+    @given(record_args, spellings)
+    def test_same_decision_message_and_values(self, args, spelling):
+        new = build(TaskRecord, args, spelling)
+        old = build(ReferenceTaskRecord, args, spelling)
+        if isinstance(old, TraceError):
+            assert isinstance(new, TraceError)
+            assert str(new) == str(old)
+            return
+        assert isinstance(new, TaskRecord)
+        assert tuple(new) == dataclasses.astuple(old)
+        for name in FIELDS:
+            assert getattr(new, name) == getattr(old, name)
+        assert same_float(new.queue_time, old.queue_time)
+        assert same_float(new.run_time, old.run_time)
+        assert new.succeeded == old.succeeded
+        assert hash(new) == hash(old)
+        assert repr(new) == repr(old).replace("ReferenceTaskRecord", "TaskRecord")
+
+    @given(record_args, record_args, st.lists(st.booleans(), min_size=9, max_size=9))
+    def test_same_equality_and_hash_between_records(self, first, other, take):
+        second = tuple(o if t else f for f, o, t in zip(first, other, take))
+        spelling = (False, 9)
+        new = [build(TaskRecord, a, spelling) for a in (first, second)]
+        old = [build(ReferenceTaskRecord, a, spelling) for a in (first, second)]
+        if any(isinstance(r, TraceError) for r in new + old):
+            return
+        assert (new[0] == new[1]) == (old[0] == old[1])
+        assert (new[0] != new[1]) == (old[0] != old[1])
+        assert (hash(new[0]) == hash(new[1])) == (hash(old[0]) == hash(old[1]))
+
+    @given(record_args)
+    def test_round_trips_and_immutability(self, args):
+        record = build(TaskRecord, args, (False, 9))
+        if isinstance(record, TraceError):
+            return
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert type(pickle.loads(pickle.dumps(record))) is TaskRecord
+        assert copy.deepcopy(record) == record
+        with pytest.raises(AttributeError):
+            record.end_time = 0.0
+        with pytest.raises(AttributeError):
+            record.note = "x"
+
+    def test_replace_is_checked(self):
+        with pytest.raises(TraceError, match="negative attempt -1"):
+            record()._replace(attempt=-1)
+        assert record()._replace(attempt=2).attempt == 2

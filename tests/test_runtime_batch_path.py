@@ -3,7 +3,6 @@ manager's O(1) bookkeeping checked against the scans it replaced."""
 
 import hashlib
 import json
-from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -83,7 +82,7 @@ def _sha256(rows) -> str:
 
 def trace_digests(trace) -> dict:
     return {
-        "records": _sha256([astuple(r) for r in trace.records]),
+        "records": _sha256([tuple(r) for r in trace.records]),
         "allocation_timeline": _sha256(trace.allocation_timeline),
         "running_timeline": _sha256(trace.running_timeline),
     }

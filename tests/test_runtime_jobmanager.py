@@ -417,6 +417,15 @@ class TestAttemptIdentity:
         running.remove(second)
         assert running[0] is first
 
+    def test_slotted_attempt_is_removed_by_identity(self):
+        sibling, attempt = self.twins()
+        assert not hasattr(attempt, "__dict__")
+        with pytest.raises(AttributeError):
+            attempt.note = "x"
+        running = [sibling, attempt]
+        running.remove(attempt)
+        assert len(running) == 1 and running[0] is sibling
+
     def test_release_removes_the_attempt_it_was_given(self):
         sim = Simulator()
         graph, profile = two_stage_job()

@@ -17,6 +17,43 @@ from repro.telemetry import trace
 from repro.telemetry.report import ReportError, RunReport, render_html, render_text
 
 
+#: A well-formed ``task.end`` event's fields; each case below breaks one.
+TASK_END = {
+    "job": "job:A", "stage": "map", "index": 3, "attempt": 0,
+    "outcome": "ok", "start": 10.0, "end": 12.0,
+}
+#: (fields to change — None drops the field, what the error says).
+MALFORMED_TASK_ENDS = [
+    pytest.param({"end": None}, "field 'end' is missing", id="missing-end"),
+    pytest.param({"index": "x"}, "field 'index' is not int: 'x'", id="bad-index"),
+    pytest.param(
+        {"outcome": "exploded"},
+        "field 'outcome' is not one of ok, failed, evicted, superseded: 'exploded'",
+        id="unknown-outcome",
+    ),
+    pytest.param(
+        {"end": 5.0}, "field 'end' is not at or after start 10.0: 5.0",
+        id="end-before-start",
+    ),
+    pytest.param({"attempt": -1}, "field 'attempt' is negative: -1", id="negative-attempt"),
+]
+
+
+def malformed_task_end_events(change):
+    """A finished run's events whose one ``task.end`` carries ``change``."""
+    from repro.telemetry.trace import TraceEvent
+
+    fields = {**TASK_END, **change}
+    fields = {k: v for k, v in fields.items() if v is not None}
+    return [
+        TraceEvent(0.0, "job.allocation", {"job": "job:A", "applied": 10}),
+        TraceEvent(12.0, "task.end", fields),
+        TraceEvent(20.0, "job.complete", {
+            "job": "job:A", "start": 0.0, "end": 20.0, "deadline": 60.0,
+        }),
+    ]
+
+
 @pytest.fixture(scope="module")
 def jockey_run():
     tj = trained_job("A", seed=0, scale=SMOKE)
@@ -165,6 +202,14 @@ class TestFromTraceEvents:
     def test_empty_events_rejected(self):
         with pytest.raises(ReportError):
             report_mod.from_trace_events([], policy="jockey")
+
+    @pytest.mark.parametrize("change, why", MALFORMED_TASK_ENDS)
+    def test_malformed_task_end_is_named(self, change, why):
+        with pytest.raises(ReportError) as raised:
+            report_mod.from_trace_events(malformed_task_end_events(change))
+        assert str(raised.value) == (
+            "malformed task.end event 2 of 3 (job 'job:A', stage 'map'): " + why
+        )
 
     def test_rebuilt_report_renders(self, jockey_run):
         tj, result, events = jockey_run
