@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional, Sequence, Tuple
 
+from repro import persist
+
 
 class ChaosError(ValueError):
     """Raised for malformed or unsatisfiable chaos specifications."""
@@ -246,14 +248,6 @@ class ChaosSpec:
 # JSON round-trip
 # ----------------------------------------------------------------------
 
-_EVENT_TYPES = {
-    "rack_failures": RackFailure,
-    "eviction_storms": EvictionStorm,
-    "token_shocks": TokenShock,
-    "profile_drifts": ProfileDrift,
-}
-
-
 def _item_to_dict(item) -> Dict:
     out = {}
     for f in fields(item):
@@ -262,19 +256,6 @@ def _item_to_dict(item) -> Dict:
             value = [list(v) if isinstance(v, tuple) else v for v in value]
         out[f.name] = value
     return out
-
-
-def _item_from_dict(cls, data: Dict, context: str):
-    if not isinstance(data, dict):
-        raise ChaosError(f"{context}: expected an object, got {type(data).__name__}")
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ChaosError(f"{context}: unknown field(s) {sorted(unknown)}")
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ChaosError(f"{context}: {exc}") from exc
 
 
 def spec_to_dict(spec: ChaosSpec) -> Dict:
@@ -292,37 +273,10 @@ def spec_to_dict(spec: ChaosSpec) -> Dict:
 
 def spec_from_dict(data: Dict) -> ChaosSpec:
     """Parse a dict produced by :func:`spec_to_dict` (or hand-written
-    JSON).  Raises :class:`ChaosError` on any malformed content."""
-    if not isinstance(data, dict):
-        raise ChaosError(f"chaos spec: expected an object, got {type(data).__name__}")
-    known = {"name", "intensity", "control_faults", *_EVENT_TYPES}
-    unknown = set(data) - known
-    if unknown:
-        raise ChaosError(f"chaos spec: unknown field(s) {sorted(unknown)}")
-    kwargs = {}
-    if "name" in data:
-        if not isinstance(data["name"], str):
-            raise ChaosError("chaos spec: name must be a string")
-        kwargs["name"] = data["name"]
-    if "intensity" in data:
-        if not isinstance(data["intensity"], (int, float)) or isinstance(
-            data["intensity"], bool
-        ):
-            raise ChaosError("chaos spec: intensity must be a number")
-        kwargs["intensity"] = float(data["intensity"])
-    for key, cls in _EVENT_TYPES.items():
-        items = data.get(key, [])
-        if not isinstance(items, list):
-            raise ChaosError(f"chaos spec: {key} must be a list")
-        kwargs[key] = tuple(
-            _item_from_dict(cls, item, f"{key}[{i}]")
-            for i, item in enumerate(items)
-        )
-    if "control_faults" in data:
-        kwargs["control_faults"] = _item_from_dict(
-            ControlFaults, data["control_faults"], "control_faults"
-        )
-    return ChaosSpec(**kwargs)
+    JSON): every field is typed by its dataclass annotation
+    (:func:`repro.persist.spec_object`).  Raises :class:`ChaosError` on
+    any malformed content."""
+    return persist.spec_object(data, ChaosSpec, ChaosError)
 
 
 __all__ = [

@@ -615,17 +615,28 @@ def _load_bundle(path: str, out):
         return None
 
 
-def _load_chaos(path: str, command: str, out):
-    """The ``--chaos`` spec of ``repro <command>``, or None after printing
-    why and the usage hint (the caller exits 2)."""
+#: Where EXPERIMENTS.md documents each spec kind, format and example.
+_SPEC_SECTIONS = {
+    "chaos": "Injecting chaos",
+    "fleet": "Running a fleet",
+    "market": "Running a token market",
+}
+
+
+def _load_spec(load, kind: str, usage: str, path: str, out):
+    """``load(path)`` for a chaos / fleet / market spec, or None after
+    printing why and the hint ``usage: repro <usage> SPEC.json`` (the
+    caller exits 2).  Each loader raises its own ``ValueError``
+    (``PersistError``, ``FleetSpecError``, ``MarketSpecError``) for an
+    unreadable or malformed spec."""
     try:
-        return persist.load_chaos_spec(path)
-    except (OSError, persist.PersistError) as exc:
-        out.write(f"error: cannot load chaos spec: {exc}\n")
+        return load(path)
+    except ValueError as exc:
+        out.write(f"error: cannot load {kind} spec: {exc}\n")
         out.write(
-            f"usage: repro {command} --chaos SPEC.json — SPEC.json must be a "
-            "JSON chaos schedule (see EXPERIMENTS.md, 'Injecting "
-            "chaos', for the format and a worked example)\n"
+            f"usage: repro {usage} SPEC.json — SPEC.json must be a JSON "
+            f"{kind} spec (see EXPERIMENTS.md, '{_SPEC_SECTIONS[kind]}', "
+            "for the format and a worked example)\n"
         )
         return None
 
@@ -642,7 +653,8 @@ def _load_job(args, out, chaos_command: Optional[str] = None):
         return None
     chaos_spec = None
     if chaos_command is not None and args.chaos:
-        chaos_spec = _load_chaos(args.chaos, chaos_command, out)
+        chaos_spec = _load_spec(persist.load_chaos_spec, "chaos",
+                                f"{chaos_command} --chaos", args.chaos, out)
         if chaos_spec is None:
             return None
     graph, profile, table = bundle
@@ -833,7 +845,7 @@ def cmd_fleet(args, out) -> int:
         load_fleet_spec,
         run_fleet,
     )
-    from repro.fleet.store import FleetSpecError, ProfileStore
+    from repro.fleet.store import ProfileStore
 
     if args.fleet_command == "stats":
         store = ProfileStore(args.store)
@@ -855,16 +867,11 @@ def cmd_fleet(args, out) -> int:
 
     # fleet run
     if args.spec:
-        try:
-            templates, config = load_fleet_spec(args.spec)
-        except FleetSpecError as exc:
-            out.write(f"error: cannot load fleet spec: {exc}\n")
-            out.write(
-                "usage: repro fleet run --spec SPEC.json — SPEC.json must "
-                "be a JSON fleet spec (see EXPERIMENTS.md, 'Running a "
-                "fleet', for the format and a worked example)\n"
-            )
+        spec = _load_spec(load_fleet_spec, "fleet", "fleet run --spec",
+                          args.spec, out)
+        if spec is None:
             return 2
+        templates, config = spec
         config = replace_dc(config, store_root=args.store)
     else:
         from repro.chaos.spec import ProfileDrift
@@ -941,7 +948,6 @@ def cmd_market(args, out) -> int:
     from repro.market import (
         MarketConfig,
         MarketError,
-        MarketSpecError,
         TokenMarket,
         generate_market_workload,
         load_market_spec,
@@ -998,16 +1004,11 @@ def cmd_market(args, out) -> int:
 
     # market run
     if args.spec:
-        try:
-            tenants, jobs, config = load_market_spec(args.spec)
-        except MarketSpecError as exc:
-            out.write(f"error: cannot load market spec: {exc}\n")
-            out.write(
-                "usage: repro market run --spec SPEC.json — SPEC.json must "
-                "be a JSON market spec (see EXPERIMENTS.md, 'Running a "
-                "token market', for the format and a worked example)\n"
-            )
+        spec = _load_spec(load_market_spec, "market", "market run --spec",
+                          args.spec, out)
+        if spec is None:
             return 2
+        tenants, jobs, config = spec
     else:
         try:
             # The config first: it refuses a non-finite --tick-seconds
@@ -1382,7 +1383,8 @@ def cmd_serve(args, out) -> int:
         tenants = tuple(pairs)
     control_faults = None
     if args.chaos:
-        spec = _load_chaos(args.chaos, "serve", out)
+        spec = _load_spec(persist.load_chaos_spec, "chaos", "serve --chaos",
+                          args.chaos, out)
         if spec is None:
             return 2
         control_faults = spec.effective().control_faults

@@ -35,7 +35,7 @@ import math
 import shutil
 import tempfile
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import persist
 from repro.chaos.injectors import drifted_profile
@@ -532,83 +532,55 @@ def run_fleet(
 # Fleet specs (JSON)
 # ----------------------------------------------------------------------
 
-_SPEC_FIELDS = {
-    "templates", "days", "mode", "deadline_trim", "seed", "scale", "drift",
+#: A fleet spec's fields and their types (:func:`repro.persist.spec_fields`);
+#: ``mode`` sets ``FleetConfig.model_mode`` and ``scale`` names a ``Scale``.
+_SPEC = {
+    "templates": Tuple[Any, ...], "days": int, "mode": str,
+    "deadline_trim": float, "seed": int, "scale": str, "drift": Any,
 }
-_DRIFT_FIELDS = {"day", "factor", "stages"}
+#: The ground-truth drift; ``day`` sets ``ProfileDrift.at``.
+_DRIFT = {"day": float, "factor": float, "stages": Tuple[str, ...]}
 
 
 def fleet_spec_from_dict(data: Dict) -> Tuple[List[FleetTemplate], FleetConfig]:
     """Parse a fleet spec dict; unknown fields and bad shapes raise
-    :class:`FleetSpecError` (a *usage* error — the CLI exits 2)."""
+    :class:`FleetSpecError` (a *usage* error — the CLI exits 2).  A
+    template is a job name or a ``{"name", "job"}`` object."""
     from repro.experiments.scenarios import SCALES
 
-    if not isinstance(data, dict):
-        raise FleetSpecError(f"fleet spec must be an object, got {type(data).__name__}")
-    unknown = set(data) - _SPEC_FIELDS
-    if unknown:
-        raise FleetSpecError(
-            f"unknown fleet spec field(s) {sorted(unknown)} "
-            f"(known: {sorted(_SPEC_FIELDS)})"
-        )
-    raw_templates = data.get("templates", ["A", "C"])
-    if not isinstance(raw_templates, list) or not raw_templates:
+    spec = persist.spec_fields(data, _SPEC, FleetSpecError)
+    templates = [
+        FleetTemplate(name=item) if isinstance(item, str) else
+        persist.spec_object(item, FleetTemplate, FleetSpecError,
+                            path=f"templates[{i}]")
+        for i, item in enumerate(spec.get("templates", ("A", "C")))
+    ]
+    if not templates:
         raise FleetSpecError("'templates' must be a non-empty list")
-    templates: List[FleetTemplate] = []
-    for item in raw_templates:
-        if isinstance(item, str):
-            templates.append(FleetTemplate(name=item))
-        elif isinstance(item, dict):
-            extra = set(item) - {"name", "job"}
-            if extra or "name" not in item:
-                raise FleetSpecError(
-                    f"template entries take 'name' (required) and 'job', "
-                    f"got {sorted(item)}"
-                )
-            templates.append(
-                FleetTemplate(name=str(item["name"]), job=item.get("job"))
-            )
-        else:
-            raise FleetSpecError(
-                f"template entries must be strings or objects, "
-                f"got {type(item).__name__}"
-            )
-    drift = None
-    raw_drift = data.get("drift")
-    if raw_drift is not None:
-        if not isinstance(raw_drift, dict):
-            raise FleetSpecError("'drift' must be an object")
-        extra = set(raw_drift) - _DRIFT_FIELDS
-        if extra:
-            raise FleetSpecError(
-                f"unknown drift field(s) {sorted(extra)} "
-                f"(known: {sorted(_DRIFT_FIELDS)})"
-            )
-        try:
-            drift = ProfileDrift(
-                at=float(raw_drift.get("day", 0)),
-                factor=float(raw_drift.get("factor", 1.5)),
-                stages=tuple(raw_drift.get("stages", ())),
-            )
-        except (TypeError, ValueError) as exc:
-            raise FleetSpecError(f"malformed drift: {exc}") from exc
-    scale_name = data.get("scale", "smoke")
+    scale_name = spec.get("scale", "smoke")
     if scale_name not in SCALES:
         raise FleetSpecError(
             f"unknown scale {scale_name!r} (choose from {sorted(SCALES)})"
         )
+    drift = spec.get("drift")
+    if drift is not None:
+        drift = persist.spec_fields(drift, _DRIFT, FleetSpecError, path="drift")
     try:
         config = FleetConfig(
-            days=int(data.get("days", 5)),
-            model_mode=str(data.get("mode", "ewma")),
-            drift=drift,
+            days=spec.get("days", 5),
+            model_mode=spec.get("mode", "ewma"),
+            drift=None if drift is None else ProfileDrift(
+                at=drift.get("day", 0.0),
+                factor=drift.get("factor", 1.5),
+                stages=drift.get("stages", ()),
+            ),
             scale=SCALES[scale_name],
-            deadline_trim=float(data.get("deadline_trim", 0.85)),
-            seed=int(data.get("seed", 0)),
+            deadline_trim=spec.get("deadline_trim", 0.85),
+            seed=spec.get("seed", 0),
         )
-    except (TypeError, ValueError) as exc:
-        # FleetError subclasses ValueError: config validation failures in a
-        # spec file are usage errors too.
+    except ValueError as exc:
+        # A ChaosError from the drift or a FleetError from the config: out
+        # of range in a spec file is a usage error too.
         raise FleetSpecError(f"malformed fleet spec: {exc}") from exc
     return templates, config
 
@@ -616,13 +588,7 @@ def fleet_spec_from_dict(data: Dict) -> Tuple[List[FleetTemplate], FleetConfig]:
 def load_fleet_spec(path) -> Tuple[List[FleetTemplate], FleetConfig]:
     """Read a fleet spec JSON file (with or without the
     ``{"format_version": 1, "fleet": {...}}`` envelope)."""
-    try:
-        payload = persist.read_spec(path, "fleet")
-    except OSError as exc:
-        raise FleetSpecError(f"cannot read fleet spec: {exc}") from exc
-    except persist.PersistError as exc:
-        raise FleetSpecError(str(exc)) from exc
-    return fleet_spec_from_dict(payload)
+    return persist.load_spec(path, "fleet", fleet_spec_from_dict, FleetSpecError)
 
 
 __all__ = [

@@ -14,12 +14,18 @@ submission time.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pathlib
+import sys
 import threading
+import typing
 import warnings
-from typing import Callable, Dict, Iterable, Optional, Tuple, TypeVar, Union
+from typing import (
+    Any, Callable, Dict, Iterable, Mapping, Optional, Tuple, Type, TypeVar,
+    Union,
+)
 
 import numpy as np
 
@@ -320,7 +326,7 @@ def read_entry(
 
 
 # ----------------------------------------------------------------------
-# Chaos schedules
+# Specs: the one reader under the chaos, fleet and market spec files
 # ----------------------------------------------------------------------
 
 
@@ -354,6 +360,117 @@ def read_spec(path: PathLike, key: str):
     return payload
 
 
+def load_spec(path: PathLike, key: str, decode: Callable[[Dict], _T],
+              error: Type[ValueError]) -> _T:
+    """``decode`` the ``key`` spec file at ``path``; an unreadable file or
+    a bad envelope raises ``error`` too."""
+    try:
+        payload = read_spec(path, key)
+    except OSError as exc:
+        raise error(f"cannot read {key} spec: {exc}") from exc
+    except PersistError as exc:
+        raise error(str(exc)) from exc
+    return decode(payload)
+
+
+def spec_fields(
+    data,
+    schema: Mapping[str, Any],
+    error: Type[ValueError],
+    *,
+    path: str = "",
+    required: Iterable[str] = (),
+) -> Dict[str, Any]:
+    """The fields ``data`` sets, each decoded by its type in ``schema``.
+
+    ``data`` must be a JSON object with no field outside ``schema`` and
+    every ``required`` one.  A field decodes by its type: ``float`` is a
+    finite JSON number (a bool, a string, NaN and ±inf are refused),
+    ``int`` a JSON integer (a bool and a fraction are refused), ``str`` a
+    string, ``Optional[T]`` null or a ``T``, ``Tuple[T, ...]`` and
+    ``Tuple[T, U]`` a list (the latter of exactly two), a dataclass an
+    object (:func:`spec_object`), and ``Any`` whatever is there.  Anything
+    else raises ``error`` naming ``path``, the field and the value."""
+    where = f"{path}: " if path else ""
+    if not isinstance(data, dict):
+        raise error(f"{path or 'spec'} must be an object, got {type(data).__name__}")
+    unknown = set(data) - set(schema)
+    if unknown:
+        raise error(
+            f"{where}unknown field(s) {sorted(unknown)} (known: {sorted(schema)})"
+        )
+    missing = [name for name in required if name not in data]
+    if missing:
+        raise error(f"{where}missing field(s) {missing}")
+    return {
+        name: _spec_value(data[name], tp, path, name, error)
+        for name, tp in schema.items() if name in data
+    }
+
+
+def spec_schema(cls) -> Dict[str, Any]:
+    """The spec schema of a dataclass: its init fields and annotations."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
+
+
+def spec_object(data, cls, error: Type[ValueError], *, path: str = ""):
+    """``cls(**fields)`` for the dataclass ``cls`` decoded from ``data`` by
+    :func:`spec_fields` over :func:`spec_schema`; a field without a default
+    is required, and range checks stay in ``cls.__post_init__``."""
+    required = [
+        f.name for f in dataclasses.fields(cls)
+        if f.init and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    return cls(**spec_fields(
+        data, spec_schema(cls), error, path=path, required=required
+    ))
+
+
+def _spec_value(value, tp, path: str, key: str, error: Type[ValueError]):
+    """``value`` decoded as ``tp``; ``key`` names it inside ``path``."""
+    where = f"{path}: '{key}'" if path else f"'{key}'"
+    if tp is Any:
+        return value
+    if tp is float:
+        # ``abs(x) <= max`` refuses NaN, ±inf and an int too big to convert.
+        if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max):
+            return float(value)
+        raise error(f"{where} must be a finite number, got {value!r}")
+    if tp is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise error(f"{where} must be an integer, got {value!r}")
+    if tp is str:
+        if isinstance(value, str):
+            return value
+        raise error(f"{where} must be a string, got {value!r}")
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is Union:
+        if value is None:
+            return None
+        (inner,) = [a for a in args if a is not type(None)]
+        return _spec_value(value, inner, path, key, error)
+    if origin is tuple:
+        homogeneous = args[-1] is Ellipsis
+        if not isinstance(value, list) or not (
+            homogeneous or len(value) == len(args)
+        ):
+            what = "a list" if homogeneous else f"a list of {len(args)}"
+            raise error(f"{where} must be {what}, got {value!r}")
+        if homogeneous:
+            args = (args[0],) * len(value)
+        return tuple(
+            _spec_value(item, arg, path, f"{key}[{i}]", error)
+            for i, (item, arg) in enumerate(zip(value, args))
+        )
+    if dataclasses.is_dataclass(tp):
+        return spec_object(value, tp, error, path=f"{path}.{key}" if path else key)
+    raise TypeError(f"no spec decoding for {tp!r}")
+
+
 def load_chaos_spec(path: PathLike):
     """Read a chaos schedule written by :func:`save_chaos_spec` (or
     hand-written: a bare spec object without the envelope also loads).
@@ -362,7 +479,7 @@ def load_chaos_spec(path: PathLike):
     from repro.chaos.spec import ChaosError, spec_from_dict
 
     try:
-        return spec_from_dict(read_spec(path, "chaos"))
+        return load_spec(path, "chaos", spec_from_dict, PersistError)
     except ChaosError as exc:
         raise PersistError(f"malformed chaos spec: {exc}") from exc
 
@@ -445,10 +562,14 @@ __all__ = [
     "graph_to_dict",
     "load_bundle",
     "load_chaos_spec",
+    "load_spec",
     "read_entry",
     "read_spec",
     "remove_file",
     "save_chaos_spec",
+    "spec_fields",
+    "spec_object",
+    "spec_schema",
     "profile_from_dict",
     "profile_to_dict",
     "save_bundle",

@@ -164,7 +164,7 @@ class Simulator:
         """Schedule ``callback`` at absolute time ``time`` with no cancel
         handle.  ``arg``, when given, is passed as the callback's single
         positional argument — the payload replaces a per-event closure."""
-        if time < self._now:
+        if not time >= self._now:  # NaN fails it too
             raise SimulationError(
                 f"cannot schedule event at t={time:.3f}, now is t={self._now:.3f}"
             )
@@ -177,8 +177,8 @@ class Simulator:
         self, delay: float, callback: Callable[..., None], arg: object = _NO_ARG
     ) -> None:
         """Schedule ``callback`` after ``delay`` seconds with no cancel handle."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not delay >= 0:  # NaN fails it too
+            raise SimulationError(f"delay must be >= 0, got {delay!r}")
         seq = self._seq
         self._seq = seq + 1
         self._scheduled += 1
@@ -263,7 +263,7 @@ class Simulator:
         self, time: float, callback: Callable[..., None], arg: object = _NO_ARG
     ) -> EventHandle:
         """Schedule ``callback`` at absolute virtual time ``time``."""
-        if time < self._now:
+        if not time >= self._now:  # NaN fails it too
             raise SimulationError(
                 f"cannot schedule event at t={time:.3f}, now is t={self._now:.3f}"
             )
@@ -288,8 +288,8 @@ class Simulator:
         self, delay: float, callback: Callable[..., None], arg: object = _NO_ARG
     ) -> EventHandle:
         """Schedule ``callback`` after ``delay`` seconds of virtual time."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not delay >= 0:  # NaN fails it too
+            raise SimulationError(f"delay must be >= 0, got {delay!r}")
         return self.schedule_at(self._now + delay, callback, arg)
 
     def schedule_every(

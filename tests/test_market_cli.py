@@ -191,13 +191,14 @@ class TestInputsRefusedWhereTheyEnter:
 
     def test_nan_work_in_a_spec_exits_two_naming_the_job(self, tmp_path):
         """Used to pass the loader and exit 1 mid-tick with ``cannot
-        convert float NaN to integer`` from ``math.ceil``."""
+        convert float NaN to integer`` from ``math.ceil``.  The spec
+        reader refuses a non-finite number before ``JobSpec`` sees it."""
         spec = tmp_path / "market.json"
         # json.dumps writes NaN as the bare token Python's reader accepts.
         spec.write_text(json.dumps(spec_with_job(work=math.nan)), encoding="utf-8")
         code, text = run_cli("market", "run", "--spec", str(spec))
         assert code == 2
-        assert "job 'etl': work must be positive and finite, got nan" in text
+        assert "job 'etl': 'work' must be a finite number, got nan" in text
 
     @pytest.mark.parametrize("field, value", [
         ("work", "abc"), ("width", "x"), ("width", 2.7),

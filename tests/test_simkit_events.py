@@ -59,6 +59,24 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             Simulator().schedule(-1.0, lambda: None)
 
+    @pytest.mark.parametrize("method", ["call_at", "schedule_at"])
+    def test_nan_time_rejected(self, method):
+        """``nan < now`` is False, so a NaN time used to be queued, fire,
+        and leave ``now`` NaN for the rest of the run."""
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="t=nan"):
+            getattr(sim, method)(float("nan"), lambda: None)
+        sim.run()
+        assert sim.now == 0.0
+
+    @pytest.mark.parametrize("method", ["call_after", "schedule"])
+    def test_nan_delay_rejected(self, method):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="got nan"):
+            getattr(sim, method)(float("nan"), lambda: None)
+        sim.run()
+        assert sim.now == 0.0
+
     def test_events_scheduled_during_dispatch(self):
         sim = Simulator()
         fired = []
