@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 import time
@@ -610,7 +611,7 @@ def _load_bundle(path: str, out):
     table) triple, or None after printing why (the caller exits 2)."""
     try:
         return persist.load_bundle(path)
-    except (OSError, persist.PersistError) as exc:
+    except (OSError, ValueError) as exc:
         out.write(f"error: cannot load bundle: {exc}\n")
         return None
 
@@ -648,6 +649,12 @@ def _load_job(args, out, chaos_command: Optional[str] = None):
     takes one (``chaos_command`` names it in the usage hint).  Returns
     ``(graph, profile, table, policy, deadline_seconds, chaos spec or
     None)``, or None after printing why (the caller exits 2)."""
+    for flag in ("deadline_minutes", "runtime_scale"):
+        value = getattr(args, flag, 1.0)        # ``perf run`` has no --runtime-scale
+        if not 0 < value < math.inf:
+            out.write(f"error: --{flag.replace('_', '-')} must be positive and "
+                      f"finite, got {value!r}\n")
+            return None
     bundle = _load_bundle(args.bundle, out)
     if bundle is None:
         return None

@@ -18,6 +18,7 @@ tells it the job's elapsed time on every decision.
 
 from __future__ import annotations
 
+import math
 import time
 
 
@@ -35,8 +36,8 @@ class WallClock:
     """
 
     def __init__(self, *, time_scale: float = 1.0):
-        if time_scale <= 0:
-            raise ClockError(f"time_scale must be positive, got {time_scale!r}")
+        if not 0 < time_scale < math.inf:
+            raise ClockError(f"time_scale must be positive and finite, got {time_scale!r}")
         self.time_scale = float(time_scale)
         self._epoch = time.monotonic()
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import sys
@@ -23,8 +24,8 @@ import threading
 import typing
 import warnings
 from typing import (
-    Any, Callable, Dict, Iterable, Mapping, Optional, Tuple, Type, TypeVar,
-    Union,
+    Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Type,
+    TypeVar, Union,
 )
 
 import numpy as np
@@ -42,6 +43,127 @@ class PersistError(ValueError):
 FORMAT_VERSION = 1
 
 # ----------------------------------------------------------------------
+# The one reader: spec files, bundles and the service's request bodies
+# ----------------------------------------------------------------------
+
+
+def spec_fields(
+    data,
+    schema: Mapping[str, Any],
+    error: Type[ValueError],
+    *,
+    path: str = "",
+    required: Iterable[str] = (),
+) -> Dict[str, Any]:
+    """The fields ``data`` sets, each decoded by its type in ``schema``.
+
+    ``data`` must be a JSON object with no field outside ``schema`` and
+    every ``required`` one.  A field decodes by its type: ``float`` is a
+    finite JSON number (a bool, a string, NaN and ±inf are refused),
+    ``int`` a JSON integer (a bool and a fraction are refused), ``bool``
+    true or false, ``str`` a string, ``Optional[T]`` null or a ``T``,
+    ``List[T]``, ``Tuple[T, ...]`` and ``Tuple[T, U]`` a list (the last of
+    exactly two), ``Dict[str, T]`` an object keyed by name, a dataclass an
+    object (:func:`spec_object`), and ``Any`` whatever is there.  Anything
+    else raises ``error`` naming ``path``, the field and the value."""
+    where = f"{path}: " if path else ""
+    if not isinstance(data, dict):
+        raise error(f"{path or 'spec'} must be an object, got {type(data).__name__}")
+    unknown = data.keys() - schema.keys()
+    if unknown:
+        raise error(
+            f"{where}unknown field(s) {sorted(unknown)} (known: {sorted(schema)})"
+        )
+    missing = [name for name in required if name not in data]
+    if missing:
+        raise error(f"{where}missing field(s) {missing}")
+    return {
+        name: _spec_value(data[name], tp, path, name, error)
+        for name, tp in schema.items() if name in data
+    }
+
+
+def spec_schema(cls) -> Dict[str, Any]:
+    """The spec schema of a dataclass: its init fields and annotations."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
+
+
+def spec_object(data, cls, error: Type[ValueError], *, path: str = ""):
+    """``cls(**fields)`` for the dataclass ``cls`` decoded from ``data`` by
+    :func:`spec_fields` over :func:`spec_schema`; a field without a default
+    is required, and range checks stay in ``cls.__post_init__``."""
+    required = [
+        f.name for f in dataclasses.fields(cls)
+        if f.init and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    return cls(**spec_fields(
+        data, spec_schema(cls), error, path=path, required=required
+    ))
+
+
+def _spec_value(value, tp, path: str, key: str, error: Type[ValueError]):
+    """``value`` decoded as ``tp``; ``key`` names it inside ``path``."""
+    where = f"{path}: '{key}'" if path else f"'{key}'"
+    if tp is Any:
+        return value
+    if tp is float:
+        # ``abs(x) <= max`` refuses NaN, ±inf and an int too big to convert.
+        if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max):
+            return float(value)
+        raise error(f"{where} must be a finite number, got {value!r}")
+    if tp is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise error(f"{where} must be an integer, got {value!r}")
+    if tp is bool:
+        if isinstance(value, bool):
+            return value
+        raise error(f"{where} must be true or false, got {value!r}")
+    if tp is str:
+        if isinstance(value, str):
+            return value
+        raise error(f"{where} must be a string, got {value!r}")
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is Union:
+        if value is None:
+            return None
+        (inner,) = [a for a in args if a is not type(None)]
+        return _spec_value(value, inner, path, key, error)
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise error(f"{where} must be an object, got {value!r}")
+        return {
+            name: _spec_value(item, args[1], path, f"{key}.{name}", error)
+            for name, item in value.items()
+        }
+    if origin in (tuple, list):
+        homogeneous = origin is list or args[-1] is Ellipsis
+        if not isinstance(value, list) or not (
+            homogeneous or len(value) == len(args)
+        ):
+            what = "a list" if homogeneous else f"a list of {len(args)}"
+            raise error(f"{where} must be {what}, got {value!r}")
+        if (homogeneous and args[0] is float and set(map(type, value)) <= {float}
+                and math.isfinite(sum(value))):
+            # An empirical distribution holds thousands of samples: checked at
+            # C speed, as NaN or ±inf makes the sum non-finite (an overflowing
+            # sum only sends them the long way, which names a bad one).
+            return origin(value)
+        if homogeneous:
+            args = (args[0],) * len(value)
+        return origin(
+            _spec_value(item, arg, path, f"{key}[{i}]", error)
+            for i, (item, arg) in enumerate(zip(value, args))
+        )
+    if dataclasses.is_dataclass(tp):
+        return spec_object(value, tp, error, path=f"{path}.{key}" if path else key)
+    raise TypeError(f"no spec decoding for {tp!r}")
+
+
+# ----------------------------------------------------------------------
 # Distributions
 # ----------------------------------------------------------------------
 
@@ -57,67 +179,55 @@ _DIST_TYPES = {
 }
 
 
+#: Each kind's fields on disk: its class's, in field order, ``mean`` for
+#: ``Exponential.mean_value`` and a ``base`` a distribution itself.
+_DIST_FIELDS = {kind: {"kind": str, **{
+    "mean" if name == "mean_value" else name: Any if name == "base" else tp
+    for name, tp in spec_schema(cls).items()
+}} for kind, cls in _DIST_TYPES.items()}
+_DIST_KINDS = {cls: kind for kind, cls in _DIST_TYPES.items()}
+
+
 def distribution_to_dict(d) -> Dict:
-    if isinstance(d, dist.Constant):
-        return {"kind": "constant", "value": d.value}
-    if isinstance(d, dist.Uniform):
-        return {"kind": "uniform", "low": d.low, "high": d.high}
-    if isinstance(d, dist.Exponential):
-        return {"kind": "exponential", "mean": d.mean_value}
-    if isinstance(d, dist.LogNormal):
-        return {"kind": "lognormal", "mu": d.mu, "sigma": d.sigma}
-    if isinstance(d, dist.WithOutliers):
-        return {
-            "kind": "with_outliers",
-            "base": distribution_to_dict(d.base),
-            "outlier_prob": d.outlier_prob,
-            "outlier_factor": d.outlier_factor,
-        }
-    if isinstance(d, dist.Truncated):
-        return {
-            "kind": "truncated",
-            "base": distribution_to_dict(d.base),
-            "cap": d.cap,
-        }
-    if isinstance(d, dist.Empirical):
-        return {"kind": "empirical", "values": [float(v) for v in d.values]}
-    if isinstance(d, dist.Scaled):
-        return {
-            "kind": "scaled",
-            "base": distribution_to_dict(d.base),
-            "factor": d.factor,
-        }
-    raise PersistError(f"unknown distribution type {type(d).__name__}")
+    """``d`` as its kind and the fields :data:`_DIST_FIELDS` reads back."""
+    if type(d) not in _DIST_KINDS:
+        raise PersistError(f"unknown distribution type {type(d).__name__}")
+    payload = {"kind": _DIST_KINDS[type(d)]}
+    for f in dataclasses.fields(d):
+        value = getattr(d, f.name)
+        if f.name == "base":
+            value = distribution_to_dict(value)
+        elif f.name == "values":
+            value = [float(v) for v in value]
+        payload["mean" if f.name == "mean_value" else f.name] = value
+    return payload
 
 
-def distribution_from_dict(data: Dict):
-    kind = data.get("kind")
-    if kind == "constant":
-        return dist.Constant(data["value"])
-    if kind == "uniform":
-        return dist.Uniform(data["low"], data["high"])
-    if kind == "exponential":
-        return dist.Exponential(data["mean"])
-    if kind == "lognormal":
-        return dist.LogNormal(data["mu"], data["sigma"])
-    if kind == "with_outliers":
-        return dist.WithOutliers(
-            distribution_from_dict(data["base"]),
-            data["outlier_prob"],
-            data["outlier_factor"],
-        )
-    if kind == "truncated":
-        return dist.Truncated(distribution_from_dict(data["base"]), data["cap"])
-    if kind == "empirical":
-        return dist.Empirical(list(data["values"]))
-    if kind == "scaled":
-        return dist.Scaled(distribution_from_dict(data["base"]), data["factor"])
-    raise PersistError(f"unknown distribution kind {kind!r}")
+def distribution_from_dict(data, path: str = "distribution"):
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if kind not in tuple(_DIST_FIELDS):     # by ==: a list kind is refused, not hashed
+        raise PersistError(f"{path} must be an object whose 'kind' is one of "
+                           f"{sorted(_DIST_FIELDS)}, got {data!r}")
+    fields = spec_fields(data, _DIST_FIELDS[kind], PersistError, path=path,
+                         required=_DIST_FIELDS[kind])
+    del fields["kind"]
+    if "base" in fields:
+        fields["base"] = distribution_from_dict(fields["base"], f"{path}.base")
+    try:
+        return _DIST_TYPES[kind](*fields.values())
+    except dist.DistributionError as exc:       # it does not say which one
+        raise PersistError(f"{path}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
 # Job graphs
 # ----------------------------------------------------------------------
+
+#: A graph's fields (``graph_to_dict``); an edge's ``kind`` names an
+#: ``EdgeType``.
+_GRAPH = {"name": str, "stages": Tuple[Stage, ...], "edges": Tuple[Any, ...]}
+_EDGE = {"src": str, "dst": str, "kind": str}
+_EDGE_TYPES = {kind.value: kind for kind in EdgeType}
 
 
 def graph_to_dict(graph: JobGraph) -> Dict:
@@ -133,20 +243,29 @@ def graph_to_dict(graph: JobGraph) -> Dict:
     }
 
 
-def graph_from_dict(data: Dict) -> JobGraph:
-    try:
-        stages = [Stage(s["name"], s["num_tasks"]) for s in data["stages"]]
-        edges = [
-            Edge(e["src"], e["dst"], EdgeType(e["kind"])) for e in data["edges"]
-        ]
-        return JobGraph(data["name"], stages, edges)
-    except (KeyError, TypeError) as exc:
-        raise PersistError(f"malformed graph payload: {exc}") from exc
+def graph_from_dict(data, path: str = "graph") -> JobGraph:
+    fields = spec_fields(data, _GRAPH, PersistError, path=path, required=_GRAPH)
+    edges = []
+    for i, item in enumerate(fields["edges"]):
+        where = f"{path}.edges[{i}]"
+        edge = spec_fields(item, _EDGE, PersistError, path=where, required=_EDGE)
+        if edge["kind"] not in _EDGE_TYPES:
+            raise PersistError(f"{where}: 'kind' must be one of "
+                               f"{sorted(_EDGE_TYPES)}, got {edge['kind']!r}")
+        edges.append(Edge(edge["src"], edge["dst"], _EDGE_TYPES[edge["kind"]]))
+    return JobGraph(fields["name"], fields["stages"], edges)
 
 
 # ----------------------------------------------------------------------
 # Profiles
 # ----------------------------------------------------------------------
+
+#: A profile's fields (``profile_to_dict``): its graph and each stage's
+#: statistics by name.
+_PROFILE = {"graph": Any, "stages": Dict[str, Any]}
+_STAGE_PROFILE = {"runtime": Any, "init": Any, "queue_obs": Any, "failure_prob": float,
+                  "rel_span": Optional[Tuple[float, float]]}
+_STAGE_DISTRIBUTIONS = ("runtime", "init", "queue_obs")
 
 
 def profile_to_dict(profile: JobProfile) -> Dict:
@@ -163,29 +282,32 @@ def profile_to_dict(profile: JobProfile) -> Dict:
     return {"graph": graph_to_dict(profile.graph), "stages": stages}
 
 
-def profile_from_dict(data: Dict, graph: Optional[JobGraph] = None) -> JobProfile:
+def profile_from_dict(
+    data, graph: Optional[JobGraph] = None, path: str = "profile"
+) -> JobProfile:
+    """A bundle passes its own ``graph`` for the profile's copy."""
+    fields = spec_fields(data, _PROFILE, PersistError, path=path,
+                         required=_PROFILE if graph is None else ["stages"])
     if graph is None:
-        graph = graph_from_dict(data["graph"])
-    try:
-        stages = {}
-        for name, payload in data["stages"].items():
-            span = payload.get("rel_span")
-            stages[name] = StageProfile(
-                name=name,
-                runtime=distribution_from_dict(payload["runtime"]),
-                init=distribution_from_dict(payload["init"]),
-                queue_obs=distribution_from_dict(payload["queue_obs"]),
-                failure_prob=payload["failure_prob"],
-                rel_span=tuple(span) if span is not None else None,
-            )
-        return JobProfile(graph, stages)
-    except (KeyError, TypeError) as exc:
-        raise PersistError(f"malformed profile payload: {exc}") from exc
+        graph = graph_from_dict(fields["graph"], f"{path}.graph")
+    stages = {}
+    for name, item in fields["stages"].items():
+        where = f"{path}.stages.{name}"
+        stage = spec_fields(item, _STAGE_PROFILE, PersistError, path=where,
+                            required=_STAGE_DISTRIBUTIONS + ("failure_prob",))
+        for key in _STAGE_DISTRIBUTIONS:
+            stage[key] = distribution_from_dict(stage[key], f"{where}.{key}")
+        stages[name] = StageProfile(name, **stage)
+    return JobProfile(graph, stages)
 
 
 # ----------------------------------------------------------------------
 # C(p, a) tables
 # ----------------------------------------------------------------------
+
+#: A table's fields (``table_to_dict``): a column is its allocation's bins.
+_TABLE = {"allocations": List[int], "num_bins": int,
+          "columns": Dict[str, List[Any]]}
 
 
 def table_to_dict(table: CpaTable, *, precision: Optional[int] = 2) -> Dict:
@@ -212,20 +334,22 @@ def table_to_dict(table: CpaTable, *, precision: Optional[int] = 2) -> Dict:
     }
 
 
-def table_from_dict(data: Dict) -> CpaTable:
-    try:
-        allocations = [int(a) for a in data["allocations"]]
-        num_bins = int(data["num_bins"])
-        columns = {}
-        for a in allocations:
-            bins = [
-                np.asarray(samples, dtype=float)
-                for samples in data["columns"][str(a)]
-            ]
-            columns[a] = _AllocationColumn(bins=bins)
-        return CpaTable(allocations, columns, num_bins)
-    except (KeyError, TypeError) as exc:
-        raise PersistError(f"malformed table payload: {exc}") from exc
+def table_from_dict(data, path: str = "table") -> CpaTable:
+    """The samples decode vectorised, by numpy: a model-cache hit reloads
+    every table through here."""
+    fields = spec_fields(data, _TABLE, PersistError, path=path, required=_TABLE)
+    columns = {}
+    for a in fields["allocations"]:
+        if str(a) not in fields["columns"]:
+            raise PersistError(f"{path}: 'columns' has no {str(a)!r} for allocation {a}")
+        try:
+            columns[a] = _AllocationColumn([
+                np.asarray(b, dtype=float) for b in fields["columns"][str(a)]
+            ])
+        except (TypeError, ValueError, OverflowError) as exc:  # numpy cannot read it
+            raise PersistError(f"{path}: 'columns.{a}' must be a list of lists "
+                               f"of numbers: {exc}") from exc
+    return CpaTable(fields["allocations"], columns, fields["num_bins"])
 
 
 # ----------------------------------------------------------------------
@@ -326,7 +450,7 @@ def read_entry(
 
 
 # ----------------------------------------------------------------------
-# Specs: the one reader under the chaos, fleet and market spec files
+# Spec files: chaos, fleet and market
 # ----------------------------------------------------------------------
 
 
@@ -373,104 +497,6 @@ def load_spec(path: PathLike, key: str, decode: Callable[[Dict], _T],
     return decode(payload)
 
 
-def spec_fields(
-    data,
-    schema: Mapping[str, Any],
-    error: Type[ValueError],
-    *,
-    path: str = "",
-    required: Iterable[str] = (),
-) -> Dict[str, Any]:
-    """The fields ``data`` sets, each decoded by its type in ``schema``.
-
-    ``data`` must be a JSON object with no field outside ``schema`` and
-    every ``required`` one.  A field decodes by its type: ``float`` is a
-    finite JSON number (a bool, a string, NaN and ±inf are refused),
-    ``int`` a JSON integer (a bool and a fraction are refused), ``str`` a
-    string, ``Optional[T]`` null or a ``T``, ``Tuple[T, ...]`` and
-    ``Tuple[T, U]`` a list (the latter of exactly two), a dataclass an
-    object (:func:`spec_object`), and ``Any`` whatever is there.  Anything
-    else raises ``error`` naming ``path``, the field and the value."""
-    where = f"{path}: " if path else ""
-    if not isinstance(data, dict):
-        raise error(f"{path or 'spec'} must be an object, got {type(data).__name__}")
-    unknown = set(data) - set(schema)
-    if unknown:
-        raise error(
-            f"{where}unknown field(s) {sorted(unknown)} (known: {sorted(schema)})"
-        )
-    missing = [name for name in required if name not in data]
-    if missing:
-        raise error(f"{where}missing field(s) {missing}")
-    return {
-        name: _spec_value(data[name], tp, path, name, error)
-        for name, tp in schema.items() if name in data
-    }
-
-
-def spec_schema(cls) -> Dict[str, Any]:
-    """The spec schema of a dataclass: its init fields and annotations."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
-
-
-def spec_object(data, cls, error: Type[ValueError], *, path: str = ""):
-    """``cls(**fields)`` for the dataclass ``cls`` decoded from ``data`` by
-    :func:`spec_fields` over :func:`spec_schema`; a field without a default
-    is required, and range checks stay in ``cls.__post_init__``."""
-    required = [
-        f.name for f in dataclasses.fields(cls)
-        if f.init and f.default is dataclasses.MISSING
-        and f.default_factory is dataclasses.MISSING
-    ]
-    return cls(**spec_fields(
-        data, spec_schema(cls), error, path=path, required=required
-    ))
-
-
-def _spec_value(value, tp, path: str, key: str, error: Type[ValueError]):
-    """``value`` decoded as ``tp``; ``key`` names it inside ``path``."""
-    where = f"{path}: '{key}'" if path else f"'{key}'"
-    if tp is Any:
-        return value
-    if tp is float:
-        # ``abs(x) <= max`` refuses NaN, ±inf and an int too big to convert.
-        if (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and abs(value) <= sys.float_info.max):
-            return float(value)
-        raise error(f"{where} must be a finite number, got {value!r}")
-    if tp is int:
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        raise error(f"{where} must be an integer, got {value!r}")
-    if tp is str:
-        if isinstance(value, str):
-            return value
-        raise error(f"{where} must be a string, got {value!r}")
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is Union:
-        if value is None:
-            return None
-        (inner,) = [a for a in args if a is not type(None)]
-        return _spec_value(value, inner, path, key, error)
-    if origin is tuple:
-        homogeneous = args[-1] is Ellipsis
-        if not isinstance(value, list) or not (
-            homogeneous or len(value) == len(args)
-        ):
-            what = "a list" if homogeneous else f"a list of {len(args)}"
-            raise error(f"{where} must be {what}, got {value!r}")
-        if homogeneous:
-            args = (args[0],) * len(value)
-        return tuple(
-            _spec_value(item, arg, path, f"{key}[{i}]", error)
-            for i, (item, arg) in enumerate(zip(value, args))
-        )
-    if dataclasses.is_dataclass(tp):
-        return spec_object(value, tp, error, path=f"{path}.{key}" if path else key)
-    raise TypeError(f"no spec decoding for {tp!r}")
-
-
 def load_chaos_spec(path: PathLike):
     """Read a chaos schedule written by :func:`save_chaos_spec` (or
     hand-written: a bare spec object without the envelope also loads).
@@ -508,40 +534,28 @@ def save_bundle(
     write_json(path, payload)
 
 
-def _bundle_field(payload: Dict, field: str, decode, *args):
-    """Decode one bundle field; whatever a hostile payload trips inside the
-    decoder surfaces as a :class:`PersistError` naming the field."""
-    if field not in payload:
-        raise PersistError(f"bundle has no {field!r} field")
-    try:
-        return decode(payload[field], *args)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise PersistError(
-            f"bundle field {field!r} is malformed: {type(exc).__name__}: {exc}"
-        ) from exc
+#: A bundle's fields (``save_bundle``); ``table`` may be null.
+_BUNDLE = {"format_version": int, "graph": Any, "profile": Any, "table": Any,
+           "metadata": Dict[str, Any]}
 
 
 def bundle_from_dict(
     payload,
 ) -> Tuple[JobGraph, JobProfile, Optional[CpaTable]]:
     """Decode a parsed bundle: the one definition of what a bundle is, under
-    both :func:`load_bundle` and the live service's inline upload.  Anything
-    wrong raises :class:`PersistError` naming the offending field."""
-    if not isinstance(payload, dict):
-        raise PersistError(
-            f"bundle must be a JSON object, got {type(payload).__name__}"
-        )
-    version = payload.get("format_version")
+    both :func:`load_bundle` and the live service's inline upload.  A
+    malformed field raises :class:`PersistError` naming its path; a value
+    the graph, the profile or the table refuses raises that class's own
+    ``ValueError``, which names what it refused."""
+    version = payload.get("format_version") if isinstance(payload, dict) else FORMAT_VERSION
     if version != FORMAT_VERSION:
-        raise PersistError(
-            f"unsupported bundle version {version!r} (expected {FORMAT_VERSION})"
-        )
-    graph = _bundle_field(payload, "graph", graph_from_dict)
-    profile = _bundle_field(payload, "profile", profile_from_dict, graph)
-    table = None
-    if payload.get("table") is not None:
-        table = _bundle_field(payload, "table", table_from_dict)
-    return graph, profile, table
+        raise PersistError(f"unsupported bundle version {version!r} (expected {FORMAT_VERSION})")
+    fields = spec_fields(payload, _BUNDLE, PersistError, path="bundle",
+                         required=["format_version", "graph", "profile"])
+    graph = graph_from_dict(fields["graph"])
+    profile = profile_from_dict(fields["profile"], graph)
+    table = fields.get("table")
+    return graph, profile, None if table is None else table_from_dict(table)
 
 
 def load_bundle(

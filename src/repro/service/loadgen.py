@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -64,8 +65,11 @@ class LoadgenConfig:
             raise LoadgenError(
                 f"deadline factors must satisfy 1 <= lo <= hi, got {lo}, {hi}"
             )
-        if self.mean_interarrival < 0:
-            raise LoadgenError("mean_interarrival must be >= 0")
+        if not 0 <= self.mean_interarrival < math.inf:      # 0: one burst
+            raise LoadgenError(f"mean_interarrival must be >= 0 and finite, "
+                               f"got {self.mean_interarrival!r}")
+        if not 0 < self.timeout < math.inf:
+            raise LoadgenError(f"timeout must be positive and finite, got {self.timeout!r}")
 
 
 @dataclass(frozen=True)

@@ -104,10 +104,9 @@ class TemplateModelStore:
         """Parse an inline-uploaded bundle (the ``repro train`` format)."""
         try:
             graph, profile, table = persist.bundle_from_dict(payload)
-        except persist.PersistError as exc:
+        except ValueError as exc:   # a PersistError, or a refused value
             raise TemplateError(f"cannot load bundle: {exc}") from exc
-        metadata = payload.get("metadata")
-        job = metadata.get("job") if isinstance(metadata, dict) else None
+        job = payload.get("metadata", {}).get("job")
         return TrainedTemplate(str(job or graph.name), graph, profile, table)
 
     # ------------------------------------------------------------------

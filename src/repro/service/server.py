@@ -52,11 +52,12 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 from urllib.parse import urlparse
 
 import numpy as np
 
+from repro import persist
 from repro.chaos.injectors import BlackoutPredictor
 from repro.chaos.spec import ControlFaults
 from repro.core.clock import WallClock
@@ -187,12 +188,12 @@ class ServiceConfig:
     def __post_init__(self):
         if self.capacity_tokens < 1:
             raise ServiceError(f"capacity must be >= 1, got {self.capacity_tokens!r}")
-        if self.tick_seconds <= 0:
-            raise ServiceError(f"tick_seconds must be positive, got {self.tick_seconds!r}")
-        if self.time_scale <= 0:
-            raise ServiceError(f"time_scale must be positive, got {self.time_scale!r}")
-        if self.heartbeat_timeout <= 0:
-            raise ServiceError("heartbeat_timeout must be positive")
+        for name in ("tick_seconds", "time_scale", "heartbeat_timeout"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ServiceError(
+                    f"{name} must be positive and finite, got {value!r}"
+                )
         if self.max_task_attempts < 1:
             raise ServiceError("max_task_attempts must be >= 1")
 
@@ -328,34 +329,17 @@ class LiveJob:
         return info
 
 
-def _number(body: Dict, key: str, default, cast, *, field: Optional[str] = None):
-    """``cast(body[key])`` (``default`` when absent); a 400 naming the
-    field (``field``, default ``key``) when the value is not a number."""
-    value = body.get(key, default)
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ServiceError(
-            f"{field or key} must be a number, got {value!r}"
-        ) from None
-
-
-def _parse_command(command) -> Tuple[List[str], int, float]:
-    """``{argv, tasks?, task_seconds?}`` of a command submission ->
-    ``(argv, tasks, task_seconds)``; a 400 naming the bad field otherwise."""
-    if (
-        not isinstance(command, dict)
-        or not isinstance(command.get("argv"), list)
-        or not command["argv"]
-    ):
-        raise ServiceError("command submissions need {argv: [...], tasks: N}")
-    num_tasks = _number(command, "tasks", 1, int, field="command tasks")
-    task_seconds = _number(
-        command, "task_seconds", 1.0, float, field="command task_seconds"
-    )
-    if num_tasks < 1 or not task_seconds > 0:
-        raise ServiceError("command tasks/task_seconds must be positive")
-    return [str(a) for a in command["argv"]], num_tasks, task_seconds
+#: Each request body's fields and their types (:func:`repro.persist.spec_fields`);
+#: a field a request leaves out takes the default its method names.
+_REGISTER = {"name": str, "slots": int}
+_HEARTBEAT = {"worker_id": str}
+_LEASE = {"worker_id": str, "max_tasks": int}
+_COMPLETE = {"worker_id": str, "task_id": str, "outcome": str, "lease_max": int}
+_SHUTDOWN = {"drain": bool}
+#: A submission's ``bundle`` is typed by ``persist.bundle_from_dict``.
+_SUBMIT = {"deadline_minutes": float, "tenant": str, "policy": str, "name": Optional[str],
+           "template": Optional[str], "bundle": Any, "command": Any}
+_COMMAND = {"argv": List[str], "tasks": int, "task_seconds": float}
 
 
 def _serialize_prediction(rec: TickRecord) -> Dict:
@@ -618,38 +602,31 @@ class ClusterService:
 
     def submit(self, body: Dict) -> Dict:
         """Admit one submission through the market front door."""
-        if not isinstance(body, dict):
-            raise ServiceError("submit body must be a JSON object")
-        tenant_name = str(body.get("tenant", "default"))
-        policy_kind = str(body.get("policy", "jockey"))
-        deadline_minutes = body.get("deadline_minutes")
-        if deadline_minutes is None:
-            raise ServiceError("submit needs deadline_minutes")
-        try:
-            deadline_v = float(deadline_minutes) * 60.0
-        except (TypeError, ValueError):
-            raise ServiceError(f"bad deadline_minutes {deadline_minutes!r}")
-        if not (math.isfinite(deadline_v) and deadline_v > 0):
-            raise ServiceError(
-                "deadline_minutes must be positive and finite, got "
-                f"{deadline_minutes!r}"
-            )
-
-        template = body.get("template")
-        bundle = body.get("bundle")
-        command = body.get("command")
-        modes = sum(x is not None for x in (template, bundle, command))
-        if modes != 1:
-            raise ServiceError(
-                "submit needs exactly one of template, bundle, command"
-            )
+        fields = persist.spec_fields(body, _SUBMIT, ServiceError, path="submit",
+                                    required=["deadline_minutes"])
+        tenant_name = fields.get("tenant", "default")
+        policy_kind = fields.get("policy", "jockey")
+        deadline_v = fields["deadline_minutes"] * 60.0
+        if not 0 < deadline_v < math.inf:
+            raise ServiceError("deadline_minutes must be positive and finite, "
+                               f"got {fields['deadline_minutes']!r}")
+        template, bundle, command = map(fields.get, ("template", "bundle", "command"))
+        if sum(x is not None for x in (template, bundle, command)) != 1:
+            raise ServiceError("submit needs exactly one of template, bundle, command")
+        if command is not None:
+            command = persist.spec_fields(command, _COMMAND, ServiceError,
+                                          path="submit.command", required=["argv"])
+            num_tasks, task_seconds = command.get("tasks", 1), command.get("task_seconds", 1.0)
+            if not command["argv"] or num_tasks < 1 or not task_seconds > 0:
+                raise ServiceError("command needs a non-empty argv and positive "
+                                   "tasks and task_seconds")
 
         # Resolve the model outside the service lock: a cold template
         # trains for seconds and must not block heartbeats.
         trained: Optional[TrainedTemplate] = None
         try:
             if template is not None:
-                trained = self.store.get(str(template))
+                trained = self.store.get(template)
             elif bundle is not None:
                 trained = self.store.from_bundle_payload(bundle)
         except TemplateError as exc:
@@ -667,16 +644,15 @@ class ClusterService:
                 )
             now = self.now()
             job_id = f"job-{self._job_seq + 1:05d}"
-            table = profile = command_argv = None
-            task_seconds = 0.0
+            table = profile = None
             if trained is not None:
+                task_seconds = 0.0
                 graph, profile, table = trained.graph, trained.profile, trained.table
                 work = trained.total_work_seconds
                 width = min(self.config.capacity_tokens, trained.width)
-                name = str(body.get("name") or trained.name)
+                name = fields.get("name") or trained.name
             else:
-                command_argv, num_tasks, task_seconds = _parse_command(command)
-                name = str(body.get("name") or f"cmd-{job_id}")
+                name = fields.get("name") or f"cmd-{job_id}"
                 graph = JobGraph(name, [Stage("cmd", num_tasks)], [])
                 work = num_tasks * task_seconds
                 width = min(self.config.capacity_tokens, num_tasks)
@@ -715,7 +691,7 @@ class ClusterService:
                 policy=policy,
                 deadline_seconds=deadline_v,
                 submitted_v=now,
-                command=command_argv,
+                command=command and command["argv"],
                 task_seconds=task_seconds,
             )
             self._jobs[job_id] = job
@@ -804,8 +780,8 @@ class ClusterService:
     # ------------------------------------------------------------------
 
     def register_worker(self, body: Dict) -> Dict:
-        name = str(body.get("name", "worker"))
-        slots = _number(body, "slots", 1, int)
+        fields = persist.spec_fields(body, _REGISTER, ServiceError, path="register")
+        name, slots = fields.get("name", "worker"), fields.get("slots", 1)
         if slots < 1:
             raise ServiceError(f"slots must be >= 1, got {slots!r}")
         with self._lock:
@@ -830,7 +806,7 @@ class ClusterService:
         }
 
     def _worker(self, worker_id: str) -> _Worker:
-        worker = self._workers.get(str(worker_id))
+        worker = self._workers.get(worker_id)
         if worker is None:
             raise ServiceError(f"unknown worker {worker_id!r}", status=404)
         if worker.lost:
@@ -842,16 +818,20 @@ class ClusterService:
         return worker
 
     def heartbeat(self, body: Dict) -> Dict:
+        worker_id = persist.spec_fields(body, _HEARTBEAT, ServiceError, path="heartbeat",
+                                        required=["worker_id"])["worker_id"]
         with self._lock:
-            worker = self._worker(body.get("worker_id"))
+            worker = self._worker(worker_id)
             worker.last_seen = self.now()
             return {"ok": True, "shutdown": self._stop.is_set()}
 
     def lease(self, body: Dict) -> Dict:
         """Hand out ready tasks up to each job's current allocation."""
-        max_tasks = _number(body, "max_tasks", 1, int)
+        fields = persist.spec_fields(body, _LEASE, ServiceError, path="lease",
+                                     required=["worker_id"])
+        max_tasks = fields.get("max_tasks", 1)
         with self._lock:
-            worker = self._worker(body.get("worker_id"))
+            worker = self._worker(fields["worker_id"])
             worker.last_seen = self.now()
             granted = self._grant_tasks(worker, max_tasks)
             return {
@@ -914,13 +894,15 @@ class ClusterService:
         return payload
 
     def complete_task(self, body: Dict) -> Dict:
-        task_id = str(body.get("task_id", ""))
-        outcome = str(body.get("outcome", OUTCOME_OK))
+        fields = persist.spec_fields(body, _COMPLETE, ServiceError, path="complete",
+                                     required=["worker_id", "task_id"])
+        task_id = fields["task_id"]
+        outcome = fields.get("outcome", OUTCOME_OK)
         if outcome not in (OUTCOME_OK, OUTCOME_FAILED):
             raise ServiceError(f"unknown outcome {outcome!r}")
-        lease_max = _number(body, "lease_max", 0, int)
+        lease_max = fields.get("lease_max", 0)
         with self._lock:
-            worker = self._workers.get(str(body.get("worker_id")))
+            worker = self._workers.get(fields["worker_id"])
             if worker is None or worker.lost:
                 # A zombie finishing after its heartbeat lapsed: the task
                 # was already re-queued; the result is stale.
@@ -1143,7 +1125,8 @@ class ClusterService:
         }
 
     def request_shutdown(self, body: Dict) -> Dict:
-        drain = bool(body.get("drain", True))
+        drain = persist.spec_fields(body, _SHUTDOWN, ServiceError,
+                                    path="shutdown").get("drain", True)
         with self._lock:
             self._draining = True
             if not drain or not self._has_open_jobs():
@@ -1258,7 +1241,7 @@ class _Handler(BaseHTTPRequestHandler):
         body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
         self._send(status, body, "application/json")
 
-    def _read_body(self) -> Dict:
+    def _read_body(self):
         declared = self.headers.get("Content-Length") or "0"
         if not (declared.isascii() and declared.isdigit()):
             # Where this message ends is unknown, so the stream is lost.
@@ -1269,12 +1252,9 @@ class _Handler(BaseHTTPRequestHandler):
             return {}
         raw = self.rfile.read(length)
         try:
-            parsed = json.loads(raw.decode("utf-8"))
+            return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ServiceError(f"request body is not JSON: {exc}")
-        if not isinstance(parsed, dict):
-            raise ServiceError("request body must be a JSON object")
-        return parsed
 
     def _count(self, endpoint: str) -> None:
         with _REQUESTS_LOCK:

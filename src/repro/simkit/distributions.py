@@ -280,8 +280,8 @@ class Scaled:
     factor: float
 
     def __post_init__(self):
-        if self.factor <= 0:
-            raise DistributionError(f"factor must be positive, got {self.factor!r}")
+        if not 0 < self.factor < math.inf:
+            raise DistributionError(f"factor must be positive and finite, got {self.factor!r}")
 
     def sample(self, rng: np.random.Generator) -> float:
         return self.base.sample(rng) * self.factor

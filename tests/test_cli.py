@@ -92,6 +92,28 @@ class TestTrainAndRun:
         assert code == 2
         assert "unknown job" in text
 
+    @pytest.mark.parametrize("command", [
+        ["run"], ["predict", "score"], ["predict", "timeline"], ["perf", "run"],
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
+    def test_bad_deadline_minutes_exits_two_naming_the_flag(self, bundle,
+                                                          command, value):
+        code, text = run_cli(*command, "--bundle", str(bundle),
+                             "--deadline-minutes", value)
+        assert code == 2
+        assert text == (f"error: --deadline-minutes must be positive and "
+                        f"finite, got {float(value)!r}\n")
+
+    @pytest.mark.parametrize("command", [["run"], ["predict", "score"]])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_bad_runtime_scale_exits_two_naming_the_flag(self, bundle,
+                                                       command, value):
+        code, text = run_cli(*command, "--bundle", str(bundle),
+                             "--deadline-minutes", "60", "--runtime-scale", value)
+        assert code == 2
+        assert text == (f"error: --runtime-scale must be positive and "
+                        f"finite, got {float(value)!r}\n")
+
     def test_run_meets_generous_deadline(self, bundle):
         code, text = run_cli(
             "run", "--bundle", str(bundle), "--deadline-minutes", "60",
@@ -634,10 +656,10 @@ class TestMalformedBundle:
     boundary: exit 2, ``cannot load bundle``, the offending field named."""
 
     NAMES = {
-        "non-object": "JSON object",
+        "non-object": "bundle must be an object, got list",
         "missing-graph": "'graph'",
         "missing-profile": "'profile'",
-        "bad-table-column": "'table'",
+        "bad-table-column": "table: 'columns.",
         "wrong-version": "version 99",
     }
 

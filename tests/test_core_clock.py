@@ -80,6 +80,11 @@ class TestWallClock:
         with pytest.raises(ClockError):
             WallClock(time_scale=-1.0)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_rejects_non_finite_scale(self, scale):
+        with pytest.raises(ClockError, match="positive and finite"):
+            WallClock(time_scale=scale)
+
 
 class TestManualClock:
     def test_advance_and_set(self):

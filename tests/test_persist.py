@@ -229,14 +229,14 @@ class TestBundleFromDict:
         assert persist.bundle_from_dict(dict(payload, table=None))[2] is None
 
     @pytest.mark.parametrize("broken, names", [
-        ([1, 2], "JSON object, got list"),
-        ("bundle", "JSON object, got str"),
-        ({"format_version": 1}, "no 'graph' field"),
+        ([1, 2], "bundle must be an object, got list"),
+        ("bundle", "bundle must be an object, got str"),
+        ({"format_version": 1}, "bundle: missing field(s) ['graph', 'profile']"),
         ({"format_version": 2}, "version 2"),
         ({}, "version None"),
     ])
     def test_envelope_errors(self, broken, names):
-        with pytest.raises(persist.PersistError, match=names):
+        with pytest.raises(persist.PersistError, match=re.escape(names)):
             persist.bundle_from_dict(broken)
 
     @pytest.mark.parametrize("field, value", [
@@ -250,12 +250,13 @@ class TestBundleFromDict:
         ("table", "big"),
     ])
     def test_malformed_field_is_named(self, payload, field, value):
-        with pytest.raises(persist.PersistError, match=f"'{field}'"):
+        with pytest.raises(persist.PersistError, match=f"^{field}[ .:]"):
             persist.bundle_from_dict(dict(payload, **{field: value}))
 
     def test_missing_profile_is_named(self, payload):
         del (broken := dict(payload))["profile"]
-        with pytest.raises(persist.PersistError, match="no 'profile' field"):
+        with pytest.raises(persist.PersistError,
+                           match=r"^bundle: missing field\(s\) \['profile'\]$"):
             persist.bundle_from_dict(broken)
 
 

@@ -69,6 +69,16 @@ class TestServiceConfig:
         with pytest.raises(ServiceError):
             ServiceConfig(time_scale=0.0)
 
+    @pytest.mark.parametrize("knob", ["tick_seconds", "time_scale",
+                                      "heartbeat_timeout"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_rejects_non_finite_and_non_positive_seconds(self, knob, value):
+        with pytest.raises(ServiceError) as excinfo:
+            ServiceConfig(**{knob: value})
+        assert str(excinfo.value) == (
+            f"{knob} must be positive and finite, got {value!r}"
+        )
+
     def test_rejects_bad_slack(self):
         with pytest.raises(ControlError):
             ServiceConfig(control=ControlConfig(slack=0.5))
@@ -506,9 +516,9 @@ class TestGrantOrder:
 
 
 class TestWorkerProtocolValidation:
-    """A non-number in a worker request's integer field is a 400 naming the
-    field (in-process on a manual clock), and refuses before any state
-    moves."""
+    """A non-integer in a worker request's integer field is a 400 naming
+    the request, the field and the value (in-process on a manual clock),
+    and refuses before any state moves."""
 
     @pytest.fixture
     def svc(self):
@@ -519,24 +529,28 @@ class TestWorkerProtocolValidation:
         return svc
 
     @staticmethod
-    def refused(call, body, field):
+    def refused(call, body, field, path):
         with pytest.raises(ServiceError) as excinfo:
             call(body)
         assert excinfo.value.status == 400
-        message = str(excinfo.value)
-        assert message.startswith(f"{field} must be a number")
-        assert repr(body[field]) in message
+        assert str(excinfo.value) == (
+            f"{path}: '{field}' must be an integer, got {body[field]!r}"
+        )
 
     @pytest.mark.parametrize("value", ["x", None, float("inf")])
     def test_register_slots(self, svc, value):
-        self.refused(svc.register_worker, {"name": "w", "slots": value}, "slots")
+        self.refused(
+            svc.register_worker, {"name": "w", "slots": value}, "slots",
+            "register",
+        )
         assert svc.state()["workers"] == []
 
     @pytest.mark.parametrize("value", ["x", [2], float("nan")])
     def test_lease_max_tasks(self, svc, value):
         worker = svc.register_worker({"name": "w", "slots": 2})["worker_id"]
         self.refused(
-            svc.lease, {"worker_id": worker, "max_tasks": value}, "max_tasks"
+            svc.lease, {"worker_id": worker, "max_tasks": value}, "max_tasks",
+            "lease",
         )
 
     @pytest.mark.parametrize("value", ["x", {}, float("inf")])
@@ -550,7 +564,7 @@ class TestWorkerProtocolValidation:
         body = {
             "worker_id": worker, "task_id": task["task_id"], "lease_max": value,
         }
-        self.refused(svc.complete_task, body, "lease_max")
+        self.refused(svc.complete_task, body, "lease_max", "complete")
         # The refused completion did not land: the lease is still live.
         del body["lease_max"]
         assert svc.complete_task(body)["ok"]
@@ -631,8 +645,8 @@ class TestSubmitValidation:
             "command": {"argv": ["true"], field: "abc"},
             "policy": "max-allocation", "deadline_minutes": 5.0,
         })
-        assert f"command {field} must be a number" in message
-        assert "'abc'" in message
+        what = "an integer" if field == "tasks" else "a finite number"
+        assert message == f"submit.command: '{field}' must be {what}, got 'abc'"
 
     @pytest.mark.parametrize("deadline", [float("nan"), float("inf")])
     def test_non_finite_deadline_is_a_400_naming_it(self, svc, deadline):
@@ -683,22 +697,19 @@ class TestSubmitValidation:
             },
             "policy": "jockey", "deadline_minutes": 30.0,
         })
-        assert message == (
-            "cannot load bundle: bundle field 'table' is malformed: "
-            f"CpaError: {reason}"
-        )
+        assert message == f"cannot load bundle: {reason}"
 
     def test_malformed_inline_bundle_names_the_field(self, svc):
         message = self.refused(svc, {
             "bundle": {"format_version": 1}, "deadline_minutes": 5.0,
         })
-        assert message == "cannot load bundle: bundle has no 'graph' field"
+        assert message == (
+            "cannot load bundle: bundle: missing field(s) ['graph', 'profile']"
+        )
         message = self.refused(svc, {
             "bundle": [1, 2], "deadline_minutes": 5.0,
         })
-        assert message == (
-            "cannot load bundle: bundle must be a JSON object, got list"
-        )
+        assert message == "cannot load bundle: bundle must be an object, got list"
 
 
 class TestQuotaReturned:
@@ -856,6 +867,19 @@ class TestLoadgenDeterminism:
         with pytest.raises(LoadgenError):
             LoadgenConfig(templates=())
 
+    @pytest.mark.parametrize("knob, value", [
+        ("mean_interarrival", float("nan")), ("mean_interarrival", float("inf")),
+        ("mean_interarrival", -1.0), ("timeout", float("nan")),
+        ("timeout", float("inf")), ("timeout", 0.0),
+    ])
+    def test_rejects_non_finite_seconds(self, knob, value):
+        from repro.service.loadgen import LoadgenError
+
+        with pytest.raises(LoadgenError, match=f"^{knob} must be"):
+            LoadgenConfig(**{knob: value})
+        # A zero gap stays a burst.
+        assert LoadgenConfig(mean_interarrival=0.0).mean_interarrival == 0.0
+
 
 class TestCliContract:
     """Exit codes and golden help text for the service verbs."""
@@ -878,6 +902,26 @@ class TestCliContract:
         code, text = self.run_cli("serve", "--capacity", "0")
         assert code == 2
         assert "capacity" in text
+
+    @pytest.mark.parametrize("flag, knob", [
+        ("--time-scale", "time_scale"), ("--tick-seconds", "tick_seconds"),
+        ("--heartbeat-timeout", "heartbeat_timeout"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_serve_non_finite_seconds_exit_two(self, flag, knob, value):
+        code, text = self.run_cli("serve", flag, value)
+        assert code == 2
+        assert text == f"error: {knob} must be positive and finite, got {value}\n"
+
+    @pytest.mark.parametrize("flag, knob", [
+        ("--mean-interarrival", "mean_interarrival"), ("--timeout", "timeout"),
+    ])
+    def test_loadgen_non_finite_seconds_exit_two(self, flag, knob):
+        code, text = self.run_cli("loadgen", "--url", "http://127.0.0.1:9",
+                                  flag, "nan")
+        assert code == 2
+        assert text.startswith(f"error: {knob} must be")
+        assert "got nan" in text
 
     def test_worker_requires_url(self):
         code, _text = self.run_cli("worker")

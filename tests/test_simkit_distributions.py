@@ -223,3 +223,8 @@ class TestScaled:
     def test_invalid_factor(self):
         with pytest.raises(DistributionError):
             Scaled(Constant(1.0), 0.0)
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    def test_non_finite_factor(self, factor):
+        with pytest.raises(DistributionError, match="positive and finite"):
+            Scaled(Constant(1.0), factor)
