@@ -8,7 +8,9 @@ Each intensity runs twice per job: with the controller's degraded-mode
 fallback (blacked-out predictor -> re-optimize the last-known-good C(p, a)
 curve under a widened dead zone) and with the fallback ablated
 (``ControlConfig(degraded_fallback=False)`` — the controller just holds its
-allocation until the predictor returns).
+allocation until the predictor returns).  The comparison is a
+:class:`~repro.experiments.runner.Sweep` with one variant per (intensity,
+mode), so every cell of one (job, rep) runs on the same seed.
 
 Expected shape: SLO attainment degrades monotonically (or stays flat) as
 intensity rises, and at the highest intensity the fallback attains strictly
@@ -24,6 +26,7 @@ a given seed/scale, at any worker count); ``repro experiment chaos
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -38,10 +41,8 @@ from repro.chaos.spec import (
 )
 from repro.core.control import ControlConfig
 from repro.experiments.reporting import ExperimentReport
-from repro.experiments.runner import RunConfig, make_policy, run_experiment
-from repro.experiments.scenarios import DEFAULT, Scale, trained_jobs
-from repro.parallel import parallel_map
-from repro.simkit.random import derive_seed
+from repro.experiments.runner import ExperimentResult, Sweep, Unit, Variant
+from repro.experiments.scenarios import DEFAULT, Scale, TrainedJob, trained_jobs
 
 INTENSITIES = (0.0, 0.5, 1.0, 1.5)
 MODES = ("fallback", "no-fallback")
@@ -95,37 +96,42 @@ def base_spec(deadline: float) -> ChaosSpec:
     )
 
 
-def _unit(spec) -> Dict:
-    """One (job, mode, intensity, rep) run — module-level so worker
-    processes can unpickle it."""
-    trained, mode, intensity, run_seed = spec
-    deadline = DEADLINE_TRIM * trained.short_deadline
-    control = ControlConfig(
-        degraded_fallback=(mode == "fallback"),
-        fallback_staleness_seconds=FALLBACK_STALENESS_SECONDS,
-    )
-    policy = make_policy("jockey", trained, deadline, control=control)
-    chaos = replace(base_spec(deadline), intensity=intensity)
-    result = run_experiment(
-        trained,
-        policy,
-        RunConfig(
-            deadline_seconds=deadline,
-            seed=run_seed,
-            # Chaos is the only perturbation under sweep: fix the run-to-run
-            # input scale and the cluster day so intensity alone moves the
-            # outcome (and the monotonicity check is meaningful).
-            runtime_scale=1.0,
-            sample_cluster_day=False,
-            chaos=chaos,
+def _chaos_run(intensity: float, trained: TrainedJob, deadline: float) -> Dict:
+    """A unit's RunConfig fields at the trimmed deadline.  Chaos is the only
+    perturbation: input scale and cluster day are fixed, so intensity alone
+    moves the outcome (and the monotonicity check is meaningful)."""
+    trimmed = DEADLINE_TRIM * deadline
+    return {
+        "deadline_seconds": trimmed,
+        "runtime_scale": 1.0,
+        "sample_cluster_day": False,
+        "chaos": replace(base_spec(trimmed), intensity=intensity),
+    }
+
+
+#: One arm per (intensity, mode), in digest order.  The Sweep keeps both
+#: out of the seed, so every arm of one (job, rep) faces the same cluster.
+VARIANTS = tuple(
+    Variant(
+        f"{mode} @ {intensity}",
+        control=ControlConfig(
+            degraded_fallback=(mode == "fallback"),
+            fallback_staleness_seconds=FALLBACK_STALENESS_SECONDS,
         ),
+        run=partial(_chaos_run, intensity),
     )
+    for intensity in INTENSITIES
+    for mode in MODES
+)
+
+
+def _row(unit: Unit, result: ExperimentResult) -> Dict:
     slo = result.slo_report()
     summary = result.chaos_summary or {}
     return {
-        "job": trained.name,
-        "mode": mode,
-        "intensity": intensity,
+        "job": unit.trained.name,
+        "mode": "fallback" if unit.variant.control.degraded_fallback else "no-fallback",
+        "intensity": unit.config.chaos.intensity,
         "met": bool(result.metrics.met_deadline),
         "duration_minutes": round(result.metrics.duration_seconds / 60.0, 3),
         "utility": round(float(slo.utility_realized), 6),
@@ -137,35 +143,25 @@ def _unit(spec) -> Dict:
     }
 
 
-def _aggregate(rows: List[Dict]) -> List[Dict]:
-    """Per-(intensity, mode) aggregates, in sweep order."""
+def _mean(cell: List[Dict], key: str, digits: int) -> float:
+    return round(float(np.mean([r[key] for r in cell])), digits)
+
+
+def _aggregate(rows: List[Tuple[Unit, Dict]]) -> List[Dict]:
+    """Per-variant aggregates, in sweep order."""
     out = []
-    for intensity in INTENSITIES:
-        for mode in MODES:
-            cell = [
-                r for r in rows
-                if r["intensity"] == intensity and r["mode"] == mode
-            ]
-            out.append({
-                "intensity": intensity,
-                "mode": mode,
-                "runs": len(cell),
-                "attainment": round(
-                    sum(1 for r in cell if r["met"]) / len(cell), 6
-                ),
-                "mean_utility": round(
-                    float(np.mean([r["utility"] for r in cell])), 6
-                ),
-                "mean_duration_minutes": round(
-                    float(np.mean([r["duration_minutes"] for r in cell])), 3
-                ),
-                "mean_degraded_ticks": round(
-                    float(np.mean([r["degraded_ticks"] for r in cell])), 3
-                ),
-                "mean_allocation_deficits": round(
-                    float(np.mean([r["allocation_deficits"] for r in cell])), 3
-                ),
-            })
+    for variant in VARIANTS:
+        cell = [row for unit, row in rows if unit.variant is variant]
+        out.append({
+            "intensity": cell[0]["intensity"],
+            "mode": cell[0]["mode"],
+            "runs": len(cell),
+            "attainment": round(sum(1 for r in cell if r["met"]) / len(cell), 6),
+            "mean_utility": _mean(cell, "utility", 6),
+            "mean_duration_minutes": _mean(cell, "duration_minutes", 3),
+            "mean_degraded_ticks": _mean(cell, "degraded_ticks", 3),
+            "mean_allocation_deficits": _mean(cell, "allocation_deficits", 3),
+        })
     return out
 
 
@@ -196,18 +192,10 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
             f"their C(p, a) spans < {ELASTICITY_MIN}x across the allocation "
             "grid, so no controller response can move their latency"
         )
-    specs: List[Tuple] = []
-    for intensity in INTENSITIES:
-        for mode in MODES:
-            for name in sorted(jobs):
-                for rep in range(scale.reps):
-                    # Mode deliberately NOT in the seed: the ablation is
-                    # paired — same cluster noise, fallback on vs off.
-                    run_seed = derive_seed(
-                        seed, f"chaos:{name}:{intensity}:{rep}"
-                    )
-                    specs.append((jobs[name], mode, intensity, run_seed))
-    rows = list(parallel_map(_unit, specs))
+    rows = [
+        (unit, _row(unit, result))
+        for unit, result in Sweep(VARIANTS, reps=scale.reps).run(jobs.values(), seed=seed)
+    ]
     aggregates = _aggregate(rows)
     for agg in aggregates:
         report.add_row(
@@ -227,7 +215,7 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
         "intensities": list(INTENSITIES),
         "modes": list(MODES),
         "aggregates": aggregates,
-        "runs": rows,
+        "runs": [row for _unit, row in rows],
     }
     report.add_note(
         "schedule per run: 6-machine rack loss, eviction storm, 35% "

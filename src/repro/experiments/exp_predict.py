@@ -6,9 +6,11 @@ C(p, a) model plus the model-error envelope).  This sweep asks the PCS
 question: *are the stated probabilities honest, and when do they stop
 being honest?*
 
-Each intensity pools the interval ledgers of paired-seed runs (same jobs,
-same cluster noise — intensity alone moves the outcome) and scores them
-with :func:`repro.telemetry.predict.pooled_calibration`.  Expected shape:
+The sweep is a :class:`~repro.experiments.runner.Sweep` with one variant
+per intensity, so every intensity of one (job, rep) runs on the same seed.
+Each intensity pools the interval ledgers of those paired-seed runs (same
+jobs, same cluster noise — intensity alone moves the outcome) and scores
+them with :func:`repro.telemetry.predict.pooled_calibration`.  Expected shape:
 
 * calm (intensity 0) — empirical coverage of the nominal 90% interval
   lands in [0.85, 0.95] and the overall verdict is ``honest``: the
@@ -28,6 +30,7 @@ a given seed/scale, at any worker count); ``repro experiment predict
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Dict, List, Tuple
 
 from repro.chaos.spec import (
@@ -37,10 +40,8 @@ from repro.chaos.spec import (
     ProfileDrift,
 )
 from repro.experiments.reporting import ExperimentReport
-from repro.experiments.runner import RunConfig, make_policy, run_experiment
-from repro.experiments.scenarios import DEFAULT, Scale, trained_jobs
-from repro.parallel import parallel_map
-from repro.simkit.random import derive_seed
+from repro.experiments.runner import ExperimentResult, Sweep, Unit, Variant
+from repro.experiments.scenarios import DEFAULT, Scale, TrainedJob, trained_jobs
 from repro.telemetry import predict as _predict
 
 INTENSITIES = (0.0, 0.5, 1.0, 1.5)
@@ -80,32 +81,30 @@ def base_spec(deadline: float) -> ChaosSpec:
     )
 
 
-def _unit(spec) -> Dict:
-    """One (job, intensity, rep) run — module-level so worker processes
-    can unpickle it."""
-    trained, intensity, run_seed = spec
-    deadline = trained.short_deadline
-    policy = make_policy("jockey", trained, deadline)
-    chaos = replace(base_spec(deadline), intensity=intensity)
-    result = run_experiment(
-        trained,
-        policy,
-        RunConfig(
-            deadline_seconds=deadline,
-            seed=run_seed,
-            # Chaos is the only perturbation under sweep: fix the
-            # run-to-run input scale and the cluster day so intensity
-            # alone moves the calibration (and the monotonicity of the
-            # coverage decline is meaningful).
-            runtime_scale=1.0,
-            sample_cluster_day=False,
-            chaos=chaos,
-        ),
-    )
+def _chaos_run(intensity: float, _trained: TrainedJob, deadline: float) -> Dict:
+    """A unit's RunConfig fields.  Chaos is the only perturbation: input
+    scale and cluster day are fixed, so intensity alone moves the
+    calibration (and the coverage decline's monotonicity is meaningful)."""
+    return {
+        "runtime_scale": 1.0,
+        "sample_cluster_day": False,
+        "chaos": replace(base_spec(deadline), intensity=intensity),
+    }
+
+
+#: One arm per intensity at the short deadline.  The Sweep keeps it out of
+#: the seed, so every arm of one (job, rep) faces the same cluster.
+VARIANTS = tuple(
+    Variant(f"intensity {intensity}", run=partial(_chaos_run, intensity))
+    for intensity in INTENSITIES
+)
+
+
+def _row(unit: Unit, result: ExperimentResult) -> Dict:
     summary = result.chaos_summary or {}
     return {
-        "job": trained.name,
-        "intensity": intensity,
+        "job": unit.trained.name,
+        "intensity": unit.config.chaos.intensity,
         "met": bool(result.metrics.met_deadline),
         "duration": float(result.metrics.duration_seconds),
         "records": result.audit_records,
@@ -114,11 +113,11 @@ def _unit(spec) -> Dict:
     }
 
 
-def _aggregate(rows: List[Dict]) -> List[Dict]:
-    """Per-intensity pooled calibration, in sweep order."""
+def _aggregate(rows: List[Tuple[Unit, Dict]]) -> List[Dict]:
+    """Per-variant pooled calibration, in sweep order."""
     out = []
-    for intensity in INTENSITIES:
-        cell = [r for r in rows if r["intensity"] == intensity]
+    for variant in VARIANTS:
+        cell = [row for unit, row in rows if unit.variant is variant]
         report = _predict.pooled_calibration(
             [(r["records"], r["duration"]) for r in cell],
             predictor="jockey",
@@ -132,7 +131,7 @@ def _aggregate(rows: List[Dict]) -> List[Dict]:
             for lv in report.levels
         }
         out.append({
-            "intensity": intensity,
+            "intensity": cell[0]["intensity"],
             "runs": len(cell),
             "ticks": report.ticks,
             "coverage": coverage,
@@ -164,15 +163,10 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
         ],
     )
     jobs = trained_jobs(seed=seed, scale=scale)
-    specs: List[Tuple] = []
-    for intensity in INTENSITIES:
-        for name in sorted(jobs):
-            for rep in range(REPS):
-                # Intensity deliberately NOT in the seed: the sweep is
-                # paired — same cluster noise, chaos dialled up.
-                run_seed = derive_seed(seed, f"predict:{name}:{rep}")
-                specs.append((jobs[name], intensity, run_seed))
-    rows = list(parallel_map(_unit, specs))
+    rows = [
+        (unit, _row(unit, result))
+        for unit, result in Sweep(VARIANTS, reps=REPS).run(jobs.values(), seed=seed)
+    ]
     aggregates = _aggregate(rows)
     for agg in aggregates:
         report.add_row(
@@ -199,7 +193,7 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
         "model_error_rel": _predict.MODEL_ERROR_REL,
         "aggregates": aggregates,
         "runs": [
-            {k: v for k, v in r.items() if k != "records"} for r in rows
+            {k: v for k, v in row.items() if k != "records"} for _unit, row in rows
         ],
     }
     calm = aggregates[0]

@@ -47,6 +47,7 @@ from __future__ import annotations
 import json
 import math
 import socket
+import sys
 import threading
 import time
 from collections import deque
@@ -620,6 +621,8 @@ class ClusterService:
             if not command["argv"] or num_tasks < 1 or not task_seconds > 0:
                 raise ServiceError("command needs a non-empty argv and positive "
                                    "tasks and task_seconds")
+            if num_tasks > sys.float_info.max or not num_tasks * task_seconds < math.inf:
+                raise ServiceError("submit.command.tasks x task_seconds is beyond float range")
 
         # Resolve the model outside the service lock: a cold template
         # trains for seconds and must not block heartbeats.

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.telemetry.audit import EVENT_FIELDS, PHASE_TICK, TickRecord
+from repro.telemetry.audit import PHASE_TICK, TickRecord
 from repro.telemetry.predict import (
     RELIABILITY_HEADERS,
     CalibrationReport,
@@ -251,41 +251,71 @@ def from_result(result, *, table=None, title: Optional[str] = None) -> RunReport
     )
 
 
-#: The ``task.end`` fields a rebuilt record reads: (name, conversion,
-#: default — None when the field is required).
-_TASK_END_FIELDS = (
-    ("index", int, 0),
-    ("attempt", int, 0),
-    ("start", float, None),
-    ("end", float, None),
-    ("outcome", str, "ok"),
-)
+#: Per event kind a rebuilt report reads: the fields that name a malformed
+#: event in its error, and each field read as name -> (type, default).  A
+#: field whose default is ``_REQUIRED`` must be there; one whose default is
+#: None may also be null.
+_REQUIRED = object()
+_EVENT_READERS = {
+    "task.end": (("job", "stage"), {
+        "index": (int, 0), "attempt": (int, 0), "start": (float, _REQUIRED),
+        "end": (float, _REQUIRED), "outcome": (str, "ok"),
+    }),
+    "job.allocation": (("job",), {"applied": (int, _REQUIRED)}),
+    "control.tick": (("job",), {
+        "tick": (int, _REQUIRED), "phase": (str, _REQUIRED), "raw": (int, _REQUIRED),
+        "smoothed": (float, _REQUIRED), "allocation": (int, _REQUIRED),
+        "dead_zone_triggered": (bool, _REQUIRED),
+        "predicted_remaining": (float, _REQUIRED), "utility": (float, _REQUIRED),
+        "progress": (float, None),
+    }),
+    "job.complete": (("job",), {
+        "job": (str, "job"), "start": (float, 0.0), "end": (float, _REQUIRED),
+        "deadline": (float, None),
+    }),
+}
+
+
+def _malformed(kind: str, fields: Dict, position: int, count: int,
+               name: str, why: str) -> ReportError:
+    """The error for a malformed event: its kind, its position among the
+    ``count`` events, the fields that name it, and the field at fault."""
+    names, _table = _EVENT_READERS[kind]
+    where = ", ".join(f"{n} {fields.get(n, '?')!r}" for n in names)
+    return ReportError(
+        f"malformed {kind} event {position} of {count} ({where}): field {name!r} {why}"
+    )
+
+
+def _read_event(kind: str, fields: Dict, position: int, count: int) -> Dict:
+    """The fields a ``kind`` event's row in ``_EVENT_READERS`` reads,
+    converted; a missing or unconvertible one is a :class:`ReportError`."""
+    values = {}
+    for name, (tp, default) in _EVENT_READERS[kind][1].items():
+        value = fields.get(name, default)
+        if value is _REQUIRED:
+            raise _malformed(kind, fields, position, count, name, "is missing")
+        try:
+            if tp is bool and not isinstance(value, bool):
+                raise TypeError(value)
+            values[name] = None if value is None and default is None else tp(value)
+        except (TypeError, ValueError, OverflowError):
+            raise _malformed(
+                kind, fields, position, count, name, f"is not {tp.__name__}: {value!r}"
+            ) from None
+    return values
 
 
 def _task_end_record(fields: Dict, position: int, count: int):
     """The :class:`~repro.jobs.trace.TaskRecord` a ``task.end`` event
-    describes; a malformed event is a :class:`ReportError` naming its
-    position among the ``count`` events, its job and stage, and the field."""
+    describes, checked beyond its fields' types."""
     from repro.jobs.trace import OUTCOMES, TaskRecord  # deferred: layering
 
-    def bad(name: str, why: str) -> ReportError:
-        return ReportError(
-            f"malformed task.end event {position} of {count} "
-            f"(job {fields.get('job', '?')!r}, stage {fields.get('stage', '?')!r}): "
-            f"field {name!r} {why}"
-        )
+    values = _read_event("task.end", fields, position, count)
 
-    values = {}
-    for name, convert, default in _TASK_END_FIELDS:
-        if name not in fields:
-            if default is None:
-                raise bad(name, "is missing")
-            values[name] = default
-            continue
-        try:
-            values[name] = convert(fields[name])
-        except (TypeError, ValueError):
-            raise bad(name, f"is not {convert.__name__}: {fields[name]!r}") from None
+    def bad(name: str, why: str) -> ReportError:
+        return _malformed("task.end", fields, position, count, name, why)
+
     if values["outcome"] not in OUTCOMES:
         raise bad("outcome", f"is not one of {', '.join(OUTCOMES)}: {values['outcome']!r}")
     if values["attempt"] < 0:
@@ -327,7 +357,7 @@ def from_trace_events(
         raise ReportError(f"slack must be positive and finite, got {slack!r}")
     complete = None
     ticks: List[TickRecord] = []
-    allocation_series: List[Tuple[float, float]] = []
+    allocation_series: List[Tuple[float, int]] = []
     tasks: List[TaskRecord] = []
     predictor = None
     chaos_counts: Dict[str, int] = {}
@@ -340,7 +370,7 @@ def from_trace_events(
         ):
             chaos_counts[event.kind] = chaos_counts.get(event.kind, 0) + 1
         if event.kind == "job.complete":
-            complete = event
+            complete = _read_event(event.kind, {"end": event.ts, **fields}, position, len(events))
         elif event.kind == "control.tick":
             predictor = fields.get("predictor", predictor)
             # Traces written before the initial decision had its own event
@@ -348,10 +378,11 @@ def from_trace_events(
             values = {"tick": len(ticks), "phase": PHASE_TICK, **fields}
             ticks.append(TickRecord(
                 elapsed=event.ts, candidates=(), prev_smoothed=None, slack=slack,
-                **{name: values[name] for name in EVENT_FIELDS},
+                **_read_event(event.kind, values, position, len(events)),
             ))
         elif event.kind == "job.allocation":
-            allocation_series.append((event.ts, float(fields["applied"])))
+            applied = _read_event(event.kind, fields, position, len(events))["applied"]
+            allocation_series.append((event.ts, applied))
         elif event.kind == "task.end" and "start" in fields:
             tasks.append(_task_end_record(fields, position, len(events)))
     if complete is None:
@@ -360,22 +391,19 @@ def from_trace_events(
             "inside the recorded window, so no SLO verdict is possible"
         )
     if deadline is None:
-        recorded = complete.fields.get("deadline")
-        deadline = float(recorded) if recorded is not None else None
+        deadline = complete["deadline"]
     if deadline is None:
         raise ReportError(
             "trace records no deadline (older trace format); pass one "
             "explicitly (repro report --deadline-minutes N)"
         )
-    job = str(complete.fields.get("job", "job"))
-    start = float(complete.fields.get("start", 0.0))
-    end = float(complete.fields.get("end", complete.ts))
+    job = complete["job"]
     trace = RunTrace(
         job_name=job,
-        start_time=start,
-        end_time=end,
+        start_time=complete["start"],
+        end_time=complete["end"],
         records=tasks,
-        allocation_timeline=[(t, int(a)) for t, a in allocation_series],
+        allocation_timeline=allocation_series,
         deadline=float(deadline),
     )
     policy_name = policy if policy is not None else (predictor or "trace")

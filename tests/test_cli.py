@@ -7,7 +7,12 @@ import pytest
 
 from repro import __version__
 from repro.cli import EXPERIMENTS, build_parser, main
-from tests.test_telemetry_report import MALFORMED_TASK_ENDS, malformed_task_end_events
+from tests.test_telemetry_report import (
+    MALFORMED_EVENTS,
+    MALFORMED_TASK_ENDS,
+    malformed_events,
+    malformed_task_end_events,
+)
 
 
 def run_cli(*argv):
@@ -307,6 +312,16 @@ class TestObservatory:
             "error: malformed task.end event 2 of 3 (job 'job:A', stage 'map'): "
             f"{why}\n"
         )
+
+    @pytest.mark.parametrize("which, change, why", MALFORMED_EVENTS)
+    def test_report_names_a_malformed_event(self, which, change, why, tmp_path):
+        from repro.telemetry.export import write_jsonl
+
+        jsonl = tmp_path / "run.jsonl"
+        write_jsonl(malformed_events(which, change), str(jsonl))
+        code, text = run_cli("report", str(jsonl))
+        assert code == 1
+        assert text == f"error: {why}\n"
 
     def test_report_missing_file(self, tmp_path):
         code, text = run_cli("report", str(tmp_path / "nope.jsonl"))

@@ -277,12 +277,9 @@ class TestRegistryIsTheManifest:
 
     def test_ci_reruns_every_text_run_at_another_seed(self):
         """CI's ``--seed 1`` step, diffed at ``REPRO_JOBS`` 1 and 2, names
-        every registry entry except the smoke-scale JSON sweeps."""
+        every registry entry."""
         text = (ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
         [ids] = re.findall(r'^\s*ids="([^"]*)"\s*$', text, flags=re.M)
         assert "--seed 1" in text and "diff -r seed1-jobs1 seed1-jobs2" in text
-        missing = [
-            run.ids[0] for run in RUNS
-            if run.scale != "smoke" and not set(ids.split()) & set(run.ids)
-        ]
+        missing = [run.ids[0] for run in RUNS if not set(ids.split()) & set(run.ids)]
         assert not missing, f"ci.yml's --seed 1 step never runs {missing}"

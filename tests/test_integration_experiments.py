@@ -1,17 +1,20 @@
 """Integration tests: the full training -> modeling -> control pipeline at
 smoke scale.  These are the slowest tests in the suite (a few seconds)."""
 
+import itertools
 from types import SimpleNamespace
 
 import pytest
 
 from repro.experiments import (
+    exp_chaos,
     exp_fig4_5,
     exp_fig6_table3,
     exp_fig9_10,
     exp_fig11,
     exp_fig12_13,
     exp_multijob,
+    exp_predict,
     exp_section24,
 )
 from repro.experiments.runner import (
@@ -212,6 +215,40 @@ class TestPairedSeeds:
                 assert ua.config == ub.config
                 assert a.metrics == b.metrics
                 assert a.allocation_series == b.allocation_series
+
+    @staticmethod
+    def _by_rep(variants, reps, trained, root):
+        by_rep = {}
+        for u in Sweep(variants, reps=reps).plan([trained], root):
+            by_rep.setdefault(u.rep, []).append(u)
+        assert sorted(by_rep) == list(range(reps))
+        return by_rep
+
+    def test_every_chaos_cell_of_a_rep_shares_one_seed(self, trained):
+        by_rep = self._by_rep(exp_chaos.VARIANTS, DEFAULT.reps, trained, 0)
+        for units in by_rep.values():
+            assert sorted(
+                (u.config.chaos.intensity, u.variant.control.degraded_fallback)
+                for u in units
+            ) == sorted(itertools.product(exp_chaos.INTENSITIES, (True, False)))
+            assert len({u.config.seed for u in units}) == 1
+        assert len({units[0].config.seed for units in by_rep.values()}) == DEFAULT.reps
+
+    def test_every_predict_intensity_of_a_rep_shares_one_seed(self, trained):
+        by_rep = self._by_rep(exp_predict.VARIANTS, exp_predict.REPS, trained, 0)
+        for units in by_rep.values():
+            assert [u.config.chaos.intensity for u in units] == list(exp_predict.INTENSITIES)
+            assert len({u.config.seed for u in units}) == 1
+        assert len({units[0].config.seed for units in by_rep.values()}) == exp_predict.REPS
+
+    @pytest.mark.parametrize("driver", [exp_chaos, exp_predict], ids=["chaos", "predict"])
+    def test_two_roots_give_disjoint_chaos_sweep_plans(self, trained, driver):
+        seeds = [
+            {u.config.seed for u in Sweep(driver.VARIANTS, reps=2).plan([trained], root)}
+            for root in (0, 5)
+        ]
+        assert len(seeds[0]) == len(seeds[1]) == 2
+        assert not seeds[0] & seeds[1]
 
     # The drivers that are not whole-roster sweeps: each root must give its
     # own runs.  Planned, or with the call the seed flows into recorded.

@@ -648,6 +648,21 @@ class TestSubmitValidation:
         what = "an integer" if field == "tasks" else "a finite number"
         assert message == f"submit.command: '{field}' must be {what}, got 'abc'"
 
+    @pytest.mark.parametrize(
+        "command", [{"tasks": 10**400}, {"tasks": 10**300, "task_seconds": 1e10}],
+        ids=["tasks-beyond-float", "work-beyond-float"],
+    )
+    def test_command_work_beyond_float_range_is_a_400_naming_tasks(self, svc, command):
+        message = self.refused(svc, {
+            "command": {"argv": ["true"], **command},
+            "policy": "max-allocation", "deadline_minutes": 5.0,
+        })
+        assert message == "submit.command.tasks x task_seconds is beyond float range"
+        reply = svc.submit({
+            "template": "tiny", "policy": "jockey-no-sim", "deadline_minutes": 30.0,
+        })
+        assert reply["job_id"] == "job-00001"
+
     @pytest.mark.parametrize("deadline", [float("nan"), float("inf")])
     def test_non_finite_deadline_is_a_400_naming_it(self, svc, deadline):
         # json.loads accepts NaN / Infinity, so the wire can carry these.

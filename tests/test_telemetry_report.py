@@ -54,6 +54,49 @@ def malformed_task_end_events(change):
     ]
 
 
+#: A finished run's events, one of each kind the report reads but task.end.
+EVENTS = [
+    ("job.allocation", 0.0, {"job": "job:A", "applied": 10}),
+    ("control.tick", 0.0, {
+        "predictor": "jockey", "tick": 0, "phase": "tick", "raw": 10,
+        "smoothed": 10.0, "allocation": 10, "dead_zone_triggered": False,
+        "predicted_remaining": 15.0, "utility": 1.0, "progress": 0.0,
+    }),
+    ("job.complete", 20.0, {"job": "job:A", "start": 0.0, "end": 20.0, "deadline": 60.0}),
+]
+#: (which event, fields to change — None drops the field, what the error says).
+MALFORMED_EVENTS = [
+    pytest.param(
+        0, {"applied": None},
+        "malformed job.allocation event 1 of 3 (job 'job:A'): field 'applied' is missing",
+        id="allocation-without-applied",
+    ),
+    pytest.param(
+        1, {"raw": None},
+        "malformed control.tick event 2 of 3 (job '?'): field 'raw' is missing",
+        id="tick-without-raw",
+    ),
+    pytest.param(
+        2, {"end": "soon"},
+        "malformed job.complete event 3 of 3 (job 'job:A'): "
+        "field 'end' is not float: 'soon'",
+        id="complete-ending-soon",
+    ),
+]
+
+
+def malformed_events(which, change):
+    """:data:`EVENTS` with ``change`` applied to event ``which``."""
+    from repro.telemetry.trace import TraceEvent
+
+    events = []
+    for i, (kind, ts, fields) in enumerate(EVENTS):
+        if i == which:
+            fields = {k: v for k, v in {**fields, **change}.items() if v is not None}
+        events.append(TraceEvent(ts, kind, fields))
+    return events
+
+
 @pytest.fixture(scope="module")
 def jockey_run():
     tj = trained_job("A", seed=0, scale=SMOKE)
@@ -210,6 +253,18 @@ class TestFromTraceEvents:
         assert str(raised.value) == (
             "malformed task.end event 2 of 3 (job 'job:A', stage 'map'): " + why
         )
+
+    @pytest.mark.parametrize("which, change, why", MALFORMED_EVENTS)
+    def test_malformed_event_is_named(self, which, change, why):
+        with pytest.raises(ReportError) as raised:
+            report_mod.from_trace_events(malformed_events(which, change))
+        assert str(raised.value) == why
+
+    def test_tick_reader_takes_every_event_field(self):
+        from repro.telemetry.audit import EVENT_FIELDS
+
+        _names, table = report_mod._EVENT_READERS["control.tick"]
+        assert sorted(table) == sorted(EVENT_FIELDS)
 
     def test_rebuilt_report_renders(self, jockey_run):
         tj, result, events = jockey_run
