@@ -46,6 +46,7 @@ Exit codes: 0 success, 1 runtime failure (or a missed deadline for
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import pathlib
@@ -172,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale", choices=("smoke", "default", "paper"), default=None,
         help="default: default ('all': what each run is committed at)",
     )
-    experiment.add_argument("--seed", type=int, default=None, help="default: 0")
+    experiment.add_argument("--seed", type=int, nargs="+", default=None,
+                            help="default: 0; several roots pool the claims table")
     experiment.add_argument(
         "--results-dir", default=None, metavar="DIR",
         help="also write each report (and sweep digest) into DIR; nothing "
@@ -782,23 +784,29 @@ def cmd_run(args, out) -> int:
 def cmd_experiment(args, out) -> int:
     import os
 
-    from repro.experiments.reporting import write_results
+    from repro.experiments.reporting import claims_table, write_results
     from repro.experiments.scenarios import SCALES
 
+    roots = args.seed or [None]
+    if args.results_dir is not None and len(roots) > 1:
+        out.write("error: --results-dir takes a single --seed root\n")
+        return 2
     committed = "all" in args.id
     runs = RUNS if committed else dict.fromkeys(EXPERIMENTS[i] for i in args.id)
+    tallies = []
     # Experiment drivers pick up parallelism through the environment:
     # every parallel_map call under this command inherits the setting.
     previous_jobs = os.environ.get(repro_parallel.JOBS_ENV)
     if args.jobs is not None:
         os.environ[repro_parallel.JOBS_ENV] = str(args.jobs)
     try:
-        for run in runs:
+        for run, root in itertools.product(runs, roots):
             scale = args.scale or (run.scale if committed else "default")
-            seed = run.seed if args.seed is None else args.seed
+            seed = run.seed if root is None else root
             reports = run.execute(SCALES[scale], seed=seed)
             for report in reports:
                 out.write(report.render() + "\n")
+                tallies += report.tallies
             if args.results_dir is not None:
                 written = write_results(reports, args.results_dir)
                 names = [p.name for p in written]
@@ -813,6 +821,9 @@ def cmd_experiment(args, out) -> int:
             os.environ.pop(repro_parallel.JOBS_ENV, None)
         else:
             os.environ[repro_parallel.JOBS_ENV] = previous_jobs
+    if tallies:
+        out.write(f"== claims, pooled over {len(roots)} seed root(s) ==\n"
+                  + claims_table(tallies) + "\n")
     return 0
 
 

@@ -169,12 +169,11 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
     }
     by_arm = {a["arm"]: a for a in aggregates}
     report.add_note(
-        "post-drift ordering: stale "
-        f"{100 * by_arm['stale']['attainment_post_drift']:.0f}% <= blended "
-        f"{100 * by_arm['blended']['attainment_post_drift']:.0f}% <= oracle "
-        f"{100 * by_arm['oracle']['attainment_post_drift']:.0f}% — the "
-        "drift-aware store recovers most of the oracle's headroom at "
-        f"{by_arm['blended']['profiling_runs']} profiling runs vs "
+        "post-drift attainment: stale "
+        f"{100 * by_arm['stale']['attainment_post_drift']:.0f}%, blended "
+        f"{100 * by_arm['blended']['attainment_post_drift']:.0f}%, oracle "
+        f"{100 * by_arm['oracle']['attainment_post_drift']:.0f}%; blended "
+        f"took {by_arm['blended']['profiling_runs']} profiling runs vs "
         f"cold-start's {by_arm['cold-start']['profiling_runs']}"
     )
     report.add_note(

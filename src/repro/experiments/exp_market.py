@@ -19,10 +19,12 @@ a given seed/scale, at any worker count); ``repro experiment market
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.experiments.metrics import Claim, pair, tally, verdict
 from repro.experiments.reporting import ExperimentReport
 from repro.experiments.scenarios import DEFAULT, Scale
 from repro.market.engine import MARKET_MODES, MarketConfig, TokenMarket
@@ -35,6 +37,12 @@ from repro.simkit.random import derive_seed
 #: at 1.0 the quotas tile the cluster; tighter quotas leave more spare
 #: capacity, which only the pooled market can move between tenants.
 QUOTA_SCALES = (0.6, 0.8, 1.0)
+
+#: "When Two is Worse Than One" (PAPERS.md): splitting never helps.
+CLAIMS = (
+    Claim("pooled attains no less than split", "split <= pooled (Guerin)",
+          itemgetter("attainment"), "pooled", "split"),
+)
 
 
 @dataclass(frozen=True)
@@ -116,28 +124,6 @@ def _aggregate(units: List[Dict]) -> List[Dict]:
     return out
 
 
-def _pairs(units: List[Dict]) -> List[Dict]:
-    """Pooled-vs-split deltas per paired (quota_scale, rep) workload."""
-    by_key = {
-        (u["mode"], u["quota_scale"], u["rep"]): u for u in units
-    }
-    pairs = []
-    for qs in QUOTA_SCALES:
-        for rep in sorted({u["rep"] for u in units}):
-            pooled = by_key[("pooled", qs, rep)]
-            split = by_key[("split", qs, rep)]
-            pairs.append({
-                "quota_scale": qs,
-                "rep": rep,
-                "pooled_attainment": pooled["attainment"],
-                "split_attainment": split["attainment"],
-                "delta": round(
-                    pooled["attainment"] - split["attainment"], 6
-                ),
-            })
-    return pairs
-
-
 def run(scale: Scale = DEFAULT, *, seed: int = 0):
     shape = SHAPES.get(scale.name, SHAPES["default"])
     report = ExperimentReport(
@@ -155,17 +141,18 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
         ],
     )
     specs: List[Tuple] = []
+    keys: List[str] = []
     for mode in MARKET_MODES:
         for qs in QUOTA_SCALES:
             for rep in range(shape.reps):
-                # Mode deliberately NOT in the seed: pooled and split are
+                # Mode deliberately NOT in the key: pooled and split are
                 # paired — the same tenants, the same jobs, the same
                 # arrival times; only the market structure differs.
-                market_seed = derive_seed(seed, f"market:{qs}:{rep}")
-                specs.append((mode, qs, rep, market_seed, shape))
+                keys.append(f"market:{qs}:{rep}")
+                specs.append((mode, qs, rep, derive_seed(seed, keys[-1]), shape))
     units = list(parallel_map(_unit, specs))
+    rows = [(key, u["mode"], u) for key, u in zip(keys, units)]
     aggregates = _aggregate(units)
-    pairs = _pairs(units)
     for agg in aggregates:
         report.add_row(
             agg["mode"],
@@ -181,6 +168,7 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
     split_mean = float(np.mean(
         [a["attainment"] for a in aggregates if a["mode"] == "split"]
     ))
+    report.tallies = [(claim, tally(claim, rows)) for claim in CLAIMS]
     report.digest = {
         "experiment": "market",
         "scale": scale.name,
@@ -197,16 +185,18 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
         "pooled_attainment": round(pooled_mean, 6),
         "split_attainment": round(split_mean, 6),
         "aggregates": aggregates,
-        "pairs": pairs,
+        "pairs": [
+            {"quota_scale": pooled["quota_scale"], "rep": pooled["rep"],
+             "pooled_attainment": pooled["attainment"],
+             "split_attainment": split["attainment"],
+             "delta": round(pooled["attainment"] - split["attainment"], 6)}
+            for _key, pooled, split in pair(CLAIMS[0], rows)
+        ],
+        "claims": [
+            {"claim": claim.name, "verdict": verdict(wins, losses).reading,
+             "wins": wins, "losses": losses}
+            for claim, (wins, losses) in report.tallies
+        ],
         "runs": units,
     }
-    report.add_note(
-        f"splitting the pool costs attainment: pooled "
-        f"{100 * pooled_mean:.1f}% vs split {100 * split_mean:.1f}% on "
-        "paired workloads (same tenants, jobs and arrivals per cell)"
-    )
-    report.add_note(
-        "tight quotas widen the gap: spare capacity dominates and only "
-        "the pooled market moves it between tenants"
-    )
     return report

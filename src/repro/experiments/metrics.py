@@ -3,13 +3,16 @@
 Three headline metrics per experiment: did the job meet its deadline, how
 close to the deadline did it finish, and how much of the requested
 allocation sat above the oracle level (cluster impact).  Plus the variance
-statistics of §2.3 (coefficient of variation of completion times).
+statistics of §2.3 (coefficient of variation of completion times), and
+the judge of the paper's orderings (:class:`Claim`, :func:`verdict`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from fractions import Fraction
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -126,12 +129,88 @@ def group_by(
     return out
 
 
+@dataclass(frozen=True)
+class Claim:
+    """An ordering the paper states (``paper``: its figure): on each key,
+    ``metric`` of ``arm``'s record is ``better`` ("higher"/"lower") than ``against``'s."""
+
+    name: str
+    paper: str
+    metric: Callable[[Any], float]
+    arm: str
+    against: str
+    better: str = "higher"
+
+
+def pair(claim: Claim, rows: Iterable[Tuple[str, str, Any]]) -> List[Tuple[str, Any, Any]]:
+    """``(key, arm record, against record)`` in the arm's row order, from ``(key,
+    arm, record)`` rows keyed by what seeded them; an unpaired key names the claim."""
+    arms: Dict[str, Dict[str, Any]] = {claim.arm: {}, claim.against: {}}
+    for key, arm, record in rows:
+        arms.get(arm, {})[key] = record
+    mine, theirs = arms[claim.arm], arms[claim.against]
+    if not mine or mine.keys() != theirs.keys():
+        unpaired = sorted(mine.keys() ^ theirs.keys())
+        raise ValueError(f"claim {claim.name!r}: unpaired key(s) {unpaired or 'all'}")
+    return [(key, record, theirs[key]) for key, record in mine.items()]
+
+
+def tally(claim: Claim, rows: Iterable[Tuple[str, str, Any]]) -> Tuple[int, int]:
+    """``(wins, losses)``: the pairs on which the arm did strictly better /
+    worse; ties are dropped.  Tallies of disjoint rows pool by addition."""
+    sign = 1 if claim.better == "higher" else -1
+    diffs = [sign * (claim.metric(a) - claim.metric(b)) for _k, a, b in pair(claim, rows)]
+    return sum(d > 0 for d in diffs), sum(d < 0 for d in diffs)
+
+
+#: The sign test's one-sided level each way; the interval is 90 % two-sided.
+ALPHA = Fraction(1, 20)
+
+
+class Verdict(NamedTuple):
+    reading: str  # "holds", "fails" or "unresolved"
+    p: float      # one-sided sign-test p, in the direction the units lean
+    low: float    # Clopper–Pearson interval on wins / (wins + losses)
+    high: float
+
+
+def verdict(wins: int, losses: int) -> Verdict:
+    """An exact one-sided sign test each way at :data:`ALPHA`: *holds* when
+    ``wins`` or more of n untied units is that unlikely at a fair coin,
+    *fails* when ``losses`` or more is, else *unresolved* (always at n = 0).
+    Each bound is searched on the side of ½ the test chose, so *holds* is
+    exactly "the interval lies above ½" and *fails* "below"."""
+    n = wins + losses
+
+    def at_least(k, p):  # P(X >= k), X ~ Binomial(n, p); exact for a Fraction p
+        return sum(math.comb(n, i) * p**i * (1 - p) ** (n - i) for i in range(k, n + 1))
+
+    def lower(k, above_half):  # the Clopper–Pearson lower bound for k of n
+        if k == 0:
+            return 0.0
+        lo, hi = (0.5, 1.0) if above_half else (0.0, 0.5)
+        for _ in range(40):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if at_least(k, mid) < ALPHA else (lo, mid)
+        return (lo + hi) / 2
+
+    p_for, p_against = at_least(wins, Fraction(1, 2)), at_least(losses, Fraction(1, 2))
+    reading = "holds" if p_for <= ALPHA else "fails" if p_against <= ALPHA else "unresolved"
+    # The upper bound for wins is 1 minus the lower bound for losses.
+    return Verdict(reading, float(min(p_for, p_against)),
+                   lower(wins, reading == "holds"), 1 - lower(losses, reading == "fails"))
+
+
 __all__ = [
+    "Claim",
     "PolicySummary",
     "RunMetrics",
     "coefficient_of_variation",
     "group_by",
     "metrics_from_trace",
+    "pair",
     "percentiles",
     "summarize_policy",
+    "tally",
+    "verdict",
 ]

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import persist
+from repro.experiments.metrics import Claim, verdict
 
 
 def format_cell(value) -> str:
@@ -61,6 +62,9 @@ class ExperimentReport:
     #: Machine-readable twin of the report (the sweep drivers set it):
     #: deterministic for a given seed/scale at any worker count.
     digest: Optional[Dict] = None
+    #: ``(claim, (wins, losses))`` per claim judged on this report's runs,
+    #: rendered as a verdict section; ``repro experiment`` pools them.
+    tallies: List[Tuple[Claim, Tuple[int, int]]] = field(default_factory=list)
 
     def add_row(self, *cells) -> None:
         self.rows.append(list(cells))
@@ -76,6 +80,9 @@ class ExperimentReport:
         if self.headers:
             parts.append(ascii_table(self.headers, self.rows))
         parts.extend(self.extra_sections)
+        if self.tallies:
+            parts.append("claims (exact paired sign test, one-sided 5% each "
+                         "way; ties dropped):\n" + claims_table(self.tallies))
         for note in self.notes:
             parts.append(f"note: {note}")
         return "\n".join(parts)
@@ -101,6 +108,23 @@ def write_results(reports: Sequence[ExperimentReport], out_dir) -> List[pathlib.
             persist.write_json(path, report.digest, indent=2)
         written.append(path)
     return written
+
+
+def claims_table(tallies: Sequence[Tuple[Claim, Tuple[int, int]]]) -> str:
+    """One verdict row per claim; tallies of one claim (several seed
+    roots) pool by addition."""
+    pooled: Dict[Claim, Tuple[int, int]] = {}
+    for claim, (wins, losses) in tallies:
+        w, l = pooled.get(claim, (0, 0))
+        pooled[claim] = (w + wins, l + losses)
+    rows = []
+    for claim, (wins, losses) in pooled.items():
+        v = verdict(wins, losses)
+        rows.append([claim.name, claim.paper, v.reading, wins + losses, f"{wins}-{losses}",
+                     f"[{v.low:.2f}, {v.high:.2f}]", f"{v.p:.2g}"])
+    return ascii_table(
+        ["claim", "paper", "verdict", "n", "for-against", "90% interval", "p"], rows
+    )
 
 
 def scorecard_section(
@@ -152,6 +176,7 @@ def sparkline(values: Sequence[float], width: int = 60) -> str:
 __all__ = [
     "ExperimentReport",
     "ascii_table",
+    "claims_table",
     "format_cell",
     "scorecard_section",
     "sparkline",

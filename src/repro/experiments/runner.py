@@ -358,6 +358,11 @@ class Unit(NamedTuple):
     rep: int
     config: RunConfig
 
+    @property
+    def key(self) -> str:
+        """Seeds the unit and pairs it across variants (``metrics.tally``)."""
+        return f"{self.trained.name}:{int(self.config.deadline_seconds)}:{self.rep}"
+
 
 def _run_unit(unit: Unit) -> ExperimentResult:
     """Builds the policy in the worker: fresh controller state, cheap unit."""
@@ -372,9 +377,9 @@ def _run_unit(unit: Unit) -> ExperimentResult:
 @dataclass(frozen=True)
 class Sweep:
     """Every (variant, job, deadline, rep) unit of one comparison, seeded
-    ``derive_seed(seed, f"{job}:{int(deadline)}:{rep}")``.  The variant is
-    never in the key, so the variants of one (job, deadline, rep) face the
-    same cluster day; the plan runs through one ``parallel_map``."""
+    ``derive_seed(seed, unit.key)``.  The variant is never in the key, so
+    the variants of one (job, deadline, rep) face the same cluster day; the
+    plan runs through one ``parallel_map``."""
 
     variants: Tuple[Variant, ...]
     deadlines: Tuple[str, ...] = ("short",)  # "short" and/or "long"
@@ -393,9 +398,9 @@ class Sweep:
                         **(v.run(job, deadline) if callable(v.run) else v.run),
                     })
                     for rep in range(self.reps):
-                        key = f"{job.name}:{int(config.deadline_seconds)}:{rep}"
-                        seeded = replace(config, seed=derive_seed(seed, key))
-                        units.append(Unit(v, job, rep, seeded))
+                        unit = Unit(v, job, rep, config)
+                        seeded = replace(config, seed=derive_seed(seed, unit.key))
+                        units.append(unit._replace(config=seeded))
         return units
 
     def run(

@@ -2,6 +2,7 @@
 produces a well-formed report.  These are the repository's acceptance tests
 for the per-table/figure regeneration harness."""
 
+import importlib
 import io
 import os
 import pathlib
@@ -19,12 +20,13 @@ from repro.experiments import (
     exp_fig9_10,
     exp_fig11,
     exp_fig12_13,
+    exp_market,
     exp_table1,
     exp_table2,
 )
 from repro.experiments.registry import EXPERIMENTS, RUNS, Run
 from repro.experiments.reporting import ExperimentReport
-from repro.experiments.scenarios import SMOKE
+from repro.experiments.scenarios import SMOKE, trained_jobs
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -68,26 +70,37 @@ class TestTable2:
         assert stages_row[0] == "23 (23)"  # job A
 
 
+def assert_judged(report, claims, rows):
+    """Every declared claim is tallied on the report's own sweep rows, at
+    most once per shared key, and the verdicts are rendered."""
+    assert [claim for claim, _counts in report.tallies] == list(claims)
+    shared = len({u.key for u, _r in rows})
+    assert all(wins + losses <= shared for _c, (wins, losses) in report.tallies)
+    assert "claims (exact paired sign test" in report.render()
+
+
 class TestFig4And5:
     @pytest.fixture(scope="class")
-    def results(self):
-        return exp_fig4_5.run_policy_comparison(SMOKE, seed=0)
+    def rows(self):
+        jobs = trained_jobs(seed=0, scale=SMOKE).values()
+        return exp_fig4_5.policy_sweep(SMOKE).run(jobs, seed=0)
 
-    def test_suite_size(self, results):
+    def test_suite_size(self, rows):
         # jobs x 2 deadlines x 4 policies x reps.
         expected = len(SMOKE.jobs) * 2 * 4 * SMOKE.reps
-        assert len(results) == expected
+        assert len(rows) == expected
 
-    def test_fig4_report(self, results):
-        report = exp_fig4_5.fig4_report(results)
+    def test_fig4_report(self, rows):
+        report = exp_fig4_5.fig4_report(rows)
         assert_report(report, "fig4", min_rows=4)
         by_policy = {row[0]: row for row in report.rows}
         # Max-allocation always has the largest cluster impact.
         impacts = {name: row[3] for name, row in by_policy.items()}
         assert impacts["max-allocation"] == max(impacts.values())
+        assert_judged(report, exp_fig4_5.CLAIMS, rows)
 
-    def test_fig5_report(self, results):
-        report = exp_fig4_5.fig5_report(results)
+    def test_fig5_report(self, rows):
+        report = exp_fig4_5.fig5_report(rows)
         assert_report(report, "fig5", min_rows=4)
         for row in report.rows:
             values = row[1:]
@@ -148,6 +161,10 @@ class TestFig11:
         assert_report(report, "fig11", min_rows=7)
         labels = [row[0] for row in report.rows]
         assert "baseline" in labels and "CP progress" in labels
+        assert [c for c, _counts in report.tallies] == list(exp_fig11.CLAIMS)
+        # One (job, deadline, rep) key per smoke job and rep.
+        shared = len(SMOKE.jobs) * SMOKE.reps
+        assert all(w + l <= shared for _c, (w, l) in report.tallies)
 
 
 class TestFig12And13:
@@ -274,6 +291,45 @@ class TestRegistryIsTheManifest:
             rebuilt.update(line.replace("${{ matrix.leg.ids }}", legs).split())
         missing = [run.ids[0] for run in RUNS if not rebuilt & set(run.ids)]
         assert not missing, f"ci.yml never regenerates {missing}"
+
+    def test_ci_judges_every_declared_claim_over_eight_roots(self):
+        """CI's ``claims`` job runs every driver that declares ``CLAIMS``
+        at eight seed roots, pooled into one table."""
+        text = (ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+        job = re.search(r"^  claims:\n(.*?)(?=^  \S|\Z)", text, flags=re.M | re.S)
+        assert job, "ci.yml has no claims job"
+        lines = re.findall(r"repro experiment ([^|\n]*)", job.group(1))
+        assert lines and all("--seed 0 1 2 3 4 5 6 7" in line for line in lines)
+        named = {word for line in lines for word in line.split()}
+        declaring = [
+            run.ids[0] for run in RUNS
+            if hasattr(importlib.import_module(f"repro.experiments.{run.module}"), "CLAIMS")
+        ]
+        assert sorted(declaring) == ["fig11", "fig4", "market"]
+        missing = [exp_id for exp_id in declaring if exp_id not in named]
+        assert not missing, f"ci.yml's claims job never judges {missing}"
+
+    def test_several_roots_pool_one_table_and_refuse_a_results_dir(
+        self, tmp_path, monkeypatch
+    ):
+        [claim] = exp_market.CLAIMS
+
+        def execute(self, scale, *, seed):
+            report = ExperimentReport("market", "t")
+            report.tallies = [(claim, (seed, 1))]
+            return (report,)
+
+        monkeypatch.setattr(Run, "execute", execute)
+        code, text = run_cli("experiment", "market", "--seed", "3", "4")
+        assert code == 0, text
+        assert text.count("== market:") == 2
+        [table] = text.split("== claims, pooled over 2 seed root(s) ==\n")[1:]
+        assert claim.name in table and " 7-2 " in table
+        code, text = run_cli(
+            "experiment", "market", "--seed", "0", "1", "--results-dir", str(tmp_path)
+        )
+        assert code == 2 and "--results-dir" in text
+        assert list(tmp_path.iterdir()) == []
 
     def test_ci_reruns_every_text_run_at_another_seed(self):
         """CI's ``--seed 1`` step, diffed at ``REPRO_JOBS`` 1 and 2, names

@@ -1,18 +1,27 @@
 """Unit tests for experiment metrics and text reporting."""
 
+import dataclasses
+from fractions import Fraction
+from operator import itemgetter
+
 import pytest
 
 from repro.experiments.metrics import (
+    Claim,
     RunMetrics,
     coefficient_of_variation,
     group_by,
     metrics_from_trace,
+    pair,
     percentiles,
     summarize_policy,
+    tally,
+    verdict,
 )
 from repro.experiments.reporting import (
     ExperimentReport,
     ascii_table,
+    claims_table,
     format_cell,
     sparkline,
 )
@@ -138,3 +147,97 @@ class TestReporting:
 
     def test_sparkline_constant(self):
         assert set(sparkline([5, 5, 5])) <= set("▁▂▃▄▅▆▇█ ")
+
+
+HIGHER = Claim("a beats b", "paper", itemgetter("v"), "a", "b")
+
+
+def rows_of(values, prefix=""):
+    """``(key, arm, record)`` rows from one ``(a, b)`` value pair per key."""
+    rows = []
+    for i, (a, b) in enumerate(values):
+        rows += [(f"{prefix}k{i}", "a", {"v": a}), (f"{prefix}k{i}", "b", {"v": b})]
+    return rows
+
+
+class TestClaims:
+    """The judge on synthetic tallies: the sign test against a hand-computed
+    table, orientation, ties, pooling and the pairing's errors."""
+
+    @pytest.mark.parametrize("wins, losses, reading, p", [
+        (5, 0, "holds", Fraction(1, 32)),       # 1/2^5
+        (4, 0, "unresolved", Fraction(1, 16)),  # 1/2^4 > 1/20
+        (0, 5, "fails", Fraction(1, 32)),
+        (0, 0, "unresolved", 1),
+        (1, 1, "unresolved", Fraction(3, 4)),   # P(X >= 1 of 2)
+        (6, 1, "unresolved", Fraction(1 + 7, 2**7)),  # C(7,7) + C(7,6)
+        (7, 1, "holds", Fraction(1 + 8, 2**8)),       # 9/256 ~ 0.035
+        (1, 7, "fails", Fraction(1 + 8, 2**8)),
+    ])
+    def test_hand_computed_sign_tests(self, wins, losses, reading, p):
+        assert verdict(wins, losses)[:2] == (reading, p)
+
+    def test_clopper_pearson_closed_forms(self):
+        # With no losses the lower bound solves low^n = 5%; mirrored below.
+        assert verdict(5, 0).low == pytest.approx(0.05 ** 0.2, abs=1e-9)
+        assert verdict(0, 5).high == pytest.approx(1 - 0.05 ** 0.2, abs=1e-9)
+        assert (verdict(5, 0).high, verdict(0, 5).low) == (1.0, 0.0)
+        assert verdict(0, 0)[2:] == (0.0, 1.0)
+
+    def test_interval_and_verdict_always_agree(self):
+        for n in range(21):
+            for wins in range(n + 1):
+                v = verdict(wins, n - wins)
+                side = "holds" if v.low > 0.5 else "fails" if v.high < 0.5 else "unresolved"
+                assert side == v.reading, (wins, n - wins)
+                assert v.low <= (wins / n if n else 0.5) <= v.high
+
+    def test_lower_flips_the_orientation(self):
+        rows = rows_of([(2, 1)] * 5)
+        lower = dataclasses.replace(HIGHER, better="lower")
+        assert tally(HIGHER, rows) == (5, 0)
+        assert tally(lower, rows) == (0, 5)
+        assert verdict(*tally(lower, rows)).reading == "fails"
+
+    def test_ties_are_dropped(self):
+        assert tally(HIGHER, rows_of([(1, 1)] * 7 + [(2, 1)] * 4)) == (4, 0)
+        # A "no more than" claim whose arms always tie never holds.
+        assert verdict(*tally(HIGHER, rows_of([(1, 1)] * 50))).reading == "unresolved"
+
+    def test_pooling_is_addition(self):
+        roots = {
+            "0": [(2, 1), (1, 1), (0, 1)],
+            "1": [(3, 1), (3, 2), (1, 1)],
+            "2": [(5, 1)],
+        }
+        tallies = [(HIGHER, tally(HIGHER, rows_of(v))) for v in roots.values()]
+        concatenated = [
+            row for root, values in roots.items() for row in rows_of(values, f"{root}/")
+        ]
+        pooled = tuple(map(sum, zip(*(counts for _c, counts in tallies))))
+        assert pooled == tally(HIGHER, concatenated) == (4, 1)
+        assert claims_table(tallies) == claims_table([(HIGHER, pooled)])
+
+    def test_pairs_follow_the_arms_row_order(self):
+        rows = rows_of([(3, 0), (1, 0)])[::-1]
+        assert [(k, a["v"], b["v"]) for k, a, b in pair(HIGHER, rows)] == [
+            ("k1", 1, 0), ("k0", 3, 0),
+        ]
+
+    @pytest.mark.parametrize("rows", [
+        rows_of([(1, 0), (2, 0)])[:-1],                      # b lacks k1
+        [r for r in rows_of([(1, 0)]) if r[1] == "a"],        # no b at all
+        [],                                                   # no rows
+    ], ids=["unpaired-key", "missing-arm", "empty"])
+    def test_a_missing_key_names_the_claim(self, rows):
+        with pytest.raises(ValueError, match="'a beats b'"):
+            tally(HIGHER, rows)
+
+    def test_a_report_renders_its_tallies_before_its_notes(self):
+        report = ExperimentReport("fig0", "demo")
+        report.add_note("last")
+        assert "claims" not in report.render()
+        report.tallies = [(HIGHER, tally(HIGHER, rows_of([(2, 1)] * 5)))]
+        verdicts, note = report.render().split("\n")[-2:]
+        assert "a beats b" in verdicts and "holds" in verdicts and " 5-0 " in verdicts
+        assert note == "note: last"

@@ -37,7 +37,7 @@ from repro.experiments.scenarios import (
 from repro.market.admission import MarketAdmission
 from repro.market.tenant import JobSpec, Tenant
 from repro.service.models import TrainedTemplate
-from repro.simkit.random import RngRegistry
+from repro.simkit.random import RngRegistry, derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +177,11 @@ class TestPairedSeeds:
         ]
         assert len(seeds[0]) == len(seeds[1]) == 2 * DEFAULT.reps
         assert not seeds[0] & seeds[1]
+
+    def test_the_unit_key_is_what_seeds_the_unit(self, trained):
+        for u in exp_fig4_5.policy_sweep(DEFAULT).plan([trained], 7):
+            assert u.key == f"{u.trained.name}:{int(u.config.deadline_seconds)}:{u.rep}"
+            assert u.config.seed == derive_seed(7, u.key)
 
     def test_the_four_kinds_of_a_unit_share_one_seed(self, trained):
         by_key = {}

@@ -10,6 +10,7 @@ import pytest
 
 from repro.experiments import SMOKE
 from repro.experiments import exp_market
+from repro.experiments.metrics import verdict
 
 
 def _sweep_digest(jobs: str) -> dict:
@@ -36,6 +37,13 @@ class TestSweepDigest:
         # And per paired workload, splitting never helps.
         for pair in digest["pairs"]:
             assert pair["split_attainment"] <= pair["pooled_attainment"]
+
+    def test_the_claim_is_judged_on_the_pairs(self, digest):
+        [claim] = digest["claims"]
+        wins = sum(pair["delta"] > 0 for pair in digest["pairs"])
+        losses = sum(pair["delta"] < 0 for pair in digest["pairs"])
+        assert (claim["wins"], claim["losses"]) == (wins, losses)
+        assert claim["verdict"] == verdict(wins, losses).reading
 
     def test_pairs_share_workloads(self, digest):
         """Pooled and split cells submit identical job populations."""
