@@ -33,8 +33,6 @@ Layering (bottom to top):
   C(p, a) tables (``REPRO_CACHE_DIR``, ``repro cache stats``).
 * :mod:`repro.parallel` — process-pool fan-out for model builds and
   experiment sweeps (``REPRO_JOBS`` / ``--jobs``).
-* :mod:`repro.analysis` — trace analytics (Gantt, utilization, realized
-  critical path).
 * :mod:`repro.cli` — ``python -m repro`` command-line interface.
 
 See ``examples/quickstart.py`` for the end-to-end flow: train on one run,

@@ -49,6 +49,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import pathlib
 import sys
 import time
@@ -1643,6 +1644,12 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return COMMANDS[args.command](args, out)
+    except BrokenPipeError:
+        # The reader went away (`repro ... | head`): write nothing more, and
+        # send the exit-time flush of stdout to /dev/null, not the pipe.
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         out.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1

@@ -11,11 +11,6 @@ from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.failures import FailureInjector
 from repro.cluster.machine import MachineError, MachinePark
 from repro.cluster.tokens import Consumer, Grant, TokenError, TokenPool, compute_grants
-from repro.cluster.workload_background import (
-    WorkloadBackground,
-    WorkloadBackgroundConfig,
-    WorkloadBackgroundError,
-)
 
 __all__ = [
     "BackgroundError",
@@ -31,8 +26,5 @@ __all__ = [
     "SpareSoaker",
     "TokenError",
     "TokenPool",
-    "WorkloadBackground",
-    "WorkloadBackgroundConfig",
-    "WorkloadBackgroundError",
     "compute_grants",
 ]

@@ -37,6 +37,10 @@ from repro.telemetry import metrics as _metrics
 from repro.telemetry import predict as _predict
 from repro.telemetry import trace as _trace
 
+#: The :class:`TickRecord` fields a ``control.tick`` event carries: every
+#: field its declaration lists after ``predictor``.
+_TICK_FIELDS = tuple(_trace.EVENTS["control.tick"])[1:]
+
 _TICKS = _metrics.REGISTRY.counter(
     "repro_control_ticks_total",
     "Control-loop iterations (decide calls)",
@@ -395,7 +399,7 @@ class JockeyController:
             rec.emit(
                 record.elapsed, "control.tick",
                 predictor=predictor_name,
-                **{name: getattr(record, name) for name in _audit.EVENT_FIELDS},
+                **{name: getattr(record, name) for name in _TICK_FIELDS},
             )
         return record
 

@@ -4,13 +4,16 @@ A :class:`RunTrace` is produced by the cluster runtime and consumed by
 :mod:`repro.jobs.profiles` to build the statistics Jockey trains on (the
 paper uses "a single production run" the same way).  It also backs the
 evaluation metrics (aggregate CPU time, queueing quantiles, oracle
-allocation).
+allocation), and :func:`critical_path_tasks` walks the chain of tasks that
+set a run's latency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
+
+from repro.jobs.dag import EdgeType, JobGraph, one_to_one_range
 
 
 class TraceError(ValueError):
@@ -240,7 +243,70 @@ class RunTrace:
         return sum(1 for r in ok if r.used_spare_token) / len(ok)
 
 
+@dataclass(frozen=True)
+class CriticalLink:
+    """One hop on the realized critical path."""
+
+    stage: str
+    index: int
+    start_time: float
+    end_time: float
+    queue_seconds: float
+
+
+def critical_path_tasks(trace: RunTrace, graph: JobGraph) -> List[CriticalLink]:
+    """The realized critical path: the chain of task completions that
+    determined the job's latency.  Walks back from the last-finishing task
+    through, at each hop, the input task that finished last.
+
+    Uses only successful attempts.  Returns links in execution order.
+    """
+    if not trace.finished:
+        raise TraceError("trace has not finished")
+    done: Dict[Tuple[str, int], TaskRecord] = {}
+    for record in trace.records:
+        if record.succeeded:
+            done[(record.stage, record.index)] = record
+    if not done:
+        raise TraceError("trace has no successful tasks")
+
+    def inputs_of(stage: str, index: int) -> List[Tuple[str, int]]:
+        result: List[Tuple[str, int]] = []
+        for edge in graph.in_edges(stage):
+            n_src = graph.stage(edge.src).num_tasks
+            if edge.kind is EdgeType.ALL_TO_ALL:
+                result.extend((edge.src, j) for j in range(n_src))
+            else:
+                lo, hi = one_to_one_range(
+                    index, graph.stage(stage).num_tasks, n_src
+                )
+                result.extend((edge.src, j) for j in range(lo, hi + 1))
+        return result
+
+    current = max(done.values(), key=lambda r: r.end_time)
+    chain = [current]
+    while True:
+        inputs = inputs_of(current.stage, current.index)
+        records = [done[t] for t in inputs if t in done]
+        if not records:
+            break
+        current = max(records, key=lambda r: r.end_time)
+        chain.append(current)
+    chain.reverse()
+    return [
+        CriticalLink(
+            stage=r.stage,
+            index=r.index,
+            start_time=r.start_time,
+            end_time=r.end_time,
+            queue_seconds=r.queue_time,
+        )
+        for r in chain
+    ]
+
+
 __all__ = [
+    "CriticalLink",
     "OUTCOME_EVICTED",
     "OUTCOME_FAILED",
     "OUTCOME_OK",
@@ -249,4 +315,5 @@ __all__ = [
     "RunTrace",
     "TaskRecord",
     "TraceError",
+    "critical_path_tasks",
 ]

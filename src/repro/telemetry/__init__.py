@@ -65,7 +65,6 @@ from repro.telemetry.trace import (
     TraceEvent,
     TraceRecorder,
     capture,
-    disable,
     install,
 )
 
@@ -87,7 +86,6 @@ __all__ = [
     "analyze_run",
     "calibration",
     "capture",
-    "disable",
     "install",
     "load_events",
     "parse_prometheus",

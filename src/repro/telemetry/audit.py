@@ -23,12 +23,6 @@ from typing import List, Optional, Sequence, Tuple
 
 PHASE_INITIAL = "initial"
 PHASE_TICK = "tick"
-#: The :class:`TickRecord` fields each decision's ``control.tick`` trace
-#: event carries (at ``ts = elapsed``).
-EVENT_FIELDS = (
-    "tick", "phase", "raw", "smoothed", "allocation", "dead_zone_triggered",
-    "predicted_remaining", "utility", "progress",
-)
 
 
 @dataclass(frozen=True)
@@ -128,7 +122,6 @@ def reconstruct_allocations(
 
 __all__ = [
     "CandidateEval",
-    "EVENT_FIELDS",
     "IntervalBand",
     "PHASE_INITIAL",
     "PHASE_TICK",

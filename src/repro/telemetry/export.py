@@ -10,21 +10,68 @@
   (the format's ``ts`` unit is microseconds).
 * :func:`summarize` — a plain-text per-kind table for quick inspection
   (``repro trace summarize <file>``).
+
+Both readers decode every event through one decoder: its kind must be
+declared in :data:`~repro.telemetry.trace.EVENTS`, and its fields go
+through :func:`repro.persist.spec_fields` against that declaration, so a
+malformed file is an :class:`ExportError` naming the event's position,
+kind, job and field.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Dict, IO, Iterable, List, Sequence, Union
+from typing import Any, Dict, IO, Iterable, List, Sequence, Union
 
-from repro.telemetry.trace import TraceEvent
+from repro.telemetry.trace import EVENTS, OPTIONAL_FIELDS, TraceEvent
 
 PathOrFile = Union[str, IO[str]]
 
 
 class ExportError(ValueError):
     """Raised when a trace file cannot be parsed."""
+
+
+#: The envelope of one JSONL line and of one Chrome trace event record.
+_JSONL_RECORD = {"ts": float, "kind": str, "fields": Any}
+_CHROME_RECORD = {
+    "name": str, "cat": str, "ph": str, "pid": int, "tid": int,
+    "ts": float, "dur": float, "s": str, "args": Any,
+}
+_CHROME_DOCUMENT = {"traceEvents": List[Any], "displayTimeUnit": str}
+
+
+def _decode_event(record, where: str, envelope: Dict[str, Any], kind: str,
+                  fields: str, scale: float = 1.0) -> TraceEvent:
+    """The event a file ``record`` at position ``where`` holds, its kind
+    under key ``kind``, its fields under ``fields`` and its ``ts`` divided
+    by ``scale``.  The kind must be declared in :data:`EVENTS` and the
+    fields must match the declaration; anything else raises
+    :class:`ExportError` naming ``where``, the kind, the job (and stage)
+    and the field."""
+    from repro import persist  # deferred: the control loop imports telemetry
+
+    if not isinstance(record, dict):
+        raise ExportError(f"{where} must be an object, got {type(record).__name__}")
+    data = record.get(fields)
+    names = [f"kind {record.get(kind, '?')!r}"]
+    if isinstance(data, dict):
+        names += [f"{key} {data[key]!r}" for key in ("job", "stage") if key in data]
+    path = f"{where} ({', '.join(names)})"
+    values = persist.spec_fields(
+        record, envelope, ExportError, path=path, required=("ts", kind, fields)
+    )
+    name, data = values[kind], values[fields]
+    if not isinstance(data, dict):
+        raise ExportError(f"{path}: '{fields}' must be an object, got {data!r}")
+    if name not in EVENTS:
+        raise ExportError(f"{path}: '{kind}' must be a declared event kind, got {name!r}")
+    optional = OPTIONAL_FIELDS.get(name, ())
+    return TraceEvent(values["ts"] / scale, name, persist.spec_fields(
+        data, EVENTS[name], ExportError, path=path,
+        required=[field for field in EVENTS[name] if field not in optional],
+    ))
 
 
 def _open_maybe(path_or_file: PathOrFile, mode: str):
@@ -61,9 +108,12 @@ def read_jsonl(path_or_file: PathOrFile) -> List[TraceEvent]:
             if not line:
                 continue
             try:
-                events.append(TraceEvent.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
                 raise ExportError(f"bad JSONL at line {lineno}: {exc}") from exc
+            events.append(_decode_event(
+                record, f"line {lineno}", _JSONL_RECORD, "kind", "fields"
+            ))
         return events
     finally:
         if owned:
@@ -145,21 +195,6 @@ def write_chrome_trace(events: Sequence[TraceEvent], path_or_file: PathOrFile) -
     return len(events)
 
 
-def _events_from_chrome(document: Dict[str, object]) -> List[TraceEvent]:
-    events = []
-    for record in document.get("traceEvents", ()):
-        if record.get("ph") == "M":
-            continue
-        events.append(
-            TraceEvent(
-                float(record.get("ts", 0.0)) / _SECONDS_TO_US,
-                str(record.get("name", "unknown")),
-                dict(record.get("args") or {}),
-            )
-        )
-    return events
-
-
 def load_events(path: str) -> List[TraceEvent]:
     """Load a trace from disk, auto-detecting JSONL vs Chrome format."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -181,7 +216,19 @@ def load_events(path: str) -> List[TraceEvent]:
             raise ExportError(f"{path}: neither JSONL nor Chrome trace: {exc}") from exc
         if not isinstance(document, dict) or "traceEvents" not in document:
             raise ExportError(f"{path}: JSON but not a Chrome trace document")
-        return _events_from_chrome(document)
+    from repro import persist  # deferred: the control loop imports telemetry
+
+    records = persist.spec_fields(
+        document, _CHROME_DOCUMENT, ExportError, path=path, required=("traceEvents",)
+    )["traceEvents"]
+    # The "M" (track-name) records are the writer's own.
+    return [
+        _decode_event(
+            record, f"traceEvents[{i}]", _CHROME_RECORD, "name", "args", _SECONDS_TO_US
+        )
+        for i, record in enumerate(records)
+        if not (isinstance(record, dict) and record.get("ph") == "M")
+    ]
 
 
 # ----------------------------------------------------------------------

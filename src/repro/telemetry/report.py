@@ -251,88 +251,6 @@ def from_result(result, *, table=None, title: Optional[str] = None) -> RunReport
     )
 
 
-#: Per event kind a rebuilt report reads: the fields that name a malformed
-#: event in its error, and each field read as name -> (type, default).  A
-#: field whose default is ``_REQUIRED`` must be there; one whose default is
-#: None may also be null.
-_REQUIRED = object()
-_EVENT_READERS = {
-    "task.end": (("job", "stage"), {
-        "index": (int, 0), "attempt": (int, 0), "start": (float, _REQUIRED),
-        "end": (float, _REQUIRED), "outcome": (str, "ok"),
-    }),
-    "job.allocation": (("job",), {"applied": (int, _REQUIRED)}),
-    "control.tick": (("job",), {
-        "tick": (int, _REQUIRED), "phase": (str, _REQUIRED), "raw": (int, _REQUIRED),
-        "smoothed": (float, _REQUIRED), "allocation": (int, _REQUIRED),
-        "dead_zone_triggered": (bool, _REQUIRED),
-        "predicted_remaining": (float, _REQUIRED), "utility": (float, _REQUIRED),
-        "progress": (float, None),
-    }),
-    "job.complete": (("job",), {
-        "job": (str, "job"), "start": (float, 0.0), "end": (float, _REQUIRED),
-        "deadline": (float, None),
-    }),
-}
-
-
-def _malformed(kind: str, fields: Dict, position: int, count: int,
-               name: str, why: str) -> ReportError:
-    """The error for a malformed event: its kind, its position among the
-    ``count`` events, the fields that name it, and the field at fault."""
-    names, _table = _EVENT_READERS[kind]
-    where = ", ".join(f"{n} {fields.get(n, '?')!r}" for n in names)
-    return ReportError(
-        f"malformed {kind} event {position} of {count} ({where}): field {name!r} {why}"
-    )
-
-
-def _read_event(kind: str, fields: Dict, position: int, count: int) -> Dict:
-    """The fields a ``kind`` event's row in ``_EVENT_READERS`` reads,
-    converted; a missing or unconvertible one is a :class:`ReportError`."""
-    values = {}
-    for name, (tp, default) in _EVENT_READERS[kind][1].items():
-        value = fields.get(name, default)
-        if value is _REQUIRED:
-            raise _malformed(kind, fields, position, count, name, "is missing")
-        try:
-            if tp is bool and not isinstance(value, bool):
-                raise TypeError(value)
-            values[name] = None if value is None and default is None else tp(value)
-        except (TypeError, ValueError, OverflowError):
-            raise _malformed(
-                kind, fields, position, count, name, f"is not {tp.__name__}: {value!r}"
-            ) from None
-    return values
-
-
-def _task_end_record(fields: Dict, position: int, count: int):
-    """The :class:`~repro.jobs.trace.TaskRecord` a ``task.end`` event
-    describes, checked beyond its fields' types."""
-    from repro.jobs.trace import OUTCOMES, TaskRecord  # deferred: layering
-
-    values = _read_event("task.end", fields, position, count)
-
-    def bad(name: str, why: str) -> ReportError:
-        return _malformed("task.end", fields, position, count, name, why)
-
-    if values["outcome"] not in OUTCOMES:
-        raise bad("outcome", f"is not one of {', '.join(OUTCOMES)}: {values['outcome']!r}")
-    if values["attempt"] < 0:
-        raise bad("attempt", f"is negative: {values['attempt']!r}")
-    if not values["start"] <= values["end"]:
-        raise bad("end", f"is not at or after start {values['start']!r}: {values['end']!r}")
-    return TaskRecord(
-        stage=str(fields.get("stage", "?")),
-        index=values["index"],
-        attempt=values["attempt"],
-        ready_time=values["start"],
-        start_time=values["start"],
-        end_time=values["end"],
-        outcome=values["outcome"],
-    )
-
-
 def from_trace_events(
     events: Sequence,
     *,
@@ -349,9 +267,12 @@ def from_trace_events(
     ``job.complete`` event or passed explicitly.  Early events lost to
     ring-buffer overflow only thin out the series; the verdict needs just
     the completion event.  The trace does not record the controller's
-    slack: every rebuilt decision is stamped with ``slack``.
+    slack: every rebuilt decision is stamped with ``slack``.  The events'
+    fields are trusted to match :data:`~repro.telemetry.trace.EVENTS`: they
+    come from :func:`~repro.telemetry.export.load_events`, which checks
+    them, or from a live recorder.
     """
-    from repro.jobs.trace import RunTrace, TaskRecord  # deferred: layering
+    from repro.jobs.trace import RunTrace, TaskRecord, TraceError  # deferred: layering
 
     if not 0.0 < slack < math.inf:
         raise ReportError(f"slack must be positive and finite, got {slack!r}")
@@ -370,28 +291,41 @@ def from_trace_events(
         ):
             chaos_counts[event.kind] = chaos_counts.get(event.kind, 0) + 1
         if event.kind == "job.complete":
-            complete = _read_event(event.kind, {"end": event.ts, **fields}, position, len(events))
+            complete = fields
         elif event.kind == "control.tick":
-            predictor = fields.get("predictor", predictor)
+            predictor = fields["predictor"]
             # Traces written before the initial decision had its own event
             # carry no tick or phase: every event was a periodic tick.
-            values = {"tick": len(ticks), "phase": PHASE_TICK, **fields}
             ticks.append(TickRecord(
-                elapsed=event.ts, candidates=(), prev_smoothed=None, slack=slack,
-                **_read_event(event.kind, values, position, len(events)),
+                tick=fields.get("tick", len(ticks)),
+                phase=fields.get("phase", PHASE_TICK),
+                elapsed=event.ts, progress=fields["progress"], candidates=(),
+                raw=fields["raw"], dead_zone_triggered=fields["dead_zone_triggered"],
+                prev_smoothed=None, smoothed=fields["smoothed"],
+                allocation=fields["allocation"],
+                predicted_remaining=fields["predicted_remaining"],
+                utility=fields["utility"], slack=slack,
             ))
         elif event.kind == "job.allocation":
-            applied = _read_event(event.kind, fields, position, len(events))["applied"]
-            allocation_series.append((event.ts, applied))
-        elif event.kind == "task.end" and "start" in fields:
-            tasks.append(_task_end_record(fields, position, len(events)))
+            allocation_series.append((event.ts, fields["applied"]))
+        elif event.kind == "task.end":
+            try:
+                tasks.append(TaskRecord(
+                    fields["stage"], fields["index"], fields["attempt"],
+                    fields["start"], fields["start"], fields["end"], fields["outcome"],
+                ))
+            except TraceError as exc:
+                raise ReportError(
+                    f"event {position} of {len(events)} (kind 'task.end', job "
+                    f"{fields['job']!r}, stage {fields['stage']!r}): {exc}"
+                ) from None
     if complete is None:
         raise ReportError(
             "no job.complete event in the trace — the run did not finish "
             "inside the recorded window, so no SLO verdict is possible"
         )
     if deadline is None:
-        deadline = complete["deadline"]
+        deadline = complete.get("deadline")
     if deadline is None:
         raise ReportError(
             "trace records no deadline (older trace format); pass one "

@@ -21,7 +21,76 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
+
+_TASK = {"job": str, "stage": str, "index": int, "attempt": int}
+_PLACED = {"machine": int, "spare": bool, "duplicate": bool}
+_BANDS = {f"{side}{level}": float for level in (50, 80, 90, 95) for side in ("lo", "hi")}
+
+#: Every event kind an instrumented seam emits, with its fields' types in
+#: emit order.  A trace file is checked against this table once, where it
+#: is read (:func:`repro.telemetry.export.read_jsonl`); a seam that emits
+#: a new kind or field declares it here.
+EVENTS: Dict[str, Dict[str, Any]] = {
+    "task.queued": _TASK,
+    "task.start": {**_TASK, **_PLACED},
+    "task.end": {**_TASK, "outcome": str, **_PLACED, "start": float, "end": float},
+    "job.allocation": {"job": str, "requested": int, "applied": int},
+    "job.complete": {
+        "job": str, "duration": float, "tasks": int, "duplicates_launched": int,
+        "duplicates_won": int, "deadline": Optional[float], "start": float, "end": float,
+    },
+    "control.allocation_deficit": {
+        "job": str, "requested": int, "applied": int, "deficit": int, "attempt": int,
+    },
+    "control.allocation_retry": {"job": str, "requested": int, "attempt": int},
+    "control.model_refresh": {
+        "predictor": str, "table_swapped": bool, "indicator_swapped": bool,
+    },
+    # The median and the central bands at predict.NOMINAL_LEVELS.
+    "control.predict": {"predictor": str, "median": float, **_BANDS},
+    # `predictor`, then the TickRecord fields in the order the controller
+    # writes them: Chrome files dump the fields unsorted.
+    "control.tick": {
+        "predictor": str, "tick": int, "phase": str, "raw": int, "smoothed": float,
+        "allocation": int, "dead_zone_triggered": bool, "predicted_remaining": float,
+        "utility": float, "progress": Optional[float],
+    },
+    "control.degraded": {"predictor": str, "mode": str, "staleness": float, "allocation": int},
+    "speculation.scan": {
+        "job": str, "running": int, "budget": int, "stragglers": int, "launched": int,
+    },
+    "sim.compact": {"pending": int},
+    "sim.offline_run": {
+        "job": str, "allocation": int, "duration": float, "failures": int,
+        "cpu_seconds": float,
+    },
+    "tokens.capacity": {"capacity": int},
+    "tokens.grant": {
+        "consumer": str, "total": int, "guaranteed_part": int, "spare_part": int,
+        "demand": int,
+    },
+    "machine.down": {"machine": int, "up": int},
+    "machine.up": {"machine": int, "up": int},
+    "machine.scripted_kill": {"machine": int, "repair_seconds": float},
+    "chaos.rack_failure": {"machines": List[int], "failed": int, "repair_seconds": float},
+    "chaos.eviction_storm": {"demand": int},
+    "chaos.token_shock": {"requested": int, "seized": int},
+    # A list of stage names, or "all".
+    "chaos.profile_drift": {"factor": float, "stages": Any},
+    "chaos.blackout": {"window": List[float]},
+    "chaos.tick_drop": {"tick_time": float},
+    "chaos.tick_delay": {"delay": float},
+}
+
+#: The fields a trace written by an earlier version may lack; every other
+#: declared field is required.  ``control.tick`` gained ``tick`` and
+#: ``phase`` when the initial decision got its own event, and
+#: ``job.complete`` gained ``deadline`` with the SLO report.
+OPTIONAL_FIELDS: Dict[str, tuple] = {
+    "control.tick": ("tick", "phase"),
+    "job.complete": ("deadline",),
+}
 
 
 class TraceEvent:
@@ -36,10 +105,6 @@ class TraceEvent:
 
     def to_dict(self) -> Dict[str, object]:
         return {"ts": self.ts, "kind": self.kind, "fields": self.fields}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TraceEvent":
-        return cls(float(data["ts"]), str(data["kind"]), dict(data.get("fields") or {}))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TraceEvent):
@@ -94,8 +159,8 @@ class TraceRecorder:
     Both paths store the identical tuple shape.  ``fields`` in a raw tuple
     may also be a tuple of ``(key, value)`` pairs — cheaper to build than a
     dict literal on per-event paths — and is turned into the dict the rest
-    of the stack expects only when :meth:`events` / :meth:`iter_events`
-    materialize the buffer at export time.
+    of the stack expects only when :meth:`events` materializes the buffer
+    at export time.
     """
 
     __slots__ = ("capacity", "emitted", "_buffer", "raw")
@@ -126,10 +191,6 @@ class TraceRecorder:
             for ts, kind, fields in self._buffer
         ]
 
-    def iter_events(self) -> Iterator[TraceEvent]:
-        for ts, kind, fields in self._buffer:
-            yield TraceEvent(ts, kind, fields if type(fields) is dict else dict(fields))
-
     def clear(self) -> None:
         self._buffer.clear()
         self.emitted = 0
@@ -159,15 +220,6 @@ def install(recorder) -> object:
     return previous
 
 
-def disable() -> object:
-    """Disable recording; returns the previously active recorder."""
-    return install(NULL)
-
-
-def enabled() -> bool:
-    return RECORDER.enabled
-
-
 @contextmanager
 def capture(capacity: int = 65536):
     """Record everything inside the ``with`` block into a fresh
@@ -186,13 +238,13 @@ def capture(capacity: int = 65536):
 
 
 __all__ = [
+    "EVENTS",
     "NULL",
+    "OPTIONAL_FIELDS",
     "NullRecorder",
     "RECORDER",
     "TraceEvent",
     "TraceRecorder",
     "capture",
-    "disable",
-    "enabled",
     "install",
 ]

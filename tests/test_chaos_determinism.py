@@ -62,6 +62,22 @@ def _run_once(trained):
     return result, recorder.events()
 
 
+@pytest.fixture(scope="module")
+def chaos_run(trained):
+    return _run_once(trained)
+
+
+#: Every kind :func:`_run_once` emits.
+CHAOS_RUN_KINDS = {
+    "chaos.blackout", "chaos.eviction_storm", "chaos.profile_drift",
+    "chaos.rack_failure", "chaos.tick_delay", "chaos.tick_drop",
+    "chaos.token_shock", "control.degraded", "control.predict",
+    "control.tick", "job.allocation", "job.complete", "machine.down",
+    "machine.scripted_kill", "machine.up", "task.end", "task.queued",
+    "task.start", "tokens.capacity", "tokens.grant",
+}
+
+
 def _jsonl_bytes(events) -> bytes:
     buf = io.StringIO()
     telemetry_export.write_jsonl(events, buf)
@@ -78,10 +94,19 @@ class TestReplayDeterminism:
         # vacuous comparison of two calm runs.
         assert any(e.kind.startswith("chaos.") for e in first)
 
-    def test_chaos_summary_stable(self, trained):
-        (first, _), (second, _) = _run_once(trained), _run_once(trained)
+    def test_chaos_summary_stable(self, trained, chaos_run):
+        (first, _), (second, _) = chaos_run, _run_once(trained)
         assert first.chaos_summary == second.chaos_summary
         assert first.chaos_summary["machines_failed"] > 0
+
+    def test_captured_events_decode(self, chaos_run):
+        """Every event the run left decodes against its declared fields
+        (``tests/test_telemetry_report.py::TestEventCensus``)."""
+        _result, events = chaos_run
+        buf = io.StringIO()
+        telemetry_export.write_jsonl(events, buf)
+        assert telemetry_export.read_jsonl(io.StringIO(buf.getvalue())) == events
+        assert {e.kind for e in events} == CHAOS_RUN_KINDS
 
     def test_intensity_scales_are_distinct(self, trained):
         """Sanity: a different intensity is a different run (guards

@@ -70,6 +70,22 @@ class TestExitCodes:
         assert "error" in text
 
 
+    def test_closed_pipe_exits_one_writing_nothing_more(self):
+        """``repro ... | head``: once a write hits the closed pipe, the CLI
+        returns 1 without writing an error line into the same pipe."""
+
+        class ClosedPipe:
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                raise BrokenPipeError(32, "Broken pipe")
+
+        out = ClosedPipe()
+        assert main(["list-experiments"], out=out) == 1
+        assert out.writes == 1
+
+
 class TestListExperiments:
     def test_lists_all(self):
         code, text = run_cli("list-experiments")
@@ -300,18 +316,16 @@ class TestObservatory:
             assert code == 1, slack
             assert text.startswith("error: slack must be positive and finite")
 
-    @pytest.mark.parametrize("change, why", MALFORMED_TASK_ENDS)
-    def test_report_names_a_malformed_task_end(self, change, why, tmp_path):
-        from repro.telemetry.export import write_jsonl
+    @pytest.mark.parametrize("change, error, why", MALFORMED_TASK_ENDS)
+    def test_report_names_a_malformed_task_end(self, change, error, why, tmp_path):
+        from repro.telemetry.export import ExportError, write_jsonl
 
         jsonl = tmp_path / "run.jsonl"
         write_jsonl(malformed_task_end_events(change), str(jsonl))
         code, text = run_cli("report", str(jsonl))
         assert code == 1
-        assert text == (
-            "error: malformed task.end event 2 of 3 (job 'job:A', stage 'map'): "
-            f"{why}\n"
-        )
+        prefix = "error: cannot read trace: " if error is ExportError else "error: "
+        assert text == f"{prefix}{why}\n"
 
     @pytest.mark.parametrize("which, change, why", MALFORMED_EVENTS)
     def test_report_names_a_malformed_event(self, which, change, why, tmp_path):
@@ -321,7 +335,7 @@ class TestObservatory:
         write_jsonl(malformed_events(which, change), str(jsonl))
         code, text = run_cli("report", str(jsonl))
         assert code == 1
-        assert text == f"error: {why}\n"
+        assert text == f"error: cannot read trace: {why}\n"
 
     def test_report_missing_file(self, tmp_path):
         code, text = run_cli("report", str(tmp_path / "nope.jsonl"))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.jobs.dag import Edge, EdgeType, JobGraph, Stage
 from repro.jobs.trace import (
     OUTCOME_EVICTED,
     OUTCOME_FAILED,
@@ -20,6 +21,7 @@ from repro.jobs.trace import (
     RunTrace,
     TaskRecord,
     TraceError,
+    critical_path_tasks,
 )
 
 
@@ -160,6 +162,71 @@ class TestAllocationTimelines:
         trace.mark_running(1.0, 3)
         trace.mark_running(2.0, 4)
         assert trace.running_timeline == [(0.0, 3), (2.0, 4)]
+
+
+def two_stage_graph():
+    return JobGraph(
+        "g",
+        [Stage("map", 2), Stage("reduce", 1)],
+        [Edge("map", "reduce", EdgeType.ALL_TO_ALL)],
+    )
+
+
+def straggler_trace():
+    """map[0]: 0-10, map[1]: 0-30 (the straggler), reduce[0]: 31-40."""
+    trace = RunTrace(job_name="g", start_time=0.0, deadline=60.0)
+    trace.mark_allocation(0.0, 5)
+    trace.add(TaskRecord("map", 0, 0, 0.0, 0.0, 10.0))
+    trace.add(TaskRecord("map", 1, 0, 0.0, 0.0, 30.0))
+    trace.add(TaskRecord("reduce", 0, 0, 30.0, 31.0, 40.0))
+    trace.end_time = 40.0
+    return trace
+
+
+class TestCriticalPath:
+    def test_walks_through_straggler(self):
+        chain = critical_path_tasks(straggler_trace(), two_stage_graph())
+        assert [(l.stage, l.index) for l in chain] == [
+            ("map", 1),
+            ("reduce", 0),
+        ]
+
+    def test_queue_time_captured(self):
+        chain = critical_path_tasks(straggler_trace(), two_stage_graph())
+        assert chain[-1].queue_seconds == pytest.approx(1.0)
+
+    def test_failed_attempts_ignored(self):
+        trace = straggler_trace()
+        trace.records.insert(
+            0, TaskRecord("map", 1, 0, 0.0, 0.0, 35.0, outcome=OUTCOME_FAILED)
+        )
+        chain = critical_path_tasks(trace, two_stage_graph())
+        assert chain[0].end_time == 30.0
+
+    def test_empty_trace_rejected(self):
+        trace = RunTrace(job_name="g")
+        trace.end_time = 1.0
+        with pytest.raises(TraceError):
+            critical_path_tasks(trace, two_stage_graph())
+
+    def test_on_real_run(self):
+        """End-to-end: the realized critical path of a substrate run ends
+        at the job's last-finishing task."""
+        from repro.jobs.workloads import mapreduce_job
+        from repro.runtime.jobmanager import JobManager, run_to_completion
+        from repro.simkit.events import Simulator
+        from tests.test_runtime_jobmanager import quiet_cluster
+
+        job = mapreduce_job(num_maps=40, num_reduces=4)
+        sim = Simulator()
+        cluster = quiet_cluster(sim)
+        manager = JobManager(cluster, job.graph, job.profile,
+                             initial_allocation=20)
+        trace = run_to_completion(manager)
+        chain = critical_path_tasks(trace, job.graph)
+        assert chain[-1].end_time == pytest.approx(trace.end_time)
+        assert chain[0].stage == "map"
+        assert chain[-1].stage == "reduce"
 
 
 # ----------------------------------------------------------------------

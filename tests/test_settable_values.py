@@ -21,11 +21,6 @@ CONFIG_FIELDS = {
         "machine_mtbf_seconds", "repair_seconds", "spare_soaker_weight",
         "contention_coeff", "contention_threshold",
     ),
-    "repro.cluster.workload_background.WorkloadBackgroundConfig": (
-        "interarrival_seconds", "tasks_median", "tasks_sigma",
-        "task_median_seconds", "task_sigma", "guaranteed_range",
-        "reserve_headroom",
-    ),
     "repro.core.control.ControlConfig": (
         "period_seconds", "slack", "hysteresis", "dead_zone_seconds",
         "min_tokens", "max_tokens", "allocation_step",

@@ -208,13 +208,18 @@ class TestRecorder:
 
 
 def _sample_events():
+    task = {"job": "j", "stage": "map", "index": 0, "attempt": 0}
+    placed = {"machine": 3, "spare": False, "duplicate": False}
     return [
-        TraceEvent(1.0, "task.queued", {"job": "j", "stage": "map", "index": 0}),
-        TraceEvent(2.0, "task.start", {"job": "j", "stage": "map", "index": 0}),
+        TraceEvent(1.0, "task.queued", task),
+        TraceEvent(2.0, "task.start", {**task, **placed}),
         TraceEvent(9.0, "task.end",
-                   {"job": "j", "stage": "map", "index": 0,
-                    "outcome": "ok", "start": 2.0, "end": 9.0}),
-        TraceEvent(10.0, "control.tick", {"raw": 20, "allocation": 20}),
+                   {**task, "outcome": "ok", **placed, "start": 2.0, "end": 9.0}),
+        TraceEvent(10.0, "control.tick", {
+            "predictor": "jockey", "tick": 0, "phase": "tick", "raw": 20,
+            "smoothed": 20.0, "allocation": 20, "dead_zone_triggered": False,
+            "predicted_remaining": 60.0, "utility": 1.0, "progress": None,
+        }),
     ]
 
 
@@ -234,7 +239,8 @@ class TestJsonl:
 
     def test_bad_line_raises(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"ts": 1.0, "kind": "a", "fields": {}}\nnot json\n')
+        path.write_text('{"ts": 1.0, "kind": "sim.compact", "fields": {"pending": 0}}\n'
+                        'not json\n')
         with pytest.raises(export.ExportError):
             export.read_jsonl(str(path))
 
@@ -258,12 +264,146 @@ class TestChromeTrace:
         path = tmp_path / "chrome.json"
         export.write_chrome_trace(_sample_events(), str(path))
         loaded = export.load_events(str(path))
-        assert {e.kind for e in loaded} == {e.kind for e in _sample_events()}
+        assert [(e.kind, e.fields) for e in loaded] == [
+            (e.kind, e.fields) for e in _sample_events()
+        ]
 
     def test_load_detects_jsonl(self, tmp_path):
         path = tmp_path / "t.jsonl"
         export.write_jsonl(_sample_events(), str(path))
         assert export.load_events(str(path)) == _sample_events()
+
+
+#: A finished run's well-formed events, one of each kind the report reads.
+FINISHED_RUN = [
+    TraceEvent(0.0, "job.allocation", {"job": "job:A", "requested": 10, "applied": 10}),
+    TraceEvent(0.0, "control.tick", {
+        "predictor": "jockey", "tick": 0, "phase": "initial", "raw": 10,
+        "smoothed": 10.0, "allocation": 10, "dead_zone_triggered": False,
+        "predicted_remaining": 15.0, "utility": 1.0, "progress": 0.0,
+    }),
+    TraceEvent(12.0, "task.end", {
+        "job": "job:A", "stage": "map", "index": 3, "attempt": 0,
+        "outcome": "ok", "machine": 1, "spare": False, "duplicate": False,
+        "start": 10.0, "end": 12.0,
+    }),
+    TraceEvent(20.0, "job.complete", {
+        "job": "job:A", "duration": 20.0, "tasks": 1,
+        "duplicates_launched": 0, "duplicates_won": 0, "deadline": 60.0,
+        "start": 0.0, "end": 20.0,
+    }),
+]
+ALLOCATION, TASK_END, COMPLETE = 0, 2, 3
+_DROP = object()
+#: Each probe breaks one event of FINISHED_RUN: (event, which part — its
+#: "envelope" (JSONL ``ts``/``kind``, Chrome ``ts``/``name``) or its
+#: "fields" — key, value; ``_DROP`` removes the key).  The error names the
+#: key.
+TRACE_PROBES = [
+    pytest.param(COMPLETE, "fields", "deadline", True, id="deadline-true"),
+    pytest.param(COMPLETE, "fields", "end", math.nan, id="end-nan"),
+    pytest.param(COMPLETE, "fields", "end", math.inf, id="end-inf"),
+    pytest.param(ALLOCATION, "fields", "applied", 10.7, id="applied-fraction"),
+    pytest.param(ALLOCATION, "fields", "applied", "12", id="applied-string"),
+    pytest.param(COMPLETE, "fields", "deadline", "60", id="deadline-string"),
+    pytest.param(COMPLETE, "envelope", "ts", True, id="ts-true"),
+    pytest.param(COMPLETE, "envelope", "ts", math.nan, id="ts-nan"),
+    pytest.param(COMPLETE, "envelope", "kind", 5, id="kind-number"),
+    pytest.param(COMPLETE, "envelope", "kind", "job.explode", id="unknown-kind"),
+    pytest.param(TASK_END, "fields", "colour", "red", id="unknown-field"),
+    pytest.param(TASK_END, "fields", "outcome", _DROP, id="missing-field"),
+]
+#: The Chrome envelope's names for the JSONL envelope's keys.
+_CHROME_KEYS = {"kind": "name", "ts": "ts"}
+
+
+def _broken_trace(tmp_path, fmt, which, part, key, value):
+    """FINISHED_RUN written as ``fmt`` with one probe applied; returns the
+    path, the broken event's position as the reader names it, and the key
+    as the format names it."""
+    path = tmp_path / f"t.{fmt}"
+    if fmt == "jsonl":
+        export.write_jsonl(FINISHED_RUN, str(path))
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        record, where = records[which], f"line {which + 1}"
+    else:
+        export.write_chrome_trace(FINISHED_RUN, str(path))
+        document = json.loads(path.read_text())
+        records = document["traceEvents"]
+        index = [i for i, r in enumerate(records) if r["ph"] != "M"][which]
+        record, where = records[index], f"traceEvents[{index}]"
+        if part == "envelope":
+            key = _CHROME_KEYS[key]
+        else:
+            part = "args"
+    target = record if part == "envelope" else record[part]
+    if value is _DROP:
+        del target[key]
+    else:
+        target[key] = value
+    if fmt == "jsonl":
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    else:
+        path.write_text(json.dumps(document))
+    return str(path), where, key
+
+
+def _cli_refuses(path):
+    """``repro report`` and ``repro trace summarize`` on ``path``: both
+    exit 1 with the one-line trace error, naming no Python exception."""
+    from repro.cli import main
+
+    messages = []
+    for argv in (["report", path], ["trace", "summarize", path]):
+        out = io.StringIO()
+        assert main(argv, out=out) == 1
+        text = out.getvalue()
+        assert text.startswith("error: cannot read trace: ")
+        assert "Traceback" not in text and "Error:" not in text
+        messages.append(text)
+    assert messages[0] == messages[1]
+    return messages[0]
+
+
+class TestTraceBoundary:
+    """A malformed trace is refused where it is read, naming the event's
+    position, kind, job and field, in both formats and from the CLI."""
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "chrome"])
+    @pytest.mark.parametrize("which, part, key, value", TRACE_PROBES)
+    def test_probe_is_refused_naming_the_offender(self, tmp_path, fmt, which, part, key, value):
+        path, where, named = _broken_trace(tmp_path, fmt, which, part, key, value)
+        kind = value if key == "kind" else FINISHED_RUN[which].kind
+        with pytest.raises(export.ExportError) as raised:
+            export.load_events(path)
+        message = str(raised.value)
+        assert message.startswith(f"{where} (kind {kind!r}, job 'job:A'")
+        assert f"'{named}'" in message
+        assert _cli_refuses(path) == f"error: cannot read trace: {message}\n"
+
+    @pytest.mark.parametrize("change, why", [
+        pytest.param(lambda doc, i: doc["traceEvents"].__setitem__(i, 5),
+                     "traceEvents[{i}] must be an object, got int", id="record-not-object"),
+        pytest.param(lambda doc, i: doc["traceEvents"][i].__setitem__("args", "x"),
+                     "traceEvents[{i}] (kind 'job.allocation'): 'args' must be an object, "
+                     "got 'x'", id="args-string"),
+        pytest.param(lambda doc, i: doc["traceEvents"][i].__setitem__("ts", "0"),
+                     "traceEvents[{i}] (kind 'job.allocation', job 'job:A'): 'ts' must be "
+                     "a finite number, got '0'", id="ts-string"),
+        pytest.param(lambda doc, i: doc.__setitem__("traceEvents", 5),
+                     "{path}: 'traceEvents' must be a list, got 5", id="trace-events-number"),
+    ])
+    def test_chrome_document_is_refused_naming_the_offender(self, tmp_path, change, why):
+        path = tmp_path / "t.json"
+        export.write_chrome_trace(FINISHED_RUN, str(path))
+        document = json.loads(path.read_text())
+        index = [r["ph"] for r in document["traceEvents"]].index("i")
+        change(document, index)
+        path.write_text(json.dumps(document))
+        with pytest.raises(export.ExportError) as raised:
+            export.load_events(str(path))
+        assert str(raised.value) == why.format(i=index, path=path)
+        assert _cli_refuses(str(path)) == f"error: cannot read trace: {raised.value}\n"
 
 
 class TestSummarize:

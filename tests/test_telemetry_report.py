@@ -5,90 +5,120 @@ every headline number it shows is reproduced exactly by the analysis
 functions run on the same audit records.
 """
 
+import ast
+import io
+import pathlib
 import re
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import repro
 from repro.experiments.runner import RunConfig, make_policy, run_experiment
 from repro.experiments.scenarios import SMOKE, trained_job
+from repro.telemetry import export
 from repro.telemetry import report as report_mod
 from repro.telemetry import trace
+from repro.telemetry.export import ExportError
 from repro.telemetry.report import ReportError, RunReport, render_html, render_text
+from repro.telemetry.trace import TraceEvent
+from tests.test_chaos_determinism import CHAOS_RUN_KINDS
 
 
 #: A well-formed ``task.end`` event's fields; each case below breaks one.
 TASK_END = {
     "job": "job:A", "stage": "map", "index": 3, "attempt": 0,
-    "outcome": "ok", "start": 10.0, "end": 12.0,
+    "outcome": "ok", "machine": 1, "spare": False, "duplicate": False,
+    "start": 10.0, "end": 12.0,
 }
-#: (fields to change — None drops the field, what the error says).
+#: (fields to change — None drops the field, the error, what it says).
+#: The reader refuses a field of the wrong type; the report refuses a
+#: record ``TaskRecord`` refuses.
 MALFORMED_TASK_ENDS = [
-    pytest.param({"end": None}, "field 'end' is missing", id="missing-end"),
-    pytest.param({"index": "x"}, "field 'index' is not int: 'x'", id="bad-index"),
     pytest.param(
-        {"outcome": "exploded"},
-        "field 'outcome' is not one of ok, failed, evicted, superseded: 'exploded'",
+        {"end": None}, ExportError,
+        "line 2 (kind 'task.end', job 'job:A', stage 'map'): missing field(s) ['end']",
+        id="missing-end",
+    ),
+    pytest.param(
+        {"index": "x"}, ExportError,
+        "line 2 (kind 'task.end', job 'job:A', stage 'map'): "
+        "'index' must be an integer, got 'x'",
+        id="bad-index",
+    ),
+    pytest.param(
+        {"outcome": "exploded"}, ReportError,
+        "event 2 of 3 (kind 'task.end', job 'job:A', stage 'map'): "
+        "unknown outcome 'exploded'",
         id="unknown-outcome",
     ),
     pytest.param(
-        {"end": 5.0}, "field 'end' is not at or after start 10.0: 5.0",
+        {"end": 5.0}, ReportError,
+        "event 2 of 3 (kind 'task.end', job 'job:A', stage 'map'): "
+        "non-monotonic times for map[3]: ready=10.0, start=10.0, end=5.0",
         id="end-before-start",
     ),
-    pytest.param({"attempt": -1}, "field 'attempt' is negative: -1", id="negative-attempt"),
+    pytest.param(
+        {"attempt": -1}, ReportError,
+        "event 2 of 3 (kind 'task.end', job 'job:A', stage 'map'): negative attempt -1",
+        id="negative-attempt",
+    ),
 ]
-
-
-def malformed_task_end_events(change):
-    """A finished run's events whose one ``task.end`` carries ``change``."""
-    from repro.telemetry.trace import TraceEvent
-
-    fields = {**TASK_END, **change}
-    fields = {k: v for k, v in fields.items() if v is not None}
-    return [
-        TraceEvent(0.0, "job.allocation", {"job": "job:A", "applied": 10}),
-        TraceEvent(12.0, "task.end", fields),
-        TraceEvent(20.0, "job.complete", {
-            "job": "job:A", "start": 0.0, "end": 20.0, "deadline": 60.0,
-        }),
-    ]
-
 
 #: A finished run's events, one of each kind the report reads but task.end.
 EVENTS = [
-    ("job.allocation", 0.0, {"job": "job:A", "applied": 10}),
+    ("job.allocation", 0.0, {"job": "job:A", "requested": 10, "applied": 10}),
     ("control.tick", 0.0, {
         "predictor": "jockey", "tick": 0, "phase": "tick", "raw": 10,
         "smoothed": 10.0, "allocation": 10, "dead_zone_triggered": False,
         "predicted_remaining": 15.0, "utility": 1.0, "progress": 0.0,
     }),
-    ("job.complete", 20.0, {"job": "job:A", "start": 0.0, "end": 20.0, "deadline": 60.0}),
+    ("job.complete", 20.0, {
+        "job": "job:A", "duration": 20.0, "tasks": 1, "duplicates_launched": 0,
+        "duplicates_won": 0, "deadline": 60.0, "start": 0.0, "end": 20.0,
+    }),
 ]
 #: (which event, fields to change — None drops the field, what the error says).
 MALFORMED_EVENTS = [
     pytest.param(
         0, {"applied": None},
-        "malformed job.allocation event 1 of 3 (job 'job:A'): field 'applied' is missing",
+        "line 1 (kind 'job.allocation', job 'job:A'): missing field(s) ['applied']",
         id="allocation-without-applied",
     ),
     pytest.param(
         1, {"raw": None},
-        "malformed control.tick event 2 of 3 (job '?'): field 'raw' is missing",
+        "line 2 (kind 'control.tick'): missing field(s) ['raw']",
         id="tick-without-raw",
     ),
     pytest.param(
         2, {"end": "soon"},
-        "malformed job.complete event 3 of 3 (job 'job:A'): "
-        "field 'end' is not float: 'soon'",
+        "line 3 (kind 'job.complete', job 'job:A'): 'end' must be a finite number, got 'soon'",
         id="complete-ending-soon",
     ),
 ]
 
 
+def read_back(events):
+    """``events`` written as JSONL and read through the trace reader."""
+    buf = io.StringIO()
+    export.write_jsonl(events, buf)
+    return export.read_jsonl(io.StringIO(buf.getvalue()))
+
+
+def malformed_task_end_events(change):
+    """A finished run's events whose one ``task.end`` carries ``change``."""
+    fields = {**TASK_END, **change}
+    fields = {k: v for k, v in fields.items() if v is not None}
+    allocation, _tick, complete = EVENTS
+    return [
+        TraceEvent(allocation[1], allocation[0], allocation[2]),
+        TraceEvent(12.0, "task.end", fields),
+        TraceEvent(complete[1], complete[0], complete[2]),
+    ]
+
+
 def malformed_events(which, change):
     """:data:`EVENTS` with ``change`` applied to event ``which``."""
-    from repro.telemetry.trace import TraceEvent
-
     events = []
     for i, (kind, ts, fields) in enumerate(EVENTS):
         if i == which:
@@ -227,8 +257,6 @@ class TestFromTraceEvents:
         ]
 
     def test_events_without_phase_read_as_periodic_ticks(self, jockey_run):
-        from repro.telemetry.trace import TraceEvent
-
         tj, result, events = jockey_run
         older = [
             TraceEvent(e.ts, e.kind, {
@@ -237,7 +265,7 @@ class TestFromTraceEvents:
             for e in events
         ]
         rebuilt = report_mod.from_trace_events(
-            older, policy="jockey", table=tj.table,
+            read_back(older), policy="jockey", table=tj.table,
             slack=result.audit_records[0].slack,
         )
         assert rebuilt.scorecards[0].ticks == len(result.audit_records)
@@ -246,25 +274,17 @@ class TestFromTraceEvents:
         with pytest.raises(ReportError):
             report_mod.from_trace_events([], policy="jockey")
 
-    @pytest.mark.parametrize("change, why", MALFORMED_TASK_ENDS)
-    def test_malformed_task_end_is_named(self, change, why):
-        with pytest.raises(ReportError) as raised:
-            report_mod.from_trace_events(malformed_task_end_events(change))
-        assert str(raised.value) == (
-            "malformed task.end event 2 of 3 (job 'job:A', stage 'map'): " + why
-        )
+    @pytest.mark.parametrize("change, error, why", MALFORMED_TASK_ENDS)
+    def test_malformed_task_end_is_named(self, change, error, why):
+        with pytest.raises(error) as raised:
+            report_mod.from_trace_events(read_back(malformed_task_end_events(change)))
+        assert str(raised.value) == why
 
     @pytest.mark.parametrize("which, change, why", MALFORMED_EVENTS)
     def test_malformed_event_is_named(self, which, change, why):
-        with pytest.raises(ReportError) as raised:
-            report_mod.from_trace_events(malformed_events(which, change))
+        with pytest.raises(ExportError) as raised:
+            report_mod.from_trace_events(read_back(malformed_events(which, change)))
         assert str(raised.value) == why
-
-    def test_tick_reader_takes_every_event_field(self):
-        from repro.telemetry.audit import EVENT_FIELDS
-
-        _names, table = report_mod._EVENT_READERS["control.tick"]
-        assert sorted(table) == sorted(EVENT_FIELDS)
 
     def test_rebuilt_report_renders(self, jockey_run):
         tj, result, events = jockey_run
@@ -274,6 +294,66 @@ class TestFromTraceEvents:
         )
         html = render_html(rebuilt)
         assert rebuilt.slo.verdict in html
+
+
+#: Every kind ``jockey_run`` emits.
+JOCKEY_RUN_KINDS = {
+    "control.predict", "control.tick", "job.allocation", "job.complete",
+    "machine.down", "machine.up", "task.end", "task.queued", "task.start",
+    "tokens.capacity", "tokens.grant",
+}
+#: The declared kinds neither ``jockey_run`` nor the chaos determinism run
+#: emits: their declarations are checked by the census alone.
+UNCAPTURED_KINDS = {
+    "control.allocation_deficit", "control.allocation_retry",
+    "control.model_refresh", "sim.compact", "sim.offline_run",
+    "speculation.scan",
+}
+
+
+def emitted_kinds():
+    """The kind literals ``src/repro`` passes to ``emit``, ``raw`` and the
+    chaos injectors' ``_emit``, and the files of any call whose kind is
+    not a literal."""
+    literal, computed = set(), []
+    root = pathlib.Path(repro.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            prefix = "chaos." if name == "_emit" else ""
+            if name in ("emit", "_emit") and len(node.args) >= 2:
+                kind = node.args[1]
+            elif name == "raw" and node.args and isinstance(node.args[0], ast.Tuple):
+                kind = node.args[0].elts[1]
+            else:
+                continue
+            if isinstance(kind, ast.Constant) and isinstance(kind.value, str):
+                literal.add(prefix + kind.value)
+            else:
+                computed.append(path.relative_to(root).as_posix())
+    return literal, computed
+
+
+class TestEventCensus:
+    """Every kind an emit site writes is declared in ``trace.EVENTS``, and
+    every event a real run leaves decodes against its declaration."""
+
+    def test_every_emitted_kind_is_declared(self):
+        literal, computed = emitted_kinds()
+        assert literal == set(trace.EVENTS)
+        # The one computed kind is `_emit`'s own f"chaos.{kind}".
+        assert computed == ["chaos/injectors.py"]
+
+    def test_captured_events_decode(self, jockey_run):
+        _tj, _result, events = jockey_run
+        assert read_back(events) == events
+        assert {e.kind for e in events} == JOCKEY_RUN_KINDS
+
+    def test_every_declared_kind_is_captured_or_named(self):
+        assert JOCKEY_RUN_KINDS | CHAOS_RUN_KINDS | UNCAPTURED_KINDS == set(trace.EVENTS)
+        assert not UNCAPTURED_KINDS & (JOCKEY_RUN_KINDS | CHAOS_RUN_KINDS)
 
 
 class TestRunReportShape:
