@@ -225,7 +225,7 @@ class ProfileDriftInjector:
 class BlackoutPredictor:
     """Wraps a controller's predictor; raises
     :class:`~repro.core.control.PredictorUnavailable` inside blackout
-    windows and delegates otherwise.  The progress indicator stays
+    windows and delegates otherwise.  The job's progress read stays
     reachable — blackouts model the *model service* going away, not the
     job's own instrumentation.  ``now`` reads the windows' time base:
     ``lambda: sim.now`` in a batch run, ``ClusterService.now`` live."""
@@ -243,8 +243,9 @@ class BlackoutPredictor:
         self.blackout_hits = 0
 
     @property
-    def indicator(self):
-        return getattr(self._inner, "indicator", None)
+    def progress(self):
+        """The inner predictor's progress read, when it has one."""
+        return getattr(self._inner, "progress", None)
 
     def _check(self) -> None:
         now = self._now()

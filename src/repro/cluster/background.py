@@ -13,8 +13,9 @@ Table 3 / Fig. 6(a) overload scenario.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +36,9 @@ class LoadEpisode:
     factor: float
 
     def __post_init__(self):
+        for name in ("start", "end", "factor"):
+            if math.isnan(getattr(self, name)):
+                raise BackgroundError(f"episode {name} is NaN")
         if self.end <= self.start:
             raise BackgroundError(f"empty episode [{self.start}, {self.end})")
         if self.factor < 0:
@@ -68,6 +72,7 @@ class BackgroundLoad:
         mean_reversion: float = 0.3,
         resample_mean_seconds: float = 45.0,
         episodes: Sequence[LoadEpisode] = (),
+        on_demand: Optional[Callable[[int], None]] = None,
     ):
         if guaranteed < 0:
             raise BackgroundError(f"negative guarantee {guaranteed!r}")
@@ -88,6 +93,9 @@ class BackgroundLoad:
         self._resample_mean = resample_mean_seconds
         self._episodes: List[LoadEpisode] = list(episodes)
         self._level = self._mean
+        #: Told each new demand before the pool is (the cluster keeps its
+        #: contention factor with it).
+        self._on_demand = on_demand
         self.consumer = pool.register(Consumer(self.CONSUMER_NAME, guaranteed))
         self._apply_demand()
         self._schedule_next()
@@ -99,6 +107,8 @@ class BackgroundLoad:
     def add_episode(self, episode: LoadEpisode) -> None:
         self._episodes.append(episode)
         self._schedule_episode_boundaries(episode)
+        if episode.active_at(self._sim.now):
+            self._apply_demand()
 
     def _schedule_episode_boundaries(self, episode: LoadEpisode) -> None:
         """Apply surges exactly at their boundaries, not at the next tick."""
@@ -120,6 +130,8 @@ class BackgroundLoad:
     def _apply_demand(self) -> None:
         scaled = self._level * self._episode_factor(self._sim.now)
         demand = int(round(min(max(scaled, self._min), self._max)))
+        if self._on_demand is not None:
+            self._on_demand(demand)
         self._pool.set_demand(self.CONSUMER_NAME, demand)
 
     def _schedule_next(self) -> None:

@@ -75,6 +75,11 @@ class Cluster:
         self.pool = TokenPool(self.machines.capacity, clock=lambda: sim.now)
         self.machines.listeners.append(self._on_machine_change)
         self._machine_down_listeners: List[Callable[[int], None]] = []
+        #: Current task-runtime multiplier from cluster oversubscription
+        #: (network/disk contention, which tokens do not shield, §2.1/§2.4).
+        #: Kept by :meth:`_refresh_contention`, which runs whenever the
+        #: background demand or the pool capacity changes.
+        self.contention_factor = 1.0
         self.background: Optional[BackgroundLoad] = None
         if config.background_guaranteed > 0:
             self.background = BackgroundLoad(
@@ -93,6 +98,9 @@ class Cluster:
                 mean_reversion=config.background_mean_reversion,
                 resample_mean_seconds=config.background_resample_seconds,
                 episodes=episodes,
+                on_demand=lambda demand: self._refresh_contention(
+                    demand, self.pool.capacity
+                ),
             )
         self.spare_soaker: Optional[SpareSoaker] = None
         if config.spare_soaker_weight > 0:
@@ -112,7 +120,10 @@ class Cluster:
         self._machine_down_listeners.append(callback)
 
     def _on_machine_change(self, machine_id: int, is_up: bool) -> None:
-        self.pool.set_capacity(self.machines.capacity)
+        capacity = self.machines.capacity
+        if self.background is not None:
+            self._refresh_contention(self.background.current_demand, capacity)
+        self.pool.set_capacity(capacity)
         if not is_up:
             for listener in list(self._machine_down_listeners):
                 listener(machine_id)
@@ -121,15 +132,16 @@ class Cluster:
         """Tokens that can still be guaranteed to SLO jobs."""
         return self.pool.guaranteed_headroom()
 
-    def contention_factor(self) -> float:
-        """Current task-runtime multiplier from cluster oversubscription
-        (network/disk contention, which tokens do not shield, §2.1/§2.4)."""
-        if self.background is None or self.config.contention_coeff <= 0:
-            return 1.0
-        capacity = max(self.pool.capacity, 1)
-        load = self.background.current_demand / capacity
+    def _refresh_contention(self, demand: int, capacity: int) -> None:
+        """Set :attr:`contention_factor` for the background ``demand`` and pool
+        ``capacity`` about to take effect.  Both callers run it *before*
+        the pool hears of the change: the pass that follows notifies
+        consumers, and a grant callback may start tasks at once."""
+        if self.config.contention_coeff <= 0:
+            return
+        load = demand / max(capacity, 1)
         excess = max(0.0, load - self.config.contention_threshold)
-        return 1.0 + self.config.contention_coeff * excess
+        self.contention_factor = 1.0 + self.config.contention_coeff * excess
 
 
 __all__ = ["Cluster", "ClusterConfig"]

@@ -23,6 +23,7 @@ allocation the pool must always agree with.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -33,10 +34,10 @@ _RECOMPUTES = _metrics.REGISTRY.counter(
     "repro_cluster_recomputes_total",
     "Token-pool allocation passes run (a demand change that cannot move a "
     "grant runs none)",
-)
+).labels()
 _GRANT_CHANGES = _metrics.REGISTRY.counter(
     "repro_cluster_grant_changes_total", "Consumer grant changes"
-)
+).labels()
 _CAPACITY = _metrics.REGISTRY.gauge(
     "repro_cluster_capacity_tokens", "Current token-pool capacity"
 )
@@ -73,6 +74,10 @@ class Consumer:
     ):
         if guaranteed < 0:
             raise TokenError(f"negative guarantee for {name!r}")
+        if weight is not None and not 0 < weight < math.inf:
+            raise TokenError(
+                f"weight for {name!r} must be finite and > 0, got {weight!r}"
+            )
         self.name = name
         self.guaranteed = guaranteed
         self._weight = weight
@@ -105,15 +110,12 @@ def _largest_remainder_round(shares: List[float], budget: int) -> List[int]:
     leftover = budget - sum(floors)
     if leftover <= 0:
         return floors
-    remainders = sorted(
-        range(len(shares)), key=lambda i: (shares[i] - floors[i]), reverse=True
+    remainders = [s - f for s, f in zip(shares, floors)]
+    by_remainder = sorted(
+        range(len(shares)), key=remainders.__getitem__, reverse=True
     )
-    for i in remainders:
-        if leftover == 0:
-            break
-        if floors[i] < shares[i] or shares[i] == floors[i]:
-            floors[i] += 1
-            leftover -= 1
+    for i in by_remainder[:leftover]:
+        floors[i] += 1
     return floors
 
 
@@ -210,9 +212,13 @@ class TokenPool:
     def set_demand(self, name: str, demand: int) -> None:
         """Change a consumer's demand.  Runs an allocation pass unless the
         change provably leaves every grant of the last pass as it is."""
-        consumer = self.consumer(name)
+        self.set_demand_of(self.consumer(name), demand)
+
+    def set_demand_of(self, consumer: Consumer, demand: int) -> None:
+        """:meth:`set_demand` for a registered consumer its owner holds (a
+        job manager changes its demand on every finished task)."""
         if demand < 0:
-            raise TokenError(f"negative demand for {name!r}")
+            raise TokenError(f"negative demand for {consumer.name!r}")
         old = consumer.demand
         if demand == old:
             return
@@ -283,28 +289,33 @@ class TokenPool:
         # Largest share each consumer was offered in a round it left uncapped.
         offered: List[Optional[float]] = [None] * len(consumers)
         if spare > 0:
-            unmet = [max(0, c.demand - b) for c, b in zip(consumers, bases)]
-            active = [i for i, u in enumerate(unmet) if u > 0]
+            weights = []
+            unmet = []
+            active = []
+            for i, consumer in enumerate(consumers):
+                weights.append(consumer.weight)
+                need = max(0, consumer.demand - bases[i])
+                unmet.append(need)
+                if need > 0:
+                    active.append(i)
             while active and spare > 0:
-                total_weight = sum(consumers[i].weight for i in active)
-                shares = {
-                    i: spare * consumers[i].weight / total_weight for i in active
-                }
-                capped = [i for i in active if unmet[i] <= shares[i]]
-                for i in capped:
-                    extra[i] = unmet[i]
-                    spare -= unmet[i]
-                    offered[i] = None
-                active = [i for i in active if extra[i] == 0]
-                for i in active:
-                    if offered[i] is None or shares[i] > offered[i]:
-                        offered[i] = shares[i]
-                if capped:
+                total_weight = sum([weights[i] for i in active])
+                shares = [spare * weights[i] / total_weight for i in active]
+                uncapped = []
+                for i, share in zip(active, shares):
+                    if unmet[i] <= share:
+                        extra[i] = unmet[i]
+                        spare -= unmet[i]
+                        offered[i] = None
+                    else:
+                        uncapped.append(i)
+                        if offered[i] is None or share > offered[i]:
+                            offered[i] = share
+                if len(uncapped) < len(active):
+                    active = uncapped
                     continue
                 # No consumer capped: hand out integer shares and stop.
-                rounded = _largest_remainder_round(
-                    [shares[i] for i in active], spare
-                )
+                rounded = _largest_remainder_round(shares, spare)
                 for i, amount in zip(active, rounded):
                     extra[i] = min(amount, unmet[i])
                 break
@@ -315,7 +326,7 @@ class TokenPool:
             grant = consumer.grant
             if grant.total == base + bonus and grant.guaranteed_part == base:
                 continue
-            grant = consumer.grant = Grant(total=base + bonus, guaranteed_part=base)
+            grant = consumer.grant = Grant(base + bonus, base)
             _GRANT_CHANGES.inc()
             if rec.enabled:
                 rec.emitted += 1

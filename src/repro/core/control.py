@@ -67,6 +67,9 @@ _REFRESHES = _metrics.REGISTRY.counter(
     labelnames=("predictor",),
 )
 
+#: The remaining-time quantiles one interval forecast reads.
+_FORECAST_QS = _predict.quantiles_for(_predict.NOMINAL_LEVELS)
+
 #: Degraded decisions widen the dead zone by this factor: stale
 #: predictions should move the allocation only for clear lateness.
 DEGRADED_DEAD_ZONE_FACTOR = 2.0
@@ -112,10 +115,32 @@ class CpaPredictor:
         self.indicator = indicator
         self.percentile = percentile
 
+    @property
+    def indicator(self):
+        return self._indicator
+
+    @indicator.setter
+    def indicator(self, indicator) -> None:
+        self._indicator = indicator
+        #: (a copy of the fractions, the indicator's progress at them).
+        self._last_progress: Optional[Tuple[dict, float]] = None
+
+    def progress(self, fractions: Mapping[str, float]) -> float:
+        """The indicator's progress at ``fractions``.  One control tick
+        reads it up to four times (scan, observed progress, forecast,
+        applied-allocation price), so the last answer is kept until the
+        fractions or the indicator change."""
+        last = self._last_progress
+        if last is not None and last[0] == fractions:
+            return last[1]
+        progress = self._indicator.progress(fractions)
+        self._last_progress = (dict(fractions), progress)
+        return progress
+
     def remaining_seconds(
         self, fractions: Mapping[str, float], allocation: float
     ) -> float:
-        progress = self.indicator.progress(fractions)
+        progress = self.progress(fractions)
         return self.table.remaining(progress, allocation, q=self.percentile)
 
     def remaining_seconds_batch(
@@ -125,7 +150,7 @@ class CpaPredictor:
         table answers every allocation in one ``remaining_curve`` call.
         Element ``i`` equals ``remaining_seconds(fractions,
         allocations[i])`` exactly."""
-        progress = self.indicator.progress(fractions)
+        progress = self.progress(fractions)
         return self.table.remaining_curve(
             progress, allocations, q=self.percentile
         )
@@ -140,7 +165,7 @@ class CpaPredictor:
         allocation — the prediction-interval read (always *raw*: the
         control loop's ``percentile`` and slack are not applied, the
         interval ledger wants the model's honest distribution)."""
-        progress = self.indicator.progress(fractions)
+        progress = self.progress(fractions)
         return self.table.remaining_quantiles(progress, allocation, qs)
 
     def refresh(self, table: Optional[CpaTable] = None, indicator=None) -> None:
@@ -301,13 +326,13 @@ class JockeyController:
         price it under ``utility``, and return the :func:`first_best`
         index with every candidate's evaluation."""
         slack = self.config.slack
-        candidates = []
-        for a, predicted in zip(self._grid, predictions):
-            remaining = slack * predicted
-            candidates.append(
-                _audit.CandidateEval(a, remaining, utility.value(elapsed + remaining))
-            )
-        return first_best([c.utility for c in candidates]), tuple(candidates)
+        value = utility.value
+        remaining = [slack * predicted for predicted in predictions]
+        utilities = [value(elapsed + r) for r in remaining]
+        candidates = tuple(
+            map(_audit.CandidateEval, self._grid, remaining, utilities)
+        )
+        return first_best(utilities), candidates
 
     def _raw_allocation(
         self, fractions: Mapping[str, float], elapsed: float
@@ -331,12 +356,17 @@ class JockeyController:
 
     def _observed_progress(self, fractions: Mapping[str, float]) -> Optional[float]:
         """The predictor's indicator progress, when it has one (the
-        simulator-backed predictors do; Amdahl's Law does not)."""
-        indicator = getattr(self.predictor, "indicator", None)
-        if indicator is None:
-            return None
+        simulator-backed predictors do; Amdahl's Law does not).  One that
+        keeps its progress (:meth:`CpaPredictor.progress`) is asked for it,
+        so the tick does not run the indicator again."""
+        read = getattr(self.predictor, "progress", None)
+        if read is None:
+            indicator = getattr(self.predictor, "indicator", None)
+            if indicator is None:
+                return None
+            read = indicator.progress
         try:
-            return float(indicator.progress(fractions))
+            return float(read(fractions))
         except Exception:
             return None
 
@@ -350,10 +380,7 @@ class JockeyController:
         if quantiler is None:
             return None, ()
         try:
-            quantiles = dict(quantiler(
-                fractions, allocation,
-                _predict.quantiles_for(_predict.NOMINAL_LEVELS),
-            ))
+            quantiles = dict(quantiler(fractions, allocation, _FORECAST_QS))
         except PredictorUnavailable:
             return None, ()
         return _predict.bands_from_quantiles(elapsed, quantiles)
@@ -520,13 +547,13 @@ class JockeyController:
             predicted = config.slack * self._cached_remaining(allocation)
             utility_now = self._degraded_effective.value(elapsed + predicted)
         predictor_name = getattr(self.predictor, "name", "unknown")
-        _TICKS.labels(predictor=predictor_name).inc()
+        _TICKS.cell(predictor_name).inc()
         if dead_zone:
-            _DEAD_ZONE.labels(predictor=predictor_name).inc()
-        _ALLOCATION.labels(predictor=predictor_name).set(allocation)
+            _DEAD_ZONE.cell(predictor_name).inc()
+        _ALLOCATION.cell(predictor_name).set(allocation)
         if degraded_mode is not None:
             self.degraded_ticks += 1
-            _DEGRADED.labels(predictor=predictor_name, mode=degraded_mode).inc()
+            _DEGRADED.cell(predictor_name, degraded_mode).inc()
             rec = _trace.RECORDER
             if rec.enabled:
                 rec.emit(

@@ -176,7 +176,7 @@ class AdaptiveModelPolicy(ControllerPolicy):
         )
 
     def on_tick(self, snapshot: JobSnapshot) -> Optional[int]:
-        progress = self._predictor.indicator.progress(snapshot.stage_fractions)
+        progress = self._predictor.progress(snapshot.stage_fractions)
         self.monitor.observe(progress, snapshot.consumed_token_seconds)
         return super().on_tick(snapshot)
 

@@ -9,6 +9,7 @@ to −1000 a thousand minutes later.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -35,6 +36,12 @@ class PiecewiseLinearUtility:
         times = [t for t, _u in self.points]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise UtilityError(f"times must be strictly increasing: {times}")
+        # What value() reads: the breakpoints and each segment's two ends.
+        object.__setattr__(self, "_times", tuple(times))
+        object.__setattr__(self, "_segments", tuple(
+            (t0, u0, t1, u1)
+            for (t0, u0), (t1, u1) in zip(self.points, self.points[1:])
+        ))
 
     def value(self, t: float) -> float:
         pts = self.points
@@ -44,11 +51,14 @@ class PiecewiseLinearUtility:
             (t0, u0), (t1, u1) = pts[-2], pts[-1]
             slope = (u1 - u0) / (t1 - t0)
             return u1 + slope * (t - t1)
-        for (t0, u0), (t1, u1) in zip(pts, pts[1:]):
-            if t0 <= t <= t1:
-                w = (t - t0) / (t1 - t0)
-                return u0 * (1 - w) + u1 * w
-        raise AssertionError("unreachable")  # pragma: no cover
+        # The first segment with t0 <= t <= t1: a t on an inner breakpoint
+        # ends the segment before it.  Only NaN bisects to 0.
+        i = bisect_left(self._times, t)
+        if i == 0:
+            raise AssertionError("unreachable")  # pragma: no cover
+        t0, u0, t1, u1 = self._segments[i - 1]
+        w = (t - t0) / (t1 - t0)
+        return u0 * (1 - w) + u1 * w
 
     __call__ = value
 

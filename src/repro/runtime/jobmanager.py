@@ -59,7 +59,7 @@ _TASK_SECONDS_OUTCOMES = {
 }
 _STARTS = _metrics.REGISTRY.counter(
     "repro_runtime_task_starts_total", "Task attempts started"
-)
+).labels()
 _ALLOCATION_DEFICITS = _metrics.REGISTRY.counter(
     "repro_control_allocation_deficits_total",
     "Allocation requests the pool could not fully honor",
@@ -185,6 +185,8 @@ class JobManager:
             start_time=self.start_time,
             deadline=deadline,
         )
+        #: ``trace.add`` without its call: one record per attempt.
+        self._add_record = self.trace.records.append
         # Fair-share weight for *spare* distribution.  Default: the
         # guarantee (WFQ analogy, §2.6); pass an explicit value to model
         # schedulers that split spare per pending job instead (§2.1 does
@@ -205,6 +207,24 @@ class JobManager:
     # ------------------------------------------------------------------
     # Control interface
     # ------------------------------------------------------------------
+
+    @property
+    def behavior(self) -> JobProfile:
+        """The profile tasks are drawn from; chaos ``ProfileDrift``
+        reassigns it mid-run."""
+        return self._behavior
+
+    @behavior.setter
+    def behavior(self, profile: JobProfile) -> None:
+        self._behavior = profile
+        #: Per stage, what a start draws with, in draw order: the runtime
+        #: sampler, the init sampler and the failure probability.
+        self._draw_plan: Dict[str, tuple] = {}
+        for stage in self.graph.stages:
+            sp = profile.stage(stage.name)
+            self._draw_plan[stage.name] = (
+                sp.runtime.sample, sp.init.sample, sp.failure_prob
+            )
 
     @property
     def allocation(self) -> int:
@@ -318,7 +338,7 @@ class JobManager:
             demand = (
                 len(self._ready) + len(self._running) + self._speculative_demand
             )
-        self.cluster.pool.set_demand(self.name, demand)
+        self.cluster.pool.set_demand_of(self.consumer, demand)
 
     def _grant_cap(self, grant: Grant) -> int:
         """How many tasks this job may run under the current grant."""
@@ -362,7 +382,8 @@ class JobManager:
 
     def _start_ready_tasks(self, now: float) -> None:
         grant = self.consumer.grant
-        cap = self._grant_cap(grant)
+        # _grant_cap, inlined: this runs after every finish.
+        cap = grant.total if self._use_spare_tokens else grant.guaranteed_part
         ready = self._ready
         room = cap - len(self._running)
         if not ready or room <= 0:
@@ -388,8 +409,8 @@ class JobManager:
         self._accrue_busy_time()
         now = self.sim.now
         rng = self._rng
-        behavior = self.behavior
-        contention = self.cluster.contention_factor()
+        plan = self._draw_plan
+        contention = self.cluster.contention_factor
         pick = self.cluster.machines.pick_up_machine
         attempts = self._attempts
         ready_times = self._ready_times
@@ -403,12 +424,10 @@ class JobManager:
         times: List[float] = []
         for task_id in task_ids:
             stage_name = task_id[0]
-            profile = behavior.stage(stage_name)
-            runtime = profile.runtime.sample(rng) + profile.init.sample(rng)
+            sample_runtime, sample_init, failure_prob = plan[stage_name]
+            runtime = sample_runtime(rng) + sample_init(rng)
             runtime *= contention
-            will_fail = (
-                profile.failure_prob > 0 and rng.random() < profile.failure_prob
-            )
+            will_fail = failure_prob > 0 and rng.random() < failure_prob
             if will_fail:
                 runtime *= 0.05 + (0.95 - 0.05) * rng.random()
             machine = pick(rng)
@@ -453,12 +472,12 @@ class JobManager:
             self._busy_marker = now
         rng = self._rng
         stage_name = task_id[0]
-        profile = self.behavior.stage(stage_name)
-        runtime = profile.runtime.sample(rng) + profile.init.sample(rng)
+        sample_runtime, sample_init, failure_prob = self._draw_plan[stage_name]
+        runtime = sample_runtime(rng) + sample_init(rng)
         # Oversubscription slows every task: tokens do not shield network
         # bandwidth or disk queues (§2.1).
-        runtime *= self.cluster.contention_factor()
-        will_fail = profile.failure_prob > 0 and rng.random() < profile.failure_prob
+        runtime *= self.cluster.contention_factor
+        will_fail = failure_prob > 0 and rng.random() < failure_prob
         if will_fail:
             # The attempt dies after doing only part of its work: a uniform
             # draw on [0.05, 0.95), spelled as the arithmetic numpy's
@@ -495,7 +514,7 @@ class JobManager:
 
     def _record(self, task: RunningTask, outcome: str, end_time: float) -> None:
         stage, index = task.task_id
-        self.trace.add(
+        self._add_record(
             TaskRecord(
                 stage, index, task.attempt, task.ready_time, task.start_time,
                 end_time, outcome, task.machine, task.spare_at_start,

@@ -19,15 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 PHASE_INITIAL = "initial"
 PHASE_TICK = "tick"
 
 
-@dataclass(frozen=True)
-class CandidateEval:
-    """One candidate allocation's slacked prediction and utility."""
+class CandidateEval(NamedTuple):
+    """One candidate allocation's slacked prediction and utility (a tuple:
+    a control tick builds one per grid allocation)."""
 
     allocation: int
     predicted_remaining: float

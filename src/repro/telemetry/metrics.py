@@ -189,6 +189,20 @@ class Metric:
             self._children[key] = child
         return child
 
+    def cell(self, *values: str):
+        """``labels`` by position, for string values in ``labelnames``
+        order: one dict read once :meth:`labels` has checked and made the
+        label set, so a hot path does not re-validate it on every call."""
+        child = self._children.get(values)
+        if child is None:
+            if len(values) != len(self.labelnames):
+                raise MetricError(
+                    f"{self.name!r} takes labels {self.labelnames}, "
+                    f"got {len(values)} values"
+                )
+            child = self.labels(**dict(zip(self.labelnames, values)))
+        return child
+
     def _require_default(self):
         if self._default is None:
             raise MetricError(

@@ -187,12 +187,12 @@ def forecasts(records: Sequence[TickRecord]) -> List[TickRecord]:
 
 def publish(record: TickRecord, *, predictor: str = "unknown") -> None:
     """Update the live Prometheus gauges with one tick's band."""
-    _MEDIAN.labels(predictor=predictor).set(record.median)
+    _MEDIAN.cell(predictor).set(record.median)
     for band in record.bands:
         label = level_label(band.level)
-        _INTERVAL_LO.labels(predictor=predictor, level=label).set(band.lo)
-        _INTERVAL_HI.labels(predictor=predictor, level=label).set(band.hi)
-    _TICKS.labels(predictor=predictor).inc()
+        _INTERVAL_LO.cell(predictor, label).set(band.lo)
+        _INTERVAL_HI.cell(predictor, label).set(band.hi)
+    _TICKS.cell(predictor).inc()
 
 
 # ----------------------------------------------------------------------

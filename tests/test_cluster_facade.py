@@ -65,7 +65,7 @@ class TestContention:
     def test_no_contention_below_threshold(self):
         _sim, cluster = make(self.config())
         # demand ~300 of 400 -> load 0.75 < 1.0 threshold.
-        assert cluster.contention_factor() == 1.0
+        assert cluster.contention_factor == 1.0
 
     def test_contention_grows_with_oversubscription(self):
         sim, cluster = make(ClusterConfig(
@@ -76,7 +76,7 @@ class TestContention:
             contention_coeff=1.0,
         ))
         # load 500/400 = 1.25 -> factor 1.25.
-        assert cluster.contention_factor() == pytest.approx(1.25)
+        assert cluster.contention_factor == pytest.approx(1.25)
 
     def test_disabled_with_zero_coeff(self):
         _sim, cluster = make(ClusterConfig(
@@ -85,11 +85,11 @@ class TestContention:
             background_max_demand=500,
             contention_coeff=0.0,
         ))
-        assert cluster.contention_factor() == 1.0
+        assert cluster.contention_factor == 1.0
 
     def test_no_background_means_no_contention(self):
         _sim, cluster = make(ClusterConfig(background_guaranteed=0))
-        assert cluster.contention_factor() == 1.0
+        assert cluster.contention_factor == 1.0
 
     def test_contention_slows_tasks(self):
         """End-to-end: the same job takes contention-factor x longer."""

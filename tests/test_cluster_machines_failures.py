@@ -200,12 +200,27 @@ class TestBackgroundLoad:
         load.add_episode(LoadEpisode(20.0, 30.0, 3.0))
         sim.run(until=25.0)
         assert load.current_demand == pytest.approx(180, abs=1)
+        # An episode already active when added applies at once.
+        load.add_episode(LoadEpisode(5.0, 100.0, 2.0))
+        assert load.current_demand == pytest.approx(360, abs=1)
+        sim.run(until=50.0)
+        assert load.current_demand == pytest.approx(120, abs=1)
 
     def test_invalid_episode(self):
         with pytest.raises(BackgroundError):
             LoadEpisode(10.0, 5.0, 1.0)
         with pytest.raises(BackgroundError):
             LoadEpisode(0.0, 5.0, -1.0)
+
+    @pytest.mark.parametrize("field", ["start", "end", "factor"])
+    def test_nan_episode_field_refused(self, field):
+        values = {"start": 0.0, "end": 5.0, "factor": 1.0, field: float("nan")}
+        with pytest.raises(BackgroundError, match=f"episode {field} is NaN"):
+            LoadEpisode(**values)
+
+    def test_episode_may_never_end(self):
+        episode = LoadEpisode(5.0, float("inf"), 2.0)
+        assert episode.active_at(1e12) and not episode.active_at(4.0)
 
     def test_invalid_config(self):
         sim = Simulator()

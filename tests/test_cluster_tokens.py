@@ -201,6 +201,14 @@ class TestTokenPool:
         snap = pool.snapshot()
         assert snap["a"].total == 5
 
+    @pytest.mark.parametrize(
+        "weight", [0.0, -2.0, float("nan"), float("inf")],
+        ids=["zero", "negative", "nan", "inf"],
+    )
+    def test_weight_must_be_finite_and_positive(self, weight):
+        with pytest.raises(TokenError, match=f"'a'.*got {weight!r}"):
+            Consumer("a", 5, weight=weight)
+
     def test_weight_defaults_to_guarantee(self):
         assert Consumer("a", 25).weight == 25.0
         assert Consumer("b", 0).weight == 1.0

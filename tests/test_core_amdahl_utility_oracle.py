@@ -92,7 +92,40 @@ class TestAmdahlModel:
             )
 
 
+def reference_value(points, t):
+    """``PiecewiseLinearUtility.value`` before it bisected, kept verbatim:
+    a scan for the first segment with ``t0 <= t <= t1``."""
+    pts = points
+    if t <= pts[0][0]:
+        return pts[0][1]
+    if t >= pts[-1][0]:
+        (t0, u0), (t1, u1) = pts[-2], pts[-1]
+        slope = (u1 - u0) / (t1 - t0)
+        return u1 + slope * (t - t1)
+    for (t0, u0), (t1, u1) in zip(pts, pts[1:]):
+        if t0 <= t <= t1:
+            w = (t - t0) / (t1 - t0)
+            return u0 * (1 - w) + u1 * w
+    raise AssertionError("unreachable")
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
 class TestPiecewiseLinearUtility:
+    @given(
+        st.lists(_finite, min_size=2, max_size=6, unique=True),
+        st.lists(_finite, min_size=6, max_size=6),
+        st.lists(_finite, max_size=8),
+    )
+    def test_equal_to_the_segment_scan(self, times, utilities, probes):
+        points = tuple(zip(sorted(times), utilities))
+        u = PiecewiseLinearUtility(points=points)
+        # Every breakpoint, exactly, and points between and beyond them.
+        # repr tells -0.0 from 0.0 and matches nan with nan: the same bits.
+        for t in [t for t, _u in points] + probes:
+            assert repr(u.value(t)) == repr(reference_value(points, t))
+
     def test_interpolation(self):
         u = PiecewiseLinearUtility(points=((0.0, 1.0), (10.0, 0.0)))
         assert u.value(5.0) == pytest.approx(0.5)

@@ -284,6 +284,30 @@ class TestConfigValidation:
         with pytest.raises(ControlError):
             ctl.initial_allocation()
 
+    def test_cpa_predictor_progress_follows_fractions_and_indicator(self):
+        class Indicator:
+            def __init__(self, scale):
+                self.scale = scale
+                self.calls = 0
+
+            def progress(self, fractions):
+                self.calls += 1
+                return fractions["s"] * self.scale
+
+        first, second = Indicator(0.5), Indicator(0.25)
+        predictor = CpaPredictor(object(), first)
+        fractions = {"s": 0.4}
+        assert predictor.progress(fractions) == 0.2
+        assert predictor.progress(dict(fractions)) == 0.2
+        assert first.calls == 1  # equal fractions: the kept answer
+        fractions["s"] = 0.8  # changed in place
+        assert predictor.progress(fractions) == 0.4
+        predictor.refresh(indicator=second)
+        assert predictor.progress(fractions) == 0.2
+        predictor.indicator = first
+        assert predictor.progress(fractions) == 0.4
+        assert (first.calls, second.calls) == (3, 1)
+
     def test_cpa_predictor_percentile_validated(self):
         from tests.test_core_cpa import deterministic_profile  # noqa: F401
         with pytest.raises(ControlError):

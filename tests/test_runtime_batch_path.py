@@ -1,5 +1,6 @@
 """The batch path (job manager + token pool) pinned run by run, and the job
-manager's O(1) bookkeeping checked against the scans it replaced."""
+manager's O(1) bookkeeping and the values the cluster and job manager keep
+checked against the scans and formulas they replaced."""
 
 import hashlib
 import json
@@ -7,7 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.chaos.spec import ChaosSpec, EvictionStorm, RackFailure, TokenShock
+from repro.chaos.spec import (
+    ChaosSpec,
+    EvictionStorm,
+    ProfileDrift,
+    RackFailure,
+    TokenShock,
+)
+from repro.cluster import LoadEpisode
 from repro.experiments import SMOKE, RunConfig, make_policy, run_experiment, trained_job
 from repro.experiments import runner
 from repro.runtime.speculation import SpeculationConfig
@@ -23,18 +31,32 @@ STORMS = (
 )
 SHOCKS = (TokenShock(start=100.0, end=260.0, guaranteed_fraction=0.8),)
 RACKS = (RackFailure(at=50.0, count=40), RackFailure(at=200.0, count=30))
-CHAOS = {
-    "storm": ChaosSpec(name="storm", eviction_storms=STORMS, token_shocks=SHOCKS),
-    "storm+racks": ChaosSpec(
+#: Mid-run disturbances, as the ``RunConfig`` fields that schedule them.
+#: ``drift`` reassigns the job's profile twice and ``surge`` moves the
+#: background demand, so both change what a task start draws with.
+DISTURBANCES = {
+    "storm": {"chaos": ChaosSpec(
+        name="storm", eviction_storms=STORMS, token_shocks=SHOCKS,
+    )},
+    "storm+racks": {"chaos": ChaosSpec(
         name="storm+racks", eviction_storms=STORMS, token_shocks=SHOCKS,
         rack_failures=RACKS,
-    ),
+    )},
+    "drift": {"chaos": ChaosSpec(name="drift", profile_drifts=(
+        ProfileDrift(at=60.0, factor=1.5),
+        ProfileDrift(at=180.0, factor=0.8),
+    ))},
+    "surge": {"episodes": (
+        LoadEpisode(40.0, 160.0, 1.3),
+        LoadEpisode(120.0, 300.0, 0.6),
+    )},
 }
 
 #: (job, policy, seed, deadline seconds or None for the job's short one,
-#: speculation on, chaos schedule or None).  Between them the runs retry
-#: failures, evict, supersede speculative losers, lose machines and have
-#: allocation requests clamped.
+#: speculation on, disturbance or None).  Between them the runs retry
+#: failures, evict, supersede speculative losers, lose machines, have
+#: allocation requests clamped, drift off their profile and run through a
+#: background surge.
 CASES = [
     ("A", "jockey", 3, None, False, None),
     ("C", "jockey", 5, 500.0, False, None),
@@ -43,23 +65,25 @@ CASES = [
     ("A", "jockey-no-sim", 11, None, True, None),
     ("C", "jockey", 13, 500.0, False, "storm"),
     ("C", "jockey", 19, 600.0, True, "storm+racks"),
+    ("C", "jockey", 23, None, False, "drift"),
+    ("C", "jockey", 31, None, False, "surge"),
 ]
 
 
 def case_id(case) -> str:
-    job, kind, seed, deadline, speculate, chaos = case
+    job, kind, seed, deadline, speculate, disturbance = case
     parts = [job, kind, f"seed{seed}"]
     if deadline is not None:
         parts.append(f"d{deadline:g}")
     if speculate:
         parts.append("spec")
-    if chaos is not None:
-        parts.append(chaos)
+    if disturbance is not None:
+        parts.append(disturbance)
     return "-".join(parts)
 
 
 def run_case(case):
-    job, kind, seed, deadline, speculate, chaos = case
+    job, kind, seed, deadline, speculate, disturbance = case
     trained = trained_job(job, seed=0, scale=SMOKE)
     if deadline is None:
         deadline = trained.short_deadline
@@ -70,7 +94,7 @@ def run_case(case):
             deadline_seconds=deadline,
             seed=seed,
             speculation=SPECULATION if speculate else None,
-            chaos=CHAOS[chaos] if chaos is not None else None,
+            **DISTURBANCES.get(disturbance, {}),
         ),
     ).trace
 
@@ -91,7 +115,9 @@ def trace_digests(trace) -> dict:
 class TestGoldenPins:
     """``golden/batch_path_pins.json`` was captured on the commit before the
     token pool became incremental and the job manager's scans became
-    counters; it passes unchanged on both sides."""
+    counters; the ``drift`` and ``surge`` pins on the commit before the
+    contention factor and the draw plan were kept.  Each passes unchanged
+    on both sides of its change."""
 
     PINS = json.loads(PINS_PATH.read_text())
 
@@ -103,14 +129,37 @@ class TestGoldenPins:
         assert trace_digests(run_case(case)) == self.PINS[case_id(case)]
 
 
+def contention_by_formula(cluster) -> float:
+    """The contention factor from the current background demand and pool
+    capacity, as the cluster computed it on every read before it kept it."""
+    config = cluster.config
+    if cluster.background is None or config.contention_coeff <= 0:
+        return 1.0
+    load = cluster.background.current_demand / max(cluster.pool.capacity, 1)
+    excess = max(0.0, load - config.contention_threshold)
+    return 1.0 + config.contention_coeff * excess
+
+
+def draw_plan_by_profile(manager) -> dict:
+    """What each stage's task start draws with, read off ``behavior``."""
+    plan = {}
+    for stage in manager.graph.stages:
+        sp = manager.behavior.stage(stage.name)
+        plan[stage.name] = (sp.runtime.sample, sp.init.sample, sp.failure_prob)
+    return plan
+
+
 class TestBookkeepingCounters:
     """After every dispatched event the job manager's counters equal the
-    scans over ``_running`` they replaced — through speculation, an eviction
-    storm with a token-supply shock, and rack failures."""
+    scans over ``_running`` they replaced, and the values it and the
+    cluster keep (contention factor, draw plan) equal the formulas they
+    replaced — through speculation, an eviction storm with a token-supply
+    shock, rack failures, profile drift and a background surge."""
 
     @pytest.mark.parametrize("case", CASES, ids=case_id)
     def test_counters_equal_scans_after_every_event(self, case, monkeypatch):
         def stepping_run(manager, *, max_seconds):
+            cluster = manager.cluster
             while not manager.finished:
                 assert manager.sim.step(), "event queue drained before the job"
                 running = manager._running
@@ -120,6 +169,8 @@ class TestBookkeepingCounters:
                 assert manager._duplicates_in_flight == sum(
                     t.is_duplicate for t in running
                 )
+                assert cluster.contention_factor == contention_by_formula(cluster)
+                assert manager._draw_plan == draw_plan_by_profile(manager)
             return manager.trace
 
         monkeypatch.setattr(runner, "run_to_completion", stepping_run)

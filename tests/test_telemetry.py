@@ -50,6 +50,18 @@ class TestCounter:
         c = reg.counter("repro_x_total", labelnames=("a",))
         assert c.labels(a="1") is c.labels(a="1")
 
+    def test_cell_is_the_labels_child(self):
+        reg = MetricsRegistry()
+        c = reg.counter("repro_x_total", labelnames=("a", "b"))
+        assert c.cell("1", "2") is c.labels(b="2", a="1")
+        assert c.cell("3", "4") is c.labels(a="3", b="4")
+        assert c.snapshot()["values"].keys() == {'a="1",b="2"', 'a="3",b="4"'}
+        with pytest.raises(MetricError):
+            c.cell("1")
+        plain = reg.counter("repro_y_total")
+        plain.cell().inc(2)
+        assert plain.value == 2
+
     def test_wrong_labels_rejected(self):
         reg = MetricsRegistry()
         c = reg.counter("repro_x_total", labelnames=("a",))
