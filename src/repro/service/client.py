@@ -13,17 +13,61 @@ a new server thread.  ``close()`` (or ``with``) releases them.
 
 from __future__ import annotations
 
-import http.client
 import json
 import re
 import socket
 import threading
 import time
-from typing import Dict, List, Optional, Union
+from typing import BinaryIO, Dict, List, Optional, Tuple, Union
 from urllib.parse import urlsplit
 
-#: Bytes that would end the request line early (or smuggle a header).
+#: Bytes that would end the request line early (or smuggle a header); no header name holds one.
 _UNSAFE_IN_PATH = re.compile(r"[^\x21-\x7e]")
+#: The stdlib's bounds on one head line and on the lines of a header block.
+MAX_LINE, MAX_HEADERS = 65536, 100
+
+
+class HeadError(ValueError):
+    """A message head the reader refuses, with the status that answers it."""
+
+    def __init__(self, message: str, status: int = 400):
+        super().__init__(message)
+        self.status = status
+
+
+def read_head(rfile: BinaryIO) -> Dict[str, str]:
+    """The header block after a start line as ``{lower-cased name: value}``,
+    each value as the stdlib's ``headers.get`` reads it (DESIGN.md "Service
+    wire path" lists what is refused); both ends of the wire read with it."""
+    headers: Dict[str, str] = {}
+    for _ in range(MAX_HEADERS):
+        line = rfile.readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            raise HeadError(f"header line over {MAX_LINE} bytes", 431)
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        name, colon, value = line.decode("iso-8859-1").partition(":")
+        if not colon or not name or _UNSAFE_IN_PATH.search(name):
+            raise HeadError(f"malformed header line {line[:80]!r}")
+        name, value = name.lower(), value.lstrip(" \t").rstrip("\r\n")
+        first = headers.setdefault(name, value)
+        if first != value and name == "content-length":
+            raise HeadError(f"conflicting Content-Length {first!r} and {value!r}")
+    raise HeadError(f"more than {MAX_HEADERS} header lines", 431)
+
+
+def read_reply_head(rfile: BinaryIO) -> Tuple[int, Optional[int], bool]:
+    """``(status, body length or None: to EOF, will_close)`` of a reply, as
+    ``HTTPResponse.begin`` reads the arbiter's (HTTP/1.0 ones never reused)."""
+    line = rfile.readline(MAX_LINE + 1)
+    words = line.split(None, 2)
+    if len(words) < 2 or not (words[0].startswith(b"HTTP/1.") and words[1].isdigit()):
+        raise HeadError(f"bad status line {line[:80]!r}")
+    headers = read_head(rfile)
+    length = headers.get("content-length", "").strip()
+    length = int(length) if length.isdecimal() else None
+    close = "close" in headers.get("connection", "").lower() or words[0] == b"HTTP/1.0"
+    return int(words[1]), length, close or length is None
 
 
 class ServiceClientError(RuntimeError):
@@ -62,6 +106,8 @@ class ServiceClient:
         self._host_header = parts.netloc
         self._prefix = parts.path
         self._idle: List[socket.socket] = []
+        #: Each open socket's one buffered reader, made when it connects.
+        self._readers: Dict[socket.socket, BinaryIO] = {}
         self._lock = threading.Lock()
 
     def close(self) -> None:
@@ -69,7 +115,7 @@ class ServiceClient:
         with self._lock:
             idle, self._idle = self._idle, []
         for sock in idle:
-            sock.close()
+            self._drop(sock)
 
     def __enter__(self) -> "ServiceClient":
         return self
@@ -85,25 +131,21 @@ class ServiceClient:
         sock = socket.create_connection(self._address, timeout=self.timeout)
         # Requests are small and written whole; never wait to coalesce.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._readers[sock] = sock.makefile("rb")
         return sock
 
-    @staticmethod
-    def _send(
-        sock: socket.socket, method: str, message: bytes
-    ) -> Optional[http.client.HTTPResponse]:
-        """Write one request; the reply once its first byte is here, or
-        None if the peer closed the connection without sending any."""
-        reply = http.client.HTTPResponse(sock, method=method)
-        started = False
+    def _drop(self, sock: socket.socket) -> None:
+        self._readers.pop(sock).close()
+        sock.close()
+
+    def _send(self, sock: socket.socket, message: bytes) -> bool:
+        """Write one request; False if the peer closed the connection
+        without sending a byte of the reply."""
         try:
             sock.sendall(message)
-            started = bool(reply.fp.peek(1))
+            return bool(self._readers[sock].peek(1))
         except (BrokenPipeError, ConnectionResetError):
-            pass
-        finally:
-            if not started:
-                reply.close()
-        return reply if started else None
+            return False
 
     def _request(
         self,
@@ -133,37 +175,35 @@ class ServiceClient:
         with self._lock:
             sock = self._idle.pop() if self._idle else None
         try:
-            reply = None
-            if sock is not None:
-                reply = self._send(sock, method, message)
-                if reply is None:
-                    # Zero reply bytes on a reused connection: the server
-                    # closed it while it sat in the pool (idle reaper,
-                    # restart) and did not read this request, so it goes
-                    # out once more, on a fresh connection.  Any other
-                    # failure may have executed it and is not retried.
-                    sock.close()
-            if reply is None:
+            if sock is not None and not self._send(sock, message):
+                # Zero reply bytes on a reused connection: the server
+                # closed it while it sat in the pool (idle reaper,
+                # restart) and did not read this request, so it goes
+                # out once more, on a fresh connection.  Any other
+                # failure may have executed it and is not retried.
+                self._drop(sock)
+                sock = None
+            if sock is None:
                 sock = self._connect()
-                reply = self._send(sock, method, message)
-                if reply is None:
+                if not self._send(sock, message):
                     raise ConnectionError("connection closed before reply")
-            with reply:
-                reply.begin()
-                status = reply.status
-                raw = reply.read().decode("utf-8", errors="replace")
-                keep = not reply.will_close
-        except (OSError, http.client.HTTPException) as exc:
+            reply = self._readers[sock]
+            status, length, close = read_reply_head(reply)
+            data = reply.read(length)
+            if length is not None and len(data) < length:
+                raise ConnectionError(f"reply ended after {len(data)} of {length} bytes")
+            raw = data.decode("utf-8", errors="replace")
+        except (OSError, HeadError) as exc:
             if sock is not None:
-                sock.close()
+                self._drop(sock)
             raise ServiceClientError(
                 f"cannot reach service at {self.url}: {exc}"
             ) from exc
-        if keep:
+        if not close:
             with self._lock:
                 self._idle.append(sock)
         else:
-            sock.close()
+            self._drop(sock)
 
         if not 200 <= status < 300:
             detail = raw
@@ -342,4 +382,4 @@ class ServiceClient:
         return self._request("POST", "/v1/shutdown", {"drain": drain})
 
 
-__all__ = ["ServiceClient", "ServiceClientError"]
+__all__ = ["HeadError", "ServiceClient", "ServiceClientError", "read_head", "read_reply_head"]

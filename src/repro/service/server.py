@@ -54,7 +54,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Deque, Dict, List, Optional, Tuple
-from urllib.parse import urlparse
 
 import numpy as np
 
@@ -78,6 +77,7 @@ from repro.market.admission import MarketAdmission
 from repro.market.tenant import JobSpec as MarketJobSpec
 from repro.market.tenant import MarketError, Tenant
 from repro.runtime.jobmanager import JobSnapshot
+from repro.service.client import HeadError, read_head
 from repro.service.models import TemplateError, TemplateModelStore, TrainedTemplate
 from repro.simkit.random import derive_seed
 from repro.telemetry import metrics as _metrics
@@ -955,7 +955,7 @@ class ClusterService:
         )
         job.trace.add(record)
         job.trace.mark_running(now, len(job.running))
-        _TASKS.labels(outcome=outcome).inc()
+        _TASKS.cell(outcome).inc()
         key = (lease.stage, lease.index)
         if outcome == OUTCOME_OK:
             job.consumed_token_seconds += record.run_time
@@ -1221,31 +1221,75 @@ class _Handler(BaseHTTPRequestHandler):
     #: A keep-alive reply written as two small segments stalls ~40 ms on
     #: Nagle x delayed ACK; so does a request.
     disable_nagle_algorithm = True
-    #: Buffered, so status line + headers + body leave in one send.
-    wbufsize = -1
     #: Wall seconds a connection may sit idle (or a peer may stall
     #: mid-message) before its thread and socket are reclaimed; pooled
     #: clients reconnect transparently.
     timeout = 30.0
+    #: (whole second, its ``Date``): the header is formatted once a second.
+    _date = (0, "")
+
+    def parse_request(self) -> bool:
+        """The stdlib's request-line rules and ``Connection`` / ``Expect``
+        semantics over :func:`read_head`; also refused: no version, and
+        any ``Transfer-Encoding``."""
+        self.close_connection = True
+        self.requestline = line = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = line.split()
+        if not words:
+            return False
+        version = words[-1]
+        major, dot, minor = version[5:].partition(".")
+        try:
+            if len(words) != 3:
+                raise HeadError(f"request line is not METHOD PATH HTTP/x.y: {line!r}")
+            if not (version.startswith("HTTP/") and dot and major.isdecimal()
+                    and minor.isdecimal() and max(len(major), len(minor)) <= 10):
+                raise HeadError(f"Bad request version ({version!r})")
+            number = int(major), int(minor)
+            if number >= (2, 0):
+                raise HeadError(f"Invalid HTTP version ({version[5:]})", 505)
+            self.headers = headers = read_head(self.rfile)
+            if "transfer-encoding" in headers:
+                raise HeadError("Transfer-Encoding is not supported; send Content-Length", 501)
+        except HeadError as exc:
+            self.send_error(exc.status, str(exc))
+            return False
+        self.command, path, self.request_version = words
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        conntype = headers.get("connection", "").lower()
+        self.close_connection = conntype == "close" or (
+            number < (1, 1) and conntype != "keep-alive")
+        if headers.get("expect", "").lower() == "100-continue" and version >= "HTTP/1.1":
+            return self.handle_expect_100()
+        return True
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        """Every refusal, the stdlib's own included, as ``{"error": ...}``."""
+        self.close_connection = True
+        self._send_json(int(code), {"error": message or self.responses[code][0]})
 
     # -- helpers -------------------------------------------------------
 
     def _send(self, status: int, body: bytes, content_type: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", f"{content_type}; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-        self.wfile.flush()
+        """One write: the head ``send_response`` / ``send_header`` wrote, the body."""
+        close = "Connection: close\r\n" if self.close_connection else ""
+        second = int(time.time())
+        if _Handler._date[0] != second:
+            _Handler._date = (second, self.date_time_string(second))
+        self.wfile.write((
+            f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
+            f"Server: {self.server_version} {self.sys_version}\r\n"
+            f"Date: {_Handler._date[1]}\r\n"
+            f"Content-Type: {content_type}; charset=utf-8\r\n"
+            f"Content-Length: {len(body)}\r\n{close}\r\n"
+        ).encode("latin-1") + body)
 
     def _send_json(self, status: int, payload: Dict) -> None:
         body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
         self._send(status, body, "application/json")
 
     def _read_body(self):
-        declared = self.headers.get("Content-Length") or "0"
+        declared = self.headers.get("content-length") or "0"
         if not (declared.isascii() and declared.isdigit()):
             # Where this message ends is unknown, so the stream is lost.
             self.close_connection = True
@@ -1261,7 +1305,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _count(self, endpoint: str) -> None:
         with _REQUESTS_LOCK:
-            _REQUESTS.labels(endpoint=endpoint).inc()
+            _REQUESTS.cell(endpoint).inc()
 
     def _unknown(self, path: str) -> None:
         self._count("unknown")
@@ -1292,8 +1336,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _get(self) -> None:
         service = self.server.service
-        parsed = urlparse(self.path)
-        path = parsed.path.rstrip("/") or "/"
+        path, _, query = self.path.partition("?")
+        path = path.rstrip("/") or "/"
         if path in _GET_ROUTES:
             self._count(path)
             self._send_json(200, getattr(service, _GET_ROUTES[path])())
@@ -1313,7 +1357,7 @@ class _Handler(BaseHTTPRequestHandler):
             if sub == "report":
                 self._count("/v1/jobs/<id>/report")
                 fmt = "text"
-                for pair in parsed.query.split("&"):
+                for pair in query.split("&"):
                     if pair.startswith("format="):
                         fmt = pair.split("=", 1)[1]
                 self._send(
@@ -1331,7 +1375,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._unknown(path)
 
     def _post(self) -> None:
-        path = urlparse(self.path).path.rstrip("/")
+        path = self.path.partition("?")[0].rstrip("/")
         body = self._read_body()
         if path not in _POST_ROUTES:
             self._unknown(path)

@@ -4,16 +4,31 @@ One TCP connection per client (not per request), one send per message,
 at most one retry and never a request executed twice, HTTP/1.1 framing
 on every reply, and nothing left behind by ``stop()``.  Every wait here
 is a bounded poll; nothing sleeps longer than a second.
+
+``tests/golden/wire_replies.json`` holds the arbiter's reply bytes for a
+table of exchanges (``Date`` and the Python version masked), captured
+while ``http.server`` still wrote every reply head.  Regenerate (only for
+an intended change to what the arbiter writes) with::
+
+    PYTHONPATH=src python tests/test_service_wire.py
 """
 
 import http.client
+import io
+import json
+import pathlib
+import re
 import socket
 import sys
 import threading
 import time
+from http.server import BaseHTTPRequestHandler
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from repro.core.clock import ManualClock
 from repro.service import (
     ClusterService,
     ServiceClient,
@@ -23,7 +38,11 @@ from repro.service import (
     WorkerConfig,
 )
 from repro.service import server as server_mod
+from repro.service.client import read_reply_head
+from repro.telemetry import metrics as telemetry_metrics
 from tests.test_service import tiny_store
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "wire_replies.json"
 
 
 def accepted() -> float:
@@ -357,6 +376,209 @@ class TestFraming:
         assert b'"status": "ok"' in body
 
 
+def workers(svc: ClusterService) -> int:
+    return len(svc.state()["workers"])
+
+
+def refused(svc: ClusterService, request: bytes):
+    """Send ``request`` on a fresh connection; (status, error) of the
+    refusal, which must be JSON, framed, immediate and the last reply."""
+    with raw_connect(svc) as sock:
+        sock.settimeout(2.0)
+        started = time.monotonic()
+        status, headers, body = raw_exchange(sock, request)
+        assert time.monotonic() - started < 1.0
+        assert headers["Content-Type"] == "application/json; charset=utf-8"
+        assert int(headers["Content-Length"]) == len(body.encode())
+        assert headers["Connection"] == "close"
+        assert sock.recv(1) == b""
+    return status, json.loads(body)["error"]
+
+
+class TestRefusals:
+    """What the arbiter will not read is refused at once, as JSON, on a
+    connection it then closes, and nothing in it runs."""
+
+    def test_two_content_lengths_are_named_and_nothing_runs(self, service):
+        smuggled = post("/v1/workers/register", b'{"name": "smuggled"}')
+        request = (
+            "POST /v1/workers/heartbeat HTTP/1.1\r\nHost: t\r\n"
+            f"Content-Length: 0\r\nContent-Length: {len(smuggled)}\r\n\r\n"
+        ).encode("ascii") + smuggled
+        before = workers(service)
+        status, error = refused(service, request)
+        assert status == 400
+        assert "'0'" in error and f"'{len(smuggled)}'" in error
+        assert workers(service) == before
+
+    def test_repeated_equal_content_length_is_read(self, service):
+        with raw_connect(service) as sock:
+            status, _headers, body = raw_exchange(sock, (
+                b"POST /v1/workers/register HTTP/1.1\r\nContent-Length: 2\r\n"
+                b"content-length: 2\r\n\r\n{}"
+            ))
+        assert status == 200 and "worker_id" in body
+
+    def test_transfer_encoding_is_refused_and_registers_nothing(self, service):
+        body = b'{"name": "chunky", "slots": 1}'
+        request = (
+            b"POST /v1/workers/register HTTP/1.1\r\nHost: t\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + f"{len(body):x}\r\n".encode("ascii") + body + b"\r\n0\r\n\r\n"
+        )
+        before = workers(service)
+        status, error = refused(service, request)
+        assert status == 501 and "Transfer-Encoding" in error
+        assert workers(service) == before
+
+    @pytest.mark.parametrize("request_bytes, status, named", [
+        (b"GET /healthz\r\n", 400, "HTTP/x.y"),
+        (b"GET /healthz HTTP/x.1\r\n\r\n", 400, "'HTTP/x.1'"),
+        (b"GET /healthz HTTP/2.0\r\n\r\n", 505, "2.0"),
+        (b"GET /a b HTTP/1.1\r\n\r\n", 400, "'GET /a b HTTP/1.1'"),
+        (b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n", 414, "Too Long"),
+        (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 65536 + b"\r\n\r\n",
+         431, "65536 bytes"),
+        (b"GET /healthz HTTP/1.1\r\n" + b"X-Many: 1\r\n" * 100 + b"\r\n",
+         431, "100 header lines"),
+        (b"GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n", 400, "malformed header"),
+        (b"PUT /healthz HTTP/1.1\r\n\r\n", 501, "'PUT'"),
+    ], ids=["no-version", "bad-version", "http2", "four-words", "long-line",
+            "long-header", "many-headers", "no-colon", "unknown-method"])
+    def test_each_refusal_is_json_at_once(self, service, request_bytes,
+                                          status, named):
+        got, error = refused(service, request_bytes)
+        assert got == status
+        assert named in error
+
+    def test_ninety_nine_headers_are_read(self, service):
+        """The stdlib's bound counts the blank line: 99 headers are read."""
+        with raw_connect(service) as sock:
+            status, _headers, _body = raw_exchange(
+                sock, b"GET /healthz HTTP/1.1\r\n" + b"X-Many: 1\r\n" * 99 + b"\r\n"
+            )
+        assert status == 200
+
+    def test_client_error_carries_the_refusal(self, service):
+        with ServiceClient(service.url) as client:
+            with pytest.raises(ServiceClientError) as err:
+                client._request("PUT", "/healthz")
+        assert err.value.status == 501
+        assert str(err.value) == "PUT /healthz -> 501: Unsupported method ('PUT')"
+
+
+class StdlibHandler(BaseHTTPRequestHandler):
+    """The reference: ``http.server``'s own request parsing, as the arbiter
+    ran it (HTTP/1.1, headers parsed as a MIME message)."""
+
+    protocol_version = "HTTP/1.1"
+
+
+class FakeSocket:
+    """Just enough socket for ``http.client.HTTPResponse``."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    def makefile(self, mode):
+        return io.BytesIO(self.data)
+
+
+def parsed_by(handler_class, head: bytes):
+    """A handler of ``handler_class`` that parsed ``head`` (no socket)."""
+    handler = handler_class.__new__(handler_class)
+    handler.rfile = io.BytesIO(head)
+    handler.wfile = io.BytesIO()
+    handler.raw_requestline = handler.rfile.readline(65537)
+    handler.ok = handler.parse_request()
+    return handler
+
+
+_BLANKS = st.sampled_from(["", " ", "  ", "\t", " \t "])
+_VALUE = st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E), max_size=12)
+#: Header values the arbiter reads, and values no rule reads.
+_HEADER_VALUES = {
+    "Connection": st.sampled_from(
+        ["close", "Close", "keep-alive", "Keep-Alive", "KEEP-ALIVE", "upgrade",
+         "close, upgrade", ""]),
+    "Expect": st.sampled_from(["100-continue", "100-Continue", "200-ok"]),
+    "Content-Length": st.integers(0, 10**6).map(str),
+    "Keep-Alive": st.sampled_from(["timeout=5", ""]),
+    "Host": _VALUE,
+    "Content-Type": st.sampled_from(["application/json", "text/plain"]),
+    "X-Request-Id": _VALUE,
+    "Accept": _VALUE,
+}
+
+
+@st.composite
+def header_lines(draw, names=tuple(_HEADER_VALUES)):
+    """Well-formed header lines: names in any case, blanks around values,
+    ``\\n`` or ``\\r\\n`` endings, any header repeated but a framing one."""
+    lines, framing = [], False
+    for name in draw(st.lists(st.sampled_from(names), max_size=8)):
+        if name == "Content-Length":
+            if framing:
+                continue
+            framing = True
+        spelled = draw(st.sampled_from([name, name.lower(), name.upper(), name.swapcase()]))
+        value = draw(_HEADER_VALUES[name])
+        ending = draw(st.sampled_from(["\r\n", "\n"]))
+        lines.append(f"{spelled}:{draw(_BLANKS)}{value}{draw(_BLANKS)}{ending}")
+    return lines
+
+
+class TestHeadReaderIsTheStdlibs:
+    """The one head reader against what it replaced: ``http.server``'s
+    ``parse_request`` over ``http.client.parse_headers`` on request heads,
+    and ``HTTPResponse.begin`` on reply heads, on well-formed heads."""
+
+    @given(
+        method=st.sampled_from(["GET", "POST", "DELETE"]),
+        path=st.from_regex(r"/{1,3}[a-z0-9/._?=&-]{0,12}", fullmatch=True),
+        version=st.sampled_from(["HTTP/1.0", "HTTP/1.1"]),
+        lines=header_lines(),
+        terminator=st.sampled_from(["\r\n", "\n"]),
+    )
+    @example("GET", "/healthz", "HTTP/1.0", ["Connection: Keep-Alive\r\n"], "\r\n")
+    @example("POST", "//x", "HTTP/1.1", ["connection:close\n", "Expect: 100-continue\n"], "\n")
+    def test_request_heads_read_as_the_stdlib_read_them(
+        self, method, path, version, lines, terminator
+    ):
+        head = (f"{method} {path} {version}\r\n" + "".join(lines) + terminator
+                ).encode("ascii") + b"{body}"
+        ours = parsed_by(server_mod._Handler, head)
+        ref = parsed_by(StdlibHandler, head)
+        assert ours.ok and ref.ok
+        for attr in ("command", "path", "request_version", "close_connection"):
+            assert getattr(ours, attr) == getattr(ref, attr), attr
+        assert set(ours.headers) == {name.lower() for name in ref.headers}
+        for name in ref.headers:
+            assert ours.headers[name.lower()] == ref.headers.get(name), name
+        # Both answered Expect alike and stopped at the body.
+        assert ours.wfile.getvalue() == ref.wfile.getvalue()
+        assert ours.rfile.read() == ref.rfile.read() == b"{body}"
+
+    @given(
+        status=st.sampled_from([200, 400, 404, 409, 431, 500, 501, 503, 505]),
+        lines=header_lines(("Content-Length", "Connection", "Content-Type",
+                            "Keep-Alive", "X-Request-Id")),
+        terminator=st.sampled_from(["\r\n", "\n"]),
+    )
+    def test_reply_heads_read_as_http_client_read_them(self, status, lines, terminator):
+        reason = http.HTTPStatus(status).phrase
+        raw = (f"HTTP/1.1 {status} {reason}\r\n" + "".join(lines) + terminator
+               ).encode("ascii") + b"{}"
+        ref = http.client.HTTPResponse(FakeSocket(raw))
+        ref.begin()
+        got = read_reply_head(io.BytesIO(raw))
+        assert got == (ref.status, ref.length, ref.will_close)
+
+    def test_http10_replies_are_never_reused(self):
+        raw = b"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\nContent-Length: 2\r\n\r\n{}"
+        assert read_reply_head(io.BytesIO(raw)) == (200, 2, True)
+
+
 class TestStop:
     def test_stop_with_idle_client_connections_leaves_nothing(self):
         threads_before = threading.active_count()
@@ -399,3 +621,96 @@ class TestStop:
             assert worker.client._idle
             assert wait_until(lambda: open_connections(svc) == 0)
             worker.client.close()
+
+
+def exchange_to_eof(port: int, request: bytes) -> bytes:
+    """Send ``request`` and half-close: every byte the arbiter writes
+    before it closes the connection."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return data
+            data += chunk
+
+
+def capture_replies() -> dict:
+    """Each exchange's reply on its own connection, on a service whose
+    clock stands still and whose control loop never ticks."""
+    config = ServiceConfig(capacity_tokens=4, tick_seconds=1e6,
+                           time_scale=0.01)
+    registry = telemetry_metrics.REGISTRY
+    fresh = telemetry_metrics.MetricsRegistry()
+    fresh.counter("repro_golden_total", "Pinned by the wire replies",
+                  ("endpoint",)).labels(endpoint="/metrics").inc(3)
+    version = server_mod._Handler.sys_version.encode("ascii")
+    replies = {}
+    with ClusterService(config, store=tiny_store()) as svc:
+        svc.clock = ManualClock()
+
+        def exchange(name, request):
+            raw = exchange_to_eof(svc.port, request)
+            raw = re.sub(rb"\r\nDate: [^\r]*\r\n", b"\r\nDate: <masked>\r\n",
+                         raw).replace(version, b"Python/<masked>")
+            replies[name] = raw.decode("utf-8")
+            return raw.partition(b"\r\n\r\n")[2]
+
+        exchange("200 healthz", HEALTHZ)
+        exchange("200 templates, HTTP/1.0", b"GET /v1/templates HTTP/1.0\r\n\r\n")
+        exchange("200 healthz, Connection: close",
+                 b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+        job = json.loads(exchange("200 submit", post("/v1/jobs", json.dumps({
+            "template": "tiny", "deadline_minutes": 60.0,
+            "policy": "jockey-no-sim"}).encode())))["job_id"]
+        exchange("404 unknown job", b"GET /v1/jobs/job-99999 HTTP/1.1\r\n\r\n")
+        exchange("404 unknown endpoint", post("/v1/nowhere", b"{}"))
+        exchange("409 result while running",
+                 f"GET /v1/jobs/{job}/result HTTP/1.1\r\n\r\n".encode())
+        exchange("400 not JSON", post("/v1/workers/heartbeat", b"{not json"))
+        exchange("400 bad Content-Length",
+                 b"POST /v1/workers/lease HTTP/1.1\r\nContent-Length: x\r\n\r\n")
+        worker = json.loads(exchange("200 register", post(
+            "/v1/workers/register", b'{"name": "g", "slots": 8}')))["worker_id"]
+        for _ in range(8):
+            tasks = json.loads(exchange_to_eof(svc.port, post(
+                "/v1/workers/lease",
+                json.dumps({"worker_id": worker, "max_tasks": 8}).encode(),
+            )).partition(b"\r\n\r\n")[2])["tasks"]
+            svc.clock.advance(40.0)
+            for task in tasks:
+                exchange("200 complete, the job's last task", post("/v1/tasks/complete", json.dumps(
+                    {"worker_id": worker, "task_id": task["task_id"]}
+                ).encode()))
+        exchange("200 text report",
+                 f"GET /v1/jobs/{job}/report?format=text HTTP/1.1\r\n\r\n"
+                 .encode())
+        telemetry_metrics.REGISTRY = fresh
+        try:
+            exchange("200 /metrics", b"GET /metrics HTTP/1.1\r\n\r\n")
+        finally:
+            telemetry_metrics.REGISTRY = registry
+
+        def broken():
+            raise RuntimeError("boom")
+
+        svc.templates = broken
+        exchange("500 internal error", b"GET /v1/templates HTTP/1.1\r\n\r\n")
+    return replies
+
+
+class TestReplyBytes:
+    def test_replies_are_the_pinned_bytes(self):
+        want = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        got = capture_replies()
+        assert sorted(got) == sorted(want)
+        for name in want:
+            assert got[name] == want[name], name
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(capture_replies(), indent=2, sort_keys=True)
+                      + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN}")
