@@ -21,6 +21,8 @@ Performance notes:
   lookup's IEEE operations in its order, so the same bits), and the first
   :meth:`remaining_curve` over a candidate grid interpolates them to the
   grid once.  Both memos fill idempotently (no lock) and are not pickled.
+* **Binning** is one numpy pass per allocation: one sort by (progress
+  bin, remaining time), sliced at the bins' counts.
 * **Construction** checks what every query reads blind — positive
   allocations, each with ``num_bins + 1`` non-empty bins of finite
   ascending samples — so a malformed bundle or cache entry is refused
@@ -32,6 +34,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -124,11 +127,13 @@ class _AllocationColumn:
         return (n - pos) / n
 
 
-def _build_unit(spec) -> List[Tuple[float, float]]:
+def _build_unit(spec) -> np.ndarray:
     """One independent ``(allocation, rep)`` simulation: the parallel unit.
 
     Module-level so it pickles into worker processes.  ``spec`` is
-    ``(profile, indicator, allocation, unit_seed, sample_dt)``.
+    ``(profile, indicator, allocation, unit_seed, sample_dt)``; the result
+    is the run's :meth:`~SimulatedRun.remaining_samples` as an ``(n, 2)``
+    array (the same IEEE subtraction, done once per run).
     """
     profile, indicator, allocation, unit_seed, sample_dt = spec
     run = simulate_job(
@@ -138,7 +143,10 @@ def _build_unit(spec) -> List[Tuple[float, float]]:
         indicator=indicator,
         sample_dt=sample_dt,
     )
-    return run.remaining_samples()
+    times, progress = np.fromiter(
+        chain.from_iterable(run.progress_samples), float
+    ).reshape(-1, 2).T
+    return np.stack((progress, run.duration - times), axis=1)
 
 
 class CpaTable:
@@ -219,7 +227,10 @@ class CpaTable:
             base_seed = int(rng.integers(0, 2**63))
         else:
             raise CpaError("build needs an rng or an explicit seed")
-        units = [(int(a), rep) for a in allocations for rep in range(reps)]
+        allocations = [int(a) for a in allocations]
+        for i, a in enumerate(allocations):
+            if a in allocations[:i]:
+                raise CpaError(f"allocation {a} is repeated")
         specs = [
             (
                 profile,
@@ -228,42 +239,41 @@ class CpaTable:
                 derive_seed(base_seed, f"cpa-unit:{a}:{rep}"),
                 sample_dt,
             )
-            for a, rep in units
+            for a in allocations
+            for rep in range(reps)
         ]
         results = parallel_map(_build_unit, specs, jobs=jobs)
-        raw_bins: Dict[int, List[List[float]]] = {
-            int(a): [[] for _ in range(num_bins + 1)] for a in allocations
-        }
-        for (a, _rep), samples in zip(units, results):
-            target = raw_bins[a]
-            for p, remaining in samples:
-                idx = min(int(p * num_bins), num_bins)
-                target[idx].append(remaining)
         columns = {
-            a: cls._finalize_column(raw) for a, raw in raw_bins.items()
+            a: cls._finalize_column(
+                np.concatenate(results[i * reps:(i + 1) * reps]), a, num_bins
+            )
+            for i, a in enumerate(allocations)
         }
         return cls(allocations, columns, num_bins)
 
     @staticmethod
-    def _finalize_column(raw_bins: List[List[float]]) -> _AllocationColumn:
-        bins: List[np.ndarray] = []
-        last_filled: Optional[np.ndarray] = None
-        for bucket in raw_bins:
-            if bucket:
-                arr = np.sort(np.asarray(bucket, dtype=float))
-                last_filled = arr
-            elif last_filled is not None:
-                arr = last_filled
-            else:
-                arr = np.empty(0, dtype=float)
-            bins.append(arr)
-        # Leading empty bins (possible only if progress never hit 0, which
-        # cannot happen — sampling starts at t=0) inherit the first filled.
-        first_filled = next((b for b in bins if b.size), None)
-        if first_filled is None:
+    def _finalize_column(samples, allocation: int, num_bins: int) -> _AllocationColumn:
+        """Bin one allocation's ``(progress, remaining)`` samples in one
+        pass: a sort by (bin, remaining), sliced at the bins' counts."""
+        progress, remaining = np.asarray(samples, dtype=float).reshape(-1, 2).T
+        if not progress.size:
             raise CpaError("no samples at any progress value")
-        bins = [b if b.size else first_filled for b in bins]
-        return _AllocationColumn(bins=bins)
+        if not 0 <= progress.min() <= progress.max() <= 1:
+            raise CpaError(f"allocation {allocation}: progress out of [0, 1]")
+        idx = (progress * num_bins).astype(np.int64)
+        counts = np.bincount(idx, minlength=num_bins + 1)
+        ranked = remaining[np.lexsort((remaining, idx))]
+        ends = np.cumsum(counts)
+        # An empty bin (a progress value the job jumps over) inherits the
+        # nearest lower filled bin; leading empty bins (possible only if
+        # progress never hit 0, which cannot happen: sampling starts at
+        # t = 0) inherit the first filled.
+        source = np.maximum.accumulate(
+            np.where(counts > 0, np.arange(num_bins + 1), -1)
+        )
+        source[source < 0] = np.flatnonzero(counts)[0]
+        bins = [ranked[lo:hi] for lo, hi in zip((ends - counts).tolist(), ends.tolist())]
+        return _AllocationColumn(bins=[bins[j] for j in source.tolist()])
 
     # ------------------------------------------------------------------
     # Queries

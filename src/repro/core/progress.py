@@ -14,11 +14,19 @@ The paper builds six and ships ``totalworkWithQ``; we implement all six:
 ``minstage``              stage furthest behind its typical relative schedule
 ``minstage-inf``          same, schedule taken from an unconstrained run
 ========================  ====================================================
+
+Each indicator has one formula, :meth:`progress_at`, over the fractions of
+its ``stage_names`` in that order; :meth:`progress` checks a name-keyed
+mapping and reads it in that order.  The offline simulator binds
+``stage_names`` to tracker positions once per run and calls
+``progress_at`` directly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+import math
+from operator import mul
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.jobs.profiles import JobProfile
 
@@ -39,7 +47,18 @@ def _validate(fractions: StageFractions, expected: Tuple[str, ...]) -> None:
             raise ProgressError(f"fraction {f!r} for stage {name!r} out of [0,1]")
 
 
-class WeightedWorkIndicator:
+class _Indicator:
+    """What every indicator shares: :meth:`progress` over a mapping is the
+    positional :meth:`progress_at` over ``stage_names``."""
+
+    stage_names: Tuple[str, ...]
+
+    def progress(self, fractions: StageFractions) -> float:
+        _validate(fractions, self.stage_names)
+        return self.progress_at([fractions[s] for s in self.stage_names])
+
+
+class WeightedWorkIndicator(_Indicator):
     """Progress = weighted mean of per-stage completion fractions.
 
     ``totalworkWithQ``, ``totalwork`` and ``vertexfrac`` are all instances
@@ -49,17 +68,21 @@ class WeightedWorkIndicator:
     def __init__(self, name: str, weights: Dict[str, float]):
         if not weights:
             raise ProgressError("no stages")
+        for s, w in weights.items():
+            if not 0 <= w < math.inf:
+                raise ProgressError(
+                    f"weight {w!r} for stage {s!r} is not finite and >= 0"
+                )
         total = sum(weights.values())
         if total <= 0:
             raise ProgressError("weights must have positive sum")
         self.name = name
-        self._weights = dict(weights)
+        self.stage_names = tuple(weights)
+        self._weights = tuple(weights.values())
         self._total = total
-        self._stage_names = tuple(weights)
 
-    def progress(self, fractions: StageFractions) -> float:
-        _validate(fractions, self._stage_names)
-        done = sum(self._weights[s] * fractions[s] for s in self._stage_names)
+    def progress_at(self, values: Sequence[float]) -> float:
+        done = sum(map(mul, self._weights, values))
         return min(max(done / self._total, 0.0), 1.0)
 
 
@@ -85,7 +108,7 @@ def vertexfrac(profile: JobProfile) -> WeightedWorkIndicator:
     return WeightedWorkIndicator("vertexfrac", weights)
 
 
-class CriticalPathIndicator:
+class CriticalPathIndicator(_Indicator):
     """Progress from the remaining critical path (paper's ``cp``):
 
         S_t = max over stages with f_s < 1 of (1 − f_s) l_s + L_s
@@ -95,31 +118,33 @@ class CriticalPathIndicator:
     name = "cp"
 
     def __init__(self, profile: JobProfile):
-        self._longest_task = profile.longest_task_seconds()
-        self._path_after = profile.longest_path_after()
-        self._stage_names = tuple(self._longest_task)
-        self._initial = max(
-            self._longest_task[s] + self._path_after[s] for s in self._stage_names
-        )
+        longest_task = profile.longest_task_seconds()
+        path_after = profile.longest_path_after()
+        self.stage_names = tuple(longest_task)
+        #: Per stage, in ``stage_names`` order: ``(l_s, L_s)``.
+        self._terms = tuple((longest_task[s], path_after[s]) for s in self.stage_names)
+        self._initial = max(longest + after for longest, after in self._terms)
         if self._initial <= 0:
             raise ProgressError("job has zero critical path")
 
     def remaining_critical_path(self, fractions: StageFractions) -> float:
-        _validate(fractions, self._stage_names)
+        _validate(fractions, self.stage_names)
+        return self._remaining_at([fractions[s] for s in self.stage_names])
+
+    def _remaining_at(self, values: Sequence[float]) -> float:
         remaining = 0.0
-        for s in self._stage_names:
-            f = min(fractions[s], 1.0)
+        for f, (longest, after) in zip(values, self._terms):
+            f = min(f, 1.0)
             if f < 1.0:
-                est = (1.0 - f) * self._longest_task[s] + self._path_after[s]
-                remaining = max(remaining, est)
+                remaining = max(remaining, (1.0 - f) * longest + after)
         return remaining
 
-    def progress(self, fractions: StageFractions) -> float:
-        rem = self.remaining_critical_path(fractions)
+    def progress_at(self, values: Sequence[float]) -> float:
+        rem = self._remaining_at(values)
         return min(max(1.0 - rem / self._initial, 0.0), 1.0)
 
 
-class MinStageIndicator:
+class MinStageIndicator(_Indicator):
     """Progress = the relative schedule position of the most-behind stage:
 
         min over stages with f_s < 1 of  t_b(s) + f_s (t_e(s) − t_b(s))
@@ -137,8 +162,8 @@ class MinStageIndicator:
             if not 0 <= lo <= hi:
                 raise ProgressError(f"bad span for stage {s!r}: ({lo}, {hi})")
         self.name = name
-        self._spans = dict(spans)
-        self._stage_names = tuple(spans)
+        self.stage_names = tuple(spans)
+        self._spans = tuple(spans.values())
 
     @classmethod
     def from_profile(cls, profile: JobProfile, name: str = "minstage") -> "MinStageIndicator":
@@ -148,13 +173,11 @@ class MinStageIndicator:
             spans[stage_name] = span if span is not None else (0.0, 1.0)
         return cls(spans, name=name)
 
-    def progress(self, fractions: StageFractions) -> float:
-        _validate(fractions, self._stage_names)
+    def progress_at(self, values: Sequence[float]) -> float:
         value = 1.0
-        for s in self._stage_names:
-            f = min(fractions[s], 1.0)
+        for f, (lo, hi) in zip(values, self._spans):
+            f = min(f, 1.0)
             if f < 1.0:
-                lo, hi = self._spans[s]
                 value = min(value, lo + f * (hi - lo))
         return min(max(value, 0.0), 1.0)
 

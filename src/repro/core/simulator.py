@@ -142,6 +142,13 @@ def simulate_job(
     ready = deque(tracker.initially_ready_ids())
     if not ready:
         raise SimulatorError(f"job {graph.name!r} has no runnable root tasks")
+    if indicator is not None:
+        # Bound once, before any draw: the indicator's stages as tracker
+        # positions (an unknown name is refused here), so a sample reads
+        # the tracker's counts in the indicator's order.
+        positions = tracker.stage_positions(indicator.stage_names)
+        progress_at = indicator.progress_at
+        fractions_at = tracker.fractions_at
 
     #: One sampler per stage, in stage order.
     samplers = [
@@ -177,7 +184,6 @@ def simulate_job(
     heapreplace = heapq.heapreplace
     popleft = ready.popleft
     complete_id = tracker.complete_id
-    fractions = tracker.stage_fractions
 
     while True:
         # Greedy FIFO: fill free tokens from the head of the ready queue.
@@ -213,11 +219,14 @@ def simulate_job(
         finish_time, _seq, task, will_fail = running[0]
         vacated = True
         in_flight -= 1
-        # Sample progress at interval boundaries strictly before this event.
+        # Sample progress at interval boundaries strictly before this event:
+        # nothing completes between them, so one value serves them all.
         up_to = finish_time - 1e-9
-        while next_sample <= up_to:
-            samples.append((next_sample, indicator.progress(fractions())))
-            next_sample += sample_dt
+        if next_sample <= up_to:
+            progress = progress_at(fractions_at(positions))
+            while next_sample <= up_to:
+                samples.append((next_sample, progress))
+                next_sample += sample_dt
         now = finish_time
         if will_fail:
             failures += 1
@@ -248,7 +257,7 @@ def simulate_job(
             hi = end / duration
             spans[stage.name] = (min(lo, 1.0), min(max(hi, lo), 1.0))
     if indicator is not None:
-        samples.append((duration, indicator.progress(fractions())))
+        samples.append((duration, progress_at(fractions_at(positions))))
     if metrics_on:
         _SIMULATIONS.inc()
         _SIM_FAILURES.inc(failures)

@@ -464,13 +464,24 @@ class DependencyTracker:
         names = plan.task_names
         return [names[t] for t in self.complete_id(plan.offsets[s] + index)]
 
+    def stage_positions(self, names: Sequence[str]) -> Tuple[int, ...]:
+        """Positions in ``graph.stages`` of the named stages, for
+        :meth:`fractions_at`; an unknown name is refused, named."""
+        index = self._plan.index
+        try:
+            return tuple(index[name] for name in names)
+        except KeyError as exc:
+            raise GraphError(f"no stage named {exc.args[0]!r}") from None
+
+    def fractions_at(self, positions: Sequence[int]) -> List[float]:
+        """Fraction of tasks completed in each stage at ``positions``."""
+        pending, sizes = self._pending, self._plan.sizes
+        return [(sizes[s] - pending[s]) / sizes[s] for s in positions]
+
     def stage_fractions(self) -> Dict[str, float]:
         """Fraction of each stage's tasks completed, in stage order."""
-        plan = self._plan
-        return {
-            name: (size - pending) / size
-            for name, pending, size in zip(plan.names, self._pending, plan.sizes)
-        }
+        names = self._plan.names
+        return dict(zip(names, self.fractions_at(range(len(names)))))
 
     def completed_in_stage(self, stage: str) -> int:
         s = self._plan.index[stage]

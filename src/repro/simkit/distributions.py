@@ -23,6 +23,14 @@ class DistributionError(ValueError):
     """Raised for invalid distribution parameters."""
 
 
+def _finite(owner: str, **params: float) -> None:
+    """Refuse a NaN or infinite parameter, naming it: every range check
+    below is a comparison, and NaN passes a negated one."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise DistributionError(f"{owner} {name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Constant:
     """A degenerate distribution: always ``value``."""
@@ -30,6 +38,7 @@ class Constant:
     value: float
 
     def __post_init__(self):
+        _finite("constant", value=self.value)
         if self.value < 0:
             raise DistributionError(f"negative constant {self.value!r}")
 
@@ -54,6 +63,7 @@ class Uniform:
     high: float
 
     def __post_init__(self):
+        _finite("uniform", low=self.low, high=self.high)
         if not 0 <= self.low <= self.high:
             raise DistributionError(f"bad uniform bounds [{self.low}, {self.high}]")
 
@@ -79,6 +89,7 @@ class Exponential:
     mean_value: float
 
     def __post_init__(self):
+        _finite("exponential", mean_value=self.mean_value)
         if self.mean_value <= 0:
             raise DistributionError(f"mean must be positive, got {self.mean_value!r}")
 
@@ -105,6 +116,7 @@ class LogNormal:
     sigma: float
 
     def __post_init__(self):
+        _finite("lognormal", mu=self.mu, sigma=self.sigma)
         if self.sigma < 0:
             raise DistributionError(f"sigma must be >= 0, got {self.sigma!r}")
 
@@ -167,6 +179,7 @@ class WithOutliers:
     outlier_factor: float
 
     def __post_init__(self):
+        _finite("outlier mixture", outlier_factor=self.outlier_factor)
         if not 0 <= self.outlier_prob <= 1:
             raise DistributionError(f"outlier_prob {self.outlier_prob!r} out of [0,1]")
         if self.outlier_factor < 1:
@@ -214,6 +227,7 @@ class Truncated:
     cap: float
 
     def __post_init__(self):
+        _finite("truncated", cap=self.cap)
         if self.cap <= 0:
             raise DistributionError(f"cap must be positive, got {self.cap!r}")
 
@@ -246,9 +260,15 @@ class Empirical:
     def __post_init__(self):
         if not self.values:
             raise DistributionError("empirical distribution needs at least one value")
+        self._array = np.asarray(self.values, dtype=float)
+        finite = np.isfinite(self._array)
+        if not finite.all():
+            bad = int(finite.argmin())
+            raise DistributionError(
+                f"empirical values[{bad}] must be finite, got {self.values[bad]!r}"
+            )
         if any(v < 0 for v in self.values):
             raise DistributionError("empirical values must be non-negative")
-        self._array = np.asarray(self.values, dtype=float)
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(self._array[rng.integers(0, len(self._array))])

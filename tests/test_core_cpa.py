@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import cpa
 from repro.core.cpa import CpaError, CpaTable, _AllocationColumn
 from repro.core.progress import totalwork, totalwork_with_q
 from repro.jobs.workloads import generate_table2_jobs
@@ -177,6 +178,26 @@ class TestValidation:
             CpaError, match="allocation 1: progress bin 5 holds a non-finite sample"
         ):
             CpaTable([1], {1: _AllocationColumn(bins=bins)}, table.num_bins)
+
+    def test_repeated_allocation_is_refused_before_any_simulation(
+        self, monkeypatch
+    ):
+        """Both copies ran on the same unit seeds and merged into one column
+        holding every sample twice."""
+        profile = deterministic_profile()
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("simulated a unit")
+
+        monkeypatch.setattr(cpa, "simulate_job", unreachable)
+        with pytest.raises(CpaError, match="allocation 4 is repeated"):
+            CpaTable.build(profile, totalwork(profile), seed=1,
+                           allocations=(2, 4, 4), reps=2, jobs=1)
+
+    @pytest.mark.parametrize("progress", [1.5, -0.5, float("nan")])
+    def test_progress_outside_the_unit_interval_is_named(self, progress):
+        with pytest.raises(CpaError, match="allocation 7: progress out of"):
+            CpaTable._finalize_column([(0.0, 9.0), (progress, 1.0)], 7, 10)
 
     @pytest.mark.parametrize("sample_dt", [0, -15.0, float("nan"), float("inf")])
     def test_bad_sample_dt_names_the_value(self, sample_dt):
@@ -550,6 +571,43 @@ class TestQueryMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert results == [expected] * len(results)
         assert answers(shared) == expected
+
+
+def reference_bins(samples, num_bins):
+    """The build's binning as it was, verbatim but for names: one list per
+    bin appended per sample, one sort per filled bin, an empty bin
+    inheriting the bin below and leading empty bins the first filled."""
+    raw_bins = [[] for _ in range(num_bins + 1)]
+    for p, remaining in samples:
+        raw_bins[min(int(p * num_bins), num_bins)].append(remaining)
+    bins = []
+    last_filled = None
+    for bucket in raw_bins:
+        if bucket:
+            arr = np.sort(np.asarray(bucket, dtype=float))
+            last_filled = arr
+        elif last_filled is not None:
+            arr = last_filled
+        else:
+            arr = np.empty(0, dtype=float)
+        bins.append(arr)
+    first_filled = next(b for b in bins if b.size)
+    return [b if b.size else first_filled for b in bins]
+
+
+class TestOnePassBinning:
+    @given(
+        num_bins=st.integers(2, 12),
+        samples=st.lists(
+            st.tuples(st.floats(0, 1), st.floats(0, 1e4)), min_size=1, max_size=60
+        ),
+    )
+    def test_bins_are_the_per_sample_appends(self, num_bins, samples):
+        """One sort by (bin, remaining) and a split at the counts give each
+        bin's sorted samples and the same inheritance, byte for byte."""
+        got = CpaTable._finalize_column(samples, 7, num_bins).bins
+        expected = reference_bins(samples, num_bins)
+        assert [b.tobytes() for b in got] == [b.tobytes() for b in expected]
 
 
 class TestGoldenTable:

@@ -1,5 +1,7 @@
 """Unit and property tests for the six progress indicators."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from repro.core.progress import (
     CriticalPathIndicator,
     MinStageIndicator,
     ProgressError,
+    WeightedWorkIndicator,
     build_indicator,
     totalwork,
     totalwork_with_q,
@@ -17,6 +20,7 @@ from repro.core.progress import (
 from repro.jobs.dag import Edge, EdgeType, JobGraph, Stage
 from repro.jobs.profiles import JobProfile, StageProfile
 from repro.simkit.distributions import Constant
+from tests.test_core_simulator import random_profiles
 
 
 def profile():
@@ -69,6 +73,17 @@ class TestWeightedWorkIndicators:
     def test_out_of_range_fraction_rejected(self):
         with pytest.raises(ProgressError):
             totalwork(profile()).progress({"map": 1.5, "reduce": 0.0})
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_weight_is_refused_naming_the_stage(self, weight):
+        """A NaN weight made every progress value NaN, and the table build
+        died converting it to a bin index."""
+        with pytest.raises(ProgressError, match="stage 'a'"):
+            WeightedWorkIndicator("x", {"a": weight, "b": 1.0})
+
+    def test_zero_weight_is_a_stage_that_does_not_count(self):
+        ind = WeightedWorkIndicator("x", {"a": 0.0, "b": 2.0})
+        assert ind.progress({"a": 1.0, "b": 0.5}) == 0.5
 
     @given(
         f_map=st.floats(0, 1),
@@ -171,3 +186,32 @@ class TestFactory:
     def test_unknown_name(self):
         with pytest.raises(ProgressError):
             build_indicator("magic", profile())
+
+
+def every_indicator(prof):
+    """One indicator of each class (and of each paper name) over ``prof``."""
+    inf_spans = {"map": (0.0, 0.3), "reduce": (0.3, 1.0)}
+    return [build_indicator(name, prof, inf_spans=inf_spans)
+            for name in INDICATOR_NAMES]
+
+
+class TestPositionalEntry:
+    def test_stage_names_are_the_profiles(self):
+        for ind in every_indicator(profile()):
+            assert ind.stage_names == ("map", "reduce")
+
+    @given(prof=random_profiles(), data=st.data())
+    def test_progress_at_is_progress_bit_for_bit(self, prof, data):
+        """On a random DAG, every class's positional entry equals its
+        mapping entry, which checks its input and reads it in
+        ``stage_names`` order whatever order the mapping has."""
+        names = data.draw(st.permutations(prof.stage_names))
+        fractions = {s: data.draw(st.floats(0, 1)) for s in names}
+        unit = st.floats(0, 1)
+        inf_spans = {s: tuple(sorted(data.draw(st.tuples(unit, unit))))
+                     for s in names}
+        for kind in INDICATOR_NAMES:
+            ind = build_indicator(kind, prof, inf_spans=inf_spans)
+            positional = ind.progress_at([fractions[s] for s in ind.stage_names])
+            assert positional == ind.progress(fractions)
+            assert 0.0 <= positional <= 1.0

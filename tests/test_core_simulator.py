@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.progress import totalwork, totalwork_with_q
+from repro.core.progress import (
+    WeightedWorkIndicator,
+    build_indicator,
+    totalwork,
+    totalwork_with_q,
+)
 from repro.core.simulator import (
     SimulatedRun,
     SimulatorError,
@@ -17,7 +22,7 @@ from repro.core.simulator import (
     simulate_job,
     simulate_relative_spans,
 )
-from repro.jobs.dag import Edge, EdgeType, JobGraph, Stage
+from repro.jobs.dag import Edge, EdgeType, GraphError, JobGraph, Stage
 from repro.jobs.profiles import JobProfile, StageProfile
 from repro.jobs.workloads import generate_table2_jobs
 from repro.simkit import distributions as _dist
@@ -420,21 +425,28 @@ def random_profiles(draw):
     return JobProfile(graph, stages)
 
 
+#: The indicators the differential samples through: each class, and each
+#: weighting of the weighted one.
+SAMPLED_KINDS = ("totalworkWithQ", "totalwork", "vertexfrac", "cp", "minstage")
+
+
 class TestSimulatorIsTheNameAddressedLoop:
     @given(
         profile=random_profiles(),
         seed=st.integers(0, 2**32 - 1),
         max_task_attempts=st.sampled_from([2, 3, 20]),
-        sampled=st.booleans(),
+        kind=st.sampled_from((None,) + SAMPLED_KINDS),
         sample_dt=st.sampled_from([0.7, 5.0, 15.0]),
         track_spans=st.booleans(),
     )
-    def test_equal_runs(self, profile, seed, max_task_attempts, sampled,
+    def test_equal_runs(self, profile, seed, max_task_attempts, kind,
                         sample_dt, track_spans):
         """Every field of the run, exactly, at one token, a few and one per
-        vertex — with the livelock guard's raw-cost branch in reach."""
+        vertex — with the livelock guard's raw-cost branch in reach.  The
+        reference samples through ``progress(mapping)``, the simulator
+        through the positional entry bound to the tracker."""
         options = dict(
-            indicator=totalwork(profile) if sampled else None,
+            indicator=None if kind is None else build_indicator(kind, profile),
             sample_dt=sample_dt,
             max_task_attempts=max_task_attempts,
             track_spans=track_spans,
@@ -459,6 +471,36 @@ class TestSimulatorIsTheNameAddressedLoop:
         old = reference_simulate_job(profile, 8, np.random.default_rng(3), **options)
         assert new == old
         assert new.failures > 0.8 * profile.graph.num_vertices
+
+
+class TestBoundIndicator:
+    def test_unknown_stage_is_refused_before_the_first_draw(self):
+        profile = deterministic_profile()
+        indicator = WeightedWorkIndicator("x", {"map": 1.0, "shuffle": 1.0})
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        with pytest.raises(GraphError, match="'shuffle'"):
+            simulate_job(profile, 3, rng, indicator=indicator)
+        assert rng.bit_generator.state == before
+
+    @given(
+        profile=random_profiles(),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(SAMPLED_KINDS),
+        allocation=st.sampled_from([1, 3, 50]),
+    )
+    def test_every_sample_is_in_the_unit_interval(self, profile, seed, kind,
+                                                  allocation):
+        """No per-sample range check is left: a tracker's pending count stays
+        in [0, size], so every fraction and every progress value is in
+        [0, 1].  Progress never falls, and the last sample is the end."""
+        run = simulate_job(profile, allocation, np.random.default_rng(seed),
+                           indicator=build_indicator(kind, profile),
+                           sample_dt=2.0)
+        progress = [p for _t, p in run.progress_samples]
+        assert all(0.0 <= p <= 1.0 for p in progress)
+        assert progress == sorted(progress)
+        assert run.progress_samples[-1] == (run.duration, 1.0)
 
 
 class TestBlockResolvedDraws:

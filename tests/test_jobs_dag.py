@@ -366,6 +366,18 @@ class TestDependencyTracker:
         assert list(fractions) == ["extract", "process", "aggregate"]
         assert fractions == {"extract": 0.25, "process": 0.0, "aggregate": 0.0}
 
+    def test_positional_read_out(self):
+        """Positions in any order of names; the fractions at them are
+        the mapping's values; an unknown name is refused, named."""
+        tracker = DependencyTracker(chain_graph())
+        tracker.complete("extract", 1)
+        tracker.complete("extract", 2)
+        positions = tracker.stage_positions(["aggregate", "extract"])
+        assert positions == (2, 0)
+        assert tracker.fractions_at(positions) == [0.0, 0.5]
+        with pytest.raises(GraphError, match="no stage named 'shuffle'"):
+            tracker.stage_positions(["extract", "shuffle"])
+
     def test_multi_barrier_stage(self):
         graph = JobGraph(
             "two-barriers",

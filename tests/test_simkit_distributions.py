@@ -39,6 +39,11 @@ class TestConstant:
         with pytest.raises(DistributionError):
             Constant(-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(DistributionError, match="constant value must be finite"):
+            Constant(value)
+
 
 class TestUniform:
     def test_samples_within_bounds(self, rng):
@@ -51,6 +56,14 @@ class TestUniform:
 
     def test_quantile(self):
         assert Uniform(0.0, 10.0).quantile(0.3) == 3.0
+
+    @pytest.mark.parametrize(
+        "low, high, param",
+        [(math.nan, 1.0, "low"), (0.0, math.inf, "high"), (0.0, math.nan, "high")],
+    )
+    def test_non_finite_rejected(self, low, high, param):
+        with pytest.raises(DistributionError, match=f"uniform {param} must be finite"):
+            Uniform(low, high)
 
     def test_invalid_bounds(self):
         with pytest.raises(DistributionError):
@@ -84,6 +97,11 @@ class TestExponential:
     def test_quantile_median(self):
         assert Exponential(10.0).quantile(0.5) == pytest.approx(10.0 * math.log(2))
 
+    @pytest.mark.parametrize("mean", [math.nan, math.inf])
+    def test_non_finite_rejected(self, mean):
+        with pytest.raises(DistributionError, match="mean_value must be finite"):
+            Exponential(mean)
+
     def test_invalid(self):
         with pytest.raises(DistributionError):
             Exponential(0.0)
@@ -98,6 +116,15 @@ class TestLogNormal:
     def test_fit_degenerate_when_p90_equals_median(self):
         dist = LogNormal.from_median_p90(10.0, 10.0)
         assert dist.sigma == 0.0
+
+    @pytest.mark.parametrize(
+        "mu, sigma, param",
+        [(math.nan, 1.0, "mu"), (-math.inf, 1.0, "mu"), (1.0, math.inf, "sigma"),
+         (1.0, math.nan, "sigma")],
+    )
+    def test_non_finite_rejected(self, mu, sigma, param):
+        with pytest.raises(DistributionError, match=f"lognormal {param} must be finite"):
+            LogNormal(mu, sigma)
 
     def test_fit_rejects_bad_quantiles(self):
         with pytest.raises(DistributionError):
@@ -147,6 +174,13 @@ class TestWithOutliers:
         with pytest.raises(DistributionError):
             WithOutliers(Constant(1.0), outlier_prob=0.1, outlier_factor=0.5)
 
+    @pytest.mark.parametrize("factor", [math.nan, math.inf])
+    def test_non_finite_factor_rejected(self, factor):
+        with pytest.raises(DistributionError, match="outlier_factor must be finite"):
+            WithOutliers(Constant(1.0), outlier_prob=0.1, outlier_factor=factor)
+        with pytest.raises(DistributionError, match="outlier_prob"):
+            WithOutliers(Constant(1.0), outlier_prob=math.nan, outlier_factor=2.0)
+
 
 class TestTruncated:
     def test_samples_capped(self, rng):
@@ -166,6 +200,24 @@ class TestTruncated:
     def test_invalid_cap(self):
         with pytest.raises(DistributionError):
             Truncated(Constant(1.0), cap=0.0)
+
+    @pytest.mark.parametrize("cap", [math.nan, math.inf])
+    def test_non_finite_cap_rejected(self, cap):
+        with pytest.raises(DistributionError, match="truncated cap must be finite"):
+            Truncated(Constant(1.0), cap=cap)
+
+    def test_scalar_and_block_draws_agree(self):
+        """The runtime draws one value at a time and the simulator a block
+        of the same stream.  A NaN cap split them: ``min`` ignores NaN and
+        returned the base draw, ``np.minimum`` propagated it."""
+        dist = Truncated(Uniform(0.0, 10.0), cap=5.0)
+        scalar_rng = np.random.default_rng(8)
+        scalar = [dist.sample(scalar_rng) for _ in range(200)]
+        block = dist.sample_n(np.random.default_rng(8), 200).tolist()
+        assert scalar == block
+        assert 5.0 in scalar and min(scalar) < 5.0
+        with pytest.raises(DistributionError, match="cap"):
+            Truncated(Uniform(0.0, 10.0), cap=math.nan)
 
     @given(cap=st.floats(1.0, 100.0))
     @settings(max_examples=50)
@@ -196,6 +248,15 @@ class TestEmpirical:
     def test_negative_rejected(self):
         with pytest.raises(DistributionError):
             Empirical([1.0, -2.0])
+
+    @pytest.mark.parametrize(
+        "values", [[math.nan], [1.0, math.inf], [2.0, 3.0, -math.inf]]
+    )
+    def test_non_finite_rejected(self, values):
+        """A NaN value gave a simulated run of NaN duration."""
+        where = rf"empirical values\[{len(values) - 1}\] must be finite"
+        with pytest.raises(DistributionError, match=where):
+            Empirical(values)
 
     def test_len(self):
         assert len(Empirical([1.0, 2.0, 3.0])) == 3
