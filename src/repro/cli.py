@@ -932,7 +932,8 @@ def cmd_fleet(args, out) -> int:
             f"{s.profiling_runs} profiling run(s), "
             f"mean staleness {s.mean_staleness_days:.1f} day(s), "
             f"deadline {s.deadline_minutes:.0f} min, "
-            f"cov@90 {s.coverage90:.2f} ({s.prediction_verdict})\n"
+            f"cov@90 {s.coverage90:.2f} ({s.prediction_verdict} at "
+            f"n={s.prediction_runs})\n"
         )
     if config.store_root is not None:
         out.write(f"  profile store: {config.store_root}\n")
@@ -1271,8 +1272,9 @@ def cmd_predict(args, out) -> int:
         return 0
     # predict score
     cal = telemetry_predict.calibration(
-        records, trace.duration, predictor=args.policy
+        [(records, trace.duration)], predictor=args.policy
     )
+    rolling = telemetry_predict.rolling_coverage(records, trace.duration)
     out.write(
         ascii_table(
             list(telemetry_predict.RELIABILITY_HEADERS),
@@ -1280,19 +1282,17 @@ def cmd_predict(args, out) -> int:
         ) + "\n"
     )
     out.write(
-        f"verdict: {cal.verdict} ({cal.ticks} interval tick(s), pinball "
-        f"loss {cal.pinball_loss / 60:.2f} min, tolerance "
-        f"±{cal.tolerance:.0%} plus quantization)\n"
+        f"verdict: {cal.verdict} at n={cal.runs} ({cal.ticks} interval "
+        f"tick(s), pinball loss {cal.pinball_loss / 60:.2f} min)\n"
     )
-    if cal.rolling:
+    if rolling:
         out.write(
-            "rolling cov@90 "
-            + sparkline([p.coverage for p in cal.rolling]) + "\n"
+            "rolling cov@90 " + sparkline([p.coverage for p in rolling]) + "\n"
         )
     if args.json_out:
         payload = {
             "kind": "predict_score",
-            "schema_version": 1,
+            "schema_version": 2,
             "job": graph.name,
             "policy": args.policy,
             "seed": args.seed,
@@ -1307,9 +1307,8 @@ def cmd_predict(args, out) -> int:
                     "elapsed": p.elapsed,
                     "window": p.window,
                     "coverage": p.coverage,
-                    "verdict": p.verdict,
                 }
-                for p in cal.rolling
+                for p in rolling
             ],
         }
         persist.write_json(args.json_out, payload, indent=2)

@@ -10,10 +10,11 @@ The sweep is a :class:`~repro.experiments.runner.Sweep` with one variant
 per intensity, so every intensity of one (job, rep) runs on the same seed.
 Each intensity pools the interval ledgers of those paired-seed runs (same
 jobs, same cluster noise — intensity alone moves the outcome) and scores
-them with :func:`repro.telemetry.predict.pooled_calibration`.  Expected shape:
+them with :func:`repro.telemetry.predict.calibration`, whose verdict reads
+one trial per run and level.  Expected shape:
 
-* calm (intensity 0) — empirical coverage of the nominal 90% interval
-  lands in [0.85, 0.95] and the overall verdict is ``honest``: the
+* calm (intensity 0) — the run coverage of the nominal 90% interval is
+  shown within [0.85, 0.95] and the overall verdict is ``honest``: the
   shipped model-error envelope matches the simulator-vs-cluster
   divergence it was calibrated against;
 * under chaos — drift, storms and blackouts violate the model's
@@ -30,6 +31,7 @@ a given seed/scale, at any worker count); ``repro experiment predict
 from __future__ import annotations
 
 from dataclasses import replace
+from fractions import Fraction
 from functools import partial
 from typing import Dict, List, Tuple
 
@@ -51,9 +53,8 @@ INTENSITIES = (0.0, 0.5, 1.0, 1.5)
 #: empirical rate is meaningful, even at smoke scale.
 REPS = 6
 
-#: The acceptance band the calm cell is gated on (nominal level 0.9).
+#: The nominal level the calm cell's note quotes the verdict at.
 CALM_LEVEL = 0.9
-CALM_COVERAGE_BAND = (0.85, 0.95)
 
 
 def base_spec(deadline: float) -> ChaosSpec:
@@ -113,29 +114,28 @@ def _row(unit: Unit, result: ExperimentResult) -> Dict:
     }
 
 
+def _per_level(report: _predict.CalibrationReport, value) -> Dict:
+    """``{level label: value(level)}`` over a report's levels."""
+    return {_predict.level_label(lv.level): value(lv) for lv in report.levels}
+
+
 def _aggregate(rows: List[Tuple[Unit, Dict]]) -> List[Dict]:
     """Per-variant pooled calibration, in sweep order."""
     out = []
     for variant in VARIANTS:
         cell = [row for unit, row in rows if unit.variant is variant]
-        report = _predict.pooled_calibration(
+        report = _predict.calibration(
             [(r["records"], r["duration"]) for r in cell],
             predictor="jockey",
         )
-        coverage = {
-            _predict.level_label(lv.level): round(lv.empirical, 6)
-            for lv in report.levels
-        }
-        sharpness = {
-            _predict.level_label(lv.level): round(lv.sharpness, 6)
-            for lv in report.levels
-        }
         out.append({
             "intensity": cell[0]["intensity"],
             "runs": len(cell),
             "ticks": report.ticks,
-            "coverage": coverage,
-            "sharpness": sharpness,
+            "coverage": _per_level(report, lambda lv: round(lv.empirical, 6)),
+            "runs_banded": _per_level(report, lambda lv: lv.runs),
+            "runs_covered": _per_level(report, lambda lv: lv.runs_covered),
+            "sharpness": _per_level(report, lambda lv: round(lv.sharpness, 6)),
             "pinball_loss_seconds": round(report.pinball_loss, 3),
             "verdict": report.verdict,
             "mean_degraded_ticks": round(
@@ -158,6 +158,7 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
             "cov@80%",
             "cov@90%",
             "cov@95%",
+            "runs cov@90%",
             "pinball [min]",
             "verdict",
         ],
@@ -168,6 +169,8 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
         for unit, result in Sweep(VARIANTS, reps=REPS).run(jobs.values(), seed=seed)
     ]
     aggregates = _aggregate(rows)
+    nominal, margin = Fraction(str(CALM_LEVEL)), _predict.HONESTY_MARGIN
+    band = [float(nominal - margin), float(nominal + margin)]
     for agg in aggregates:
         report.add_row(
             agg["intensity"],
@@ -177,6 +180,7 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
             agg["coverage"].get("80", 0.0),
             agg["coverage"].get("90", 0.0),
             agg["coverage"].get("95", 0.0),
+            f"{agg['runs_covered'].get('90', 0)}/{agg['runs_banded'].get('90', 0)}",
             agg["pinball_loss_seconds"] / 60.0,
             agg["verdict"],
         )
@@ -189,21 +193,20 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
             _predict.level_label(lv) for lv in _predict.NOMINAL_LEVELS
         ],
         "calm_level": CALM_LEVEL,
-        "calm_coverage_band": list(CALM_COVERAGE_BAND),
+        "calm_coverage_band": band,
         "model_error_rel": _predict.MODEL_ERROR_REL,
         "aggregates": aggregates,
         "runs": [
             {k: v for k, v in row.items() if k != "records"} for _unit, row in rows
         ],
     }
-    calm = aggregates[0]
-    calm_cov = calm["coverage"].get(_predict.level_label(CALM_LEVEL), 0.0)
-    lo, hi = CALM_COVERAGE_BAND
-    status = "within" if lo <= calm_cov <= hi else "OUTSIDE"
+    calm, label = aggregates[0], _predict.level_label(CALM_LEVEL)
+    runs, covered = calm["runs_banded"][label], calm["runs_covered"][label]
     report.add_note(
-        f"calm cell: empirical coverage of the nominal 90% interval is "
-        f"{calm_cov:.3f} — {status} the acceptance band [{lo}, {hi}] "
-        f"(verdict: {calm['verdict']})"
+        f"calm cell: {covered} of {runs} runs' first nominal 90% interval "
+        f"covered their completion — "
+        f"{_predict.honesty(runs, covered, CALM_LEVEL)[0]} at n={runs}, where "
+        f"honest needs run coverage shown within {band} (verdict: {calm['verdict']})"
     )
     report.add_note(
         "schedule per run: eviction storm over 0.25-0.55 D, 1.6x profile "

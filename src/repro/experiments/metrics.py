@@ -163,42 +163,49 @@ def tally(claim: Claim, rows: Iterable[Tuple[str, str, Any]]) -> Tuple[int, int]
     return sum(d > 0 for d in diffs), sum(d < 0 for d in diffs)
 
 
-#: The sign test's one-sided level each way; the interval is 90 % two-sided.
+#: The exact test's one-sided level each way; the interval is 90 % two-sided.
 ALPHA = Fraction(1, 20)
 
 
 class Verdict(NamedTuple):
     reading: str  # "holds", "fails" or "unresolved"
-    p: float      # one-sided sign-test p, in the direction the units lean
+    p: float      # one-sided exact p, in the direction the units lean
     low: float    # Clopper–Pearson interval on wins / (wins + losses)
     high: float
 
 
-def verdict(wins: int, losses: int) -> Verdict:
-    """An exact one-sided sign test each way at :data:`ALPHA`: *holds* when
-    ``wins`` or more of n untied units is that unlikely at a fair coin,
-    *fails* when ``losses`` or more is, else *unresolved* (always at n = 0).
-    Each bound is searched on the side of ½ the test chose, so *holds* is
-    exactly "the interval lies above ½" and *fails* "below"."""
+def verdict(wins: int, losses: int, null: Fraction = Fraction(1, 2)) -> Verdict:
+    """An exact one-sided binomial test each way at :data:`ALPHA`: *holds*
+    when ``wins`` or more of n units is that unlikely at a win rate of
+    ``null``, *fails* when ``wins`` or fewer is, else *unresolved* (always at
+    n = 0).  At the default ½ this is the sign test on untied pairs.  Each
+    bound is searched on the side of ``null`` the test chose, so *holds* is
+    exactly "the interval lies above ``null``" and *fails* "below"."""
+    if not 0 < null < 1:
+        raise ValueError(f"null must lie in (0, 1), got {null!r}")
     n = wins + losses
+    comb = [math.comb(n, i) for i in range(n + 1)]
 
     def at_least(k, p):  # P(X >= k), X ~ Binomial(n, p); exact for a Fraction p
-        return sum(math.comb(n, i) * p**i * (1 - p) ** (n - i) for i in range(k, n + 1))
+        # A Fraction sums over integers: one reduction, not one per term.
+        a, b = (p.numerator, p.denominator) if isinstance(p, Fraction) else (p, 1)
+        return Fraction(1, b**n) * sum(comb[i] * a**i * (b - a) ** (n - i) for i in range(k, n + 1))
 
-    def lower(k, above_half):  # the Clopper–Pearson lower bound for k of n
+    def lower(k, pivot, above):  # the Clopper–Pearson lower bound for k of n
         if k == 0:
             return 0.0
-        lo, hi = (0.5, 1.0) if above_half else (0.0, 0.5)
+        lo, hi = (float(pivot), 1.0) if above else (0.0, float(pivot))
         for _ in range(40):
             mid = (lo + hi) / 2
             lo, hi = (mid, hi) if at_least(k, mid) < ALPHA else (lo, mid)
         return (lo + hi) / 2
 
-    p_for, p_against = at_least(wins, Fraction(1, 2)), at_least(losses, Fraction(1, 2))
+    p_for, p_against = at_least(wins, null), at_least(losses, 1 - null)
     reading = "holds" if p_for <= ALPHA else "fails" if p_against <= ALPHA else "unresolved"
     # The upper bound for wins is 1 minus the lower bound for losses.
     return Verdict(reading, float(min(p_for, p_against)),
-                   lower(wins, reading == "holds"), 1 - lower(losses, reading == "fails"))
+                   lower(wins, null, reading == "holds"),
+                   1 - lower(losses, 1 - null, reading == "fails"))
 
 
 __all__ = [

@@ -202,7 +202,9 @@ class TemplateSummary:
     final_generation: int
     deadline_minutes: float
     #: Pooled interval calibration across the template's days: each day's
-    #: ledger judged against its own realized completion.
+    #: ledger judged against its own realized completion, each day one
+    #: trial of the honesty verdict.
+    prediction_runs: int = 0
     prediction_ticks: int = 0
     coverage90: float = 0.0
     prediction_verdict: str = _predict.VERDICT_NO_DATA
@@ -219,6 +221,7 @@ class TemplateSummary:
             "mean_staleness_days": self.mean_staleness_days,
             "final_generation": self.final_generation,
             "deadline_minutes": self.deadline_minutes,
+            "prediction_runs": self.prediction_runs,
             "prediction_ticks": self.prediction_ticks,
             "coverage90": self.coverage90,
             "prediction_verdict": self.prediction_verdict,
@@ -467,7 +470,7 @@ def _simulate_template(
 
     # Pooled honesty across the template's days — per-template coverage
     # gauges land on /metrics via the calibration call itself.
-    cal = _predict.pooled_calibration(ledgers, predictor=template.name)
+    cal = _predict.calibration(ledgers, predictor=template.name)
     summary = TemplateSummary(
         template=template.name,
         mode=mode,
@@ -481,6 +484,7 @@ def _simulate_template(
         ),
         final_generation=generation,
         deadline_minutes=round(deadline / 60.0, 3),
+        prediction_runs=cal.runs,
         prediction_ticks=cal.ticks,
         coverage90=round(cal.coverage(0.9), 6),
         prediction_verdict=cal.verdict,

@@ -55,7 +55,6 @@ from repro.telemetry.metrics import (
 from repro.telemetry.predict import (
     CalibrationReport,
     calibration,
-    pooled_calibration,
 )
 from repro.telemetry.report import RunReport, render_html, render_text
 from repro.telemetry.scorecard import Scorecard
@@ -89,7 +88,6 @@ __all__ = [
     "install",
     "load_events",
     "parse_prometheus",
-    "pooled_calibration",
     "read_jsonl",
     "reconstruct_allocations",
     "render_html",

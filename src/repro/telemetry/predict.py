@@ -14,13 +14,15 @@ the stated probabilities are honest.  This module is that product surface:
   (``median``, ``bands``).  The audit's banded records
   (:func:`forecasts`) are the ledger: once the run finishes, each pairs a
   nominal band with the eventually-realized completion.
-* **Calibration engine** — :func:`calibration` turns a finished audit
-  into a :class:`CalibrationReport`: empirical-vs-nominal coverage per
-  level (reliability-diagram data), mean interval width (sharpness),
-  a pinball-loss score over all quantiles (the CRPS-style proper scoring
-  rule, discretized), a rolling-window coverage timeline, and an
-  explicit honesty verdict (``honest`` / ``overconfident`` /
-  ``conservative``) per level and overall.
+* **Calibration engine** — :func:`calibration` turns finished audits
+  (one run or many) into a :class:`CalibrationReport`: empirical-vs-nominal
+  coverage per level (reliability-diagram data), mean interval width
+  (sharpness), a pinball-loss score over all quantiles (the CRPS-style
+  proper scoring rule, discretized), and an explicit honesty verdict
+  (``honest`` / ``overconfident`` / ``conservative`` / ``unresolved``)
+  per level and overall, read by the claims' exact binomial test over
+  runs (:func:`honesty`).  :func:`rolling_coverage` is the per-tick
+  timeline.
 * **Exposition** — module-level Prometheus gauges
   (``repro_prediction_interval_lo_seconds`` /
   ``..._hi_seconds`` / ``repro_prediction_median_seconds``, labelled by
@@ -46,7 +48,8 @@ cycle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry import metrics as _metrics
@@ -65,21 +68,22 @@ NOMINAL_LEVELS = (0.5, 0.8, 0.9, 0.95)
 #: envelope's quantile function is *linear* (uniform-like: the divergence
 #: behaves as a bounded run-level bias, not a heavy-tailed draw) with
 #: this half-width, calibrated offline against calm-day paired-seed runs
-#: of the substrate so every nominal level lands within tolerance of its
-#: empirical coverage.  The calibration engine below exists precisely to
+#: of the substrate so every nominal level lands near its empirical
+#: coverage.  The calibration engine below exists precisely to
 #: verify that constant continuously and flag when drift or chaos
 #: invalidates it.
 MODEL_ERROR_REL = 0.15
 
-#: |empirical - nominal| coverage beyond this flags miscalibration.
-HONESTY_TOLERANCE = 0.05
+#: Run coverage shown to lie within this of nominal reads honest.
+HONESTY_MARGIN = Fraction(1, 20)
 
 #: Ticks per rolling-coverage window.
 ROLLING_WINDOW = 12
 
-VERDICT_HONEST = "honest"
-VERDICT_OVERCONFIDENT = "overconfident"   # empirical < nominal - tol
-VERDICT_CONSERVATIVE = "conservative"     # empirical > nominal + tol
+VERDICT_HONEST = "honest"                 # shown within the margin
+VERDICT_OVERCONFIDENT = "overconfident"   # shown below nominal
+VERDICT_CONSERVATIVE = "conservative"     # shown above nominal
+VERDICT_UNRESOLVED = "unresolved"         # too few runs to tell
 VERDICT_NO_DATA = "no-data"
 
 _INTERVAL_LO = _metrics.REGISTRY.gauge(
@@ -200,23 +204,21 @@ def publish(record: TickRecord, *, predictor: str = "unknown") -> None:
 # ----------------------------------------------------------------------
 
 
-def _verdict(empirical: float, nominal: float, tolerance: float) -> str:
-    if empirical < nominal - tolerance:
-        return VERDICT_OVERCONFIDENT
-    if empirical > nominal + tolerance:
-        return VERDICT_CONSERVATIVE
-    return VERDICT_HONEST
-
-
 @dataclass(frozen=True)
 class LevelCalibration:
-    """Reliability-diagram point: one nominal level's empirical behaviour."""
+    """Reliability-diagram point: one nominal level's empirical behaviour.
+    ``ticks``/``covered`` count banded ticks; ``runs``/``runs_covered`` the
+    trials :func:`honesty` judges, and ``low``/``high`` bound their rate."""
 
     level: float
     ticks: int
     covered: int
     mean_width_seconds: float
     sharpness: float        # mean width as a fraction of the duration
+    runs: int
+    runs_covered: int
+    low: float
+    high: float
     verdict: str
 
     @property
@@ -224,15 +226,7 @@ class LevelCalibration:
         return self.covered / self.ticks if self.ticks else 0.0
 
     def summary(self) -> dict:
-        return {
-            "level": self.level,
-            "ticks": self.ticks,
-            "covered": self.covered,
-            "empirical_coverage": self.empirical,
-            "mean_width_seconds": self.mean_width_seconds,
-            "sharpness": self.sharpness,
-            "verdict": self.verdict,
-        }
+        return {**asdict(self), "empirical_coverage": self.empirical}
 
 
 @dataclass(frozen=True)
@@ -244,33 +238,31 @@ class RollingPoint:
     level: float
     window: int
     coverage: float
-    verdict: str
+
+
+#: Readings from worst to best: a report reads its worst level's.
+_SEVERITY = (
+    VERDICT_OVERCONFIDENT, VERDICT_CONSERVATIVE, VERDICT_UNRESOLVED, VERDICT_HONEST,
+)
 
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    """The honesty verdict on one run's (or one pool's) interval ledger."""
+    """The honesty verdict on one or more runs' interval ledgers."""
 
     predictor: str
-    duration: float          # realized completion (mean over pooled runs)
+    duration: float          # realized completion (mean over the runs)
+    runs: int                # runs with at least one banded tick
     ticks: int
     levels: Tuple[LevelCalibration, ...]
     pinball_loss: float      # mean pinball loss over all recorded quantiles
-    rolling: Tuple[RollingPoint, ...]
-    tolerance: float
 
     @property
     def verdict(self) -> str:
-        """Overall honesty: honest only if every level is; overconfidence
-        (intervals narrower than claimed) dominates conservatism."""
-        verdicts = {lv.verdict for lv in self.levels}
-        if not verdicts:
-            return VERDICT_NO_DATA
-        if VERDICT_OVERCONFIDENT in verdicts:
-            return VERDICT_OVERCONFIDENT
-        if VERDICT_CONSERVATIVE in verdicts:
-            return VERDICT_CONSERVATIVE
-        return VERDICT_HONEST
+        """Overall honesty: the worst level's reading, overconfidence
+        (intervals narrower than claimed) first."""
+        readings = {lv.verdict for lv in self.levels}
+        return next((r for r in _SEVERITY if r in readings), VERDICT_NO_DATA)
 
     def level(self, level: float) -> Optional[LevelCalibration]:
         for lv in self.levels:
@@ -287,10 +279,10 @@ class CalibrationReport:
         return {
             "predictor": self.predictor,
             "duration_seconds": self.duration,
+            "runs": self.runs,
             "ticks": self.ticks,
             "levels": [lv.summary() for lv in self.levels],
             "pinball_loss_seconds": self.pinball_loss,
-            "tolerance": self.tolerance,
             "verdict": self.verdict,
         }
 
@@ -301,8 +293,7 @@ def coverage_count(
     """``(ticks, covered, width sum)`` of the nominal ``level`` band over
     ``(records, realized completion)`` ledgers — each band judged against
     its own run's completion, a record without that band no tick.  The one
-    count behind :func:`calibration`, :func:`pooled_calibration` and the
-    scorecards' coverage columns."""
+    count behind :func:`calibration` and the scorecards' coverage columns."""
     ticks = 0
     covered = 0
     width_sum = 0.0
@@ -316,6 +307,50 @@ def coverage_count(
             if band.covers(duration):
                 covered += 1
     return ticks, covered, width_sum
+
+
+def run_coverage(
+    ledgers: Sequence[Tuple[Sequence[TickRecord], float]], level: float
+) -> Tuple[int, int]:
+    """``(runs, covered)``: one trial per ledger that carries a ``level``
+    band — whether its first such band, the promise made when the job
+    started, covered that run's realized completion.  Honest bands make
+    each trial Bernoulli(``level``) and the runs independent."""
+    runs = covered = 0
+    for records, duration in ledgers:
+        for record in records:
+            band = record.band(level)
+            if band is not None:
+                runs += 1
+                covered += band.covers(duration)
+                break
+    return runs, covered
+
+
+def honesty(runs: int, covered: int, level: float) -> Tuple[str, float, float]:
+    """``(reading, low, high)`` for ``covered`` of ``runs`` trials at the
+    nominal ``level``, each reading decided by the claims' exact test
+    (:func:`repro.experiments.metrics.verdict`) at a Fraction null:
+    *honest* when run coverage is shown within :data:`HONESTY_MARGIN` of
+    nominal (an edge at or beyond 0 or 1 counts as met), else
+    *overconfident* / *conservative* when shown below / above nominal,
+    else *unresolved*; *no-data* at no runs.  ``low``/``high`` is the
+    interval at the nominal null."""
+    # Imported here: repro.experiments imports repro.core, which imports us.
+    from repro.experiments.metrics import verdict
+
+    if not runs:
+        return VERDICT_NO_DATA, 0.0, 1.0
+    nominal = Fraction(str(level))
+    below, above = nominal - HONESTY_MARGIN, nominal + HONESTY_MARGIN
+    misses = runs - covered
+    at = verdict(covered, misses, nominal)
+    if (below <= 0 or verdict(covered, misses, below).reading == "holds") and (
+        above >= 1 or verdict(covered, misses, above).reading == "fails"
+    ):
+        return VERDICT_HONEST, at.low, at.high
+    readings = {"fails": VERDICT_OVERCONFIDENT, "holds": VERDICT_CONSERVATIVE}
+    return readings.get(at.reading, VERDICT_UNRESOLVED), at.low, at.high
 
 
 def pinball_loss(records: Sequence[TickRecord], duration: float) -> float:
@@ -342,7 +377,6 @@ def rolling_coverage(
     *,
     level: float = 0.9,
     window: int = ROLLING_WINDOW,
-    tolerance: float = HONESTY_TOLERANCE,
 ) -> List[RollingPoint]:
     """Trailing-window empirical coverage at one level, per tick: the
     honesty timeline that localizes *when* in the run intervals went bad."""
@@ -356,140 +390,64 @@ def rolling_coverage(
             continue
         hits.append(band.covers(duration))
         tail = hits[-window:]
-        coverage = sum(tail) / len(tail)
-        # Small windows quantize coverage coarsely; widen the tolerance to
-        # at least one observation's worth so verdicts aren't noise.
-        tol = max(tolerance, 1.0 / len(tail))
         points.append(RollingPoint(
             tick=record.tick,
             elapsed=record.elapsed,
             level=level,
             window=len(tail),
-            coverage=coverage,
-            verdict=_verdict(coverage, level, tol),
+            coverage=sum(tail) / len(tail),
         ))
     return points
 
 
-def _levels(ledgers: Sequence[Tuple[Sequence[TickRecord], float]]) -> List[float]:
-    """Every nominal level the ledgers' bands carry, ascending."""
-    return sorted({
-        band.level
-        for records, _duration in ledgers
-        for record in records
-        for band in record.bands
-    })
-
-
 def calibration(
-    records: Sequence[TickRecord],
-    duration: float,
-    *,
-    predictor: str = "controller",
-) -> CalibrationReport:
-    """Score a finished run's forecasts against the realized completion
-    time (records without bands are skipped), within
-    :data:`HONESTY_TOLERANCE`, with a rolling 90% coverage timeline over
-    :data:`ROLLING_WINDOW` ticks.
-
-    ``records`` may pool several runs (concatenate their audits and pass
-    the mean duration) — coverage then aggregates across runs, which is
-    how the experiment sweeps gate on it.  Per-tick coverage uses each
-    record's own ``covers`` test, so pooling requires same-duration runs
-    to be meaningful only in aggregate, exactly like scorecard merging.
-    """
-    if duration <= 0:
-        raise PredictError(f"duration must be positive, got {duration!r}")
-    records = forecasts(records)
-    ledger = [(records, duration)]
-    levels: List[LevelCalibration] = []
-    for level in _levels(ledger):
-        ticks, covered, width_sum = coverage_count(ledger, level)
-        mean_width = width_sum / ticks if ticks else 0.0
-        empirical = covered / ticks if ticks else 0.0
-        # One tick's worth of quantization error is not evidence of
-        # dishonesty: widen the tolerance on short ledgers.
-        tol = max(HONESTY_TOLERANCE, 1.0 / ticks) if ticks else HONESTY_TOLERANCE
-        levels.append(LevelCalibration(
-            level=level,
-            ticks=ticks,
-            covered=covered,
-            mean_width_seconds=mean_width,
-            sharpness=mean_width / duration,
-            verdict=_verdict(empirical, level, tol) if ticks else VERDICT_NO_DATA,
-        ))
-    report = CalibrationReport(
-        predictor=predictor,
-        duration=float(duration),
-        ticks=len(records),
-        levels=tuple(levels),
-        pinball_loss=pinball_loss(records, duration),
-        rolling=tuple(rolling_coverage(records, duration)),
-        tolerance=HONESTY_TOLERANCE,
-    )
-    for lv in report.levels:
-        _COVERAGE.labels(
-            predictor=predictor, level=level_label(lv.level)
-        ).set(lv.empirical)
-    return report
-
-
-def pooled_calibration(
     ledgers: Sequence[Tuple[Sequence[TickRecord], float]],
     *,
     predictor: str = "controller",
 ) -> CalibrationReport:
-    """Pool several runs' ``(records, realized duration)`` pairs into one
-    reliability report: each record is judged against *its own* run's
-    realized completion, then coverage aggregates across the pool.
-
-    Ticks within a run are not independent evidence — they all face the
-    same single realized completion, so a run tends to cover at every
-    tick or at none.  The verdict tolerance therefore widens to a
-    two-sigma binomial interval on the *run* count (the effective sample
-    size), not the tick count; the per-tick coverage numbers themselves
-    are reported unwidened.
-    """
+    """Score ``(records, realized completion)`` ledgers, one per run, into
+    one reliability report.  Each band is judged against *its own* run's
+    completion; coverage, widths and the pinball loss count every banded
+    tick.  Ticks of one run face one completion, so they are not
+    independent evidence: each level's verdict is :func:`honesty` over
+    :func:`run_coverage`'s one trial per run."""
     for _records, duration in ledgers:
         if duration <= 0:
             raise PredictError(f"duration must be positive, got {duration!r}")
     ledgers = [(forecasts(records), duration) for records, duration in ledgers]
     durations = [float(duration) for _records, duration in ledgers]
-    mean_duration = sum(durations) / len(durations) if durations else 1.0
+    mean_duration = sum(durations) / len(durations) if durations else 0.0
     levels: List[LevelCalibration] = []
-    for level in _levels(ledgers):
+    for level in sorted({
+        band.level for records, _d in ledgers for record in records for band in record.bands
+    }):
         ticks, covered, width_sum = coverage_count(ledgers, level)
-        mean_width = width_sum / ticks if ticks else 0.0
-        empirical = covered / ticks if ticks else 0.0
-        tol = HONESTY_TOLERANCE
-        if ticks:
-            tol = max(tol, 1.0 / ticks)
-        if durations:
-            tol = max(
-                tol,
-                2.0 * (level * (1.0 - level) / len(durations)) ** 0.5,
-            )
+        runs, runs_covered = run_coverage(ledgers, level)
+        reading, low, high = honesty(runs, runs_covered, level)
+        mean_width = width_sum / ticks
         levels.append(LevelCalibration(
             level=level,
             ticks=ticks,
             covered=covered,
             mean_width_seconds=mean_width,
-            sharpness=mean_width / mean_duration if mean_duration else 0.0,
-            verdict=_verdict(empirical, level, tol) if ticks else VERDICT_NO_DATA,
+            sharpness=mean_width / mean_duration,
+            runs=runs,
+            runs_covered=runs_covered,
+            low=low,
+            high=high,
+            verdict=reading,
         ))
-    total_loss = 0.0
-    for records, duration in ledgers:
-        if records:
-            total_loss += pinball_loss(records, duration) * len(records)
     ticks_total = sum(len(records) for records, _duration in ledgers)
+    total_loss = sum(
+        pinball_loss(records, duration) * len(records) for records, duration in ledgers
+    )
     report = CalibrationReport(
         predictor=predictor,
         duration=mean_duration,
+        runs=sum(1 for records, _duration in ledgers if records),
         ticks=ticks_total,
         levels=tuple(levels),
         pinball_loss=total_loss / ticks_total if ticks_total else 0.0,
-        rolling=(),
-        tolerance=HONESTY_TOLERANCE,
     )
     for lv in report.levels:
         _COVERAGE.labels(
@@ -506,6 +464,7 @@ RELIABILITY_HEADERS = (
     "empirical",
     "mean width [min]",
     "sharpness [% dur]",
+    "runs covered",
     "verdict",
 )
 
@@ -521,6 +480,7 @@ def reliability_rows(report: CalibrationReport) -> List[List]:
             lv.empirical,
             lv.mean_width_seconds / 60.0,
             100.0 * lv.sharpness,
+            f"{lv.runs_covered}/{lv.runs}",
             lv.verdict,
         ])
     return rows
@@ -581,7 +541,7 @@ def timeline_rows(
 
 __all__ = [
     "CalibrationReport",
-    "HONESTY_TOLERANCE",
+    "HONESTY_MARGIN",
     "IntervalBand",
     "LevelCalibration",
     "NOMINAL_LEVELS",
@@ -594,16 +554,18 @@ __all__ = [
     "VERDICT_HONEST",
     "VERDICT_NO_DATA",
     "VERDICT_OVERCONFIDENT",
+    "VERDICT_UNRESOLVED",
     "bands_from_quantiles",
     "calibration",
     "coverage_count",
     "forecasts",
+    "honesty",
     "level_label",
     "pinball_loss",
-    "pooled_calibration",
     "publish",
     "quantiles_for",
     "reliability_rows",
     "rolling_coverage",
+    "run_coverage",
     "timeline_rows",
 ]

@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry.audit import PHASE_TICK, TickRecord
 from repro.telemetry.predict import (
+    HONESTY_MARGIN,
     RELIABILITY_HEADERS,
     CalibrationReport,
     calibration as _predict_calibration,
@@ -216,7 +217,7 @@ def from_audit_and_trace(
         ),
         forecasts=forecasts,
         prediction_calibration=(
-            _predict_calibration(forecasts, trace.duration, predictor=policy)
+            _predict_calibration([(forecasts, trace.duration)], predictor=policy)
             if forecasts
             else None
         ),
@@ -634,6 +635,7 @@ h2 { font-size: 1.05rem; margin: 2rem 0 .5rem; color: var(--ink-secondary); }
          font-weight: 600; font-size: .85rem; color: #fff; }
 .badge.met { background: var(--good); }
 .badge.missed { background: var(--bad); }
+.badge.neutral { background: var(--ink-muted); }
 .subtitle { color: var(--ink-muted); margin: 0 0 1.25rem; }
 .tiles { display: grid; grid-template-columns: repeat(auto-fill, minmax(150px, 1fr));
          gap: .6rem; }
@@ -766,11 +768,12 @@ def render_html(report: RunReport) -> str:
                 f"<td>{_html.escape(str(row[0]))}</td>"
                 f"<td>{row[1]}</td><td>{row[2]}</td>"
                 f"<td>{row[3]:.3f}</td><td>{row[4]:.1f}</td>"
-                f"<td>{row[5]:.1f}</td>"
-                f"<td>{_html.escape(str(row[6]))}</td>"
+                f"<td>{row[5]:.1f}</td><td>{row[6]}</td>"
+                f"<td>{_html.escape(str(row[7]))}</td>"
                 "</tr>"
             )
-        verdict_class = "met" if cal.verdict == "honest" else "missed"
+        verdict_class = {"honest": "met", "overconfident": "missed",
+                         "conservative": "missed"}.get(cal.verdict, "neutral")
         predict_html = (
             "<h2>Prediction honesty "
             f'<span class="badge {verdict_class}">{_html.escape(cal.verdict)}'
@@ -778,9 +781,11 @@ def render_html(report: RunReport) -> str:
             f"{fan}"
             f"<table><thead><tr>{head}</tr></thead>"
             f"<tbody>{''.join(rows)}</tbody></table>"
-            f'<p class="notes">{cal.ticks} interval tick(s), pinball loss '
-            f"{cal.pinball_loss / 60:.2f} min; empirical coverage within "
-            f"&plusmn;{cal.tolerance:.0%} of nominal counts as honest.</p>"
+            f'<p class="notes">{cal.verdict} at n={cal.runs} run(s), '
+            f"{cal.ticks} interval tick(s), pinball loss "
+            f"{cal.pinball_loss / 60:.2f} min; a level reads honest when "
+            "an exact binomial test shows its run coverage within "
+            f"&plusmn;{float(HONESTY_MARGIN):.0%} of nominal.</p>"
         )
     chaos_html = ""
     if report.chaos:
@@ -885,8 +890,9 @@ def render_text(report: RunReport) -> str:
         cal = report.prediction_calibration
         lines.append("")
         lines.append(
-            f"prediction honesty: {cal.verdict} ({cal.ticks} interval "
-            f"tick(s), pinball loss {cal.pinball_loss / 60:.2f} min)"
+            f"prediction honesty: {cal.verdict} at n={cal.runs} "
+            f"({cal.ticks} interval tick(s), pinball loss "
+            f"{cal.pinball_loss / 60:.2f} min)"
         )
         lines.append(
             ascii_table(
@@ -895,7 +901,7 @@ def render_text(report: RunReport) -> str:
                     [
                         row[0], row[1], row[2],
                         f"{row[3]:.3f}", f"{row[4]:.1f}", f"{row[5]:.1f}",
-                        row[6],
+                        row[6], row[7],
                     ]
                     for row in reliability_rows(cal)
                 ],

@@ -489,7 +489,10 @@ class TestFleet:
         assert "attainment" in text
         assert f"profile store: {store}" in text
         payload = json.loads(digest.read_text(encoding="utf-8"))
-        assert payload["summaries"][0]["template"] == "A"
+        summary = payload["summaries"][0]
+        assert summary["template"] == "A"
+        assert f"({summary['prediction_verdict']} at n=1)" in text
+        assert summary["prediction_runs"] == 1
         assert len(payload["runs"]) == 1
         # Bootstrap + day 0 landed in the store.
         assert len(list((store / "A").glob("gen-*.json"))) == 2
@@ -605,12 +608,19 @@ class TestPredict:
         assert f"wrote prediction digest to {digest}" in text
         payload = json.loads(digest.read_text(encoding="utf-8"))
         assert payload["kind"] == "predict_score"
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         levels = {lv["level"] for lv in payload["calibration"]["levels"]}
         assert levels == {0.5, 0.8, 0.9, 0.95}
-        assert payload["calibration"]["verdict"] in (
-            "honest", "overconfident", "conservative"
+        readings = (
+            "honest", "overconfident", "conservative", "unresolved", "no-data"
         )
+        assert payload["calibration"]["verdict"] in readings
+        assert "tolerance" not in payload["calibration"]
+        for lv in payload["calibration"]["levels"]:
+            assert lv["verdict"] in readings
+            assert lv["runs"] == 1 and lv["runs_covered"] in (0, 1)
+            assert 0.0 <= lv["low"] <= lv["high"] <= 1.0
+        assert all("verdict" not in p for p in payload["rolling"])
 
     def test_digest_identical_across_worker_counts(self, bundle, tmp_path,
                                                    monkeypatch):

@@ -186,7 +186,7 @@ class TestPredictionGauges:
             utility=1.0, slack=1.0, median=median, bands=bands,
         )
         predict.publish(record, predictor=predictor)
-        predict.calibration([record], 360.0, predictor=predictor)
+        predict.calibration([([record], 360.0)], predictor=predictor)
         return record, REGISTRY
 
     def sample(self, parsed, metric, predictor, level=None):

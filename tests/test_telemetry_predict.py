@@ -2,7 +2,9 @@
 record carries, band construction, calibration engine, and the guarantee
 that the audit plus the C(p, a) table reproduce every forecast."""
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -32,18 +34,21 @@ from repro.telemetry.predict import (
     VERDICT_HONEST,
     VERDICT_NO_DATA,
     VERDICT_OVERCONFIDENT,
+    VERDICT_UNRESOLVED,
     bands_from_quantiles,
     calibration,
     coverage_count,
     forecasts,
+    honesty,
     level_label,
     pinball_loss,
-    pooled_calibration,
     quantiles_for,
     reliability_rows,
     rolling_coverage,
+    run_coverage,
     timeline_rows,
 )
+from repro.experiments.metrics import ALPHA, verdict
 from tests.test_core_simulator import deterministic_profile
 
 
@@ -225,63 +230,80 @@ class TestLedger:
 
 
 class TestCalibration:
-    def covering_records(self, n_cover, n_miss, level=0.8, duration=100.0):
-        records = []
-        for i in range(n_cover):
-            records.append(make_record(i, 10.0, duration, {level: 5.0}))
-        for i in range(n_miss):
-            records.append(
-                make_record(n_cover + i, 10.0, duration + 50.0, {level: 5.0})
-            )
-        return records
+    def covering_runs(self, n_cover, n_miss, level=0.8, duration=100.0):
+        """One single-tick ledger per run: ``n_cover`` covering runs, then
+        ``n_miss`` missing ones."""
+        return [
+            ([make_record(0, 10.0, duration + (50.0 if i >= n_cover else 0.0),
+                          {level: 5.0})], duration)
+            for i in range(n_cover + n_miss)
+        ]
 
     def test_exact_coverage_is_honest(self):
-        records = self.covering_records(8, 2)
-        report = calibration(records, 100.0)
+        # 480 of 600 at 0.8: the 90 % interval ~[0.773, 0.826] lies inside
+        # 0.8 +- 0.05.
+        report = calibration(self.covering_runs(480, 120))
         lv = report.level(0.8)
-        assert lv.covered == 8 and lv.ticks == 10
+        assert lv.covered == 480 and lv.ticks == 600
+        assert (lv.runs_covered, lv.runs) == (480, 600)
         assert lv.empirical == pytest.approx(0.8)
+        assert 0.75 < lv.low < 0.8 < lv.high < 0.85
         assert lv.verdict == VERDICT_HONEST
         assert report.verdict == VERDICT_HONEST
 
     def test_undercoverage_is_overconfident(self):
-        report = calibration(self.covering_records(3, 7), 100.0)
+        report = calibration(self.covering_runs(3, 7))
         assert report.level(0.8).verdict == VERDICT_OVERCONFIDENT
         assert report.verdict == VERDICT_OVERCONFIDENT
 
     def test_overcoverage_is_conservative(self):
-        report = calibration(self.covering_records(10, 0), 100.0)
+        # 0.8^20 ~ 0.012 <= 1/20 shows coverage above 0.8; nothing shows
+        # it below 0.85.
+        report = calibration(self.covering_runs(20, 0))
         assert report.level(0.8).verdict == VERDICT_CONSERVATIVE
         assert report.verdict == VERDICT_CONSERVATIVE
 
     def test_overconfidence_dominates_conservatism(self):
-        records = (
-            self.covering_records(3, 7, level=0.8)
-            + self.covering_records(10, 0, level=0.5)
+        ledgers = (
+            self.covering_runs(3, 7, level=0.8)
+            + self.covering_runs(20, 0, level=0.5)
         )
-        assert calibration(records, 100.0).verdict == VERDICT_OVERCONFIDENT
+        report = calibration(ledgers)
+        assert report.level(0.5).verdict == VERDICT_CONSERVATIVE
+        assert report.verdict == VERDICT_OVERCONFIDENT
 
     def test_empty_ledger_is_no_data(self):
-        report = calibration([], 100.0)
-        assert report.verdict == VERDICT_NO_DATA
-        assert report.ticks == 0
+        for ledgers in ([], [([], 100.0)]):
+            report = calibration(ledgers)
+            assert report.verdict == VERDICT_NO_DATA
+            assert report.ticks == report.runs == 0
 
     def test_short_ledger_widens_tolerance(self):
-        # 2 of 3 covered at level 0.9: |0.667 - 0.9| = 0.23 < 1/3.
-        report = calibration(self.covering_records(2, 1, level=0.9), 100.0)
-        assert report.level(0.9).verdict == VERDICT_HONEST
+        # 2 of 3 ticks covered at level 0.9 in one run whose first band
+        # covered: one trial of 1, which no exact test resolves.
+        ledger = [([make_record(0, 10.0, 100.0, {0.9: 5.0}),
+                    make_record(1, 10.0, 100.0, {0.9: 5.0}),
+                    make_record(2, 10.0, 150.0, {0.9: 5.0})], 100.0)]
+        report = calibration(ledger)
+        assert report.level(0.9).empirical == pytest.approx(2 / 3)
+        assert (report.level(0.9).runs_covered, report.runs) == (1, 1)
+        assert report.level(0.9).verdict == VERDICT_UNRESOLVED
+        assert report.verdict == VERDICT_UNRESOLVED
 
     def test_duration_must_be_positive(self):
         with pytest.raises(PredictError):
-            calibration([], 0.0)
+            calibration([([], 0.0)])
 
     def test_summary_is_json_round_trippable(self):
         import json
 
-        report = calibration(self.covering_records(8, 2), 100.0)
+        report = calibration(self.covering_runs(480, 120))
         payload = json.loads(json.dumps(report.summary(), sort_keys=True))
         assert payload["verdict"] == VERDICT_HONEST
-        assert payload["levels"][0]["empirical_coverage"] == pytest.approx(0.8)
+        assert payload["runs"] == 600
+        level = payload["levels"][0]
+        assert level["empirical_coverage"] == pytest.approx(0.8)
+        assert (level["runs"], level["runs_covered"]) == (600, 480)
 
 
 class TestPinballLoss:
@@ -314,7 +336,10 @@ class TestRollingCoverage:
         points = rolling_coverage(covers + misses, 100.0, window=3)
         assert points[2].coverage == pytest.approx(1.0)
         assert points[-1].coverage == pytest.approx(0.0)
-        assert points[-1].verdict == VERDICT_OVERCONFIDENT
+        # The timeline shows the late misses; the verdict reads the one
+        # run's first promise, which covered.
+        report = calibration([(covers + misses, 100.0)])
+        assert report.level(0.9).verdict == VERDICT_UNRESOLVED
 
     def test_window_never_exceeds_available_ticks(self):
         records = [make_record(i, float(i), 100.0, {0.9: 5.0}) for i in range(2)]
@@ -332,47 +357,123 @@ class TestPooledCalibration:
         # bands around 300.  Pooled against a shared mean they'd all miss.
         run_a = [make_record(i, 10.0, 100.0, {0.9: 5.0}) for i in range(4)]
         run_b = [make_record(i, 10.0, 300.0, {0.9: 5.0}) for i in range(4)]
-        report = pooled_calibration([(run_a, 100.0), (run_b, 300.0)])
+        report = calibration([(run_a, 100.0), (run_b, 300.0)])
         assert report.coverage(0.9) == pytest.approx(1.0)
         assert report.duration == pytest.approx(200.0)
 
     def test_tolerance_scales_with_run_count_not_tick_count(self):
-        # 4 runs, level 0.9: 2-sigma binomial tolerance = 2*sqrt(.09/4)
-        # = 0.3, so 3-of-4 runs covering (0.75 empirical) stays honest
-        # even with many ticks per run.
+        # 4 runs, level 0.9: 3 of 4 runs covering is 4 trials, not 80, and
+        # P(at most 3 of 4 | 0.9) ~ 0.34 shows nothing either way.
         cover = [
             [make_record(i, 10.0, 100.0, {0.9: 5.0}) for i in range(20)]
             for _ in range(3)
         ]
         miss = [make_record(i, 10.0, 200.0, {0.9: 5.0}) for i in range(20)]
         ledgers = [(r, 100.0) for r in cover] + [(miss, 100.0)]
-        report = pooled_calibration(ledgers)
+        report = calibration(ledgers)
         assert report.coverage(0.9) == pytest.approx(0.75)
-        assert report.level(0.9).verdict == VERDICT_HONEST
+        assert report.ticks == 80
+        assert (report.level(0.9).runs_covered, report.level(0.9).runs) == (3, 4)
+        assert report.level(0.9).verdict == VERDICT_UNRESOLVED
 
     def test_gross_undercoverage_still_flagged(self):
-        # 25 runs, only 2 covering: 0.08 << 0.9 - 2*sqrt(.09/25) = 0.78.
+        # 25 runs, only 2 covering: P(at most 2 of 25 | 0.9) is ~1e-20.
         ledgers = []
         for i in range(25):
             median = 100.0 if i < 2 else 500.0
             ledgers.append(
                 ([make_record(0, 10.0, median, {0.9: 5.0})], 100.0)
             )
-        report = pooled_calibration(ledgers)
+        report = calibration(ledgers)
         assert report.level(0.9).verdict == VERDICT_OVERCONFIDENT
 
     def test_pinball_pools_tick_weighted(self):
         run_a = [make_record(0, 10.0, 100.0, {0.8: 0.0})]
         run_b = [make_record(0, 10.0, 90.0, {0.8: 10.0})] * 2
-        report = pooled_calibration([(run_a, 100.0), (run_b, 100.0)])
+        report = calibration([(run_a, 100.0), (run_b, 100.0)])
         assert report.pinball_loss == pytest.approx((0.0 + 2 * 7.0 / 3.0) / 3)
 
     def test_empty_pool_is_no_data(self):
-        assert pooled_calibration([]).verdict == VERDICT_NO_DATA
+        assert calibration([]).verdict == VERDICT_NO_DATA
 
     def test_bad_duration_rejected(self):
         with pytest.raises(PredictError):
-            pooled_calibration([([], -1.0)])
+            calibration([([], -1.0)])
+
+
+def reference_verdict(wins: int, losses: int):
+    """The claims' judge before it took a null other than ½, verbatim."""
+    n = wins + losses
+
+    def at_least(k, p):  # P(X >= k), X ~ Binomial(n, p); exact for a Fraction p
+        return sum(math.comb(n, i) * p**i * (1 - p) ** (n - i) for i in range(k, n + 1))
+
+    def lower(k, above_half):  # the Clopper–Pearson lower bound for k of n
+        if k == 0:
+            return 0.0
+        lo, hi = (0.5, 1.0) if above_half else (0.0, 0.5)
+        for _ in range(40):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if at_least(k, mid) < ALPHA else (lo, mid)
+        return (lo + hi) / 2
+
+    p_for, p_against = at_least(wins, Fraction(1, 2)), at_least(losses, Fraction(1, 2))
+    reading = "holds" if p_for <= ALPHA else "fails" if p_against <= ALPHA else "unresolved"
+    # The upper bound for wins is 1 minus the lower bound for losses.
+    return (reading, float(min(p_for, p_against)),
+            lower(wins, reading == "holds"), 1 - lower(losses, reading == "fails"))
+
+
+class TestHonestyJudge:
+    """The claims' exact test at a nominal null, on hand-checked
+    (runs, runs covered, level) tables."""
+
+    @pytest.mark.parametrize("runs, covered, level, reading", [
+        (0, 0, 0.9, VERDICT_NO_DATA),
+        (1, 0, 0.95, VERDICT_OVERCONFIDENT),   # P(miss) = 1/20 exactly
+        (1, 0, 0.9, VERDICT_UNRESOLVED),
+        (12, 8, 0.9, VERDICT_OVERCONFIDENT),
+        (12, 9, 0.9, VERDICT_UNRESOLVED),
+        (12, 12, 0.5, VERDICT_CONSERVATIVE),
+        (150, 135, 0.9, VERDICT_HONEST),
+        (90, 86, 0.95, VERDICT_HONEST),        # the 1.0 margin edge is met
+        # Wholly below 0.9, yet inside 0.9 +- 0.05: honest is read first.
+        (800, 704, 0.9, VERDICT_HONEST),
+    ])
+    def test_hand_table(self, runs, covered, level, reading):
+        got, low, high = honesty(runs, covered, level)
+        assert got == reading
+        assert low <= (covered / runs if runs else low) <= high
+
+    def test_precedence_row_lies_below_nominal(self):
+        _reading, _low, high = honesty(800, 704, 0.9)
+        assert high < 0.9
+
+    def test_a_run_without_the_band_is_no_trial(self):
+        banded = [make_record(0, 10.0, 100.0, {0.9: 5.0})]
+        bare = [tick_record(0, 10.0, 100.0, (), progress=None),
+                make_record(1, 10.0, 100.0, {0.5: 5.0})]
+        ledgers = [(banded, 100.0), (bare, 100.0)]
+        assert run_coverage(ledgers, 0.9) == (1, 1)
+        assert run_coverage(ledgers, 0.5) == (1, 1)
+        assert run_coverage([(bare[:1], 100.0)], 0.9) == (0, 0)
+        report = calibration(ledgers)
+        assert [(lv.level, lv.runs) for lv in report.levels] == [(0.5, 1), (0.9, 1)]
+        assert report.runs == 2
+
+    def test_first_band_is_the_trial(self):
+        # A run that misses first and covers later counts as a miss.
+        late = [tick_record(0, 5.0, 100.0, (), progress=None),
+                make_record(1, 10.0, 200.0, {0.9: 5.0}),
+                make_record(2, 20.0, 100.0, {0.9: 5.0})]
+        assert run_coverage([(late, 100.0)], 0.9) == (1, 0)
+
+    def test_half_null_is_the_claims_judge(self):
+        for n in range(31):
+            for wins in range(n + 1):
+                assert tuple(verdict(wins, n - wins)) == reference_verdict(
+                    wins, n - wins
+                ), (wins, n - wins)
 
 
 class TestIntervalHits:
@@ -402,7 +503,7 @@ class TestIntervalHits:
         records = [bare, make_record(1, 10.0, 100.0, {0.8: 5.0})]
         assert coverage_count([(records, 100.0)], 0.8) == (1, 1, 10.0)
         assert from_audit([bare], 100.0).interval_hits == ()
-        assert calibration(records, 100.0).ticks == 1
+        assert calibration([(records, 100.0)]).ticks == 1
         assert len(timeline_rows(records)) == 1
 
 
@@ -427,7 +528,7 @@ class TestRows:
         assert rows[0][-2] == "-"
 
     def test_reliability_rows_match_headers(self):
-        report = calibration(self.records(), 600.0)
+        report = calibration([(self.records(), 600.0)])
         rows = reliability_rows(report)
         assert len(rows) == 4
         assert all(len(r) == len(RELIABILITY_HEADERS) for r in rows)

@@ -6,6 +6,7 @@ functions run on the same audit records.
 """
 
 import ast
+import dataclasses
 import io
 import pathlib
 import re
@@ -201,6 +202,28 @@ class TestTextFallback:
         slo = result.slo_report(table=tj.table)
         assert slo.verdict in text
         assert report.title in text
+
+
+class TestHonestyBadge:
+    """Green for honest, red for a reading shown wrong, neutral where the
+    runs cannot tell."""
+
+    @pytest.mark.parametrize("reading, css", [
+        ("honest", "met"),
+        ("overconfident", "missed"),
+        ("conservative", "missed"),
+        ("unresolved", "neutral"),
+        ("no-data", "neutral"),
+    ])
+    def test_badge_class_follows_the_reading(self, html_report, reading, css):
+        report, _html = html_report
+        cal = report.prediction_calibration
+        cal = dataclasses.replace(cal, levels=tuple(
+            dataclasses.replace(lv, verdict=reading) for lv in cal.levels
+        ))
+        report = dataclasses.replace(report, prediction_calibration=cal)
+        assert f'<span class="badge {css}">{reading}</span>' in render_html(report)
+        assert f"prediction honesty: {reading} at n=1 " in render_text(report)
 
 
 class TestWrite:
