@@ -183,13 +183,20 @@ def verdict(wins: int, losses: int, null: Fraction = Fraction(1, 2)) -> Verdict:
     exactly "the interval lies above ``null``" and *fails* "below"."""
     if not 0 < null < 1:
         raise ValueError(f"null must lie in (0, 1), got {null!r}")
+    null = Fraction(null)
     n = wins + losses
     comb = [math.comb(n, i) for i in range(n + 1)]
+    log_comb = [math.log(c) for c in comb]
 
-    def at_least(k, p):  # P(X >= k), X ~ Binomial(n, p); exact for a Fraction p
-        # A Fraction sums over integers: one reduction, not one per term.
-        a, b = (p.numerator, p.denominator) if isinstance(p, Fraction) else (p, 1)
-        return Fraction(1, b**n) * sum(comb[i] * a**i * (b - a) ** (n - i) for i in range(k, n + 1))
+    def at_least(k, p):  # P(X >= k), X ~ Binomial(n, p), exact
+        # Summed over integers: one reduction, not one per term.
+        a, b = p.numerator, p.denominator
+        return Fraction(sum(comb[i] * a**i * (b - a) ** (n - i) for i in range(k, n + 1)), b**n)
+
+    def near_least(k, p):  # the same tail at a float p, each term in logs
+        # (a float ``comb[i]`` overflows above n ~ 1 030, ``p**i`` underflows)
+        lp, lq = math.log(p), math.log1p(-p)
+        return sum(math.exp(log_comb[i] + i * lp + (n - i) * lq) for i in range(k, n + 1))
 
     def lower(k, pivot, above):  # the Clopper–Pearson lower bound for k of n
         if k == 0:
@@ -197,7 +204,7 @@ def verdict(wins: int, losses: int, null: Fraction = Fraction(1, 2)) -> Verdict:
         lo, hi = (float(pivot), 1.0) if above else (0.0, float(pivot))
         for _ in range(40):
             mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if at_least(k, mid) < ALPHA else (lo, mid)
+            lo, hi = (mid, hi) if near_least(k, mid) < ALPHA else (lo, mid)
         return (lo + hi) / 2
 
     p_for, p_against = at_least(wins, null), at_least(losses, 1 - null)

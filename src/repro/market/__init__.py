@@ -17,8 +17,8 @@ Layout:
   clearing price);
 * :mod:`repro.market.admission` — per-tenant quota enforcement with
   queue/reject telemetry;
-* :mod:`repro.market.engine` — the tick loop tying it together on a
-  simkit :class:`~repro.simkit.events.Simulator`;
+* :mod:`repro.market.engine` — the tick loop tying it together on its
+  own clock;
 * :mod:`repro.market.workload` — synthetic staggered-burst workloads;
 * :mod:`repro.market.spec` — JSON market specs for the CLI.
 """

@@ -128,27 +128,30 @@ class MarketAdmission:
 
     def tick(
         self, tenants: Mapping[str, Tenant], now: float
-    ) -> List[MarketJob]:
+    ) -> Tuple[List[MarketJob], List[Tuple[JobSpec, str]]]:
         """Run one admission pass over every tenant's queue.
 
         Tenants are visited in sorted-name order and each queue FIFO, so
         the outcome is independent of dict insertion order.  Returns the
-        newly admitted jobs.
+        newly admitted jobs, and the specs it rejected (dropped from their
+        queues) each with its reason.
         """
         admitted: List[MarketJob] = []
+        rejected: List[Tuple[JobSpec, str]] = []
         for name in sorted(tenants):
             tenant = tenants[name]
             kept: List[JobSpec] = []
             while tenant.queue:
                 spec = tenant.queue.popleft()
-                outcome, job, _reason = self.admit_one(tenant, spec, now)
+                outcome, job, reason = self.admit_one(tenant, spec, now)
                 if outcome == "admitted":
                     admitted.append(job)
                 elif outcome == "queued":
                     kept.append(spec)
-                # rejected specs are dropped (already counted).
+                else:
+                    rejected.append((spec, reason))
             tenant.queue.extend(kept)
-        return admitted
+        return admitted, rejected
 
 
 __all__ = ["AdmissionStats", "MarketAdmission"]

@@ -44,7 +44,7 @@ demand — a property the test suite enforces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -61,6 +61,11 @@ class BidBook:
     have none.  ``ranks`` orders the jobs by *name* (any integers that
     sort as the names do).  Every schedule must be non-increasing.
 
+    ``values`` may be *deferred*: a zero-argument callable returning the
+    array, which :meth:`~MarketArbiter.clear` calls only when some slice
+    is contested.  A deferred book promises that every entry is a strictly
+    positive bid; :meth:`priced` holds it to that when it is called.
+
     ``slices`` cuts the jobs into independent auctions, each clearing its
     own supply: slice ``s`` is jobs ``slices[s]`` to ``slices[s + 1]``
     (the split market's tenant buckets).  ``None`` is one slice of every
@@ -69,16 +74,14 @@ class BidBook:
 
     names: Sequence[str]
     ranks: np.ndarray
-    values: np.ndarray
+    values: Union[np.ndarray, Callable[[], np.ndarray]]
     job_idx: np.ndarray
     step: np.ndarray
     slices: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        rises = (self.values[1:] > self.values[:-1] + 1e-12) & (self.step[1:] > 0)
-        if rises.any():
-            job = self.names[self.job_idx[1 + rises.argmax()]]
-            raise MarketError(f"bid for {job!r}: marginals must be non-increasing")
+        if not callable(self.values):
+            self._refuse_rises(self.values)
         if self.slices is not None and not (
             len(self.slices) >= 2 and self.slices[0] == 0
             and self.slices[-1] == len(self.names)
@@ -87,6 +90,24 @@ class BidBook:
             raise MarketError(
                 f"slices {self.slices!r} do not tile {len(self.names)} jobs"
             )
+
+    def _refuse_rises(self, values: np.ndarray) -> None:
+        rises = (values[1:] > values[:-1] + 1e-12) & (self.step[1:] > 0)
+        if rises.any():
+            job = self.names[self.job_idx[1 + rises.argmax()]]
+            raise MarketError(f"bid for {job!r}: marginals must be non-increasing")
+
+    def priced(self) -> np.ndarray:
+        """A deferred book's values, computed now and refused (naming the
+        job) unless every entry is a positive bid in a non-increasing
+        schedule."""
+        values = self.values()
+        positive = values > 0.0
+        if not positive.all():
+            job = self.names[self.job_idx[positive.argmin()]]
+            raise MarketError(f"bid for {job!r}: a deferred bid must be positive")
+        self._refuse_rises(values)
+        return values
 
     def __len__(self) -> int:
         """Jobs that bid at all (a non-empty schedule)."""
@@ -193,10 +214,12 @@ class MarketArbiter:
             raise MarketError(f"negative supply {supply!r}")
         if len(set(names)) != len(names):
             raise MarketError("duplicate job names in bids")
-        positive = book.values > 0.0
-        values, job_idx, step = (
-            flat[positive] for flat in (book.values, book.job_idx, book.step)
-        )
+        values, job_idx, step = None, book.job_idx, book.step
+        if not callable(book.values):
+            positive = book.values > 0.0
+            values, job_idx, step = (
+                flat[positive] for flat in (book.values, job_idx, step)
+            )
         # Jobs, and so their entries, are contiguous per slice: slice ``s``
         # bids ``values[bounds[s]:bounds[s + 1]]``.
         bounds = np.searchsorted(job_idx, edges)
@@ -204,9 +227,13 @@ class MarketArbiter:
         # A slice is contested when its bids reach its supply (or it has
         # none to sell).  Its cut is its k-th largest bid, k = max(supply,
         # 1), and the cut is its price: the cheapest token sold, or the
-        # best unserved bid.  An uncontested slice sells every bid at 0.
+        # best unserved bid.  An uncontested slice sells every bid at 0,
+        # so a deferred book none of whose slices is contested is never
+        # priced.
         prices = np.zeros(supplies.size)
         contested = np.flatnonzero(demands >= np.maximum(supplies, 1))
+        if contested.size and values is None:
+            values = book.priced()
         for s in contested:
             bid = values[bounds[s]:bounds[s + 1]]
             kth = bid.size - max(supplies[s], 1)

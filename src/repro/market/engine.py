@@ -27,16 +27,16 @@ comparison:
   borrow a quiet one's tokens, which is exactly the latency penalty the
   theory predicts.
 
-Job arrivals ride the simkit event heap through one
-:meth:`~repro.simkit.events.Simulator.schedule_batch` call, so
-million-job arrival schedules stay cheap.
+Job arrivals are read off the schedule, sorted once by (submit time,
+name), by a cursor that each step moves past every spec due by the tick
+boundary, so million-job arrival schedules stay cheap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from repro.core.utility import deadline_utility
 from repro.market.admission import MarketAdmission
 from repro.market.arbiter import BidBook, Clearing, MarketArbiter, concave_marginals
 from repro.market.tenant import JobSpec, MarketError, MarketJob, Tenant
-from repro.simkit.events import Simulator
 from repro.telemetry import metrics as _metrics
 
 MARKET_MODES = ("pooled", "split")
@@ -80,9 +79,9 @@ _UTILITY_FLOOR = float(_UTIL_Y[-1])
 _EPS_BID = 1e-6
 
 #: One row per live job.  ``remaining`` and ``allocation`` are the state
-#: the tick moves; the rest is fixed at admission, except ``rank`` (the
-#: job's name order among the live jobs — the auction's tie-break), which
-#: is recomputed whenever jobs join.  ``job`` is the reporting view.
+#: the tick moves; the rest is fixed at admission.  ``rank`` is the job's
+#: place in the name order of every submitted job (the auction's
+#: tie-break), fixed at construction.  ``job`` is the reporting view.
 _LIVE_DTYPE = np.dtype([
     ("remaining", "f8"), ("deadline", "f8"), ("width", "i8"),
     ("guarantee", "i8"), ("tenant", "i8"), ("rank", "i8"),
@@ -214,15 +213,13 @@ def _tenant_buckets(tenants: Sequence[Tenant], capacity: int) -> List[int]:
 
 
 class TokenMarket:
-    """A multi-tenant token market over one simkit simulator."""
+    """A multi-tenant token market on its own clock, ``now``."""
 
     def __init__(
         self,
         tenants: Sequence[Tenant],
         jobs: Sequence[JobSpec],
         config: MarketConfig = MarketConfig(),
-        *,
-        sim: Optional[Simulator] = None,
     ):
         names = [t.name for t in tenants]
         if len(set(names)) != len(names):
@@ -235,8 +232,9 @@ class TokenMarket:
                 f"tenant quotas sum to {total_quota} > capacity "
                 f"{config.capacity}"
             )
-        job_names = [j.name for j in jobs]
-        if len(set(job_names)) != len(job_names):
+        #: Every job's place in name order, ranked once.
+        self._rank = {name: r for r, name in enumerate(sorted(j.name for j in jobs))}
+        if len(self._rank) != len(jobs):
             raise MarketError("duplicate job names")
         self.tenants: Dict[str, Tenant] = {t.name: t for t in tenants}
         self._tenant_names = sorted(self.tenants)
@@ -251,8 +249,9 @@ class TokenMarket:
         self.config = config
         self.admission = MarketAdmission(slack=config.slack)
         self.arbiter = MarketArbiter()
-        self.sim = sim if sim is not None else Simulator()
+        self.now = 0.0
         self._jobs = sorted(jobs, key=lambda j: (j.submit_seconds, j.name))
+        self._arrived = 0                   # self._jobs[:_arrived] arrived
         self._pending = len(self._jobs)     # not yet completed/rejected
         self._samples: List[TickSample] = []
         self._completions: List[Dict] = []
@@ -262,21 +261,6 @@ class TokenMarket:
             _tenant_buckets(tenants, config.capacity)
             if config.mode == "split" else [config.capacity]
         )
-        # One batched heap merge for the whole arrival schedule.
-        self.sim.schedule_batch(
-            [j.submit_seconds for j in self._jobs],
-            self._arrive,
-            self._jobs,
-        )
-
-    # ------------------------------------------------------------------
-    # Event handlers
-    # ------------------------------------------------------------------
-
-    def _arrive(self, spec: JobSpec) -> None:
-        tenant = self.tenants[spec.tenant]
-        tenant.submitted += 1
-        tenant.queue.append(spec)
 
     @property
     def done(self) -> bool:
@@ -293,14 +277,13 @@ class TokenMarket:
         return jobs
 
     def _join(self, admitted: List[MarketJob]) -> None:
-        """Append newly admitted jobs, re-rank every name and restore
-        the (tenant, job name) order — once per tick that admits."""
+        """Append newly admitted jobs and restore the (tenant, job name)
+        order — once per tick that admits."""
         live = np.concatenate((self._live, np.array([
-            (j.remaining, j.spec.absolute_deadline, j.spec.width,
-             j.guarantee, self._tenant_index[j.tenant], 0, 0, j.name, j)
+            (j.remaining, j.spec.absolute_deadline, j.spec.width, j.guarantee,
+             self._tenant_index[j.tenant], self._rank[j.name], 0, j.name, j)
             for j in admitted
         ], dtype=_LIVE_DTYPE)))
-        live["rank"][np.argsort(live["name"])] = np.arange(live.size)
         self._live = live[np.lexsort((live["rank"], live["tenant"]))]
 
     # ------------------------------------------------------------------
@@ -308,18 +291,16 @@ class TokenMarket:
     # ------------------------------------------------------------------
 
     def tick(self) -> TickSample:
-        """One market round at the simulator's current time."""
-        now = self.sim.now
+        """One market round at the market's clock, ``now``."""
+        now = self.now
         dt = self.config.tick_seconds
-        rejected_before = self.admission.stats.rejected
-        admitted = self.admission.tick(self.tenants, now)
+        admitted, rejected = self.admission.tick(self.tenants, now)
         if admitted:
             self._join(admitted)
         g, clearing = self._clear(dt)
         grants = g + clearing.granted
         guaranteed, granted = int(g.sum()), int(grants.sum())
-        self._advance(grants, now, dt)
-        self._pending -= self.admission.stats.rejected - rejected_before
+        self._pending -= len(rejected) + self._advance(grants, now, dt)
         sample = TickSample(
             tick=self._ticks, now=now, live=g.size,
             queued=sum(len(t.queue) for t in self.tenants.values()),
@@ -352,30 +333,37 @@ class TokenMarket:
         book = BidBook(live["name"], live["rank"], values, job_idx, step, slices)
         return g, self.arbiter.clear(book, np.maximum(0, self._buckets - reserved))
 
-    def _bid_schedules(self, g: np.ndarray, demand: np.ndarray) -> Tuple[np.ndarray, ...]:
+    def _bid_schedules(
+        self, g: np.ndarray, demand: np.ndarray
+    ) -> Tuple[Callable[[], np.ndarray], np.ndarray, np.ndarray]:
         """Marginal values of tokens ``g+1 .. demand`` for every live job,
         flat in the :class:`BidBook` layout and never sliced per job:
         ``(values, job_idx, step)``, entry ``i`` being job ``job_idx[i]``'s
-        ``g + step[i] + 1``-th token."""
+        ``g + step[i] + 1``-th token.  ``values`` is deferred: the auction
+        prices the bids only if some slice is contested, and the
+        ``_EPS_BID / k`` floor keeps every one positive, as it promises."""
         live = self._live
-        now = self.sim.now
-        slack = self.config.slack
+        now, slack = self.now, self.config.slack
         job_idx, step = BidBook.layout(demand - g)
-        k = g[job_idx] + step + 1
         remaining, deadline = live["remaining"], live["deadline"]
-        # Utility of finishing at now + slack * remaining / tokens: with k
-        # tokens, and (each schedule's floor) with the guarantee alone.
-        curve = _utility_at(
-            now + slack * remaining[job_idx] / k - deadline[job_idx]
-        )
-        floors = _utility_at(now + slack * remaining / g - deadline)
-        values = concave_marginals(curve, floors[job_idx], step)
-        values += _EPS_BID / k
+
+        def values() -> np.ndarray:
+            k = g[job_idx] + step + 1
+            # Utility of finishing at now + slack * remaining / tokens: with
+            # k tokens, and (each schedule's floor) with the guarantee alone.
+            curve = _utility_at(
+                now + slack * remaining[job_idx] / k - deadline[job_idx]
+            )
+            floors = _utility_at(now + slack * remaining / g - deadline)
+            marginals = concave_marginals(curve, floors[job_idx], step)
+            marginals += _EPS_BID / k
+            return marginals
+
         return values, job_idx, step
 
-    def _advance(self, grants: np.ndarray, now: float, dt: float) -> None:
+    def _advance(self, grants: np.ndarray, now: float, dt: float) -> int:
         """Drain every job at its granted rate; complete and release the
-        ones whose work runs out inside the tick."""
+        ones whose work runs out inside the tick, and count them."""
         live = self._live
         live["allocation"] = grants
         remaining = live["remaining"]
@@ -385,7 +373,7 @@ class TokenMarket:
         finished = (now + remaining[done] / grants[done]).tolist()
         remaining -= drained
         if not finished:
-            return
+            return 0
         for job, finished_at, allocation in zip(
             live["job"][done].tolist(), finished, grants[done].tolist()
         ):
@@ -395,27 +383,33 @@ class TokenMarket:
             tenant = self.tenants[job.tenant]
             tenant.release(job.name)
             tenant.completed += 1
-            if job.met_deadline:
-                tenant.met += 1
-            self._pending -= 1
+            met = job.met_deadline
+            tenant.met += met
             self._completions.append({
                 "job": job.name,
                 "tenant": job.tenant,
                 "finished_at": round(finished_at, 6),
-                "met": job.met_deadline,
+                "met": met,
                 "queue_delay": round(job.queue_delay, 6),
             })
         self._live = live[~done]
+        return len(finished)
 
     # ------------------------------------------------------------------
     # Driving
     # ------------------------------------------------------------------
 
     def step(self) -> TickSample:
-        """Deliver arrivals (and anything else scheduled) up to the next
-        tick boundary, then clear — one iteration of :meth:`run`."""
-        target = self._ticks * self.config.tick_seconds
-        self.sim.run(until=target)
+        """Deliver every arrival due by the next tick boundary (submit time
+        ``<=`` it), then clear — one iteration of :meth:`run`."""
+        self.now = target = self._ticks * self.config.tick_seconds
+        jobs, i = self._jobs, self._arrived
+        while i < len(jobs) and jobs[i].submit_seconds <= target:
+            tenant = self.tenants[jobs[i].tenant]
+            tenant.submitted += 1
+            tenant.queue.append(jobs[i])
+            i += 1
+        self._arrived = i
         return self.tick()
 
     def run(self) -> MarketResult:

@@ -563,23 +563,19 @@ class ClusterService:
             worker.leased.clear()
 
     def _admit_queued(self, now: float) -> None:
-        for market_job in self._admission.tick(self._tenants, now):
+        admitted, rejected = self._admission.tick(self._tenants, now)
+        for market_job in admitted:
             job = self._jobs.get(market_job.spec.name)
             if job is not None and job.status == "queued":
                 job.market = market_job
                 self._activate(job, now)
-        # Specs whose deadline lapsed while queued are dropped by the
-        # admission tick; reflect that in the jobs they belong to.
-        queued_names = {
-            spec.name
-            for tenant in self._tenants.values()
-            for spec in tenant.queue
-        }
-        for job in self._jobs.values():
-            if job.status == "queued" and job.job_id not in queued_names \
-                    and job.market is None:
+        # A spec the admission tick drops takes its job with it, for the
+        # reason the tick gave.
+        for spec, reason in rejected:
+            job = self._jobs.get(spec.name)
+            if job is not None and job.status == "queued":
                 job.status = "rejected"
-                job.reject_reason = job.reject_reason or "deadline_passed"
+                job.reject_reason = reason
                 _JOBS_FINISHED.labels(outcome="rejected").inc()
 
     def _replan(self, now: float) -> None:

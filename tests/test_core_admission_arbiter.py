@@ -290,8 +290,9 @@ class TestMarketAdmissionEdges:
         tenant = self._tenant()
         tenant.queue.append(self._spec("late", 100.0, 4, 60.0))
         admission = MarketAdmission()
-        admitted = admission.tick({"t": tenant}, now=60.0)
+        admitted, rejected = admission.tick({"t": tenant}, now=60.0)
         assert admitted == []
+        assert [(s.name, r) for s, r in rejected] == [("late", "deadline_passed")]
         assert tenant.rejected_reasons == {"deadline_passed": 1}
 
     def test_over_subscribed_admission_is_fifo(self):
@@ -306,8 +307,8 @@ class TestMarketAdmissionEdges:
                 self._spec(f"j{i}", work=4320.0, width=8, deadline=720.0)
             )
         admission = MarketAdmission(slack=1.0)
-        admitted = admission.tick({"t": tenant}, now=0.0)
-        assert [j.name for j in admitted] == ["j0"]
+        admitted, rejected = admission.tick({"t": tenant}, now=0.0)
+        assert [j.name for j in admitted] == ["j0"] and rejected == []
         assert [s.name for s in tenant.queue] == ["j1", "j2"]
         assert admission.stats.queue_waits == 2
 
@@ -325,7 +326,7 @@ class TestMarketAdmissionEdges:
             self._spec("ja", 60.0, 4, 600.0, tenant="alpha")
         )
         admission = MarketAdmission()
-        admitted = admission.tick({"beta": beta, "alpha": alpha}, now=0.0)
+        admitted, _rejected = admission.tick({"beta": beta, "alpha": alpha}, now=0.0)
         assert [j.name for j in admitted] == ["ja", "jb"]
 
     def test_guarantee_wider_than_quota_rejected_outright(self):
@@ -336,7 +337,9 @@ class TestMarketAdmissionEdges:
             self._spec("big", work=3600.0, width=8, deadline=720.0)
         )
         admission = MarketAdmission(slack=1.0)
-        assert admission.tick({"t": tenant}, now=0.0) == []
+        admitted, rejected = admission.tick({"t": tenant}, now=0.0)
+        assert admitted == []
+        assert [(s.name, r) for s, r in rejected] == [("big", "exceeds_quota")]
         assert tenant.rejected_reasons == {"exceeds_quota": 1}
 
     def test_single_job_market_runs_to_completion(self):

@@ -1,12 +1,15 @@
 """Unit tests for experiment metrics and text reporting."""
 
 import dataclasses
+import math
+import time
 from fractions import Fraction
 from operator import itemgetter
 
 import pytest
 
 from repro.experiments.metrics import (
+    ALPHA,
     Claim,
     RunMetrics,
     coefficient_of_variation,
@@ -241,3 +244,64 @@ class TestClaims:
         verdicts, note = report.render().split("\n")[-2:]
         assert "a beats b" in verdicts and "holds" in verdicts and " 5-0 " in verdicts
         assert note == "note: last"
+
+
+def float_bisection_verdict(wins: int, losses: int, null: Fraction = Fraction(1, 2)):
+    """The judge while its Clopper–Pearson bisection summed the tail in
+    floats (``math.comb(n, i) * p**i``, which overflows above n ~ 1 030),
+    verbatim."""
+    if not 0 < null < 1:
+        raise ValueError(f"null must lie in (0, 1), got {null!r}")
+    n = wins + losses
+    comb = [math.comb(n, i) for i in range(n + 1)]
+
+    def at_least(k, p):  # P(X >= k), X ~ Binomial(n, p); exact for a Fraction p
+        # A Fraction sums over integers: one reduction, not one per term.
+        a, b = (p.numerator, p.denominator) if isinstance(p, Fraction) else (p, 1)
+        return Fraction(1, b**n) * sum(comb[i] * a**i * (b - a) ** (n - i) for i in range(k, n + 1))
+
+    def lower(k, pivot, above):  # the Clopper–Pearson lower bound for k of n
+        if k == 0:
+            return 0.0
+        lo, hi = (float(pivot), 1.0) if above else (0.0, float(pivot))
+        for _ in range(40):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if at_least(k, mid) < ALPHA else (lo, mid)
+        return (lo + hi) / 2
+
+    p_for, p_against = at_least(wins, null), at_least(losses, 1 - null)
+    reading = "holds" if p_for <= ALPHA else "fails" if p_against <= ALPHA else "unresolved"
+    # The upper bound for wins is 1 minus the lower bound for losses.
+    return (reading, float(min(p_for, p_against)),
+            lower(wins, null, reading == "holds"),
+            1 - lower(losses, 1 - null, reading == "fails"))
+
+
+class TestVerdictAtAnyN:
+    """The bisection's tail is summed term by term in logs, so the judge
+    reads at any n; readings and ``p`` still come from the exact tails."""
+
+    @pytest.mark.parametrize("null", [Fraction(1, 2), Fraction(9, 10), Fraction(1, 20)])
+    def test_bounds_match_the_float_bisection(self, null):
+        for n in range(41):
+            for wins in range(n + 1):
+                got = verdict(wins, n - wins, null)
+                want = float_bisection_verdict(wins, n - wins, null)
+                assert got[:2] == want[:2], (wins, n - wins)
+                assert got[2:] == pytest.approx(want[2:], abs=1e-12, rel=0), (wins, n - wins)
+
+    @pytest.mark.parametrize("wins, losses", [(600, 500), (1100, 0), (0, 1100)])
+    def test_large_n_reads_quickly(self, wins, losses):
+        if wins and losses:  # a tail over more than one term
+            with pytest.raises(OverflowError):
+                float_bisection_verdict(wins, losses)
+        start = time.perf_counter()
+        v = verdict(wins, losses)
+        assert time.perf_counter() - start < 1.0
+        assert v.reading == ("holds" if wins else "fails")
+        assert v.low <= wins / (wins + losses) <= v.high
+        # With no losses the lower bound solves low^n = 5%; mirrored below.
+        if not losses:
+            assert v.low == pytest.approx(0.05 ** (1 / wins), abs=1e-9)
+        if not wins:
+            assert v.high == pytest.approx(1 - 0.05 ** (1 / losses), abs=1e-9)

@@ -11,9 +11,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.market.admission import MarketAdmission
-from repro.market.arbiter import Bid, MarketArbiter, concave_marginals
+from repro.market.arbiter import Bid, BidBook, MarketArbiter, concave_marginals
 from repro.market.engine import _EPS_BID, MarketConfig, TokenMarket, _utility_at
-from repro.market.tenant import JobSpec, Tenant
+from repro.market.tenant import JobSpec, MarketError, Tenant
 from repro.market.workload import generate_market_workload
 
 PINS_PATH = Path(__file__).parent / "golden" / "market_pins.json"
@@ -70,6 +70,89 @@ class TestPerTickPins:
         assert tick_series(case) == self.PINS[pin_id(case)]
 
 
+class TestBidsArePricedOnlyWhenContested:
+    """The engine hands the auction its bids deferred; ``clear`` prices
+    them only when some slice's bids reach its supply."""
+
+    def test_the_pinned_markets_take_both_routes(self, monkeypatch):
+        priced, clears = [], []
+        real_priced, real_clear = BidBook.priced, MarketArbiter.clear
+
+        def counting_priced(book):
+            priced.append(len(clears))
+            return real_priced(book)
+
+        def counting_clear(arbiter, bids, supply):
+            clearing = real_clear(arbiter, bids, supply)
+            clears.append((callable(bids.values), clearing))
+            return clearing
+
+        monkeypatch.setattr(BidBook, "priced", counting_priced)
+        monkeypatch.setattr(MarketArbiter, "clear", counting_clear)
+        for case in PIN_CASES:
+            assert tick_series(case) == TestPerTickPins.PINS[pin_id(case)]
+        assert all(deferred for deferred, _clearing in clears)
+        # ``priced`` ran inside the clearing that was then recorded.
+        contested = [
+            (clearing.demands >= np.maximum(clearing.supplies, 1)).any()
+            for _deferred, clearing in clears
+        ]
+        assert sorted(priced) == [i for i, c in enumerate(contested) if c]
+        assert 0 < len(priced) < len(clears)
+
+    def test_an_uncontested_book_is_never_priced(self):
+        def unpriceable():
+            raise AssertionError("priced an uncontested book")
+
+        job_idx, step = BidBook.layout([2, 0, 3])
+        book = BidBook(["b", "a", "c"], np.array([1, 0, 2]), unpriceable,
+                       job_idx, step, np.array([0, 2, 3]))
+        clearing = MarketArbiter().clear(book, [3, 4])
+        assert clearing.granted.tolist() == [2, 0, 3]
+        assert clearing.prices.tolist() == [0.0, 0.0]
+        assert clearing.demands.tolist() == [2, 3]
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_a_deferred_non_positive_bid_is_refused(self, bad):
+        job_idx, step = BidBook.layout([2, 2])
+        book = BidBook(["a", "b"], np.array([0, 1]),
+                       lambda: np.array([0.5, 0.25, 0.5, bad]), job_idx, step)
+        with pytest.raises(MarketError, match="bid for 'b'.*positive"):
+            MarketArbiter().clear(book, 3)
+
+    def test_a_deferred_rising_schedule_is_refused(self):
+        job_idx, step = BidBook.layout([2, 2])
+        book = BidBook(["a", "b"], np.array([0, 1]),
+                       lambda: np.array([0.5, 0.25, 0.25, 0.5]), job_idx, step)
+        with pytest.raises(MarketError, match="bid for 'b'.*non-increasing"):
+            MarketArbiter().clear(book, 3)
+
+
+class TestArrivals:
+    """Arrivals are read off the sorted schedule with the heap's rule:
+    a spec due at or before a tick boundary is queued in that tick."""
+
+    def test_boundary_arrivals_in_name_order(self):
+        # Each job needs a guarantee of 2 = the quota: one runs, one waits.
+        jobs = [
+            JobSpec(name=name, tenant="t", work=600.0, width=4,
+                    deadline_seconds=600.0, submit_seconds=submit)
+            for name, submit in (("b", 60.0), ("late", 60.000001), ("a", 60.0))
+        ]
+        tenant = Tenant(name="t", quota=2)
+        market = TokenMarket([tenant], jobs, MarketConfig(capacity=4))
+        first = market.step()
+        assert (first.now, tenant.submitted, first.live) == (0.0, 0, 0)
+        second = market.step()
+        assert market.now == second.now == 60.0
+        assert tenant.submitted == 2
+        assert [j.name for j in market.live_jobs] == ["a"]
+        assert [spec.name for spec in tenant.queue] == ["b"]
+        market.step()
+        assert tenant.submitted == 3
+        assert [spec.name for spec in tenant.queue] == ["b", "late"]
+
+
 # ----------------------------------------------------------------------
 # The flat tick against the per-job path it replaced
 # ----------------------------------------------------------------------
@@ -81,7 +164,7 @@ def per_job_clear(market):
     becomes a tuple and a ``Bid``; a bucket's bids are a Python list and
     each job's grant is looked up by name."""
     live = market.live_jobs
-    now, slack = market.sim.now, market.config.slack
+    now, slack = market.now, market.config.slack
     dt = market.config.tick_seconds
     g, schedules = [], []
     for job in live:
@@ -169,7 +252,7 @@ def live_market(shapes, numbers, n_tenants, mode, extra, ticks, later):
     market = TokenMarket(tenants, jobs, MarketConfig(capacity=capacity, mode=mode))
     for _ in range(ticks):
         market.step()
-    market.sim.run(until=market.sim.now + later)
+    market.now += later
     return market
 
 
@@ -211,9 +294,9 @@ class TestMarketJobIsAView:
         admission_tick = market.admission.tick
 
         def recording_tick(tenants, now):
-            jobs = admission_tick(tenants, now)
+            jobs, rejected = admission_tick(tenants, now)
             admitted.update((job.name, job) for job in jobs)
-            return jobs
+            return jobs, rejected
 
         market.admission.tick = recording_tick
         completed = 0

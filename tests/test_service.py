@@ -765,6 +765,24 @@ class TestQuotaReturned:
             assert job.status == status
             assert tenant.guaranteed_in_use == 0 and tenant.live == {}
 
+    def test_a_queued_job_dropped_by_the_tick_takes_its_reason(self):
+        """A queued job whose guarantee outgrows the quota while it waits
+        is rejected by the admission tick as ``exceeds_quota``, the reason
+        the tenant's ledger counts, not ``deadline_passed``."""
+        quota = self.service(8).submit(dict(self.SUBMIT))["guarantee"]
+        svc = self.service(quota)
+        assert svc.submit(dict(self.SUBMIT))["status"] == "running"
+        reply = svc.submit(dict(self.SUBMIT))
+        assert reply["status"] == "queued"
+        job = svc._jobs[reply["job_id"]]
+        while job.status == "queued":
+            svc.clock.advance(1.0)
+            svc.tick()
+        assert svc.now() < reply["deadline_seconds"]
+        assert svc._tenants["a"].rejected_reasons == {"exceeds_quota": 1}
+        assert (job.status, job.reject_reason) == ("rejected", "exceeds_quota")
+        assert svc.job_status(job.job_id)["reason"] == "exceeds_quota"
+
     def test_a_failed_job_is_finished_once(self):
         """The failed job's other leases still report failures after it
         failed: each frees its slot, and the job, its trace and its tenant
