@@ -8,7 +8,8 @@ market's: :class:`repro.market.admission.MarketAdmission` reserves each
 job's minimum guarantee against a tenant's quota, and one
 :meth:`repro.market.arbiter.MarketArbiter.clear` splits a slice by marginal
 utility (here through :func:`repro.experiments.multijob.split_slice`, the
-same call the multi-job experiment makes every control period).
+same call the multi-job experiment makes every control period, fed by each
+job's own controller).
 
 This example trains three jobs, admits them against one 100-token tenant —
 printing what each job's own C(p, a) table says it needs beside the
@@ -18,9 +19,8 @@ shifting tokens toward the job in danger as progress diverges.
 Run:  python examples/multi_job_admission.py
 """
 
-from repro.core.control import CpaPredictor
-from repro.core.utility import deadline_utility
-from repro.experiments.multijob import expected_utility, split_slice
+from repro.experiments.multijob import split_slice
+from repro.experiments.runner import make_policy
 from repro.experiments.scenarios import DEFAULT, trained_job
 from repro.market.admission import MarketAdmission
 from repro.market.tenant import JobSpec, Tenant
@@ -70,25 +70,20 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Arbitration: split the slice by marginal utility as states diverge.
     # ------------------------------------------------------------------
-    def bidder(name, progress_fraction, elapsed):
-        tj = jobs[name]
-        fractions = {
-            s: progress_fraction for s in tj.learned_profile.stage_names
-        }
-        return expected_utility(
-            CpaPredictor(tj.table, tj.indicator, percentile=0.9),
-            deadline_utility(tj.short_deadline),
-            fractions,
-            elapsed=elapsed,
-            slack=SLACK,
-        )
+    controllers = {
+        name: make_policy("jockey", tj, tj.short_deadline).controller
+        for name, tj in jobs.items()
+    }
 
-    floor = min(jobs["C"].table.allocations)
+    def bidder(name, progress_fraction, elapsed):
+        fractions = {
+            s: progress_fraction for s in jobs[name].learned_profile.stage_names
+        }
+        return controllers[name].candidates(fractions, elapsed)
+
     print("\nscenario 1 — all jobs fresh:")
     split = split_slice(
-        {name: bidder(name, 0.0, 0.0) for name in "CFG"},
-        SLICE_TOKENS,
-        floor=floor,
+        {name: bidder(name, 0.0, 0.0) for name in "CFG"}, SLICE_TOKENS
     )
     print(f"  {split}")
 
@@ -101,7 +96,6 @@ def main() -> None:
             "G": bidder("G", 0.5, jobs["G"].short_deadline * 0.5),
         },
         SLICE_TOKENS,
-        floor=floor,
     )
     print(f"  {split}")
     print("\nthe endangered job receives the largest share; the nearly-done "

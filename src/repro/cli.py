@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_run.add_argument(
         "--mode", default="ewma", choices=sorted(FLEET_MODEL_MODES),
-        help="model refresh mode: latest/window/ewma are drift-gated "
+        help="model refresh mode: latest/ewma are drift-gated "
              "update policies; stale never refreshes; oracle tracks the "
              "ground truth; cold-start re-profiles daily (default: ewma)",
     )

@@ -270,11 +270,6 @@ class JockeyController:
 
     # ------------------------------------------------------------------
 
-    @property
-    def effective_utility(self) -> PiecewiseLinearUtility:
-        """The dead-zone-shifted utility the loop actually optimizes."""
-        return self._effective
-
     def set_utility(self, utility: PiecewiseLinearUtility) -> None:
         """Change the job's utility (e.g. the deadline moved, §5.2)."""
         self._utility = utility
@@ -321,18 +316,29 @@ class JockeyController:
 
     def _scan(
         self, utility: PiecewiseLinearUtility, elapsed: float, predictions: Sequence[float]
-    ) -> Tuple[int, Tuple[_audit.CandidateEval, ...]]:
-        """The one candidate scan: slack each grid allocation's prediction,
-        price it under ``utility``, and return the :func:`first_best`
-        index with every candidate's evaluation."""
+    ) -> Tuple[_audit.CandidateEval, ...]:
+        """The one candidate scan: slack each grid allocation's prediction
+        and price it under ``utility``."""
         slack = self.config.slack
         value = utility.value
         remaining = [slack * predicted for predicted in predictions]
         utilities = [value(elapsed + r) for r in remaining]
-        candidates = tuple(
-            map(_audit.CandidateEval, self._grid, remaining, utilities)
-        )
-        return first_best(utilities), candidates
+        return tuple(map(_audit.CandidateEval, self._grid, remaining, utilities))
+
+    def candidates(
+        self, fractions: Mapping[str, float], elapsed: float
+    ) -> Tuple[_audit.CandidateEval, ...]:
+        """Every grid allocation, smallest first, with its slacked
+        prediction and its (dead-zone-shifted) utility at this state: what
+        a decision scans, from one batched predictor read.  The multi-job
+        arbiter bids from it."""
+        perf = _perf.COLLECTOR
+        query_start = time.perf_counter() if perf.enabled else 0.0
+        predictions = self.predictor.remaining_seconds_batch(fractions, self._grid)
+        if perf.enabled:
+            perf.record("control.cpa_query", time.perf_counter() - query_start)
+        self._last_good = (elapsed, [float(p) for p in predictions])
+        return self._scan(self._effective, elapsed, self._last_good[1])
 
     def _raw_allocation(
         self, fractions: Mapping[str, float], elapsed: float
@@ -342,13 +348,8 @@ class JockeyController:
         dead-zone-triggered flag).  The flag is True when the dead-zone
         shift changed which allocation the argmin picks versus the
         unshifted utility."""
-        perf = _perf.COLLECTOR
-        query_start = time.perf_counter() if perf.enabled else 0.0
-        predictions = self.predictor.remaining_seconds_batch(fractions, self._grid)
-        if perf.enabled:
-            perf.record("control.cpa_query", time.perf_counter() - query_start)
-        self._last_good = (elapsed, [float(p) for p in predictions])
-        index, candidates = self._scan(self._effective, elapsed, self._last_good[1])
+        candidates = self.candidates(fractions, elapsed)
+        index = first_best([c.utility for c in candidates])
         unshifted = first_best([
             self._utility.value(elapsed + c.predicted_remaining) for c in candidates
         ])
@@ -486,10 +487,11 @@ class JockeyController:
                     int(round(self._smoothed))
                     if self._smoothed is not None else self._grid[0]
                 )
-                index, candidates = self._scan(
+                candidates = self._scan(
                     self._degraded_effective, elapsed, predictions
                 )
-                raw = max(candidates[index].allocation, floor)
+                best = first_best([c.utility for c in candidates])
+                raw = max(candidates[best].allocation, floor)
                 return raw, candidates, "fallback", staleness
         else:
             staleness = elapsed

@@ -174,6 +174,16 @@ class Verdict(NamedTuple):
     high: float
 
 
+def _binomial_row(n: int) -> List[int]:
+    """``[C(n, 0), ..., C(n, n)]`` by the multiplicative recurrence: one
+    exact multiply and divide per entry (``math.comb`` per entry is
+    quadratic in big-integer work)."""
+    row = [1] * (n + 1)
+    for i in range(n):
+        row[i + 1] = row[i] * (n - i) // (i + 1)
+    return row
+
+
 def verdict(wins: int, losses: int, null: Fraction = Fraction(1, 2)) -> Verdict:
     """An exact one-sided binomial test each way at :data:`ALPHA`: *holds*
     when ``wins`` or more of n units is that unlikely at a win rate of
@@ -185,7 +195,7 @@ def verdict(wins: int, losses: int, null: Fraction = Fraction(1, 2)) -> Verdict:
         raise ValueError(f"null must lie in (0, 1), got {null!r}")
     null = Fraction(null)
     n = wins + losses
-    comb = [math.comb(n, i) for i in range(n + 1)]
+    comb = _binomial_row(n)
     log_comb = [math.log(c) for c in comb]
 
     def at_least(k, p):  # P(X >= k), X ~ Binomial(n, p), exact

@@ -11,22 +11,22 @@ coordination modes:
   pool clamps requests first-come-first-served when the guaranteed slice
   runs out (what deploying unmodified Jockey per-job would do);
 * ``arbiter`` — each control period every live job bids its marginal
-  utility per block of tokens, from its own C(p, a) predictor and utility
-  function, and one :meth:`repro.market.arbiter.MarketArbiter.clear`
-  splits the slice (:func:`split_slice`) — the same clearing the token
-  market runs over thousands of jobs.
+  utility per token, read off its own controller's candidate scan
+  (:meth:`repro.core.control.JockeyController.candidates`), and one
+  :meth:`repro.market.arbiter.MarketArbiter.clear` splits the slice
+  (:func:`split_slice`) — the same clearing the token market runs over
+  thousands of jobs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster import Cluster, ClusterConfig
-from repro.core.control import ControlConfig, Predictor
-from repro.core.utility import PiecewiseLinearUtility
+from repro.core.control import ControlConfig
 from repro.experiments.metrics import RunMetrics, metrics_from_trace
 from repro.experiments.runner import MAX_VIRTUAL_SECONDS, make_policy
 from repro.experiments.scenarios import TrainedJob
@@ -34,62 +34,43 @@ from repro.market.arbiter import Bid, MarketArbiter, concave_marginals
 from repro.runtime.jobmanager import JobManager
 from repro.simkit.events import Simulator
 from repro.simkit.random import RngRegistry
+from repro.telemetry.audit import CandidateEval, apply_hysteresis, quantize_allocation
 
 COORDINATION_MODES = ("independent", "arbiter")
 
 
-def expected_utility(
-    predictor: Predictor,
-    utility: PiecewiseLinearUtility,
-    fractions: Mapping[str, float],
-    *,
-    elapsed: float = 0.0,
-    slack: float = 1.2,
-) -> Callable[[int], float]:
-    """``allocation -> utility`` of finishing when the slacked prediction
-    says the job will, as the per-job control loop scores it (§4.3)."""
-
-    def at(allocation: int) -> float:
-        remaining = slack * predictor.remaining_seconds(fractions, allocation)
-        return utility.value(elapsed + remaining)
-
-    return at
-
-
 def split_slice(
-    utilities: Mapping[str, Callable[[int], float]],
-    slice_tokens: int,
-    *,
-    floor: int,
-    step: int = 5,
+    curves: Mapping[str, Sequence[CandidateEval]], slice_tokens: int
 ) -> Dict[str, int]:
     """Split ``slice_tokens`` across jobs to maximize summed utility.
 
-    ``utilities`` maps each job to its :func:`expected_utility`.  Every job
-    first receives ``floor`` tokens; each then bids the utility gained by
-    every further ``step``-token block and one
-    :meth:`MarketArbiter.clear` grants the best blocks (ties go to the
+    ``curves`` maps each job to its controller's candidates (allocations
+    ascending, each with its utility).  Every job first receives its first
+    grid point; each then bids the utility gained by every further token,
+    its utility linearly interpolated between grid points, and one
+    :meth:`MarketArbiter.clear` grants the best tokens (ties go to the
     smaller job name).  Tokens nobody gains from stay unallocated.
     """
-    blocks = (slice_tokens - floor * len(utilities)) // step
-    if blocks < 0:
+    floors = {job: candidates[0].allocation for job, candidates in curves.items()}
+    supply = slice_tokens - sum(floors.values())
+    if supply < 0:
         raise ValueError(
-            f"{slice_tokens} tokens cannot cover {len(utilities)} jobs at "
-            f"minimum {floor}"
+            f"{slice_tokens} tokens cannot cover {len(curves)} jobs at their "
+            f"grid floors {floors}"
         )
     bids = []
-    for job, utility_at in utilities.items():
-        curve = np.array(
-            [utility_at(floor + step * k) for k in range(blocks + 1)]
-        )
+    for job, candidates in curves.items():
+        grid = [c.allocation for c in candidates]
+        tokens = np.arange(grid[0], min(grid[-1], grid[0] + supply) + 1)
+        curve = np.interp(tokens, grid, [c.utility for c in candidates])
         marginals = concave_marginals(curve[1:], curve[0])
-        # A block that gains nothing ends the schedule (the clamp carries
-        # the zero to every later block): a job that already meets its
+        # A token that gains nothing ends the schedule (the clamp carries
+        # the zero to every later token): a job that already meets its
         # deadline leaves the rest of the slice to the others.
         marginals[marginals <= 1e-12] = 0.0
         bids.append(Bid(job, "slice", tuple(marginals.tolist())))
-    grants = MarketArbiter().clear(bids, blocks).grants
-    return {bid.job: floor + step * grants.get(bid.job, 0) for bid in bids}
+    grants = MarketArbiter().clear(bids, supply).grants
+    return {bid.job: floors[bid.job] + grants.get(bid.job, 0) for bid in bids}
 
 
 @dataclass
@@ -185,31 +166,26 @@ def run_multi_job(
                 if allocation is not None:
                     manager.set_allocation(allocation)
         else:
-            floor = min(jobs[0].table.allocations)
-            utilities = {}
+            curves = {}
             for trained in live:
                 snapshot = managers[trained.name].snapshot()
-                controller = policies[trained.name].controller
-                utilities[trained.name] = expected_utility(
-                    controller.predictor,
-                    # The dead-zone-shifted utility, as the per-job
-                    # loop uses (§4.3).
-                    controller.effective_utility,
-                    snapshot.stage_fractions,
-                    elapsed=snapshot.elapsed,
-                    slack=controller.config.slack,
+                curves[trained.name] = policies[trained.name].controller.candidates(
+                    snapshot.stage_fractions, snapshot.elapsed
                 )
-            split = split_slice(utilities, slice_tokens, floor=floor)
-            # The same hysteresis the per-job loop applies (§4.3): the raw
-            # arbiter split thrashes on noisy progress otherwise.
-            alpha = control.hysteresis
+            split = split_slice(curves, slice_tokens)
+            # The per-job loop's smoothing chain (§4.3): the raw arbiter
+            # split thrashes on noisy progress otherwise.
             targets = {}
             for trained in live:
                 name = trained.name
-                prev = smoothed.get(name, float(managers[name].allocation))
-                prev += alpha * (split[name] - prev)
-                smoothed[name] = prev
-                targets[name] = int(round(prev))
+                smoothed[name] = apply_hysteresis(
+                    smoothed.get(name, float(managers[name].allocation)),
+                    split[name],
+                    control.hysteresis,
+                )
+                targets[name] = quantize_allocation(
+                    smoothed[name], control.min_tokens, control.max_tokens
+                )
             # Never exceed the slice after rounding.
             while sum(targets.values()) > slice_tokens:
                 biggest = max(targets, key=targets.get)
@@ -248,7 +224,6 @@ def run_multi_job(
 __all__ = [
     "COORDINATION_MODES",
     "MultiJobResult",
-    "expected_utility",
     "run_multi_job",
     "split_slice",
 ]

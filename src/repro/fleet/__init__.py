@@ -7,7 +7,7 @@ the recurring template from that model.  This package closes the loop:
 | module | contents |
 |---|---|
 | ``store`` | on-disk, versioned :class:`ProfileStore` of profile lineages |
-| ``update`` | update policies (latest / window / EWMA) + drift detector |
+| ``update`` | update policies (latest / EWMA) + drift detector |
 | ``driver`` | N templates x M simulated days under the control loop |
 
 Every completed run is re-profiled (:meth:`JobProfile.from_trace`) and

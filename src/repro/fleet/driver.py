@@ -67,9 +67,9 @@ from repro.simkit.random import derive_seed
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import predict as _predict
 
-#: How a template's model evolves across days.  The middle three reuse the
+#: How a template's model evolves across days.  The middle two reuse the
 #: update-policy names: drift-gated refresh resolved by that policy.
-MODEL_MODES = ("stale", "latest", "window", "ewma", "oracle", "cold-start")
+MODEL_MODES = ("stale", "latest", "ewma", "oracle", "cold-start")
 
 #: The fleet's deadline floor (seconds): smoke-scale jobs are small, and
 #: the experiments' 30-minute grid floor would hand every arm a free pass.
@@ -284,7 +284,7 @@ def _simulate_template(
     scale = config.scale
     generated = _generate(template, config)
     base_truth = generated.profile
-    uses_store = mode in ("stale", "latest", "window", "ewma")
+    uses_store = mode in ("stale", *UPDATE_POLICIES)
     # The update-policy modes resolve by their own policy; stale by latest.
     update_policy = mode if mode in UPDATE_POLICIES else "latest"
 

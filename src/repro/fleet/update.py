@@ -6,14 +6,12 @@ per-stage :class:`~repro.simkit.distributions.Empirical` samples learned
 from one run) into the single profile the next C(p, a) build trains on:
 
 * ``latest`` — the newest generation verbatim;
-* ``window`` — pool the last :data:`WINDOW` generations' samples with
-  equal weight (a sliding-window blend);
-* ``ewma`` — exponentially-weighted blend over the same generations: the
-  one at age ``k`` gets weight ``alpha * (1 - alpha)^k`` (normalized,
-  ``alpha`` = :data:`EWMA_ALPHA`), realized by drawing a proportional,
-  *quantile-spaced* subsample from each generation's sorted values —
-  order statistics at evenly spaced ranks — so blending needs no RNG and
-  is deterministic for a fixed lineage.
+* ``ewma`` — exponentially-weighted blend over the last :data:`WINDOW`
+  generations: the one at age ``k`` gets weight ``alpha * (1 - alpha)^k``
+  (normalized, ``alpha`` = :data:`EWMA_ALPHA`), realized by drawing a
+  proportional, *quantile-spaced* subsample from each generation's sorted
+  values — order statistics at evenly spaced ranks — so blending needs no
+  RNG and is deterministic for a fixed lineage.
 
 The **drift detector** compares the profile the current model was built
 from against the profile observed in the run that just finished.  Per
@@ -42,7 +40,7 @@ from repro.fleet.store import FleetError
 from repro.jobs.profiles import JobProfile, StageProfile
 from repro.simkit import distributions as dist
 
-UPDATE_POLICIES = ("latest", "window", "ewma")
+UPDATE_POLICIES = ("latest", "ewma")
 
 #: Newest generations a blend reads (and a resolve loads from the store).
 WINDOW = 3
@@ -95,17 +93,6 @@ def _quantile_subsample(values: Sequence[float], count: int) -> List[float]:
     return [ordered[i] for i in idx]
 
 
-def _generation_weights(policy: str, count: int) -> List[float]:
-    """Normalized blend weight per generation (oldest → newest)."""
-    if policy == "window":
-        return [1.0 / count] * count
-    # ewma: newest has age 0.
-    alpha = EWMA_ALPHA
-    raw = [alpha * (1.0 - alpha) ** (count - 1 - i) for i in range(count)]
-    total = sum(raw)
-    return [w / total for w in raw]
-
-
 def _apportion(weights: Sequence[float], total: int) -> List[int]:
     """Largest-remainder apportionment of ``total`` sample slots across
     ``weights`` (at least one slot per positive weight when possible)."""
@@ -146,10 +133,10 @@ def _blend_stage_samples(
 def resolve_profile(policy: str, lineage: Sequence[JobProfile]) -> JobProfile:
     """The training profile the update ``policy`` (one of
     :data:`UPDATE_POLICIES`) derives from a lineage (oldest → newest).
-    ``latest`` returns the newest generation; the blend policies pool
-    per-stage runtime/queue samples across the last :data:`WINDOW`
-    generations.  Stages whose distributions carry no finite samples
-    (parametric profiles) fall back to the newest generation."""
+    ``latest`` returns the newest generation; ``ewma`` pools per-stage
+    runtime/queue samples across the last :data:`WINDOW` generations.
+    Stages whose distributions carry no finite samples (parametric
+    profiles) fall back to the newest generation."""
     if policy not in UPDATE_POLICIES:
         raise FleetError(
             f"unknown update policy {policy!r} "
@@ -161,7 +148,10 @@ def resolve_profile(policy: str, lineage: Sequence[JobProfile]) -> JobProfile:
     if policy == "latest" or len(lineage) == 1:
         return newest
     recent = list(lineage[-WINDOW:])
-    weights = _generation_weights(policy, len(recent))
+    # EWMA weights, oldest → newest (the newest has age 0), normalized.
+    raw = [EWMA_ALPHA * (1.0 - EWMA_ALPHA) ** age for age in reversed(range(len(recent)))]
+    total = sum(raw)
+    weights = [w / total for w in raw]
     stages = {}
     for name in newest.stage_names:
         sp_new = newest.stage(name)
@@ -245,8 +235,8 @@ def ks_statistic(x: Sequence[float], y: Sequence[float]) -> float:
 def _stage_work(d, num_tasks: int) -> float:
     """Expected task-seconds of one side of a stage comparison: mean task
     runtime times the *graph's* task count.  Never the sample sum — a
-    blended reference pools up to ``window`` generations' samples, so sum
-    totals would report drift on sample *count*, not runtime scale."""
+    blended reference pools up to :data:`WINDOW` generations' samples, so
+    sum totals would report drift on sample *count*, not runtime scale."""
     return float(d.mean()) * num_tasks
 
 

@@ -5,10 +5,9 @@ inter-job arbiter that dynamically shifts resources from jobs with low
 expected marginal utility to those with high".  This module is that
 arbiter, and the only one in the repo.  Each job submits its whole
 *marginal-value schedule* up front (value of its 1st, 2nd, ... spare
-token or block of tokens, non-increasing) and the arbiter clears the
-auction in one vectorized pass over the flat :class:`BidBook`: take the
-top ``supply`` entries, hand each job the prefix of its schedule that made
-the cut.  Because every schedule is non-increasing, that selection *is*
+token, non-increasing) and the arbiter clears the auction in one
+vectorized pass over the flat :class:`BidBook`: take the top ``supply``
+entries, hand each job the prefix of its schedule that made the cut.  Because every schedule is non-increasing, that selection *is*
 what handing out one unit at a time to the currently highest bidder
 converges to, without the per-step loop; ``tests/test_market_arbiter.py``
 holds that walk as a reference and checks the two grant for grant.  The
@@ -21,11 +20,11 @@ one-slice case.
 
 Callers: the token market's per-tick spare auction over thousands of
 fluid jobs (:mod:`repro.market.engine`, which builds the book directly)
-and :func:`repro.experiments.multijob.split_slice` (a ``Bid`` per
-C(p, a)-predicted job).  Both turn utility curves into schedules with
-:func:`concave_marginals`; on a curve that is not concave in the
-allocation that clamp *defines* the ascent — a late payoff bids no more
-than the blocks that must be bought before it.
+and :func:`repro.experiments.multijob.split_slice` (a per-token ``Bid``
+per job, read off its controller's candidate scan).  Both turn utility
+curves into schedules with :func:`concave_marginals`; on a curve that is
+not concave in the allocation that clamp *defines* the ascent — a late
+payoff bids no more than the tokens that must be bought before it.
 
 The *clearing price* is the aggregate-marginal-utility price of a token
 this tick, per slice:

@@ -547,6 +547,14 @@ class TestFleet:
         )
         assert code == 2
 
+    def test_window_mode_is_refused_by_name(self, tmp_path, capsys):
+        code, _text = run_cli("fleet", "run", "--mode", "window", "--days", "1")
+        assert code == 2 and "invalid choice: 'window'" in capsys.readouterr().err
+        spec = tmp_path / "fleet.json"
+        spec.write_text('{"mode": "window"}', encoding="utf-8")
+        code, text = run_cli("fleet", "run", "--spec", str(spec))
+        assert code == 2 and "unknown model mode 'window'" in text
+
     def test_empty_templates_exits_two(self):
         code, text = run_cli("fleet", "run", "--templates", ",", "--days", "1")
         assert code == 2

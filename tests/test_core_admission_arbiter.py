@@ -5,16 +5,18 @@
 three classes keep their names because the tier-1 floor pins their test
 ids; every case now drives the surviving implementation:
 ``CpaTable.min_allocation_for``, ``MarketAdmission`` + ``Tenant``, and
-``split_slice`` (bids through ``MarketArbiter.clear``).
+``split_slice`` (bids from each controller's candidates through
+``MarketArbiter.clear``).
 """
 
 import numpy as np
 import pytest
 
+from repro.core.control import ControlConfig, JockeyController
 from repro.core.cpa import CpaError, CpaTable
 from repro.core.progress import totalwork
 from repro.core.utility import deadline_utility
-from repro.experiments.multijob import expected_utility, split_slice
+from repro.experiments.multijob import split_slice
 from repro.market.admission import MarketAdmission
 from repro.market.engine import MarketConfig, TokenMarket
 from repro.market.tenant import JobSpec, MarketError, Tenant
@@ -148,26 +150,32 @@ class LinearJob:
     def remaining_seconds(self, fractions, allocation):
         return self.work / allocation
 
+    def remaining_seconds_batch(self, fractions, allocations):
+        return [self.work / a for a in allocations]
 
-def linear(work, deadline, elapsed=0.0):
-    return expected_utility(
-        LinearJob(work), deadline_utility(deadline), {},
-        elapsed=elapsed, slack=1.0,
+
+def linear(work, deadline, *, step=1, floor=1):
+    """The candidates of a controller on the grid ``floor, floor + step,
+    ...`` that prices the unshifted deadline utility without slack."""
+    config = ControlConfig(
+        slack=1.0, dead_zone_seconds=0.0, min_tokens=floor, allocation_step=step
     )
+    controller = JockeyController(LinearJob(work), deadline_utility(deadline), config)
+    return controller.candidates({}, 0.0)
 
 
 class TestArbiter:
     def test_budget_respected(self):
         jobs = {"a": linear(10_000.0, 3600.0), "b": linear(10_000.0, 3600.0)}
-        allocations = split_slice(jobs, 40, floor=1, step=1)
+        allocations = split_slice(jobs, 40)
         assert sum(allocations.values()) <= 40
 
     def test_tight_job_gets_more(self):
         jobs = {
-            "tight": linear(50_000.0, 1000.0),
-            "slack": linear(50_000.0, 10_000.0),
+            "tight": linear(50_000.0, 1000.0, step=5),
+            "slack": linear(50_000.0, 10_000.0, step=5),
         }
-        allocations = split_slice(jobs, 70, floor=1, step=5)
+        allocations = split_slice(jobs, 70)
         assert allocations["tight"] > allocations["slack"]
 
     def test_both_meet_when_possible(self):
@@ -175,22 +183,23 @@ class TestArbiter:
             "a": linear(30_000.0, 2000.0),   # needs 15
             "b": linear(60_000.0, 2000.0),   # needs 30
         }
-        allocations = split_slice(jobs, 60, floor=1, step=1)
+        allocations = split_slice(jobs, 60)
         assert allocations == {"a": 15, "b": 30}
 
     def test_no_gain_stops_early(self):
-        jobs = {"a": linear(100.0, 36_000.0)}  # trivially satisfied
-        assert split_slice(jobs, 100, floor=1, step=5) == {"a": 1}
+        jobs = {"a": linear(100.0, 36_000.0, step=5)}  # trivially satisfied
+        assert split_slice(jobs, 100) == {"a": 1}
 
     def test_empty(self):
-        assert split_slice({}, 10, floor=1) == {}
+        assert split_slice({}, 10) == {}
 
     def test_errors(self):
         jobs = {"a": linear(1.0, 10.0)}
         with pytest.raises(ValueError, match="0 tokens cannot cover 1 jobs"):
-            split_slice(jobs, 0, floor=1)
+            split_slice(jobs, 0)
+        jobs = {"a": linear(1.0, 10.0, floor=10), "b": linear(1.0, 10.0, floor=10)}
         with pytest.raises(ValueError, match="19 tokens cannot cover 2 jobs"):
-            split_slice({"a": jobs["a"], "b": jobs["a"]}, 19, floor=10)
+            split_slice(jobs, 19)
 
 
 # ----------------------------------------------------------------------

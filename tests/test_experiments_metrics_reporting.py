@@ -12,6 +12,7 @@ from repro.experiments.metrics import (
     ALPHA,
     Claim,
     RunMetrics,
+    _binomial_row,
     coefficient_of_variation,
     group_by,
     metrics_from_trace,
@@ -305,3 +306,13 @@ class TestVerdictAtAnyN:
             assert v.low == pytest.approx(0.05 ** (1 / wins), abs=1e-9)
         if not wins:
             assert v.high == pytest.approx(1 - 0.05 ** (1 / losses), abs=1e-9)
+
+    def test_binomial_row_is_math_comb(self):
+        for n in range(201):
+            assert _binomial_row(n) == [math.comb(n, i) for i in range(n + 1)], n
+
+    def test_n_5000_reads_within_a_second(self):
+        start = time.perf_counter()
+        v = verdict(2600, 2400)
+        assert time.perf_counter() - start < 1.0
+        assert v.reading == "holds" and v.low < 0.52 < v.high

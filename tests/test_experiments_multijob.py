@@ -5,8 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.multijob import MultiJobResult, run_multi_job
+from repro.core.control import JockeyController
+from repro.core.utility import deadline_utility
+from repro.experiments.multijob import run_multi_job, split_slice
+from repro.experiments.runner import make_policy
 from repro.experiments.scenarios import SMOKE, trained_jobs
+from tests.test_core_admission_arbiter import LinearJob
 
 
 @pytest.fixture(scope="module")
@@ -73,15 +77,43 @@ class TestRunMultiJob:
         assert result.worst_relative_latency > 0
 
 
+class TestBidsFromTheController:
+    def test_candidates_are_what_the_audit_records(self, jobs):
+        """The arbiter's read is the scan a decision records."""
+        trained = jobs[0]
+        controller = make_policy("jockey", trained, trained.short_deadline).controller
+        zero = {s: 0.0 for s in trained.learned_profile.stage_names}
+        read = controller.candidates(zero, 0.0)
+        controller.initial_allocation(zero)
+        assert controller.audit[-1].candidates == read
+        for fraction, elapsed in ((0.2, 120.0), (0.6, 600.0), (0.9, 1500.0)):
+            fractions = {s: fraction for s in zero}
+            read = controller.candidates(fractions, elapsed)
+            assert controller.decide(fractions, elapsed).candidates == read
+
+    def test_jobs_start_at_their_own_grid_floors(self):
+        """Tables with minima 10 and 23 floor the grids at 11 and 26;
+        jobs that gain nothing keep their own floor."""
+        curves = {
+            name: JockeyController(
+                LinearJob(100.0), deadline_utility(36_000.0), grid_floor=floor
+            ).candidates({}, 0.0)
+            for name, floor in (("a", 10), ("b", 23))
+        }
+        assert split_slice(curves, 100) == {"a": 11, "b": 26}
+        with pytest.raises(ValueError, match="36 tokens cannot cover 2 jobs"):
+            split_slice(curves, 36)
+
+
 class TestGoldenPins:
     """``run_multi_job(mode="arbiter")`` pinned tick by tick.
 
-    ``golden/multijob_pins.json`` was captured on the commit before the
-    arbiter tick moved from the ``core.arbiter`` heap walk to
-    ``MarketArbiter.clear``; it passes unchanged on both sides.  The first
-    three cases run at the smoke jobs' own deadlines (the arbiter idles at
-    the grid floor); the ``deadline_factor=0.35`` ones contend for the
-    slice.
+    ``golden/multijob_pins.json`` was captured when the arbiter started
+    bidding per token from each controller's candidates: every job's floor
+    is its own first grid point (11 on the smoke tables), and the split is
+    smoothed and rounded up as the per-job loop does.  The first three
+    cases run at the smoke jobs' own deadlines (the arbiter idles at the
+    grid floor); the ``deadline_factor=0.35`` ones contend for the slice.
     """
 
     PINS = json.loads(
@@ -113,3 +145,8 @@ class TestExperimentDriver:
         assert len(report.rows) == 2
         modes = [row[0] for row in report.rows]
         assert modes == ["independent", "arbiter"]
+        # Both claims judged on the two reps' days; the table ends the report.
+        assert [claim for claim, _counts in report.tallies] == list(exp_multijob.CLAIMS)
+        assert all(wins + losses <= 2 for _claim, (wins, losses) in report.tallies)
+        last = report.render().splitlines()[-1]
+        assert last.lstrip().startswith(exp_multijob.CLAIMS[-1].name)

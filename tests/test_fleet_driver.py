@@ -235,13 +235,13 @@ class TestSpecParsing:
         templates, config = fleet_spec_from_dict({
             "templates": ["B", {"name": "etl", "job": "mapreduce"}],
             "days": 4,
-            "mode": "window",
+            "mode": "latest",
             "drift": {"day": 2, "factor": 1.8, "stages": ["map"]},
             "seed": 7,
             "scale": "smoke",
         })
         assert templates[1].job_name() == "mapreduce"
-        assert config.model_mode == "window"
+        assert config.model_mode == "latest"
         assert config.drift.at == 2.0
         assert config.drift.stages == ("map",)
         assert config.seed == 7
@@ -256,6 +256,7 @@ class TestSpecParsing:
         {"scale": "galactic"},
         {"days": "many"},
         {"mode": "clairvoyant"},
+        {"mode": "window"},
     ])
     def test_malformed_specs_raise_spec_error(self, bad):
         with pytest.raises(FleetSpecError):

@@ -101,20 +101,12 @@ class TestResolveProfile:
         only = make_profile(g, spread(10.0))
         assert resolve_profile("ewma", [only]) is only
 
-    def test_window_blend_is_equal_weight(self):
-        g = graph()
-        lineage = [make_profile(g, spread(10.0)), make_profile(g, spread(20.0))]
-        blended = resolve_profile("window", lineage)
-        assert blended.stage("map").runtime.mean() == pytest.approx(
-            15.0, rel=0.05
-        )
-
     def test_ewma_weights_newest_more(self):
         g = graph()
         lineage = [make_profile(g, spread(10.0)), make_profile(g, spread(20.0))]
         blended = resolve_profile("ewma", lineage)
-        # Weights 1/3 vs 2/3: the blend sits between the window midpoint
-        # and the newest generation.
+        # Weights 1/3 vs 2/3: the blend sits between the two generations'
+        # midpoint and the newest generation.
         mean = blended.stage("map").runtime.mean()
         assert 15.5 < mean < 19.5
 
@@ -123,7 +115,7 @@ class TestResolveProfile:
         lineage = [make_profile(g, spread(100.0))] + [
             make_profile(g, spread(10.0)) for _ in range(WINDOW)
         ]
-        blended = resolve_profile("window", lineage)
+        blended = resolve_profile("ewma", lineage)
         assert blended.stage("map").runtime.mean() == pytest.approx(
             10.0, rel=0.05
         )
@@ -134,13 +126,13 @@ class TestResolveProfile:
             make_profile(g, spread(10.0, n=400)),
             make_profile(g, spread(20.0, n=400)),
         ]
-        blended = resolve_profile("window", lineage)
+        blended = resolve_profile("ewma", lineage)
         assert len(blended.stage("map").runtime.values) == MAX_SAMPLES < 800
 
     def test_failure_prob_blends(self):
         g = graph()
         lineage = [make_profile(g, spread(10.0)), make_profile(g, spread(10.0))]
-        blended = resolve_profile("window", lineage)
+        blended = resolve_profile("ewma", lineage)
         assert blended.stage("map").failure_prob == pytest.approx(0.01)
 
     def test_deterministic_for_fixed_lineage(self):

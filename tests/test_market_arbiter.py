@@ -1,8 +1,9 @@
 """The one greedy marginal-utility ascent, checked against its definition.
 
-``split_slice`` (bids through ``MarketArbiter.clear``) replaced the
-``core.arbiter`` heap walk.  The walk survives here only, as the
-by-definition reference the clearing is compared with.
+``split_slice`` (per-token bids through ``MarketArbiter.clear``)
+replaced the ``core.arbiter`` heap walk.  The walk survives here only, as
+the by-definition reference the clearing is compared with, on per-token
+curves.
 """
 
 import heapq
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from repro.experiments.multijob import split_slice
 from repro.market.arbiter import Bid, BidBook, MarketArbiter, concave_marginals
 from repro.market.tenant import MarketError
+from repro.telemetry.audit import CandidateEval
 
 
 def heap_walk(utilities, total_tokens, *, min_tokens, step):
@@ -57,36 +59,49 @@ schedules = st.lists(
 )
 
 
-def curve(schedule, floor, step):
-    """Utility at ``floor + step * k`` tokens = the first ``k`` blocks."""
+def curve(schedule, floor):
+    """Utility at ``floor + k`` tokens = the first ``k`` token values."""
     totals = [0.0]
     for value in schedule:
         totals.append(totals[-1] + value)
 
     def at(allocation):
-        return totals[min((allocation - floor) // step, len(schedule))]
+        return totals[min(allocation - floor, len(schedule))]
 
     return at
 
 
+def candidates(utility_at, grid):
+    """A controller's candidates on ``grid`` under ``utility_at`` (the
+    predictions do not enter the split)."""
+    return [CandidateEval(a, 0.0, utility_at(a)) for a in grid]
+
+
 class TestClearingIsTheHeapWalk:
-    @settings(max_examples=300)
+    """On a step-1 grid the interpolation is exact, so the per-token bids
+    are the walk's one-token gains bit for bit."""
+
+    # 300 examples in tier-1; the larger profile budget when CI asks for it.
+    @settings(max_examples=max(300, settings.default.max_examples))
     @given(
         schedules=schedules,
         names=st.permutations("abcdef"),
-        step=st.sampled_from([1, 5]),
         floor=st.integers(1, 3),
         supply=st.integers(0, 40),
     )
-    def test_equal_grants(self, schedules, names, step, floor, supply):
+    def test_equal_grants(self, schedules, names, floor, supply):
         utilities = {
-            name: curve(schedule, floor, step)
+            name: curve(schedule, floor)
             for name, schedule in zip(names, schedules)
         }
+        curves = {
+            name: candidates(u, range(floor, floor + len(schedule) + 1))
+            for (name, u), schedule in zip(utilities.items(), schedules)
+        }
         total = floor * len(utilities) + supply
-        assert split_slice(
-            utilities, total, floor=floor, step=step
-        ) == heap_walk(utilities, total, min_tokens=floor, step=step)
+        assert split_slice(curves, total) == heap_walk(
+            utilities, total, min_tokens=floor, step=1
+        )
 
 
 class TestBlockSchedule:
@@ -94,7 +109,7 @@ class TestBlockSchedule:
         """The third token gains 1e-13 (under the stop), so the fourth's
         large payoff is never reached."""
         curve = {1: 0.0, 2: 1.0, 3: 1.0 + 1e-13, 4: 5.0}.__getitem__
-        assert split_slice({"j": curve}, 4, floor=1, step=1) == {"j": 2}
+        assert split_slice({"j": candidates(curve, [1, 2, 3, 4])}, 4) == {"j": 2}
 
     def test_late_hump_bids_what_the_block_before_it_did(self):
         """On a non-concave curve the clamp *is* the schedule: a late
@@ -102,6 +117,27 @@ class TestBlockSchedule:
         (+0.5), and a loss bids nothing."""
         curve = np.array([1.0, 1.5, 4.5, 4.0])
         assert concave_marginals(curve, 0.0).tolist() == [1.0, 0.5, 0.5, 0.0]
+
+
+class TestPerTokenBids:
+    """``split_slice`` bids every token between a job's grid points."""
+
+    def test_supply_off_the_grid_step_is_granted_in_full(self):
+        # Utility rises all the way up both 5-step grids.
+        grid = [1, *range(6, 101, 5)]
+        curves = {name: candidates(float, grid) for name in "ab"}
+        split = split_slice(curves, 23)
+        assert sum(split.values()) == 23
+        assert not set(split.values()) <= set(grid)
+
+    def test_partial_step_under_contention(self):
+        """a's first step gains 1.0 a token and then 0.2; b gains 0.5 a
+        token.  Of 8 spare tokens a takes its first step and b the other
+        three, which is not a grid step."""
+        a = {1: 0.0, 6: 5.0, 11: 6.0}.__getitem__
+        b = {1: 0.0, 6: 2.5, 11: 5.0}.__getitem__
+        curves = {"a": candidates(a, [1, 6, 11]), "b": candidates(b, [1, 6, 11])}
+        assert split_slice(curves, 10) == {"a": 6, "b": 4}
 
 
 #: Utility values: a few repeated ones (flat stretches and exact ties in
