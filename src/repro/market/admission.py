@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.market.tenant import JobSpec, MarketError, MarketJob, Tenant
 from repro.telemetry import metrics as _metrics
@@ -78,15 +78,6 @@ class MarketAdmission:
         self.slack = slack
         self.stats = AdmissionStats()
 
-    def minimum_guarantee(self, spec: JobSpec, now: float) -> Optional[int]:
-        """Smallest token guarantee that still meets the deadline, or
-        None when no allocation within the job's width can."""
-        budget = spec.absolute_deadline - now
-        if budget <= 0:
-            return None
-        need = math.ceil(self.slack * spec.work / budget) or 1
-        return need if need <= spec.width else None
-
     def admit_one(
         self, tenant: Tenant, spec: JobSpec, now: float
     ) -> Tuple[str, Optional[MarketJob], Optional[str]]:
@@ -95,36 +86,17 @@ class MarketAdmission:
         Returns ``("admitted", job, None)`` with the guarantee reserved in
         ``tenant.live``, ``("queued", None, None)`` when the spec fits a
         quiet quota but live jobs hold too much (the caller keeps it
-        queued), or ``("rejected", None, reason)``.  This is the shared
-        front door: the batch market's per-tick queue drain and the live
-        service's synchronous submit path both land here, so telemetry and
-        rejection reasons stay identical across substrates.
+        queued), or ``("rejected", None, reason)``.  The live service's
+        synchronous submit path calls this; it runs the same loop as the
+        batch market's per-tick queue drain, so telemetry and rejection
+        reasons stay identical across substrates.
         """
-        minimum = self.minimum_guarantee(spec, now)
-        if minimum is None or minimum > tenant.quota:
-            if minimum is not None:
-                reason = "exceeds_quota"
-            elif spec.absolute_deadline <= now:
-                reason = "deadline_passed"
-            else:
-                reason = "infeasible_width"
-            tenant.reject(reason)
-            self.stats.reject(reason)
-            _REJECTED[reason].inc()
-            return ("rejected", None, reason)
-        if tenant.guaranteed_in_use + minimum > tenant.quota:
-            # Fits a quiet quota, just not now: wait for live jobs to
-            # release their guarantees.
-            self.stats.queue_waits += 1
-            _QUEUE_WAITS.inc()
+        admitted, rejected = [], []
+        if self._decide(tenant, (spec,), now, admitted, rejected):
             return ("queued", None, None)
-        job = MarketJob(spec=spec, guarantee=minimum, admitted_at=now)
-        tenant.admit(job)
-        tenant.admitted += 1
-        tenant.queue_delay_total += job.queue_delay
-        self.stats.admitted += 1
-        _ADMITTED.inc()
-        return ("admitted", job, None)
+        if admitted:
+            return ("admitted", admitted[0], None)
+        return ("rejected", None, rejected[0][1])
 
     def tick(
         self, tenants: Mapping[str, Tenant], now: float
@@ -140,18 +112,58 @@ class MarketAdmission:
         rejected: List[Tuple[JobSpec, str]] = []
         for name in sorted(tenants):
             tenant = tenants[name]
-            kept: List[JobSpec] = []
-            while tenant.queue:
-                spec = tenant.queue.popleft()
-                outcome, job, reason = self.admit_one(tenant, spec, now)
-                if outcome == "admitted":
-                    admitted.append(job)
-                elif outcome == "queued":
-                    kept.append(spec)
-                else:
-                    rejected.append((spec, reason))
-            tenant.queue.extend(kept)
+            if tenant.queue:
+                kept = self._decide(tenant, tenant.queue, now, admitted, rejected)
+                tenant.queue.clear()
+                tenant.queue.extend(kept)
         return admitted, rejected
+
+    def _decide(
+        self, tenant: Tenant, specs: Iterable[JobSpec], now: float,
+        admitted: List[MarketJob], rejected: List[Tuple[JobSpec, str]],
+    ) -> List[JobSpec]:
+        """The one admission rule, over ``specs`` in order against
+        ``tenant``'s quota at ``now``: appends to ``admitted`` and
+        ``rejected`` and returns the specs that wait.  The guarantee is
+        ``ceil(slack * work / budget)``, at least 1."""
+        slack, quota, stats = self.slack, tenant.quota, self.stats
+        kept: List[JobSpec] = []
+        for spec in specs:
+            budget = spec.absolute_deadline - now
+            if budget <= 0:
+                reason = "deadline_passed"
+            else:
+                need = slack * spec.work / budget
+                # ceil(need) > width exactly when need > width (an
+                # integer), and an overflowed need is inf, not an error.
+                if need > spec.width:
+                    reason = "infeasible_width"
+                else:
+                    minimum = math.ceil(need) or 1
+                    if minimum > quota:
+                        reason = "exceeds_quota"
+                    elif tenant.guaranteed_in_use + minimum > quota:
+                        # Fits a quiet quota, just not now: wait for live
+                        # jobs to release their guarantees.
+                        kept.append(spec)
+                        continue
+                    else:
+                        job = MarketJob(spec, guarantee=minimum, admitted_at=now)
+                        tenant.admit(job)
+                        tenant.admitted += 1
+                        tenant.queue_delay_total += job.queue_delay
+                        stats.admitted += 1
+                        _ADMITTED.inc()
+                        admitted.append(job)
+                        continue
+            tenant.reject(reason)
+            stats.reject(reason)
+            _REJECTED[reason].inc()
+            rejected.append((spec, reason))
+        if kept:
+            stats.queue_waits += len(kept)
+            _QUEUE_WAITS.inc(len(kept))
+        return kept
 
 
 __all__ = ["AdmissionStats", "MarketAdmission"]

@@ -1,8 +1,8 @@
 """The token market's tick loop: admission, clearing, work drain.
 
-The live set is the engine's own struct-of-arrays (``_LIVE_DTYPE``: one
-row per live job, tenant name then job name); rows join once per tick
-that admits and leave in one compress when jobs complete, and the
+The live set is the engine's own struct-of-arrays (``_LIVE_COLUMNS``, a
+plain array per field, in tenant name then job name order); jobs join
+once per tick that admits and leave in one compress per column, and the
 ``MarketJob`` objects are the reporting view.  Every tick the engine
 
 1. runs the admission pass (:mod:`repro.market.admission`),
@@ -43,7 +43,7 @@ import numpy as np
 from repro.core.utility import deadline_utility
 from repro.market.admission import MarketAdmission
 from repro.market.arbiter import BidBook, Clearing, MarketArbiter, concave_marginals
-from repro.market.tenant import JobSpec, MarketError, MarketJob, Tenant
+from repro.market.tenant import JobSpec, MarketError, MarketJob, Tenant, is_count
 from repro.telemetry import metrics as _metrics
 
 MARKET_MODES = ("pooled", "split")
@@ -78,15 +78,15 @@ _UTILITY_FLOOR = float(_UTIL_Y[-1])
 #: ones.  ``/ k`` keeps schedules strictly decreasing (prefix grants).
 _EPS_BID = 1e-6
 
-#: One row per live job.  ``remaining`` and ``allocation`` are the state
-#: the tick moves; the rest is fixed at admission.  ``rank`` is the job's
-#: place in the name order of every submitted job (the auction's
-#: tie-break), fixed at construction.  ``job`` is the reporting view.
-_LIVE_DTYPE = np.dtype([
-    ("remaining", "f8"), ("deadline", "f8"), ("width", "i8"),
-    ("guarantee", "i8"), ("tenant", "i8"), ("rank", "i8"),
-    ("allocation", "i8"), ("name", "O"), ("job", "O"),
-])
+#: One plain array per live-set column, entry ``i`` of each the same job.
+#: ``remaining`` and ``allocation`` are the state the tick moves; the rest
+#: is fixed at admission.  ``rank`` is the job's place in the name order of
+#: every submitted job (the auction's tie-break).  ``job`` is the view.
+_LIVE_COLUMNS = {
+    "remaining": np.float64, "deadline": np.float64, "width": np.int64,
+    "guarantee": np.int64, "tenant": np.int64, "rank": np.int64,
+    "allocation": np.int64, "name": object, "job": object,
+}
 
 
 def _utility_at(lateness: np.ndarray) -> np.ndarray:
@@ -107,8 +107,10 @@ class MarketConfig:
     max_ticks: int = 200_000
 
     def __post_init__(self):
-        if self.capacity < 1:
-            raise MarketError("capacity must be >= 1")
+        if not is_count(self.capacity):
+            raise MarketError(
+                f"capacity must be an integer >= 1, got {self.capacity!r}"
+            )
         if self.mode not in MARKET_MODES:
             raise MarketError(
                 f"mode must be one of {MARKET_MODES}, got {self.mode!r}"
@@ -239,7 +241,7 @@ class TokenMarket:
         self.tenants: Dict[str, Tenant] = {t.name: t for t in tenants}
         self._tenant_names = sorted(self.tenants)
         self._tenant_index = {n: i for i, n in enumerate(self._tenant_names)}
-        self._live = np.empty(0, dtype=_LIVE_DTYPE)
+        self._live = {c: np.empty(0, t) for c, t in _LIVE_COLUMNS.items()}
         for spec in jobs:
             if spec.tenant not in self.tenants:
                 raise MarketError(
@@ -270,8 +272,9 @@ class TokenMarket:
     def live_jobs(self) -> List[MarketJob]:
         """The live jobs, tenant name then job name, with ``remaining``
         and ``allocation`` written back from the engine's arrays."""
-        jobs = self._live["job"].tolist()
-        state = self._live[["remaining", "allocation"]].tolist()
+        live = self._live
+        jobs = live["job"].tolist()
+        state = zip(live["remaining"].tolist(), live["allocation"].tolist())
         for job, (remaining, allocation) in zip(jobs, state):
             job.remaining, job.allocation = remaining, allocation
         return jobs
@@ -279,12 +282,17 @@ class TokenMarket:
     def _join(self, admitted: List[MarketJob]) -> None:
         """Append newly admitted jobs and restore the (tenant, job name)
         order — once per tick that admits."""
-        live = np.concatenate((self._live, np.array([
+        rows = zip(*[
             (j.remaining, j.spec.absolute_deadline, j.spec.width, j.guarantee,
              self._tenant_index[j.tenant], self._rank[j.name], 0, j.name, j)
             for j in admitted
-        ], dtype=_LIVE_DTYPE)))
-        self._live = live[np.lexsort((live["rank"], live["tenant"]))]
+        ])
+        live = {
+            column: np.concatenate((self._live[column], np.array(new, dtype)))
+            for (column, dtype), new in zip(_LIVE_COLUMNS.items(), rows)
+        }
+        order = np.lexsort((live["rank"], live["tenant"]))
+        self._live = {column: values[order] for column, values in live.items()}
 
     # ------------------------------------------------------------------
     # The tick
@@ -326,7 +334,7 @@ class TokenMarket:
         values, job_idx, step = self._bid_schedules(g, demand)
         # Pooled is one slice over the whole live set; in split mode each
         # tenant is a contiguous slice of it, and so of the flat bids.
-        slices = np.array([0, live.size])
+        slices = np.array([0, g.size])
         if self.config.mode == "split":
             slices = np.searchsorted(live["tenant"], np.arange(self._buckets.size + 1))
         reserved = np.diff(np.concatenate(([0], np.cumsum(g)))[slices])
@@ -392,7 +400,8 @@ class TokenMarket:
                 "met": met,
                 "queue_delay": round(job.queue_delay, 6),
             })
-        self._live = live[~done]
+        keep = ~done
+        self._live = {column: values[keep] for column, values in live.items()}
         return len(finished)
 
     # ------------------------------------------------------------------

@@ -24,6 +24,15 @@ class MarketError(ValueError):
     """Raised for invalid market configuration or references."""
 
 
+def is_count(value) -> bool:
+    """Whether ``value`` is an integer of any kind and >= 1: the rule for a
+    job's width, a tenant's quota and the market's capacity."""
+    try:
+        return operator.index(value) >= 1
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One job as submitted to the market.
@@ -52,11 +61,7 @@ class JobSpec:
                 f"job {self.name!r}: work must be positive and finite, "
                 f"got {self.work!r}"
             )
-        try:
-            width = operator.index(self.width)     # an integer of any kind
-        except TypeError:
-            width = 0
-        if width < 1:
+        if not is_count(self.width):
             raise MarketError(
                 f"job {self.name!r}: width must be an integer >= 1, "
                 f"got {self.width!r}"
@@ -147,8 +152,11 @@ class Tenant:
     def __post_init__(self):
         if not self.name:
             raise MarketError("tenant needs a name")
-        if self.quota < 1:
-            raise MarketError(f"tenant {self.name!r}: quota must be >= 1")
+        if not is_count(self.quota):
+            raise MarketError(
+                f"tenant {self.name!r}: quota must be an integer >= 1, "
+                f"got {self.quota!r}"
+            )
 
     def admit(self, job: MarketJob) -> None:
         """Make ``job`` live and reserve its guarantee."""

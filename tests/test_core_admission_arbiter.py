@@ -100,12 +100,15 @@ class TestAdmissionController:
         assert admission.stats.rejected_reasons == {"infeasible_width": 1}
 
     def test_evaluate_does_not_admit(self):
-        """``minimum_guarantee`` is the pure check."""
-        tenant = Tenant(name="t", quota=10)
+        """The guarantee is what the remaining budget needs, read through
+        ``admit_one`` on a tenant whose quota cannot bind, and exactly that
+        much is reserved."""
+        unbound = Tenant(name="t", quota=2**62)
         admission = MarketAdmission(slack=1.0)
-        assert admission.minimum_guarantee(spec("a", 200.0, 100.0), 0.0) == 2
-        assert admission.minimum_guarantee(spec("a", 200.0, 100.0), 60.0) == 5
-        assert tenant.live == {} and admission.stats.admitted == 0
+        at_0 = admission.admit_one(unbound, spec("a", 200.0, 100.0), 0.0)[1]
+        at_60 = admission.admit_one(unbound, spec("b", 200.0, 100.0), 60.0)[1]
+        assert (at_0.guarantee, at_60.guarantee) == (2, 5)
+        assert unbound.guaranteed_in_use == 2 + 5
 
     def test_release_frees_capacity(self):
         tenant = Tenant(name="t", quota=5)
@@ -303,6 +306,25 @@ class TestMarketAdmissionEdges:
         assert admitted == []
         assert [(s.name, r) for s, r in rejected] == [("late", "deadline_passed")]
         assert tenant.rejected_reasons == {"deadline_passed": 1}
+
+    @pytest.mark.parametrize("work, deadline", [(1.7e308, 60.0), (60.0, 1e-310)])
+    def test_overflowing_guarantee_is_infeasible_width(self, work, deadline):
+        """``slack * work / budget`` overflows to inf: no width can hold
+        that, so the spec is rejected, where ``math.ceil`` used to raise
+        ``OverflowError``."""
+        from repro.market.admission import MarketAdmission
+
+        admission = MarketAdmission()
+        outcome, _job, reason = admission.admit_one(
+            self._tenant(), self._spec("huge", work, 8, deadline), 0.0
+        )
+        assert (outcome, reason) == ("rejected", "infeasible_width")
+        tenant = self._tenant()
+        tenant.queue.append(self._spec("huge", work, 8, deadline))
+        admitted, rejected = admission.tick({"t": tenant}, now=0.0)
+        assert admitted == [] and list(tenant.queue) == []
+        assert [(s.name, r) for s, r in rejected] == [("huge", "infeasible_width")]
+        assert admission.stats.rejected_reasons == {"infeasible_width": 2}
 
     def test_over_subscribed_admission_is_fifo(self):
         """When the quota cannot host every queued job at once, earlier

@@ -14,7 +14,7 @@ import pathlib
 import pytest
 
 from repro.cli import main
-from repro.market import JobSpec, MarketConfig, MarketError, MarketSpecError
+from repro.market import JobSpec, MarketConfig, MarketError, MarketSpecError, Tenant
 from repro.market.spec import market_spec_from_dict
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "market_help.txt"
@@ -188,6 +188,25 @@ class TestInputsRefusedWhereTheyEnter:
     def test_non_finite_config(self, field, value):
         with pytest.raises(MarketError, match=f"{field} must be .*finite"):
             MarketConfig(**{field: value})
+
+    @pytest.mark.parametrize("quota", [math.nan, 2.5])
+    def test_non_integer_quota(self, quota):
+        """A NaN quota compared false against every guarantee, so every
+        job was admitted and the quota never enforced."""
+        with pytest.raises(
+            MarketError,
+            match=f"tenant 'acme': quota must be an integer >= 1, got {quota!r}",
+        ):
+            Tenant(name="acme", quota=quota)
+
+    @pytest.mark.parametrize("capacity", [math.nan, 40.5])
+    def test_non_integer_capacity(self, capacity):
+        """A NaN capacity used to fail only at the first tick, as a
+        negative supply."""
+        with pytest.raises(
+            MarketError, match=f"capacity must be an integer >= 1, got {capacity!r}"
+        ):
+            MarketConfig(capacity=capacity)
 
     def test_nan_work_in_a_spec_exits_two_naming_the_job(self, tmp_path):
         """Used to pass the loader and exit 1 mid-tick with ``cannot

@@ -1,19 +1,27 @@
 """The array-backed market tick: pinned tick by tick, compared with the
-per-job bid construction it replaced, and checked as a view."""
+per-job bid construction it replaced, and checked as a view; and its
+admission loop, compared with the per-spec calls it replaced."""
 
 import json
+import math
 from dataclasses import astuple
 from pathlib import Path
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.market.admission import MarketAdmission
+from repro.market.admission import (
+    _ADMITTED,
+    _QUEUE_WAITS,
+    _REJECTED,
+    MarketAdmission,
+)
 from repro.market.arbiter import Bid, BidBook, MarketArbiter, concave_marginals
 from repro.market.engine import _EPS_BID, MarketConfig, TokenMarket, _utility_at
-from repro.market.tenant import JobSpec, MarketError, Tenant
+from repro.market.tenant import JobSpec, MarketError, MarketJob, Tenant
 from repro.market.workload import generate_market_workload
 
 PINS_PATH = Path(__file__).parent / "golden" / "market_pins.json"
@@ -240,11 +248,18 @@ def live_market(shapes, numbers, n_tenants, mode, extra, ticks, later):
                 work=work, width=width, deadline_seconds=deadline)
         for number, (tenant, width, work, deadline) in zip(numbers, shapes)
     ]
-    admission = MarketAdmission()
+    # Each job's guarantee at tick 0, read through admission on a tenant
+    # whose quota cannot bind (0 for a job it rejects).
+    unbound = Tenant(name="unbound", quota=2**62)
+    guarantee = {
+        job.name: getattr(
+            MarketAdmission().admit_one(unbound, job, 0.0)[1], "guarantee", 0
+        )
+        for job in jobs
+    }
     tenants = [
         Tenant(name=f"t{t}", quota=max(1, sum(
-            admission.minimum_guarantee(job, 0.0) or 0
-            for job in jobs if job.tenant == f"t{t}"
+            guarantee[job.name] for job in jobs if job.tenant == f"t{t}"
         )))
         for t in range(n_tenants)
     ]
@@ -321,3 +336,184 @@ class TestMarketJobIsAView:
                 assert job not in live
             completed = len(market._completions)
         assert completed == len(admitted) > 0
+
+
+# ----------------------------------------------------------------------
+# The admission loop against the per-spec calls it replaced
+# ----------------------------------------------------------------------
+
+
+class ReplacedAdmission(MarketAdmission):
+    """The reference: admission as it was before the rule moved into one
+    loop, ``tick`` -> ``admit_one`` -> ``minimum_guarantee`` per queued
+    spec.  The three bodies are kept verbatim."""
+
+    def minimum_guarantee(self, spec: JobSpec, now: float) -> Optional[int]:
+        """Smallest token guarantee that still meets the deadline, or
+        None when no allocation within the job's width can."""
+        budget = spec.absolute_deadline - now
+        if budget <= 0:
+            return None
+        need = math.ceil(self.slack * spec.work / budget) or 1
+        return need if need <= spec.width else None
+
+    def admit_one(
+        self, tenant: Tenant, spec: JobSpec, now: float
+    ) -> Tuple[str, Optional[MarketJob], Optional[str]]:
+        minimum = self.minimum_guarantee(spec, now)
+        if minimum is None or minimum > tenant.quota:
+            if minimum is not None:
+                reason = "exceeds_quota"
+            elif spec.absolute_deadline <= now:
+                reason = "deadline_passed"
+            else:
+                reason = "infeasible_width"
+            tenant.reject(reason)
+            self.stats.reject(reason)
+            _REJECTED[reason].inc()
+            return ("rejected", None, reason)
+        if tenant.guaranteed_in_use + minimum > tenant.quota:
+            # Fits a quiet quota, just not now: wait for live jobs to
+            # release their guarantees.
+            self.stats.queue_waits += 1
+            _QUEUE_WAITS.inc()
+            return ("queued", None, None)
+        job = MarketJob(spec=spec, guarantee=minimum, admitted_at=now)
+        tenant.admit(job)
+        tenant.admitted += 1
+        tenant.queue_delay_total += job.queue_delay
+        self.stats.admitted += 1
+        _ADMITTED.inc()
+        return ("admitted", job, None)
+
+    def tick(
+        self, tenants: Mapping[str, Tenant], now: float
+    ) -> Tuple[List[MarketJob], List[Tuple[JobSpec, str]]]:
+        admitted: List[MarketJob] = []
+        rejected: List[Tuple[JobSpec, str]] = []
+        for name in sorted(tenants):
+            tenant = tenants[name]
+            kept: List[JobSpec] = []
+            while tenant.queue:
+                spec = tenant.queue.popleft()
+                outcome, job, reason = self.admit_one(tenant, spec, now)
+                if outcome == "admitted":
+                    admitted.append(job)
+                elif outcome == "queued":
+                    kept.append(spec)
+                else:
+                    rejected.append((spec, reason))
+            tenant.queue.extend(kept)
+        return admitted, rejected
+
+
+#: (work, width, deadline, submit).  Coarse values make exact ties in the
+#: rule (a budget of exactly 0 at ``now``, a need of exactly the width or
+#: the quota); the float draws make budgets that are not round, and an
+#: infinite deadline a need of 0, which the rule rounds up to 1.
+spec_shapes = st.tuples(
+    st.one_of(st.sampled_from([1.0, 60.0, 600.0, 3_600.0, 36_000.0]),
+              st.floats(1e-3, 1e6)),
+    st.sampled_from([1, 2, 4, 8, 30]),
+    st.one_of(st.sampled_from([30.0, 60.0, 600.0, 3_600.0, math.inf]),
+              st.floats(1e-3, 1e5)),
+    st.sampled_from([0.0, 30.0, 60.0, 570.0]),
+)
+
+
+@st.composite
+def admission_worlds(draw):
+    n_tenants = draw(st.integers(1, 4))
+    quotas = draw(st.lists(st.sampled_from([1, 2, 3, 5, 8, 13, 40]),
+                           min_size=n_tenants, max_size=n_tenants))
+    return dict(
+        quotas=quotas,
+        # What each tenant's live jobs already hold: nothing to all of it.
+        in_use=[draw(st.integers(0, quota)) for quota in quotas],
+        # (tenant, shape) per queued spec, in submission order.
+        queue=draw(st.lists(
+            st.tuples(st.integers(0, n_tenants - 1), spec_shapes), max_size=20
+        )),
+        # The mapping's insertion order: the pass must not depend on it.
+        order=draw(st.permutations(range(n_tenants))),
+        now=draw(st.sampled_from([0.0, 30.0, 60.0, 600.0, 630.0, 3_600.0])),
+        slack=draw(st.sampled_from([1.0, 1.2, 2.0])),
+    )
+
+
+def admission_outcome(cls, world, path):
+    """Everything one admission pass moves, run by ``cls`` over ``world``:
+    the whole queue through ``tick``, or each spec through ``admit_one``
+    in submission order as the service's submit does."""
+    tenants = {}
+    for t in world["order"]:
+        tenant = Tenant(name=f"t{t}", quota=world["quotas"][t])
+        if world["in_use"][t]:
+            held = JobSpec(name=f"held{t}", tenant=tenant.name, work=1.0,
+                           width=1, deadline_seconds=1.0)
+            tenant.admit(MarketJob(spec=held, guarantee=world["in_use"][t],
+                                   admitted_at=0.0))
+        tenants[tenant.name] = tenant
+    specs = [
+        JobSpec(name=f"j{i:02d}", tenant=f"t{t}", work=work, width=width,
+                deadline_seconds=deadline, submit_seconds=submit)
+        for i, (t, (work, width, deadline, submit)) in enumerate(world["queue"])
+    ]
+    admission, now = cls(slack=world["slack"]), world["now"]
+    cells = [_ADMITTED, _QUEUE_WAITS, *_REJECTED.values()]
+    before = [cell.value for cell in cells]
+    if path == "tick":
+        for spec in specs:
+            tenants[spec.tenant].queue.append(spec)
+        admitted, rejected = admission.tick(tenants, now)
+        decisions = None
+    else:
+        decisions = []
+        for spec in specs:
+            tenant = tenants[spec.tenant]
+            outcome, job, reason = admission.admit_one(tenant, spec, now)
+            decisions.append((outcome, job, reason))
+            if outcome == "queued":
+                tenant.queue.append(spec)
+        admitted = [job for _outcome, job, _reason in decisions if job]
+        rejected = [(spec, reason) for spec, (_o, _j, reason)
+                    in zip(specs, decisions) if reason]
+    return {
+        "decisions": decisions,
+        "admitted": [(j.name, j.tenant, j.guarantee, j.admitted_at)
+                     for j in admitted],
+        "rejected": [(spec.name, reason) for spec, reason in rejected],
+        "queues": {name: [spec.name for spec in t.queue]
+                   for name, t in tenants.items()},
+        "stats": admission.stats,
+        "tenants": {
+            name: (t.stats(), list(t.live), t.guaranteed_in_use,
+                   t.queue_delay_total)
+            for name, t in tenants.items()
+        },
+        "counters": [cell.value - b for cell, b in zip(cells, before)],
+    }
+
+
+class TestOneAdmissionLoop:
+    """``MarketAdmission`` decides with one loop that ``tick`` and
+    ``admit_one`` share; it must decide every spec as the per-spec calls
+    it replaced did (``ReplacedAdmission``).  50 examples in tier-1, 500
+    in CI."""
+
+    # Every outcome at once, at now 60: a spent budget (deadline 0 + 60), a
+    # need of exactly the width (1.0 * 240 / 60 = 4) that waits behind the
+    # ledger, one over the quota, one over the width, two admitted.
+    @example(world=dict(
+        quotas=[5, 40], in_use=[3, 0],
+        queue=[(0, (60.0, 4, 60.0, 0.0)), (0, (240.0, 4, 120.0, 0.0)),
+               (0, (360.0, 8, 120.0, 0.0)), (0, (600.0, 4, 120.0, 0.0)),
+               (1, (240.0, 4, 120.0, 0.0)), (0, (60.0, 4, 120.0, 0.0))],
+        order=[1, 0], now=60.0, slack=1.0,
+    ))
+    @given(world=admission_worlds())
+    @pytest.mark.parametrize("path", ["tick", "admit_one"])
+    def test_equal_admissions(self, world, path):
+        assert admission_outcome(MarketAdmission, world, path) == (
+            admission_outcome(ReplacedAdmission, world, path)
+        )

@@ -192,13 +192,18 @@ class TestAdmissionFeasibility:
             name="j", tenant="t", work=work, width=width,
             deadline_seconds=deadline,
         )
-        admission = MarketAdmission(slack=1.2)
-        minimum = admission.minimum_guarantee(spec, now=0.0)
-        if minimum is None:
+        # A tenant whose quota cannot bind: only the job itself decides.
+        unbound = Tenant(name="t", quota=2**62)
+        _outcome, job, reason = MarketAdmission(slack=1.2).admit_one(
+            unbound, spec, 0.0
+        )
+        if job is None:
             # Only infeasible cases are declined: even the full width
             # cannot finish the slack-inflated work in time.
+            assert reason == "infeasible_width"
             assert math.ceil(1.2 * work / deadline) > width
         else:
+            minimum = job.guarantee
             assert 1 <= minimum <= width
             # The guarantee alone finishes inside the deadline.
             assert 1.2 * work / minimum <= deadline + 1e-6
