@@ -669,7 +669,6 @@ def _load_job(args, out, chaos_command: Optional[str] = None):
             return None
     graph, profile, table = bundle
     deadline = args.deadline_minutes * 60.0
-    control = ControlConfig()
     try:
         policy = build_policy(
             args.policy,
@@ -677,8 +676,7 @@ def _load_job(args, out, chaos_command: Optional[str] = None):
             indicator=totalwork_with_q(profile),
             profile=profile,
             utility=deadline_utility(deadline),
-            control=control,
-            max_tokens=control.max_tokens,
+            control=ControlConfig(),
         )
     except PolicyError as exc:
         out.write(f"error: {exc}\n")

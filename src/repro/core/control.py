@@ -32,6 +32,7 @@ from typing import List, Mapping, Optional, Protocol, Sequence, Tuple
 from repro.core.cpa import CpaTable
 from repro.core.utility import PiecewiseLinearUtility
 from repro.perf import instrument as _perf
+from repro.settable import is_count
 from repro.telemetry import audit as _audit
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import predict as _predict
@@ -198,20 +199,20 @@ class ControlConfig:
     degraded_fallback: bool = True
 
     def __post_init__(self):
-        if self.period_seconds <= 0:
-            raise ControlError("period must be positive")
-        if not 1.0 <= self.slack < math.inf:
-            raise ControlError(f"slack must be finite and >= 1, got {self.slack!r}")
-        if not 0 < self.hysteresis <= 1:
-            raise ControlError(f"hysteresis must be in (0, 1], got {self.hysteresis!r}")
-        if self.dead_zone_seconds < 0:
-            raise ControlError("dead zone must be >= 0")
-        if not 1 <= self.min_tokens <= self.max_tokens:
-            raise ControlError("need 1 <= min_tokens <= max_tokens")
-        if self.allocation_step < 1:
-            raise ControlError("allocation step must be >= 1")
-        if self.fallback_staleness_seconds < 0:
-            raise ControlError("fallback staleness bound must be >= 0")
+        for name, ok, rule in (
+            ("period_seconds", 0 < self.period_seconds < math.inf, "positive and finite"),
+            ("slack", 1.0 <= self.slack < math.inf, "finite and >= 1"),
+            ("hysteresis", 0 < self.hysteresis <= 1, "in (0, 1]"),
+            ("dead_zone_seconds", self.dead_zone_seconds >= 0, ">= 0"),
+            ("fallback_staleness_seconds", self.fallback_staleness_seconds >= 0, ">= 0"),
+            ("min_tokens", is_count(self.min_tokens), "an integer >= 1"),
+            ("max_tokens", is_count(self.max_tokens), "an integer >= 1"),
+            ("allocation_step", is_count(self.allocation_step), "an integer >= 1"),
+        ):
+            if not ok:
+                raise ControlError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        if self.min_tokens > self.max_tokens:
+            raise ControlError(f"min_tokens {self.min_tokens} exceeds max_tokens {self.max_tokens}")
 
     def allocation_grid(self) -> List[int]:
         grid = list(range(self.min_tokens, self.max_tokens + 1, self.allocation_step))
@@ -249,11 +250,11 @@ class JockeyController:
         # Candidate allocations.  A C(p, a) table clamps queries below its
         # smallest simulated allocation (it has no data there), so the grid
         # must not extend beneath it — otherwise 1 token "predicts" the
-        # table-minimum's latency.
+        # table-minimum's latency.  A floor above the slice leaves only its top.
         self._grid = config.allocation_grid()
         if grid_floor is not None:
             floored = [a for a in self._grid if a >= grid_floor]
-            self._grid = floored or [grid_floor]
+            self._grid = floored or [config.max_tokens]
         self._smoothed: Optional[float] = None
         self._stage_names = tuple(stage_names)
         #: Last successful per-candidate predictions: (elapsed, [seconds

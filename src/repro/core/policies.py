@@ -229,10 +229,10 @@ def build_policy(
     profile: Optional[JobProfile],
     utility: PiecewiseLinearUtility,
     control: ControlConfig,
-    max_tokens: int,
 ) -> AllocationPolicy:
     """The one place a kind name becomes a policy (fresh controller state).
-    ``max_tokens`` is the slice max-allocation guarantees; only it runs
+    ``control.max_tokens`` is the job's slice: every controller's candidates
+    stop there, and max-allocation guarantees it.  Only max-allocation runs
     without a learned ``profile`` (a live command job has none), and only it
     and jockey-no-sim without a C(p, a) ``table``."""
     if kind not in POLICY_KINDS:
@@ -240,7 +240,7 @@ def build_policy(
             f"unknown policy {kind!r} (choose from {', '.join(POLICY_KINDS)})"
         )
     if kind == "max-allocation":
-        return MaxAllocationPolicy(max_tokens)
+        return MaxAllocationPolicy(control.max_tokens)
     if profile is None:
         raise PolicyError(
             f"policy {kind!r} needs a trained profile; a job without one "

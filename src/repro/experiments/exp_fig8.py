@@ -21,6 +21,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.core.amdahl import AmdahlModel
+from repro.core.control import ControlConfig
 from repro.experiments.reporting import ExperimentReport, scorecard_section
 from repro.experiments.runner import Sweep, Variant
 from repro.experiments.scenarios import DEFAULT, Scale, trained_jobs
@@ -36,7 +37,8 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
     pinned = {"runtime_scale": 1.0, "sample_cluster_day": False}
     sweep = Sweep(
         tuple(
-            Variant(f"{a} tokens", kind="max-allocation", max_tokens=a, run=pinned)
+            Variant(f"{a} tokens", kind="max-allocation",
+                    control=ControlConfig(max_tokens=a), run=pinned)
             for a in allocations
         ),
         deadlines=("long",),
@@ -45,7 +47,7 @@ def run(scale: Scale = DEFAULT, *, seed: int = 0):
     jobs = trained_jobs(seed=seed, scale=scale)
     slowest_run: Dict[Tuple[int, str], float] = {}
     for unit, result in sweep.run(jobs.values(), seed=seed):
-        key = (unit.variant.max_tokens, unit.trained.name)
+        key = (unit.variant.control.max_tokens, unit.trained.name)
         slowest_run[key] = max(
             slowest_run.get(key, 0.0), result.metrics.duration_seconds
         )

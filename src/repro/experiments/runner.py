@@ -304,7 +304,6 @@ def make_policy(
     *,
     control: Optional[ControlConfig] = None,
     indicator_kind: str = "totalworkWithQ",
-    max_tokens: int = 100,
 ) -> AllocationPolicy:
     """:func:`repro.core.policies.build_policy` for a :class:`TrainedJob`:
     one of the paper's policies for a given job/deadline.  ``indicator_kind``
@@ -320,11 +319,7 @@ def make_policy(
         indicator=indicator,
         profile=trained.learned_profile,
         utility=deadline_utility(deadline_seconds),
-        control=(
-            control if control is not None
-            else ControlConfig(max_tokens=max_tokens)
-        ),
-        max_tokens=max_tokens,
+        control=control or ControlConfig(),
     )
 
 
@@ -347,7 +342,6 @@ class Variant:
     kind: str = "jockey"
     control: Optional[ControlConfig] = None
     indicator: str = "totalworkWithQ"
-    max_tokens: int = 100
     run: Any = field(default_factory=dict)
     transform: Optional[Callable[[TrainedJob], TrainedJob]] = None
 
@@ -369,7 +363,7 @@ def _run_unit(unit: Unit) -> ExperimentResult:
     v = unit.variant
     policy = make_policy(
         v.kind, unit.trained, unit.config.deadline_seconds,
-        control=v.control, indicator_kind=v.indicator, max_tokens=v.max_tokens,
+        control=v.control, indicator_kind=v.indicator,
     )
     return run_experiment(unit.trained, policy, unit.config)
 

@@ -314,15 +314,13 @@ def _simulate_template(
     else:
         generation = 0
     deadline = _pick_fleet_deadline(table, config.deadline_trim)
-    control = ControlConfig()
     policy = build_policy(
         "jockey",
         table=table,
         indicator=indicator,
         profile=model_profile,
         utility=deadline_utility(deadline),
-        control=control,
-        max_tokens=control.max_tokens,
+        control=ControlConfig(),
     )
 
     rows: List[FleetRunRecord] = []

@@ -43,7 +43,8 @@ import numpy as np
 from repro.core.utility import deadline_utility
 from repro.market.admission import MarketAdmission
 from repro.market.arbiter import BidBook, Clearing, MarketArbiter, concave_marginals
-from repro.market.tenant import JobSpec, MarketError, MarketJob, Tenant, is_count
+from repro.market.tenant import JobSpec, MarketError, MarketJob, Tenant
+from repro.settable import is_count
 from repro.telemetry import metrics as _metrics
 
 MARKET_MODES = ("pooled", "split")

@@ -14,23 +14,15 @@ arrays; the :class:`MarketJob` is the view they are written back to.
 from __future__ import annotations
 
 import math
-import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Optional
 
+from repro.settable import is_count
+
 
 class MarketError(ValueError):
     """Raised for invalid market configuration or references."""
-
-
-def is_count(value) -> bool:
-    """Whether ``value`` is an integer of any kind and >= 1: the rule for a
-    job's width, a tenant's quota and the market's capacity."""
-    try:
-        return operator.index(value) >= 1
-    except TypeError:
-        return False
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ import sys
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
@@ -61,7 +61,7 @@ from repro import persist
 from repro.chaos.injectors import BlackoutPredictor
 from repro.chaos.spec import ControlFaults
 from repro.core.clock import WallClock
-from repro.core.control import ControlConfig
+from repro.core.control import ControlConfig, ControlError
 from repro.core.policies import PolicyError, build_policy, run_artifacts
 from repro.core.progress import ProgressError, totalwork_with_q
 from repro.core.utility import deadline_utility
@@ -79,6 +79,7 @@ from repro.market.tenant import MarketError, Tenant
 from repro.runtime.jobmanager import JobSnapshot
 from repro.service.client import HeadError, read_head
 from repro.service.models import TemplateError, TemplateModelStore, TrainedTemplate
+from repro.settable import is_count
 from repro.simkit.random import derive_seed
 from repro.telemetry import metrics as _metrics
 from repro.telemetry.audit import TickRecord
@@ -187,16 +188,17 @@ class ServiceConfig:
     control_faults: Optional[ControlFaults] = None
 
     def __post_init__(self):
-        if self.capacity_tokens < 1:
-            raise ServiceError(f"capacity must be >= 1, got {self.capacity_tokens!r}")
+        counts = [("capacity_tokens", self.capacity_tokens),
+                  ("max_task_attempts", self.max_task_attempts)]
+        for name, value in counts + [(f"tenants: quota of {t!r}", q) for t, q in self.tenants]:
+            if not is_count(value):
+                raise ServiceError(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("tick_seconds", "time_scale", "heartbeat_timeout"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ServiceError(
                     f"{name} must be positive and finite, got {value!r}"
                 )
-        if self.max_task_attempts < 1:
-            raise ServiceError("max_task_attempts must be >= 1")
 
     @property
     def effective_poll_seconds(self) -> float:
@@ -655,6 +657,7 @@ class ClusterService:
                 graph = JobGraph(name, [Stage("cmd", num_tasks)], [])
                 work = num_tasks * task_seconds
                 width = min(self.config.capacity_tokens, num_tasks)
+            control = self.config.control
             try:
                 policy = build_policy(
                     policy_kind,
@@ -664,8 +667,7 @@ class ClusterService:
                     ),
                     profile=profile,
                     utility=deadline_utility(deadline_v),
-                    control=self.config.control,
-                    max_tokens=width,
+                    control=replace(control, max_tokens=min(control.max_tokens, width)),
                 )
                 spec = MarketJobSpec(
                     name=job_id,
@@ -675,7 +677,7 @@ class ClusterService:
                     deadline_seconds=deadline_v,
                     submit_seconds=now,
                 )
-            except (PolicyError, ProgressError, MarketError) as exc:
+            except (ControlError, PolicyError, ProgressError, MarketError) as exc:
                 raise ServiceError(str(exc)) from exc
             # Everything that can refuse the request has had its say; only
             # now does the job take an id and exist.

@@ -178,7 +178,7 @@ class TestControllerClock:
         assert (record.phase, record.elapsed) == ("tick", 60.0)
         explicit = AmdahlPolicy(
             job.trained.profile, deadline_utility(30.0 * 60.0),
-            svc.config.control,
+            job.policy.controller.config,
         ).controller
         explicit.initial_allocation()
         assert explicit.decide(job.tracker.stage_fractions(), 60.0) == record

@@ -160,15 +160,32 @@ class TestGridFloor:
         )
         assert ctl.initial_allocation() >= 10
 
-    def test_empty_floored_grid_falls_back_to_floor(self):
-        ctl = JockeyController(
-            LinearPredictor(100.0),
-            deadline_utility(3600.0),
-            ControlConfig(min_tokens=1, max_tokens=8, allocation_step=1),
-            stage_names=("s",),
-            grid_floor=50,
-        )
-        assert ctl.initial_allocation() == 50
+    @given(
+        low=st.integers(1, 30),
+        span=st.integers(0, 60),
+        step=st.integers(1, 12),
+        floor=st.integers(1, 120),
+        work=st.floats(1.0, 1e6),
+    )
+    def test_grid_stays_within_the_slice(self, low, span, step, floor, work):
+        """No candidate and no applied allocation is above ``max_tokens``;
+        a floor at or below it floors the grid as before the top bounded
+        it (with the table's floor above the slice, the top is the one
+        candidate)."""
+        config = ControlConfig(min_tokens=low, max_tokens=low + span,
+                               allocation_step=step, hysteresis=1.0)
+        ctl = JockeyController(LinearPredictor(work), deadline_utility(600.0),
+                               config, stage_names=("s",), grid_floor=floor)
+        grid = [c.allocation for c in ctl.candidates({"s": 0.0}, 0.0)]
+        assert grid and max(grid) <= config.max_tokens
+        if floor <= config.max_tokens:
+            # The floored grid before the top bounded it, verbatim.
+            full = config.allocation_grid()
+            assert grid == ([a for a in full if a >= floor] or [floor])
+        else:
+            assert grid == [config.max_tokens]
+        assert ctl.initial_allocation() <= config.max_tokens
+        assert ctl.decide({"s": 0.5}, 500.0).allocation <= config.max_tokens
 
 
 class TestAudit:
@@ -267,11 +284,21 @@ class TestConfigValidation:
             dict(min_tokens=0),
             dict(min_tokens=50, max_tokens=10),
             dict(allocation_step=0),
+            dict(period_seconds=math.nan),
+            dict(period_seconds=math.inf),
+            dict(period_seconds=-math.inf),
+            dict(dead_zone_seconds=math.nan),
+            dict(fallback_staleness_seconds=math.nan),
+            dict(min_tokens=1.5),
+            dict(max_tokens=40.5),
+            dict(allocation_step=2.5),
+            dict(max_tokens=math.nan),
         ],
     )
     def test_rejected(self, kwargs):
-        with pytest.raises(ControlError):
+        with pytest.raises(ControlError) as excinfo:
             ControlConfig(**kwargs)
+        assert any(name in str(excinfo.value) for name in kwargs)
 
     def test_grid_includes_max(self):
         config = ControlConfig(min_tokens=1, max_tokens=17, allocation_step=5)

@@ -181,7 +181,8 @@ class TestBuildPolicy:
     ``runner.make_policy`` and ``service.server._build_policy``: per kind,
     ``initial_allocation()`` and the first three ``on_tick`` decisions on
     fixed snapshots of smoke-scale job A (behind schedule, then catching
-    up)."""
+    up).  Its ``"service"`` rows were re-recorded when the service's slice
+    became the top of every controller's grid, not only max-allocation's."""
 
     @pytest.fixture(scope="class")
     def trained(self):
@@ -201,15 +202,16 @@ class TestBuildPolicy:
             )))
         return out
 
-    #: How each old factory parameterised the controller and the slice.
+    #: How each old factory parameterised the controller, whose
+    #: ``max_tokens`` is the slice.
     OLD_FACTORIES = {
         # repro run / perf run / predict: paper defaults, 100-token slice.
-        "cli": lambda width: (ControlConfig(), 100),
-        # make_policy(kind, trained, deadline, max_tokens=100).
-        "make_policy": lambda width: (ControlConfig(max_tokens=100), 100),
+        "cli": lambda width: ControlConfig(),
+        # make_policy(kind, trained, deadline).
+        "make_policy": lambda width: ControlConfig(),
         # The service: its config.control (here slack 1.5) and a slice of
         # min(capacity 40, widest stage).
-        "service": lambda width: (ControlConfig(slack=1.5), min(40, width)),
+        "service": lambda width: ControlConfig(slack=1.5, max_tokens=min(40, width)),
     }
 
     @pytest.mark.parametrize("factory", sorted(OLD_FACTORIES))
@@ -225,7 +227,7 @@ class TestBuildPolicy:
         )[factory]
         assert sorted(pins) == sorted(POLICY_KINDS)
         width = max(s.num_tasks for s in trained.graph.stages)
-        control, max_tokens = self.OLD_FACTORIES[factory](width)
+        control = self.OLD_FACTORIES[factory](width)
         for kind in POLICY_KINDS:
             policy = build_policy(
                 kind,
@@ -234,7 +236,6 @@ class TestBuildPolicy:
                 profile=trained.learned_profile,
                 utility=deadline_utility(trained.short_deadline),
                 control=control,
-                max_tokens=max_tokens,
             )
             assert policy.name == kind
             assert self.decisions(policy, trained) == pins[kind], kind
@@ -254,7 +255,7 @@ class TestBuildPolicy:
         with pytest.raises(PolicyError) as excinfo:
             build_policy(
                 "jokey", table=table, indicator=indicator, profile=profile,
-                utility=deadline_utility(60.0), control=config(), max_tokens=8,
+                utility=deadline_utility(60.0), control=config(),
             )
         for kind in POLICY_KINDS:
             assert kind in str(excinfo.value)
@@ -263,8 +264,7 @@ class TestBuildPolicy:
         from repro.core.policies import PolicyError, build_policy
 
         profile, indicator, _table = artifacts
-        common = dict(utility=deadline_utility(60.0), control=config(),
-                      max_tokens=8)
+        common = dict(utility=deadline_utility(60.0), control=config())
         for kind in ("jockey", "jockey-online-model", "jockey-no-adapt"):
             with pytest.raises(PolicyError, match="needs a C\\(p, a\\) table"):
                 build_policy(kind, table=None, indicator=indicator,
@@ -300,3 +300,39 @@ class TestRunArtifacts:
 
         # No controller, no decisions: nothing to read a slack off.
         assert run_artifacts(MaxAllocationPolicy(5)) == []
+
+
+def slice_peak(records, timeline=()):
+    """The largest allocation a run decided or held: every candidate, raw
+    and applied allocation of each audit record, and each allocation in a
+    run trace's ``allocation_timeline``."""
+    return max(
+        [a for r in records
+         for a in (r.raw, r.allocation, *(c.allocation for c in r.candidates))]
+        + [a for _at, a in timeline]
+    )
+
+
+class TestOneSlice:
+    """``control.max_tokens`` is the job's slice for every kind: no
+    candidate, decision or held allocation of a batch run exceeds it, even
+    when the table's floor (10 at smoke scale) lies above it."""
+
+    @pytest.mark.parametrize("top", [8, 16])
+    def test_batch_run_stays_within_the_slice(self, top):
+        from repro.core.policies import POLICY_KINDS
+        from repro.experiments.runner import RunConfig, make_policy, run_experiment
+        from repro.experiments.scenarios import SMOKE, trained_job
+
+        trained = trained_job("A", scale=SMOKE)
+        deadline = trained.short_deadline / 2  # tight: every kind wants more
+        for kind in POLICY_KINDS:
+            policy = make_policy(kind, trained, deadline,
+                                 control=ControlConfig(max_tokens=top))
+            result = run_experiment(
+                trained, policy, RunConfig(deadline_seconds=deadline, seed=3)
+            )
+            peak = slice_peak(result.audit_records, result.trace.allocation_timeline)
+            assert peak <= top, kind
+            if kind == "max-allocation":
+                assert peak == top

@@ -40,6 +40,17 @@ class TestRunMultiJob:
         for _minute, allocations in result.allocation_series:
             assert sum(allocations.values()) <= 60
 
+    @pytest.mark.parametrize("mode, slice_tokens", [
+        ("independent", 8),   # below the tables' floor of 10
+        ("independent", 24),
+        ("arbiter", 24),      # the arbiter needs every job's grid floor (11)
+    ])
+    def test_no_job_exceeds_a_small_slice(self, jobs, mode, slice_tokens):
+        result = run_multi_job(jobs, mode=mode, seed=3, slice_tokens=slice_tokens)
+        assert result.allocation_series
+        for _minute, allocations in result.allocation_series:
+            assert max(allocations.values()) <= slice_tokens
+
     def test_heavy_job_receives_more_under_arbiter(self, jobs):
         """A job with a 1.5x input should end up with a larger share than
         its equally-deadlined peer at some point in the run."""

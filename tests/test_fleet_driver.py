@@ -14,6 +14,7 @@ import pytest
 from repro.cache import profile_fingerprint
 from repro.chaos.injectors import drifted_profile
 from repro.chaos.spec import ProfileDrift
+from repro.core.control import ControlConfig
 from repro.experiments.scenarios import SMOKE, run_training
 from repro.fleet.driver import (
     FleetConfig,
@@ -26,6 +27,7 @@ from repro.fleet.driver import (
 from repro.fleet.store import FleetError, FleetSpecError, ProfileStore
 from repro.jobs.profiles import JobProfile
 from repro.jobs.workloads import generate_table2_jobs, mapreduce_job
+from tests.test_core_policies import slice_peak
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +51,7 @@ def calm_fleet(fleet_env, tmp_path_factory):
     store = tmp_path_factory.mktemp("calm_store")
     config = FleetConfig(
         days=2, model_mode="ewma", scale=SMOKE, seed=0,
-        store_root=str(store),
+        store_root=str(store), keep_last_result=True,
     )
     return run_fleet([FleetTemplate("A")], config), store
 
@@ -103,6 +105,14 @@ class TestWarmPath:
     def test_staleness_grows_without_refresh(self, calm_fleet):
         result, _store = calm_fleet
         assert [r.staleness_days for r in result.rows] == [0, 1]
+
+    def test_last_run_stays_within_the_slice(self, calm_fleet):
+        result, _store = calm_fleet
+        last = result.last_results["A"]
+        assert last.audit_records
+        assert slice_peak(
+            last.audit_records, last.trace.allocation_timeline
+        ) <= ControlConfig().max_tokens
 
     def test_digest_shape(self, calm_fleet):
         result, _store = calm_fleet

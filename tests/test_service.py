@@ -21,6 +21,7 @@ import pytest
 from repro.core.clock import ManualClock
 from repro.core.control import ControlConfig, ControlError
 from repro.core.cpa import CpaTable
+from repro.core.policies import POLICY_KINDS, run_artifacts
 from repro.core.progress import totalwork_with_q
 from repro.jobs.dag import Edge, EdgeType, JobGraph, Stage
 from repro.jobs.profiles import JobProfile, StageProfile
@@ -38,6 +39,7 @@ from repro.service import (
 )
 from repro.service.loadgen import workload_fingerprint
 from repro.simkit.distributions import Constant
+from tests.test_core_policies import slice_peak
 from tests.test_persist import MALFORMED_SHAPES, break_table
 
 
@@ -78,6 +80,15 @@ class TestServiceConfig:
         assert str(excinfo.value) == (
             f"{knob} must be positive and finite, got {value!r}"
         )
+
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(capacity_tokens=40.5), "capacity_tokens"),
+        (dict(capacity_tokens=math.nan), "capacity_tokens"),
+        (dict(tenants=(("a", 2.7),)), "tenants"),
+    ])
+    def test_rejects_a_count_that_is_not_an_integer(self, kwargs, field):
+        with pytest.raises(ServiceError, match=f"^{field}"):
+            ServiceConfig(**kwargs)
 
     def test_rejects_bad_slack(self):
         with pytest.raises(ControlError):
@@ -399,6 +410,33 @@ class TestControllerIsToldTheTime:
         assert decided >= 4
 
 
+class TestOneSlice:
+    """A job's slice is min(control.max_tokens, capacity, width): no
+    candidate, decision or held allocation of its policy exceeds it.  A
+    ``mapreduce`` job (width 40 on the default 40-token service) submitted
+    at ``min_feasible_seconds`` used to start at 61 tokens."""
+
+    @pytest.mark.parametrize("policy", POLICY_KINDS)
+    def test_mapreduce_at_min_feasible_stays_within_the_service(self, policy):
+        svc = ClusterService(ServiceConfig(), store=TemplateModelStore(seed=0))
+        svc.clock = ManualClock()
+        info = svc.template_info("mapreduce")
+        assert info["width"] == svc.config.capacity_tokens == 40
+        reply = svc.submit({
+            "template": "mapreduce", "policy": policy,
+            "deadline_minutes": info["min_feasible_seconds"] / 60.0,
+        })
+        assert reply["status"] == "running"
+        job = svc._jobs[reply["job_id"]]
+        for _ in range(3):
+            svc.clock.advance(svc.config.tick_seconds)
+            svc.tick()
+        records = run_artifacts(job.policy)
+        assert slice_peak(records, job.trace.allocation_timeline) <= 40
+        if policy == "max-allocation":
+            assert job.allocation == 40
+
+
 class ScanningService(ClusterService):
     """The grant loop as it was before the running-job index: recount
     every job's leases and re-sort the running jobs on every call."""
@@ -626,6 +664,18 @@ class TestSubmitValidation:
         })
         assert reply["job_id"] == "job-00001"
         assert svc._tenants["default"].submitted == 1
+
+    def test_min_tokens_above_the_jobs_slice_is_a_400(self):
+        svc = ClusterService(
+            ServiceConfig(capacity_tokens=8, control=ControlConfig(min_tokens=7)),
+            store=tiny_store(),
+        )
+        svc.clock = ManualClock()
+        message = self.refused(svc, {
+            "template": "tiny", "policy": "jockey-no-sim",
+            "deadline_minutes": 30.0,
+        })
+        assert message == "min_tokens 7 exceeds max_tokens 6"
 
     def test_back_to_back_submits_each_get_a_verdict(self, svc):
         """The front door never drops: 100 submissions, 100 verdicts."""

@@ -26,6 +26,7 @@ import math
 import pathlib
 import tempfile
 import typing
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -175,8 +176,10 @@ class ReplacedService(ClusterService):
                     ),
                     profile=profile,
                     utility=deadline_utility(deadline_v),
-                    control=self.config.control,
-                    max_tokens=width,
+                    control=replace(
+                        self.config.control,
+                        max_tokens=min(self.config.control.max_tokens, width),
+                    ),
                 )
                 spec = MarketJobSpec(
                     name=job_id,
