@@ -17,8 +17,12 @@ to tell when a demand change cannot move any consumer's grant, and then runs
 no pass at all (:meth:`TokenPool.set_demand`; the argument is in DESIGN.md,
 "Batch path: incremental token pool").  A backlogged job's demand moves by
 one per finished task while its fair share still caps it, so most demand
-changes are of that kind.  :func:`compute_grants` is the by-definition
-allocation the pool must always agree with.
+changes are of that kind.  A job draining inside its guarantee (every
+stage's tail) moves only its own grant among those a callback watches: the
+pool hands it its demand and leaves the callback-less consumers' grants to
+be settled by the next pass, pool operation or read.
+:func:`compute_grants` is the by-definition allocation the pool must always
+agree with, and no reader outside a grant callback sees anything else.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from repro.settable import is_amount
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
 
@@ -45,6 +50,15 @@ _CAPACITY = _metrics.REGISTRY.gauge(
 
 class TokenError(RuntimeError):
     """Raised on invalid token-pool operations."""
+
+
+def _check_amount(what: str, value) -> None:
+    """Refuse what no pass can allocate: NaN, infinite, negative or
+    fractional token numbers."""
+    if not is_amount(value):
+        raise TokenError(
+            f"{what} must be a whole number of tokens >= 0, got {value!r}"
+        )
 
 
 @dataclass
@@ -72,8 +86,7 @@ class Consumer:
         weight: Optional[float] = None,
         on_grant: Optional[Callable[[Grant], None]] = None,
     ):
-        if guaranteed < 0:
-            raise TokenError(f"negative guarantee for {name!r}")
+        _check_amount(f"guarantee for {name!r}", guaranteed)
         if weight is not None and not 0 < weight < math.inf:
             raise TokenError(
                 f"weight for {name!r} must be finite and > 0, got {weight!r}"
@@ -83,11 +96,23 @@ class Consumer:
         self._weight = weight
         self.on_grant = on_grant
         self.demand = 0
-        self.grant = Grant()
+        self._grant = Grant()
+        #: Set when the pool moved the spare without a pass; only consumers
+        #: without a callback are ever left unsettled.
+        self._unsettled = False
+        self._pool: Optional[TokenPool] = None
         #: Set by the pool's last pass: the largest fair share this consumer
         #: was offered and did not fit under, or None if it was not left
         #: uncapped (no spare to split, no unmet demand, or satisfied).
         self._uncapped_share: Optional[float] = None
+
+    @property
+    def grant(self) -> Grant:
+        """This consumer's entitlement: :func:`compute_grants`'s, settled by
+        one pass if the pool left it behind."""
+        if self._unsettled:
+            self._pool.recompute()
+        return self._grant
 
     @property
     def weight(self) -> float:
@@ -99,7 +124,7 @@ class Consumer:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Consumer({self.name!r}, g={self.guaranteed}, d={self.demand}, "
-            f"grant={self.grant.total})"
+            f"grant={self._grant.total})"
         )
 
 
@@ -123,10 +148,15 @@ class TokenPool:
     """The cluster-wide token scheduler."""
 
     def __init__(self, capacity: int, *, clock: Optional[Callable[[], float]] = None):
-        if capacity < 0:
-            raise TokenError(f"negative capacity {capacity!r}")
+        _check_amount("pool capacity", capacity)
         self._capacity = capacity
         self._consumers: Dict[str, Consumer] = {}
+        #: The consumers with and without a grant callback, in registration
+        #: order.
+        self._listeners: List[Consumer] = []
+        self._passive: List[Consumer] = []
+        #: True while the passive consumers' grants lag the spare.
+        self._unsettled = False
         self._in_recompute = False
         self._recompute_queued = False
         # What the last pass found, for set_demand's skip rule: whether the
@@ -166,13 +196,24 @@ class TokenPool:
                 f"{consumer.name!r}: only {self.guaranteed_headroom()} unreserved"
             )
         self._consumers[consumer.name] = consumer
+        consumer._pool = self
+        if consumer.on_grant is None:
+            self._passive.append(consumer)
+        else:
+            self._listeners.append(consumer)
         self.recompute()
         return consumer
 
     def unregister(self, name: str) -> None:
-        if name not in self._consumers:
-            raise TokenError(f"unknown consumer {name!r}")
+        consumer = self.consumer(name)
+        if consumer._unsettled:
+            self.recompute()  # it leaves with compute_grants's grant
+            consumer._unsettled = False  # inside a callback, only queued
         del self._consumers[name]
+        if consumer.on_grant is None:
+            self._passive.remove(consumer)
+        else:
+            self._listeners.remove(consumer)
         self.recompute()
 
     def consumer(self, name: str) -> Consumer:
@@ -183,8 +224,7 @@ class TokenPool:
 
     def set_capacity(self, capacity: int) -> None:
         """Machine failures and repairs move total capacity."""
-        if capacity < 0:
-            raise TokenError(f"negative capacity {capacity!r}")
+        _check_amount("pool capacity", capacity)
         if capacity != self._capacity:
             self._capacity = capacity
             _CAPACITY.set(capacity)
@@ -200,8 +240,7 @@ class TokenPool:
         actually applied.
         """
         consumer = self.consumer(name)
-        if guaranteed < 0:
-            raise TokenError(f"negative guarantee for {name!r}")
+        _check_amount(f"guarantee for {name!r}", guaranteed)
         others = self.total_guaranteed - consumer.guaranteed
         applied = min(guaranteed, max(0, self._capacity - others))
         if applied != consumer.guaranteed:
@@ -211,20 +250,27 @@ class TokenPool:
 
     def set_demand(self, name: str, demand: int) -> None:
         """Change a consumer's demand.  Runs an allocation pass unless the
-        change provably leaves every grant of the last pass as it is."""
-        self.set_demand_of(self.consumer(name), demand)
+        change provably leaves every grant of the last pass as it is, or
+        moves no grant a callback watches but the consumer's own."""
+        consumer = self.consumer(name)
+        _check_amount(f"demand for {name!r}", demand)
+        self.set_demand_of(consumer, demand)
 
     def set_demand_of(self, consumer: Consumer, demand: int) -> None:
         """:meth:`set_demand` for a registered consumer its owner holds (a
-        job manager changes its demand on every finished task)."""
+        job manager changes its demand on every finished task, to a count)."""
         if demand < 0:
             raise TokenError(f"negative demand for {consumer.name!r}")
         old = consumer.demand
         if demand == old:
             return
         consumer.demand = demand
-        if not self._in_recompute and self._moves_no_grant(consumer, old):
-            return
+        if not self._in_recompute:
+            if not self._unsettled and self._moves_no_grant(consumer, old):
+                return
+            if self._moves_only_its_own_grant(consumer, old):
+                self._deliver_own_grant(consumer, old)
+                return
         self.recompute()
 
     def _moves_no_grant(self, consumer: Consumer, old_demand: int) -> bool:
@@ -237,7 +283,8 @@ class TokenPool:
         its new unmet demand is still strictly above every fair share it was
         offered: it stays uncapped through the same water-filling rounds, and
         its rounded amount (at most ``floor(share) + 1``) still fits.  No
-        other consumer's grant reads its unmet demand.
+        other consumer's grant reads its unmet demand.  Only asked while
+        every grant is settled: the shares are those of the last pass.
         """
         guaranteed = consumer.guaranteed
         if old_demand < guaranteed or consumer.demand < guaranteed or self._shrunk:
@@ -246,6 +293,56 @@ class TokenPool:
             return True
         share = consumer._uncapped_share
         return share is not None and consumer.demand - guaranteed > share
+
+    def _moves_only_its_own_grant(self, consumer: Consumer, old_demand: int) -> bool:
+        """True when ``consumer`` has a grant callback, its demand went from
+        ``old_demand`` to its current value with both at most its guarantee,
+        and no other grant with a callback can move.
+
+        Both demands are its base and it has no unmet demand, so its grant
+        is ``Grant(demand, demand)``.  No base was shrunk and the new bases
+        still fit capacity, so no other base moves; only the spare after
+        them does, by the change.  No other listener has unmet demand, so no
+        other listener takes spare: only the callback-less consumers' spare
+        moves.  A live trace recorder forbids the skip, so a traced run
+        emits every ``tokens.grant`` event a pass would.
+        """
+        if consumer.on_grant is None or self._shrunk or _trace.RECORDER.enabled:
+            return False
+        guaranteed = consumer.guaranteed
+        demand = consumer.demand
+        if old_demand > guaranteed or demand > guaranteed:
+            return False
+        if demand - old_demand > self._spare_after_bases:
+            return False
+        for other in self._listeners:
+            if other.demand > other.guaranteed and other is not consumer:
+                return False
+        return True
+
+    def _deliver_own_grant(self, consumer: Consumer, old_demand: int) -> None:
+        """What a pass would do for a change :meth:`_moves_only_its_own_grant`
+        admits: the consumer's grant becomes its demand and its callback runs
+        (a demand change made inside it queues one follow-up pass).  The
+        remembered spare moves by the change, and the callback-less
+        consumers, whose share of it may move, wait unsettled for the next
+        pass, pool operation or read of their grant."""
+        demand = consumer.demand
+        self._spare_after_bases += old_demand - demand
+        consumer._uncapped_share = None
+        grant = consumer._grant = Grant(demand, demand)
+        _GRANT_CHANGES.inc()
+        if not self._unsettled and self._passive:
+            self._unsettled = True
+            for other in self._passive:
+                other._unsettled = True
+        self._in_recompute = True
+        try:
+            consumer.on_grant(grant)
+        finally:
+            self._in_recompute = False
+        if self._recompute_queued:
+            self.recompute()
 
     # ------------------------------------------------------------------
     # Allocation
@@ -273,8 +370,13 @@ class TokenPool:
     def _recompute_once(self) -> None:
         """One allocation pass: :func:`compute_grants` step for step (same
         float expressions in the same order, so the same grants), keeping
-        what :meth:`_moves_no_grant` needs, then the grant callbacks."""
+        what :meth:`_moves_no_grant` needs, then the grant callbacks.  It
+        settles every grant."""
         _RECOMPUTES.inc()
+        if self._unsettled:
+            self._unsettled = False
+            for consumer in self._passive:
+                consumer._unsettled = False
         consumers = list(self._consumers.values())
         capacity = self._capacity
         bases = [min(c.guaranteed, c.demand) for c in consumers]
@@ -323,10 +425,10 @@ class TokenPool:
             consumer._uncapped_share = share
         rec = _trace.RECORDER
         for consumer, base, bonus in zip(consumers, bases, extra):
-            grant = consumer.grant
+            grant = consumer._grant
             if grant.total == base + bonus and grant.guaranteed_part == base:
                 continue
-            grant = consumer.grant = Grant(base + bonus, base)
+            grant = consumer._grant = Grant(base + bonus, base)
             _GRANT_CHANGES.inc()
             if rec.enabled:
                 rec.emitted += 1
@@ -340,7 +442,9 @@ class TokenPool:
                 consumer.on_grant(grant)
 
     def snapshot(self) -> Dict[str, Grant]:
-        return {name: c.grant for name, c in self._consumers.items()}
+        if self._unsettled:
+            self.recompute()
+        return {name: c._grant for name, c in self._consumers.items()}
 
 
 def compute_grants(capacity: int, consumers: List[Consumer]) -> List[Grant]:

@@ -269,6 +269,11 @@ class JockeyController:
         #: completion-time interval forecast.
         self.audit: List[_audit.TickRecord] = []
 
+    @property
+    def grid(self) -> Tuple[int, ...]:
+        """The candidate allocations every scan evaluates, ascending."""
+        return tuple(self._grid)
+
     # ------------------------------------------------------------------
 
     def set_utility(self, utility: PiecewiseLinearUtility) -> None:

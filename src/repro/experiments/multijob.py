@@ -132,8 +132,20 @@ def run_multi_job(
     for trained in jobs:
         deadline = trained.short_deadline * deadline_factor
         deadlines[trained.name] = deadline
-        policy = make_policy("jockey", trained, deadline, control=control)
-        policies[trained.name] = policy
+        policies[trained.name] = make_policy(
+            "jockey", trained, deadline, control=control
+        )
+    if mode == "arbiter":
+        # Every tick grants each job its grid floor first (split_slice).
+        floors = {n: p.controller.grid[0] for n, p in policies.items()}
+        if sum(floors.values()) > slice_tokens:
+            raise ValueError(
+                f"slice_tokens {slice_tokens} cannot cover {len(jobs)} jobs "
+                f"at their grid floors {floors}"
+            )
+
+    for trained in jobs:
+        policy = policies[trained.name]
         behavior = trained.generated.profile.with_runtime_scale(
             runtime_scales.get(trained.name, 1.0)
         )
@@ -149,7 +161,7 @@ def run_multi_job(
             name=f"slo:{trained.name}",
             initial_allocation=max(initial, 1),
             rng=rng.stream(f"job:{trained.name}"),
-            deadline=deadline,
+            deadline=deadlines[trained.name],
             on_complete=halt_after_last,
         )
 

@@ -191,6 +191,9 @@ class JobManager:
         # guarantee (WFQ analogy, §2.6); pass an explicit value to model
         # schedulers that split spare per pending job instead (§2.1 does
         # not prescribe a weighting).
+        #: The grant the pool last handed ``_on_grant`` (the consumer's, read
+        #: without the pool's settle check).
+        self._grant = Grant()
         self.consumer: Consumer = cluster.pool.register(
             Consumer(self.name, 0, weight=spare_weight, on_grant=self._on_grant)
         )
@@ -345,6 +348,7 @@ class JobManager:
         return grant.total if self._use_spare_tokens else grant.guaranteed_part
 
     def _on_grant(self, grant: Grant) -> None:
+        self._grant = grant
         if self.finished:
             return
         cap = self._grant_cap(grant)
@@ -360,7 +364,7 @@ class JobManager:
         guaranteed tasks onto (evictable) spare tokens.  Each task holds a
         specific token — completions pass tokens to new tasks in
         ``_start_task``."""
-        guaranteed_part = self.consumer.grant.guaranteed_part
+        guaranteed_part = self._grant.guaranteed_part
         g_count = self._guaranteed_count
         if g_count < guaranteed_part:
             spare = sorted(
@@ -381,7 +385,7 @@ class JobManager:
                 self._guaranteed_count -= 1
 
     def _start_ready_tasks(self, now: float) -> None:
-        grant = self.consumer.grant
+        grant = self._grant
         # _grant_cap, inlined: this runs after every finish.
         cap = grant.total if self._use_spare_tokens else grant.guaranteed_part
         ready = self._ready
@@ -699,7 +703,7 @@ class JobManager:
         # Ask the pool for room to race the stragglers; it may grant less.
         self._speculative_demand = len(stragglers)
         self._update_demand()
-        grant = self.consumer.grant
+        grant = self._grant
         launched = 0
         for task in stragglers:
             if len(self._running) >= self._grant_cap(grant):

@@ -650,13 +650,13 @@ class ClusterService:
                 task_seconds = 0.0
                 graph, profile, table = trained.graph, trained.profile, trained.table
                 work = trained.total_work_seconds
-                width = min(self.config.capacity_tokens, trained.width)
+                width = self._slice(trained.width)
                 name = fields.get("name") or trained.name
             else:
                 name = fields.get("name") or f"cmd-{job_id}"
                 graph = JobGraph(name, [Stage("cmd", num_tasks)], [])
                 work = num_tasks * task_seconds
-                width = min(self.config.capacity_tokens, num_tasks)
+                width = self._slice(num_tasks)
             control = self.config.control
             try:
                 policy = build_policy(
@@ -667,7 +667,7 @@ class ClusterService:
                     ),
                     profile=profile,
                     utility=deadline_utility(deadline_v),
-                    control=replace(control, max_tokens=min(control.max_tokens, width)),
+                    control=replace(control, max_tokens=width),
                 )
                 spec = MarketJobSpec(
                     name=job_id,
@@ -1104,12 +1104,17 @@ class ClusterService:
         template's sizing trains it, which warms the submit path too)."""
         return {"templates": list(self.store.available())}
 
+    def _slice(self, width: int) -> int:
+        """The most tokens a job ``width`` tasks wide can run on: the top of
+        its policy's grid, and what admission and the quota reserve."""
+        return min(self.config.capacity_tokens, width, self.config.control.max_tokens)
+
     def template_info(self, name: str) -> Dict:
         try:
             trained = self.store.get(name)
         except TemplateError as exc:
             raise ServiceError(str(exc), status=404) from exc
-        width = min(self.config.capacity_tokens, trained.width)
+        width = self._slice(trained.width)
         work = trained.total_work_seconds
         return {
             "template": name,

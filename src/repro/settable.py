@@ -9,3 +9,11 @@ def is_count(value) -> bool:
         return operator.index(value) >= 1
     except TypeError:
         return False
+
+
+def is_amount(value) -> bool:
+    """An integer of any kind and >= 0: a number of tokens held or wanted."""
+    try:
+        return operator.index(value) >= 0
+    except TypeError:
+        return False

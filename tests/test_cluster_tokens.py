@@ -1,5 +1,7 @@
 """Unit and property tests for token accounting (guaranteed + spare)."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from repro.cluster.tokens import (
     TokenPool,
     compute_grants,
 )
+from repro.telemetry import trace as _trace
 
 
 def consumers(*specs):
@@ -194,6 +197,32 @@ class TestTokenPool:
         with pytest.raises(TokenError):
             Consumer("x", -1)
 
+    @pytest.mark.parametrize(
+        "value", [-1, 3.5, 2.0, float("nan"), float("inf")],
+        ids=["negative", "fractional", "float", "nan", "inf"],
+    )
+    def test_refuses_what_no_pass_can_allocate(self, value):
+        """Capacity, guarantees and demands are whole token numbers >= 0;
+        the refusal names the pool or the consumer and the value, and moves
+        nothing."""
+        got = re.escape(f"got {value!r}")
+        with pytest.raises(TokenError, match=f"pool capacity .*{got}"):
+            TokenPool(value)
+        with pytest.raises(TokenError, match=f"guarantee for 'x' .*{got}"):
+            Consumer("x", value)
+        pool = TokenPool(10)
+        pool.register(Consumer("a", 5))
+        pool.set_demand("a", 4)
+        with pytest.raises(TokenError, match=f"pool capacity .*{got}"):
+            pool.set_capacity(value)
+        with pytest.raises(TokenError, match=f"guarantee for 'a' .*{got}"):
+            pool.set_guaranteed("a", value)
+        with pytest.raises(TokenError, match=f"demand for 'a' .*{got}"):
+            pool.set_demand("a", value)
+        assert pool.capacity == 10
+        assert pool.consumer("a").guaranteed == 5
+        assert pool.snapshot() == {"a": Grant(4, 4)}
+
     def test_snapshot(self):
         pool = TokenPool(100)
         pool.register(Consumer("a", 10))
@@ -216,9 +245,12 @@ class TestTokenPool:
 
 
 class EveryChangePool(TokenPool):
-    """The pool without its skip rule: a pass on every demand change."""
+    """The pool without its skip rules: a pass on every demand change."""
 
     def _moves_no_grant(self, consumer, old_demand):
+        return False
+
+    def _moves_only_its_own_grant(self, consumer, old_demand):
         return False
 
 
@@ -303,6 +335,106 @@ class TestIncrementalPool:
         pool.set_demand("a", 88)  # the same kind of change, outside a pass
         assert passes_run() == before + 2
 
+    # -- a listener inside its guarantee: only its own grant is watched ---
+
+    @staticmethod
+    def draining(pool_cls):
+        """A job (with a callback) at its guarantee of 20 beside a passive
+        consumer whose unmet demand takes the spare."""
+        pool = pool_cls(100)
+        handed = []
+        pool.register(Consumer("job", 20, on_grant=handed.append))
+        pool.register(Consumer("bg", 10))
+        pool.set_demand("bg", 200)
+        pool.set_demand("job", 20)
+        return pool, handed
+
+    def test_draining_inside_the_guarantee_runs_no_pass(self):
+        pool, handed = self.draining(TokenPool)
+        assert pool.snapshot() == {"job": Grant(20, 20), "bg": Grant(80, 10)}
+        before = passes_run()
+        for demand in range(19, -1, -1):
+            pool.set_demand("job", demand)
+            assert handed[-1] == pool.consumer("job").grant == Grant(demand, demand)
+        assert passes_run() == before
+        assert pool.consumer("bg")._unsettled
+        assert pool.consumer("bg").grant == Grant(100, 10)  # the read settles
+        assert passes_run() == before + 1
+        assert pool.snapshot() == {"job": Grant(0, 0), "bg": Grant(100, 10)}
+        assert passes_run() == before + 1
+
+    def test_a_live_recorder_runs_a_pass_per_step(self):
+        """Traced, the rule never fires: every step runs its pass and emits
+        the ``tokens.grant`` events a pass on every change emits."""
+        emitted = []
+        for pool_cls in (TokenPool, EveryChangePool):
+            with _trace.capture() as rec:
+                pool, _ = self.draining(pool_cls)
+                before = passes_run()
+                for demand in range(19, -1, -1):
+                    pool.set_demand("job", demand)
+                assert passes_run() == before + 20
+            emitted.append(
+                [e for e in rec.events() if e.kind == "tokens.grant"]
+            )
+        assert len(emitted[0]) == 2 * 20 + 3
+        assert emitted[0] == emitted[1]
+
+    def test_another_listener_with_unmet_demand_runs_a_pass(self):
+        pool, _ = self.draining(TokenPool)
+        pool.register(Consumer("other", 5, on_grant=lambda grant: None))
+        pool.set_demand("other", 6)  # unmet: it takes spare too
+        before = passes_run()
+        pool.set_demand("job", 19)
+        assert passes_run() == before + 1
+        pool.set_demand("other", 5)  # satisfied inside its guarantee
+        pool.set_demand("job", 18)
+        assert passes_run() == before + 2
+
+    def test_bases_past_capacity_run_a_pass(self):
+        pool = TokenPool(30)
+        handed = []
+        pool.register(Consumer("job", 20, on_grant=handed.append))
+        pool.register(Consumer("bg", 10))
+        pool.set_demand("bg", 15)
+        pool.set_demand("job", 10)
+        pool.set_capacity(20)  # bases 20: no spare left after them
+        before = passes_run()
+        pool.set_demand("job", 11)  # the bases would need 21: they shrink
+        assert passes_run() == before + 1
+        assert pool.snapshot() == {"job": Grant(10, 10), "bg": Grant(10, 10)}
+
+    def test_the_spare_a_drain_frees_is_remembered(self):
+        """Two listeners and no passive consumer: a drain leaves nothing
+        unsettled, and the token it frees reaches the next rise."""
+        pool = TokenPool(20)
+        handed = []
+        pool.register(Consumer("a", 10, on_grant=lambda grant: None))
+        pool.register(Consumer("b", 10, on_grant=handed.append))
+        pool.set_demand("a", 10)
+        pool.set_demand("b", 10)  # bases 20: no spare
+        before = passes_run()
+        pool.set_demand("a", 9)
+        assert passes_run() == before
+        pool.set_demand("b", 11)  # above its guarantee: takes that token
+        assert handed[-1] == Grant(11, 10)
+        assert pool.snapshot() == {"a": Grant(9, 9), "b": Grant(11, 10)}
+
+    def test_the_first_rule_waits_for_a_settled_pool(self):
+        """Conservative: while a drain has left grants unsettled, a change
+        the first rule would skip runs the pass that settles them."""
+        pool, _ = self.draining(TokenPool)
+        pool.snapshot()  # settles the job's rise to its guarantee
+        before = passes_run()
+        pool.set_demand("bg", 199)  # unmet 189, above its share of 70
+        assert passes_run() == before
+        pool.set_demand("job", 19)
+        pool.set_demand("bg", 198)
+        assert passes_run() == before + 1
+        pool.set_demand("bg", 197)
+        assert passes_run() == before + 1
+        assert pool.snapshot() == {"job": Grant(19, 19), "bg": Grant(81, 10)}
+
     # -- differential: skipping pool vs a pass on every change ------------
 
     WEIGHTS = st.one_of(
@@ -317,14 +449,18 @@ class TestIncrementalPool:
         st.none(), st.tuples(st.integers(0, 7), st.integers(0, 3))
     )
     WHO = st.integers(0, 7)
-    #: register = (guaranteed, first demand, weight, reaction).
+    #: register = (guaranteed, first demand, weight, reaction, listens,
+    #: reads): a consumer that does not listen has no callback (the
+    #: background load, the spare soaker); one that reads, reads every grant
+    #: from inside its callback.
     REGISTER = st.tuples(
         st.just("register"), st.integers(0, 30), st.integers(0, 60), WEIGHTS,
-        REACTIONS,
+        REACTIONS, st.booleans(), st.booleans(),
     )
-    #: Half the operations aim at the boundaries the skip rule tests: demand
+    #: Most operations aim at the boundaries the skip rules test: demand
     #: around the grant (where a job manager's demand, running + ready,
-    #: hovers) and around the guarantee; capacity around the sum of bases
+    #: hovers), around the guarantee and moving inside it (a stage's tail
+    #: draining, a retry or a new wave); capacity around the sum of bases
     #: (below it they shrink, at it no spare is left, above it a small one).
     OPS = st.one_of(
         REGISTER,
@@ -333,18 +469,24 @@ class TestIncrementalPool:
         st.tuples(st.just("demand_near_grant"), WHO, st.integers(-2, 3)),
         st.tuples(st.just("demand_near_grant"), WHO, st.integers(-2, 3)),
         st.tuples(st.just("demand_near_guarantee"), WHO, st.integers(-2, 2)),
+        st.tuples(st.just("inside"), st.integers(0, 1), st.integers(-3, 3)),
+        st.tuples(st.just("inside"), st.integers(0, 1), st.integers(-3, 3)),
         st.tuples(st.just("set_guaranteed"), WHO, st.integers(0, 30)),
         st.tuples(st.just("set_capacity"), st.integers(0, 80)),
         st.tuples(st.just("capacity_near_bases"), st.integers(-2, 3)),
+        st.tuples(st.just("read")),
     )
 
     @staticmethod
     def apply(pool, registered, log, op, serial):
         """Apply one generated operation to ``pool``; ``registered`` mirrors
-        its consumers in registration order."""
+        its consumers in registration order.  A callback logs the grant it
+        is handed and checks that its own reads back as handed; a reading
+        one also reads every grant (a read inside a callback settles
+        re-entrantly, in one follow-up pass)."""
         kind = op[0]
         if kind == "register":
-            _, guaranteed, demand, weight, reaction = op
+            _, guaranteed, demand, weight, reaction, listens, reads = op
             headroom = pool.guaranteed_headroom()
             if len(registered) == 8 or headroom < 0:  # register would refuse
                 return
@@ -357,9 +499,14 @@ class TestIncrementalPool:
                     ceiling = grant.total + reaction[1]
                     if target.demand > ceiling:
                         pool.set_demand(target.name, ceiling)
+                if reads:
+                    for other in registered:
+                        other.grant
+                assert consumer.grant == grant
 
             consumer = Consumer(
-                name, min(guaranteed, headroom), weight=weight, on_grant=on_grant
+                name, min(guaranteed, headroom), weight=weight,
+                on_grant=on_grant if listens else None,
             )
             registered.append(consumer)
             pool.register(consumer)
@@ -369,6 +516,18 @@ class TestIncrementalPool:
         elif kind == "capacity_near_bases":
             bases = sum(min(c.guaranteed, c.demand) for c in registered)
             pool.set_capacity(max(0, bases + op[1]))
+        elif kind == "read":
+            wanted = compute_grants(pool.capacity, registered)
+            assert list(pool.snapshot().values()) == wanted
+        elif kind == "inside":
+            # The first or second listener's demand moves by op[2], kept
+            # inside its guarantee.
+            listeners = [c for c in registered if c.on_grant is not None]
+            if listeners:
+                consumer = listeners[op[1] % len(listeners)]
+                g = consumer.guaranteed
+                demand = min(consumer.demand, g) + op[2]
+                pool.set_demand(consumer.name, min(g, max(0, demand)))
         elif registered:
             consumer = registered[op[1] % len(registered)]
             if kind == "unregister":
@@ -394,21 +553,38 @@ class TestIncrementalPool:
         """After every operation each grant is ``compute_grants``'s, and the
         ordered callback log is the one a pass on every change produces.
 
-        Mutation-checked (ISSUE 16).  Dropping the base-unchanged condition
-        (either half), comparing demand instead of unmet demand with the
-        share, remembering the smallest share instead of the largest or
-        keeping a capped consumer's share all fail here.  Weakening ``>`` to
-        ``>=``, skipping inside a pass and ignoring shrunk bases move no
-        grant (the rule is conservative there), so this cannot see them; the
-        pass-count tests above pin those three.
+        Three pools run each sequence: one whose grants are all read after
+        every operation, one whose stored grants are only looked at (its
+        callback-less consumers may stay unsettled across operations until
+        a ``read`` operation), and the reference.  In the second, every
+        grant not marked unsettled is already ``compute_grants``'s, and no
+        consumer with a callback is ever marked.
+
+        Mutation-checked.  Dropping the base-unchanged condition (either
+        half), comparing demand instead of unmet demand with the share,
+        remembering the smallest share instead of the largest or keeping a
+        capped consumer's share all fail here; so do dropping the second
+        rule's "no other listener has unmet demand" or "the bases still fit"
+        conditions, not moving the remembered spare, and a grant read or a
+        snapshot that does not settle.  Weakening ``>`` to ``>=``, skipping
+        inside a pass, ignoring shrunk bases and asking the first rule while
+        grants are unsettled move no grant (the rules are conservative
+        there), so this cannot see them; the pass-count tests above pin
+        those four.  A live recorder's veto is pinned there too.
         """
         pools = [
-            (TokenPool(capacity), [], []),
-            (EveryChangePool(capacity), [], []),
+            (TokenPool(capacity), [], [], True),
+            (TokenPool(capacity), [], [], False),
+            (EveryChangePool(capacity), [], [], True),
         ]
         for serial, op in enumerate(population + ops):
-            for pool, registered, log in pools:
+            for pool, registered, log, read in pools:
                 self.apply(pool, registered, log, op, serial)
                 wanted = compute_grants(pool.capacity, registered)
-                assert [c.grant for c in registered] == wanted, (serial, op)
-            assert pools[0][2] == pools[1][2], (serial, op)
+                if read:
+                    assert [c.grant for c in registered] == wanted, (serial, op)
+                    continue
+                for c, want in zip(registered, wanted):
+                    assert not (c._unsettled and c.on_grant), (serial, op)
+                    assert c._unsettled or c._grant == want, (serial, op)
+            assert pools[0][2] == pools[1][2] == pools[2][2], (serial, op)

@@ -1,6 +1,7 @@
 """Tests for multi-SLO-job co-execution (the paper's future-work arbiter)."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from repro.core.utility import deadline_utility
 from repro.experiments.multijob import run_multi_job, split_slice
 from repro.experiments.runner import make_policy
 from repro.experiments.scenarios import SMOKE, trained_jobs
+from repro.simkit.events import Simulator
 from tests.test_core_admission_arbiter import LinearJob
 
 
@@ -81,6 +83,24 @@ class TestRunMultiJob:
             run_multi_job([])
         with pytest.raises(ValueError):
             run_multi_job([jobs[0], jobs[0]])
+
+    def test_arbiter_refuses_a_slice_below_the_grid_floors(self, jobs, monkeypatch):
+        """The arbiter grants every job its grid floor first, so a slice
+        below their sum is refused before the simulation starts, naming
+        the slice and each floor.  Independent mode runs that slice."""
+        assert [t.name for t in jobs] == ["A", "C"]
+        started = []
+        monkeypatch.setattr(Simulator, "run", lambda *a, **k: started.append(1))
+        message = (
+            "slice_tokens 20 cannot cover 2 jobs at their grid floors "
+            "{'A': 11, 'C': 11}"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_multi_job(jobs, mode="arbiter", seed=3, slice_tokens=20)
+        assert not started
+        monkeypatch.undo()
+        result = run_multi_job(jobs, mode="independent", seed=3, slice_tokens=20)
+        assert set(result.per_job) == {"A", "C"}
 
     def test_result_aggregates(self, jobs):
         result = run_multi_job(jobs, mode="independent", seed=6)

@@ -16,6 +16,7 @@ from repro.chaos.spec import (
     TokenShock,
 )
 from repro.cluster import LoadEpisode
+from repro.cluster.tokens import compute_grants
 from repro.experiments import SMOKE, RunConfig, make_policy, run_experiment, trained_job
 from repro.experiments import runner
 from repro.runtime.speculation import SpeculationConfig
@@ -176,3 +177,31 @@ class TestBookkeepingCounters:
         monkeypatch.setattr(runner, "run_to_completion", stepping_run)
         # Stepping one event at a time is the same run.
         assert trace_digests(run_case(case)) == TestGoldenPins.PINS[case_id(case)]
+
+
+class TestReadsMoveNothing:
+    """Every grant read every 30 s of virtual time, as
+    ``test_chaos_invariants``'s sampler reads them: a read of a grant the
+    pool left unsettled runs a pass that settles it, and the run's records
+    and timelines are the unread run's."""
+
+    @pytest.mark.parametrize("case", [CASES[0], CASES[6]], ids=case_id)
+    def test_a_read_run_is_the_unread_run(self, case, monkeypatch):
+        run_to_completion = runner.run_to_completion
+        unsettled_reads = []
+
+        def reading_run(manager, *, max_seconds):
+            pool = manager.cluster.pool
+
+            def read():
+                consumers = list(pool._consumers.values())
+                unsettled_reads.append(any(c._unsettled for c in consumers))
+                grants = [c.grant for c in consumers]
+                assert grants == compute_grants(pool.capacity, consumers)
+
+            manager.sim.schedule_every(30.0, read)
+            return run_to_completion(manager, max_seconds=max_seconds)
+
+        monkeypatch.setattr(runner, "run_to_completion", reading_run)
+        assert trace_digests(run_case(case)) == TestGoldenPins.PINS[case_id(case)]
+        assert any(unsettled_reads)

@@ -436,6 +436,23 @@ class TestOneSlice:
         if policy == "max-allocation":
             assert job.allocation == 40
 
+    def test_admission_reserves_the_slice_not_the_width(self):
+        """With a 10-token slice a ``mapreduce`` job reserves at most 10
+        tokens, so a second one is admitted beside it; sized by its width
+        (40) the first held the whole quota and the second queued."""
+        config = ServiceConfig(control=ControlConfig(max_tokens=10))
+        svc = ClusterService(config, store=TemplateModelStore(seed=0))
+        svc.clock = ManualClock()
+        info = svc.template_info("mapreduce")
+        assert info["width"] == 10
+        for _ in range(2):
+            reply = svc.submit({
+                "template": "mapreduce", "policy": "jockey",
+                "deadline_minutes": info["min_feasible_seconds"] / 60.0,
+            })
+            assert reply["status"] == "running"
+            assert reply["guarantee"] <= 10
+
 
 class ScanningService(ClusterService):
     """The grant loop as it was before the running-job index: recount
