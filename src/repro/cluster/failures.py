@@ -14,7 +14,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.cluster.machine import MachinePark
+from repro.settable import is_positive_finite
 from repro.simkit.events import Simulator
+from repro.simkit.random import scalar_draws
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
 
@@ -22,6 +24,13 @@ _SCRIPTED = _metrics.REGISTRY.counter(
     "repro_cluster_scripted_failures_total",
     "Machines killed by scripted (non-Poisson) failure injection",
 )
+
+
+def _check_seconds(field: str, value) -> None:
+    if not is_positive_finite(value):
+        raise ValueError(
+            f"FailureInjector {field} must be positive and finite, got {value!r}"
+        )
 
 
 class FailureInjector:
@@ -36,13 +45,13 @@ class FailureInjector:
         machine_mtbf_seconds: Optional[float] = None,
         repair_seconds: float = 300.0,
     ):
-        if machine_mtbf_seconds is not None and machine_mtbf_seconds <= 0:
-            raise ValueError("machine MTBF must be positive")
-        if repair_seconds <= 0:
-            raise ValueError("repair time must be positive")
+        if machine_mtbf_seconds is not None:
+            _check_seconds("machine_mtbf_seconds", machine_mtbf_seconds)
+        _check_seconds("repair_seconds", repair_seconds)
         self._sim = sim
         self._machines = machines
         self._rng = rng
+        self._below = scalar_draws(rng)[1]
         self._mtbf = machine_mtbf_seconds
         self._repair = repair_seconds
         self.failures_injected = 0
@@ -62,7 +71,7 @@ class FailureInjector:
 
     def _fire(self) -> None:
         if self._machines.up_count > 1:
-            machine = self._machines.pick_up_machine(self._rng)
+            machine = self._machines.pick_up_machine(self._below)
             if self._machines.fail(machine):
                 self.failures_injected += 1
                 self._sim.call_after(self._repair, self._machines.repair, machine)
@@ -74,6 +83,8 @@ class FailureInjector:
         Unlike the organic Poisson path, scripted kills announce themselves:
         a ``machine.scripted_kill`` trace event and a dedicated metric make
         them distinguishable in any recorded timeline."""
+        if repair_seconds is not None:
+            _check_seconds("repair_seconds", repair_seconds)
         if not self._machines.fail(machine_id):
             return False
         self.failures_injected += 1

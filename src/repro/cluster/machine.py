@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Set
 
-import numpy as np
-
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
 
@@ -69,12 +67,15 @@ class MachinePark:
         self._check_id(machine_id)
         return machine_id not in self._down
 
-    def pick_up_machine(self, rng: np.random.Generator) -> int:
-        """Uniformly choose an up machine for task placement."""
+    def pick_up_machine(self, below: Callable[[int], int]) -> int:
+        """Uniformly choose an up machine for task placement: redraw
+        ``below(num_machines)`` until it names one.  ``below`` is the
+        caller's stream, bound once (``scalar_draws(rng)[1]``, the draws of
+        ``int(rng.integers(0, n))``)."""
         if len(self._down) == self.num_machines:
             raise MachineError("no machines up")
         while True:
-            m = int(rng.integers(0, self.num_machines))
+            m = below(self.num_machines)
             if m not in self._down:
                 return m
 

@@ -29,6 +29,7 @@ from repro.jobs.trace import RunTrace
 from repro.parallel import parallel_map
 from repro.runtime.jobmanager import JobManager, run_to_completion
 from repro.runtime.speculation import SpeculationConfig
+from repro.settable import is_positive_finite
 from repro.simkit.events import Simulator
 from repro.simkit.random import RngRegistry, derive_seed
 from repro.telemetry.audit import PHASE_TICK, TickRecord
@@ -68,6 +69,16 @@ class RunConfig:
     #: :mod:`repro.chaos`.  Enables the job manager's allocation-retry
     #: backoff so clamped requests are re-asked.
     chaos: Optional[ChaosSpec] = None
+
+    def __post_init__(self):
+        checked = [("control_period", self.control_period)]
+        if self.runtime_scale is not None:  # None: sampled per seed
+            checked.append(("runtime_scale", self.runtime_scale))
+        for name, value in checked:
+            if not is_positive_finite(value):
+                raise ValueError(
+                    f"RunConfig.{name} must be positive and finite, got {value!r}"
+                )
 
 
 #: Virtual seconds an experiment run (one job, or a multi-job run) may take

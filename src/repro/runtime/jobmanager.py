@@ -18,14 +18,14 @@ Scheduling semantics follow §2.1/§2.4 of the paper:
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.tokens import Consumer, Grant
 from repro.jobs.dag import DependencyTracker, JobGraph
-from repro.jobs.profiles import JobProfile
+from repro.jobs.profiles import JobProfile, StageProfile
 from repro.jobs.trace import (
     OUTCOME_EVICTED,
     OUTCOME_FAILED,
@@ -37,6 +37,7 @@ from repro.jobs.trace import (
 )
 from repro.runtime.speculation import SpeculationConfig, SpeculationScan, record_scan
 from repro.runtime.task import RunningTask, TaskId
+from repro.simkit.random import scalar_draws
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
 
@@ -85,6 +86,33 @@ RETRY_MAX_ATTEMPTS = 5
 
 class JobManagerError(RuntimeError):
     """Raised on invalid job-manager operations."""
+
+
+#: An attempt's draws: ``() -> (runtime before contention, the fraction of
+#: it done before the attempt dies, or None when it will not fail)``.
+AttemptDraws = Callable[[], Tuple[float, Optional[float]]]
+
+
+def attempt_draws(stage: StageProfile, rng: np.random.Generator) -> AttemptDraws:
+    """One stage's attempt draws on ``rng``, in the order the determinism
+    contract fixes: runtime, init, then, only for a stage that can fail,
+    the failure check and the fraction done."""
+    runtime, init = stage.runtime.drawer(rng), stage.init.drawer(rng)
+    failure_prob = stage.failure_prob
+    if not failure_prob > 0:
+        return lambda: (runtime() + init(), None)
+    double = scalar_draws(rng)[0]
+
+    def draw() -> Tuple[float, Optional[float]]:
+        seconds = runtime() + init()
+        if double() < failure_prob:
+            # The attempt dies after doing only part of its work: a uniform
+            # draw on [0.05, 0.95), spelled as the arithmetic numpy's
+            # Generator.uniform does on the same next_double.
+            return seconds, 0.05 + (0.95 - 0.05) * double()
+        return seconds, None
+
+    return draw
 
 
 class JobSnapshot:
@@ -140,9 +168,10 @@ class JobManager:
         self.cluster = cluster
         self.sim = cluster.sim
         self.graph = graph
-        self.behavior = behavior
         self.name = name or f"job:{graph.name}"
         self._rng = rng if rng is not None else cluster.rng.stream(f"jm:{self.name}")
+        self._below = scalar_draws(self._rng)[1]
+        self.behavior = behavior
         self._on_complete = on_complete
         self._tracker = DependencyTracker(graph)
         # A completion goes through the tracker's id core: (stage, index)
@@ -220,14 +249,12 @@ class JobManager:
     @behavior.setter
     def behavior(self, profile: JobProfile) -> None:
         self._behavior = profile
-        #: Per stage, what a start draws with, in draw order: the runtime
-        #: sampler, the init sampler and the failure probability.
-        self._draw_plan: Dict[str, tuple] = {}
-        for stage in self.graph.stages:
-            sp = profile.stage(stage.name)
-            self._draw_plan[stage.name] = (
-                sp.runtime.sample, sp.init.sample, sp.failure_prob
-            )
+        #: Per stage, the one spelling of an attempt's draws that
+        #: ``_start_task`` and ``_start_wave`` both call.
+        self._attempt_draws: Dict[str, AttemptDraws] = {
+            stage.name: attempt_draws(profile.stage(stage.name), self._rng)
+            for stage in self.graph.stages
+        }
 
     @property
     def allocation(self) -> int:
@@ -402,18 +429,18 @@ class JobManager:
     def _start_wave(self, task_ids: Sequence[TaskId], grant: Grant) -> None:
         """Start a whole wave of ready tasks with one batched heap insert.
 
-        Per-task RNG draw order matches :meth:`_start_task` exactly — the
-        scalar sample order is part of the repo's determinism contract — so
-        wave starts are byte-identical to the one-at-a-time path.  What the
-        wave batches is the mechanics: one ``schedule_batch`` presorted
-        merge instead of N heappushes, the shared bound ``_finish`` callback
-        with the task as payload instead of N closures, and buffered tuple
-        trace records.
+        Each task draws through its stage's ``_attempt_draws`` closure, the
+        one :meth:`_start_task` calls — the scalar draw order is part of the
+        repo's determinism contract — so wave starts are byte-identical to
+        the one-at-a-time path.  What the wave batches is the mechanics:
+        one ``schedule_batch`` presorted merge instead of N heappushes, the
+        shared bound ``_finish`` callback with the task as payload instead
+        of N closures, and buffered tuple trace records.
         """
         self._accrue_busy_time()
         now = self.sim.now
-        rng = self._rng
-        plan = self._draw_plan
+        draws = self._attempt_draws
+        below = self._below
         contention = self.cluster.contention_factor
         pick = self.cluster.machines.pick_up_machine
         attempts = self._attempts
@@ -428,13 +455,12 @@ class JobManager:
         times: List[float] = []
         for task_id in task_ids:
             stage_name = task_id[0]
-            sample_runtime, sample_init, failure_prob = plan[stage_name]
-            runtime = sample_runtime(rng) + sample_init(rng)
+            runtime, done = draws[stage_name]()
             runtime *= contention
-            will_fail = failure_prob > 0 and rng.random() < failure_prob
+            will_fail = done is not None
             if will_fail:
-                runtime *= 0.05 + (0.95 - 0.05) * rng.random()
-            machine = pick(rng)
+                runtime *= done
+            machine = pick(below)
             attempt = attempts.get(task_id, 0)
             used_spare = g_count >= guaranteed_part
             if not used_spare:
@@ -474,20 +500,15 @@ class JobManager:
         if now > self._busy_marker:
             self._busy_token_seconds += len(self._running) * (now - self._busy_marker)
             self._busy_marker = now
-        rng = self._rng
         stage_name = task_id[0]
-        sample_runtime, sample_init, failure_prob = self._draw_plan[stage_name]
-        runtime = sample_runtime(rng) + sample_init(rng)
+        runtime, done = self._attempt_draws[stage_name]()
         # Oversubscription slows every task: tokens do not shield network
         # bandwidth or disk queues (§2.1).
         runtime *= self.cluster.contention_factor
-        will_fail = failure_prob > 0 and rng.random() < failure_prob
+        will_fail = done is not None
         if will_fail:
-            # The attempt dies after doing only part of its work: a uniform
-            # draw on [0.05, 0.95), spelled as the arithmetic numpy's
-            # Generator.uniform does on the same rng.random().
-            runtime *= 0.05 + (0.95 - 0.05) * rng.random()
-        machine = self.cluster.machines.pick_up_machine(rng)
+            runtime *= done
+        machine = self.cluster.machines.pick_up_machine(self._below)
         attempt = self._attempts.get(task_id, 0)
         # Take a guaranteed token if one is free (e.g. just released by a
         # finishing task), otherwise ride on spare.

@@ -5,15 +5,24 @@ percentile of task runtimes, Table 2) and notes heavy-tailed outliers.  We
 model runtimes with lognormals fitted to those quantiles, optionally mixed
 with an outlier tail, and with empirical distributions when a trace is
 available.
+
+Every distribution draws two ways with the same bits: ``sample(rng)`` one
+value per call through the Generator, and ``drawer(rng)`` a zero-argument
+closure, built once, whose every call makes the draws ``sample(rng)`` would
+make next, in the same order (the batch path's per-attempt draws; see
+:func:`repro.simkit.random.scalar_draws`).  A closure is never stored on a
+distribution: profiles cross process pools, closures do not pickle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Union
+from typing import Callable, List, Union
 
 import numpy as np
+
+from repro.simkit.random import scalar_draws
 
 # z-score of the 90th percentile of the standard normal.
 _Z90 = 1.2815515655446004
@@ -45,6 +54,10 @@ class Constant:
     def sample(self, rng: np.random.Generator) -> float:
         return self.value
 
+    def drawer(self, rng: np.random.Generator) -> Callable[[], float]:
+        value = self.value
+        return lambda: value
+
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, self.value, dtype=float)
 
@@ -72,6 +85,11 @@ class Uniform:
         # next_double, without rng.uniform's scalar-argument handling.
         return self.low + (self.high - self.low) * rng.random()
 
+    def drawer(self, rng: np.random.Generator) -> Callable[[], float]:
+        low, span = self.low, self.high - self.low
+        double = scalar_draws(rng)[0]
+        return lambda: low + span * double()
+
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.low, self.high, size=n)
 
@@ -95,6 +113,11 @@ class Exponential:
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.exponential(self.mean_value))
+
+    def drawer(self, rng: np.random.Generator) -> Callable[[], float]:
+        # numpy's own call: its ziggurat and arithmetic are in C.
+        exponential, mean_value = rng.exponential, self.mean_value
+        return lambda: float(exponential(mean_value))
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.exponential(self.mean_value, size=n)
@@ -137,6 +160,12 @@ class LogNormal:
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.lognormal(self.mu, self.sigma))
+
+    def drawer(self, rng: np.random.Generator) -> Callable[[], float]:
+        # numpy's own call: ``exp(mu + sigma * z)`` is evaluated in C, where
+        # the compiler may contract it into a fused multiply-add.
+        lognormal, mu, sigma = rng.lognormal, self.mu, self.sigma
+        return lambda: float(lognormal(mu, sigma))
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.lognormal(self.mu, self.sigma, size=n)
@@ -193,6 +222,21 @@ class WithOutliers:
             value *= self.outlier_factor
         return value
 
+    def drawer(self, rng: np.random.Generator) -> Callable[[], float]:
+        base = self.base.drawer(rng)
+        prob, factor = self.outlier_prob, self.outlier_factor
+        if prob == 0:
+            return base
+        double = scalar_draws(rng)[0]
+
+        def draw() -> float:
+            value = base()
+            if double() < prob:
+                value *= factor
+            return value
+
+        return draw
+
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         values = sample_n(self.base, rng, n)
         if self.outlier_prob > 0:
@@ -234,6 +278,16 @@ class Truncated:
     def sample(self, rng: np.random.Generator) -> float:
         return min(self.base.sample(rng), self.cap)
 
+    def drawer(self, rng: np.random.Generator) -> Callable[[], float]:
+        base, cap = self.base.drawer(rng), self.cap
+
+        def draw() -> float:
+            # min(value, cap) without the builtin's call: cap only if below.
+            value = base()
+            return cap if cap < value else value
+
+        return draw
+
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         values = sample_n(self.base, rng, n)
         np.minimum(values, self.cap, out=values)
@@ -273,6 +327,11 @@ class Empirical:
     def sample(self, rng: np.random.Generator) -> float:
         return float(self._array[rng.integers(0, len(self._array))])
 
+    def drawer(self, rng: np.random.Generator) -> Callable[[], float]:
+        values = self._array.tolist()
+        n, below = len(values), scalar_draws(rng)[1]
+        return lambda: values[below(n)]
+
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self._array[rng.integers(0, len(self._array), size=n)]
 
@@ -305,6 +364,10 @@ class Scaled:
 
     def sample(self, rng: np.random.Generator) -> float:
         return self.base.sample(rng) * self.factor
+
+    def drawer(self, rng: np.random.Generator) -> Callable[[], float]:
+        base, factor = self.base.drawer(rng), self.factor
+        return lambda: base() * factor
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return sample_n(self.base, rng, n) * self.factor

@@ -9,9 +9,13 @@ failure injector does not perturb the task-runtime sequence.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterator
+from functools import partial
+from typing import Callable, Dict, Iterator, Tuple
 
 import numpy as np
+
+#: One past the largest value ``next_uint32`` returns.
+_UINT32 = 1 << 32
 
 
 def derive_seed(root_seed: int, name: str) -> int:
@@ -50,4 +54,46 @@ class RngRegistry:
         return f"RngRegistry(seed={self._seed}, streams={len(self._streams)})"
 
 
-__all__ = ["RngRegistry", "derive_seed"]
+def scalar_draws(
+    rng: np.random.Generator,
+) -> Tuple[Callable[[], float], Callable[[int], int]]:
+    """``(double, below)``: scalar draws made on ``rng``'s own bit generator
+    through numpy's public ``BitGenerator.ctypes`` interface, without the
+    Generator's per-call argument handling.
+
+    ``double()`` is ``rng.random()``: the same ``next_double`` call.
+    ``below(n)`` is ``int(rng.integers(0, n))`` for ``1 <= n <= 2**32``:
+    numpy's 32-bit Lemire rejection on the same ``next_uint32``, which
+    PCG64 serves from half of a 64-bit output while caching the other half
+    in the bit generator's state.  Both read and advance that one state, so
+    draws through them and through ``rng`` may interleave in any order and
+    stay aligned.  ``below(1)`` consumes nothing, as numpy does; an ``n``
+    below 1, or above ``2**32`` (numpy's 64-bit path), is refused.
+    """
+    bits = rng.bit_generator
+    interface = bits.ctypes
+    state, next_uint32 = interface.state, interface.next_uint32
+    # A partial, not a def: the call goes straight to ctypes, no frame.
+    double = partial(interface.next_double, state)
+
+    def below(n: int) -> int:
+        if not 1 < n <= _UINT32:
+            if n == 1:
+                return 0
+            raise ValueError(f"below(n) needs 1 <= n <= 2**32, got {n!r}")
+        m = next_uint32(state) * n
+        if m & 0xFFFF_FFFF < n:
+            # Only a low word below n can fall in the rejection zone, whose
+            # bound numpy computes as (2**32 - n) % n.
+            threshold = (_UINT32 - n) % n
+            while m & 0xFFFF_FFFF < threshold:
+                m = next_uint32(state) * n
+        return m >> 32
+
+    # The interface holds raw addresses only: keep the bit generator, and
+    # with it the state they point into, alive as long as either draw is.
+    double.bit_generator = below.bit_generator = bits
+    return double, below
+
+
+__all__ = ["RngRegistry", "derive_seed", "scalar_draws"]

@@ -13,6 +13,7 @@ from repro.cluster.failures import FailureInjector
 from repro.cluster.machine import MachineError, MachinePark
 from repro.cluster.tokens import TokenPool
 from repro.simkit.events import Simulator
+from repro.simkit.random import scalar_draws
 
 
 class TestMachinePark:
@@ -53,14 +54,28 @@ class TestMachinePark:
         park = MachinePark(3, 1)
         park.fail(0)
         park.fail(1)
-        rng = np.random.default_rng(0)
-        assert all(park.pick_up_machine(rng) == 2 for _ in range(10))
+        below = scalar_draws(np.random.default_rng(0))[1]
+        assert all(park.pick_up_machine(below) == 2 for _ in range(10))
+
+    def test_pick_is_the_generators_integers(self):
+        """A pick redraws ``below(num_machines)``, which is numpy's
+        ``rng.integers(0, num_machines)`` draw for draw."""
+        park = MachinePark(7, 1)
+        park.fail(3)
+        ours, numpys = np.random.default_rng(4), np.random.default_rng(4)
+        below = scalar_draws(ours)[1]
+        for _ in range(200):
+            expected = int(numpys.integers(0, 7))
+            while expected == 3:
+                expected = int(numpys.integers(0, 7))
+            assert park.pick_up_machine(below) == expected
+        assert ours.random() == numpys.random()
 
     def test_pick_with_all_down_raises(self):
         park = MachinePark(1, 1)
         park.fail(0)
         with pytest.raises(MachineError):
-            park.pick_up_machine(np.random.default_rng(0))
+            park.pick_up_machine(scalar_draws(np.random.default_rng(0))[1])
 
     def test_bad_id(self):
         with pytest.raises(MachineError):
@@ -145,6 +160,31 @@ class TestFailureInjector:
         with pytest.raises(ValueError):
             FailureInjector(sim, park, np.random.default_rng(0),
                             repair_seconds=0.0)
+
+    @pytest.mark.parametrize("field", ["machine_mtbf_seconds", "repair_seconds"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_seconds_must_be_positive_and_finite(self, field, value):
+        """A NaN once failed only inside the simulator (``delay must be >=
+        0, got nan``), and an infinite repair was scheduled at infinity."""
+        with pytest.raises(
+            ValueError,
+            match=f"^FailureInjector {field} must be positive and finite, got",
+        ):
+            FailureInjector(Simulator(), MachinePark(2, 1),
+                            np.random.default_rng(0), **{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_scripted_repair_must_be_positive_and_finite(self, value):
+        park = MachinePark(3, 1)
+        injector = FailureInjector(Simulator(), park, np.random.default_rng(0))
+        match = "^FailureInjector repair_seconds must be positive and finite, got"
+        with pytest.raises(ValueError, match=match):
+            injector.fail_now(1, repair_seconds=value)
+        with pytest.raises(ValueError, match=match):
+            injector.fail_batch([0, 1], repair_seconds=value)
+        # Refused before any machine went down.
+        assert park.up_count == 3
+        assert injector.failures_injected == 0
 
 
 class TestBackgroundLoad:

@@ -352,6 +352,24 @@ class TestRuntimeScaleSampler:
         assert min(samples) < 1.0 < max(samples)
 
 
+class TestRunConfigBoundary:
+    """A bad period or scale is refused at construction, naming the field;
+    it once failed at the first tick (``delay must be >= 0, got nan``,
+    ``period must be positive``) or in ``Scaled``."""
+
+    @pytest.mark.parametrize("field", ["control_period", "runtime_scale"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_refused_naming_the_field(self, field, value):
+        with pytest.raises(
+            ValueError,
+            match=f"^RunConfig.{field} must be positive and finite, got",
+        ):
+            RunConfig(deadline_seconds=600.0, **{field: value})
+
+    def test_runtime_scale_none_samples_one_per_seed(self):
+        assert RunConfig(deadline_seconds=600.0).runtime_scale is None
+
+
 class TestAdmissionIntegration:
     def test_admission_with_real_table(self, trained):
         """Copies of a trained job fill one 100-token tenant and then wait;

@@ -1,12 +1,15 @@
 """The batch path (job manager + token pool) pinned run by run, and the job
 manager's O(1) bookkeeping and the values the cluster and job manager keep
-checked against the scans and formulas they replaced."""
+checked against the scans, formulas and draws they replaced."""
 
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.chaos.spec import (
     ChaosSpec,
@@ -16,10 +19,23 @@ from repro.chaos.spec import (
     TokenShock,
 )
 from repro.cluster import LoadEpisode
+from repro.cluster.machine import MachineError, MachinePark
 from repro.cluster.tokens import compute_grants
 from repro.experiments import SMOKE, RunConfig, make_policy, run_experiment, trained_job
 from repro.experiments import runner
+from repro.jobs.profiles import StageProfile
+from repro.runtime.jobmanager import attempt_draws
 from repro.runtime.speculation import SpeculationConfig
+from repro.simkit.distributions import (
+    Constant,
+    Empirical,
+    LogNormal,
+    Scaled,
+    Truncated,
+    Uniform,
+    WithOutliers,
+)
+from repro.simkit.random import scalar_draws
 
 PINS_PATH = Path(__file__).parent / "golden" / "batch_path_pins.json"
 
@@ -141,26 +157,89 @@ def contention_by_formula(cluster) -> float:
     return 1.0 + config.contention_coeff * excess
 
 
-def draw_plan_by_profile(manager) -> dict:
-    """What each stage's task start draws with, read off ``behavior``."""
+# ----------------------------------------------------------------------
+# An attempt's draws as the job manager made them before its stage
+# closures, kept verbatim: the plan the behavior setter built, the lines
+# _start_task and _start_wave each spelled out, and the machine pick.
+# ----------------------------------------------------------------------
+
+
+def replaced_draw_plan(graph, profile) -> dict:
     plan = {}
-    for stage in manager.graph.stages:
-        sp = manager.behavior.stage(stage.name)
-        plan[stage.name] = (sp.runtime.sample, sp.init.sample, sp.failure_prob)
+    for stage in graph.stages:
+        sp = profile.stage(stage.name)
+        plan[stage.name] = (
+            sp.runtime.sample, sp.init.sample, sp.failure_prob
+        )
     return plan
+
+
+def replaced_pick_up_machine(park, rng) -> int:
+    """Uniformly choose an up machine for task placement."""
+    if len(park._down) == park.num_machines:
+        raise MachineError("no machines up")
+    while True:
+        m = int(rng.integers(0, park.num_machines))
+        if m not in park._down:
+            return m
+
+
+def replaced_attempt(plan, stage_name, rng, contention, park):
+    """``(runtime, will_fail, machine)`` of one start."""
+    sample_runtime, sample_init, failure_prob = plan[stage_name]
+    runtime = sample_runtime(rng) + sample_init(rng)
+    runtime *= contention
+    will_fail = failure_prob > 0 and rng.random() < failure_prob
+    if will_fail:
+        runtime *= 0.05 + (0.95 - 0.05) * rng.random()
+    machine = replaced_pick_up_machine(park, rng)
+    return runtime, will_fail, machine
+
+
+def attempt(draw, contention, park, below):
+    """The same start through a stage closure, as ``_start_task`` does."""
+    runtime, done = draw()
+    runtime *= contention
+    will_fail = done is not None
+    if will_fail:
+        runtime *= done
+    return runtime, will_fail, park.pick_up_machine(below)
+
+
+def assert_draws_are_the_profiles(manager, attempts=20) -> None:
+    """Each stage's closure makes, on the manager's own stream, the starts
+    the replaced plan read off ``behavior`` makes; the stream is put back."""
+    rng = manager._rng
+    saved = rng.bit_generator.state
+    plan = replaced_draw_plan(manager.graph, manager.behavior)
+    contention = manager.cluster.contention_factor
+    park = manager.cluster.machines
+    for stage_name, draw in manager._attempt_draws.items():
+        ours = [attempt(draw, contention, park, manager._below) for _ in range(attempts)]
+        rng.bit_generator.state = saved
+        theirs = [
+            replaced_attempt(plan, stage_name, rng, contention, park)
+            for _ in range(attempts)
+        ]
+        rng.bit_generator.state = saved
+        assert ours == theirs
+    assert list(manager._attempt_draws) == list(plan)
 
 
 class TestBookkeepingCounters:
     """After every dispatched event the job manager's counters equal the
     scans over ``_running`` they replaced, and the values it and the
-    cluster keep (contention factor, draw plan) equal the formulas they
-    replaced — through speculation, an eviction storm with a token-supply
-    shock, rack failures, profile drift and a background surge."""
+    cluster keep (contention factor, stage closures) equal the formulas and
+    draws they replaced — through speculation, an eviction storm with a
+    token-supply shock, rack failures, profile drift and a background
+    surge.  The closures are rebuilt exactly when ``behavior`` is
+    reassigned, and are then checked against the replaced draw lines."""
 
     @pytest.mark.parametrize("case", CASES, ids=case_id)
     def test_counters_equal_scans_after_every_event(self, case, monkeypatch):
         def stepping_run(manager, *, max_seconds):
             cluster = manager.cluster
+            profile, draws = None, None
             while not manager.finished:
                 assert manager.sim.step(), "event queue drained before the job"
                 running = manager._running
@@ -171,7 +250,12 @@ class TestBookkeepingCounters:
                     t.is_duplicate for t in running
                 )
                 assert cluster.contention_factor == contention_by_formula(cluster)
-                assert manager._draw_plan == draw_plan_by_profile(manager)
+                if manager.behavior is profile:
+                    assert manager._attempt_draws is draws
+                else:
+                    assert manager._attempt_draws is not draws
+                    assert_draws_are_the_profiles(manager)
+                    profile, draws = manager.behavior, manager._attempt_draws
             return manager.trace
 
         monkeypatch.setattr(runner, "run_to_completion", stepping_run)
@@ -205,3 +289,52 @@ class TestReadsMoveNothing:
         monkeypatch.setattr(runner, "run_to_completion", reading_run)
         assert trace_digests(run_case(case)) == TestGoldenPins.PINS[case_id(case)]
         assert any(unsettled_reads)
+
+
+stage_runtimes = st.one_of(
+    st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 1.5),
+              st.sampled_from([0.0, 0.05, 0.3]), st.floats(1.0, 8.0),
+              st.floats(1.0, 500.0), st.floats(0.2, 5.0)).map(
+        # The workload generator's chain.
+        lambda a: Scaled(Truncated(WithOutliers(LogNormal(a[0], a[1]), a[2], a[3]), a[4]), a[5])
+    ),
+    st.lists(st.floats(0.0, 100.0), min_size=1, max_size=5).map(Empirical),
+    st.floats(0.0, 100.0).map(Constant),
+)
+stage_inits = st.one_of(
+    st.just(Constant(0.0)),
+    st.floats(0.0, 10.0).map(lambda v: Scaled(Uniform(0.5 * v, 1.5 * v), 1.3)),
+)
+
+
+class TestAttemptDrawsAreTheReplacedLines:
+    """A stage closure, with the caller's contention and pick, makes the
+    starts the replaced lines make on a twin stream, and leaves the stream
+    where they leave it."""
+
+    @given(
+        runtime=stage_runtimes,
+        init=stage_inits,
+        failure_prob=st.sampled_from([0.0, 0.01, 0.2, 0.9]),
+        contention=st.floats(1.0, 3.0),
+        machines=st.integers(1, 300),
+        down=st.lists(st.integers(0, 299), max_size=20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equal_starts(self, runtime, init, failure_prob, contention,
+                          machines, down, seed):
+        stage = StageProfile("s", runtime, init=init, failure_prob=failure_prob)
+        park = MachinePark(machines, 1)
+        for m in down:
+            if m < machines - 1:
+                park.fail(m)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        below = scalar_draws(ours)[1]
+        draw = attempt_draws(stage, ours)
+        plan = {"s": (runtime.sample, init.sample, failure_prob)}
+        for _ in range(40):
+            assert attempt(draw, contention, park, below) == replaced_attempt(
+                plan, "s", theirs, contention, park
+            )
+        assert ours.random() == theirs.random()
+        assert ours.integers(0, 2**32) == theirs.integers(0, 2**32)

@@ -289,3 +289,64 @@ class TestScaled:
     def test_non_finite_factor(self, factor):
         with pytest.raises(DistributionError, match="positive and finite"):
             Scaled(Constant(1.0), factor)
+
+
+# ----------------------------------------------------------------------
+# drawer(rng) against sample(rng), bit for bit
+# ----------------------------------------------------------------------
+
+finite = dict(allow_nan=False, allow_infinity=False)
+leaves = st.one_of(
+    st.floats(0.0, 1e6, **finite).map(Constant),
+    st.tuples(st.floats(0.0, 1e6, **finite), st.floats(0.0, 1e6, **finite)).map(
+        lambda lw: Uniform(lw[0], lw[0] + lw[1])
+    ),
+    # low == high: a uniform that still consumes one double per draw.
+    st.floats(0.0, 1e6, **finite).map(lambda v: Uniform(v, v)),
+    st.floats(1e-3, 1e6, **finite).map(Exponential),
+    st.tuples(st.floats(-5.0, 5.0, **finite), st.floats(0.0, 3.0, **finite)).map(
+        lambda ms: LogNormal(*ms)
+    ),
+    st.lists(st.floats(0.0, 1e6, **finite), min_size=1, max_size=6).map(Empirical),
+)
+distributions = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+                  st.floats(1.0, 20.0, **finite)).map(lambda a: WithOutliers(*a)),
+        st.tuples(inner, st.floats(1e-3, 1e6, **finite)).map(lambda a: Truncated(*a)),
+        st.tuples(inner, st.floats(1e-3, 1e3, **finite)).map(lambda a: Scaled(*a)),
+    ),
+    max_leaves=4,
+)
+#: Generator calls made on both sides between draws: they take or leave
+#: PCG64's cached 32-bit half-word, which an ``Empirical`` draw also uses.
+between = st.lists(st.sampled_from([None, "random", "integers"]), max_size=40)
+
+
+class TestDrawerIsSample:
+    @given(dist=distributions, seed=st.integers(0, 2**32 - 1), plan=between)
+    def test_drawer_is_sample_bit_for_bit(self, dist, seed, plan):
+        """Each call of ``dist.drawer(rng)`` returns the value ``dist.sample``
+        returns on a twin Generator and leaves the stream where it leaves
+        it, through nested chains, zero outlier probability, ``low ==
+        high`` and one-value traces."""
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        draw = dist.drawer(ours)
+        for step in plan + [None] * 10:
+            got, want = draw(), dist.sample(numpys)
+            assert got == want and type(got) is type(want)
+            if step == "random":
+                assert ours.random() == numpys.random()
+            elif step == "integers":
+                assert ours.integers(0, 5) == numpys.integers(0, 5)
+        assert ours.random() == numpys.random()
+        assert ours.integers(0, 2**32) == numpys.integers(0, 2**32)
+
+    def test_no_closure_is_kept_on_the_distribution(self):
+        dist = Scaled(Truncated(WithOutliers(LogNormal(1.0, 0.5), 0.1, 4.0), 9.0), 2.0)
+        empirical = Empirical([1.0, 2.0])
+        before = (dict(vars(dist)), dict(vars(empirical)))
+        dist.drawer(np.random.default_rng(0))
+        empirical.drawer(np.random.default_rng(0))
+        assert (vars(dist), vars(empirical)) == before
