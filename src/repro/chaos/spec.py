@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro import persist
+from repro.settable import Amount, Fraction, NonNegative, Positive, check
 
 
 class ChaosError(ValueError):
@@ -37,22 +38,18 @@ class RackFailure:
     independent Poisson crashes :class:`~repro.cluster.failures.FailureInjector`
     already models."""
 
-    at: float
-    count: int = 4
+    at: NonNegative
+    #: An amount, not a count: ``intensity`` 0 rounds it to 0.
+    count: Amount = 4
     #: Explicit machine ids; empty means "a contiguous block of ``count``
     #: machines starting at ``first_machine`` (or a seeded random start)".
     machines: Tuple[int, ...] = ()
-    first_machine: Optional[int] = None
-    repair_seconds: float = 300.0
+    first_machine: Optional[Amount] = None
+    repair_seconds: Positive = 300.0
 
     def __post_init__(self):
         object.__setattr__(self, "machines", tuple(self.machines))
-        if self.at < 0:
-            raise ChaosError(f"rack failure at negative time {self.at!r}")
-        if self.count < 0:
-            raise ChaosError(f"negative rack failure count {self.count!r}")
-        if self.repair_seconds <= 0:
-            raise ChaosError("rack repair time must be positive")
+        check(self, ChaosError)
 
 
 @dataclass(frozen=True)
@@ -60,21 +57,16 @@ class EvictionStorm:
     """A heavyweight competitor floods the spare-token market during
     [start, end): the SLO job's spare-token tasks get squeezed out."""
 
-    start: float
-    end: float
+    start: NonNegative
+    end: NonNegative
     #: Peak demand as a fraction of pool capacity.
-    demand_fraction: float = 0.5
-    weight: float = 2000.0
+    demand_fraction: Fraction = 0.5
+    weight: Positive = 2000.0
 
     def __post_init__(self):
-        if self.start < 0 or self.end < self.start:
+        check(self, ChaosError)
+        if self.end < self.start:
             raise ChaosError(f"bad storm window [{self.start}, {self.end})")
-        if not 0 <= self.demand_fraction <= 1:
-            raise ChaosError(
-                f"storm demand fraction {self.demand_fraction!r} not in [0, 1]"
-            )
-        if self.weight <= 0:
-            raise ChaosError("storm weight must be positive")
 
 
 @dataclass(frozen=True)
@@ -83,19 +75,15 @@ class TokenShock:
     [start, end), shrinking the headroom the arbiter can grant the SLO
     job — its allocation requests come back clamped."""
 
-    start: float
-    end: float
+    start: NonNegative
+    end: NonNegative
     #: Guaranteed tokens seized, as a fraction of pool capacity.
-    guaranteed_fraction: float = 0.4
+    guaranteed_fraction: Fraction = 0.4
 
     def __post_init__(self):
-        if self.start < 0 or self.end < self.start:
+        check(self, ChaosError)
+        if self.end < self.start:
             raise ChaosError(f"bad shock window [{self.start}, {self.end})")
-        if not 0 <= self.guaranteed_fraction <= 1:
-            raise ChaosError(
-                f"shock guaranteed fraction {self.guaranteed_fraction!r} "
-                "not in [0, 1]"
-            )
 
 
 @dataclass(frozen=True)
@@ -103,17 +91,14 @@ class ProfileDrift:
     """At time ``at`` the live job's task costs drift away from the trained
     profile by ``factor`` (input growth, hot data node, code regression)."""
 
-    at: float
-    factor: float = 1.5
+    at: NonNegative
+    factor: Positive = 1.5
     #: Stages to scale; empty means every stage.
     stages: Tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "stages", tuple(self.stages))
-        if self.at < 0:
-            raise ChaosError(f"profile drift at negative time {self.at!r}")
-        if self.factor <= 0:
-            raise ChaosError(f"drift factor must be positive, got {self.factor!r}")
+        check(self, ChaosError)
 
 
 @dataclass(frozen=True)
@@ -121,9 +106,9 @@ class ControlFaults:
     """Control-plane misbehaviour: allocator ticks dropped or delayed, and
     windows where the C(p, a) predictor is unreachable entirely."""
 
-    drop_tick_prob: float = 0.0
-    delay_tick_prob: float = 0.0
-    delay_seconds: float = 20.0
+    drop_tick_prob: Fraction = 0.0
+    delay_tick_prob: Fraction = 0.0
+    delay_seconds: NonNegative = 20.0
     #: [start, end) windows where the predictor raises
     #: :class:`~repro.core.control.PredictorUnavailable`.
     blackouts: Tuple[Tuple[float, float], ...] = ()
@@ -132,16 +117,9 @@ class ControlFaults:
         object.__setattr__(
             self, "blackouts", tuple((float(s), float(e)) for s, e in self.blackouts)
         )
-        for prob, label in (
-            (self.drop_tick_prob, "drop_tick_prob"),
-            (self.delay_tick_prob, "delay_tick_prob"),
-        ):
-            if not 0 <= prob <= 1:
-                raise ChaosError(f"{label} {prob!r} not in [0, 1]")
+        check(self, ChaosError)
         if self.drop_tick_prob + self.delay_tick_prob > 1:
             raise ChaosError("drop_tick_prob + delay_tick_prob exceeds 1")
-        if self.delay_seconds < 0:
-            raise ChaosError("tick delay must be >= 0")
         for start, end in self.blackouts:
             if start < 0 or end < start:
                 raise ChaosError(f"bad blackout window [{start}, {end})")
@@ -152,7 +130,7 @@ class ChaosSpec:
     """A full chaos schedule for one run."""
 
     name: str = "chaos"
-    intensity: float = 1.0
+    intensity: NonNegative = 1.0
     rack_failures: Tuple[RackFailure, ...] = ()
     eviction_storms: Tuple[EvictionStorm, ...] = ()
     token_shocks: Tuple[TokenShock, ...] = ()
@@ -163,8 +141,7 @@ class ChaosSpec:
         for attr in ("rack_failures", "eviction_storms", "token_shocks",
                      "profile_drifts"):
             object.__setattr__(self, attr, tuple(getattr(self, attr)))
-        if self.intensity < 0:
-            raise ChaosError(f"negative intensity {self.intensity!r}")
+        check(self, ChaosError)
 
     # ------------------------------------------------------------------
 
@@ -226,9 +203,7 @@ class ChaosSpec:
                             f"rack failure references unknown machine "
                             f"{machine} (cluster has {num_machines})"
                         )
-                if rf.first_machine is not None and not (
-                    0 <= rf.first_machine < num_machines
-                ):
+                if rf.first_machine is not None and rf.first_machine >= num_machines:
                     raise ChaosError(
                         f"rack failure starts at unknown machine "
                         f"{rf.first_machine} (cluster has {num_machines})"

@@ -14,6 +14,7 @@ from repro.cluster.background import BackgroundLoad, LoadEpisode, SpareSoaker
 from repro.cluster.failures import FailureInjector
 from repro.cluster.machine import MachinePark
 from repro.cluster.tokens import TokenPool
+from repro.settable import Amount, Count, Fraction, NonNegative, Positive, check
 from repro.simkit.events import Simulator
 from repro.simkit.random import RngRegistry
 
@@ -29,26 +30,29 @@ class ClusterConfig:
     guaranteed slice (§5.1) is exactly what remains reservable for them.
     """
 
-    num_machines: int = 100
-    slots_per_machine: int = 4
-    background_guaranteed: int = 300
-    background_mean_demand: Optional[float] = 430.0
-    background_min_demand: int = 280
-    background_max_demand: Optional[int] = 620
-    background_volatility: float = 0.20
-    background_mean_reversion: float = 0.3
-    background_resample_seconds: float = 45.0
-    machine_mtbf_seconds: Optional[float] = 200_000.0
-    repair_seconds: float = 300.0
+    num_machines: Count = 100
+    slots_per_machine: Count = 4
+    background_guaranteed: Amount = 300
+    background_mean_demand: Optional[NonNegative] = 430.0
+    background_min_demand: Amount = 280
+    background_max_demand: Optional[Amount] = 620
+    background_volatility: NonNegative = 0.20
+    background_mean_reversion: Fraction = 0.3
+    background_resample_seconds: Positive = 45.0
+    machine_mtbf_seconds: Optional[Positive] = 200_000.0
+    repair_seconds: Positive = 300.0
     #: Aggregate fair-share weight of all *other* jobs with pending tasks;
     #: they compete with SLO jobs for spare tokens (0 disables).
-    spare_soaker_weight: float = 400.0
+    spare_soaker_weight: NonNegative = 400.0
     #: Tokens guarantee a task's CPU and memory but *not* network bandwidth
     #: or disk queue priority (§2.1).  When aggregate demand oversubscribes
     #: the cluster, every task — guaranteed or spare — slows down:
     #: runtime multiplier = 1 + coeff * max(0, demand/capacity - threshold).
-    contention_coeff: float = 1.3
-    contention_threshold: float = 1.0
+    contention_coeff: NonNegative = 1.3
+    contention_threshold: NonNegative = 1.0
+
+    def __post_init__(self):
+        check(self, ValueError)
 
     @property
     def total_slots(self) -> int:

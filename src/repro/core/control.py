@@ -24,7 +24,6 @@ each decision leaves exactly one :class:`~repro.telemetry.audit.TickRecord`
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Protocol, Sequence, Tuple
@@ -32,7 +31,7 @@ from typing import List, Mapping, Optional, Protocol, Sequence, Tuple
 from repro.core.cpa import CpaTable
 from repro.core.utility import PiecewiseLinearUtility
 from repro.perf import instrument as _perf
-from repro.settable import is_count
+from repro.settable import Count, NonNegative, Positive, check, refuse
 from repro.telemetry import audit as _audit
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import predict as _predict
@@ -184,33 +183,26 @@ class ControlConfig:
     """Paper-default parameters (§5.1): 1-minute period, slack 1.2,
     hysteresis 0.2, 3-minute dead zone."""
 
-    period_seconds: float = 60.0
-    slack: float = 1.2
-    hysteresis: float = 0.2
-    dead_zone_seconds: float = 180.0
-    min_tokens: int = 1
-    max_tokens: int = 100
-    allocation_step: int = 5
+    period_seconds: Positive = 60.0
+    slack: Positive = 1.2
+    hysteresis: Positive = 0.2
+    dead_zone_seconds: NonNegative = 180.0
+    min_tokens: Count = 1
+    max_tokens: Count = 100
+    allocation_step: Count = 5
     #: When the predictor is unavailable, reuse the last successful
     #: per-candidate predictions for up to this long (then hold).
-    fallback_staleness_seconds: float = 600.0
+    fallback_staleness_seconds: NonNegative = 600.0
     #: False disables the last-known-good fallback entirely (ablation):
     #: predictor outages freeze the allocation at its current value.
     degraded_fallback: bool = True
 
     def __post_init__(self):
-        for name, ok, rule in (
-            ("period_seconds", 0 < self.period_seconds < math.inf, "positive and finite"),
-            ("slack", 1.0 <= self.slack < math.inf, "finite and >= 1"),
-            ("hysteresis", 0 < self.hysteresis <= 1, "in (0, 1]"),
-            ("dead_zone_seconds", self.dead_zone_seconds >= 0, ">= 0"),
-            ("fallback_staleness_seconds", self.fallback_staleness_seconds >= 0, ">= 0"),
-            ("min_tokens", is_count(self.min_tokens), "an integer >= 1"),
-            ("max_tokens", is_count(self.max_tokens), "an integer >= 1"),
-            ("allocation_step", is_count(self.allocation_step), "an integer >= 1"),
-        ):
-            if not ok:
-                raise ControlError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        check(self, ControlError)
+        if self.slack < 1:
+            refuse(self, "slack", ">= 1", ControlError)
+        if self.hysteresis > 1:
+            refuse(self, "hysteresis", "in (0, 1]", ControlError)
         if self.min_tokens > self.max_tokens:
             raise ControlError(f"min_tokens {self.min_tokens} exceeds max_tokens {self.max_tokens}")
 

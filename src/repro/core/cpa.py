@@ -42,6 +42,7 @@ import numpy as np
 from repro.core.simulator import simulate_job
 from repro.jobs.profiles import JobProfile
 from repro.parallel import parallel_map
+from repro.settable import is_positive_finite
 from repro.simkit.random import derive_seed
 
 
@@ -219,7 +220,7 @@ class CpaTable:
             raise CpaError("need at least one repetition")
         if num_bins < 2:
             raise CpaError("need at least two progress bins")
-        if not (sample_dt > 0 and math.isfinite(sample_dt)):
+        if not is_positive_finite(sample_dt):
             raise CpaError(f"sample_dt must be finite and > 0, got {sample_dt!r}")
         if seed is not None:
             base_seed = int(seed)

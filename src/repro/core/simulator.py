@@ -15,7 +15,6 @@ contributes one ``(p_t, T − t)`` sample per sampling interval.
 from __future__ import annotations
 
 import heapq
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -24,6 +23,7 @@ import numpy as np
 
 from repro.jobs.dag import DependencyTracker
 from repro.jobs.profiles import JobProfile, StageProfile
+from repro.settable import is_positive_finite
 from repro.simkit import distributions as _dist
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
@@ -132,7 +132,7 @@ def simulate_job(
     """
     if allocation < 1:
         raise SimulatorError(f"allocation must be >= 1, got {allocation}")
-    if not (sample_dt > 0 and math.isfinite(sample_dt)):
+    if not is_positive_finite(sample_dt):
         raise SimulatorError(
             f"sample_dt must be finite and > 0, got {sample_dt!r}"
         )

@@ -8,10 +8,11 @@ to −1000 a thousand minutes later.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Tuple
+
+from repro.settable import is_positive_finite
 
 
 class UtilityError(ValueError):
@@ -80,7 +81,7 @@ def deadline_utility(deadline_seconds: float) -> PiecewiseLinearUtility:
     """The paper's experimental utility for a deadline of ``d``: through
     (0, 1), (d, 1), (d + 10 min, −1), (d + 1000 min, −1000)."""
     d = float(deadline_seconds)
-    if not (math.isfinite(d) and d > 0):
+    if not is_positive_finite(d):
         raise UtilityError(
             f"deadline must be positive and finite, got {deadline_seconds!r}"
         )

@@ -29,7 +29,7 @@ from repro.jobs.trace import RunTrace
 from repro.parallel import parallel_map
 from repro.runtime.jobmanager import JobManager, run_to_completion
 from repro.runtime.speculation import SpeculationConfig
-from repro.settable import is_positive_finite
+from repro.settable import Amount, Positive, check
 from repro.simkit.events import Simulator
 from repro.simkit.random import RngRegistry, derive_seed
 from repro.telemetry.audit import PHASE_TICK, TickRecord
@@ -51,12 +51,12 @@ def sample_runtime_scale(rng: np.random.Generator) -> float:
 class RunConfig:
     """Everything that varies per experiment run."""
 
-    deadline_seconds: float
-    seed: int = 0
-    runtime_scale: Optional[float] = None   # None -> sample per seed
+    deadline_seconds: Positive
+    seed: Amount = 0
+    runtime_scale: Optional[Positive] = None   # None -> sample per seed
     cluster: ClusterConfig = ClusterConfig()
     episodes: Tuple[LoadEpisode, ...] = ()
-    control_period: float = 60.0
+    control_period: Positive = 60.0
     #: Scripted mid-run deadline changes: (at_seconds, new_deadline_seconds).
     deadline_changes: Tuple[Tuple[float, float], ...] = ()
     #: Sample a per-run "cluster day" (mean background demand): busy days
@@ -71,14 +71,7 @@ class RunConfig:
     chaos: Optional[ChaosSpec] = None
 
     def __post_init__(self):
-        checked = [("control_period", self.control_period)]
-        if self.runtime_scale is not None:  # None: sampled per seed
-            checked.append(("runtime_scale", self.runtime_scale))
-        for name, value in checked:
-            if not is_positive_finite(value):
-                raise ValueError(
-                    f"RunConfig.{name} must be positive and finite, got {value!r}"
-                )
+        check(self, ValueError)
 
 
 #: Virtual seconds an experiment run (one job, or a multi-job run) may take

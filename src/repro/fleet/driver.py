@@ -63,6 +63,7 @@ from repro.fleet.update import (
     resolve_profile,
 )
 from repro.jobs.workloads import named_job
+from repro.settable import Amount, Count, Positive, check, refuse
 from repro.simkit.random import derive_seed
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import predict as _predict
@@ -118,7 +119,7 @@ class FleetTemplate:
 class FleetConfig:
     """Everything that shapes one fleet simulation."""
 
-    days: int = 5
+    days: Count = 5
     model_mode: str = "ewma"
     #: Ground-truth drift: ``at`` is the first **day index** the drifted
     #: profile applies (None = no drift).
@@ -126,8 +127,8 @@ class FleetConfig:
     scale: Scale = SMOKE
     #: Deadline = trim x headroom x fastest-feasible from the bootstrap
     #: model; < 1 tightens the budget so staleness has consequences.
-    deadline_trim: float = 0.85
-    seed: int = 0
+    deadline_trim: Positive = 0.85
+    seed: Amount = 0
     #: Store root; None = a private temp dir, discarded after the run.
     store_root: Optional[str] = None
     #: Retain each template's final-day ExperimentResult (heavy) — the CLI
@@ -135,15 +136,14 @@ class FleetConfig:
     keep_last_result: bool = False
 
     def __post_init__(self):
-        if self.days < 1:
-            raise FleetError("days must be >= 1")
+        check(self, FleetError)
         if self.model_mode not in MODEL_MODES:
             raise FleetError(
                 f"unknown model mode {self.model_mode!r} "
                 f"(choose from {', '.join(MODEL_MODES)})"
             )
-        if not 0 < self.deadline_trim <= 1.5:
-            raise FleetError("deadline_trim must be in (0, 1.5]")
+        if self.deadline_trim > 1.5:
+            refuse(self, "deadline_trim", "in (0, 1.5]", FleetError)
 
 
 @dataclass(frozen=True)

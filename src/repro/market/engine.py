@@ -34,7 +34,6 @@ boundary, so million-job arrival schedules stay cheap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -44,7 +43,7 @@ from repro.core.utility import deadline_utility
 from repro.market.admission import MarketAdmission
 from repro.market.arbiter import BidBook, Clearing, MarketArbiter, concave_marginals
 from repro.market.tenant import JobSpec, MarketError, MarketJob, Tenant
-from repro.settable import is_count
+from repro.settable import Count, Positive, check, refuse
 from repro.telemetry import metrics as _metrics
 
 MARKET_MODES = ("pooled", "split")
@@ -99,29 +98,20 @@ def _utility_at(lateness: np.ndarray) -> np.ndarray:
 class MarketConfig:
     """Knobs for one market run."""
 
-    capacity: int = 200
+    capacity: Count = 200
     mode: str = "pooled"
-    tick_seconds: float = 60.0
-    slack: float = 1.2
+    tick_seconds: Positive = 60.0
+    slack: Positive = 1.2
     #: Hard stop: a run that exceeds this many ticks raises (admitted
     #: jobs always drain ≥ 1 token/tick, so hitting it means a bug).
-    max_ticks: int = 200_000
+    max_ticks: Count = 200_000
 
     def __post_init__(self):
-        if not is_count(self.capacity):
-            raise MarketError(
-                f"capacity must be an integer >= 1, got {self.capacity!r}"
-            )
+        check(self, MarketError)
         if self.mode not in MARKET_MODES:
-            raise MarketError(
-                f"mode must be one of {MARKET_MODES}, got {self.mode!r}"
-            )
-        if not 0 < self.tick_seconds < math.inf:
-            raise MarketError(
-                f"tick_seconds must be positive and finite, got {self.tick_seconds!r}"
-            )
-        if not 1.0 <= self.slack < math.inf:
-            raise MarketError(f"slack must be finite and >= 1, got {self.slack!r}")
+            refuse(self, "mode", f"one of {MARKET_MODES}", MarketError)
+        if self.slack < 1:
+            refuse(self, "slack", ">= 1", MarketError)
 
 
 @dataclass

@@ -92,7 +92,8 @@ def spec_schema(cls) -> Dict[str, Any]:
 def spec_object(data, cls, error: Type[ValueError], *, path: str = ""):
     """``cls(**fields)`` for the dataclass ``cls`` decoded from ``data`` by
     :func:`spec_fields` over :func:`spec_schema`; a field without a default
-    is required, and range checks stay in ``cls.__post_init__``."""
+    is required, and range checks stay in ``cls.__post_init__`` (its
+    ``settable.check`` and the rules no kind expresses)."""
     required = [
         f.name for f in dataclasses.fields(cls)
         if f.init and f.default is dataclasses.MISSING

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.settable import Count, NonNegative, Positive, check, refuse
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
 
@@ -69,29 +70,24 @@ class SpeculationConfig:
     """Straggler-mitigation policy knobs."""
 
     #: How often to scan running tasks for stragglers.
-    check_period_seconds: float = 30.0
+    check_period_seconds: Positive = 30.0
     #: An attempt is a straggler once it has run ``slowdown_factor`` times
     #: the stage's observed median duration.
-    slowdown_factor: float = 2.0
+    slowdown_factor: Positive = 2.0
     #: Never speculate on tasks younger than this (cheap tasks finish
     #: before the duplicate would help).
-    min_task_seconds: float = 20.0
+    min_task_seconds: NonNegative = 20.0
     #: Completed tasks needed in a stage before its median is trusted.
-    min_observations: int = 3
+    min_observations: Count = 3
     #: At most this fraction of the current grant may run duplicates.
-    max_duplicate_fraction: float = 0.2
+    max_duplicate_fraction: Positive = 0.2
 
     def __post_init__(self):
-        if self.check_period_seconds <= 0:
-            raise ValueError("check period must be positive")
-        if self.slowdown_factor <= 1.0:
-            raise ValueError("slowdown factor must exceed 1")
-        if self.min_task_seconds < 0:
-            raise ValueError("min task seconds must be >= 0")
-        if self.min_observations < 1:
-            raise ValueError("need >= 1 observation")
-        if not 0 < self.max_duplicate_fraction <= 1:
-            raise ValueError("max duplicate fraction must be in (0, 1]")
+        check(self, ValueError)
+        if self.slowdown_factor <= 1:
+            refuse(self, "slowdown_factor", "> 1", ValueError)
+        if self.max_duplicate_fraction > 1:
+            refuse(self, "max_duplicate_fraction", "in (0, 1]", ValueError)
 
 
 __all__ = ["SpeculationConfig", "SpeculationScan", "record_scan"]

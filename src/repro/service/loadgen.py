@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -23,6 +22,7 @@ import numpy as np
 
 from repro.perf.digest import write_digest
 from repro.service.client import ServiceClient, ServiceClientError
+from repro.settable import Amount, Count, NonNegative, Positive, check, refuse
 from repro.simkit.random import derive_seed
 
 #: Digest kind stamped into every loadgen attainment digest.
@@ -37,15 +37,16 @@ class LoadgenError(RuntimeError):
 class LoadgenConfig:
     """One load-generation campaign against one arbiter."""
 
-    jobs: int = 20
-    seed: int = 0
+    jobs: Count = 20
+    seed: Amount = 0
     templates: Tuple[str, ...] = ("mapreduce",)
     tenant: str = "default"
     policy: str = "jockey"
     #: Mean inter-arrival gap in *virtual* seconds (exponential draws).
     #: At the default rate roughly two jobs overlap, so the arbiter is
-    #: busy but keeps adaptation headroom below its token capacity.
-    mean_interarrival: float = 180.0
+    #: busy but keeps adaptation headroom below its token capacity; 0
+    #: submits every job in one burst.
+    mean_interarrival: NonNegative = 180.0
     #: Per-job deadline = factor * the template's min feasible duration;
     #: factors drawn uniformly from this range.  Keep the lower bound
     #: comfortably above 1.0 so the workload is admissible by design,
@@ -53,23 +54,15 @@ class LoadgenConfig:
     #: simulation-trained model cannot see.
     deadline_factors: Tuple[float, float] = (3.0, 6.0)
     #: Wall-clock budget for the whole campaign (submit + drain).
-    timeout: float = 300.0
+    timeout: Positive = 300.0
 
     def __post_init__(self):
-        if self.jobs < 1:
-            raise LoadgenError(f"jobs must be >= 1, got {self.jobs!r}")
+        check(self, LoadgenError)
         if not self.templates:
             raise LoadgenError("need at least one template")
         lo, hi = self.deadline_factors
         if not 1.0 <= lo <= hi:
-            raise LoadgenError(
-                f"deadline factors must satisfy 1 <= lo <= hi, got {lo}, {hi}"
-            )
-        if not 0 <= self.mean_interarrival < math.inf:      # 0: one burst
-            raise LoadgenError(f"mean_interarrival must be >= 0 and finite, "
-                               f"got {self.mean_interarrival!r}")
-        if not 0 < self.timeout < math.inf:
-            raise LoadgenError(f"timeout must be positive and finite, got {self.timeout!r}")
+            refuse(self, "deadline_factors", "(lo, hi) with 1 <= lo <= hi", LoadgenError)
 
 
 @dataclass(frozen=True)

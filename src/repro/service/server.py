@@ -79,7 +79,7 @@ from repro.market.tenant import MarketError, Tenant
 from repro.runtime.jobmanager import JobSnapshot
 from repro.service.client import HeadError, read_head
 from repro.service.models import TemplateError, TemplateModelStore, TrainedTemplate
-from repro.settable import is_count
+from repro.settable import Amount, Count, Positive, check, is_count, refuse
 from repro.simkit.random import derive_seed
 from repro.telemetry import metrics as _metrics
 from repro.telemetry.audit import TickRecord
@@ -153,7 +153,7 @@ class ServiceConfig:
     """
 
     host: str = "127.0.0.1"
-    port: int = 0
+    port: Amount = 0
     #: Guaranteed-token capacity of the experimental slice.  Sized so a
     #: small host can physically deliver it: every running token costs
     #: one HTTP completion round-trip per task.  Measured closed-loop
@@ -161,21 +161,21 @@ class ServiceConfig:
     #: ``service_saturate`` workload of benchmarks/ladder, ``work_per_s``):
     #: ~870 completions per wall second with a TCP connection per
     #: request, ~1 340 on persistent connections.
-    capacity_tokens: int = 40
+    capacity_tokens: Count = 40
     #: Control period in virtual seconds (the paper re-plans every ~10 s
     #: of job time; profiles here live on a minutes scale).  Re-planning
     #: holds the service lock, so much shorter periods steal wall time
     #: from the completion path on small hosts.
-    tick_seconds: float = 60.0
+    tick_seconds: Positive = 60.0
     #: Wall seconds per virtual second (0.02 -> 50x compression).
     #: Deeper compression is possible but squeezes HTTP round-trip
     #: latency into ever-larger *virtual* overheads per task, opening a
     #: gap between the simulation-trained C(p, a) model and live runs.
-    time_scale: float = 0.02
+    time_scale: Positive = 0.02
     #: Wall seconds of silence before a worker is declared lost.
-    heartbeat_timeout: float = 5.0
-    max_task_attempts: int = 4
-    seed: int = 0
+    heartbeat_timeout: Positive = 5.0
+    max_task_attempts: Count = 4
+    seed: Amount = 0
     #: (tenant, quota) pairs; empty means one "default" tenant owning the
     #: whole capacity.
     tenants: Tuple[Tuple[str, int], ...] = ()
@@ -188,17 +188,9 @@ class ServiceConfig:
     control_faults: Optional[ControlFaults] = None
 
     def __post_init__(self):
-        counts = [("capacity_tokens", self.capacity_tokens),
-                  ("max_task_attempts", self.max_task_attempts)]
-        for name, value in counts + [(f"tenants: quota of {t!r}", q) for t, q in self.tenants]:
-            if not is_count(value):
-                raise ServiceError(f"{name} must be an integer >= 1, got {value!r}")
-        for name in ("tick_seconds", "time_scale", "heartbeat_timeout"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ServiceError(
-                    f"{name} must be positive and finite, got {value!r}"
-                )
+        check(self, ServiceError)
+        if not all(is_count(quota) for _tenant, quota in self.tenants):
+            refuse(self, "tenants", "(name, integer >= 1) pairs", ServiceError)
 
     @property
     def effective_poll_seconds(self) -> float:

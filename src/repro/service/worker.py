@@ -21,22 +21,22 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.service.client import ServiceClient, ServiceClientError
+from repro.settable import Count, Positive, check
 
 
 @dataclass(frozen=True)
 class WorkerConfig:
     url: str
     name: str = "worker"
-    slots: int = 20
+    slots: Count = 20
     #: Wall-seconds cap on one subprocess task (safety net; sleep tasks
     #: are bounded by construction).
-    command_timeout: float = 300.0
+    command_timeout: Positive = 300.0
     #: Give up after this many consecutive failed calls to the arbiter.
-    max_connect_failures: int = 20
+    max_connect_failures: Count = 20
 
     def __post_init__(self):
-        if self.slots < 1:
-            raise ValueError(f"slots must be >= 1, got {self.slots!r}")
+        check(self, ValueError)
         if not self.url:
             raise ValueError("worker needs the arbiter url")
 

@@ -13,7 +13,9 @@ simulated job under it, and checks:
 """
 
 import dataclasses
+import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -218,6 +220,20 @@ class TestChaosRunInvariants:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("build, named", [
+        (lambda: RackFailure(at=math.nan), "RackFailure.at"),
+        (lambda: RackFailure(at=10.0, repair_seconds=math.nan),
+         "RackFailure.repair_seconds"),
+        (lambda: ChaosSpec(intensity=math.nan), "ChaosSpec.intensity"),
+        # Once folded in by effective(), inf made round() overflow.
+        (lambda: ChaosSpec(intensity=math.inf,
+                           rack_failures=(RackFailure(at=10.0),)).effective(),
+         "ChaosSpec.intensity"),
+    ], ids=["rack-at-nan", "rack-repair-nan", "intensity-nan", "intensity-inf-effective"])
+    def test_a_malformed_number_is_refused_at_construction(self, build, named):
+        with pytest.raises(ChaosError, match=rf"^{named} must be "):
+            build()
+
     def test_unknown_machine_named(self):
         spec = ChaosSpec(rack_failures=(RackFailure(at=0.0, machines=(999,)),))
         try:

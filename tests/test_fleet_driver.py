@@ -230,8 +230,14 @@ class TestRunFleetValidation:
             FleetConfig(model_mode="clairvoyant")
 
     def test_bad_days(self):
-        with pytest.raises(FleetError, match="days"):
+        with pytest.raises(FleetError, match=r"^FleetConfig\.days must be an integer >= 1, got 0$"):
             FleetConfig(days=0)
+
+    def test_bad_deadline_trim(self):
+        with pytest.raises(
+            FleetError, match=r"^FleetConfig\.deadline_trim must be in \(0, 1\.5\], got 1\.6$"
+        ):
+            FleetConfig(deadline_trim=1.6)
 
 
 class TestSpecParsing:

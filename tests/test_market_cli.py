@@ -186,7 +186,7 @@ class TestInputsRefusedWhereTheyEnter:
     @pytest.mark.parametrize("field", ["slack", "tick_seconds"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_config(self, field, value):
-        with pytest.raises(MarketError, match=f"{field} must be .*finite"):
+        with pytest.raises(MarketError, match=f"^MarketConfig\\.{field} must be .*finite"):
             MarketConfig(**{field: value})
 
     @pytest.mark.parametrize("quota", [math.nan, 2.5])
@@ -204,7 +204,8 @@ class TestInputsRefusedWhereTheyEnter:
         """A NaN capacity used to fail only at the first tick, as a
         negative supply."""
         with pytest.raises(
-            MarketError, match=f"capacity must be an integer >= 1, got {capacity!r}"
+            MarketError,
+            match=f"^MarketConfig\\.capacity must be an integer >= 1, got {capacity!r}"
         ):
             MarketConfig(capacity=capacity)
 

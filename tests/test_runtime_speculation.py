@@ -53,11 +53,14 @@ class TestConfigValidation:
             dict(min_task_seconds=-1.0),
             dict(min_observations=0),
             dict(max_duplicate_fraction=0.0),
+            dict(max_duplicate_fraction=1.5),
         ],
     )
     def test_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             SpeculationConfig(**kwargs)
+        (field,) = kwargs
+        assert str(excinfo.value).startswith(f"SpeculationConfig.{field} must ")
 
 
 class TestSpeculation:

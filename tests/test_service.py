@@ -78,7 +78,7 @@ class TestServiceConfig:
         with pytest.raises(ServiceError) as excinfo:
             ServiceConfig(**{knob: value})
         assert str(excinfo.value) == (
-            f"{knob} must be positive and finite, got {value!r}"
+            f"ServiceConfig.{knob} must be positive and finite, got {value!r}"
         )
 
     @pytest.mark.parametrize("kwargs, field", [
@@ -87,7 +87,7 @@ class TestServiceConfig:
         (dict(tenants=(("a", 2.7),)), "tenants"),
     ])
     def test_rejects_a_count_that_is_not_an_integer(self, kwargs, field):
-        with pytest.raises(ServiceError, match=f"^{field}"):
+        with pytest.raises(ServiceError, match=f"^ServiceConfig\\.{field}"):
             ServiceConfig(**kwargs)
 
     def test_rejects_bad_slack(self):
@@ -975,7 +975,7 @@ class TestLoadgenDeterminism:
     def test_rejects_non_finite_seconds(self, knob, value):
         from repro.service.loadgen import LoadgenError
 
-        with pytest.raises(LoadgenError, match=f"^{knob} must be"):
+        with pytest.raises(LoadgenError, match=f"^LoadgenConfig\\.{knob} must be"):
             LoadgenConfig(**{knob: value})
         # A zero gap stays a burst.
         assert LoadgenConfig(mean_interarrival=0.0).mean_interarrival == 0.0
@@ -1011,7 +1011,9 @@ class TestCliContract:
     def test_serve_non_finite_seconds_exit_two(self, flag, knob, value):
         code, text = self.run_cli("serve", flag, value)
         assert code == 2
-        assert text == f"error: {knob} must be positive and finite, got {value}\n"
+        assert text == (
+            f"error: ServiceConfig.{knob} must be positive and finite, got {value}\n"
+        )
 
     @pytest.mark.parametrize("flag, knob", [
         ("--mean-interarrival", "mean_interarrival"), ("--timeout", "timeout"),
@@ -1020,7 +1022,7 @@ class TestCliContract:
         code, text = self.run_cli("loadgen", "--url", "http://127.0.0.1:9",
                                   flag, "nan")
         assert code == 2
-        assert text.startswith(f"error: {knob} must be")
+        assert text.startswith(f"error: LoadgenConfig.{knob} must be")
         assert "got nan" in text
 
     def test_worker_requires_url(self):

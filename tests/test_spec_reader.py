@@ -482,7 +482,10 @@ def bundle(tmp_path_factory):
 
 class TestEveryCommandExitsTwo:
     """One malformed spec per command, each a case the replaced parsers
-    accepted or let escape as a non-spec error (exit 1)."""
+    accepted or let escape as a non-spec error (exit 1); then one well-typed
+    value per spec kind that the field's kind refuses (``settable.check``),
+    each named by class and field (the chaos one named no field before, the
+    fleet and market ones were accepted)."""
 
     @pytest.mark.parametrize("command, flag, kind, payload, named", [
         pytest.param(
@@ -502,6 +505,19 @@ class TestEveryCommandExitsTwo:
             "market run", "--spec", "market",
             with_value("market", ("jobs", 0, "tenant"), 5),
             "job 'etl': 'tenant' must be a string, got 5", id="market"),
+        pytest.param(
+            "run", "--chaos", "chaos",
+            {"rack_failures": [{"at": 10.0, "repair_seconds": 0}]},
+            "RackFailure.repair_seconds must be positive and finite, got 0.0",
+            id="chaos-kind"),
+        pytest.param(
+            "fleet run", "--spec", "fleet", {"seed": -1},
+            "FleetConfig.seed must be an integer >= 0, got -1", id="fleet-kind"),
+        pytest.param(
+            "market run", "--spec", "market",
+            with_value("market", ("max_ticks",), 0),
+            "MarketConfig.max_ticks must be an integer >= 1, got 0",
+            id="market-kind"),
     ])
     def test_exits_two_with_the_usage_line(self, bundle, tmp_path, command,
                                            flag, kind, payload, named):
@@ -601,7 +617,7 @@ market_dicts = st.fixed_dictionaries({
     "mode": st.sampled_from(MARKET_MODES),
     "tick_seconds": numbers(1, 600),
     "slack": numbers(1, 3),
-    "max_ticks": st.integers(0, 10**6),
+    "max_ticks": st.integers(1, 10**6),
 })
 
 
