@@ -16,11 +16,12 @@ into "worse than configured" (>1) without editing the schedule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro import persist
-from repro.settable import Amount, Fraction, NonNegative, Positive, check
+from repro.settable import Amount, Fraction, NonNegative, Positive, check, refuse
 
 
 class ChaosError(ValueError):
@@ -120,9 +121,11 @@ class ControlFaults:
         check(self, ChaosError)
         if self.drop_tick_prob + self.delay_tick_prob > 1:
             raise ChaosError("drop_tick_prob + delay_tick_prob exceeds 1")
-        for start, end in self.blackouts:
-            if start < 0 or end < start:
-                raise ChaosError(f"bad blackout window [{start}, {end})")
+        # Written so a NaN end fails it: the injector drops a window it
+        # cannot order, and the run would silently have no blackout.
+        if not all(0 <= start <= end < math.inf for start, end in self.blackouts):
+            refuse(self, "blackouts", "[start, end) windows with "
+                   "0 <= start <= end, both finite", ChaosError)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ import numpy as np
 from repro.core.simulator import simulate_job
 from repro.jobs.profiles import JobProfile
 from repro.parallel import parallel_map
-from repro.settable import is_positive_finite
+from repro.settable import is_count, is_positive_finite
 from repro.simkit.random import derive_seed
 
 
@@ -228,10 +228,12 @@ class CpaTable:
             base_seed = int(rng.integers(0, 2**63))
         else:
             raise CpaError("build needs an rng or an explicit seed")
-        allocations = [int(a) for a in allocations]
         for i, a in enumerate(allocations):
+            if not is_count(a):
+                raise CpaError(f"allocation must be an integer >= 1, got {a!r}")
             if a in allocations[:i]:
                 raise CpaError(f"allocation {a} is repeated")
+        allocations = [int(a) for a in allocations]
         specs = [
             (
                 profile,

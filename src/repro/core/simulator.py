@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.jobs.dag import DependencyTracker
 from repro.jobs.profiles import JobProfile, StageProfile
-from repro.settable import is_positive_finite
+from repro.settable import is_count, is_positive_finite
 from repro.simkit import distributions as _dist
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
@@ -130,8 +130,14 @@ def simulate_job(
     order), and per-task samples are produced in vectorized blocks — see
     :class:`_StageSampler` for the draw-order contract.
     """
-    if allocation < 1:
-        raise SimulatorError(f"allocation must be >= 1, got {allocation}")
+    if not is_count(allocation):
+        raise SimulatorError(
+            f"allocation must be an integer >= 1, got {allocation!r}"
+        )
+    if not is_count(max_task_attempts):
+        raise SimulatorError(
+            f"max_task_attempts must be an integer >= 1, got {max_task_attempts!r}"
+        )
     if not is_positive_finite(sample_dt):
         raise SimulatorError(
             f"sample_dt must be finite and > 0, got {sample_dt!r}"
@@ -183,7 +189,9 @@ def simulate_job(
     heappop = heapq.heappop
     heapreplace = heapq.heapreplace
     popleft = ready.popleft
+    release = ready.append
     complete_id = tracker.complete_id
+    pending, counts, dependents = tracker.counters()
 
     while True:
         # Greedy FIFO: fill free tokens from the head of the ready queue.
@@ -233,9 +241,20 @@ def simulate_job(
             attempts[task] = attempts.get(task, 0) + 1
             ready.append(task)
         else:
-            ready.extend(complete_id(task))
+            stage = stage_of[task]
+            left_in_stage = pending[stage] - 1
+            if left_in_stage > 0:
+                # Not the stage's last: settled here as complete_id would
+                # (DependencyTracker.counters).  The last goes there.
+                pending[stage] = left_in_stage
+                for j in dependents[task]:
+                    left = counts[j] = counts[j] - 1
+                    if not left:
+                        release(j)
+            else:
+                ready.extend(complete_id(task))
             if track_spans:
-                last_end[stage_of[task]] = now
+                last_end[stage] = now
 
     if not tracker.all_complete():
         unfinished = [

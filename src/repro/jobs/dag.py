@@ -349,9 +349,13 @@ class DependencyTracker:
     completion back and schedule the tasks it returns.  There is one
     implementation, addressed by global task id (``stage offset + index``,
     stages in ``graph.stages`` order): :meth:`initially_ready_ids` and
-    :meth:`complete_id`, which the offline simulator calls.
-    :meth:`initially_ready` and :meth:`complete` speak ``(stage_name,
-    index)`` for the job manager and the service and translate to it.
+    :meth:`complete_id`.  :meth:`initially_ready` and :meth:`complete`
+    speak ``(stage_name, index)`` for the job manager and the service and
+    translate to it.  The offline simulator settles a completion that is
+    not its stage's last through :meth:`counters` (two decrements, see the
+    contract there) and calls :meth:`complete_id` for a stage's last, so
+    the barrier edges, the release order across edges and every refusal
+    stay here.
 
     The structure lives in the graph's :class:`_ReadinessPlan`; a tracker
     holds only counters, so construction and ``reset`` are list copies —
@@ -397,6 +401,22 @@ class DependencyTracker:
     def task_names(self) -> Tuple[Tuple[str, int], ...]:
         """Per task id: its ``(stage name, index)``."""
         return self._plan.task_names
+
+    def counters(self) -> Tuple[List[int], List[int], Tuple[Tuple[int, ...], ...]]:
+        """``(pending, counts, dependents)`` for a caller that settles a
+        completion itself: tasks not yet completed per stage, inputs still
+        missing per task id, and the ids each task id feeds pointwise.
+
+        The two lists are the tracker's own, live and valid until
+        :meth:`reset` replaces them; ``dependents`` is the plan's, read
+        only.  Only a completion that is *not* its stage's last may be
+        settled through them, exactly as :meth:`complete_id` settles it:
+        ``pending[s] -= 1``, then ``counts[j] -= 1`` for each ``j`` in
+        ``dependents[id]`` in order, each ``j`` that reaches 0 released in
+        that order.  A stage's last completion goes to :meth:`complete_id`,
+        which pays the stage's barrier edges and counts the stage done.
+        """
+        return self._pending, self._counts, self._dependents
 
     def initially_ready_ids(self) -> Tuple[int, ...]:
         """Ids of the tasks with no unmet dependencies at job start (handed

@@ -189,6 +189,8 @@ class ServiceConfig:
 
     def __post_init__(self):
         check(self, ServiceError)
+        if self.port > 65535:
+            refuse(self, "port", "an integer in [0, 65535]", ServiceError)
         if not all(is_count(quota) for _tenant, quota in self.tenants):
             refuse(self, "tenants", "(name, integer >= 1) pairs", ServiceError)
 

@@ -229,7 +229,15 @@ class TestValidation:
         (lambda: ChaosSpec(intensity=math.inf,
                            rack_failures=(RackFailure(at=10.0),)).effective(),
          "ChaosSpec.intensity"),
-    ], ids=["rack-at-nan", "rack-repair-nan", "intensity-nan", "intensity-inf-effective"])
+        # A NaN end slipped past ``end < start``; the injector then dropped
+        # the window it could not order and the run had no blackout.
+        *((lambda w=window: ControlFaults(blackouts=((0.0, 50.0), w)),
+           "ControlFaults.blackouts")
+          for window in [(math.nan, 600.0), (100.0, math.nan), (100.0, math.inf),
+                         (-1.0, 600.0), (600.0, 100.0)]),
+    ], ids=["rack-at-nan", "rack-repair-nan", "intensity-nan", "intensity-inf-effective",
+            "blackout-start-nan", "blackout-end-nan", "blackout-end-inf",
+            "blackout-start-negative", "blackout-reversed"])
     def test_a_malformed_number_is_refused_at_construction(self, build, named):
         with pytest.raises(ChaosError, match=rf"^{named} must be "):
             build()

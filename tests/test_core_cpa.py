@@ -194,6 +194,23 @@ class TestValidation:
             CpaTable.build(profile, totalwork(profile), seed=1,
                            allocations=(2, 4, 4), reps=2, jobs=1)
 
+    @pytest.mark.parametrize("allocation", [10.7, 4.0, float("nan"), 0, -2, "8"])
+    def test_non_integer_allocation_is_refused_before_any_simulation(
+        self, monkeypatch, allocation
+    ):
+        """``int(a)`` built 10.7 as a 10 column without a word, and NaN
+        escaped as a bare ValueError from ``int``."""
+        profile = deterministic_profile()
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("simulated a unit")
+
+        monkeypatch.setattr(cpa, "simulate_job", unreachable)
+        with pytest.raises(CpaError, match="allocation must be an integer") as err:
+            CpaTable.build(profile, totalwork(profile), seed=1,
+                           allocations=(2, allocation, 20), reps=2, jobs=1)
+        assert repr(allocation) in str(err.value)
+
     @pytest.mark.parametrize("progress", [1.5, -0.5, float("nan")])
     def test_progress_outside_the_unit_interval_is_named(self, progress):
         with pytest.raises(CpaError, match="allocation 7: progress out of"):

@@ -78,8 +78,23 @@ class TestDeterministicJobs:
         assert durations == sorted(durations, reverse=True)
 
     def test_invalid_allocation(self, rng):
-        with pytest.raises(SimulatorError):
-            simulate_job(deterministic_profile(), 0, rng)
+        """NaN used to stall naming the stages, 2.5 ran on 3 tokens and
+        recorded 2.5, inf ran, and a ``max_task_attempts`` below 1 turned
+        every task failure off: each is refused, named, before any draw."""
+        profile = deterministic_profile(failure_prob=0.5)
+        state = rng.bit_generator.state
+        for name, value in [
+            *(("allocation", v) for v in (0, -1, 2.5, 3.0, float("nan"),
+                                          float("inf"), "4", None)),
+            *(("max_task_attempts", v) for v in (0, -1, 2.5, float("nan"))),
+        ]:
+            options = {"allocation": 4, "max_task_attempts": 20, name: value}
+            with pytest.raises(SimulatorError, match=f"{name} must be") as err:
+                simulate_job(profile, options.pop("allocation"), rng, **options)
+            assert repr(value) in str(err.value)
+        assert rng.bit_generator.state == state
+        run = simulate_job(deterministic_profile(), np.int64(4), rng)
+        assert run.duration == pytest.approx(25.0)
 
     @pytest.mark.parametrize(
         "sample_dt", [0, 0.0, -15.0, float("nan"), float("inf"), float("-inf")]

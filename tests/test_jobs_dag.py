@@ -281,6 +281,17 @@ class TestDependencyTracker:
         assert not tracker.all_complete()
         assert set(tracker.initially_ready()) == {("extract", i) for i in range(4)}
 
+    def test_counters_are_live_until_reset(self):
+        tracker = DependencyTracker(chain_graph())
+        pending, counts, dependents = tracker.counters()
+        assert (pending, counts) == ([4, 4, 2], [0] * 4 + [1] * 4 + [1] * 2)
+        assert dependents == tracker._plan.dependents
+        tracker.complete_id(0)
+        assert (pending[0], counts[4]) == (3, 0)
+        tracker.reset()
+        assert tracker.counters()[0] is not pending
+        assert tracker.counters()[:2] == ([4, 4, 2], [0] * 4 + [1] * 4 + [1] * 2)
+
     def test_overcompletion_rejected(self):
         tracker = DependencyTracker(chain_graph())
         tracker.initially_ready()
@@ -588,3 +599,38 @@ class TestAgainstNaiveReference:
         order.setstate(state)
         assert drain_randomly(tracker, order) == first
 
+    @given(graph=random_dags(), order=st.randoms(use_true_random=False))
+    def test_counters_settle_as_complete_id_does(self, graph, order):
+        """Two trackers in lockstep: one completes every task through
+        ``complete_id``; the other settles each completion that is not its
+        stage's last through ``counters()``, as the simulator's loop does,
+        and calls ``complete_id`` for the last.  Releases, both counter
+        lists and the read-out agree after every step."""
+        by_call, settled = DependencyTracker(graph), DependencyTracker(graph)
+        pending, counts, dependents = settled.counters()
+        stage_of = settled.stage_of
+        positions = range(graph.num_stages)
+        ready = list(by_call.initially_ready_ids())
+        assert list(settled.initially_ready_ids()) == ready
+        settled_here = 0
+        while ready:
+            task = ready.pop(order.randrange(len(ready)))
+            reply = by_call.complete_id(task)
+            s = stage_of[task]
+            if pending[s] > 1:
+                pending[s] -= 1
+                released = []
+                for j in dependents[task]:
+                    counts[j] -= 1
+                    if not counts[j]:
+                        released.append(j)
+                settled_here += 1
+            else:
+                released = settled.complete_id(task)
+            assert released == reply
+            assert settled.counters()[:2] == by_call.counters()[:2]
+            assert settled.fractions_at(positions) == by_call.fractions_at(positions)
+            assert settled.all_complete() == by_call.all_complete()
+            ready.extend(reply)
+        assert settled.all_complete()
+        assert settled_here == graph.num_vertices - graph.num_stages

@@ -1025,6 +1025,15 @@ class TestCliContract:
         assert text.startswith(f"error: LoadgenConfig.{knob} must be")
         assert "got nan" in text
 
+    @pytest.mark.parametrize("port", ["65536", "70000"])
+    def test_serve_port_above_the_range_exits_two(self, port):
+        """It used to pass the config and die in ``bind()`` with exit 1."""
+        code, text = self.run_cli("serve", "--port", port)
+        assert code == 2
+        assert text == (
+            f"error: ServiceConfig.port must be an integer in [0, 65535], got {port}\n"
+        )
+
     def test_worker_requires_url(self):
         code, _text = self.run_cli("worker")
         assert code == 2
