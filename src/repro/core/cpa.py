@@ -216,10 +216,12 @@ class CpaTable:
         ``REPRO_JOBS`` environment variable, default serial); the resulting
         table is identical at any worker count.
         """
-        if reps < 1:
-            raise CpaError("need at least one repetition")
-        if num_bins < 2:
-            raise CpaError("need at least two progress bins")
+        # Both checked before any unit runs, so a bad value costs no
+        # simulation and is named, not a bare TypeError from numpy.
+        if not is_count(reps):
+            raise CpaError(f"reps must be an integer >= 1, got {reps!r}")
+        if not (is_count(num_bins) and num_bins >= 2):
+            raise CpaError(f"num_bins must be an integer >= 2, got {num_bins!r}")
         if not is_positive_finite(sample_dt):
             raise CpaError(f"sample_dt must be finite and > 0, got {sample_dt!r}")
         if seed is not None:

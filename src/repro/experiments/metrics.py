@@ -68,7 +68,8 @@ def metrics_from_trace(trace: RunTrace, *, policy: str) -> RunMetrics:
     """Compute run metrics from a finished trace with a deadline."""
     if trace.deadline is None:
         raise ValueError("trace has no deadline")
-    cpu = trace.total_cpu_seconds()
+    tally = trace.tally()
+    cpu = tally.cpu_seconds
     oracle = oracle_allocation(cpu, trace.deadline)
     alloc_seconds = trace.allocation_seconds()
     excess = trace.allocation_excess_seconds(oracle)
@@ -82,9 +83,9 @@ def metrics_from_trace(trace: RunTrace, *, policy: str) -> RunMetrics:
         oracle_tokens=oracle,
         allocation_token_seconds=alloc_seconds,
         impact_above_oracle=impact,
-        spare_fraction=trace.spare_fraction(),
-        evictions=sum(1 for r in trace.records if r.outcome == "evicted"),
-        failures=sum(1 for r in trace.records if r.outcome == "failed"),
+        spare_fraction=tally.spare_fraction,
+        evictions=tally.evictions,
+        failures=tally.failures,
     )
 
 

@@ -101,6 +101,17 @@ class TaskRecord(_TaskRecordFields):
         return self.outcome == OUTCOME_OK
 
 
+class OutcomeTally(NamedTuple):
+    """What :meth:`RunTrace.tally` counts in one read of the records."""
+
+    #: Aggregate token-holding time of successful attempts.
+    cpu_seconds: float
+    #: Fraction of successful attempts that ran on spare tokens.
+    spare_fraction: float
+    evictions: int
+    failures: int
+
+
 @dataclass
 class RunTrace:
     """Everything recorded about one run of a job."""
@@ -156,10 +167,32 @@ class RunTrace:
     def successful_records(self) -> List[TaskRecord]:
         return [r for r in self.records if r.succeeded]
 
+    def tally(self) -> OutcomeTally:
+        """CPU seconds, spare fraction, evictions and failures, in one read
+        of the records."""
+        ok_run_times: List[float] = []
+        spare = evictions = failures = 0
+        for r in self.records:
+            outcome = r.outcome
+            if outcome == OUTCOME_OK:
+                ok_run_times.append(r.end_time - r.start_time)
+                if r.used_spare_token:
+                    spare += 1
+            elif outcome == OUTCOME_EVICTED:
+                evictions += 1
+            elif outcome == OUTCOME_FAILED:
+                failures += 1
+        return OutcomeTally(
+            sum(ok_run_times),
+            spare / len(ok_run_times) if ok_run_times else 0.0,
+            evictions,
+            failures,
+        )
+
     def total_cpu_seconds(self) -> float:
         """Aggregate token-holding time of *successful* attempts — the
         paper's 'total work' / aggregate CPU time ``T``."""
-        return sum(r.run_time for r in self.records if r.succeeded)
+        return self.tally().cpu_seconds
 
     def wasted_cpu_seconds(self) -> float:
         """Token-holding time of failed and evicted attempts."""
@@ -237,10 +270,7 @@ class RunTrace:
 
     def spare_fraction(self) -> float:
         """Fraction of successful task attempts that ran on spare tokens."""
-        ok = self.successful_records()
-        if not ok:
-            return 0.0
-        return sum(1 for r in ok if r.used_spare_token) / len(ok)
+        return self.tally().spare_fraction
 
 
 @dataclass(frozen=True)
@@ -312,6 +342,7 @@ __all__ = [
     "OUTCOME_OK",
     "OUTCOME_SUPERSEDED",
     "OUTCOMES",
+    "OutcomeTally",
     "RunTrace",
     "TaskRecord",
     "TraceError",

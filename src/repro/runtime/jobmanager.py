@@ -37,6 +37,7 @@ from repro.jobs.trace import (
 )
 from repro.runtime.speculation import SpeculationConfig, SpeculationScan, record_scan
 from repro.runtime.task import RunningTask, TaskId
+from repro.simkit.distributions import Distribution, Scaled
 from repro.simkit.random import scalar_draws
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
@@ -58,6 +59,9 @@ _TASK_SECONDS = _metrics.REGISTRY.histogram(
 _TASK_SECONDS_OUTCOMES = {
     outcome: _TASK_SECONDS.labels(outcome=outcome) for outcome in _TASK_OUTCOMES
 }
+#: The ok outcome's cells, which ``_finish`` updates without ``_record``.
+_OK_TASKS = _TASK_OUTCOMES[OUTCOME_OK]
+_OK_SECONDS = _TASK_SECONDS_OUTCOMES[OUTCOME_OK]
 _STARTS = _metrics.REGISTRY.counter(
     "repro_runtime_task_starts_total", "Task attempts started"
 ).labels()
@@ -93,18 +97,37 @@ class JobManagerError(RuntimeError):
 AttemptDraws = Callable[[], Tuple[float, Optional[float]]]
 
 
+def _unscaled(dist: Distribution) -> Tuple[Distribution, float]:
+    """``(base, factor)``: a ``Scaled`` draws ``base() * factor``, so its
+    factor folds into the caller's arithmetic.  Anything else is its own
+    base with factor 1.0, and ``x * 1.0`` is ``x`` bit for bit."""
+    if isinstance(dist, Scaled):
+        return dist.base, dist.factor
+    return dist, 1.0
+
+
 def attempt_draws(stage: StageProfile, rng: np.random.Generator) -> AttemptDraws:
     """One stage's attempt draws on ``rng``, in the order the determinism
     contract fixes: runtime, init, then, only for a stage that can fail,
-    the failure check and the fraction done."""
-    runtime, init = stage.runtime.drawer(rng), stage.init.drawer(rng)
+    the failure check and the fraction done.
+
+    The ``Scaled`` that ``JobProfile.with_runtime_scale`` puts around the
+    runtime and the init is folded into the closure's own arithmetic, so
+    the closure makes the draws and float operations of
+    ``runtime.sample(rng) + init.sample(rng)`` and the failure lines, in
+    their order, and every value is the same bits."""
+    runtime, runtime_factor = _unscaled(stage.runtime)
+    init, init_factor = _unscaled(stage.init)
     failure_prob = stage.failure_prob
+    runtime_draw, init_draw = runtime.drawer(rng), init.drawer(rng)
     if not failure_prob > 0:
-        return lambda: (runtime() + init(), None)
+        return lambda: (
+            runtime_draw() * runtime_factor + init_draw() * init_factor, None
+        )
     double = scalar_draws(rng)[0]
 
     def draw() -> Tuple[float, Optional[float]]:
-        seconds = runtime() + init()
+        seconds = runtime_draw() * runtime_factor + init_draw() * init_factor
         if double() < failure_prob:
             # The attempt dies after doing only part of its work: a uniform
             # draw on [0.05, 0.95), spelled as the arithmetic numpy's
@@ -178,6 +201,10 @@ class JobManager:
         # to id and back are two reads of these, not a translating call.
         self._task_offsets = self._tracker.stage_offsets
         self._task_names = self._tracker.task_names
+        self._stage_of = self._tracker.stage_of
+        #: The tracker's live counters, for the completions ``_finish``
+        #: settles itself (``DependencyTracker.counters``).
+        self._pending, self._counts, self._dependents = self._tracker.counters()
         self._ready: Deque[TaskId] = deque()
         self._ready_times: Dict[TaskId, float] = {}
         self._attempts: Dict[TaskId, int] = {}
@@ -197,7 +224,6 @@ class JobManager:
         self.duplicates_launched = 0
         self.duplicates_won = 0
         self._completed_tasks = 0
-        self._total_tasks = graph.num_vertices
         # Arbiter-rejection handling: when the pool clamps a request below
         # what was asked, optionally re-ask on a deterministic exponential
         # backoff (chaos runs turn this on; a newer request supersedes any
@@ -216,6 +242,8 @@ class JobManager:
         )
         #: ``trace.add`` without its call: one record per attempt.
         self._add_record = self.trace.records.append
+        #: ``trace.mark_running``'s list, which ``_finish`` steps itself.
+        self._running_timeline = self.trace.running_timeline
         # Fair-share weight for *spare* distribution.  Default: the
         # guarantee (WFQ analogy, §2.6); pass an explicit value to model
         # schedulers that split spare per pending job instead (§2.1 does
@@ -226,6 +254,7 @@ class JobManager:
         self.consumer: Consumer = cluster.pool.register(
             Consumer(self.name, 0, weight=spare_weight, on_grant=self._on_grant)
         )
+        self._set_demand_of = cluster.pool.set_demand_of
         cluster.on_machine_down(self._on_machine_down)
         for task_id in self._tracker.initially_ready():
             self._enqueue(task_id, self.start_time)
@@ -551,15 +580,19 @@ class JobManager:
             _TASK_SECONDS_OUTCOMES[outcome].observe(end_time - task.start_time)
         rec = _trace.RECORDER
         if rec.enabled:
-            # `start`/`end` make the exporter render this as a Perfetto span.
-            rec.emitted += 1
-            rec.raw((end_time, "task.end",
-                     (("job", self.name), ("stage", stage),
-                      ("index", index), ("attempt", task.attempt),
-                      ("outcome", outcome), ("machine", task.machine),
-                      ("spare", task.spare_at_start),
-                      ("duplicate", task.is_duplicate),
-                      ("start", task.start_time), ("end", end_time))))
+            self._emit_end(rec, task, outcome, end_time)
+
+    def _emit_end(self, rec, task: RunningTask, outcome: str, end_time: float) -> None:
+        """The ``task.end`` event of a terminal attempt."""
+        # `start`/`end` make the exporter render this as a Perfetto span.
+        rec.emitted += 1
+        rec.raw((end_time, "task.end",
+                 (("job", self.name), ("stage", task.task_id[0]),
+                  ("index", task.task_id[1]), ("attempt", task.attempt),
+                  ("outcome", outcome), ("machine", task.machine),
+                  ("spare", task.spare_at_start),
+                  ("duplicate", task.is_duplicate),
+                  ("start", task.start_time), ("end", end_time))))
 
     def _release(self, task: RunningTask) -> Sequence[RunningTask]:
         """Take an attempt off the running list, token and all.  Returns its
@@ -605,7 +638,19 @@ class JobManager:
             if not siblings:
                 self._retry(task)
         else:
-            self._record(task, OUTCOME_OK, now)
+            # _record(task, OUTCOME_OK, now) without its outcome lookups.
+            stage, index = task.task_id
+            start = task.start_time
+            self._add_record(TaskRecord(
+                stage, index, task.attempt, task.ready_time, start, now,
+                OUTCOME_OK, task.machine, task.spare_at_start,
+            ))
+            seconds = now - start
+            _OK_TASKS.inc()
+            _OK_SECONDS.observe(seconds)
+            rec = _trace.RECORDER
+            if rec.enabled:
+                self._emit_end(rec, task, OUTCOME_OK, now)
             # The losing attempts of a speculative race are cancelled.
             for loser in siblings:
                 if loser.finish_handle is not None:
@@ -617,22 +662,37 @@ class JobManager:
                 self.duplicates_won += 1
             if self._speculation is not None:
                 # Only the straggler scan reads these.
-                self._stage_durations.setdefault(task.task_id[0], []).append(
-                    now - task.start_time
-                )
+                self._stage_durations.setdefault(stage, []).append(seconds)
             self._completed_tasks += 1
-            stage, index = task.task_id
+            task_id = self._task_offsets[stage] + index
             names = self._task_names
-            for ready in self._tracker.complete_id(self._task_offsets[stage] + index):
-                self._enqueue(names[ready], now)
-            if (
-                self._completed_tasks >= self._total_tasks
-                and self._tracker.all_complete()
-            ):
-                self._complete_job()
-                return
-        self.trace.mark_running(now, len(running))
-        self._update_demand()
+            pending = self._pending
+            s = self._stage_of[task_id]
+            left_in_stage = pending[s] - 1
+            if left_in_stage > 0:
+                # Not the stage's last: settled here as complete_id would
+                # (DependencyTracker.counters).  The last goes there.
+                pending[s] = left_in_stage
+                counts = self._counts
+                for j in self._dependents[task_id]:
+                    left = counts[j] = counts[j] - 1
+                    if not left:
+                        self._enqueue(names[j], now)
+            else:
+                for ready in self._tracker.complete_id(task_id):
+                    self._enqueue(names[ready], now)
+                if self._tracker.all_complete():
+                    self._complete_job()
+                    return
+        # trace.mark_running and _update_demand, spelled out (the job is not
+        # finished: its last completion returned above).
+        in_flight = len(running)
+        timeline = self._running_timeline
+        if not timeline or timeline[-1][1] != in_flight:
+            timeline.append((now, in_flight))
+        self._set_demand_of(
+            self.consumer, len(self._ready) + in_flight + self._speculative_demand
+        )
         self._start_ready_tasks(now)
 
     def _retry(self, task: RunningTask) -> None:

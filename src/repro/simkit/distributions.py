@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, List, Union
 
 import numpy as np
@@ -115,9 +116,9 @@ class Exponential:
         return float(rng.exponential(self.mean_value))
 
     def drawer(self, rng: np.random.Generator) -> Callable[[], float]:
-        # numpy's own call: its ziggurat and arithmetic are in C.
-        exponential, mean_value = rng.exponential, self.mean_value
-        return lambda: float(exponential(mean_value))
+        # numpy's own call, bound: its ziggurat and arithmetic are in C,
+        # and a scalar call returns a Python float, so no frame of ours.
+        return partial(rng.exponential, self.mean_value)
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.exponential(self.mean_value, size=n)
@@ -162,10 +163,10 @@ class LogNormal:
         return float(rng.lognormal(self.mu, self.sigma))
 
     def drawer(self, rng: np.random.Generator) -> Callable[[], float]:
-        # numpy's own call: ``exp(mu + sigma * z)`` is evaluated in C, where
-        # the compiler may contract it into a fused multiply-add.
-        lognormal, mu, sigma = rng.lognormal, self.mu, self.sigma
-        return lambda: float(lognormal(mu, sigma))
+        # numpy's own call, bound: ``exp(mu + sigma * z)`` is evaluated in
+        # C, where the compiler may contract it into a fused multiply-add,
+        # and a scalar call returns a Python float, so no frame of ours.
+        return partial(rng.lognormal, self.mu, self.sigma)
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.lognormal(self.mu, self.sigma, size=n)

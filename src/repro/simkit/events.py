@@ -109,7 +109,10 @@ class Simulator:
     COMPACT_MIN_CANCELLED = 64
 
     def __init__(self, start_time: float = 0.0):
-        self._now = float(start_time)
+        #: Current virtual time in seconds; only the simulator sets it.  A
+        #: plain attribute, not a property: a job manager reads it on every
+        #: task finish, and a property read is a Python call.
+        self.now = float(start_time)
         self._queue: List[Tuple] = []
         self._seq = 0
         self._dispatched = 0
@@ -118,11 +121,6 @@ class Simulator:
         self._compactions = 0
         self._handle_pool: List[EventHandle] = []
         self._until = _FOREVER
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     @property
     def events_dispatched(self) -> int:
@@ -164,9 +162,9 @@ class Simulator:
         """Schedule ``callback`` at absolute time ``time`` with no cancel
         handle.  ``arg``, when given, is passed as the callback's single
         positional argument — the payload replaces a per-event closure."""
-        if not time >= self._now:  # NaN fails it too
+        if not time >= self.now:  # NaN fails it too
             raise SimulationError(
-                f"cannot schedule event at t={time:.3f}, now is t={self._now:.3f}"
+                f"cannot schedule event at t={time:.3f}, now is t={self.now:.3f}"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -182,7 +180,7 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         self._scheduled += 1
-        heapq.heappush(self._queue, (self._now + delay, seq, callback, arg))
+        heapq.heappush(self._queue, (self.now + delay, seq, callback, arg))
 
     def schedule_batch(
         self,
@@ -215,9 +213,9 @@ class Simulator:
             )
         if n == 0:
             return [] if cancelable else None
-        if min(times) < self._now:
+        if min(times) < self.now:
             raise SimulationError(
-                f"cannot schedule event at t={min(times):.3f}, now is t={self._now:.3f}"
+                f"cannot schedule event at t={min(times):.3f}, now is t={self.now:.3f}"
             )
         seq0 = self._seq
         handles: Optional[List[EventHandle]] = None
@@ -263,9 +261,9 @@ class Simulator:
         self, time: float, callback: Callable[..., None], arg: object = _NO_ARG
     ) -> EventHandle:
         """Schedule ``callback`` at absolute virtual time ``time``."""
-        if not time >= self._now:  # NaN fails it too
+        if not time >= self.now:  # NaN fails it too
             raise SimulationError(
-                f"cannot schedule event at t={time:.3f}, now is t={self._now:.3f}"
+                f"cannot schedule event at t={time:.3f}, now is t={self.now:.3f}"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -290,7 +288,7 @@ class Simulator:
         """Schedule ``callback`` after ``delay`` seconds of virtual time."""
         if not delay >= 0:  # NaN fails it too
             raise SimulationError(f"delay must be >= 0, got {delay!r}")
-        return self.schedule_at(self._now + delay, callback, arg)
+        return self.schedule_at(self.now + delay, callback, arg)
 
     def schedule_every(
         self,
@@ -333,7 +331,7 @@ class Simulator:
             pool = self._handle_pool
             if len(pool) < _POOL_MAX:
                 pool.append(handle)
-        self._now = t
+        self.now = t
         self._dispatched += 1
         if arg is _NO_ARG:
             cb()
@@ -381,7 +379,7 @@ class Simulator:
         continues as if this one had been called with ``until=now``.  With
         no ``run`` in progress this does nothing.
         """
-        self._until = self._now
+        self._until = self.now
 
     def _run_loop(self, until: Optional[float], max_events: Optional[int]) -> None:
         # The engine's hot loop.  Everything it touches per event is a local
@@ -404,7 +402,7 @@ class Simulator:
         try:
             while q and fired != max_events:
                 if q[0][0] > self._until:
-                    self._now = self._until
+                    self.now = self._until
                     break
                 t, _s, cb, arg = pop(q)
                 if cb is None:
@@ -417,7 +415,7 @@ class Simulator:
                         continue
                     cb = handle.callback
                     arg = handle.arg
-                self._now = t
+                self.now = t
                 fired += 1
                 if arg is noarg:
                     cb()
@@ -426,8 +424,8 @@ class Simulator:
             else:
                 # No later event held the loop back: a drained queue still
                 # moves the clock to a finite horizon (after halt(), ``now``).
-                if not q and self._now < self._until < _FOREVER:
-                    self._now = self._until
+                if not q and self.now < self._until < _FOREVER:
+                    self.now = self._until
         finally:
             self._dispatched += fired
             self._until = outer
@@ -485,7 +483,7 @@ class Simulator:
         self._compactions += 1
         rec = _trace.RECORDER
         if rec.enabled:
-            rec.emit(self._now, "sim.compact", pending=len(q))
+            rec.emit(self.now, "sim.compact", pending=len(q))
         perf = _perf.COLLECTOR
         if perf.enabled:
             perf.count("simkit.compactions")
@@ -514,7 +512,7 @@ class Simulator:
         ).set(self._compactions)
         reg.gauge(
             "repro_simkit_virtual_time_seconds", "Current virtual clock"
-        ).set(self._now)
+        ).set(self.now)
 
 
 class PeriodicTask:

@@ -211,6 +211,28 @@ class TestValidation:
                            allocations=(2, allocation, 20), reps=2, jobs=1)
         assert repr(allocation) in str(err.value)
 
+    @pytest.mark.parametrize(
+        "argument, value",
+        [("reps", float("nan")), ("reps", 2.5), ("reps", 2.0), ("reps", -1),
+         ("num_bins", float("nan")), ("num_bins", 20.5), ("num_bins", 20.0),
+         ("num_bins", 1)],
+    )
+    def test_bad_reps_or_bins_is_named_before_any_simulation(
+        self, monkeypatch, argument, value
+    ):
+        """A NaN, 2.5 or 20.5 escaped as a bare TypeError from ``range``
+        or, for ``num_bins``, from ``np.bincount`` after every unit ran."""
+        profile = deterministic_profile()
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("simulated a unit")
+
+        monkeypatch.setattr(cpa, "simulate_job", unreachable)
+        with pytest.raises(CpaError, match=f"{argument} must be an integer") as err:
+            CpaTable.build(profile, totalwork(profile), seed=1, allocations=(2, 4),
+                           jobs=1, **{argument: value})
+        assert repr(value) in str(err.value)
+
     @pytest.mark.parametrize("progress", [1.5, -0.5, float("nan")])
     def test_progress_outside_the_unit_interval_is_named(self, progress):
         with pytest.raises(CpaError, match="allocation 7: progress out of"):

@@ -7,7 +7,10 @@ from fractions import Fraction
 from operator import itemgetter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.core.oracle import oracle_allocation
 from repro.experiments.metrics import (
     ALPHA,
     Claim,
@@ -29,7 +32,8 @@ from repro.experiments.reporting import (
     format_cell,
     sparkline,
 )
-from repro.jobs.trace import RunTrace, TaskRecord
+from repro.jobs.trace import OUTCOMES, RunTrace, TaskRecord
+from tests.test_runtime_batch_path import CASES, run_case
 
 
 class TestBasicStats:
@@ -110,6 +114,96 @@ class TestRunMetrics:
         grouped = group_by(runs, lambda m: m.policy)
         assert len(grouped["a"]) == 2
         assert len(grouped["b"]) == 1
+
+
+def four_scans(trace: RunTrace):
+    """What ``RunTrace.tally`` counts, as the four scans it replaced count
+    it, kept verbatim: ``total_cpu_seconds``, ``spare_fraction`` and
+    ``metrics_from_trace``'s two outcome counts."""
+    cpu = sum(r.run_time for r in trace.records if r.succeeded)
+    ok = trace.successful_records()
+    if not ok:
+        spare = 0.0
+    else:
+        spare = sum(1 for r in ok if r.used_spare_token) / len(ok)
+    evictions = sum(1 for r in trace.records if r.outcome == "evicted")
+    failures = sum(1 for r in trace.records if r.outcome == "failed")
+    return cpu, spare, evictions, failures
+
+
+def replaced_metrics_from_trace(trace: RunTrace, *, policy: str) -> RunMetrics:
+    """``metrics_from_trace`` as it was before it read the records once,
+    kept verbatim but for the four scans' values, taken from
+    :func:`four_scans`."""
+    if trace.deadline is None:
+        raise ValueError("trace has no deadline")
+    cpu, spare, evictions, failures = four_scans(trace)
+    oracle = oracle_allocation(cpu, trace.deadline)
+    alloc_seconds = trace.allocation_seconds()
+    excess = trace.allocation_excess_seconds(oracle)
+    impact = excess / alloc_seconds if alloc_seconds > 0 else 0.0
+    return RunMetrics(
+        job=trace.job_name,
+        policy=policy,
+        deadline_seconds=trace.deadline,
+        duration_seconds=trace.duration,
+        cpu_seconds=cpu,
+        oracle_tokens=oracle,
+        allocation_token_seconds=alloc_seconds,
+        impact_above_oracle=impact,
+        spare_fraction=spare,
+        evictions=evictions,
+        failures=failures,
+    )
+
+
+@st.composite
+def finished_traces(draw):
+    """A finished trace with a deadline: attempts of every outcome (or of
+    none but ok's complement, so no successful set) at arbitrary times."""
+    outcomes = draw(st.sampled_from([OUTCOMES, OUTCOMES[1:]]))
+    times = st.floats(0.0, 5_000.0)
+    trace = RunTrace(job_name="j", start_time=0.0, deadline=draw(st.floats(10.0, 3_000.0)))
+    for t, tokens in sorted(draw(st.lists(st.tuples(times, st.integers(0, 40)), max_size=6))):
+        trace.mark_allocation(t, tokens)
+    for i in range(draw(st.integers(0, 60))):
+        ready, start, end = sorted(draw(st.tuples(times, times, times)))
+        trace.add(TaskRecord("s", i, 0, ready, start, end, draw(st.sampled_from(outcomes)),
+                             used_spare_token=draw(st.booleans())))
+    trace.end_time = draw(st.floats(0.0, 6_000.0))
+    return trace
+
+
+class TestOnePassMetricsAreTheFourScans:
+    """``RunTrace.tally``, and the ``metrics_from_trace``,
+    ``total_cpu_seconds`` and ``spare_fraction`` that read it, return, bit
+    for bit, what the four scans it replaced return."""
+
+    @staticmethod
+    def assert_same(trace):
+        ours = metrics_from_trace(trace, policy="p")
+        theirs = replaced_metrics_from_trace(trace, policy="p")
+        # repr round-trips a float, so equal reprs are equal bits.
+        assert repr(ours) == repr(theirs)
+        cpu, spare, evictions, failures = four_scans(trace)
+        assert repr(tuple(trace.tally())) == repr((cpu, spare, evictions, failures))
+        assert repr(trace.total_cpu_seconds()) == repr(cpu)
+        assert repr(trace.spare_fraction()) == repr(spare)
+
+    @given(trace=finished_traces())
+    def test_equal_metrics(self, trace):
+        self.assert_same(trace)
+
+    def test_no_successful_attempt(self):
+        trace = make_trace()
+        trace.records[0] = trace.records[0]._replace(outcome="failed")
+        self.assert_same(trace)
+        assert metrics_from_trace(trace, policy="p").spare_fraction == 0.0
+
+    def test_a_run_with_every_outcome(self):
+        trace = run_case(CASES[6])
+        assert {r.outcome for r in trace.records} == set(OUTCOMES)
+        self.assert_same(trace)
 
 
 class TestReporting:

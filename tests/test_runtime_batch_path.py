@@ -18,14 +18,17 @@ from repro.chaos.spec import (
     RackFailure,
     TokenShock,
 )
-from repro.cluster import LoadEpisode
+from repro.cluster import Cluster, ClusterConfig, LoadEpisode
 from repro.cluster.machine import MachineError, MachinePark
 from repro.cluster.tokens import compute_grants
 from repro.experiments import SMOKE, RunConfig, make_policy, run_experiment, trained_job
 from repro.experiments import runner
-from repro.jobs.profiles import StageProfile
-from repro.runtime.jobmanager import attempt_draws
+from repro.jobs.dag import Edge, EdgeType, JobGraph, Stage
+from repro.jobs.profiles import JobProfile, StageProfile
+from repro.jobs.trace import OUTCOME_FAILED, OUTCOME_OK, OUTCOME_SUPERSEDED, OUTCOMES
+from repro.runtime.jobmanager import JobManager, attempt_draws, run_to_completion
 from repro.runtime.speculation import SpeculationConfig
+from repro.runtime.task import RunningTask
 from repro.simkit.distributions import (
     Constant,
     Empirical,
@@ -35,7 +38,10 @@ from repro.simkit.distributions import (
     Uniform,
     WithOutliers,
 )
-from repro.simkit.random import scalar_draws
+from repro.simkit.distributions import scale as scale_dist
+from repro.simkit.events import Simulator
+from repro.simkit.random import RngRegistry, scalar_draws
+from tests.test_core_simulator import random_profiles
 
 PINS_PATH = Path(__file__).parent / "golden" / "batch_path_pins.json"
 
@@ -291,20 +297,41 @@ class TestReadsMoveNothing:
         assert any(unsettled_reads)
 
 
-stage_runtimes = st.one_of(
+#: The runtime shapes stages are built with: the workload generator's
+#: chain, the same chain at ``outlier_prob`` 0 and without its outlier
+#: wrapper (the generator's shape then), a sample and a constant.
+base_runtimes = st.one_of(
     st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 1.5),
               st.sampled_from([0.0, 0.05, 0.3]), st.floats(1.0, 8.0),
-              st.floats(1.0, 500.0), st.floats(0.2, 5.0)).map(
-        # The workload generator's chain.
-        lambda a: Scaled(Truncated(WithOutliers(LogNormal(a[0], a[1]), a[2], a[3]), a[4]), a[5])
+              st.floats(1.0, 500.0)).map(
+        lambda a: Truncated(WithOutliers(LogNormal(a[0], a[1]), a[2], a[3]), a[4])
+    ),
+    st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 1.5), st.floats(1.0, 500.0)).map(
+        lambda a: Truncated(LogNormal(a[0], a[1]), a[2])
     ),
     st.lists(st.floats(0.0, 100.0), min_size=1, max_size=5).map(Empirical),
     st.floats(0.0, 100.0).map(Constant),
 )
-stage_inits = st.one_of(
+base_inits = st.one_of(
     st.just(Constant(0.0)),
-    st.floats(0.0, 10.0).map(lambda v: Scaled(Uniform(0.5 * v, 1.5 * v), 1.3)),
+    st.floats(0.0, 10.0).map(Constant),
+    st.floats(0.0, 10.0).map(lambda v: Uniform(0.5 * v, 1.5 * v)),
 )
+
+
+def as_with_runtime_scale(bases):
+    """Each base bare, or wrapped as ``JobProfile.with_runtime_scale``
+    wraps it (``scale`` folds a repeated scale into one ``Scaled``)."""
+    return st.one_of(
+        bases,
+        st.tuples(bases, st.floats(0.2, 5.0), st.floats(0.5, 2.0)).map(
+            lambda a: scale_dist(scale_dist(a[0], a[1]), a[2])
+        ),
+    )
+
+
+stage_runtimes = as_with_runtime_scale(base_runtimes)
+stage_inits = as_with_runtime_scale(base_inits)
 
 
 class TestAttemptDrawsAreTheReplacedLines:
@@ -338,3 +365,188 @@ class TestAttemptDrawsAreTheReplacedLines:
             )
         assert ours.random() == theirs.random()
         assert ours.integers(0, 2**32) == theirs.integers(0, 2**32)
+
+    def test_every_machine_down_is_refused_before_below_draws(self):
+        """With no machine up a start makes its attempt draws and then
+        refuses, leaving the stream where those draws left it: the park's
+        refusal still comes before any ``below`` draw, on both start paths."""
+        runtime = Scaled(Truncated(WithOutliers(LogNormal(1.0, 0.5), 0.3, 4.0), 40.0), 1.2)
+        init = Scaled(Uniform(0.5, 1.5), 1.2)
+        graph = JobGraph("down", [Stage("s", 4)], [])
+        profile = JobProfile(
+            graph, {"s": StageProfile("s", runtime, init=init, failure_prob=0.5)}
+        )
+        config = ClusterConfig(
+            num_machines=3, slots_per_machine=2, background_guaranteed=0,
+            spare_soaker_weight=0.0, machine_mtbf_seconds=None, contention_coeff=0.0,
+        )
+        manager = JobManager(
+            Cluster(Simulator(), config, rng=RngRegistry(0)), graph, profile,
+            initial_allocation=2,
+        )
+        for m in range(config.num_machines):
+            manager.cluster.machines.fail(m)
+        assert not manager._running
+        rng = manager._rng
+        for start in (
+            lambda: manager._start_task(("s", 0), manager._grant, manager.sim.now),
+            lambda: manager._start_wave([("s", 0), ("s", 1)], manager._grant),
+        ):
+            twin = np.random.default_rng()
+            twin.bit_generator.state = rng.bit_generator.state
+            attempt_draws(profile.stage("s"), twin)()
+            with pytest.raises(MachineError, match="no machines up"):
+                start()
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+
+# ----------------------------------------------------------------------
+# A completion as the job manager settled it before it used the tracker's
+# counters and wrote an ok finish's bookkeeping itself, kept verbatim: every
+# completion went through complete_id, and an ok attempt through _record,
+# trace.mark_running and _update_demand.
+# ----------------------------------------------------------------------
+
+
+class ReplacedCompletions(JobManager):
+    @property
+    def _total_tasks(self) -> int:
+        # The count the replaced _finish compared with; JobManager no
+        # longer keeps it.
+        return self.graph.num_vertices
+
+    def _finish(self, task: RunningTask) -> None:
+        # Our finish event just fired, so the handle is back on the
+        # simulator's free list — drop the reference before anything here
+        # can recycle it into a different event.
+        task.finish_handle = None
+        now = self.sim.now
+        running = self._running
+        # Inlined _accrue_busy_time.
+        if now > self._busy_marker:
+            self._busy_token_seconds += len(running) * (now - self._busy_marker)
+            self._busy_marker = now
+        if self._duplicates_in_flight:
+            siblings = self._release(task)
+        else:
+            # No speculative race in flight: no sibling scan to do.
+            siblings = ()
+            running.remove(task)
+            if not task.used_spare_token:
+                self._guaranteed_count -= 1
+        if task.will_fail:
+            self._record(task, OUTCOME_FAILED, now)
+            # A surviving speculative sibling keeps the task alive; only
+            # retry when this was the last attempt in flight.
+            if not siblings:
+                self._retry(task)
+        else:
+            self._record(task, OUTCOME_OK, now)
+            # The losing attempts of a speculative race are cancelled.
+            for loser in siblings:
+                if loser.finish_handle is not None:
+                    loser.finish_handle.cancel()
+                    loser.finish_handle = None
+                self._release(loser)
+                self._record(loser, OUTCOME_SUPERSEDED, now)
+            if task.is_duplicate:
+                self.duplicates_won += 1
+            if self._speculation is not None:
+                # Only the straggler scan reads these.
+                self._stage_durations.setdefault(task.task_id[0], []).append(
+                    now - task.start_time
+                )
+            self._completed_tasks += 1
+            stage, index = task.task_id
+            names = self._task_names
+            for ready in self._tracker.complete_id(self._task_offsets[stage] + index):
+                self._enqueue(names[ready], now)
+            if (
+                self._completed_tasks >= self._total_tasks
+                and self._tracker.all_complete()
+            ):
+                self._complete_job()
+                return
+        self.trace.mark_running(now, len(running))
+        self._update_demand()
+        self._start_ready_tasks(now)
+
+
+#: A small busy cluster: background demand swings past its guarantee (spare
+#: grants shrink: evictions) and machines fail and come back within a run.
+LOSSY_CLUSTER = ClusterConfig(
+    num_machines=6, slots_per_machine=2, background_guaranteed=6,
+    background_mean_demand=8.0, background_min_demand=2, background_max_demand=12,
+    background_volatility=0.8, background_resample_seconds=5.0,
+    machine_mtbf_seconds=150.0, repair_seconds=20.0, spare_soaker_weight=1.0,
+)
+#: Eager speculation, so the small stages race duplicates.
+EAGER_SPECULATION = SpeculationConfig(
+    check_period_seconds=2.0, slowdown_factor=1.2, min_task_seconds=0.5,
+    min_observations=1, max_duplicate_fraction=0.5,
+)
+
+
+def lossy_run(manager_class, profile, seed, allocation, speculate):
+    """``(manager, trace, ids of the machines that went down, in order)``."""
+    sim = Simulator()
+    cluster = Cluster(sim, LOSSY_CLUSTER, rng=RngRegistry(seed))
+    lost = []
+    cluster.machines.listeners.append(lambda m, up: up or lost.append(m))
+    manager = manager_class(
+        cluster, profile.graph, profile, initial_allocation=allocation,
+        speculation=EAGER_SPECULATION if speculate else None,
+    )
+    return manager, run_to_completion(manager), lost
+
+
+class TestCompletionsAreTheReplacedLines:
+    """The job manager, settling a completion that is not its stage's last
+    through the tracker's counters and an ok finish's bookkeeping itself,
+    records the run the replaced completion lines record: every record,
+    the running and allocation timelines and the job's end, on random
+    graphs of pointwise and shuffle edges with failing stages, evictions,
+    speculative races and machine loss."""
+
+    @given(
+        profile=random_profiles(),
+        seed=st.integers(0, 2**32 - 1),
+        allocation=st.sampled_from([1, 3, 8]),
+        speculate=st.booleans(),
+    )
+    def test_equal_traces(self, profile, seed, allocation, speculate):
+        new, ours, new_lost = lossy_run(JobManager, profile, seed, allocation, speculate)
+        old, theirs, old_lost = lossy_run(
+            ReplacedCompletions, profile, seed, allocation, speculate
+        )
+        assert new_lost == old_lost
+        assert ours.records == theirs.records
+        assert ours.running_timeline == theirs.running_timeline
+        assert ours.allocation_timeline == theirs.allocation_timeline
+        assert ours.end_time == theirs.end_time
+        assert new._busy_token_seconds == old._busy_token_seconds
+        assert (new.duplicates_launched, new.duplicates_won) == (
+            old.duplicates_launched, old.duplicates_won
+        )
+
+    def test_the_runs_reach_every_outcome_and_lose_machines(self):
+        """The differential's cluster and speculation do what its strategy
+        relies on: over a few runs of one noisy job, attempts fail, are
+        evicted and are superseded, and machines go down."""
+        graph = JobGraph(
+            "mixed",
+            [Stage("a", 7), Stage("b", 7), Stage("c", 3)],
+            [Edge("a", "b", EdgeType.ONE_TO_ONE), Edge("b", "c", EdgeType.ALL_TO_ALL)],
+        )
+        profile = JobProfile(graph, {
+            s.name: StageProfile(s.name, LogNormal(1.5, 0.6), init=Uniform(0.5, 1.5),
+                                 failure_prob=0.05)
+            for s in graph.stages
+        })
+        outcomes, lost = set(), []
+        for seed in range(6):
+            _, trace, run_lost = lossy_run(JobManager, profile, seed, 3, True)
+            outcomes.update(r.outcome for r in trace.records)
+            lost += run_lost
+        assert outcomes == set(OUTCOMES)
+        assert lost
